@@ -30,7 +30,6 @@ from .bounds import (
     bounds_table,
     fixed_point_kappa,
     kl_based_bound,
-    psi_star_inverse,
     ratio_constants,
     renyi_upper_bound,
     sandwich_violations,
@@ -84,10 +83,7 @@ from .gibbs import (
     expected_empirical_risk,
     gen_characterizations,
     gen_error_direct,
-    gen_via_cmi,
-    gen_via_replace_one,
     gibbs_posterior,
-    joint_distribution,
     log_ratio_means,
     population_gibbs,
     info_divergence_compare,
@@ -96,7 +92,6 @@ from .gibbs import (
     supersample_conditional_info,
 )
 from .probability import (
-    CondTable,
     InfoReport,
     JointTable,
     ProbVec,

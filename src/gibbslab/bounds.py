@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import rel_entr
-
 from .errors import (
     AlphaOutOfRange,
     GammaNonPositive,
@@ -38,16 +36,13 @@ from .errors import (
     NoPositiveRoot,
 )
 from .gibbs import (
+    GenReport,
     GibbsPosterior,
     LearningProblem,
+    _require_positive_gamma,
     gen_characterizations,
     gibbs_posterior,
-    joint_distribution,
-    population_gibbs,
-    replace_one_divergences,
-    supersample_conditional_info,
 )
-from .probability import info_triple, renyi_divergence, total_variation
 
 DEGENERACY_TOL = 1e-15
 BISECT_REL_TOL = 1e-12
@@ -122,11 +117,6 @@ class SubGamma:
 
 
 TailClass = SubGaussian | SubExponential | SubGamma
-
-
-def psi_star_inverse(tail: TailClass, y: float) -> float:
-    """Inverse of the Legendre dual of the tail's cumulant bound."""
-    return tail.psi_star_inverse(y)
 
 
 def _validate_fixed_point_args(gamma: float, n: int, c_ratio: float) -> None:
@@ -241,47 +231,39 @@ class RatioConstants:
                 "can never beat the lautum/mutual ratio"
             )
 
+    @classmethod
+    def from_report(cls, report: GenReport) -> "RatioConstants":
+        """The ratios of the numbers behind one GenReport.
 
-def _population_reference_divergences(
-    problem: LearningProblem, posterior: GibbsPosterior, gamma: float
-) -> tuple[float, float]:
-    """(forward, reverse) conditional KL between the posterior rows and
-    the population Gibbs law, averaged over datasets."""
-    pop = population_gibbs(problem, gamma).weights
-    rows = posterior.row_array
-    probs = problem._dataset_probs
-    forward = float(probs @ rel_entr(rows, pop[None, :]).sum(axis=1))
-    reverse = float(probs @ rel_entr(pop[None, :], rows).sum(axis=1))
-    return forward, reverse
+        Uses the largest admissible value of each constant, which gives the
+        tightest version of each parametric bound.  Conditional and
+        replace-one ratios whose denominators vanish fall back to zero,
+        which keeps the resulting bounds valid (smaller constants only
+        loosen them).
+        """
+        info = report.info
+        iid = report.conditional is not None
+        if info.mutual <= DEGENERACY_TOL:
+            zero = 0.0 if iid else None
+            return cls(c_i=0.0, c_k=0.0, c_c=zero, c_s_ratio=zero, degenerate=True)
+        c_i = info.lautum / info.mutual
+        c_k = report.d_rev / report.d_fwd if report.d_fwd > DEGENERACY_TOL else 0.0
+        if not iid:
+            return cls(c_i=c_i, c_k=c_k, c_c=None, c_s_ratio=None)
+        cond = report.conditional
+        c_c = cond.lautum / cond.mutual if cond.mutual > DEGENERACY_TOL else 0.0
+        usable = [
+            rev / fwd
+            for fwd, rev in zip(report.replace_forward, report.replace_reverse)
+            if fwd > DEGENERACY_TOL
+        ]
+        return cls(c_i=c_i, c_k=c_k, c_c=c_c, c_s_ratio=min(usable, default=0.0))
 
 
 def ratio_constants(problem: LearningProblem, gamma: float) -> RatioConstants:
-    """Measure the exact ratio constants of an enumerable problem.
-
-    Uses the largest admissible value of each constant, which gives the
-    tightest version of each parametric bound.  Conditional and
-    replace-one ratios whose denominators vanish fall back to zero,
-    which keeps the resulting bounds valid (smaller constants only
-    loosen them).
-    """
-    posterior = gibbs_posterior(problem, gamma)
-    info = info_triple(joint_distribution(problem, posterior))
-    iid = problem.is_iid()
-    if info.mutual <= DEGENERACY_TOL:
-        zero = 0.0 if iid else None
-        return RatioConstants(c_i=0.0, c_k=0.0, c_c=zero, c_s_ratio=zero, degenerate=True)
-    c_i = info.lautum / info.mutual
-    forward, reverse = _population_reference_divergences(problem, posterior, gamma)
-    c_k = reverse / forward if forward > DEGENERACY_TOL else 0.0
-    c_c = None
-    c_s_ratio = None
-    if iid:
-        cond = supersample_conditional_info(problem, gamma, posterior)
-        c_c = cond.lautum / cond.mutual if cond.mutual > DEGENERACY_TOL else 0.0
-        fwd_i, rev_i = replace_one_divergences(problem, gamma, posterior)
-        usable = fwd_i > DEGENERACY_TOL
-        c_s_ratio = float((rev_i[usable] / fwd_i[usable]).min()) if usable.any() else 0.0
-    return RatioConstants(c_i=c_i, c_k=c_k, c_c=c_c, c_s_ratio=c_s_ratio)
+    """Measure the exact ratio constants of an enumerable problem; see
+    RatioConstants.from_report."""
+    return RatioConstants.from_report(gen_characterizations(problem, gamma))
 
 
 @dataclass(frozen=True)
@@ -406,10 +388,20 @@ def bound_suite(
     return entries
 
 
-def _coupling_vectors(problem: LearningProblem, gamma: float):
-    posterior = gibbs_posterior(problem, gamma)
-    joint = joint_distribution(problem, posterior)
-    return joint.flattened(), joint.product_of_marginals().flattened()
+def _tv_lower(posterior: GibbsPosterior) -> float:
+    tv = posterior.total_variation
+    return tv * tv / posterior.gamma
+
+
+def _renyi_upper(posterior: GibbsPosterior, alpha: float) -> float:
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
+        raise AlphaOutOfRange(f"the upper bound requires alpha > 1, got {alpha!r}")
+    return posterior.renyi(alpha) / posterior.gamma
+
+
+def _kl_based(posterior: GibbsPosterior, sigma: float) -> float:
+    forward, _ = posterior.reference_divergences
+    return math.sqrt(2.0 * sigma**2 * forward / posterior.problem.n)
 
 
 def tv_lower_bound(problem: LearningProblem, gamma: float) -> float:
@@ -419,11 +411,8 @@ def tv_lower_bound(problem: LearningProblem, gamma: float) -> float:
     (W, S) and the product of its marginals, so the bound lies in
     [0, 4 / gamma].  Valid for every data model.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
-    joint_vec, prod_vec = _coupling_vectors(problem, gamma)
-    tv = total_variation(joint_vec, prod_vec)
-    return tv * tv / gamma
+    _require_positive_gamma(gamma)
+    return _tv_lower(gibbs_posterior(problem, gamma))
 
 
 def renyi_upper_bound(problem: LearningProblem, gamma: float, alpha: float) -> float:
@@ -431,14 +420,8 @@ def renyi_upper_bound(problem: LearningProblem, gamma: float, alpha: float) -> f
     the two directed Renyi divergences between the joint law and the
     product of marginals, summed and divided by gamma.  Decreasing in
     alpha toward the exact value as alpha approaches one from above."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
-        raise AlphaOutOfRange(f"the upper bound requires alpha > 1, got {alpha!r}")
-    joint_vec, prod_vec = _coupling_vectors(problem, gamma)
-    forward = renyi_divergence(joint_vec, prod_vec, alpha)
-    reverse = renyi_divergence(prod_vec, joint_vec, alpha)
-    return (forward + reverse) / gamma
+    _require_positive_gamma(gamma)
+    return _renyi_upper(gibbs_posterior(problem, gamma), alpha)
 
 
 def kl_based_bound(problem: LearningProblem, gamma: float, sigma: float) -> float:
@@ -446,12 +429,9 @@ def kl_based_bound(problem: LearningProblem, gamma: float, sigma: float) -> floa
     divergence from the posterior to the population Gibbs law.  IID
     sampling and a sub-Gaussian loss are its validity conditions; the
     value itself is computable for any model."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
+    _require_positive_gamma(gamma)
     _require_positive("sigma", sigma)
-    posterior = gibbs_posterior(problem, gamma)
-    forward, _ = _population_reference_divergences(problem, posterior, gamma)
-    return math.sqrt(2.0 * sigma**2 * forward / problem.n)
+    return _kl_based(gibbs_posterior(problem, gamma), sigma)
 
 
 @dataclass(frozen=True)
@@ -478,28 +458,20 @@ def bounds_table(
     Parametric rows appear with measured ratio constants on IID models
     and as infeasible placeholders on joint models, where their sampling
     assumption fails.  The sub-Gaussian parameter is (max - min) / 2 of
-    the loss table; a constant loss short-circuits to exact zeros.
+    the loss table; a constant loss short-circuits to exact zeros.  Every
+    row reads the one evaluation gibbs_posterior(problem, gamma).
     """
-    report = gen_characterizations(
-        problem, gamma, include_cmi=False, include_replace_one=False
-    )
-    gen = report.direct
+    posterior = gibbs_posterior(problem, gamma)
+    report = GenReport.from_posterior(posterior)
     rows = [
-        BoundRow("exact_gen", gen, True, "definition", "", "exact"),
-        BoundRow(
-            "tv_lower",
-            tv_lower_bound(problem, gamma),
-            True,
-            "any data model",
-            "",
-            "lower",
-        ),
+        BoundRow("exact_gen", report.direct, True, "definition", "", "exact"),
+        BoundRow("tv_lower", _tv_lower(posterior), True, "any data model", "", "lower"),
     ]
     for alpha in alphas:
         rows.append(
             BoundRow(
                 f"renyi_upper_alpha_{alpha:g}",
-                renyi_upper_bound(problem, gamma, alpha),
+                _renyi_upper(posterior, alpha),
                 True,
                 "any data model; order > 1",
                 f"alpha={alpha:.12g}",
@@ -525,7 +497,7 @@ def bounds_table(
         for name in parametric_names + ("kl_based",):
             rows.append(BoundRow(name, 0.0, True, "constant loss", "sigma=0", "upper"))
         return rows
-    ratios = ratio_constants(problem, gamma)
+    ratios = RatioConstants.from_report(report)
     suite = bound_suite(gamma, problem.n, SubGaussian(sigma), ratios, mutual=None)
     for name in parametric_names:
         if name not in suite:
@@ -540,7 +512,7 @@ def bounds_table(
     rows.append(
         BoundRow(
             "kl_based",
-            kl_based_bound(problem, gamma, sigma),
+            _kl_based(posterior, sigma),
             True,
             "iid; loss sub-Gaussian under the sample law",
             f"sigma={sigma:.12g}",

@@ -5,8 +5,8 @@ documented acceptance runs), writes CSV/JSON artifacts plus a
 manifest.json into --out, prints one PASS/FAIL line per check, and exits
 0 when all checks pass, 1 on a check failure, 2 on a config error, and 3
 on a numerical error (enumeration overflow, singular matrices, divergent
-chains).  Apart from the manifest's duration field, outputs are a pure
-function of config and seed.  GIBBS_ISKL_THREADS (default 1) caps the
+chains).  Apart from the manifest's duration and timings fields, outputs
+are a pure function of config and seed.  GIBBS_ISKL_THREADS (default 1) caps the
 worker threads used for instance sweeps and Monte Carlo batches; results
 are order-independent, so the thread count never changes any number.
 """
@@ -33,7 +33,7 @@ from .asymptotics import (
     mle_asymptotic_gen,
     single_well_gen,
 )
-from .bounds import bounds_table, ratio_constants, renyi_upper_bound, sandwich_violations
+from .bounds import RatioConstants, bounds_table, renyi_upper_bound, sandwich_violations
 from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch
 from .gaussian import (
     GaussianMeanConfig,
@@ -44,11 +44,11 @@ from .gaussian import (
     pac_bayes_coverage,
 )
 from .gibbs import (
+    InfoDivergenceReport,
     chain_rule_example,
     concavity_probe,
     empirical_risk_curve,
     gen_characterizations,
-    info_divergence_compare,
 )
 from .problems import instance_rng, instance_sweep, random_mixture_components, random_problem
 from .samplers import SgldConfig, sgld_run
@@ -80,6 +80,9 @@ class Check:
     name: str
     passed: bool
     detail: str
+    # wall time a timing check measured; the manifest keeps it under
+    # timings, apart from the reproducible detail
+    seconds: float | None = None
 
 
 def _threads() -> int:
@@ -170,6 +173,7 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         rows = []
         prop_rows = []
         failures = []
+        ratio_failures = []
         for gamma in gammas:
             try:
                 report = gen_characterizations(problem, gamma)
@@ -192,11 +196,14 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
                     report.max_pairwise_gap(),
                 ]
             )
+            # both gates read the numbers behind the report just checked
             try:
-                prop = info_divergence_compare(problem, gamma)
-                ratios = ratio_constants(problem, gamma)
+                prop = InfoDivergenceReport(
+                    report.info.mutual, report.info.lautum, report.d_fwd, report.d_rev
+                )
+                ratios = RatioConstants.from_report(report)
             except IdentityMismatch as exc:
-                failures.append(f"instance {index} gamma {gamma}: {exc}")
+                ratio_failures.append(f"instance {index} gamma {gamma}: {exc}")
                 continue
             prop_rows.append(
                 [
@@ -211,14 +218,15 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
                     ratios.degenerate,
                 ]
             )
-        return rows, prop_rows, failures
+        return rows, prop_rows, failures, ratio_failures
 
     started = time.monotonic()
     results = _map_ordered(work, instances)
     sweep_seconds = time.monotonic() - started
-    identity_rows = [row for rows, _, _ in results for row in rows]
-    prop_rows = [row for _, rows, _ in results for row in rows]
-    failures = [msg for _, _, msgs in results for msg in msgs]
+    identity_rows = [row for rows, _, _, _ in results for row in rows]
+    prop_rows = [row for _, rows, _, _ in results for row in rows]
+    failures = [msg for _, _, msgs, _ in results for msg in msgs]
+    ratio_failures = [msg for _, _, _, msgs in results for msg in msgs]
 
     write_csv(
         os.path.join(out_dir, "identities.csv"),
@@ -268,16 +276,18 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     checks.append(
         Check(
             "divergence_order_and_ratio_constants",
-            len(prop_rows) == len(identity_rows) and not failures,
+            len(prop_rows) == len(identity_rows) and not ratio_failures,
             f"{len(prop_rows)} evaluations satisfied the divergence comparison "
-            "and c_k <= c_i",
+            "and c_k <= c_i"
+            + (f"; failures: {ratio_failures[:3]}" if ratio_failures else ""),
         )
     )
     checks.append(
         Check(
             "sweep_runtime",
             sweep_seconds <= 60.0,
-            f"identity sweep took {sweep_seconds:.1f} s (limit 60 s)",
+            "identity sweep wall time against a 60 s limit (seconds under timings)",
+            seconds=sweep_seconds,
         )
     )
 
@@ -596,8 +606,13 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
             violations.extend(
                 f"instance {index} gamma {gamma}: {v}" for v in sandwich_violations(rows)
             )
+            # rows are exact_gen, tv_lower, then one Renyi row per alpha
             gen = rows[0].value
-            sweep = [renyi_upper_bound(problem, gamma, a) for a in sweep_alphas]
+            renyi = {a: row.value for a, row in zip(alphas, rows[2:])}
+            sweep = [
+                renyi[a] if a in renyi else renyi_upper_bound(problem, gamma, a)
+                for a in sweep_alphas
+            ]
             if any(b > a + 1e-12 for a, b in zip(sweep, sweep[1:])):
                 sweep_failures.append(
                     f"instance {index} gamma {gamma}: values not decreasing along "
@@ -644,11 +659,11 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
         ["instance", "gamma", "gen", f"renyi_{probe_alpha:g}", "excess_ratio"],
         probe_rows,
     )
-    first_rows = bounds_table(instances[0][1], gammas[0], alphas=alphas)
+    first = (instances[0][0], gammas[0])
     write_csv(
         os.path.join(out_dir, "suite_example.csv"),
         ["bound_name", "value", "feasible", "regime", "constants_used"],
-        [[r.bound_name, r.value, r.feasible, r.regime, r.constants_used] for r in first_rows],
+        [row[3:8] for row in all_rows if (row[0], row[1]) == first],
     )
 
     worst_excess = {
@@ -1083,6 +1098,7 @@ def main(argv: list[str] | None = None) -> int:
         ],
         "passed": passed,
         "duration_seconds": time.monotonic() - started,
+        "timings": {c.name: c.seconds for c in checks if c.seconds is not None},
     }
     write_json(os.path.join(args.out, "manifest.json"), manifest)
     for check in checks:

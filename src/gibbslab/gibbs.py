@@ -17,9 +17,11 @@ checkable statements:
 
 All five agree to 1e-9 relative on any valid instance; GenReport enforces
 this at construction.  Datasets are ordered tuples enumerated in
-lexicographic order, never collapsed to multisets.  Partition functions are
-evaluated with max-subtracted log-sum-exp so large inverse temperatures do
-not overflow.
+lexicographic order, never collapsed to multisets.  gibbs_posterior is the
+one evaluation of a (problem, gamma) pair that every route and bound
+reads.  Its information functionals never leave the log domain, so the
+identity holds in the large-gamma (ERM) regime too, where linear-domain
+rows underflow; the tests check it at gamma up to 1e6.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import logsumexp
 
 from .errors import (
-    AbsoluteContinuityViolation,
     EnumerationTooLarge,
     EpsilonOutOfRange,
     GammaNonPositive,
@@ -45,14 +46,20 @@ from .errors import (
 from .probability import (
     InfoReport,
     JointTable,
-    CondTable,
     ProbVec,
     ZERO_CUTOFF,
+    _divergence_pair,
+    _product_of_marginals,
+    _renyi_sum,
+    _total_variation,
     info_triple,
 )
 
 ENUMERATION_CAP = 10**6
 SUPERSAMPLE_CAP = 10**7
+# elements per block of the supersample sweep: small enough that the
+# block's temporaries stay in cache
+SUPERSAMPLE_BLOCK = 100_000
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 COMPARE_TOL = 1e-10
@@ -158,6 +165,15 @@ class LearningProblem:
         return _tuple_probs(self.data_model, self._dataset_indices)
 
     @cached_property
+    def _log_dataset_probs(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self._dataset_probs)
+
+    def dataset_labels(self) -> tuple:
+        samples = self.sample_alphabet
+        return tuple(tuple(samples[j] for j in row) for row in self._dataset_indices)
+
+    @cached_property
     def _empirical_risk(self) -> np.ndarray:
         """(num_hypotheses, m) empirical risk of every (w, dataset) pair."""
         risk = self.loss[:, self._dataset_indices].mean(axis=2)
@@ -169,10 +185,6 @@ class LearningProblem:
         risk = self._empirical_risk @ self._dataset_probs
         risk.flags.writeable = False
         return risk
-
-    def dataset_labels(self) -> tuple:
-        samples = self.sample_alphabet
-        return tuple(tuple(samples[j] for j in row) for row in self._dataset_indices)
 
 
 def _index_matrix(base: int, length: int) -> np.ndarray:
@@ -203,24 +215,12 @@ def _check_enumeration(required: int, cap: int, what: str) -> None:
         )
 
 
-def enumerate_datasets(
-    problem: LearningProblem, cap: int = ENUMERATION_CAP
-) -> list[tuple[tuple, float]]:
-    """Every ordered dataset with its probability, lexicographically.
-
-    Probabilities come from the IID product or the joint table and sum to
-    one within 1e-12.
-    """
-    _check_enumeration(problem.dataset_count, cap, "dataset enumeration")
-    labels = problem.dataset_labels()
-    probs = problem._dataset_probs
-    return [(labels[k], float(probs[k])) for k in range(len(labels))]
-
-
 @dataclass(frozen=True, eq=False)
 class GibbsPosterior:
     """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
-    tabulated per enumerated dataset and held in the log domain."""
+    tabulated per enumerated dataset and held in the log domain; build it
+    with gibbs_posterior.  Each functional the routes and bounds need is a
+    cached property, computed once on first use."""
 
     problem: LearningProblem
     gamma: float
@@ -237,20 +237,66 @@ class GibbsPosterior:
         return rows
 
     @cached_property
-    def rows(self) -> CondTable:
-        """The posterior as a CondTable (materializes every row)."""
-        hypos = self.problem.hypothesis_set
-        return CondTable(
-            tuple(ProbVec(row, hypos) for row in self.row_array),
-            conditioning_alphabet=self.problem.dataset_labels(),
-        )
-
-    @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
         marg = self.problem._dataset_probs @ self.row_array
         marg.flags.writeable = False
         return marg
+
+    @cached_property
+    def log_kernel(self) -> np.ndarray:
+        """log_rows normalized again, for the information functionals: the
+        first log-sum-exp leaves each row's total off by rounding that grows
+        with gamma times the risk; a second pass near zero removes it."""
+        return self.log_rows - logsumexp(self.log_rows, axis=1, keepdims=True)
+
+    @cached_property
+    def log_marginal(self) -> np.ndarray:
+        """The hypothesis marginal in the log domain."""
+        return logsumexp(self.problem._log_dataset_probs[:, None] + self.log_kernel, axis=0)
+
+    def _expected_divergences(self, log_reference: np.ndarray) -> tuple[float, float]:
+        """(E D(row || reference), E D(reference || row)) over datasets."""
+        probs = self.problem._dataset_probs
+        forward, reverse = _divergence_pair(self.log_kernel, log_reference[None, :], axis=1)
+        return float(probs @ forward), float(probs @ reverse)
+
+    @cached_property
+    def info(self) -> InfoReport:
+        """Mutual, lautum and symmetrized information of (W, S)."""
+        mutual, lautum = self._expected_divergences(self.log_marginal)
+        return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
+
+    @cached_property
+    def reference_divergences(self) -> tuple[float, float]:
+        """(d_fwd, d_rev): the expected divergences from the posterior rows
+        to the population-risk Gibbs law and back."""
+        return self._expected_divergences(_log_population(self.problem, self.gamma))
+
+    @cached_property
+    def total_variation(self) -> float:
+        """Unnormalized total variation between the joint law of (W, S) and
+        the product of its marginals."""
+        # row-major, as in a JointTable, so the sums run in the same order
+        joint = np.ascontiguousarray(self.row_array.T * self.problem._dataset_probs[None, :])
+        return _total_variation(joint, _product_of_marginals(joint))
+
+    def renyi(self, alpha: float) -> float:
+        """Sum of the two directed Renyi divergences of order alpha between
+        the joint law of (W, S) and the product of its marginals."""
+        support = self.problem._dataset_probs > 0.0
+        log_probs = self.problem._log_dataset_probs[support, None]
+        joint = log_probs + self.log_kernel[support]
+        product = log_probs + self.log_marginal[None, :]
+        return _renyi_sum(joint, product, alpha) + _renyi_sum(product, joint, alpha)
+
+    @cached_property
+    def supersample_info(self) -> InfoReport:
+        return supersample_conditional_info(self.problem, self.log_kernel)
+
+    @cached_property
+    def replace_one(self) -> tuple[np.ndarray, np.ndarray]:
+        return replace_one_divergences(self.problem, self.log_kernel)
 
 
 def gibbs_posterior(
@@ -270,16 +316,11 @@ def gibbs_posterior(
     )
 
 
-def _require_matching(problem: LearningProblem, posterior: GibbsPosterior) -> None:
-    if posterior.problem is not problem:
-        raise InvalidInput("posterior was built for a different problem instance")
-
-
-def joint_distribution(problem: LearningProblem, posterior: GibbsPosterior) -> JointTable:
-    """The joint law of (W, S): rows are hypotheses, columns datasets."""
-    _require_matching(problem, posterior)
-    table = posterior.row_array.T * problem._dataset_probs[None, :]
-    return JointTable(table, problem.hypothesis_set, problem.dataset_labels())
+def _log_population(problem: LearningProblem, gamma: float) -> np.ndarray:
+    # normalized twice, for the reason given at GibbsPosterior.log_kernel
+    logits = problem.prior.log_weights - gamma * problem._population_risk
+    logits = logits - logsumexp(logits)
+    return logits - logsumexp(logits)
 
 
 def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
@@ -287,29 +328,21 @@ def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
     risk; the hypothesis-space reference measure of the divergence form."""
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
-    logits = problem.prior.log_weights - gamma * problem._population_risk
-    logits -= logsumexp(logits)
-    weights = np.exp(logits)
+    weights = np.exp(_log_population(problem, gamma))
     weights /= weights.sum()
     return ProbVec(weights, problem.hypothesis_set)
 
 
-def gen_error_direct(problem: LearningProblem, posterior: GibbsPosterior) -> float:
+def gen_error_direct(posterior: GibbsPosterior) -> float:
     """Expected generalization error straight from the definition:
     E[population risk - empirical risk] under the joint law of (W, S)."""
-    _require_matching(problem, posterior)
-    probs = problem._dataset_probs
-    rows = posterior.row_array
-    pop = problem._population_risk
-    marginal = probs @ rows
-    on_population = float(marginal @ pop)
-    on_empirical = float(np.einsum("s,sw,ws->", probs, rows, problem._empirical_risk))
-    return on_population - on_empirical
+    on_population = float(posterior.hypothesis_marginal @ posterior.problem._population_risk)
+    return on_population - expected_empirical_risk(posterior)
 
 
-def expected_empirical_risk(problem: LearningProblem, posterior: GibbsPosterior) -> float:
+def expected_empirical_risk(posterior: GibbsPosterior) -> float:
     """E[empirical risk] under the joint law of (W, S)."""
-    _require_matching(problem, posterior)
+    problem = posterior.problem
     return float(
         np.einsum(
             "s,sw,ws->", problem._dataset_probs, posterior.row_array, problem._empirical_risk
@@ -317,25 +350,22 @@ def expected_empirical_risk(problem: LearningProblem, posterior: GibbsPosterior)
     )
 
 
-def _symmetrized_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise symmetrized KL between matching rows of two matrices with
-    strictly positive entries."""
-    return ((p - q) * (np.log(p) - np.log(q))).sum(axis=-1)
+def _require_kernel(problem: LearningProblem, log_rows: np.ndarray) -> None:
+    expected = (problem.dataset_count, problem.num_hypotheses)
+    if np.shape(log_rows) != expected:
+        raise InvalidInput(f"log_rows shape {np.shape(log_rows)} must be {expected}")
 
 
-def supersample_conditional_info(
-    problem: LearningProblem,
-    gamma: float,
-    posterior: GibbsPosterior | None = None,
-    cap: int = SUPERSAMPLE_CAP,
-) -> InfoReport:
+def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray) -> InfoReport:
     """Conditional information between W and the selector string U given a
-    supersample of n sample pairs.
+    supersample of n sample pairs, for the posterior kernel whose log rows
+    (one per dataset, lexicographic order) are given.
 
     The supersample holds 2n IID draws arranged as n pairs; U picks one
     element of each pair to form the training tuple, uniformly and
     independently.  Returns the conditional mutual, lautum, and symmetrized
-    information of (W; U) given the supersample.  IID data models only.
+    information of (W; U) given the supersample.  IID data models only; the
+    size check runs before anything is allocated.
     """
     if not problem.is_iid():
         raise NotIID("the supersample construction requires an IID data model")
@@ -343,11 +373,8 @@ def supersample_conditional_info(
     n = problem.n
     nw = problem.num_hypotheses
     required = (nz ** (2 * n)) * (2**n)
-    _check_enumeration(required, cap, "supersample enumeration")
-    if posterior is None:
-        posterior = gibbs_posterior(problem, gamma)
-    else:
-        _require_matching(problem, posterior)
+    _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
+    _require_kernel(problem, log_rows)
 
     pair_matrix = _index_matrix(nz, 2 * n)
     marginal = problem.data_model.marginal.weights
@@ -357,8 +384,6 @@ def supersample_conditional_info(
     powers = nz ** np.arange(n - 1, -1, -1)
     selectors = _index_matrix(2, n)
     num_u = selectors.shape[0]
-    u_prob = 1.0 / num_u
-    rows = posterior.row_array
 
     # dataset id of the training tuple selected by each u, per supersample
     dataset_ids = np.empty((pair_matrix.shape[0], num_u), dtype=np.int64)
@@ -368,30 +393,29 @@ def supersample_conditional_info(
 
     mutual = 0.0
     lautum = 0.0
-    block = max(1, 2_000_000 // (num_u * nw))
+    block = max(1, SUPERSAMPLE_BLOCK // (num_u * nw))
     for start in range(0, pair_matrix.shape[0], block):
         stop = min(start + block, pair_matrix.shape[0])
-        cond = rows[dataset_ids[start:stop]] * u_prob  # (b, num_u, nw)
-        w_marg = cond.sum(axis=1)  # (b, nw)
-        product = u_prob * w_marg[:, None, :]
-        mutual_per = rel_entr(cond, product).sum(axis=(1, 2))
-        lautum_per = rel_entr(product, cond).sum(axis=(1, 2))
-        weights = super_probs[start:stop]
-        mutual += float(weights @ mutual_per)
-        lautum += float(weights @ lautum_per)
-    if not (math.isfinite(mutual) and math.isfinite(lautum)):
-        raise AbsoluteContinuityViolation(
-            "posterior rows underflowed to zero during the supersample sweep"
-        )
+        # selector first: reductions over u then run on contiguous slices
+        log_cond = log_rows[dataset_ids[start:stop].T]  # (num_u, b, nw)
+        # log of the mixture over u, max-shifted in place
+        shift = log_cond.max(axis=0)
+        scaled = np.subtract(log_cond, shift)
+        np.exp(scaled, out=scaled)
+        log_mix = shift + np.log(scaled.mean(axis=0))
+        del scaled
+        forward, reverse = _divergence_pair(log_cond, log_mix, axis=0)
+        weights = super_probs[start:stop] / num_u
+        mutual += float(weights @ forward.sum(axis=1))
+        lautum += float(weights @ reverse.sum(axis=1))
     return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
 
 
 def replace_one_divergences(
-    problem: LearningProblem,
-    gamma: float,
-    posterior: GibbsPosterior | None = None,
+    problem: LearningProblem, log_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directed posterior divergences under replacing one training sample.
+    """Directed posterior divergences under replacing one training sample,
+    for the posterior kernel whose log rows are given.
 
     For each coordinate i, averages over (S, Z) with Z an independent fresh
     sample: forward[i] = E[D(posterior(S) || posterior(S with slot i = Z))]
@@ -399,52 +423,94 @@ def replace_one_divergences(
     """
     if not problem.is_iid():
         raise NotIID("replace-one divergences require an IID data model")
-    if posterior is None:
-        posterior = gibbs_posterior(problem, gamma)
-    else:
-        _require_matching(problem, posterior)
+    _require_kernel(problem, log_rows)
     nz = problem.num_samples_symbols
     n = problem.n
     cols = problem._dataset_indices
     probs = problem._dataset_probs
     marginal = problem.data_model.marginal.weights
-    rows = posterior.row_array
-    log_rows = np.log(rows)
     powers = nz ** np.arange(n - 1, -1, -1)
-    ids = np.arange(rows.shape[0])
+    ids = np.arange(log_rows.shape[0])
+    log_own = log_rows[:, None, :]
 
     forward = np.empty(n)
     reverse = np.empty(n)
     for i in range(n):
         replaced = ids[:, None] + (np.arange(nz)[None, :] - cols[:, i][:, None]) * powers[i]
-        alt = rows[replaced]  # (m, nz, nw)
-        log_alt = log_rows[replaced]
-        fwd = (rows[:, None, :] * (log_rows[:, None, :] - log_alt)).sum(axis=2)
-        rev = (alt * (log_alt - log_rows[:, None, :])).sum(axis=2)
-        forward[i] = float(np.einsum("s,z,sz->", probs, marginal, fwd))
-        reverse[i] = float(np.einsum("s,z,sz->", probs, marginal, rev))
+        log_alt = log_rows[replaced]  # (m, nz, nw)
+        fwd, rev = _divergence_pair(log_own, log_alt, axis=2)
+        forward[i] = float(probs @ fwd @ marginal)
+        reverse[i] = float(probs @ rev @ marginal)
     return forward, reverse
+
+
+def _require_positive_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
 
 
 @dataclass(frozen=True)
 class GenReport:
-    """One generalization error computed five ways.
+    """One generalization error computed five ways, with the numbers behind
+    the routes.
 
     direct comes from the definition; via_iskl from the symmetrized KL
     information of (W, S) divided by gamma; via_skl_div from the expected
-    symmetrized KL divergence to the population-risk Gibbs law; via_cmi
-    from the supersample selector information; via_replace_one from the
-    replace-one divergence sum.  The last two are None on joint (non-IID)
-    data models.  Construction fails unless all present values agree
-    within 1e-9 relative or 1e-12 absolute, whichever is larger.
+    symmetrized KL divergence d_fwd + d_rev to the population-risk Gibbs
+    law; via_cmi from the supersample selector information (conditional);
+    via_replace_one from the replace-one divergence sums.  The last two are
+    None on joint (non-IID) data models.  Construction fails unless all
+    present values agree within 1e-9 relative or 1e-12 absolute, whichever
+    is larger.
     """
 
+    gamma: float
     direct: float
-    via_iskl: float
-    via_skl_div: float
-    via_cmi: float | None
-    via_replace_one: float | None
     info: InfoReport
+    d_fwd: float
+    d_rev: float
+    conditional: InfoReport | None = None
+    replace_forward: tuple[float, ...] | None = None
+    replace_reverse: tuple[float, ...] | None = None
+
+    @classmethod
+    def from_posterior(cls, posterior: GibbsPosterior) -> "GenReport":
+        """Read every route from one evaluation; gamma must be > 0 (at
+        gamma = 0 the error is identically zero and the information forms
+        degenerate to 0/0)."""
+        _require_positive_gamma(posterior.gamma)
+        d_fwd, d_rev = posterior.reference_divergences
+        extras = {}
+        if posterior.problem.is_iid():
+            forward, reverse = posterior.replace_one
+            extras = {
+                "conditional": posterior.supersample_info,
+                "replace_forward": tuple(forward.tolist()),
+                "replace_reverse": tuple(reverse.tolist()),
+            }
+        direct = gen_error_direct(posterior)
+        return cls(posterior.gamma, direct, posterior.info, d_fwd, d_rev, **extras)
+
+    @property
+    def via_iskl(self) -> float:
+        return self.info.symmetrized / self.gamma
+
+    @property
+    def via_skl_div(self) -> float:
+        return (self.d_fwd + self.d_rev) / self.gamma
+
+    @property
+    def via_cmi(self) -> float | None:
+        if self.conditional is None:
+            return None
+        return 2.0 * self.conditional.symmetrized / self.gamma
+
+    @property
+    def via_replace_one(self) -> float | None:
+        if self.replace_forward is None:
+            return None
+        total = sum(f + r for f, r in zip(self.replace_forward, self.replace_reverse))
+        return total / (2.0 * self.gamma)
 
     def values(self) -> dict[str, float]:
         out = {
@@ -463,9 +529,8 @@ class GenReport:
         return max(abs(a - b) for a in vals for b in vals)
 
     def __post_init__(self) -> None:
-        vals = list(self.values().values())
-        gap = max(abs(a - b) for a in vals for b in vals)
-        scale = max(abs(v) for v in vals)
+        gap = self.max_pairwise_gap()
+        scale = max(abs(v) for v in self.values().values())
         # absolute floor: below scale 1e-3 a pure relative test would demand
         # agreement finer than the error floor of the O(1) intermediate terms
         limit = max(REL_TOL * scale, ABS_TOL)
@@ -476,64 +541,16 @@ class GenReport:
 
 
 def gen_characterizations(
-    problem: LearningProblem,
-    gamma: float,
-    include_cmi: bool = True,
-    include_replace_one: bool = True,
-    cap: int = ENUMERATION_CAP,
-    supersample_cap: int = SUPERSAMPLE_CAP,
+    problem: LearningProblem, gamma: float, cap: int = ENUMERATION_CAP
 ) -> GenReport:
     """The expected generalization error by definition and by every exact
-    characterization available for the data model.
+    characterization available for the data model, all read from one
+    evaluation of (problem, gamma).
 
-    Requires gamma > 0 (at gamma = 0 the error is identically zero and the
-    information forms degenerate to 0/0).  On joint data models the
-    supersample and replace-one forms are undefined and reported as None.
+    Requires gamma > 0.  On joint data models the supersample and
+    replace-one forms are undefined and reported as None.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
-    posterior = gibbs_posterior(problem, gamma, cap=cap)
-    joint = joint_distribution(problem, posterior)
-    info = info_triple(joint)
-    direct = gen_error_direct(problem, posterior)
-    via_iskl = info.symmetrized / gamma
-
-    pop = population_gibbs(problem, gamma)
-    per_dataset = _symmetrized_kl_rows(posterior.row_array, pop.weights[None, :])
-    via_skl_div = float(problem._dataset_probs @ per_dataset) / gamma
-
-    via_cmi = None
-    via_replace_one = None
-    if problem.is_iid() and include_cmi:
-        cond = supersample_conditional_info(problem, gamma, posterior, cap=supersample_cap)
-        via_cmi = 2.0 * cond.symmetrized / gamma
-    if problem.is_iid() and include_replace_one:
-        forward, reverse = replace_one_divergences(problem, gamma, posterior)
-        via_replace_one = float((forward + reverse).sum()) / (2.0 * gamma)
-
-    return GenReport(
-        direct=direct,
-        via_iskl=via_iskl,
-        via_skl_div=via_skl_div,
-        via_cmi=via_cmi,
-        via_replace_one=via_replace_one,
-        info=info,
-    )
-
-
-def gen_via_cmi(problem: LearningProblem, gamma: float, cap: int = SUPERSAMPLE_CAP) -> float:
-    """Generalization error from the supersample selector information alone."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
-    return 2.0 * supersample_conditional_info(problem, gamma, cap=cap).symmetrized / gamma
-
-
-def gen_via_replace_one(problem: LearningProblem, gamma: float) -> float:
-    """Generalization error from the replace-one divergence sum alone."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
-    forward, reverse = replace_one_divergences(problem, gamma)
-    return float((forward + reverse).sum()) / (2.0 * gamma)
+    return GenReport.from_posterior(gibbs_posterior(problem, gamma, cap=cap))
 
 
 @dataclass(frozen=True)
@@ -568,20 +585,9 @@ def info_divergence_compare(problem: LearningProblem, gamma: float) -> InfoDiver
     """Compare (mutual, lautum) information of (W, S) with the directed
     divergences between the posterior and the population-risk Gibbs law."""
     posterior = gibbs_posterior(problem, gamma)
-    joint = joint_distribution(problem, posterior)
-    info = info_triple(joint)
-    pop = population_gibbs(problem, gamma)
-    rows = posterior.row_array
-    log_rows = np.log(rows)
-    log_pop = np.log(pop.weights)[None, :]
-    fwd_rows = (rows * (log_rows - log_pop)).sum(axis=1)
-    rev_rows = (pop.weights[None, :] * (log_pop - log_rows)).sum(axis=1)
-    probs = problem._dataset_probs
+    d_fwd, d_rev = posterior.reference_divergences
     return InfoDivergenceReport(
-        mutual=info.mutual,
-        lautum=info.lautum,
-        d_fwd=float(probs @ fwd_rows),
-        d_rev=float(probs @ rev_rows),
+        mutual=posterior.info.mutual, lautum=posterior.info.lautum, d_fwd=d_fwd, d_rev=d_rev
     )
 
 
@@ -637,8 +643,7 @@ def regularized_gen(
     (dataset_count, k) to use R(w, s) = |embedding[w] - target[s]|^2, which
     additionally reports the covariance trace identity.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
+    _require_positive_gamma(gamma)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise InvalidInput(f"lam must be a finite real >= 0, got {lam!r}")
     m = problem.dataset_count
@@ -664,22 +669,19 @@ def regularized_gen(
         if not np.all(np.isfinite(regularizer)) or np.any(regularizer < 0.0):
             raise InvalidInput("regularizer entries must be finite and nonnegative")
 
-    energy = problem._empirical_risk + lam * regularizer
-    logits = problem.prior.log_weights[:, None] - gamma * energy
-    log_partition = logsumexp(logits, axis=0)
-    rows = np.exp((logits - log_partition[None, :]).T)
-    rows /= rows.sum(axis=1, keepdims=True)
+    # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each row
+    base = gibbs_posterior(problem, gamma)
+    tilted = base.log_rows - (gamma * lam) * regularizer.T
+    shift = logsumexp(tilted, axis=1)
+    posterior = dataclasses.replace(
+        base, log_rows=tilted - shift[:, None], log_partition=base.log_partition + shift
+    )
 
     probs = problem._dataset_probs
-    joint = JointTable(
-        rows.T * probs[None, :], problem.hypothesis_set, problem.dataset_labels()
-    )
-    marginal = probs @ rows
-    pop = problem._population_risk
-    gen = float(marginal @ pop) - float(
-        np.einsum("s,sw,ws->", probs, rows, problem._empirical_risk)
-    )
-    iskl_over_gamma = info_triple(joint).symmetrized / gamma
+    rows = posterior.row_array
+    marginal = posterior.hypothesis_marginal
+    gen = gen_error_direct(posterior)
+    iskl_over_gamma = posterior.info.symmetrized / gamma
     joint_mean = float(np.einsum("s,sw,ws->", probs, rows, regularizer))
     product_mean = float(marginal @ (regularizer @ probs))
     reg_gap = product_mean - joint_mean
@@ -711,11 +713,7 @@ def empirical_risk_curve(
         raise InvalidInput("gammas must be finite reals >= 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInput("gammas must be strictly increasing")
-    out = []
-    for gamma in values:
-        posterior = gibbs_posterior(problem, gamma)
-        out.append(expected_empirical_risk(problem, posterior))
-    return out
+    return [expected_empirical_risk(gibbs_posterior(problem, gamma)) for gamma in values]
 
 
 def _gen_under_law(
@@ -828,9 +826,8 @@ def log_ratio_means(
     if float(candidate.weights.min()) < ZERO_CUTOFF:
         raise InvalidInput("candidate must be strictly positive")
     posterior = gibbs_posterior(problem, gamma)
-    probs = problem._dataset_probs
-    log_rows = np.log(posterior.row_array)
-    inner = candidate.log_weights - probs @ log_rows  # g(w), averaged over datasets
+    # g(w), averaged over datasets
+    inner = candidate.log_weights - problem._dataset_probs @ posterior.log_rows
     under_marginal = float(posterior.hypothesis_marginal @ inner)
     under_candidate = float(candidate.weights @ inner)
     return under_marginal, under_candidate

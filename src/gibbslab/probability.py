@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import logsumexp
 
 from .errors import (
     AbsoluteContinuityViolation,
@@ -87,10 +87,6 @@ class ProbVec:
     def __len__(self) -> int:
         return self.weights.size
 
-    def support(self) -> np.ndarray:
-        """Indices carrying probability above the zero cutoff."""
-        return np.flatnonzero(self.weights >= ZERO_CUTOFF)
-
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
@@ -115,50 +111,14 @@ class JointTable:
         object.__setattr__(self, "row_alphabet", rows)
         object.__setattr__(self, "col_alphabet", cols)
 
-    def row_marginal(self) -> ProbVec:
-        return ProbVec(self.table.sum(axis=1), self.row_alphabet)
-
-    def col_marginal(self) -> ProbVec:
-        return ProbVec(self.table.sum(axis=0), self.col_alphabet)
-
     def product_of_marginals(self) -> "JointTable":
         """The independent coupling of this table's marginals."""
-        outer = np.outer(self.table.sum(axis=1), self.table.sum(axis=0))
-        return JointTable(outer, self.row_alphabet, self.col_alphabet)
+        return JointTable(_product_of_marginals(self.table), self.row_alphabet, self.col_alphabet)
 
     def flattened(self) -> ProbVec:
         """The table as a ProbVec on the row-major pair alphabet."""
         pairs = tuple((r, c) for r in self.row_alphabet for c in self.col_alphabet)
         return ProbVec(self.table.reshape(-1), pairs)
-
-
-@dataclass(frozen=True)
-class CondTable:
-    """One ProbVec per conditioning value, all on a shared alphabet."""
-
-    rows: tuple[ProbVec, ...]
-    conditioning_alphabet: tuple = ()
-
-    def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        if not rows:
-            raise InvalidInput("CondTable needs at least one row")
-        alphabet = rows[0].alphabet
-        for i, row in enumerate(rows):
-            if row.alphabet != alphabet:
-                raise AlphabetMismatch(f"row {i} alphabet differs from row 0")
-        cond = (
-            tuple(self.conditioning_alphabet)
-            if self.conditioning_alphabet
-            else tuple(range(len(rows)))
-        )
-        if len(cond) != len(rows):
-            raise AlphabetMismatch(f"{len(cond)} conditioning labels for {len(rows)} rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "conditioning_alphabet", cond)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -188,6 +148,58 @@ def _require_same_alphabet(p: ProbVec, q: ProbVec) -> None:
         )
 
 
+# Array kernels: each formula once, called by the validated public functions
+# below and by the log-domain functionals of gibbs.GibbsPosterior.
+
+
+def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
+    """(D(p || q), D(q || p)) summed over axis, for laws given by finite log
+    weights that broadcast against each other.
+
+    Each term is p r - p + q with r = log p - log q (or its mirror): its sum
+    is the KL divergence of normalized laws, rounding in the log weights
+    enters it only multiplied by r, so small values near independence keep
+    their digits, and as max(p, q) times a function of expm1(-|r|) it
+    neither overflows nor underflows at any temperature.
+    """
+    r = np.subtract(log_p, log_q)
+    p_larger = r >= 0.0
+    a = np.abs(r, out=r)
+    e1 = np.expm1(-a)
+    # terms over max(p, q), for the direction whose first law is the larger
+    # one and for the other direction
+    smaller_term = -(a * (e1 + 1.0) + e1)
+    larger_term = np.add(a, e1, out=a)
+    scale = np.exp(np.maximum(log_p, log_q))
+    larger_term *= scale
+    smaller_term *= scale
+    forward = np.where(p_larger, larger_term, smaller_term).sum(axis=axis)
+    reverse = np.where(p_larger, smaller_term, larger_term).sum(axis=axis)
+    return forward, reverse
+
+
+def _renyi_sum(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
+    """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for normalized laws given by
+    finite log weights.  Near independence the sum is 1 + u with u = sum q
+    (expm1(alpha r) - alpha expm1(r)), r = log p - log q, which keeps small
+    divergences accurate as in _divergence_pair; far apart it is taken by
+    log-sum-exp."""
+    r = np.subtract(log_p, log_q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = float((np.exp(log_q) * (np.expm1(alpha * r) - alpha * np.expm1(r))).sum())
+    if abs(u) < 1.0:
+        return math.log1p(u) / (alpha - 1.0)
+    return float(logsumexp(alpha * log_p + (1.0 - alpha) * log_q)) / (alpha - 1.0)
+
+
+def _product_of_marginals(table: np.ndarray) -> np.ndarray:
+    return np.outer(table.sum(axis=1), table.sum(axis=0))
+
+
+def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
+    return float(np.abs(p - q).sum())
+
+
 def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:
     """KL divergence between weight arrays known to share a shape.
 
@@ -203,7 +215,10 @@ def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:
             f"{context}: mass {pz[bad][0]!r} on a zero-probability point at index {idx}",
             index=idx if len(idx) > 1 else idx[0],
         )
-    return float(rel_entr(pz, qz).sum())
+    support = pz > 0.0
+    forward, _ = _divergence_pair(np.log(pz[support]), np.log(qz[support]))
+    # where p is zero the term p r - p + q reduces to q
+    return float(forward) + float(qz[~support].sum())
 
 
 def kl_divergence(p: ProbVec, q: ProbVec) -> float:
@@ -246,15 +261,13 @@ def renyi_divergence(p: ProbVec, q: ProbVec, alpha: float) -> float:
     mask = (pw > 0.0) & (qw > 0.0)
     if not mask.any():
         raise AbsoluteContinuityViolation("renyi_divergence: supports are disjoint")
-    with np.errstate(divide="ignore"):
-        terms = alpha * np.log(pw[mask]) + (1.0 - alpha) * np.log(qw[mask])
-    return float(logsumexp(terms)) / (alpha - 1.0)
+    return _renyi_sum(np.log(pw[mask]), np.log(qw[mask]), alpha)
 
 
 def total_variation(p: ProbVec, q: ProbVec) -> float:
     """Total variation in the sum |p_i - q_i| convention, range [0, 2]."""
     _require_same_alphabet(p, q)
-    return float(np.abs(p.weights - q.weights).sum())
+    return _total_variation(p.weights, q.weights)
 
 
 def info_triple(joint: JointTable) -> InfoReport:
@@ -265,7 +278,7 @@ def info_triple(joint: JointTable) -> InfoReport:
     with respect to the joint, which fails exactly when some cell with
     both marginals positive carries zero joint mass.
     """
-    product = np.outer(joint.table.sum(axis=1), joint.table.sum(axis=0))
+    product = _product_of_marginals(joint.table)
     mutual = _kl_arrays(joint.table, product, "info_triple (joint vs product)")
     lautum = _kl_arrays(product, joint.table, "info_triple (product vs joint)")
     return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)

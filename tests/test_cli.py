@@ -1,10 +1,13 @@
 """Command-line driver: exit codes, manifests, determinism."""
 
+import itertools
 import json
 import os
 
 import pytest
 
+import gibbslab.cli
+from gibbslab import IdentityMismatch, RatioConstants
 from gibbslab.cli import DEFAULT_SEED, main
 
 
@@ -95,9 +98,16 @@ def test_verify_identities_small_run(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name))
 
 
-def test_verify_identities_deterministic_reruns(tmp_path):
-    _, first = run_identities(tmp_path, "first")
-    _, second = run_identities(tmp_path, "second")
+def test_verify_identities_deterministic_reruns(tmp_path, monkeypatch):
+    # a clock that ticks by a different step per run, so the two sweeps
+    # measure different seconds
+    def run_with_clock(label, step):
+        ticks = itertools.count(0.0, step)
+        monkeypatch.setattr(gibbslab.cli.time, "monotonic", lambda: next(ticks))
+        return run_identities(tmp_path, label)
+
+    _, first = run_with_clock("first", 1.0)
+    _, second = run_with_clock("second", 7.0)
     for name in ("identities.csv", "divergence_order.csv", "risk_curve.csv", "concavity.csv"):
         with open(os.path.join(first, name), "rb") as handle:
             a = handle.read()
@@ -105,9 +115,23 @@ def test_verify_identities_deterministic_reruns(tmp_path):
             b = handle.read()
         assert a == b, name
     ma, mb = read_manifest(first), read_manifest(second)
-    # everything except the wall-clock duration is reproducible
-    ma.pop("duration_seconds"), mb.pop("duration_seconds")
+    assert ma["timings"] != mb["timings"]
+    # everything except the measured seconds is reproducible
+    for manifest in (ma, mb):
+        manifest.pop("duration_seconds"), manifest.pop("timings")
     assert ma == mb
+
+
+def test_ratio_constant_failure_has_its_own_check(tmp_path, monkeypatch):
+    def refuse(cls, report):
+        raise IdentityMismatch("c_k exceeds c_i")
+
+    monkeypatch.setattr(RatioConstants, "from_report", classmethod(refuse))
+    code, out = run_identities(tmp_path, "ratios")
+    assert code == 1
+    checks = {c["name"]: c["passed"] for c in read_manifest(out)["checks"]}
+    assert checks["four_way_identities"] is True
+    assert checks["divergence_order_and_ratio_constants"] is False
 
 
 def test_seed_flag_changes_outputs(tmp_path):

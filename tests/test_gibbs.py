@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +23,21 @@ from gibbslab import (
     empirical_risk_curve,
     gen_characterizations,
     gen_error_direct,
-    gen_via_cmi,
-    gen_via_replace_one,
     gibbs_posterior,
     instance_rng,
     log_ratio_means,
     population_gibbs,
     info_divergence_compare,
+    InfoDivergenceReport,
+    RatioConstants,
+    bounds_table,
+    instance_sweep,
     random_problem,
+    ratio_constants,
     regularized_gen,
     replace_one_divergences,
+    sandwich_violations,
+    supersample_conditional_info,
 )
 
 
@@ -126,7 +132,7 @@ def test_direct_gen_matches_hand_rolled_sum():
             pop = float(problem.loss[w] @ marg)
             emp = float(np.mean([problem.loss[w, z] for z in tup]))
             gen += p_s * rows[s, w] * (pop - emp)
-    assert abs(gen_error_direct(problem, posterior) - gen) < 1e-14
+    assert abs(gen_error_direct(posterior) - gen) < 1e-14
 
 
 def test_characterizations_on_random_instances():
@@ -149,10 +155,11 @@ def test_characterizations_on_random_instances():
 
 def test_iid_only_routes_reject_joint_models():
     problem = small_problem(9, iid=False)
+    log_rows = gibbs_posterior(problem, 1.0).log_rows
     with pytest.raises(NotIID):
-        gen_via_cmi(problem, 1.0)
+        supersample_conditional_info(problem, log_rows)
     with pytest.raises(NotIID):
-        gen_via_replace_one(problem, 1.0)
+        replace_one_divergences(problem, log_rows)
 
 
 def test_iid_routes_match_direct():
@@ -160,18 +167,21 @@ def test_iid_routes_match_direct():
     for _ in range(10):
         problem = random_problem(rng, iid=True)
         gamma = float(rng.uniform(0.2, 8.0))
-        posterior = gibbs_posterior(problem, gamma)
-        direct = gen_error_direct(problem, posterior)
+        report = gen_characterizations(problem, gamma)
+        direct = gen_error_direct(gibbs_posterior(problem, gamma))
         limit = max(1e-9 * abs(direct), 1e-12)
-        assert abs(gen_via_cmi(problem, gamma) - direct) <= limit
-        assert abs(gen_via_replace_one(problem, gamma) - direct) <= limit
+        assert abs(report.via_cmi - direct) <= limit
+        assert abs(report.via_replace_one - direct) <= limit
 
 
 def test_replace_one_divergences_shape_and_sign():
     problem = small_problem(11, iid=True, n=3)
-    forward, reverse = replace_one_divergences(problem, 2.0)
+    forward, reverse = replace_one_divergences(problem, gibbs_posterior(problem, 2.0).log_rows)
     assert forward.shape == (3,) and reverse.shape == (3,)
     assert np.all(forward >= 0.0) and np.all(reverse >= 0.0)
+    # the log rows must hold one row per dataset
+    with pytest.raises(InvalidInput):
+        replace_one_divergences(problem, np.zeros((2, 3)))
 
 
 def test_log_ratio_means_balance_at_population_gibbs():
@@ -318,6 +328,46 @@ def test_enumeration_cap():
         gibbs_posterior(problem, 1.0, cap=10)
     with pytest.raises(EnumerationTooLarge):
         gen_characterizations(problem, 1.0, cap=10)
+
+
+def test_supersample_cap_raises_before_allocating():
+    # |Z| = 4 and n = 6 need 4**12 * 2**6 (about 1.1e9) supersample states,
+    # above the 1e7 cap; the check must come before any state is built
+    problem = small_problem(27, iid=True, n=6)
+    log_rows = gibbs_posterior(problem, 1.0).log_rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge) as caught:
+            supersample_conditional_info(problem, log_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caught.value.required == 4**12 * 2**6
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e4, 1e6])
+def test_large_gamma_identity_and_gates(gamma):
+    # the ERM-limit regime: posterior rows underflow in the linear domain,
+    # so every functional here has to be evaluated from the log rows
+    problems = [
+        problem
+        for _, problem in instance_sweep(
+            200, 20260814, max_symbols=4, max_hypotheses=5, max_n=3
+        )
+    ]
+    problems.append(random_problem(instance_rng(1, 0)))
+    for problem in problems:
+        # construction asserts the five-way identity, the divergence
+        # comparison and c_k <= c_i at their usual tolerances
+        report = gen_characterizations(problem, gamma)
+        assert (report.via_cmi is not None) == problem.is_iid()
+        InfoDivergenceReport(report.info.mutual, report.info.lautum, report.d_fwd, report.d_rev)
+        RatioConstants.from_report(report)
+    problem = problems[-1]
+    info_divergence_compare(problem, gamma)
+    ratio_constants(problem, gamma)
+    assert sandwich_violations(bounds_table(problem, gamma)) == []
 
 
 def test_regularized_gen_zero_lambda_matches_plain():
