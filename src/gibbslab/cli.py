@@ -33,7 +33,7 @@ from .asymptotics import (
     mle_asymptotic_gen,
     single_well_gen,
 )
-from .bounds import RatioConstants, bounds_table, renyi_upper_bound, sandwich_violations
+from .bounds import RatioConstants, bounds_table, sandwich_violations
 from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch
 from .gaussian import (
     GaussianMeanConfig,
@@ -579,6 +579,9 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
 
     probe_gammas = {float(g) for g in config["probe_gammas"]}
     sweep_alphas = sorted(set(alphas) | {probe_alpha}, reverse=True)
+    # the probe order rides in the same table; its row is written only if listed
+    table_alphas = alphas if probe_alpha in alphas else alphas + (probe_alpha,)
+    probe_name = f"renyi_upper_alpha_{probe_alpha:g}"
 
     def work(item):
         index, problem = item
@@ -588,7 +591,9 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
         probe_failures = []
         sweep_failures = []
         for gamma in gammas:
-            rows = bounds_table(problem, gamma, alphas=alphas)
+            table = bounds_table(problem, gamma, alphas=table_alphas)
+            value = {row.bound_name: row.value for row in table}
+            rows = [r for r in table if probe_alpha in alphas or r.bound_name != probe_name]
             for row in rows:
                 out_rows.append(
                     [
@@ -606,13 +611,8 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
             violations.extend(
                 f"instance {index} gamma {gamma}: {v}" for v in sandwich_violations(rows)
             )
-            # rows are exact_gen, tv_lower, then one Renyi row per alpha
-            gen = rows[0].value
-            renyi = {a: row.value for a, row in zip(alphas, rows[2:])}
-            sweep = [
-                renyi[a] if a in renyi else renyi_upper_bound(problem, gamma, a)
-                for a in sweep_alphas
-            ]
+            gen = value["exact_gen"]
+            sweep = [value[f"renyi_upper_alpha_{a:g}"] for a in sweep_alphas]
             if any(b > a + 1e-12 for a, b in zip(sweep, sweep[1:])):
                 sweep_failures.append(
                     f"instance {index} gamma {gamma}: values not decreasing along "

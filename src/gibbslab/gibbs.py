@@ -57,8 +57,9 @@ from .probability import (
 
 ENUMERATION_CAP = 10**6
 SUPERSAMPLE_CAP = 10**7
-# elements per block of the supersample sweep: small enough that the
-# block's temporaries stay in cache
+# elements per block of the supersample sweep.  The log-domain divergence
+# kernel holds about twice as many block-sized temporaries as a linear
+# rel_entr sweep, so the block is sized by peak memory
 SUPERSAMPLE_BLOCK = 100_000
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -216,16 +217,12 @@ def _check_enumeration(required: int, cap: int, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class GibbsPosterior:
-    """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
-    tabulated per enumerated dataset and held in the log domain; build it
-    with gibbs_posterior.  Each functional the routes and bounds need is a
-    cached property, computed once on first use."""
+class _Kernel:
+    """A kernel from datasets to hypotheses, given by log rows, and the
+    functionals that need nothing else, each cached on first use."""
 
     problem: LearningProblem
-    gamma: float
     log_rows: np.ndarray
-    log_partition: np.ndarray
 
     @cached_property
     def row_array(self) -> np.ndarray:
@@ -266,6 +263,17 @@ class GibbsPosterior:
         """Mutual, lautum and symmetrized information of (W, S)."""
         mutual, lautum = self._expected_divergences(self.log_marginal)
         return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
+
+
+@dataclass(frozen=True, eq=False)
+class GibbsPosterior(_Kernel):
+    """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
+    tabulated per enumerated dataset and held in the log domain; build it
+    with gibbs_posterior.  Adds the remaining functionals the routes and
+    bounds read, each cached on first use as well."""
+
+    gamma: float
+    log_partition: np.ndarray
 
     @cached_property
     def reference_divergences(self) -> tuple[float, float]:
@@ -669,19 +677,16 @@ def regularized_gen(
         if not np.all(np.isfinite(regularizer)) or np.any(regularizer < 0.0):
             raise InvalidInput("regularizer entries must be finite and nonnegative")
 
-    # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each row
-    base = gibbs_posterior(problem, gamma)
-    tilted = base.log_rows - (gamma * lam) * regularizer.T
-    shift = logsumexp(tilted, axis=1)
-    posterior = dataclasses.replace(
-        base, log_rows=tilted - shift[:, None], log_partition=base.log_partition + shift
-    )
+    # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each
+    # row: a kernel, but not the Gibbs posterior of the problem at gamma
+    tilted = gibbs_posterior(problem, gamma).log_rows - (gamma * lam) * regularizer.T
+    kernel = _Kernel(problem, tilted - logsumexp(tilted, axis=1, keepdims=True))
 
     probs = problem._dataset_probs
-    rows = posterior.row_array
-    marginal = posterior.hypothesis_marginal
-    gen = gen_error_direct(posterior)
-    iskl_over_gamma = posterior.info.symmetrized / gamma
+    rows = kernel.row_array
+    marginal = kernel.hypothesis_marginal
+    gen = _gen_under_law(rows, problem._empirical_risk, probs)
+    iskl_over_gamma = kernel.info.symmetrized / gamma
     joint_mean = float(np.einsum("s,sw,ws->", probs, rows, regularizer))
     product_mean = float(marginal @ (regularizer @ probs))
     reg_gap = product_mean - joint_mean

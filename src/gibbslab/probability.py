@@ -178,15 +178,19 @@ def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     return forward, reverse
 
 
-def _renyi_sum(log_p: np.ndarray, log_q: np.ndarray, alpha: float) -> float:
+def _renyi_sum(
+    log_p: np.ndarray, log_q: np.ndarray, alpha: float, p_off: float = 0.0, q_off: float = 0.0
+) -> float:
     """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for normalized laws given by
-    finite log weights.  Near independence the sum is 1 + u with u = sum q
-    (expm1(alpha r) - alpha expm1(r)), r = log p - log q, which keeps small
-    divergences accurate as in _divergence_pair; far apart it is taken by
-    log-sum-exp."""
+    finite log weights on their common support; p_off and q_off are the
+    masses the two laws put outside it.  Near independence the sum is 1 + u
+    with u = sum q (expm1(alpha r) - alpha expm1(r)) - (1 - alpha) q_off -
+    alpha p_off, r = log p - log q, which keeps small divergences accurate as
+    in _divergence_pair; far apart it is taken by log-sum-exp."""
     r = np.subtract(log_p, log_q)
     with np.errstate(over="ignore", invalid="ignore"):
         u = float((np.exp(log_q) * (np.expm1(alpha * r) - alpha * np.expm1(r))).sum())
+    u -= (1.0 - alpha) * q_off + alpha * p_off
     if abs(u) < 1.0:
         return math.log1p(u) / (alpha - 1.0)
     return float(logsumexp(alpha * log_p + (1.0 - alpha) * log_q)) / (alpha - 1.0)
@@ -261,7 +265,8 @@ def renyi_divergence(p: ProbVec, q: ProbVec, alpha: float) -> float:
     mask = (pw > 0.0) & (qw > 0.0)
     if not mask.any():
         raise AbsoluteContinuityViolation("renyi_divergence: supports are disjoint")
-    return _renyi_sum(np.log(pw[mask]), np.log(qw[mask]), alpha)
+    off = (float(pw[~mask].sum()), float(qw[~mask].sum()))
+    return _renyi_sum(np.log(pw[mask]), np.log(qw[mask]), alpha, *off)
 
 
 def total_variation(p: ProbVec, q: ProbVec) -> float:

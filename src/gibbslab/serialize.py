@@ -31,7 +31,7 @@ import numpy as np
 from .asymptotics import WellSample
 from .errors import ConfigInvalid, GibbsLabError
 from .gibbs import IIDData, JointData, LearningProblem
-from .probability import JointTable, ProbVec
+from .probability import ProbVec
 
 JSON_SIG = 17
 CSV_SIG = 12
@@ -177,12 +177,6 @@ def probvec_from_obj(obj: object, path: str = "") -> ProbVec:
         return ProbVec(np.array(weights), tuple(labels))
     except GibbsLabError as exc:
         raise ConfigInvalid(str(exc), path=path) from exc
-
-
-def joint_table_to_obj(table: JointTable) -> dict:
-    """Row-major flattening with explicit pair labels."""
-    pairs = [[r, c] for r in table.row_alphabet for c in table.col_alphabet]
-    return {"alphabet": pairs, "weights": list(map(float, table.table.reshape(-1)))}
 
 
 def problem_to_obj(problem: LearningProblem) -> dict:

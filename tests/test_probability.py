@@ -117,6 +117,28 @@ def test_renyi_monotone_in_alpha():
         assert renyi_divergence(p, q, 1.5) >= kl_divergence(p, q) - 1e-14
 
 
+def test_renyi_with_different_supports_matches_closed_form():
+    # p = [1, 0], q = [1/2, 1/2]: sum p^a q^(1-a) = 2^(a-1), so D_a = ln 2
+    p = ProbVec(np.array([1.0, 0.0]))
+    q = ProbVec(np.array([0.5, 0.5]))
+    for alpha in (2.0, 0.5):
+        assert abs(renyi_divergence(p, q, alpha) - math.log(2.0)) < 1e-15
+    # below order one both laws may put mass off the common support
+    p = ProbVec(np.array([0.6, 0.4, 0.0]))
+    q = ProbVec(np.array([0.0, 0.3, 0.7]))
+    for alpha in (0.3, 0.5, 0.9):
+        oracle = math.log(0.4**alpha * 0.3 ** (1.0 - alpha)) / (alpha - 1.0)
+        assert abs(renyi_divergence(p, q, alpha) - oracle) < 1e-14 * max(1.0, oracle)
+    # near independence the compensated sum must count the mass q puts
+    # where p is zero
+    p = ProbVec(np.array([0.5, 0.5, 0.0]))
+    q = ProbVec(np.array([0.5 - 5e-7, 0.5 - 5e-7, 1e-6]))
+    # sum p^2 / q = 1 / (1 - 1e-6); rounding of q's weights moves it by
+    # about 1e-11 relative
+    oracle = -math.log1p(-1e-6)
+    assert abs(renyi_divergence(p, q, 2.0) - oracle) < 1e-9 * oracle
+
+
 def test_renyi_rejects_alpha_one_and_nonpositive():
     p = bern(0.5)
     q = bern(0.25)
