@@ -40,6 +40,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidInput, NotPositiveDefinite, SingularHessian
+from .samplers import block_gaps, check_trials, mean_and_std_error
 
 WEIGHT_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -232,25 +233,22 @@ def bayes_location_regime_gen(
     gap in closed form given the sufficient statistics (exact partial
     averaging over both the posterior and the within-sample variance,
     whose expectations are known; only the sample mean stays random).
-    Returns (estimate, standard error); the estimator is unbiased for
-    bayes_location_regime_exact(n, prior_var) when prior_mean is used
-    as the prior location.
+    Sample means are drawn in blocks (see samplers.block_gaps).  Returns
+    (estimate, standard error).  The estimator is unbiased for
+    bayes_location_regime_exact(n, prior_var) whatever prior_mean and
+    true_mean are: the error of the Bayes posterior does not depend on
+    the prior location.
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(trials, int) and trials >= 1000):
-        raise InvalidInput(f"trials must be an integer >= 1000, got {trials!r}")
+    check_trials(trials)
     if not (math.isfinite(prior_var) and prior_var > 0.0):
         raise InvalidInput(f"prior_var must be > 0, got {prior_var!r}")
     precision = 1.0 / prior_var + n
-    gaps = np.empty(trials)
-    for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
-        )
-        mean = true_mean + rng.standard_normal() / math.sqrt(n)
+
+    def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
+        mean = true_mean + rng.standard_normal(size) / math.sqrt(n)
         m = (prior_mean / prior_var + n * mean) / precision
-        gaps[trial] = 0.5 * (1.0 / n + (m - true_mean) ** 2 - (m - mean) ** 2)
-    estimate = float(gaps.mean())
-    std_error = float(gaps.std(ddof=1) / math.sqrt(trials))
-    return estimate, std_error
+        return 0.5 * (1.0 / n + (m - true_mean) ** 2 - (m - mean) ** 2)
+
+    return mean_and_std_error(block_gaps(trials, seed, gap_block))

@@ -6,9 +6,7 @@ manifest.json into --out, prints one PASS/FAIL line per check, and exits
 0 when all checks pass, 1 on a check failure, 2 on a config error, and 3
 on a numerical error (enumeration overflow, singular matrices, divergent
 chains).  Apart from the manifest's duration and timings fields, outputs
-are a pure function of config and seed.  GIBBS_ISKL_THREADS (default 1) caps the
-worker threads used for instance sweeps and Monte Carlo batches; results
-are order-independent, so the thread count never changes any number.
+are a pure function of config and seed.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +48,7 @@ from .gibbs import (
     gen_characterizations,
 )
 from .problems import instance_rng, instance_sweep, random_mixture_components, random_problem
-from .samplers import SgldConfig, sgld_run
+from .samplers import MIN_TRIALS, SgldConfig, sgld_run
 from .serialize import write_csv, write_json
 
 DEFAULT_SEED = 20260814
@@ -85,27 +82,6 @@ class Check:
     seconds: float | None = None
 
 
-def _threads() -> int:
-    raw = os.environ.get("GIBBS_ISKL_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"GIBBS_ISKL_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigInvalid(f"GIBBS_ISKL_THREADS must be >= 1, got {value}")
-    return value
-
-
-def _map_ordered(fn, items):
-    """Map preserving input order; parallel when GIBBS_ISKL_THREADS > 1."""
-    items = list(items)
-    threads = _threads()
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _merge_config(defaults: dict, path: str | None) -> dict:
     config = dict(defaults)
     if path is not None:
@@ -121,10 +97,11 @@ def _merge_config(defaults: dict, path: str | None) -> dict:
     return config
 
 
-def _require_int(config: dict, key: str, minimum: int = 1) -> int:
+def _require_int(config: dict, key: str, minimum: int = 1, path: str | None = None) -> int:
     value = config[key]
+    path = path or key
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigInvalid(f"{key} must be an integer >= {minimum}, got {value!r}", path=key)
+        raise ConfigInvalid(f"{path} must be an integer >= {minimum}, got {value!r}", path=path)
     return value
 
 
@@ -221,7 +198,7 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         return rows, prop_rows, failures, ratio_failures
 
     started = time.monotonic()
-    results = _map_ordered(work, instances)
+    results = [work(item) for item in instances]
     sweep_seconds = time.monotonic() - started
     identity_rows = [row for rows, _, _, _ in results for row in rows]
     prop_rows = [row for _, rows, _, _ in results for row in rows]
@@ -448,7 +425,7 @@ def cmd_counterexample(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 
 def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
-    trials = _require_int(config, "trials", 1000)
+    trials = _require_int(config, "trials", MIN_TRIALS)
     configs = [
         _gaussian_config(obj, f"configs[{i}]") for i, obj in enumerate(config["configs"])
     ]
@@ -466,7 +443,7 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
             f"two_point_config_index {two_point_index} out of range", path="two_point_config_index"
         )
     jobs.append((len(jobs), configs[two_point_index], "two_point"))
-    results = _map_ordered(mc_job, jobs)
+    results = [mc_job(job) for job in jobs]
 
     mc_rows = []
     z_scores = []
@@ -632,7 +609,7 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
                 )
         return out_rows, probe_rows, violations, probe_failures, sweep_failures
 
-    results = _map_ordered(work, instances)
+    results = [work(item) for item in instances]
     all_rows = [row for rows, _, _, _, _ in results for row in rows]
     probe_rows = [row for _, rows, _, _, _ in results for row in rows]
     violations = [v for _, _, vs, _, _ in results for v in vs]
@@ -787,8 +764,8 @@ def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
     )
 
     bayes = dict(config["bayes"])
-    bn = int(bayes["n"])
-    btrials = int(bayes["trials"])
+    bn = _require_int(bayes, "n", path="bayes.n")
+    btrials = _require_int(bayes, "trials", MIN_TRIALS, path="bayes.trials")
     btol = float(bayes["tolerance"])
     estimate, std_error = bayes_location_regime_gen(bn, btrials, seed)
     exact_bayes = bayes_location_regime_exact(bn)
@@ -929,7 +906,7 @@ def cmd_pac_bayes(config: dict, out_dir: str, seed: int) -> list[Check]:
 
     cfg = _gaussian_config(dict(config["config"]), "config")
     clip = float(config["clip"])
-    trials = _require_int(config, "trials", 1000)
+    trials = _require_int(config, "trials", MIN_TRIALS)
     deltas = tuple(float(d) for d in config["deltas"])
     report = pac_bayes_coverage(cfg, clip, trials, seed, deltas=deltas)
     write_json(

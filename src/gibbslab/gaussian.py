@@ -37,6 +37,7 @@ from .errors import (
     NTooSmall,
     NotPositiveDefinite,
 )
+from .samplers import block_gaps, check_trials, mean_and_std_error
 
 MAX_DIM = 64
 IDENTITY_TOL = 1e-12
@@ -94,9 +95,9 @@ class GaussianMeanConfig:
         return self.sigma0_sq * self.sigma_sq / (self.n * self.sigma0_sq + self.sigma_sq)
 
     def posterior_mean(self, samples: np.ndarray) -> np.ndarray:
-        """Posterior mean for an (n, d) sample block."""
+        """Posterior mean for (..., n, d) samples: one per leading index."""
         s1 = self.sigma1_sq
-        return s1 * (self.mu0 / self.sigma0_sq + samples.sum(axis=0) / self.sigma_sq)
+        return s1 * (self.mu0 / self.sigma0_sq + samples.sum(axis=-2) / self.sigma_sq)
 
 
 def _spd_cholesky(matrix: np.ndarray, name: str):
@@ -207,21 +208,16 @@ def mean_closed_forms(config: GaussianMeanConfig) -> MeanClosedForms:
     )
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based substream: trial index is part of the key, so any
-    execution order reproduces the serial results."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
-
-
 def _draw_samples(
-    rng: np.random.Generator, config: GaussianMeanConfig, count: int, law: str
+    rng: np.random.Generator, config: GaussianMeanConfig, shape: tuple[int, ...], law: str
 ) -> np.ndarray:
+    """Samples of the given leading shape, each a d-vector."""
     scale = math.sqrt(config.sigmaZ_sq)
     if law == "gaussian":
-        noise = rng.standard_normal((count, config.d))
+        noise = rng.standard_normal((*shape, config.d))
     else:  # two_point: a Rademacher sign per coordinate, matched variance
-        noise = rng.integers(0, 2, size=(count, config.d)) * 2.0 - 1.0
-    return config.mu[None, :] + scale * noise
+        noise = rng.integers(0, 2, size=(*shape, config.d)) * 2.0 - 1.0
+    return config.mu + scale * noise
 
 
 def mc_mean_gen(
@@ -239,28 +235,27 @@ def mc_mean_gen(
     law selects the sample distribution: "gaussian" or "two_point" (a
     variance-matched Rademacher law, exercising the fact that the closed
     form depends on the sample law only through its covariance).
-    Returns (estimate, standard error); bit-reproducible for a fixed seed.
+    Trials are drawn in blocks (see samplers.block_gaps) as arrays of
+    shape (block, n, d).  Returns (estimate, standard error);
+    bit-reproducible for a fixed seed.
     """
-    if not (isinstance(trials, int) and trials >= 1000):
-        raise InvalidInput(f"trials must be an integer >= 1000, got {trials!r}")
+    check_trials(trials)
     if law not in ("gaussian", "two_point"):
         raise InvalidInput(f"law must be 'gaussian' or 'two_point', got {law!r}")
     n = config.n
     post_scale = math.sqrt(config.sigma1_sq)
-    gaps = np.empty(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        train = _draw_samples(rng, config, n, law)
-        w = config.posterior_mean(train) + post_scale * rng.standard_normal(config.d)
-        fresh = _draw_samples(rng, config, n, law)
-        delta_fresh = w[None, :] - fresh
-        delta_train = w[None, :] - train
-        gaps[trial] = float(
-            ((delta_fresh * delta_fresh).sum(axis=1) - (delta_train * delta_train).sum(axis=1)).mean()
-        )
-    estimate = float(gaps.mean())
-    std_error = float(gaps.std(ddof=1) / math.sqrt(trials))
-    return estimate, std_error
+
+    def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
+        train = _draw_samples(rng, config, (size, n), law)
+        w = config.posterior_mean(train) + post_scale * rng.standard_normal((size, config.d))
+        fresh = _draw_samples(rng, config, (size, n), law)
+        delta_fresh = w[:, None, :] - fresh
+        delta_train = w[:, None, :] - train
+        return (
+            (delta_fresh * delta_fresh).sum(axis=2) - (delta_train * delta_train).sum(axis=2)
+        ).mean(axis=1)
+
+    return mean_and_std_error(block_gaps(trials, seed, gap_block))
 
 
 @dataclass(frozen=True)
@@ -375,14 +370,15 @@ def pac_bayes_coverage(
     risk; population risk comes from Gauss-Hermite quadrature.  The prior
     reference law is the true sample law, so the divergence shift is zero
     and c_p = 0 is admissible.  Coverage per delta is the fraction of
-    trials whose gap stays below the bound.
+    trials whose gap stays below the bound.  Trials are drawn in blocks
+    (see samplers.block_gaps), whose empirical risks and posteriors are
+    (block, grid) arrays.
     """
     if config.d != 1:
         raise InvalidInput("the coverage experiment is one-dimensional")
     if not (math.isfinite(clip) and clip > 0.0):
         raise InvalidInput(f"clip must be > 0, got {clip!r}")
-    if not (isinstance(trials, int) and trials >= 1000):
-        raise InvalidInput(f"trials must be an integer >= 1000, got {trials!r}")
+    check_trials(trials)
     for delta in deltas:
         if not 0.0 < delta < 0.5:
             raise DeltaOutOfRange(f"delta must lie in (0, 1/2), got {delta!r}")
@@ -404,19 +400,29 @@ def pac_bayes_coverage(
 
     n = config.n
     gamma = config.gamma
-    gaps = np.empty(trials)
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        samples = mu + sz * rng.standard_normal(n)
-        emp = np.zeros(grid_size)
-        for z in samples:
-            emp += np.minimum((grid - z) ** 2, clip)
+
+    def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
+        samples = mu + sz * rng.standard_normal((size, n))
+        # truncated empirical risk of every trial on the grid, summed
+        # over the samples in their draw order
+        emp = np.zeros((size, grid_size))
+        term = np.empty((size, grid_size))
+        for i in range(n):
+            np.subtract(grid, samples[:, i, None], out=term)
+            np.square(term, out=term)
+            np.minimum(term, clip, out=term)
+            emp += term
         emp /= n
-        logits = log_prior - gamma * emp
-        logits -= logits.max()
-        post = np.exp(logits)
-        post /= post.sum()
-        gaps[trial] = abs(float(post @ (pop_risk - emp)))
+        # the posterior reuses the scratch buffer, keeping a block at two
+        # (block, grid) arrays
+        post = np.multiply(emp, -gamma, out=term)
+        post += log_prior
+        post -= post.max(axis=1, keepdims=True)
+        np.exp(post, out=post)
+        post /= post.sum(axis=1, keepdims=True)
+        return np.abs(np.einsum("bg,bg->b", post, np.subtract(pop_risk, emp, out=emp)))
+
+    gaps = block_gaps(trials, seed, gap_block)
 
     sigma = clip / 2.0
     bounds = {

@@ -1,12 +1,12 @@
 """Randomized enumerable problem instances for identity and bound sweeps.
 
-Instances are drawn from counter-based substreams keyed by (seed, index),
-so instance k is the same no matter how many instances a sweep requests
-or in which order workers pick them up.  Weights get a small positive
-floor before normalization: strictly positive laws keep every posterior
-comparison absolutely continuous, which is the regime the identity
-checks are about (support mismatches are exercised separately in the
-unit tests).
+Instance k is drawn from the counter-based stream (seed, k) of
+samplers.counter_rng, so it is the same no matter how many instances a
+sweep requests or in which order they are built.  Weights get a small
+positive floor before normalization: strictly positive laws keep every
+posterior comparison absolutely continuous, which is the regime the
+identity checks are about (support mismatches are exercised separately
+in the unit tests).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidInput
 from .gibbs import DataModel, IIDData, JointData, LearningProblem
 from .probability import ProbVec
+from .samplers import counter_rng
 
 WEIGHT_FLOOR = 0.05
 
@@ -27,7 +28,7 @@ def _positive_weights(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
     """The substream that generates instance number ``index``."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    return counter_rng(seed, index)
 
 
 def random_problem(

@@ -9,15 +9,23 @@ exp(-gamma * objective).  For a quadratic objective (w - m)^2 the exact
 stationary law of the discrete chain is Gaussian with mean m and
 variance 1 / (2 gamma (1 - step)), so the continuous-time variance
 1 / (2 gamma) is recovered as the step vanishes; tests lean on both
-facts.  All noise comes from one counter-based stream keyed by the
-seed, so a run is bit-reproducible.
+facts.  All noise comes from the counter-based stream (seed, 0), so a
+run is bit-reproducible.
+
+counter_rng is the one source of randomness in the package: a Philox
+generator keyed by (seed, stream) whose counter starts at a block
+index, so every (seed, stream, block) triple names its own
+non-overlapping substream and results never depend on execution order.
+The vectorized Monte Carlo estimators draw one generator per block of
+BLOCK_TRIALS trials through block_gaps; instance sweeps and mc_gen_error
+use one stream per instance or trial at block 0.
 
 mc_gen_error is the generic sampled analogue of the enumerable
 generalization error: per trial it draws a training tuple, one
 hypothesis from a user-supplied posterior sampler, and a held-out
-block, and averages held-out-minus-training loss.  Each trial owns a
-counter-based substream keyed by (seed, trial), so results do not
-depend on execution order.
+block, and averages held-out-minus-training loss.  Each trial owns the
+stream (seed, trial), since the user-supplied callbacks work one trial
+at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +39,56 @@ import numpy as np
 from .errors import Diverged, InvalidInput
 
 DIVERGENCE_NORM = 1e10
+MIN_TRIALS = 1000
+
+# Trials per generator in block_gaps.  Smaller blocks pay numpy's
+# per-call overhead more often; larger ones run no faster (on the
+# cli-monte-carlo benchmark 16 was slower than 64 and 256 no faster)
+# while each block's (block, n, d) and (block, grid) arrays grow with it.
+BLOCK_TRIALS = 64
+
+
+def counter_rng(seed: int, stream: int, block: int = 0) -> np.random.Generator:
+    """Generator of the counter-based stream (seed, stream) at block ``block``.
+
+    The Philox key is (seed, stream) and the block index sits in the
+    third word of the counter, which a generator reaches only after
+    2**128 counter increments, so distinct blocks never overlap.  Block 0
+    is the stream of ``Philox(key=[seed, stream])``.
+    """
+    return np.random.Generator(
+        np.random.Philox(
+            key=np.array([seed, stream], dtype=np.uint64),
+            counter=np.array([0, 0, block, 0], dtype=np.uint64),
+        )
+    )
+
+
+def check_trials(trials: object) -> None:
+    """Monte Carlo estimators need at least MIN_TRIALS trials."""
+    if not (isinstance(trials, int) and trials >= MIN_TRIALS):
+        raise InvalidInput(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}")
+
+
+def block_gaps(
+    trials: int, seed: int, gap_block: Callable[[np.random.Generator, int], np.ndarray]
+) -> np.ndarray:
+    """Per-trial gaps, BLOCK_TRIALS trials at a time.
+
+    gap_block(rng, size) returns the gaps of ``size`` trials drawn from
+    rng; block b draws from counter_rng(seed, 0, b).  Returns the
+    (trials,) array of gaps.
+    """
+    gaps = np.empty(trials)
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        stop = min(start + BLOCK_TRIALS, trials)
+        gaps[start:stop] = gap_block(counter_rng(seed, 0, block), stop - start)
+    return gaps
+
+
+def mean_and_std_error(gaps: np.ndarray) -> tuple[float, float]:
+    """Sample mean of the gaps and its standard error."""
+    return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(gaps.size))
 
 
 @dataclass(frozen=True)
@@ -78,14 +136,14 @@ def sgld_run(
     w = np.atleast_1d(np.asarray(initial, dtype=np.float64)).copy()
     if w.ndim != 1:
         raise InvalidInput(f"initial must be a scalar or vector, got shape {w.shape}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64)))
-    noise = rng.standard_normal((config.iterations, w.size))
-    scale = math.sqrt(2.0 * config.step / config.gamma)
+    noise = counter_rng(config.seed, 0).standard_normal((config.iterations, w.size))
+    noise *= math.sqrt(2.0 * config.step / config.gamma)
+    step = config.step
     iterates = np.empty((config.iterations, w.size))
     for k in range(config.iterations):
         grad = np.asarray(gradient(w, dataset), dtype=np.float64).reshape(w.shape)
-        w = w - config.step * grad + scale * noise[k]
-        norm = float(np.linalg.norm(w))
+        w = w - step * grad + noise[k]
+        norm = math.sqrt(w.dot(w))
         if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             raise Diverged(
                 f"iterate norm {norm!r} at step {k} exceeded {DIVERGENCE_NORM:g}",
@@ -115,21 +173,16 @@ def mc_gen_error(
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(trials, int) and trials >= 1000):
-        raise InvalidInput(f"trials must be an integer >= 1000, got {trials!r}")
+    check_trials(trials)
     if not (isinstance(held_out, int) and held_out >= 1):
         raise InvalidInput(f"held_out must be a positive integer, got {held_out!r}")
     gaps = np.empty(trials)
     for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
-        )
+        rng = counter_rng(seed, trial)
         training = sample_source(rng, n)
         w = posterior_sampler(rng, training)
         fresh = sample_source(rng, held_out)
         on_train = float(np.mean([loss_fn(w, z) for z in training]))
         on_fresh = float(np.mean([loss_fn(w, z) for z in fresh]))
         gaps[trial] = on_fresh - on_train
-    estimate = float(gaps.mean())
-    std_error = float(gaps.std(ddof=1) / math.sqrt(trials))
-    return estimate, std_error
+    return mean_and_std_error(gaps)

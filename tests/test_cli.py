@@ -60,12 +60,6 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_bad_thread_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("GIBBS_ISKL_THREADS", "zero")
-    code, _ = run_identities(tmp_path, "threads_bad")
-    assert code == 2
-
-
 def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main([])
@@ -146,19 +140,6 @@ def test_seed_flag_changes_outputs(tmp_path):
     assert a != b
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
-    _, base = run_identities(tmp_path, "serial")
-    monkeypatch.setenv("GIBBS_ISKL_THREADS", "3")
-    code, threaded = run_identities(tmp_path, "threaded")
-    assert code == 0
-    for name in ("identities.csv", "divergence_order.csv"):
-        with open(os.path.join(base, name), "rb") as handle:
-            a = handle.read()
-        with open(os.path.join(threaded, name), "rb") as handle:
-            b = handle.read()
-        assert a == b, name
-
-
 def test_counterexample_run_and_failure_signalling(tmp_path):
     out = str(tmp_path / "ce")
     assert main(["counterexample", "--out", out]) == 0
@@ -218,6 +199,20 @@ def test_asymptotics_run(tmp_path):
     ]
     for name in ("aic.csv", "laplace.json", "bayes.json"):
         assert os.path.exists(os.path.join(out, name))
+
+
+@pytest.mark.parametrize(
+    "bayes, path",
+    [
+        ({"n": 1000, "trials": 500, "tolerance": 0.1}, "bayes.trials"),
+        ({"n": 0, "trials": 10_000, "tolerance": 0.1}, "bayes.n"),
+    ],
+)
+def test_asymptotics_bad_bayes_config_exits_2(tmp_path, capsys, bayes, path):
+    config = write_config(tmp_path, "asym.json", {"bayes": bayes})
+    code = main(["asymptotics", "--config", config, "--out", str(tmp_path / "asym")])
+    assert code == 2
+    assert f"config error at {path}" in capsys.readouterr().err
 
 
 def test_sgld_demo_run(tmp_path):

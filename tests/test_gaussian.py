@@ -1,6 +1,7 @@
 """Gaussian mean-estimation example: closed forms, sampling, bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,24 @@ def test_mc_mean_gen_validation():
         mc_mean_gen(cfg, 1000, 0, law="uniform")
 
 
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_mc_mean_gen_memory_is_gaps_plus_one_block():
+    # the (trials,) gaps (0.8 MB), the deviations the standard error takes
+    # from them, and one (64, n, d) block; one unblocked (trials, n, d)
+    # draw alone would take 64 MB
+    cfg = make_config(d=4, n=20)
+    assert traced_peak(mc_mean_gen, cfg, 100_000, 1) < 3_000_000
+
+
 def pac_config(n, sigma_sq):
     return GaussianMeanConfig(
         d=1, mu=(0.0,), mu0=(0.0,), sigma0_sq=1.0,
@@ -262,6 +281,13 @@ def test_pac_bayes_coverage_deterministic():
     a = pac_bayes_coverage(cfg, 2.0, 1000, 5)
     b = pac_bayes_coverage(cfg, 2.0, 1000, 5)
     assert a.coverage == b.coverage and a.mean_gap == b.mean_gap
+
+
+def test_pac_bayes_coverage_memory_is_gaps_plus_one_block():
+    # the (trials,) gaps (80 kB) and two (64, grid) arrays (0.4 MB each);
+    # an unblocked (trials, n) draw alone would take 1.6 MB and the
+    # (trials, grid) empirical risks 64 MB
+    assert traced_peak(pac_bayes_coverage, pac_config(20, 1.0), 2.0, 10_000, 1) < 1_500_000
 
 
 def test_pac_bayes_coverage_validation():

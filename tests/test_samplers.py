@@ -6,6 +6,30 @@ import numpy as np
 import pytest
 
 from gibbslab import Diverged, InvalidInput, SgldConfig, mc_gen_error, sgld_run
+from gibbslab.samplers import counter_rng
+
+
+def test_counter_rng_block_zero_is_the_keyed_philox_stream():
+    # instance sweeps and the Langevin noise read block 0, so their
+    # outputs depend on it being the plain (seed, stream) Philox stream
+    for seed, stream in ((0, 0), (20, 0), (20260814, 20_000)):
+        legacy = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        )
+        assert np.array_equal(
+            counter_rng(seed, stream).standard_normal(500), legacy.standard_normal(500)
+        )
+
+
+def test_counter_rng_blocks_and_streams_are_distinct():
+    draws = [
+        counter_rng(seed, stream, block).random(8)
+        for seed, stream, block in ((5, 0, 0), (5, 0, 1), (5, 0, 2), (5, 1, 0), (6, 0, 0))
+    ]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1 :]:
+            assert not np.array_equal(a, b)
+    assert np.array_equal(counter_rng(5, 0, 1).random(8), draws[1])
 
 
 def quadratic_gradient(target):
