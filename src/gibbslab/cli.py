@@ -105,6 +105,17 @@ def _require_int(config: dict, key: str, minimum: int = 1, path: str | None = No
     return value
 
 
+def _require_gammas(config: dict, key: str, allow_zero: bool = False) -> list[float]:
+    value = config[key]
+    reals = isinstance(value, list) and all(
+        isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g) for g in value
+    )
+    if not (reals and value and (min(value) > 0 or (allow_zero and min(value) == 0))):
+        kind = "finite reals >= 0" if allow_zero else "finite reals > 0"
+        raise ConfigInvalid(f"{key} must be a nonempty list of {kind}, got {value!r}", path=key)
+    return [float(g) for g in value]
+
+
 def _gaussian_config(obj: dict, path: str) -> GaussianMeanConfig:
     if not isinstance(obj, dict):
         raise ConfigInvalid("expected a Gaussian mean config object", path=path)
@@ -136,7 +147,7 @@ def _problem_kind(problem) -> str:
 
 def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     count = _require_int(config, "instances")
-    gammas = [float(g) for g in config["gammas"]]
+    gammas = _require_gammas(config, "gammas")
     instances = instance_sweep(
         count,
         seed,
@@ -269,7 +280,9 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     )
 
     curve_count = _require_int(config, "curve_instances")
-    curve_gammas = [float(g) for g in config["curve_gammas"]]
+    curve_gammas = _require_gammas(config, "curve_gammas", allow_zero=True)
+    if curve_gammas != sorted(set(curve_gammas)):
+        raise ConfigInvalid("curve_gammas must be strictly increasing", path="curve_gammas")
     curve_rows = []
     curve_ok = True
     for i in range(curve_count):
@@ -542,7 +555,7 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
     count = _require_int(config, "instances")
-    gammas = [float(g) for g in config["gammas"]]
+    gammas = _require_gammas(config, "gammas")
     alphas = tuple(float(a) for a in config["alphas"])
     probe_alpha = float(config["probe_alpha"])
     probe_tol = float(config["probe_rel_tol"])
@@ -554,7 +567,7 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
         max_n=_require_int(config, "max_n", 1),
     )
 
-    probe_gammas = {float(g) for g in config["probe_gammas"]}
+    probe_gammas = set(_require_gammas(config, "probe_gammas"))
     sweep_alphas = sorted(set(alphas) | {probe_alpha}, reverse=True)
     # the probe order rides in the same table; its row is written only if listed
     table_alphas = alphas if probe_alpha in alphas else alphas + (probe_alpha,)

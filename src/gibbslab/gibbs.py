@@ -21,7 +21,9 @@ lexicographic order, never collapsed to multisets.  gibbs_posterior is the
 one evaluation of a (problem, gamma) pair that every route and bound
 reads.  Its information functionals never leave the log domain, so the
 identity holds in the large-gamma (ERM) regime too, where linear-domain
-rows underflow; the tests check it at gamma up to 1e6.
+rows underflow; the tests check it at gamma up to 1e6.  Log-sum-exp is
+the private numpy kernel probability._logsumexp, which reproduces scipy's
+logsumexp results bit for bit without its per-call dispatch cost.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     EnumerationTooLarge,
@@ -49,6 +50,7 @@ from .probability import (
     ProbVec,
     ZERO_CUTOFF,
     _divergence_pair,
+    _logsumexp,
     _product_of_marginals,
     _renyi_sum,
     _total_variation,
@@ -187,6 +189,29 @@ class LearningProblem:
         risk.flags.writeable = False
         return risk
 
+    @cached_property
+    def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gamma-independent part of the supersample sweep: the
+        probability of each supersample of n pairs, and the (supersamples,
+        2**n) ids of the dataset each selector string picks from it.  IID
+        models only; callers check the enumeration size first."""
+        nz = self.num_samples_symbols
+        n = self.n
+        pair_matrix = _index_matrix(nz, 2 * n)
+        super_probs = np.prod(self.data_model.marginal.weights[pair_matrix], axis=1)
+        first = pair_matrix[:, 0::2]
+        second = pair_matrix[:, 1::2]
+        powers = nz ** np.arange(n - 1, -1, -1)
+        selectors = _index_matrix(2, n)
+        # dataset ids stay below ENUMERATION_CAP, so int32 holds them
+        dataset_ids = np.empty((pair_matrix.shape[0], selectors.shape[0]), dtype=np.int32)
+        for k, bits in enumerate(selectors):
+            chosen = np.where(bits[None, :] == 1, second, first)
+            dataset_ids[:, k] = chosen @ powers
+        super_probs.flags.writeable = False
+        dataset_ids.flags.writeable = False
+        return super_probs, dataset_ids
+
 
 def _index_matrix(base: int, length: int) -> np.ndarray:
     """All base**length tuples of indices, lexicographic, one per row."""
@@ -245,12 +270,12 @@ class _Kernel:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        return self.log_rows - logsumexp(self.log_rows, axis=1, keepdims=True)
+        return self.log_rows - _logsumexp(self.log_rows, axis=1, keepdims=True)
 
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        return logsumexp(self.problem._log_dataset_probs[:, None] + self.log_kernel, axis=0)
+        return _logsumexp(self.problem._log_dataset_probs[:, None] + self.log_kernel, axis=0)
 
     def _expected_divergences(self, log_reference: np.ndarray) -> tuple[float, float]:
         """(E D(row || reference), E D(reference || row)) over datasets."""
@@ -315,7 +340,7 @@ def gibbs_posterior(
         raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
     _check_enumeration(problem.dataset_count, cap, "dataset enumeration")
     logits = problem.prior.log_weights[:, None] - gamma * problem._empirical_risk
-    log_partition = logsumexp(logits, axis=0)
+    log_partition = _logsumexp(logits, axis=0)
     log_rows = (logits - log_partition[None, :]).T
     log_rows.flags.writeable = False
     log_partition.flags.writeable = False
@@ -327,8 +352,8 @@ def gibbs_posterior(
 def _log_population(problem: LearningProblem, gamma: float) -> np.ndarray:
     # normalized twice, for the reason given at GibbsPosterior.log_kernel
     logits = problem.prior.log_weights - gamma * problem._population_risk
-    logits = logits - logsumexp(logits)
-    return logits - logsumexp(logits)
+    logits = logits - _logsumexp(logits)
+    return logits - _logsumexp(logits)
 
 
 def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
@@ -383,27 +408,14 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     required = (nz ** (2 * n)) * (2**n)
     _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
     _require_kernel(problem, log_rows)
-
-    pair_matrix = _index_matrix(nz, 2 * n)
-    marginal = problem.data_model.marginal.weights
-    super_probs = np.prod(marginal[pair_matrix], axis=1)
-    first = pair_matrix[:, 0::2]
-    second = pair_matrix[:, 1::2]
-    powers = nz ** np.arange(n - 1, -1, -1)
-    selectors = _index_matrix(2, n)
-    num_u = selectors.shape[0]
-
-    # dataset id of the training tuple selected by each u, per supersample
-    dataset_ids = np.empty((pair_matrix.shape[0], num_u), dtype=np.int64)
-    for k, bits in enumerate(selectors):
-        chosen = np.where(bits[None, :] == 1, second, first)
-        dataset_ids[:, k] = chosen @ powers
+    super_probs, dataset_ids = problem._supersample_geometry
+    num_super, num_u = dataset_ids.shape
 
     mutual = 0.0
     lautum = 0.0
     block = max(1, SUPERSAMPLE_BLOCK // (num_u * nw))
-    for start in range(0, pair_matrix.shape[0], block):
-        stop = min(start + block, pair_matrix.shape[0])
+    for start in range(0, num_super, block):
+        stop = min(start + block, num_super)
         # selector first: reductions over u then run on contiguous slices
         log_cond = log_rows[dataset_ids[start:stop].T]  # (num_u, b, nw)
         # log of the mixture over u, max-shifted in place
@@ -680,7 +692,7 @@ def regularized_gen(
     # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each
     # row: a kernel, but not the Gibbs posterior of the problem at gamma
     tilted = gibbs_posterior(problem, gamma).log_rows - (gamma * lam) * regularizer.T
-    kernel = _Kernel(problem, tilted - logsumexp(tilted, axis=1, keepdims=True))
+    kernel = _Kernel(problem, tilted - _logsumexp(tilted, axis=1, keepdims=True))
 
     probs = problem._dataset_probs
     rows = kernel.row_array

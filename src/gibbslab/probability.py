@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AbsoluteContinuityViolation,
@@ -152,6 +151,33 @@ def _require_same_alphabet(p: ProbVec, q: ProbVec) -> None:
 # below and by the log-domain functionals of gibbs.GibbsPosterior.
 
 
+def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
+    """log(sum(exp(a))) over axis, bit for bit what scipy's logsumexp
+    returns on real floats, without its per-call array-API dispatch.
+
+    scipy's steps in scipy's order: the tied maxima are taken out of the
+    shifted sum and counted (m), the rest is summed and divided by m, and
+    the result is log1p(s) + log(m) + max; where that is not finite (an
+    all -inf slice, or an infinite entry) log(sum(exp(a))) stands instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    a_max = a.max(axis=axes, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=axes, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=axes, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.exp(a).sum(axis=axes, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = out.squeeze(axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
 def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     """(D(p || q), D(q || p)) summed over axis, for laws given by finite log
     weights that broadcast against each other.
@@ -193,7 +219,7 @@ def _renyi_sum(
     u -= (1.0 - alpha) * q_off + alpha * p_off
     if abs(u) < 1.0:
         return math.log1p(u) / (alpha - 1.0)
-    return float(logsumexp(alpha * log_p + (1.0 - alpha) * log_q)) / (alpha - 1.0)
+    return float(_logsumexp(alpha * log_p + (1.0 - alpha) * log_q)) / (alpha - 1.0)
 
 
 def _product_of_marginals(table: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,6 +215,43 @@ def test_asymptotics_bad_bayes_config_exits_2(tmp_path, capsys, bayes, path):
     code = main(["asymptotics", "--config", config, "--out", str(tmp_path / "asym")])
     assert code == 2
     assert f"config error at {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    [
+        (subcommand, key, value)
+        for subcommand, keys in (
+            ("verify-identities", ("gammas", "curve_gammas")),
+            ("bounds-table", ("gammas", "probe_gammas")),
+        )
+        for key in keys
+        for value in ("ab", 5, [-1], [], [1.0, True], [1.0, "2"])
+    ]
+    # gamma 0 is valid only on the risk curve, which must ascend
+    + [
+        ("verify-identities", "gammas", [0.0, 1.0]),
+        ("bounds-table", "probe_gammas", [0.0]),
+        ("verify-identities", "curve_gammas", [0.0, 1.0, 0.5]),
+        ("verify-identities", "curve_gammas", [0.0, 1.0, 1.0]),
+    ],
+)
+def test_bad_gamma_list_exits_2(tmp_path, capsys, subcommand, key, value):
+    config = write_config(tmp_path, "gammas.json", {"instances": 2, key: value})
+    code = main([subcommand, "--config", config, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error at {key}:" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # the exact path runs on the private log-sum-exp kernel
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gibbslab.cli.__file__)))
+    probe = "import sys, gibbslab.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_sgld_demo_run(tmp_path):

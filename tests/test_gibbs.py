@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gibbslab.gibbs
 from gibbslab import (
     EnumerationTooLarge,
     EpsilonOutOfRange,
@@ -344,6 +345,32 @@ def test_supersample_cap_raises_before_allocating():
         tracemalloc.stop()
     assert caught.value.required == 4**12 * 2**6
     assert peak < 1_000_000
+
+
+def test_supersample_geometry_built_once_per_problem(monkeypatch):
+    problem = small_problem(31, iid=True, n=2)
+    gammas = (0.1, 1.0, 10.0, 100.0)
+    posteriors = [gibbs_posterior(problem, gamma) for gamma in gammas]
+    builds = []
+    index_matrix = gibbslab.gibbs._index_matrix
+
+    def counting(base, length):
+        builds.append((base, length))
+        return index_matrix(base, length)
+
+    monkeypatch.setattr(gibbslab.gibbs, "_index_matrix", counting)
+    reports = [posterior.supersample_info for posterior in posteriors]
+    # one pair matrix (|Z| = 4, 2n = 4) and one selector matrix (2, n = 2)
+    # for all four gammas
+    assert sorted(builds) == [(2, 2), (4, 4)]
+    super_probs, dataset_ids = problem._supersample_geometry
+    assert dataset_ids.dtype == np.int32 and dataset_ids.shape == (4**4, 2**2)
+    assert abs(float(super_probs.sum()) - 1.0) < 1e-12
+    assert len({report.mutual for report in reports}) == len(gammas)
+    # a fresh problem with its own geometry gives the same bits
+    fresh = dataclasses.replace(problem)
+    for posterior, report in zip(posteriors, reports):
+        assert supersample_conditional_info(fresh, posterior.log_kernel) == report
 
 
 @pytest.mark.parametrize("gamma", [1e3, 1e4, 1e6])

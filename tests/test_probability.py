@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from gibbslab import (
     AlphabetMismatch,
@@ -19,6 +20,7 @@ from gibbslab import (
     symmetrized_kl,
     total_variation,
 )
+from gibbslab.probability import _logsumexp, _renyi_sum
 
 
 def bern(p):
@@ -115,6 +117,51 @@ def test_renyi_monotone_in_alpha():
         p, q = random_pair(rng, int(rng.integers(2, 6)))
         assert renyi_divergence(p, q, 2.0) >= renyi_divergence(p, q, 1.5) - 1e-14
         assert renyi_divergence(p, q, 1.5) >= kl_divergence(p, q) - 1e-14
+
+
+def test_renyi_far_apart_takes_log_sum_exp_branch():
+    # far apart the near-independence sum 1 + u has |u| >= 1, and at high
+    # order exp(alpha r) overflows, so the value has to come from log-sum-exp
+    log_p = np.log(np.array([0.999, 0.001]))
+    log_q = np.log(np.array([0.001, 0.999]))
+    for alpha in (2.0, 5.0, 200.0):
+        r = log_p - log_q
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = float((np.exp(log_q) * (np.expm1(alpha * r) - alpha * np.expm1(r))).sum())
+        assert not abs(u) < 1.0
+        terms = [alpha * a + (1.0 - alpha) * b for a, b in zip(log_p, log_q)]
+        top = max(terms)
+        oracle = (top + math.log(sum(math.exp(t - top) for t in terms))) / (alpha - 1.0)
+        assert math.isfinite(oracle)
+        assert abs(_renyi_sum(log_p, log_q, alpha) - oracle) <= 1e-14 * oracle
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=tuple(rng.integers(1, 8, size=2)))
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        if rng.random() < 0.5:
+            a = np.round(a)  # tied maxima
+        if rng.random() < 0.3:
+            a[int(rng.integers(a.shape[0]))] = -np.inf  # an all -inf row
+            a[:, int(rng.integers(a.shape[1]))] = -np.inf  # and column
+        yield a
+    yield np.full((3, 4), -np.inf)
+    yield np.zeros((4, 3))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    for a in _logsumexp_cases():
+        for axis in (0, 1, None):
+            for keepdims in (False, True):
+                expected = scipy_logsumexp(a, axis=axis, keepdims=keepdims)
+                got = _logsumexp(a, axis=axis, keepdims=keepdims)
+                assert np.shape(got) == np.shape(expected)
+                assert np.array_equal(got, expected, equal_nan=True), (a, axis, keepdims)
+    # a 1-d input reduced over every axis gives a scalar, as scipy does
+    a = np.array([0.0, -np.inf, 0.0])
+    assert np.ndim(_logsumexp(a)) == 0 and _logsumexp(a) == scipy_logsumexp(a)
 
 
 def test_renyi_with_different_supports_matches_closed_form():
