@@ -109,11 +109,6 @@ from .serialize import (
     dumps_json,
     format_float,
     load_json,
-    probvec_from_obj,
-    probvec_to_obj,
-    problem_from_obj,
-    problem_to_obj,
-    wells_from_obj,
     write_csv,
     write_json,
 )

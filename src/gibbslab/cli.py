@@ -3,10 +3,17 @@
 Every subcommand reads an optional JSON config (defaults reproduce the
 documented acceptance runs), writes CSV/JSON artifacts plus a
 manifest.json into --out, prints one PASS/FAIL line per check, and exits
-0 when all checks pass, 1 on a check failure, 2 on a config error, and 3
-on a numerical error (enumeration overflow, singular matrices, divergent
-chains).  Apart from the manifest's duration and timings fields, outputs
-are a pure function of config and seed.
+0 when all checks pass, 1 on a check failure, 2 on a config error, 3 on
+a numerical error (enumeration overflow, singular matrices, divergent
+chains), and 4 on any other exception, whose traceback goes to stderr.
+Apart from the manifest's duration and timings fields, outputs are a
+pure function of config and seed.
+
+validate_config checks a whole config against the subcommand's DEFAULTS
+before any work starts: each key takes its default's type, objects merge
+over their defaults key by key, lists replace theirs whole, every record
+in a list needs every key, and RANGES bounds the numbers.  A bad config
+exits 2 with the path of the offending key.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import operator
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +41,7 @@ from .asymptotics import (
     single_well_gen,
 )
 from .bounds import RatioConstants, bounds_table, sandwich_violations
-from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch
+from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch, InvalidInput
 from .gaussian import (
     GaussianMeanConfig,
     ismi_bound,
@@ -49,7 +59,7 @@ from .gibbs import (
 )
 from .problems import instance_rng, instance_sweep, random_mixture_components, random_problem
 from .samplers import MIN_TRIALS, SgldConfig, sgld_run
-from .serialize import write_csv, write_json
+from .serialize import load_json, write_csv, write_json
 
 DEFAULT_SEED = 20260814
 
@@ -82,60 +92,30 @@ class Check:
     seconds: float | None = None
 
 
-def _merge_config(defaults: dict, path: str | None) -> dict:
-    config = dict(defaults)
-    if path is not None:
-        from .serialize import load_json
-
-        user = load_json(path)
-        if not isinstance(user, dict):
-            raise ConfigInvalid("config must be a JSON object", path="")
-        unknown = sorted(set(user) - set(defaults))
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys {unknown}", path="")
-        config.update(user)
-    return config
+def _gaussian(record: dict, **fields) -> GaussianMeanConfig:
+    """The Gaussian mean config of a config record; mu and mu0 may be a
+    real or a list of d reals."""
+    return GaussianMeanConfig(**record, **fields)
 
 
-def _require_int(config: dict, key: str, minimum: int = 1, path: str | None = None) -> int:
-    value = config[key]
-    path = path or key
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigInvalid(f"{path} must be an integer >= {minimum}, got {value!r}", path=path)
-    return value
-
-
-def _require_gammas(config: dict, key: str, allow_zero: bool = False) -> list[float]:
-    value = config[key]
-    reals = isinstance(value, list) and all(
-        isinstance(g, (int, float)) and not isinstance(g, bool) and math.isfinite(g) for g in value
+def _laplace_config(laplace: dict) -> GaussianMeanConfig:
+    n = laplace["n"]
+    return GaussianMeanConfig(
+        d=1, mu=0.0, mu0=0.0, sigma0_sq=laplace["sigma0_sq"], sigmaZ_sq=laplace["sigmaZ_sq"],
+        sigma_sq=n / (2.0 * laplace["gamma"]), n=n,
     )
-    if not (reals and value and (min(value) > 0 or (allow_zero and min(value) == 0))):
-        kind = "finite reals >= 0" if allow_zero else "finite reals > 0"
-        raise ConfigInvalid(f"{key} must be a nonempty list of {kind}, got {value!r}", path=key)
-    return [float(g) for g in value]
 
 
-def _gaussian_config(obj: dict, path: str) -> GaussianMeanConfig:
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("expected a Gaussian mean config object", path=path)
-    required = {"d", "mu", "mu0", "sigma0_sq", "sigmaZ_sq", "sigma_sq", "n"}
-    if set(obj) != required:
-        raise ConfigInvalid(
-            f"Gaussian mean config needs exactly the keys {sorted(required)}", path=path
-        )
-    try:
-        return GaussianMeanConfig(
-            d=obj["d"],
-            mu=np.atleast_1d(np.asarray(obj["mu"], dtype=np.float64)),
-            mu0=np.atleast_1d(np.asarray(obj["mu0"], dtype=np.float64)),
-            sigma0_sq=float(obj["sigma0_sq"]),
-            sigmaZ_sq=float(obj["sigmaZ_sq"]),
-            sigma_sq=float(obj["sigma_sq"]),
-            n=obj["n"],
-        )
-    except (GibbsLabError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(str(exc), path=path) from exc
+def _spot_config(spot: dict) -> GaussianMeanConfig:
+    return GaussianMeanConfig(
+        d=1, mu=0.0, mu0=0.0, sigma0_sq=1.0, sigmaZ_sq=1.0, sigma_sq=spot["sigma_sq"], n=spot["n"]
+    )
+
+
+def _sgld_config(config: dict, seed: int) -> SgldConfig:
+    return SgldConfig(
+        step=config["step"], gamma=config["gamma"], iterations=config["iterations"], seed=seed
+    )
 
 
 def _problem_kind(problem) -> str:
@@ -146,43 +126,32 @@ def _problem_kind(problem) -> str:
 
 
 def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
-    count = _require_int(config, "instances")
-    gammas = _require_gammas(config, "gammas")
+    count = config["instances"]
+    gammas = config["gammas"]
     instances = instance_sweep(
         count,
         seed,
-        max_symbols=_require_int(config, "max_symbols", 2),
-        max_hypotheses=_require_int(config, "max_hypotheses", 2),
-        max_n=_require_int(config, "max_n", 1),
+        max_symbols=config["max_symbols"],
+        max_hypotheses=config["max_hypotheses"],
+        max_n=config["max_n"],
     )
 
-    def work(item):
-        index, problem = item
-        rows = []
-        prop_rows = []
-        failures = []
-        ratio_failures = []
+    identity_rows = []
+    prop_rows = []
+    failures = []
+    ratio_failures = []
+    started = time.monotonic()
+    for index, problem in instances:
         for gamma in gammas:
             try:
                 report = gen_characterizations(problem, gamma)
             except IdentityMismatch as exc:
                 failures.append(f"instance {index} gamma {gamma}: {exc}")
                 continue
-            rows.append(
-                [
-                    index,
-                    gamma,
-                    _problem_kind(problem),
-                    problem.n,
-                    problem.num_samples_symbols,
-                    problem.num_hypotheses,
-                    report.direct,
-                    report.via_iskl,
-                    report.via_skl_div,
-                    report.via_cmi,
-                    report.via_replace_one,
-                    report.max_pairwise_gap(),
-                ]
+            identity_rows.append(
+                [index, gamma, _problem_kind(problem), problem.n, problem.num_samples_symbols,
+                 problem.num_hypotheses, report.direct, report.via_iskl, report.via_skl_div,
+                 report.via_cmi, report.via_replace_one, report.max_pairwise_gap()]
             )
             # both gates read the numbers behind the report just checked
             try:
@@ -194,44 +163,15 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
                 ratio_failures.append(f"instance {index} gamma {gamma}: {exc}")
                 continue
             prop_rows.append(
-                [
-                    index,
-                    gamma,
-                    prop.mutual,
-                    prop.lautum,
-                    prop.d_fwd,
-                    prop.d_rev,
-                    ratios.c_i,
-                    ratios.c_k,
-                    ratios.degenerate,
-                ]
+                [index, gamma, prop.mutual, prop.lautum, prop.d_fwd, prop.d_rev, ratios.c_i,
+                 ratios.c_k, ratios.degenerate]
             )
-        return rows, prop_rows, failures, ratio_failures
-
-    started = time.monotonic()
-    results = [work(item) for item in instances]
     sweep_seconds = time.monotonic() - started
-    identity_rows = [row for rows, _, _, _ in results for row in rows]
-    prop_rows = [row for _, rows, _, _ in results for row in rows]
-    failures = [msg for _, _, msgs, _ in results for msg in msgs]
-    ratio_failures = [msg for _, _, _, msgs in results for msg in msgs]
 
     write_csv(
         os.path.join(out_dir, "identities.csv"),
-        [
-            "instance",
-            "gamma",
-            "data_kind",
-            "n",
-            "num_samples",
-            "num_hypotheses",
-            "direct",
-            "via_iskl",
-            "via_skl_div",
-            "via_cmi",
-            "via_replace_one",
-            "max_gap",
-        ],
+        ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses", "direct",
+         "via_iskl", "via_skl_div", "via_cmi", "via_replace_one", "max_gap"],
         identity_rows,
     )
     write_csv(
@@ -279,10 +219,8 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         )
     )
 
-    curve_count = _require_int(config, "curve_instances")
-    curve_gammas = _require_gammas(config, "curve_gammas", allow_zero=True)
-    if curve_gammas != sorted(set(curve_gammas)):
-        raise ConfigInvalid("curve_gammas must be strictly increasing", path="curve_gammas")
+    curve_count = config["curve_instances"]
+    curve_gammas = config["curve_gammas"]
     curve_rows = []
     curve_ok = True
     for i in range(curve_count):
@@ -305,8 +243,8 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         )
     )
 
-    mixture_count = _require_int(config, "mixture_instances")
-    mixture_gamma = float(config["mixture_gamma"])
+    mixture_count = config["mixture_instances"]
+    mixture_gamma = config["mixture_gamma"]
     mixture_rows = []
     mixture_failures = []
     for i in range(mixture_count):
@@ -343,82 +281,48 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 def cmd_counterexample(config: dict, out_dir: str, seed: int) -> list[Check]:
     del seed  # fully deterministic
-    epsilons = [float(e) for e in config["epsilons"]]
-    tolerance = float(config["tolerance"])
+    epsilons = config["epsilons"]
+    tolerance = config["tolerance"]
     rows = []
     reports = {}
     for epsilon in epsilons:
         report = chain_rule_example(epsilon)
         reports[epsilon] = report
         rows.append(
-            [
-                epsilon,
-                report.info_first.mutual,
-                report.info_first.lautum,
-                report.info_first.symmetrized,
-                report.info_pair.symmetrized,
-                report.individual_sum,
-                report.sum_exceeds_joint,
-            ]
+            [epsilon, report.info_first.mutual, report.info_first.lautum,
+             report.info_first.symmetrized, report.info_pair.symmetrized, report.individual_sum,
+             report.sum_exceeds_joint]
         )
     write_csv(
         os.path.join(out_dir, "counterexample.csv"),
-        [
-            "epsilon",
-            "mutual_single",
-            "lautum_single",
-            "iskl_single",
-            "iskl_pair",
-            "individual_sum",
-            "sum_exceeds_pair",
-        ],
+        ["epsilon", "mutual_single", "lautum_single", "iskl_single", "iskl_pair", "individual_sum",
+         "sum_exceeds_pair"],
         rows,
     )
 
     checks = []
-    small = COUNTEREXAMPLE_SMALL
-    if small["epsilon"] in reports:
-        report = reports[small["epsilon"]]
+    for size, reference in (("small", COUNTEREXAMPLE_SMALL), ("large", COUNTEREXAMPLE_LARGE)):
+        report = reports.get(reference["epsilon"])
+        if report is None:
+            continue
         values = {
             "mutual_single": report.info_first.mutual,
             "lautum_single": report.info_first.lautum,
             "iskl_single": report.info_first.symmetrized,
             "iskl_pair": report.info_pair.symmetrized,
         }
-        deviations = {k: abs(values[k] - small[k]) for k in values}
+        deviations = [abs(values[k] - reference[k]) for k in values if k in reference]
         checks.append(
             Check(
-                "small_epsilon_reference_values",
-                all(d <= tolerance for d in deviations.values()),
-                f"max deviation {max(deviations.values()):.2e} (tolerance {tolerance:g})",
+                f"{size}_epsilon_reference_values",
+                all(d <= tolerance for d in deviations),
+                f"max deviation {max(deviations):.2e} (tolerance {tolerance:g})",
             )
         )
         checks.append(
             Check(
-                "small_epsilon_direction",
-                report.sum_exceeds_joint == small["sum_exceeds_pair"],
-                f"individual sum {report.individual_sum:.4f} vs pair "
-                f"{report.info_pair.symmetrized:.4f}",
-            )
-        )
-    large = COUNTEREXAMPLE_LARGE
-    if large["epsilon"] in reports:
-        report = reports[large["epsilon"]]
-        deviations = {
-            "iskl_single": abs(report.info_first.symmetrized - large["iskl_single"]),
-            "iskl_pair": abs(report.info_pair.symmetrized - large["iskl_pair"]),
-        }
-        checks.append(
-            Check(
-                "large_epsilon_reference_values",
-                all(d <= tolerance for d in deviations.values()),
-                f"max deviation {max(deviations.values()):.2e} (tolerance {tolerance:g})",
-            )
-        )
-        checks.append(
-            Check(
-                "large_epsilon_direction",
-                report.sum_exceeds_joint == large["sum_exceeds_pair"],
+                f"{size}_epsilon_direction",
+                report.sum_exceeds_joint == reference["sum_exceeds_pair"],
                 f"individual sum {report.individual_sum:.4f} vs pair "
                 f"{report.info_pair.symmetrized:.4f}",
             )
@@ -438,61 +342,26 @@ def cmd_counterexample(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 
 def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
-    trials = _require_int(config, "trials", MIN_TRIALS)
-    configs = [
-        _gaussian_config(obj, f"configs[{i}]") for i, obj in enumerate(config["configs"])
-    ]
+    trials = config["trials"]
+    configs = [_gaussian(record) for record in config["configs"]]
 
-    def mc_job(item):
-        index, cfg, law = item
-        closed = mean_closed_forms(cfg)
-        estimate, std_error = mc_mean_gen(cfg, trials, seed + index, law=law)
-        return closed, estimate, std_error
-
-    jobs = [(i, cfg, "gaussian") for i, cfg in enumerate(configs)]
-    two_point_index = _require_int(config, "two_point_config_index", 0)
-    if two_point_index >= len(configs):
-        raise ConfigInvalid(
-            f"two_point_config_index {two_point_index} out of range", path="two_point_config_index"
-        )
-    jobs.append((len(jobs), configs[two_point_index], "two_point"))
-    results = [mc_job(job) for job in jobs]
-
+    jobs = [(cfg, "gaussian") for cfg in configs]
+    jobs.append((configs[config["two_point_config_index"]], "two_point"))
     mc_rows = []
     z_scores = []
-    for (index, cfg, law), (closed, estimate, std_error) in zip(jobs, results):
+    for index, (cfg, law) in enumerate(jobs):
+        closed = mean_closed_forms(cfg)
+        estimate, std_error = mc_mean_gen(cfg, trials, seed + index, law=law)
         z = (estimate - closed.gen) / std_error if std_error > 0.0 else 0.0
         z_scores.append(abs(z))
         mc_rows.append(
-            [
-                index,
-                law,
-                cfg.d,
-                cfg.n,
-                cfg.sigma0_sq,
-                cfg.sigmaZ_sq,
-                cfg.sigma_sq,
-                closed.gen,
-                estimate,
-                std_error,
-                z,
-            ]
+            [index, law, cfg.d, cfg.n, cfg.sigma0_sq, cfg.sigmaZ_sq, cfg.sigma_sq, closed.gen,
+             estimate, std_error, z]
         )
     write_csv(
         os.path.join(out_dir, "gaussian_mc.csv"),
-        [
-            "config",
-            "law",
-            "d",
-            "n",
-            "sigma0_sq",
-            "sigmaZ_sq",
-            "sigma_sq",
-            "closed_gen",
-            "estimate",
-            "std_error",
-            "z_score",
-        ],
+        ["config", "law", "d", "n", "sigma0_sq", "sigmaZ_sq", "sigma_sq", "closed_gen", "estimate",
+         "std_error", "z_score"],
         mc_rows,
     )
 
@@ -510,12 +379,11 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
         ),
     ]
 
-    decay_n = _require_int(config, "decay_n", 2)
-    base = dict(config["decay_config"])
-    cfg_n = _gaussian_config({**base, "n": decay_n}, "decay_config")
-    cfg_2n = _gaussian_config({**base, "n": 2 * decay_n}, "decay_config")
+    decay_n = config["decay_n"]
+    cfg_n = _gaussian(config["decay_config"], n=decay_n)
+    cfg_2n = _gaussian(config["decay_config"], n=2 * decay_n)
     ratio = mean_closed_forms(cfg_n).gen / mean_closed_forms(cfg_2n).gen
-    decay_tol = float(config["decay_tolerance"])
+    decay_tol = config["decay_tolerance"]
     checks.append(
         Check(
             "inverse_n_decay",
@@ -525,11 +393,11 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
         )
     )
 
-    ismi_ns = [int(n) for n in config["ismi_ns"]]
+    ismi_ns = config["ismi_ns"]
     ismi_rows = []
     ratios = []
     for n in ismi_ns:
-        cfg = _gaussian_config({**dict(config["ismi_config"]), "n": n}, "ismi_config")
+        cfg = _gaussian(config["ismi_config"], n=n)
         bound = ismi_bound(cfg)
         gen = mean_closed_forms(cfg).gen
         ismi_rows.append([n, cfg.gamma, bound.per_sample_mi, bound.bound, gen, bound.bound / gen])
@@ -554,49 +422,39 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 
 def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
-    count = _require_int(config, "instances")
-    gammas = _require_gammas(config, "gammas")
-    alphas = tuple(float(a) for a in config["alphas"])
-    probe_alpha = float(config["probe_alpha"])
-    probe_tol = float(config["probe_rel_tol"])
+    count = config["instances"]
+    gammas = config["gammas"]
+    alphas = tuple(config["alphas"])
+    probe_alpha = config["probe_alpha"]
+    probe_tol = config["probe_rel_tol"]
     instances = instance_sweep(
         count,
         seed,
-        max_symbols=_require_int(config, "max_symbols", 2),
-        max_hypotheses=_require_int(config, "max_hypotheses", 2),
-        max_n=_require_int(config, "max_n", 1),
+        max_symbols=config["max_symbols"],
+        max_hypotheses=config["max_hypotheses"],
+        max_n=config["max_n"],
     )
 
-    probe_gammas = set(_require_gammas(config, "probe_gammas"))
+    probe_gammas = set(config["probe_gammas"])
     sweep_alphas = sorted(set(alphas) | {probe_alpha}, reverse=True)
     # the probe order rides in the same table; its row is written only if listed
     table_alphas = alphas if probe_alpha in alphas else alphas + (probe_alpha,)
     probe_name = f"renyi_upper_alpha_{probe_alpha:g}"
 
-    def work(item):
-        index, problem = item
-        out_rows = []
-        probe_rows = []
-        violations = []
-        probe_failures = []
-        sweep_failures = []
+    all_rows = []
+    probe_rows = []
+    violations = []
+    probe_failures = []
+    sweep_failures = []
+    for index, problem in instances:
         for gamma in gammas:
             table = bounds_table(problem, gamma, alphas=table_alphas)
             value = {row.bound_name: row.value for row in table}
             rows = [r for r in table if probe_alpha in alphas or r.bound_name != probe_name]
             for row in rows:
-                out_rows.append(
-                    [
-                        index,
-                        gamma,
-                        _problem_kind(problem),
-                        row.bound_name,
-                        row.value,
-                        row.feasible,
-                        row.regime,
-                        row.constants_used,
-                        row.side,
-                    ]
+                all_rows.append(
+                    [index, gamma, _problem_kind(problem), row.bound_name, row.value,
+                     row.feasible, row.regime, row.constants_used, row.side]
                 )
             violations.extend(
                 f"instance {index} gamma {gamma}: {v}" for v in sandwich_violations(rows)
@@ -620,28 +478,11 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
                     f"instance {index} gamma {gamma}: order-{probe_alpha} value "
                     f"{sweep[-1]!r} is {excess:.2%} above gen {gen!r}"
                 )
-        return out_rows, probe_rows, violations, probe_failures, sweep_failures
-
-    results = [work(item) for item in instances]
-    all_rows = [row for rows, _, _, _, _ in results for row in rows]
-    probe_rows = [row for _, rows, _, _, _ in results for row in rows]
-    violations = [v for _, _, vs, _, _ in results for v in vs]
-    probe_failures = [p for _, _, _, ps, _ in results for p in ps]
-    sweep_failures = [s for _, _, _, _, ss in results for s in ss]
 
     write_csv(
         os.path.join(out_dir, "bounds.csv"),
-        [
-            "instance",
-            "gamma",
-            "data_kind",
-            "bound_name",
-            "value",
-            "feasible",
-            "regime",
-            "constants_used",
-            "side",
-        ],
+        ["instance", "gamma", "data_kind", "bound_name", "value", "feasible", "regime",
+         "constants_used", "side"],
         all_rows,
     )
     write_csv(
@@ -688,7 +529,7 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 
 def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
-    pairs = _require_int(config, "aic_pairs")
+    pairs = config["aic_pairs"]
     rng = instance_rng(seed, 1)
     aic_rows = []
     worst = 0.0
@@ -731,13 +572,11 @@ def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
         )
     )
 
-    lap = dict(config["laplace"])
-    n = int(lap["n"])
-    gamma = float(lap["gamma"])
-    sigma0_sq = float(lap["sigma0_sq"])
-    sigmaZ_sq = float(lap["sigmaZ_sq"])
-    tolerance = float(lap["tolerance"])
-    sigma_z = math.sqrt(sigmaZ_sq)
+    laplace = config["laplace"]
+    n = laplace["n"]
+    gamma = laplace["gamma"]
+    tolerance = laplace["tolerance"]
+    sigma_z = math.sqrt(laplace["sigmaZ_sq"])
     signs = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1) * 2 - 1
     means = (sigma_z * signs).mean(axis=1)
     weight = 1.0 / 2**n
@@ -746,16 +585,7 @@ def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
         for m in means
     ]
     laplace_value = single_well_gen(wells)
-    cfg = GaussianMeanConfig(
-        d=1,
-        mu=np.zeros(1),
-        mu0=np.zeros(1),
-        sigma0_sq=sigma0_sq,
-        sigmaZ_sq=sigmaZ_sq,
-        sigma_sq=n / (2.0 * gamma),
-        n=n,
-    )
-    exact = mean_closed_forms(cfg).gen
+    exact = mean_closed_forms(_laplace_config(laplace)).gen
     rel = abs(laplace_value - exact) / exact
     write_json(
         os.path.join(out_dir, "laplace.json"),
@@ -776,10 +606,9 @@ def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
         )
     )
 
-    bayes = dict(config["bayes"])
-    bn = _require_int(bayes, "n", path="bayes.n")
-    btrials = _require_int(bayes, "trials", MIN_TRIALS, path="bayes.trials")
-    btol = float(bayes["tolerance"])
+    bn = config["bayes"]["n"]
+    btrials = config["bayes"]["trials"]
+    btol = config["bayes"]["tolerance"]
     estimate, std_error = bayes_location_regime_gen(bn, btrials, seed)
     exact_bayes = bayes_location_regime_exact(bn)
     scaled = bn * estimate
@@ -809,18 +638,18 @@ def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 
 def cmd_sgld_demo(config: dict, out_dir: str, seed: int) -> list[Check]:
-    step = float(config["step"])
-    gamma = float(config["gamma"])
-    iterations = _require_int(config, "iterations", 10)
-    target_mean = float(config["target_mean"])
-    batch_count = _require_int(config, "batch_count", 2)
-    var_tol = float(config["var_tolerance"])
+    step = config["step"]
+    gamma = config["gamma"]
+    iterations = config["iterations"]
+    target_mean = config["target_mean"]
+    batch_count = config["batch_count"]
+    var_tol = config["var_tolerance"]
 
     def gradient(w, dataset):
         del dataset
         return 2.0 * (w - target_mean)
 
-    sgld_config = SgldConfig(step=step, gamma=gamma, iterations=iterations, seed=seed)
+    sgld_config = _sgld_config(config, seed)
     samples = sgld_run(gradient, np.array([0.0]), sgld_config)
     again = sgld_run(gradient, np.array([0.0]), sgld_config)
     flat = samples[:, 0]
@@ -878,24 +707,15 @@ def cmd_pac_bayes(config: dict, out_dir: str, seed: int) -> list[Check]:
     spot_rows = []
     spot_ok = True
     for i, spot in enumerate(config["spot_checks"]):
-        spot = dict(spot)
-        cfg = GaussianMeanConfig(
-            d=1,
-            mu=np.zeros(1),
-            mu0=np.zeros(1),
-            sigma0_sq=1.0,
-            sigmaZ_sq=1.0,
-            sigma_sq=float(spot["sigma_sq"]),
-            n=int(spot["n"]),
-        )
+        cfg = _spot_config(spot)
         value = pac_bayes_bound(
             cfg,
-            prime_shift=float(spot["prime_shift"]),
-            delta=float(spot["delta"]),
-            c_p=float(spot["c_p"]),
-            sigma=float(spot["sigma"]),
+            prime_shift=spot["prime_shift"],
+            delta=spot["delta"],
+            c_p=spot["c_p"],
+            sigma=spot["sigma"],
         )
-        expected = float(spot["expected"])
+        expected = spot["expected"]
         rel = abs(value - expected) / expected
         spot_ok = spot_ok and rel <= 1e-12
         spot_rows.append(
@@ -917,10 +737,10 @@ def cmd_pac_bayes(config: dict, out_dir: str, seed: int) -> list[Check]:
         )
     )
 
-    cfg = _gaussian_config(dict(config["config"]), "config")
-    clip = float(config["clip"])
-    trials = _require_int(config, "trials", MIN_TRIALS)
-    deltas = tuple(float(d) for d in config["deltas"])
+    cfg = _gaussian(config["config"])
+    clip = config["clip"]
+    trials = config["trials"]
+    deltas = tuple(config["deltas"])
     report = pac_bayes_coverage(cfg, clip, trials, seed, deltas=deltas)
     write_json(
         os.path.join(out_dir, "pac_bayes.json"),
@@ -1047,6 +867,164 @@ HANDLERS = {
 }
 
 
+# The numeric ranges that no library constructor checks, as (operator,
+# bound) pairs keyed by config path, with "[]" for every index of a list.
+# GaussianMeanConfig and SgldConfig check the other fields.
+RANGES = {
+    # gaussian-mean keys its Philox streams by seed + config index < 2**64
+    "seed": (">=", 0, "<", 2**63),
+    "instances": (">=", 1),
+    "gammas[]": (">", 0),
+    "max_symbols": (">=", 2),
+    "max_hypotheses": (">=", 2),
+    "max_n": (">=", 1),
+    "curve_instances": (">=", 1),
+    "curve_gammas[]": (">=", 0),
+    "mixture_instances": (">=", 1),
+    "mixture_gamma": (">=", 0),
+    "epsilons[]": (">", 0, "<", 0.125),
+    "trials": (">=", MIN_TRIALS),
+    "two_point_config_index": (">=", 0),
+    "decay_n": (">=", 2),
+    # the decay and ismi checks divide by gen, which is zero at sigmaZ_sq = 0
+    "decay_config.sigmaZ_sq": (">", 0),
+    "ismi_config.sigmaZ_sq": (">", 0),
+    "ismi_ns[]": (">=", 2),
+    "alphas[]": (">", 1),
+    "probe_alpha": (">", 1),
+    "probe_gammas[]": (">", 0),
+    "aic_pairs": (">=", 1),
+    # the check enumerates 2**n wells: 3 s and 120 MB at n = 16
+    "laplace.n": (">=", 1, "<=", 16),
+    "laplace.gamma": (">", 0),
+    "laplace.sigmaZ_sq": (">", 0),
+    "bayes.n": (">=", 1),
+    "bayes.trials": (">=", MIN_TRIALS),
+    # the chain on the quadratic has a stationary law only for step < 1
+    "step": ("<", 1),
+    "iterations": (">=", 10),
+    "batch_count": (">=", 2),
+    "deltas[]": (">", 0, "<", 0.5),
+    "clip": (">", 0),
+    "config.d": ("==", 1),  # the coverage experiment is one-dimensional
+    "spot_checks[].sigma": (">", 0),
+    "spot_checks[].delta": (">", 0, "<", 0.5),
+    "spot_checks[].prime_shift": (">=", 0),
+    "spot_checks[].c_p": (">=", 0),
+    "spot_checks[].expected": ("!=", 0),
+}
+OPERATORS = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq,
+    "!=": operator.ne, ">=": operator.ge, ">": operator.gt,
+}
+NONEMPTY = ("gammas", "curve_gammas", "probe_gammas", "ismi_ns")
+# keys whose real default also admits a list of d reals
+VECTOR_KEYS = ("mu", "mu0")
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _checked(default: object, value: object, path: str, key: str, record: bool = False):
+    """``value`` with the type of ``default``, within RANGES.
+
+    An object merges over the default key by key and, as a record in a
+    list, needs every key; a list replaces the default whole, and its
+    first default entry types every entry.  Reals come back as floats.
+    ``path`` names the value in errors (a list of numbers reports at its
+    own path); ``key`` is its RANGES key.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigInvalid(f"expected an object, got {value!r}", path=path)
+        unknown = [name for name in value if name not in default]
+        missing = [name for name in default if name not in value] if record else []
+        if unknown or missing:
+            name = (unknown or missing)[0]
+            problem = f"unknown key {name!r}" if unknown else f"missing keys {missing}"
+            raise ConfigInvalid(problem, path=_join(path, name))
+        result = {
+            name: _checked(entry, value[name], _join(path, name), _join(key, name))
+            if name in value else entry
+            for name, entry in default.items()
+        }
+    elif isinstance(default, list) or (
+        isinstance(value, list) and key.rpartition(".")[2] in VECTOR_KEYS
+    ):
+        if not isinstance(value, list) or (not value and key in NONEMPTY):
+            kind = "a nonempty list" if key in NONEMPTY else "a list"
+            raise ConfigInvalid(f"expected {kind}, got {value!r}", path=path)
+        entry = default[0] if isinstance(default, list) else default
+        nested = isinstance(entry, dict)
+        result = [
+            _checked(entry, item, f"{path}[{i}]" if nested else path, f"{key}[]", nested)
+            for i, item in enumerate(value)
+        ]
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"expected a number, got {value!r}", path=path)
+    elif isinstance(default, float):
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigInvalid(f"expected a finite real, got {value!r}", path=path)
+        result = float(value)
+    elif isinstance(value, int):
+        result = value
+    else:
+        raise ConfigInvalid(f"expected an integer, got {value!r}", path=path)
+    rule = RANGES.get(key, ())
+    for op, bound in zip(rule[::2], rule[1::2]):
+        if not OPERATORS[op](result, bound):
+            raise ConfigInvalid(f"must be {op} {bound}, got {result!r}", path=path)
+    return result
+
+
+def _built(path: str, record: dict, make: Callable, **fields):
+    """make(record, **fields); the InvalidInput of a constructor becomes a
+    config error at the record key its message starts with (the
+    constructors name the offending field first), else at ``path``."""
+    try:
+        return make(record, **fields)
+    except InvalidInput as exc:
+        name = str(exc).split()[0]
+        raise ConfigInvalid(str(exc), path=_join(path, name) if name in record else path) from exc
+
+
+def validate_config(subcommand: str, user: object, seed: int | None = None) -> dict:
+    """The effective config of ``subcommand``: the parsed JSON ``user``
+    checked whole and merged over DEFAULTS, with ``seed``, when given, in
+    place of the config's seed under the same rule.  Raises ConfigInvalid
+    at the path of the first bad value, before any work starts."""
+    config = _checked(DEFAULTS[subcommand], user, "", "")
+    if seed is not None:
+        config["seed"] = _checked(DEFAULT_SEED, seed, "--seed", "seed")
+    if subcommand == "verify-identities":
+        if config["curve_gammas"] != sorted(set(config["curve_gammas"])):
+            raise ConfigInvalid("must be strictly increasing", path="curve_gammas")
+    elif subcommand == "gaussian-mean":
+        for i, record in enumerate(config["configs"]):
+            _built(f"configs[{i}]", record, _gaussian)
+        _built("decay_config", config["decay_config"], _gaussian, n=config["decay_n"])
+        for n in config["ismi_ns"]:
+            _built("ismi_config", config["ismi_config"], _gaussian, n=n)
+        index, count = config["two_point_config_index"], len(config["configs"])
+        if index >= count:
+            raise ConfigInvalid(f"must be below the {count} configs, got {index}",
+                                path="two_point_config_index")
+    elif subcommand == "asymptotics":
+        _built("laplace", config["laplace"], _laplace_config)
+    elif subcommand == "sgld-demo":
+        sgld = _built("", config, _sgld_config, seed=config["seed"])
+        kept = sgld.iterations - sgld.burn_in
+        if config["batch_count"] > kept:
+            raise ConfigInvalid(f"must be at most the {kept} iterates kept after burn-in, "
+                                f"got {config['batch_count']}", path="batch_count")
+    elif subcommand == "pac-bayes":
+        _built("config", config["config"], _gaussian)
+        for i, spot in enumerate(config["spot_checks"]):
+            _built(f"spot_checks[{i}]", spot, _spot_config)
+    return config
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gibbslab",
@@ -1065,32 +1043,36 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        config = _merge_config(DEFAULTS[args.subcommand], args.config)
-        seed = args.seed if args.seed is not None else _require_int(config, "seed", 0)
-        config["seed"] = seed
+        user = {} if args.config is None else load_json(args.config)
+        config = validate_config(args.subcommand, user, args.seed)
+        seed = config["seed"]
         os.makedirs(args.out, exist_ok=True)
         checks = HANDLERS[args.subcommand](config, args.out, seed)
+        passed = all(check.passed for check in checks)
+        manifest = {
+            "subcommand": args.subcommand,
+            "version": __version__,
+            "seed": seed,
+            "config": config,
+            "checks": [
+                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
+            ],
+            "passed": passed,
+            "duration_seconds": time.monotonic() - started,
+            "timings": {c.name: c.seconds for c in checks if c.seconds is not None},
+        }
+        write_json(os.path.join(args.out, "manifest.json"), manifest)
     except ConfigInvalid as exc:
-        where = f" at {exc.path}" if getattr(exc, "path", "") else ""
+        where = f" at {exc.path}" if exc.path else ""
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     except GibbsLabError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    passed = all(check.passed for check in checks)
-    manifest = {
-        "subcommand": args.subcommand,
-        "version": __version__,
-        "seed": seed,
-        "config": config,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-        "passed": passed,
-        "duration_seconds": time.monotonic() - started,
-        "timings": {c.name: c.seconds for c in checks if c.seconds is not None},
-    }
-    write_json(os.path.join(args.out, "manifest.json"), manifest)
+    except Exception as exc:  # a crash must not read as a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")

@@ -172,10 +172,6 @@ class LearningProblem:
         with np.errstate(divide="ignore"):
             return np.log(self._dataset_probs)
 
-    def dataset_labels(self) -> tuple:
-        samples = self.sample_alphabet
-        return tuple(tuple(samples[j] for j in row) for row in self._dataset_indices)
-
     @cached_property
     def _empirical_risk(self) -> np.ndarray:
         """(num_hypotheses, m) empirical risk of every (w, dataset) pair."""

@@ -1,16 +1,23 @@
-"""Command-line driver: exit codes, manifests, determinism."""
+"""Command-line driver: config validation, exit codes, manifests, determinism."""
 
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbslab.cli
-from gibbslab import IdentityMismatch, RatioConstants
-from gibbslab.cli import DEFAULT_SEED, main
+from gibbslab import ConfigInvalid, IdentityMismatch, RatioConstants, write_json
+from gibbslab.cli import (
+    DEFAULT_SEED, DEFAULTS, NONEMPTY, OPERATORS, RANGES, main, validate_config
+)
 
 
 def write_config(tmp_path, name, obj):
@@ -278,3 +285,188 @@ def test_pac_bayes_reduced_run(tmp_path):
     ]
     assert os.path.exists(os.path.join(out, "spot_checks.csv"))
     assert os.path.exists(os.path.join(out, "pac_bayes.json"))
+
+
+# (subcommand, config, extra flags, path of the offending key); every one
+# must stop before any work, so none of them needs a reduced config
+CONFIG_ERRORS = [
+    ("bounds-table", {"probe_alpha": "x"}, (), "probe_alpha"),
+    ("bounds-table", {"probe_rel_tol": "x"}, (), "probe_rel_tol"),
+    ("verify-identities", {"mixture_gamma": "x"}, (), "mixture_gamma"),
+    ("pac-bayes", {"clip": "x"}, (), "clip"),
+    ("sgld-demo", {"var_tolerance": "x"}, (), "var_tolerance"),
+    ("counterexample", {"tolerance": "x"}, (), "tolerance"),
+    ("gaussian-mean", {"decay_tolerance": "x"}, (), "decay_tolerance"),
+    ("counterexample", {"epsilons": "ab"}, (), "epsilons"),
+    ("gaussian-mean", {"configs": 5}, (), "configs"),
+    ("pac-bayes", {"spot_checks": [{"sigma": 1.0}]}, (), "spot_checks[0].delta"),
+    # ranges the library checks only once the work has started
+    ("bounds-table", {"alphas": [0.5]}, (), "alphas"),
+    ("pac-bayes", {"deltas": [0.7]}, (), "deltas"),
+    ("counterexample", {"epsilons": [0.5]}, (), "epsilons"),
+    ("gaussian-mean", {"ismi_ns": [1]}, (), "ismi_ns"),
+    ("sgld-demo", {"gamma": -1}, (), "gamma"),
+    ("sgld-demo", {"step": -1}, (), "step"),
+    ("gaussian-mean", {"configs": [{**DEFAULTS["gaussian-mean"]["configs"][1], "mu": [1.0] * 3}]},
+     (), "configs[0].mu"),
+    ("asymptotics", {"laplace": {"extra": 1}}, (), "laplace.extra"),
+    ("sgld-demo", {}, ("--seed", "-1"), "--seed"),
+    ("verify-identities", {}, ("--seed", "-1"), "--seed"),
+    ("sgld-demo", {"seed": 2**64}, (), "seed"),
+    ("asymptotics", {"laplace": {"n": 64}}, (), "laplace.n"),
+    ("sgld-demo", {"batch_count": 5000, "iterations": 2000}, (), "batch_count"),
+]
+
+
+@pytest.mark.parametrize("subcommand, override, flags, path", CONFIG_ERRORS)
+def test_config_error_exits_2_at_its_path(tmp_path, capsys, subcommand, override, flags, path):
+    config = write_config(tmp_path, "bad.json", override)
+    out = str(tmp_path / "o")
+    assert main([subcommand, "--config", config, "--out", out, *flags]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+    assert not os.path.exists(out)  # rejected before any work started
+
+
+@pytest.mark.parametrize(
+    "key, partial", [("laplace", {"n": 10}), ("bayes", {"n": 100, "trials": 1000})]
+)
+def test_partial_nested_override_merges_over_defaults(tmp_path, key, partial):
+    config = write_config(tmp_path, "asym.json", {key: partial})
+    out = str(tmp_path / "asym")
+    assert main(["asymptotics", "--config", config, "--out", out]) == 0
+    assert read_manifest(out)["config"][key] == {**DEFAULTS["asymptotics"][key], **partial}
+
+
+def test_laplace_cap_rejects_before_allocating(tmp_path):
+    config = write_config(tmp_path, "asym.json", {"laplace": {"n": 64}})
+    tracemalloc.start()
+    try:
+        code = main(["asymptotics", "--config", config, "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20
+
+
+def test_largest_seed_runs(tmp_path):
+    config = write_config(tmp_path, "sgld.json", {"iterations": 2000})
+    out = str(tmp_path / "sgld")
+    seed = 2**63 - 1
+    # 2000 iterations are too few for the stationarity checks: the run
+    # must end with a manifest, not pass
+    assert main(["sgld-demo", "--config", config, "--out", out, "--seed", str(seed)]) in (0, 1)
+    manifest = read_manifest(out)
+    assert manifest["seed"] == seed
+    assert {c["name"]: c["passed"] for c in manifest["checks"]}["seed_determinism"]
+
+
+def test_unexpected_exception_exits_4_without_manifest(tmp_path, capsys, monkeypatch):
+    def crash(config, out_dir, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(gibbslab.cli.HANDLERS, "counterexample", crash)
+    out = str(tmp_path / "ce")
+    assert main(["counterexample", "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: boom")
+    assert "Traceback" in err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_non_finite_artifact_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    def nan_artifact(config, out_dir, seed):
+        write_json(os.path.join(out_dir, "nan.json"), {"value": float("nan")})
+        return []
+
+    monkeypatch.setitem(gibbslab.cli.HANDLERS, "counterexample", nan_artifact)
+    out = str(tmp_path / "ce")
+    assert main(["counterexample", "--out", out]) == 3
+    assert "numerical error: InvalidInput" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+def config_paths(default, prefix=()):
+    """Every path into a default config, plus an unknown key in each object."""
+    entries = {0: default[0]} if isinstance(default, list) else dict(default)
+    if isinstance(default, dict):
+        entries["bogus"] = None
+    for name, entry in entries.items():
+        yield prefix + (name,)
+        if isinstance(entry, (dict, list)):
+            yield from config_paths(entry, prefix + (name,))
+
+
+def place(default, path, value):
+    """A user config that sets value at path; a list record keeps its
+    other default keys, so the value is the only thing wrong with it."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(head, int):
+        entry = default[0]
+        inner = place(entry, rest, value)
+        return [{**entry, **inner} if rest else inner]
+    return {head: place(default.get(head) if isinstance(default, dict) else None, rest, value)}
+
+
+def assert_typed(default, value, key=""):
+    """Every leaf has its default's type and lies in its range."""
+    if isinstance(default, dict):
+        assert isinstance(value, dict) and list(value) == list(default)
+        for name, entry in default.items():
+            assert_typed(entry, value[name], f"{key}.{name}" if key else name)
+    elif isinstance(default, list):
+        assert isinstance(value, list)
+        for item in value:
+            assert_typed(default[0], item, f"{key}[]")
+    elif isinstance(value, list):
+        assert key.rpartition(".")[2] in ("mu", "mu0")
+        assert all(type(v) is float and math.isfinite(v) for v in value)
+    else:
+        assert type(value) is type(default)
+        assert not isinstance(value, float) or math.isfinite(value)
+    rule = RANGES.get(key, ())
+    assert all(OPERATORS[op](value, bound) for op, bound in zip(rule[::2], rule[1::2]))
+    assert key not in NONEMPTY or value
+
+
+# errors that a value at one key may raise at the other key of a rule
+# relating the two
+PARTNERS = {"configs": "two_point_config_index", "iterations": "batch_count"}
+
+TARGETS = [(sub, path) for sub in DEFAULTS for path in config_paths(DEFAULTS[sub])]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(TARGETS),
+    JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=4),
+    st.none() | st.integers(),
+)
+def test_validation_types_every_leaf_or_names_the_key(target, value, seed):
+    subcommand, path = target
+    user = place(DEFAULTS[subcommand], path, value)
+    try:
+        config = validate_config(subcommand, user, seed)
+    except ConfigInvalid as exc:
+        if exc.path == "--seed":
+            assert not 0 <= seed < 2**63
+            return
+        top = path[0]
+        assert re.match(rf"({re.escape(top)}|{PARTNERS.get(top, top)})($|[.\[])", exc.path), (
+            exc.path, path
+        )
+        return
+    assert_typed(DEFAULTS[subcommand], config)
+    assert seed is None or config["seed"] == seed

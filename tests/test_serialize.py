@@ -1,4 +1,4 @@
-"""Deterministic serialization and schema-checked loaders."""
+"""Deterministic serialization and the JSON loader."""
 
 import json
 import math
@@ -8,19 +8,11 @@ import pytest
 
 from gibbslab import (
     ConfigInvalid,
-    IIDData,
-    JointData,
-    LearningProblem,
-    ProbVec,
+    InvalidInput,
     dumps_csv,
     dumps_json,
     format_float,
     load_json,
-    problem_from_obj,
-    problem_to_obj,
-    probvec_from_obj,
-    probvec_to_obj,
-    wells_from_obj,
     write_csv,
     write_json,
 )
@@ -42,9 +34,9 @@ def test_format_float_csv_precision():
 
 def test_format_float_rejects_non_finite_and_non_numbers():
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InvalidInput):
             format_float(bad)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InvalidInput):
         format_float("0.5")
 
 
@@ -62,9 +54,9 @@ def test_dumps_json_deterministic_and_typed():
     assert parsed["flag"] is True
     assert parsed["missing"] is None
     assert parsed["values"] == [0.5, 0.25]
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InvalidInput):
         dumps_json({1: "non-string key"})
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(InvalidInput):
         dumps_json({"bad": object()})
 
 
@@ -96,147 +88,3 @@ def test_load_json_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigInvalid):
         load_json(str(bad))
-
-
-def test_probvec_round_trip():
-    vec = ProbVec(np.array([0.25, 0.5, 0.25]), ("a", "b", "c"))
-    back = probvec_from_obj(probvec_to_obj(vec))
-    assert back.alphabet == vec.alphabet
-    assert np.array_equal(back.weights, vec.weights)
-
-
-def test_probvec_from_obj_validation():
-    with pytest.raises(ConfigInvalid):
-        probvec_from_obj({"weights": [1.0]})  # missing alphabet
-    with pytest.raises(ConfigInvalid):
-        probvec_from_obj({"alphabet": ["a", "a"], "weights": [0.5, 0.5]})
-    with pytest.raises(ConfigInvalid):
-        probvec_from_obj({"alphabet": ["a", "b"], "weights": [0.5, True]})
-    with pytest.raises(ConfigInvalid):
-        probvec_from_obj({"alphabet": ["a", "b"], "weights": [0.9, 0.9]})
-    with pytest.raises(ConfigInvalid):
-        probvec_from_obj({"alphabet": ["a", "b"], "weights": [0.5, 0.5], "extra": 1})
-
-
-def make_problem(iid=True):
-    loss = np.array([[0.1, 0.4, 0.9], [0.8, 0.2, 0.3]])
-    prior = ProbVec(np.array([0.6, 0.4]))
-    if iid:
-        model = IIDData(ProbVec(np.array([0.2, 0.3, 0.5]), ("x", "y", "z")))
-    else:
-        weights = np.zeros(9)
-        weights[0] = 0.25  # (x, x)
-        weights[4] = 0.25  # (y, y)
-        weights[5] = 0.5   # (y, z)
-        model = JointData(weights)
-    return LearningProblem(
-        sample_alphabet=("x", "y", "z"),
-        hypothesis_set=("h0", "h1"),
-        loss=loss,
-        prior=prior,
-        data_model=model,
-        n=2,
-    )
-
-
-def test_problem_round_trip_iid():
-    problem = make_problem(iid=True)
-    back = problem_from_obj(problem_to_obj(problem))
-    assert back.sample_alphabet == problem.sample_alphabet
-    assert back.hypothesis_set == problem.hypothesis_set
-    assert np.array_equal(back.loss, problem.loss)
-    assert back.is_iid()
-    assert np.array_equal(
-        back.data_model.marginal.weights, problem.data_model.marginal.weights
-    )
-
-
-def test_problem_round_trip_joint_sparse_tuples():
-    problem = make_problem(iid=False)
-    obj = problem_to_obj(problem)
-    # zero-probability tuples are omitted from the listing
-    assert sorted(map(tuple, obj["data"]["joint"]["tuples"])) == [
-        ("x", "x"), ("y", "y"), ("y", "z"),
-    ]
-    back = problem_from_obj(obj)
-    assert not back.is_iid()
-    assert np.array_equal(back.data_model.weights, problem.data_model.weights)
-
-
-def test_problem_from_obj_validation():
-    base = problem_to_obj(make_problem())
-    missing = dict(base)
-    del missing["prior"]
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(missing)
-    extra = dict(base)
-    extra["comment"] = "nope"
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(extra)
-    bad_n = dict(base)
-    bad_n["n"] = True
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(bad_n)
-    ragged = json.loads(json.dumps(base))
-    ragged["loss"][0] = ragged["loss"][0][:-1]
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(ragged)
-
-
-def test_problem_from_obj_joint_tuple_checks():
-    obj = problem_to_obj(make_problem(iid=False))
-    dup = json.loads(json.dumps(obj))
-    dup["data"]["joint"]["tuples"].append(["x", "x"])
-    dup["data"]["joint"]["weights"].append(0.0)
-    with pytest.raises(ConfigInvalid) as info:
-        problem_from_obj(dup)
-    assert "duplicate" in str(info.value)
-    unknown = json.loads(json.dumps(obj))
-    unknown["data"]["joint"]["tuples"][0] = ["x", "q"]
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(unknown)
-    short = json.loads(json.dumps(obj))
-    short["data"]["joint"]["tuples"][0] = ["x"]
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(short)
-    both = json.loads(json.dumps(obj))
-    both["data"]["iid"] = [0.2, 0.3, 0.5]
-    with pytest.raises(ConfigInvalid):
-        problem_from_obj(both)
-
-
-def well_obj():
-    return {
-        "minimizer": [0.5, -0.25],
-        "hessian": [[2.0, 0.1], [0.1, 1.5]],
-        "weight": 1.0,
-    }
-
-
-def test_wells_from_obj_round_trip():
-    wells = wells_from_obj([well_obj()])
-    assert len(wells) == 1
-    assert np.array_equal(wells[0].minimizer, np.array([0.5, -0.25]))
-    assert wells[0].weight == 1.0
-
-
-def test_wells_from_obj_validation():
-    with pytest.raises(ConfigInvalid):
-        wells_from_obj([])
-    missing = well_obj()
-    del missing["weight"]
-    with pytest.raises(ConfigInvalid):
-        wells_from_obj([missing])
-    boolean = well_obj()
-    boolean["weight"] = True
-    with pytest.raises(ConfigInvalid):
-        wells_from_obj([boolean])
-    ragged = well_obj()
-    ragged["hessian"] = [[2.0, 0.1], [0.1]]
-    with pytest.raises(ConfigInvalid) as info:
-        wells_from_obj([ragged])
-    assert info.value.path == "[0]"
-    mismatched = well_obj()
-    mismatched["hessian"] = [[2.0]]
-    with pytest.raises(ConfigInvalid):
-        wells_from_obj([mismatched])
