@@ -716,7 +716,7 @@ def cmd_pac_bayes(config: dict, out_dir: str, seed: int) -> list[Check]:
             sigma=spot["sigma"],
         )
         expected = spot["expected"]
-        rel = abs(value - expected) / expected
+        rel = abs(value - expected) / abs(expected)
         spot_ok = spot_ok and rel <= 1e-12
         spot_rows.append(
             [i, cfg.gamma, cfg.n, spot["sigma"], spot["delta"], spot["prime_shift"],
@@ -883,7 +883,8 @@ RANGES = {
     "mixture_instances": (">=", 1),
     "mixture_gamma": (">=", 0),
     "epsilons[]": (">", 0, "<", 0.125),
-    "trials": (">=", MIN_TRIALS),
+    # block_gaps fills one (trials,) float64 array: 2**27 trials are 1 GiB
+    "trials": (">=", MIN_TRIALS, "<=", 2**27),
     "two_point_config_index": (">=", 0),
     "decay_n": (">=", 2),
     # the decay and ismi checks divide by gen, which is zero at sigmaZ_sq = 0
@@ -899,10 +900,13 @@ RANGES = {
     "laplace.gamma": (">", 0),
     "laplace.sigmaZ_sq": (">", 0),
     "bayes.n": (">=", 1),
-    "bayes.trials": (">=", MIN_TRIALS),
+    "bayes.trials": (">=", MIN_TRIALS, "<=", 2**27),  # as "trials"
     # the chain on the quadratic has a stationary law only for step < 1
     "step": ("<", 1),
-    "iterations": (">=", 10),
+    # sgld_run fills an (iterations, 1) float64 noise array and an iterates
+    # array of that shape, and sgld-demo keeps one run's iterates while a
+    # second run draws: three such arrays, 768 MiB at 2**25 iterations
+    "iterations": (">=", 10, "<=", 2**25),
     "batch_count": (">=", 2),
     "deltas[]": (">", 0, "<", 0.5),
     "clip": (">", 0),
@@ -1046,7 +1050,10 @@ def main(argv: list[str] | None = None) -> int:
         user = {} if args.config is None else load_json(args.config)
         config = validate_config(args.subcommand, user, args.seed)
         seed = config["seed"]
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot create a directory: {exc}", path="--out") from exc
         checks = HANDLERS[args.subcommand](config, args.out, seed)
         passed = all(check.passed for check in checks)
         manifest = {

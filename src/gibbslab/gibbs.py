@@ -17,7 +17,9 @@ checkable statements:
 
 All five agree to 1e-9 relative on any valid instance; GenReport enforces
 this at construction.  Datasets are ordered tuples enumerated in
-lexicographic order, never collapsed to multisets.  gibbs_posterior is the
+lexicographic order; only the supersample sweep collapses its states, to
+one representative per orbit of pair swaps and pair permutations (see
+LearningProblem._supersample_geometry).  gibbs_posterior is the
 one evaluation of a (problem, gamma) pair that every route and bound
 reads.  Its information functionals never leave the log domain, so the
 identity holds in the large-gamma (ERM) regime too, where linear-domain
@@ -29,6 +31,7 @@ logsumexp results bit for bit without its per-call dispatch cost.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -187,20 +190,45 @@ class LearningProblem:
 
     @cached_property
     def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gamma-independent part of the supersample sweep: the
-        probability of each supersample of n pairs, and the (supersamples,
-        2**n) ids of the dataset each selector string picks from it.  IID
-        models only; callers check the enumeration size first."""
+        """The gamma-independent part of the supersample sweep, one row per
+        orbit of supersamples: the orbit's total probability, and the
+        (orbits, 2**n) ids of the dataset each selector string picks from
+        the orbit's representative.  IID models only; callers check the
+        enumeration size first.
+
+        The term I(W; U | supersample) is constant on an orbit of two
+        symmetries.  Swapping the two elements of a pair only relabels that
+        selector bit, and permuting the pairs permutes the datasets, which
+        an IID posterior cannot see because the empirical risk is a mean.
+        The representative is a sorted multiset of n unordered pairs
+        (a <= b); its orbit holds n! / prod_k m_k! * 2**d ordered tuples of
+        equal probability, m_k being how often pair type k appears and d
+        the number of pairs with a != b."""
         nz = self.num_samples_symbols
         n = self.n
-        pair_matrix = _index_matrix(nz, 2 * n)
-        super_probs = np.prod(self.data_model.marginal.weights[pair_matrix], axis=1)
-        first = pair_matrix[:, 0::2]
-        second = pair_matrix[:, 1::2]
+        pair_first, pair_second = np.triu_indices(nz)
+        orbits = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(pair_first.size), n)
+            ),
+            dtype=np.intp,
+        ).reshape(-1, n)
+        first = pair_first[orbits]
+        second = pair_second[orbits]
+        weights = self.data_model.marginal.weights
+        # rows are sorted, so column j repeats the type of column j - 1 when
+        # a run continues; the running run lengths multiply to prod_k m_k!
+        run = np.ones(orbits.shape, dtype=np.float64)
+        for j in range(1, n):
+            run[:, j] = np.where(orbits[:, j] == orbits[:, j - 1], run[:, j - 1] + 1.0, 1.0)
+        orbit_size = (
+            math.factorial(n) / run.prod(axis=1) * 2.0 ** (first != second).sum(axis=1)
+        )
+        super_probs = np.prod(weights[first] * weights[second], axis=1) * orbit_size
         powers = nz ** np.arange(n - 1, -1, -1)
         selectors = _index_matrix(2, n)
         # dataset ids stay below ENUMERATION_CAP, so int32 holds them
-        dataset_ids = np.empty((pair_matrix.shape[0], selectors.shape[0]), dtype=np.int32)
+        dataset_ids = np.empty((orbits.shape[0], selectors.shape[0]), dtype=np.int32)
         for k, bits in enumerate(selectors):
             chosen = np.where(bits[None, :] == 1, second, first)
             dataset_ids[:, k] = chosen @ powers
@@ -393,8 +421,17 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     The supersample holds 2n IID draws arranged as n pairs; U picks one
     element of each pair to form the training tuple, uniformly and
     independently.  Returns the conditional mutual, lautum, and symmetrized
-    information of (W; U) given the supersample.  IID data models only; the
-    size check runs before anything is allocated.
+    information of (W; U) given the supersample.  IID data models only.
+
+    The expectation over supersamples runs over orbits rather than ordered
+    tuples: swapping a pair's elements relabels one selector bit, and
+    permuting the pairs permutes every selected dataset, which leaves an
+    IID posterior unchanged, so I(W; U | supersample) is constant on each
+    orbit.  One sorted multiset of n unordered pairs stands for its orbit,
+    weighted by n! / prod_k m_k! * 2**d times its own probability (m_k
+    counts pair type k, d the pairs of two distinct symbols).  The size
+    check counts the ordered states, |Z|**(2n) * 2**n, and runs before
+    anything is allocated.
     """
     if not problem.is_iid():
         raise NotIID("the supersample construction requires an IID data model")

@@ -287,6 +287,28 @@ def test_pac_bayes_reduced_run(tmp_path):
     assert os.path.exists(os.path.join(out, "pac_bayes.json"))
 
 
+def test_negative_spot_check_expectation_can_fail(tmp_path):
+    # the relative gap divides by |expected|, so a wrong sign is caught
+    spot = {**DEFAULTS["pac-bayes"]["spot_checks"][0], "expected": -2.5}
+    config = write_config(tmp_path, "pb.json", {"trials": 1000, "spot_checks": [spot]})
+    out = str(tmp_path / "pb")
+    assert main(["pac-bayes", "--config", config, "--out", out]) == 1
+    checks = {c["name"]: c["passed"] for c in read_manifest(out)["checks"]}
+    assert checks == {
+        "bound_formula_spot_checks": False,
+        "coverage_delta_0.05": True,
+        "coverage_delta_0.1": True,
+    }
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep", encoding="utf-8")
+    assert main(["counterexample", "--out", str(out)]) == 2
+    assert "config error at --out:" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "keep"
+
+
 # (subcommand, config, extra flags, path of the offending key); every one
 # must stop before any work, so none of them needs a reduced config
 CONFIG_ERRORS = [
@@ -315,6 +337,11 @@ CONFIG_ERRORS = [
     ("sgld-demo", {"seed": 2**64}, (), "seed"),
     ("asymptotics", {"laplace": {"n": 64}}, (), "laplace.n"),
     ("sgld-demo", {"batch_count": 5000, "iterations": 2000}, (), "batch_count"),
+    # work sizes whose one array would not fit in memory
+    ("pac-bayes", {"trials": 10**30}, (), "trials"),
+    ("gaussian-mean", {"trials": 2**27 + 1}, (), "trials"),
+    ("asymptotics", {"bayes": {"trials": 2**27 + 1}}, (), "bayes.trials"),
+    ("sgld-demo", {"iterations": 2**25 + 1}, (), "iterations"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -360,17 +361,56 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
 
     monkeypatch.setattr(gibbslab.gibbs, "_index_matrix", counting)
     reports = [posterior.supersample_info for posterior in posteriors]
-    # one pair matrix (|Z| = 4, 2n = 4) and one selector matrix (2, n = 2)
-    # for all four gammas
-    assert sorted(builds) == [(2, 2), (4, 4)]
+    # one selector matrix (2, n = 2) for all four gammas
+    assert builds == [(2, 2)]
     super_probs, dataset_ids = problem._supersample_geometry
-    assert dataset_ids.dtype == np.int32 and dataset_ids.shape == (4**4, 2**2)
+    # one orbit per multiset of n unordered pairs over K = |Z|(|Z|+1)/2 types
+    pair_types = 4 * 5 // 2
+    orbits = math.comb(pair_types + 2 - 1, 2)
+    assert dataset_ids.dtype == np.int32 and dataset_ids.shape == (orbits, 2**2)
     assert abs(float(super_probs.sum()) - 1.0) < 1e-12
     assert len({report.mutual for report in reports}) == len(gammas)
     # a fresh problem with its own geometry gives the same bits
     fresh = dataclasses.replace(problem)
     for posterior, report in zip(posteriors, reports):
         assert supersample_conditional_info(fresh, posterior.log_kernel) == report
+
+
+def ordered_supersample_info(problem, log_rows):
+    """The supersample information summed over all |Z|**(2n) ordered tuples
+    of n pairs, each its own state, through the same block loop."""
+    nz, n = problem.num_samples_symbols, problem.n
+    pairs = gibbslab.gibbs._index_matrix(nz, 2 * n)
+    super_probs = np.prod(problem.data_model.marginal.weights[pairs], axis=1)
+    powers = nz ** np.arange(n - 1, -1, -1)
+    selectors = gibbslab.gibbs._index_matrix(2, n)
+    dataset_ids = np.stack(
+        [np.where(bits == 1, pairs[:, 1::2], pairs[:, 0::2]) @ powers for bits in selectors],
+        axis=1,
+    ).astype(np.int32)
+    reference = dataclasses.replace(problem)
+    # the cached property reads its value from the instance dict
+    reference.__dict__["_supersample_geometry"] = (super_probs, dataset_ids)
+    return supersample_conditional_info(reference, log_rows)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0, 100.0, 1e3, 1e6])
+def test_supersample_orbits_match_ordered_tuples(gamma):
+    problems = [
+        problem
+        for _, problem in instance_sweep(
+            200, 20260814, max_symbols=4, max_hypotheses=5, max_n=3
+        )
+        if problem.is_iid()
+    ]
+    problems += [random_problem(instance_rng(7, index), max_n=4) for index in range(12)]
+    assert max(problem.n for problem in problems) == 4
+    for problem in problems:
+        log_kernel = gibbs_posterior(problem, gamma).log_kernel
+        orbits = supersample_conditional_info(problem, log_kernel)
+        ordered = ordered_supersample_info(problem, log_kernel)
+        for got, want in ((orbits.mutual, ordered.mutual), (orbits.lautum, ordered.lautum)):
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("gamma", [1e3, 1e4, 1e6])
