@@ -154,27 +154,17 @@ def _bisect_fixed_point(tail: TailClass, gamma: float, n: int, c_ratio: float) -
     return 0.5 * (lo + hi)
 
 
-def fixed_point_kappa(
-    tail: TailClass,
-    gamma: float,
-    n: int,
-    c_ratio: float,
-    method: str = "auto",
-) -> float:
+def fixed_point_kappa(tail: TailClass, gamma: float, n: int, c_ratio: float) -> float:
     """The positive crossing of psi_star_inverse(kappa / n) with the line
-    (1 + c_ratio) kappa / gamma.
+    (1 + c_ratio) kappa / gamma, from the closed form of the tail class.
 
     The crossing caps the information measure whose ratio constant is
     c_ratio, and (1 + c_ratio) kappa / gamma is then the induced bound
-    on the generalization error.  method "auto" uses the closed form of
-    the tail class; "bisect" brackets and bisects psi_star_inverse
-    directly (used to cross-check the algebra).
+    on the generalization error.  The tests check the closed forms
+    against _bisect_fixed_point, which brackets and bisects
+    psi_star_inverse directly.
     """
     _validate_fixed_point_args(gamma, n, c_ratio)
-    if method not in ("auto", "bisect"):
-        raise InvalidInput(f"method must be 'auto' or 'bisect', got {method!r}")
-    if method == "bisect":
-        return _bisect_fixed_point(tail, gamma, n, c_ratio)
     one_c = 1.0 + c_ratio
     if isinstance(tail, SubGaussian):
         return 2.0 * tail.sigma**2 * gamma**2 / (n * one_c**2)

@@ -69,6 +69,8 @@ SUPERSAMPLE_BLOCK = 100_000
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 COMPARE_TOL = 1e-10
+# how far concavity_probe lets the mixture error fall below the average
+CONCAVITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,13 +358,11 @@ class GibbsPosterior(_Kernel):
         return replace_one_divergences(self.problem, self.log_kernel)
 
 
-def gibbs_posterior(
-    problem: LearningProblem, gamma: float, cap: int = ENUMERATION_CAP
-) -> GibbsPosterior:
+def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """Tabulate the Gibbs posterior for every dataset, in the log domain."""
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
-    _check_enumeration(problem.dataset_count, cap, "dataset enumeration")
+    _check_enumeration(problem.dataset_count, ENUMERATION_CAP, "dataset enumeration")
     logits = problem.prior.log_weights[:, None] - gamma * problem._empirical_risk
     log_partition = _logsumexp(logits, axis=0)
     log_rows = (logits - log_partition[None, :]).T
@@ -393,18 +393,27 @@ def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
 def gen_error_direct(posterior: GibbsPosterior) -> float:
     """Expected generalization error straight from the definition:
     E[population risk - empirical risk] under the joint law of (W, S)."""
-    on_population = float(posterior.hypothesis_marginal @ posterior.problem._population_risk)
-    return on_population - expected_empirical_risk(posterior)
+    problem = posterior.problem
+    return _gen_under_law(posterior.row_array, problem._empirical_risk, problem._dataset_probs)
 
 
 def expected_empirical_risk(posterior: GibbsPosterior) -> float:
     """E[empirical risk] under the joint law of (W, S)."""
     problem = posterior.problem
-    return float(
-        np.einsum(
-            "s,sw,ws->", problem._dataset_probs, posterior.row_array, problem._empirical_risk
-        )
-    )
+    return _risk_under_law(posterior.row_array, problem._empirical_risk, problem._dataset_probs)
+
+
+def _risk_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -> float:
+    """E[empirical risk] of a fixed posterior kernel under a dataset law."""
+    return float(np.einsum("s,sw,ws->", probs, rows, empirical))
+
+
+def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -> float:
+    """Generalization error of a fixed posterior kernel under a dataset law:
+    the population risk of the induced hypothesis marginal minus the
+    expected empirical risk."""
+    on_population = float((probs @ rows) @ (empirical @ probs))
+    return on_population - _risk_under_law(rows, empirical, probs)
 
 
 def _require_kernel(problem: LearningProblem, log_rows: np.ndarray) -> None:
@@ -593,9 +602,7 @@ class GenReport:
             )
 
 
-def gen_characterizations(
-    problem: LearningProblem, gamma: float, cap: int = ENUMERATION_CAP
-) -> GenReport:
+def gen_characterizations(problem: LearningProblem, gamma: float) -> GenReport:
     """The expected generalization error by definition and by every exact
     characterization available for the data model, all read from one
     evaluation of (problem, gamma).
@@ -603,7 +610,7 @@ def gen_characterizations(
     Requires gamma > 0.  On joint data models the supersample and
     replace-one forms are undefined and reported as None.
     """
-    return GenReport.from_posterior(gibbs_posterior(problem, gamma, cap=cap))
+    return GenReport.from_posterior(gibbs_posterior(problem, gamma))
 
 
 @dataclass(frozen=True)
@@ -766,15 +773,6 @@ def empirical_risk_curve(
     return [expected_empirical_risk(gibbs_posterior(problem, gamma)) for gamma in values]
 
 
-def _gen_under_law(
-    rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray
-) -> float:
-    """Generalization error of a fixed posterior kernel under a dataset law."""
-    pop = empirical @ probs
-    marginal = probs @ rows
-    return float(marginal @ pop) - float(np.einsum("s,sw,ws->", probs, rows, empirical))
-
-
 def concavity_probe(
     components: Sequence[tuple[float, DataModel]],
     problem: LearningProblem,
@@ -784,7 +782,7 @@ def concavity_probe(
     average, both evaluated with the single Gibbs kernel of the mixture
     problem (the kernel depends only on loss, prior, and gamma, so it is
     also each component's own kernel).  The mixture value is asserted to
-    be at least the component average within 1e-12 slack.
+    be at least the component average within CONCAVITY_SLACK.
 
     Caution: the asserted inequality is not a theorem.  The mutual
     information part of the error is concave in the data law, but the
@@ -809,7 +807,7 @@ def concavity_probe(
         float(w) * _gen_under_law(rows, empirical, probs)
         for w, probs in zip(weights.weights, component_probs)
     )
-    if gen_mixture < avg_gen - 1e-12:
+    if gen_mixture < avg_gen - CONCAVITY_SLACK:
         raise IdentityMismatch(
             f"mixture error {gen_mixture!r} fell below the component average {avg_gen!r}"
         )

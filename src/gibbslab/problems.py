@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .gibbs import DataModel, IIDData, JointData, LearningProblem
+from .gibbs import ENUMERATION_CAP, DataModel, IIDData, JointData, LearningProblem
+from .gibbs import _check_enumeration
 from .probability import ProbVec
 from .samplers import counter_rng
 
@@ -51,6 +52,9 @@ def random_problem(
     if iid:
         model = IIDData(ProbVec(_positive_weights(rng, nz)))
     else:
+        # one weight per dataset: refuse a law too large to enumerate
+        # before drawing it
+        _check_enumeration(nz**n, ENUMERATION_CAP, "joint data law")
         model = JointData(_positive_weights(rng, nz**n))
     return LearningProblem(
         sample_alphabet=tuple(range(nz)),

@@ -9,13 +9,14 @@ Schemas:
   * JSON: objects with string keys, arrays, strings, integers, booleans,
     null and finite floats in scientific notation; numpy scalars and
     arrays render as their Python values;
-  * CSV: a header row, then one row per record; None is the empty cell
-    and booleans are true/false.
+  * CSV: a header row, then one row per record; None is the empty cell,
+    booleans are true/false and non-finite floats nan, inf or -inf.
 
-A value that cannot be rendered (a non-finite float, a non-string key,
-an unknown type) raises InvalidInput, a numerical error, and a file is
-opened only once its text is rendered.  load_json raises ConfigInvalid:
-the config's schema is checked by the CLI against its defaults.
+A value that cannot be rendered (a non-finite float in JSON, a
+non-string key, an unknown type) raises InvalidInput, a numerical error,
+and a file is opened only once its text is rendered.  load_json raises
+ConfigInvalid: the config's schema is checked by the CLI against its
+defaults.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,7 +96,9 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format_float(float(value), CSV_SIG)
+        value = float(value)
+        # unlike JSON, CSV can spell a non-finite number: nan, inf or -inf
+        return format_float(value, CSV_SIG) if math.isfinite(value) else str(value)
     return str(value)
 
 

@@ -7,6 +7,7 @@ manifest.  Run with -v to get one pass/fail line per criterion.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -63,8 +64,12 @@ def require(result, check_names, label):
     failed = []
     for name in check_names:
         assert name in checks, f"{label}: missing check {name}"
-        if not checks[name]["passed"]:
-            failed.append(f"{name}: {checks[name]['detail']}")
+        check = checks[name]
+        if not check["passed"]:
+            failed.append(
+                f"{name}: {check['detail']} (observed {check['observed']} "
+                f"{check['comparison']} limit {check['limit']}, margin {check['margin']})"
+            )
     status = "PASS" if (code == 0 and not failed) else "FAIL"
     print(f"[{status}] {label}")
     assert not failed, f"{label} failed: " + "; ".join(failed)
@@ -177,3 +182,75 @@ def test_criterion_10_high_probability_bounds(pac_bayes):
         "relative and empirical coverage reaches 1 - 2 delta at both "
         "confidence levels",
     )
+
+
+# ------------------------------------------------------------- check shape
+
+BOOLEAN_CHECKS = {
+    "cmi_and_replace_one_on_iid",
+    "small_epsilon_direction",
+    "large_epsilon_direction",
+    "seed_determinism",
+}
+
+
+def test_checks_carry_observed_limit_and_margin(
+    identities, counterexample, gaussian, bounds, asymptotics, sgld, pac_bayes
+):
+    results = (identities, counterexample, gaussian, bounds, asymptotics, sgld, pac_bayes)
+    booleans = set()
+    for _, manifest in results:
+        for check in manifest["checks"]:
+            comparison = check["comparison"]
+            if comparison is None:
+                booleans.add(check["name"])
+                assert [check["observed"], check["limit"], check["margin"]] == [None] * 3
+                continue
+            limit = check["limit"]
+            if check["name"] in manifest["timings"]:
+                # a measured time stays out of the reproducible record
+                assert check["observed"] is None and check["margin"] is None
+                observed = manifest["timings"][check["name"]]
+                margin = limit - observed
+            else:
+                observed, margin = check["observed"], check["margin"]
+                expected = {
+                    "<": limit - observed, "<=": limit - observed,
+                    ">": observed - limit, ">=": observed - limit,
+                    "==": -abs(observed - limit),
+                }[comparison]
+                assert margin == expected, check
+            assert math.isfinite(observed) and math.isfinite(limit), check
+            holds = margin > 0 or (margin == 0 and comparison in ("<=", ">=", "=="))
+            assert holds == check["passed"], check
+    assert booleans == BOOLEAN_CHECKS
+
+
+def differences(a, b, path=""):
+    """The paths at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        return [p for key in a for p in differences(a[key], b[key], f"{path}.{key}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, pair in enumerate(zip(a, b)) for p in differences(*pair, f"{path}[{i}]")]
+    return [] if a == b else [path]
+
+
+def test_one_input_moves_one_check(asymptotics, tmp_path):
+    # the Laplace temperature moves the exact value the single-well check
+    # compares against, and nothing else
+    config = tmp_path / "laplace.json"
+    config.write_text(json.dumps({"laplace": {"gamma": 2e4}}), encoding="utf-8")
+    out = str(tmp_path / "asym")
+    assert main(["asymptotics", "--config", str(config), "--out", out]) == 0
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as handle:
+        perturbed = json.load(handle)
+    base = dict(asymptotics[1])
+    for manifest in (base, perturbed):
+        manifest.pop("duration_seconds"), manifest.pop("timings")
+    assert differences(base, perturbed) == [
+        ".config.laplace.gamma",
+        ".checks[2].detail",
+        ".checks[2].observed",
+        ".checks[2].margin",
+    ]
+    assert perturbed["checks"][2]["name"] == "laplace_single_well"

@@ -28,6 +28,7 @@ from gibbslab import (
     sandwich_violations,
     tv_lower_bound,
 )
+from gibbslab.bounds import _bisect_fixed_point
 
 
 def test_sub_gaussian_dual_inverse():
@@ -84,7 +85,7 @@ def test_fixed_point_bisect_agrees_with_closed_form():
     for tail in tails:
         for gamma, n, c in ((0.5, 30, 0.0), (8.0, 10, 0.4), (2.0, 200, 1.3)):
             auto = fixed_point_kappa(tail, gamma, n, c)
-            bisect = fixed_point_kappa(tail, gamma, n, c, method="bisect")
+            bisect = _bisect_fixed_point(tail, gamma, n, c)
             assert abs(auto - bisect) <= 1e-10 * max(1.0, auto)
             # the returned value satisfies the crossing equation
             residual = tail.psi_star_inverse(auto / n) - (1.0 + c) * auto / gamma
@@ -95,13 +96,11 @@ def test_fixed_point_infeasible_sub_gamma():
     with pytest.raises(NoPositiveRoot):
         fixed_point_kappa(SubGamma(tau_sq=1.0, c_s=2.0), 100.0, 10, 0.0)
     with pytest.raises(NoPositiveRoot):
-        fixed_point_kappa(SubGamma(tau_sq=1.0, c_s=2.0), 100.0, 10, 0.0, method="bisect")
+        _bisect_fixed_point(SubGamma(tau_sq=1.0, c_s=2.0), 100.0, 10, 0.0)
 
 
 def test_fixed_point_argument_validation():
     tail = SubGaussian(1.0)
-    with pytest.raises(InvalidInput):
-        fixed_point_kappa(tail, 1.0, 10, 0.0, method="newton")
     with pytest.raises((InvalidInput, GammaNonPositive)):
         fixed_point_kappa(tail, 0.0, 10, 0.0)
     with pytest.raises(InvalidInput):

@@ -342,6 +342,15 @@ CONFIG_ERRORS = [
     ("gaussian-mean", {"trials": 2**27 + 1}, (), "trials"),
     ("asymptotics", {"bayes": {"trials": 2**27 + 1}}, (), "bayes.trials"),
     ("sgld-demo", {"iterations": 2**25 + 1}, (), "iterations"),
+    # counts that would hold every instance's tables or run for minutes
+    ("verify-identities", {"instances": 10**4 + 1}, (), "instances"),
+    ("bounds-table", {"instances": 10**4 + 1}, (), "instances"),
+    ("verify-identities", {"curve_instances": 10**5 + 1}, (), "curve_instances"),
+    ("verify-identities", {"mixture_instances": 10**5 + 1}, (), "mixture_instances"),
+    ("asymptotics", {"aic_pairs": 10**5 + 1}, (), "aic_pairs"),
+    # problem sizes whose tables are allocated before the enumeration cap
+    ("bounds-table", {"max_symbols": 10**6 + 1}, (), "max_symbols"),
+    ("verify-identities", {"max_hypotheses": 9}, (), "max_hypotheses"),
 ]
 
 
@@ -386,6 +395,22 @@ def test_largest_seed_runs(tmp_path):
     manifest = read_manifest(out)
     assert manifest["seed"] == seed
     assert {c["name"]: c["passed"] for c in manifest["checks"]}["seed_determinism"]
+
+
+def test_nan_estimate_fails_its_check_with_a_manifest(tmp_path, capsys, monkeypatch):
+    real = gibbslab.cli.mc_mean_gen
+
+    def nan_estimate(*args, **kwargs):
+        return math.nan, real(*args, **kwargs)[1]
+
+    monkeypatch.setattr(gibbslab.cli, "mc_mean_gen", nan_estimate)
+    config = write_config(tmp_path, "gm.json", {"trials": 4000})
+    out = str(tmp_path / "gm")
+    assert main(["gaussian-mean", "--config", config, "--out", out]) == 1
+    assert "FAIL mc_matches_closed_form: " in capsys.readouterr().out
+    check = read_manifest(out)["checks"][0]
+    assert check["name"] == "mc_matches_closed_form" and check["passed"] is False
+    assert check["observed"] is None and check["margin"] is None and check["limit"] == 4.0
 
 
 def test_unexpected_exception_exits_4_without_manifest(tmp_path, capsys, monkeypatch):

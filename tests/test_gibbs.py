@@ -325,11 +325,33 @@ def test_chain_rule_example_epsilon_validation():
 
 
 def test_enumeration_cap():
-    problem = small_problem(22, iid=True, n=3)
-    with pytest.raises(EnumerationTooLarge):
-        gibbs_posterior(problem, 1.0, cap=10)
-    with pytest.raises(EnumerationTooLarge):
-        gen_characterizations(problem, 1.0, cap=10)
+    # |Z| = 4 and n = 10 give 4**10 = 1,048,576 datasets, above the 1e6
+    # cap; the check must come before any table is built
+    problem = small_problem(22, iid=True, n=10)
+    tracemalloc.start()
+    try:
+        for evaluate in (gibbs_posterior, gen_characterizations):
+            with pytest.raises(EnumerationTooLarge) as caught:
+                evaluate(problem, 1.0)
+            assert caught.value.required == 4**10
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_joint_law_cap_raises_before_drawing():
+    # instance (5, 17) draws |Z| = 4 and n = 10: a joint law of 4**10
+    # weights, above the 1e6 cap, which would take 8 MB to draw
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge) as caught:
+            random_problem(instance_rng(5, 17), max_n=12, iid=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caught.value.required == 4**10
+    assert peak < 1_000_000
 
 
 def test_supersample_cap_raises_before_allocating():
