@@ -29,11 +29,7 @@ from .bounds import (
     bound_suite,
     bounds_table,
     fixed_point_kappa,
-    kl_based_bound,
-    ratio_constants,
-    renyi_upper_bound,
     sandwich_violations,
-    tv_lower_bound,
 )
 from .errors import (
     AbsoluteContinuityViolation,
@@ -86,7 +82,6 @@ from .gibbs import (
     gibbs_posterior,
     log_ratio_means,
     population_gibbs,
-    info_divergence_compare,
     regularized_gen,
     replace_one_divergences,
     supersample_conditional_info,
@@ -95,15 +90,13 @@ from .probability import (
     InfoReport,
     JointTable,
     ProbVec,
-    conditional_info_triple,
     info_triple,
     kl_divergence,
     renyi_divergence,
-    symmetrized_kl,
     total_variation,
 )
 from .problems import instance_rng, instance_sweep, random_mixture_components, random_problem
-from .samplers import SgldConfig, mc_gen_error, sgld_run
+from .samplers import SgldConfig, sgld_run
 from .serialize import (
     dumps_csv,
     dumps_json,

@@ -222,33 +222,29 @@ def bayes_location_regime_gen(
     n: int,
     trials: int,
     seed: int,
-    prior_var: float = 1.0,
     prior_mean: float = 0.0,
-    true_mean: float = 0.0,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the Bayesian-regime generalization error.
 
-    Each trial draws n unit-variance samples around true_mean and
-    evaluates the posterior-averaged population-minus-empirical log-loss
-    gap in closed form given the sufficient statistics (exact partial
-    averaging over both the posterior and the within-sample variance,
-    whose expectations are known; only the sample mean stays random).
-    Sample means are drawn in blocks (see samplers.block_gaps).  Returns
-    (estimate, standard error).  The estimator is unbiased for
-    bayes_location_regime_exact(n, prior_var) whatever prior_mean and
-    true_mean are: the error of the Bayes posterior does not depend on
-    the prior location.
+    The prior is N(prior_mean, 1).  Each trial draws n unit-variance
+    samples around 0 and evaluates the posterior-averaged
+    population-minus-empirical log-loss gap in closed form given the
+    sufficient statistics (exact partial averaging over both the posterior
+    and the within-sample variance, whose expectations are known; only the
+    sample mean stays random).  Sample means are drawn in blocks (see
+    samplers.block_gaps).  Returns (estimate, standard error).  The
+    estimator is unbiased for bayes_location_regime_exact(n) whatever
+    prior_mean is: the error of the Bayes posterior does not depend on the
+    prior location.
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInput(f"n must be a positive integer, got {n!r}")
     check_trials(trials)
-    if not (math.isfinite(prior_var) and prior_var > 0.0):
-        raise InvalidInput(f"prior_var must be > 0, got {prior_var!r}")
-    precision = 1.0 / prior_var + n
+    precision = 1.0 + n
 
     def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
-        mean = true_mean + rng.standard_normal(size) / math.sqrt(n)
-        m = (prior_mean / prior_var + n * mean) / precision
-        return 0.5 * (1.0 / n + (m - true_mean) ** 2 - (m - mean) ** 2)
+        mean = rng.standard_normal(size) / math.sqrt(n)
+        m = (prior_mean + n * mean) / precision
+        return 0.5 * (1.0 / n + m**2 - (m - mean) ** 2)
 
     return mean_and_std_error(block_gaps(trials, seed, gap_block))

@@ -21,6 +21,12 @@ assumption are included as well: a total-variation lower bound
 (TV^2 / gamma, with TV the unnormalized two-sided difference, so the
 bound never exceeds 4 / gamma) and a Renyi-divergence upper bound
 valid for every order above one.
+
+bounds_table is the one path to the bound values of a (problem, gamma)
+pair: every row reads one gibbs_posterior evaluation, and the ratio
+constants come from the GenReport of that evaluation through
+RatioConstants.from_report.  bound_suite evaluates the closed forms for
+given constants and a given tail class.
 """
 
 from __future__ import annotations
@@ -35,14 +41,7 @@ from .errors import (
     InvalidInput,
     NoPositiveRoot,
 )
-from .gibbs import (
-    GenReport,
-    GibbsPosterior,
-    LearningProblem,
-    _require_positive_gamma,
-    gen_characterizations,
-    gibbs_posterior,
-)
+from .gibbs import GenReport, LearningProblem, gibbs_posterior
 
 DEGENERACY_TOL = 1e-15
 BISECT_REL_TOL = 1e-12
@@ -250,12 +249,6 @@ class RatioConstants:
         return cls(c_i=c_i, c_k=c_k, c_c=c_c, c_s_ratio=min(usable, default=0.0))
 
 
-def ratio_constants(problem: LearningProblem, gamma: float) -> RatioConstants:
-    """Measure the exact ratio constants of an enumerable problem; see
-    RatioConstants.from_report."""
-    return RatioConstants.from_report(gen_characterizations(problem, gamma))
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     """One bound evaluation: value is None when the regime is infeasible."""
@@ -278,8 +271,11 @@ def bound_suite(
     All entries assume IID samples.  For sub-exponential tails the two
     regimes switch on the mutual information: pass it to select the
     applicable branch, or omit it to get both branches labeled with
-    their applicability conditions.  A fixed_point entry cross-checks
-    the c_i closed form against the generic crossing construction.
+    their applicability conditions.  The fixed_point entry is
+    (1 + c_i) kappa / gamma with kappa from fixed_point_kappa, itself a
+    closed form of the crossing: for sub-Gaussian tails it equals
+    sub_gaussian_c_i up to rounding, and for the other classes it is
+    the c_i bound of the crossing construction.
     """
     _validate_fixed_point_args(gamma, n, ratios.c_i)
     entries: dict[str, BoundEntry] = {}
@@ -378,52 +374,6 @@ def bound_suite(
     return entries
 
 
-def _tv_lower(posterior: GibbsPosterior) -> float:
-    tv = posterior.total_variation
-    return tv * tv / posterior.gamma
-
-
-def _renyi_upper(posterior: GibbsPosterior, alpha: float) -> float:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
-        raise AlphaOutOfRange(f"the upper bound requires alpha > 1, got {alpha!r}")
-    return posterior.renyi(alpha) / posterior.gamma
-
-
-def _kl_based(posterior: GibbsPosterior, sigma: float) -> float:
-    forward, _ = posterior.reference_divergences
-    return math.sqrt(2.0 * sigma**2 * forward / posterior.problem.n)
-
-
-def tv_lower_bound(problem: LearningProblem, gamma: float) -> float:
-    """Total-variation lower bound TV^2 / gamma on the generalization error.
-
-    TV is the unnormalized two-sided difference between the joint law of
-    (W, S) and the product of its marginals, so the bound lies in
-    [0, 4 / gamma].  Valid for every data model.
-    """
-    _require_positive_gamma(gamma)
-    return _tv_lower(gibbs_posterior(problem, gamma))
-
-
-def renyi_upper_bound(problem: LearningProblem, gamma: float, alpha: float) -> float:
-    """Renyi upper bound of order alpha > 1 on the generalization error:
-    the two directed Renyi divergences between the joint law and the
-    product of marginals, summed and divided by gamma.  Decreasing in
-    alpha toward the exact value as alpha approaches one from above."""
-    _require_positive_gamma(gamma)
-    return _renyi_upper(gibbs_posterior(problem, gamma), alpha)
-
-
-def kl_based_bound(problem: LearningProblem, gamma: float, sigma: float) -> float:
-    """Square-root bound sqrt(2 sigma^2 D / n) with D the expected forward
-    divergence from the posterior to the population Gibbs law.  IID
-    sampling and a sub-Gaussian loss are its validity conditions; the
-    value itself is computable for any model."""
-    _require_positive_gamma(gamma)
-    _require_positive("sigma", sigma)
-    return _kl_based(gibbs_posterior(problem, gamma), sigma)
-
-
 @dataclass(frozen=True)
 class BoundRow:
     """One labeled row of a bounds table; side is 'lower', 'upper', or
@@ -444,24 +394,35 @@ def bounds_table(
 ) -> list[BoundRow]:
     """Exact generalization error next to every applicable bound.
 
-    Distribution-free rows (total variation, Renyi) are always present.
-    Parametric rows appear with measured ratio constants on IID models
-    and as infeasible placeholders on joint models, where their sampling
-    assumption fails.  The sub-Gaussian parameter is (max - min) / 2 of
-    the loss table; a constant loss short-circuits to exact zeros.  Every
-    row reads the one evaluation gibbs_posterior(problem, gamma).
+    Distribution-free rows are always present: tv_lower is TV^2 / gamma,
+    TV being the unnormalized total variation between the joint law of
+    (W, S) and the product of its marginals, so it lies in [0, 4 / gamma];
+    renyi_upper_alpha_<a> sums the two directed Renyi divergences of order
+    a > 1 between those laws and divides by gamma, decreasing in a toward
+    the exact value as a approaches one.  Parametric rows appear with
+    measured ratio constants on IID models and as infeasible placeholders
+    on joint models, where their sampling assumption fails; kl_based is
+    sqrt(2 sigma^2 d_fwd / n), d_fwd the expected forward divergence to the
+    population Gibbs law.  The sub-Gaussian parameter sigma is
+    (max - min) / 2 of the loss table; a constant loss short-circuits to
+    exact zeros.  Every row reads the one evaluation
+    gibbs_posterior(problem, gamma).
     """
+    for alpha in alphas:
+        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
+            raise AlphaOutOfRange(f"the Renyi upper bound requires alpha > 1, got {alpha!r}")
     posterior = gibbs_posterior(problem, gamma)
     report = GenReport.from_posterior(posterior)
+    tv = posterior.total_variation
     rows = [
         BoundRow("exact_gen", report.direct, True, "definition", "", "exact"),
-        BoundRow("tv_lower", _tv_lower(posterior), True, "any data model", "", "lower"),
+        BoundRow("tv_lower", tv * tv / posterior.gamma, True, "any data model", "", "lower"),
     ]
     for alpha in alphas:
         rows.append(
             BoundRow(
                 f"renyi_upper_alpha_{alpha:g}",
-                _renyi_upper(posterior, alpha),
+                posterior.renyi(alpha) / posterior.gamma,
                 True,
                 "any data model; order > 1",
                 f"alpha={alpha:.12g}",
@@ -502,7 +463,7 @@ def bounds_table(
     rows.append(
         BoundRow(
             "kl_based",
-            _kl_based(posterior, sigma),
+            math.sqrt(2.0 * sigma**2 * report.d_fwd / problem.n),
             True,
             "iid; loss sub-Gaussian under the sample law",
             f"sigma={sigma:.12g}",

@@ -507,7 +507,7 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
         ["instance", "gamma", "gen", f"renyi_{probe_alpha:g}", "excess_ratio"],
         probe_rows,
     )
-    first = (instances[0][0], gammas[0])
+    first = (0, gammas[0])  # the sweep starts at instance 0
     write_csv(
         os.path.join(out_dir, "suite_example.csv"),
         ["bound_name", "value", "feasible", "regime", "constants_used"],
@@ -850,9 +850,9 @@ HANDLERS = {
 RANGES = {
     # gaussian-mean keys its Philox streams by seed + config index < 2**64
     "seed": (">=", 0, "<", 2**63),
-    # instance_sweep keeps every problem and its cached tables alive; at the
-    # default sizes one instance takes about 5 ms over four gammas, so 10**4
-    # instances take about a minute
+    # instance_sweep builds one problem at a time, and the sweep keeps only
+    # its rows; at the default sizes one instance takes about 5 ms over four
+    # gammas, so 10**4 instances take about a minute
     "instances": (">=", 1, "<=", 10**4),
     "gammas[]": (">", 0),
     # an instance has at least as many datasets as symbols, and one with
@@ -861,8 +861,10 @@ RANGES = {
     # an evaluation peaks at about 140 bytes per (dataset, hypothesis) pair,
     # so at ENUMERATION_CAP datasets 8 hypotheses peak near 1.1 GB
     "max_hypotheses": (">=", 2, "<=", 8),
-    # an n whose datasets exceed ENUMERATION_CAP raises EnumerationTooLarge
-    "max_n": (">=", 1),
+    # an n whose datasets exceed ENUMERATION_CAP raises EnumerationTooLarge;
+    # an alphabet has at least 2 symbols and 2**19 <= ENUMERATION_CAP < 2**20,
+    # so no instance with n >= 20 can ever be evaluated
+    "max_n": (">=", 1, "<=", ENUMERATION_CAP.bit_length() - 1),
     # one curve or mixture takes under 1 ms at the default sizes and is
     # freed after it: 10**5 take about a minute
     "curve_instances": (">=", 1, "<=", 10**5),

@@ -41,6 +41,9 @@ from .samplers import block_gaps, check_trials, mean_and_std_error
 
 MAX_DIM = 64
 IDENTITY_TOL = 1e-12
+# w-grid points and Gauss-Hermite nodes of the coverage experiment
+COVERAGE_GRID = 801
+HERMITE_NODES = 64
 
 
 def _as_vector(x: object, d: int, name: str) -> np.ndarray:
@@ -347,9 +350,6 @@ class CoverageReport:
     mean_gap: float
     max_gap: float
 
-    def passed(self) -> bool:
-        return all(self.coverage[d] >= 1.0 - 2.0 * d for d in self.bounds)
-
 
 def pac_bayes_coverage(
     config: GaussianMeanConfig,
@@ -357,19 +357,18 @@ def pac_bayes_coverage(
     trials: int,
     seed: int,
     deltas: tuple[float, ...] = (0.05, 0.1),
-    grid_size: int = 801,
-    hermite_nodes: int = 64,
 ) -> CoverageReport:
     """Coverage experiment for the high-probability bound, d = 1 only.
 
     The loss is min((w - z)^2, clip), bounded in [0, clip] and therefore
     (clip / 2)-sub-Gaussian under any sample law.  Each trial draws a
     Gaussian training set, forms the exact Gibbs posterior of the
-    truncated empirical risk on a w-grid, and records the absolute
-    posterior-averaged gap between truncated population and empirical
-    risk; population risk comes from Gauss-Hermite quadrature.  The prior
-    reference law is the true sample law, so the divergence shift is zero
-    and c_p = 0 is admissible.  Coverage per delta is the fraction of
+    truncated empirical risk on a w-grid of COVERAGE_GRID points, and
+    records the absolute posterior-averaged gap between truncated
+    population and empirical risk; population risk comes from
+    Gauss-Hermite quadrature on HERMITE_NODES nodes.  The prior reference
+    law is the true sample law, so the divergence shift is zero and
+    c_p = 0 is admissible.  Coverage per delta is the fraction of
     trials whose gap stays below the bound.  Trials are drawn in blocks
     (see samplers.block_gaps), whose empirical risks and posteriors are
     (block, grid) arrays.
@@ -390,10 +389,10 @@ def pac_bayes_coverage(
     span = 10.0 * max(s0, sz, 1e-3)
     lo = min(mu0, mu) - span
     hi = max(mu0, mu) + span
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, COVERAGE_GRID)
     log_prior = -((grid - mu0) ** 2) / (2.0 * config.sigma0_sq)
 
-    nodes, weights = np.polynomial.hermite.hermgauss(hermite_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(HERMITE_NODES)
     z_nodes = mu + math.sqrt(2.0) * sz * nodes
     z_weights = weights / math.sqrt(math.pi)
     pop_risk = np.minimum((grid[:, None] - z_nodes[None, :]) ** 2, clip) @ z_weights
@@ -405,8 +404,8 @@ def pac_bayes_coverage(
         samples = mu + sz * rng.standard_normal((size, n))
         # truncated empirical risk of every trial on the grid, summed
         # over the samples in their draw order
-        emp = np.zeros((size, grid_size))
-        term = np.empty((size, grid_size))
+        emp = np.zeros((size, COVERAGE_GRID))
+        term = np.empty((size, COVERAGE_GRID))
         for i in range(n):
             np.subtract(grid, samples[:, i, None], out=term)
             np.square(term, out=term)

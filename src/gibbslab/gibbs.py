@@ -19,13 +19,17 @@ All five agree to 1e-9 relative on any valid instance; GenReport enforces
 this at construction.  Datasets are ordered tuples enumerated in
 lexicographic order; only the supersample sweep collapses its states, to
 one representative per orbit of pair swaps and pair permutations (see
-LearningProblem._supersample_geometry).  gibbs_posterior is the
-one evaluation of a (problem, gamma) pair that every route and bound
-reads.  Its information functionals never leave the log domain, so the
-identity holds in the large-gamma (ERM) regime too, where linear-domain
-rows underflow; the tests check it at gamma up to 1e6.  Log-sum-exp is
-the private numpy kernel probability._logsumexp, which reproduces scipy's
-logsumexp results bit for bit without its per-call dispatch cost.
+LearningProblem._supersample_geometry), and its size cap counts those
+orbit states.  gibbs_posterior is the one evaluation of a (problem,
+gamma) pair that every route and bound reads: the routes through
+gen_characterizations (a GenReport, which also carries the numbers behind
+RatioConstants.from_report and InfoDivergenceReport), the bounds through
+bounds.bounds_table.  Its information functionals never leave the log
+domain, so the identity holds in the large-gamma (ERM) regime too, where
+linear-domain rows underflow; the tests check it at gamma up to 1e6.
+Log-sum-exp is the private numpy kernel probability._logsumexp, which
+reproduces scipy's logsumexp results bit for bit without its per-call
+dispatch cost.
 """
 
 from __future__ import annotations
@@ -261,7 +265,7 @@ def _tuple_probs(model: DataModel, indices: np.ndarray) -> np.ndarray:
 def _check_enumeration(required: int, cap: int, what: str) -> None:
     if required > cap:
         raise EnumerationTooLarge(
-            f"{what} needs {required} states, above the cap of {cap}",
+            f"{what} needs more states than its cap of {cap}",
             required=required,
             cap=cap,
         )
@@ -324,7 +328,6 @@ class GibbsPosterior(_Kernel):
     bounds read, each cached on first use as well."""
 
     gamma: float
-    log_partition: np.ndarray
 
     @cached_property
     def reference_divergences(self) -> tuple[float, float]:
@@ -364,13 +367,9 @@ def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
         raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
     _check_enumeration(problem.dataset_count, ENUMERATION_CAP, "dataset enumeration")
     logits = problem.prior.log_weights[:, None] - gamma * problem._empirical_risk
-    log_partition = _logsumexp(logits, axis=0)
-    log_rows = (logits - log_partition[None, :]).T
+    log_rows = (logits - _logsumexp(logits, axis=0)[None, :]).T
     log_rows.flags.writeable = False
-    log_partition.flags.writeable = False
-    return GibbsPosterior(
-        problem=problem, gamma=float(gamma), log_rows=log_rows, log_partition=log_partition
-    )
+    return GibbsPosterior(problem=problem, gamma=float(gamma), log_rows=log_rows)
 
 
 def _log_population(problem: LearningProblem, gamma: float) -> np.ndarray:
@@ -439,7 +438,8 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     orbit.  One sorted multiset of n unordered pairs stands for its orbit,
     weighted by n! / prod_k m_k! * 2**d times its own probability (m_k
     counts pair type k, d the pairs of two distinct symbols).  The size
-    check counts the ordered states, |Z|**(2n) * 2**n, and runs before
+    check counts the states the sweep visits, C(K + n - 1, n) orbits times
+    2**n selectors with K = |Z|(|Z|+1)/2 pair types, and runs before
     anything is allocated.
     """
     if not problem.is_iid():
@@ -447,7 +447,8 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     nz = problem.num_samples_symbols
     n = problem.n
     nw = problem.num_hypotheses
-    required = (nz ** (2 * n)) * (2**n)
+    pair_types = nz * (nz + 1) // 2
+    required = math.comb(pair_types + n - 1, n) * 2**n
     _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
     _require_kernel(problem, log_rows)
     super_probs, dataset_ids = problem._supersample_geometry
@@ -619,7 +620,9 @@ class InfoDivergenceReport:
     and to the population-risk Gibbs law.
 
     Enforces mutual <= d_fwd, lautum >= d_rev, and the exact exchange
-    mutual + lautum = d_fwd + d_rev, all with 1e-10 slack.
+    mutual + lautum = d_fwd + d_rev, all with 1e-10 slack.  Build it from
+    the numbers behind a GenReport: InfoDivergenceReport(report.info.mutual,
+    report.info.lautum, report.d_fwd, report.d_rev).
     """
 
     mutual: float
@@ -639,16 +642,6 @@ class InfoDivergenceReport:
             )
         if abs((self.mutual + self.lautum) - (self.d_fwd + self.d_rev)) > COMPARE_TOL * scale:
             raise IdentityMismatch("information sum does not match divergence sum")
-
-
-def info_divergence_compare(problem: LearningProblem, gamma: float) -> InfoDivergenceReport:
-    """Compare (mutual, lautum) information of (W, S) with the directed
-    divergences between the posterior and the population-risk Gibbs law."""
-    posterior = gibbs_posterior(problem, gamma)
-    d_fwd, d_rev = posterior.reference_divergences
-    return InfoDivergenceReport(
-        mutual=posterior.info.mutual, lautum=posterior.info.lautum, d_fwd=d_fwd, d_rev=d_rev
-    )
 
 
 @dataclass(frozen=True)

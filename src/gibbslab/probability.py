@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -109,15 +108,6 @@ class JointTable:
             )
         object.__setattr__(self, "row_alphabet", rows)
         object.__setattr__(self, "col_alphabet", cols)
-
-    def product_of_marginals(self) -> "JointTable":
-        """The independent coupling of this table's marginals."""
-        return JointTable(_product_of_marginals(self.table), self.row_alphabet, self.col_alphabet)
-
-    def flattened(self) -> ProbVec:
-        """The table as a ProbVec on the row-major pair alphabet."""
-        pairs = tuple((r, c) for r in self.row_alphabet for c in self.col_alphabet)
-        return ProbVec(self.table.reshape(-1), pairs)
 
 
 @dataclass(frozen=True)
@@ -258,12 +248,6 @@ def kl_divergence(p: ProbVec, q: ProbVec) -> float:
     return _kl_arrays(p.weights, q.weights, "kl_divergence")
 
 
-def symmetrized_kl(p: ProbVec, q: ProbVec) -> float:
-    """Jeffreys divergence D(p || q) + D(q || p); requires mutual absolute
-    continuity."""
-    return kl_divergence(p, q) + kl_divergence(q, p)
-
-
 def renyi_divergence(p: ProbVec, q: ProbVec, alpha: float) -> float:
     """Renyi divergence of order alpha: ln(sum p^alpha q^(1-alpha)) / (alpha - 1).
 
@@ -314,31 +298,3 @@ def info_triple(joint: JointTable) -> InfoReport:
     lautum = _kl_arrays(product, joint.table, "info_triple (product vs joint)")
     return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
 
-
-def conditional_info_triple(
-    joints_by_condition: Iterable[tuple[float, JointTable]],
-) -> InfoReport:
-    """Weighted average of per-condition information triples.
-
-    The weights must form a probability vector over conditions; conditions
-    with zero weight are skipped.  Errors from a condition's table are
-    re-raised with the condition index attached.
-    """
-    pairs = list(joints_by_condition)
-    if not pairs:
-        raise InvalidInput("need at least one (weight, JointTable) pair")
-    weight_vec = ProbVec(np.array([w for w, _ in pairs], dtype=np.float64))
-    mutual = 0.0
-    lautum = 0.0
-    for idx, (weight, table) in enumerate(pairs):
-        if weight_vec.weights[idx] < ZERO_CUTOFF:
-            continue
-        try:
-            report = info_triple(table)
-        except AbsoluteContinuityViolation as exc:
-            raise AbsoluteContinuityViolation(
-                f"condition {idx}: {exc}", index=exc.index
-            ) from exc
-        mutual += float(weight_vec.weights[idx]) * report.mutual
-        lautum += float(weight_vec.weights[idx]) * report.lautum
-    return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)

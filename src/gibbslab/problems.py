@@ -72,22 +72,26 @@ def instance_sweep(
     max_symbols: int = 4,
     max_hypotheses: int = 5,
     max_n: int = 3,
-) -> list[tuple[int, LearningProblem]]:
-    """count reproducible instances, alternating IID and joint data models."""
+):
+    """An iterator over count reproducible (index, problem) instances,
+    alternating IID and joint data models.  Each problem is built when it
+    is reached, so it and its cached tables can be freed once the caller
+    moves on to the next."""
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count!r}")
-    out = []
-    for index in range(count):
-        rng = instance_rng(seed, index)
-        problem = random_problem(
-            rng,
-            max_symbols=max_symbols,
-            max_hypotheses=max_hypotheses,
-            max_n=max_n,
-            iid=(index % 2 == 0),
+    return (
+        (
+            index,
+            random_problem(
+                instance_rng(seed, index),
+                max_symbols=max_symbols,
+                max_hypotheses=max_hypotheses,
+                max_n=max_n,
+                iid=(index % 2 == 0),
+            ),
         )
-        out.append((index, problem))
-    return out
+        for index in range(count)
+    )
 
 
 def random_mixture_components(

@@ -17,15 +17,8 @@ generator keyed by (seed, stream) whose counter starts at a block
 index, so every (seed, stream, block) triple names its own
 non-overlapping substream and results never depend on execution order.
 The vectorized Monte Carlo estimators draw one generator per block of
-BLOCK_TRIALS trials through block_gaps; instance sweeps and mc_gen_error
-use one stream per instance or trial at block 0.
-
-mc_gen_error is the generic sampled analogue of the enumerable
-generalization error: per trial it draws a training tuple, one
-hypothesis from a user-supplied posterior sampler, and a held-out
-block, and averages held-out-minus-training loss.  Each trial owns the
-stream (seed, trial), since the user-supplied callbacks work one trial
-at a time.
+BLOCK_TRIALS trials through block_gaps, the one Monte Carlo loop of the
+package; instance sweeps use one stream per instance at block 0.
 """
 
 from __future__ import annotations
@@ -93,16 +86,12 @@ def mean_and_std_error(gaps: np.ndarray) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SgldConfig:
-    """Langevin iteration parameters.
-
-    burn_in defaults to a fifth of the iterations; only iterates after
-    it are returned.
-    """
+    """Langevin iteration parameters.  The first burn_in iterates, a
+    fifth of the iterations, are discarded."""
 
     step: float
     gamma: float
     iterations: int
-    burn_in: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -112,12 +101,10 @@ class SgldConfig:
             raise InvalidInput(f"gamma must be > 0, got {self.gamma!r}")
         if not (isinstance(self.iterations, int) and self.iterations >= 1):
             raise InvalidInput(f"iterations must be a positive integer, got {self.iterations!r}")
-        if self.burn_in is None:
-            object.__setattr__(self, "burn_in", self.iterations // 5)
-        if not (isinstance(self.burn_in, int) and 0 <= self.burn_in < self.iterations):
-            raise InvalidInput(
-                f"burn_in must lie in [0, iterations), got {self.burn_in!r}"
-            )
+
+    @property
+    def burn_in(self) -> int:
+        return self.iterations // 5
 
 
 def sgld_run(
@@ -153,36 +140,3 @@ def sgld_run(
         iterates[k] = w
     return iterates[config.burn_in :]
 
-
-def mc_gen_error(
-    sample_source: Callable[[np.random.Generator, int], object],
-    n: int,
-    posterior_sampler: Callable[[np.random.Generator, object], object],
-    loss_fn: Callable[[object, object], float],
-    trials: int,
-    seed: int,
-    held_out: int = 8,
-) -> tuple[float, float]:
-    """Sampled generalization error for models too large to enumerate.
-
-    sample_source(rng, count) returns an iterable of count samples;
-    posterior_sampler(rng, training) returns one hypothesis given the
-    training iterable; loss_fn(w, z) a scalar loss.  Per trial the gap
-    is the held-out average loss minus the training average loss of the
-    drawn hypothesis.  Returns (estimate, standard error).
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    check_trials(trials)
-    if not (isinstance(held_out, int) and held_out >= 1):
-        raise InvalidInput(f"held_out must be a positive integer, got {held_out!r}")
-    gaps = np.empty(trials)
-    for trial in range(trials):
-        rng = counter_rng(seed, trial)
-        training = sample_source(rng, n)
-        w = posterior_sampler(rng, training)
-        fresh = sample_source(rng, held_out)
-        on_train = float(np.mean([loss_fn(w, z) for z in training]))
-        on_fresh = float(np.mean([loss_fn(w, z) for z in fresh]))
-        gaps[trial] = on_fresh - on_train
-    return mean_and_std_error(gaps)

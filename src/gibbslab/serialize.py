@@ -45,7 +45,7 @@ def format_float(value: float, sig: int = JSON_SIG) -> str:
     return f"{value:.{sig - 1}e}"
 
 
-def _render(obj: object, indent: int, sig: int) -> str:
+def _render(obj: object, indent: int) -> str:
     pad = " " * indent
     child = " " * (indent + 2)
     if obj is None:
@@ -55,7 +55,7 @@ def _render(obj: object, indent: int, sig: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj), sig)
+        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -67,23 +67,23 @@ def _render(obj: object, indent: int, sig: int) -> str:
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise InvalidInput(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{child}{json.dumps(key)}: {_render(value, indent + 2, sig)}")
+            items.append(f"{child}{json.dumps(key)}: {_render(value, indent + 2)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{child}{_render(value, indent + 2, sig)}" for value in obj]
+        items = [f"{child}{_render(value, indent + 2)}" for value in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise InvalidInput(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps_json(obj: object, sig: int = JSON_SIG) -> str:
-    """Deterministic JSON text with fixed-precision floats."""
-    return _render(obj, 0, sig) + "\n"
+def dumps_json(obj: object) -> str:
+    """Deterministic JSON text with JSON_SIG-digit floats."""
+    return _render(obj, 0) + "\n"
 
 
-def write_json(path: str, obj: object, sig: int = JSON_SIG) -> None:
-    text = dumps_json(obj, sig)
+def write_json(path: str, obj: object) -> None:
+    text = dumps_json(obj)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

@@ -19,14 +19,10 @@ from gibbslab import (
     bound_suite,
     bounds_table,
     fixed_point_kappa,
+    InfoDivergenceReport,
     gen_characterizations,
-    kl_based_bound,
-    info_divergence_compare,
     random_problem,
-    ratio_constants,
-    renyi_upper_bound,
     sandwich_violations,
-    tv_lower_bound,
 )
 from gibbslab.bounds import _bisect_fixed_point
 
@@ -114,7 +110,7 @@ def test_ratio_constants_on_iid_instances():
     for _ in range(15):
         problem = random_problem(rng, iid=True)
         gamma = float(rng.uniform(0.3, 8.0))
-        ratios = ratio_constants(problem, gamma)
+        ratios = RatioConstants.from_report(gen_characterizations(problem, gamma))
         if ratios.degenerate:
             continue
         assert ratios.c_i >= 0.0
@@ -126,7 +122,7 @@ def test_ratio_constants_on_iid_instances():
 def test_ratio_constants_joint_model_has_no_iid_extras():
     rng = np.random.default_rng(31)
     problem = random_problem(rng, iid=False)
-    ratios = ratio_constants(problem, 2.0)
+    ratios = RatioConstants.from_report(gen_characterizations(problem, 2.0))
     assert ratios.c_c is None
     assert ratios.c_s_ratio is None
 
@@ -135,7 +131,7 @@ def test_ratio_constants_constant_loss_degenerate():
     rng = np.random.default_rng(32)
     problem = random_problem(rng, iid=True)
     flat = dataclasses.replace(problem, loss=np.full_like(problem.loss, 0.25))
-    ratios = ratio_constants(flat, 3.0)
+    ratios = RatioConstants.from_report(gen_characterizations(flat, 3.0))
     assert ratios.degenerate is True
     assert ratios.c_i == 0.0 and ratios.c_k == 0.0
 
@@ -188,12 +184,17 @@ def test_bound_suite_sub_gamma_infeasible_entry():
     assert suite["fixed_point"].feasible is False
 
 
+def row_value(problem, gamma, name):
+    """The value of the named bounds_table row."""
+    return next(row.value for row in bounds_table(problem, gamma) if row.bound_name == name)
+
+
 def test_tv_lower_bound_properties():
     rng = np.random.default_rng(33)
     for _ in range(15):
         problem = random_problem(rng, iid=bool(rng.integers(0, 2)))
         gamma = float(rng.uniform(0.2, 10.0))
-        value = tv_lower_bound(problem, gamma)
+        value = row_value(problem, gamma, "tv_lower")
         gen = gen_characterizations(problem, gamma).direct
         assert -1e-15 <= value <= gen + 1e-10
         assert value <= 4.0 / gamma + 1e-15
@@ -203,9 +204,9 @@ def test_tv_lower_bound_constant_loss_is_zero():
     rng = np.random.default_rng(34)
     problem = random_problem(rng, iid=True)
     flat = dataclasses.replace(problem, loss=np.full_like(problem.loss, 0.9))
-    assert tv_lower_bound(flat, 2.0) == 0.0
+    assert row_value(flat, 2.0, "tv_lower") == 0.0
     with pytest.raises(GammaNonPositive):
-        tv_lower_bound(problem, 0.0)
+        row_value(problem, 0.0, "tv_lower")
 
 
 def test_renyi_upper_bound_order():
@@ -214,7 +215,9 @@ def test_renyi_upper_bound_order():
         problem = random_problem(rng, iid=bool(rng.integers(0, 2)))
         gamma = float(rng.uniform(0.2, 5.0))
         gen = gen_characterizations(problem, gamma).direct
-        values = [renyi_upper_bound(problem, gamma, a) for a in (4.0, 2.0, 1.5, 1.01)]
+        alphas = (4.0, 2.0, 1.5, 1.01)
+        rows = {row.bound_name: row.value for row in bounds_table(problem, gamma, alphas=alphas)}
+        values = [rows[f"renyi_upper_alpha_{a:g}"] for a in alphas]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] >= gen - 1e-10
 
@@ -224,9 +227,9 @@ def test_renyi_upper_bound_validation():
     problem = random_problem(rng)
     for bad in (1.0, 0.5, -1.0):
         with pytest.raises(AlphaOutOfRange):
-            renyi_upper_bound(problem, 1.0, bad)
+            bounds_table(problem, 1.0, alphas=(bad,))
     with pytest.raises(GammaNonPositive):
-        renyi_upper_bound(problem, -1.0, 2.0)
+        bounds_table(problem, -1.0, alphas=(2.0,))
 
 
 def test_kl_based_bound_consistency_and_validity():
@@ -237,11 +240,15 @@ def test_kl_based_bound_consistency_and_validity():
         sigma = float(problem.loss.max() - problem.loss.min()) / 2.0
         if sigma == 0.0:
             continue
-        value = kl_based_bound(problem, gamma, sigma)
+        # bounds_table takes sigma = (max - min) / 2 of the loss table too
+        value = row_value(problem, gamma, "kl_based")
         # the square recovers the expected forward divergence
-        d_fwd = info_divergence_compare(problem, gamma).d_fwd
+        report = gen_characterizations(problem, gamma)
+        d_fwd = InfoDivergenceReport(
+            report.info.mutual, report.info.lautum, report.d_fwd, report.d_rev
+        ).d_fwd
         assert abs(value * value * problem.n / (2.0 * sigma * sigma) - d_fwd) < 1e-10
-        gen = gen_characterizations(problem, gamma).direct
+        gen = report.direct
         assert value >= gen - 1e-10
 
 

@@ -351,6 +351,11 @@ CONFIG_ERRORS = [
     # problem sizes whose tables are allocated before the enumeration cap
     ("bounds-table", {"max_symbols": 10**6 + 1}, (), "max_symbols"),
     ("verify-identities", {"max_hypotheses": 9}, (), "max_hypotheses"),
+    # n >= 20 never fits the enumeration cap, and a huge n can neither be
+    # drawn as an int64 nor have its dataset count printed in decimal
+    ("verify-identities", {"max_n": 100_000, "instances": 4}, (), "max_n"),
+    ("verify-identities", {"max_n": 10**30}, (), "max_n"),
+    ("bounds-table", {"max_n": 20}, (), "max_n"),
 ]
 
 
@@ -361,6 +366,15 @@ def test_config_error_exits_2_at_its_path(tmp_path, capsys, subcommand, override
     assert main([subcommand, "--config", config, "--out", out, *flags]) == 2
     assert f"config error at {path}:" in capsys.readouterr().err
     assert not os.path.exists(out)  # rejected before any work started
+
+
+@pytest.mark.parametrize("subcommand", ["verify-identities", "bounds-table"])
+def test_largest_max_n_ends_with_a_documented_exit(tmp_path, capsys, subcommand):
+    # instance 2 of the default seed draws |Z| = 3 and n = 19: its 3**19
+    # datasets exceed the cap, a numerical error
+    config = write_config(tmp_path, "n.json", {"max_n": 19, "instances": 4})
+    assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical error: EnumerationTooLarge: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

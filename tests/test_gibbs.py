@@ -29,13 +29,11 @@ from gibbslab import (
     instance_rng,
     log_ratio_means,
     population_gibbs,
-    info_divergence_compare,
     InfoDivergenceReport,
     RatioConstants,
     bounds_table,
     instance_sweep,
     random_problem,
-    ratio_constants,
     regularized_gen,
     replace_one_divergences,
     sandwich_violations,
@@ -166,9 +164,14 @@ def test_iid_only_routes_reject_joint_models():
 
 def test_iid_routes_match_direct():
     rng = np.random.default_rng(10)
+    cases = []
     for _ in range(10):
         problem = random_problem(rng, iid=True)
-        gamma = float(rng.uniform(0.2, 8.0))
+        cases.append((problem, float(rng.uniform(0.2, 8.0))))
+    # |Z| = 4 and n = 5: C(14, 5) * 2**5 = 64,064 (orbit, selector) states,
+    # within the supersample cap
+    cases.append((small_problem(28, iid=True, n=5), 1.0))
+    for problem, gamma in cases:
         report = gen_characterizations(problem, gamma)
         direct = gen_error_direct(gibbs_posterior(problem, gamma))
         limit = max(1e-9 * abs(direct), 1e-12)
@@ -217,7 +220,8 @@ def test_info_divergence_compare_order():
     for _ in range(15):
         problem = random_problem(rng, iid=bool(rng.integers(0, 2)))
         gamma = float(rng.uniform(0.2, 10.0))
-        report = info_divergence_compare(problem, gamma)
+        gen = gen_characterizations(problem, gamma)
+        report = InfoDivergenceReport(gen.info.mutual, gen.info.lautum, gen.d_fwd, gen.d_rev)
         tol = 1e-12 * max(1.0, abs(report.mutual) + abs(report.lautum))
         assert report.mutual <= report.d_fwd + tol
         assert report.lautum >= report.d_rev - tol
@@ -355,9 +359,10 @@ def test_joint_law_cap_raises_before_drawing():
 
 
 def test_supersample_cap_raises_before_allocating():
-    # |Z| = 4 and n = 6 need 4**12 * 2**6 (about 1.1e9) supersample states,
-    # above the 1e7 cap; the check must come before any state is built
-    problem = small_problem(27, iid=True, n=6)
+    # |Z| = 4 and n = 9 need C(K + n - 1, n) = C(18, 9) pair orbits (K = 10
+    # pair types) times 2**9 selectors, 24,893,440 states, above the 1e7
+    # cap; the check must come before any state is built
+    problem = small_problem(27, iid=True, n=9)
     log_rows = gibbs_posterior(problem, 1.0).log_rows
     tracemalloc.start()
     try:
@@ -366,7 +371,7 @@ def test_supersample_cap_raises_before_allocating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert caught.value.required == 4**12 * 2**6
+    assert caught.value.required == math.comb(18, 9) * 2**9
     assert peak < 1_000_000
 
 
@@ -453,10 +458,7 @@ def test_large_gamma_identity_and_gates(gamma):
         assert (report.via_cmi is not None) == problem.is_iid()
         InfoDivergenceReport(report.info.mutual, report.info.lautum, report.d_fwd, report.d_rev)
         RatioConstants.from_report(report)
-    problem = problems[-1]
-    info_divergence_compare(problem, gamma)
-    ratio_constants(problem, gamma)
-    assert sandwich_violations(bounds_table(problem, gamma)) == []
+    assert sandwich_violations(bounds_table(problems[-1], gamma)) == []
 
 
 def test_regularized_gen_zero_lambda_matches_plain():

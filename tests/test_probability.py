@@ -13,11 +13,9 @@ from gibbslab import (
     InvalidDistribution,
     JointTable,
     ProbVec,
-    conditional_info_triple,
     info_triple,
     kl_divergence,
     renyi_divergence,
-    symmetrized_kl,
     total_variation,
 )
 from gibbslab.probability import _logsumexp, _renyi_sum
@@ -68,15 +66,6 @@ def test_kl_absolute_continuity():
     # zero against positive mass is fine in this direction
     r = ProbVec(np.array([0.25, 0.5, 0.25]))
     assert kl_divergence(p, r) > 0.0
-
-
-def test_symmetrized_kl_is_sum_and_symmetric():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        p, q = random_pair(rng, int(rng.integers(2, 6)))
-        both = kl_divergence(p, q) + kl_divergence(q, p)
-        assert abs(symmetrized_kl(p, q) - both) < 1e-14
-        assert symmetrized_kl(p, q) == symmetrized_kl(q, p)
 
 
 def test_total_variation_oracles():
@@ -231,11 +220,19 @@ def test_info_triple_nonneg_and_sum():
         assert abs(report.symmetrized - (report.mutual + report.lautum)) < 1e-14
 
 
+def flattened_pair(joint):
+    """The joint table and the product of its marginals as ProbVecs on the
+    row-major cells."""
+    product = np.outer(joint.table.sum(axis=1), joint.table.sum(axis=0))
+    return ProbVec(joint.table.ravel()), ProbVec(product.ravel())
+
+
 def test_info_triple_matches_flattened_divergence():
     rng = np.random.default_rng(11)
     for _ in range(20):
         joint = random_joint(rng, 3, 4)
-        direct = symmetrized_kl(joint.flattened(), joint.product_of_marginals().flattened())
+        flat, product = flattened_pair(joint)
+        direct = kl_divergence(flat, product) + kl_divergence(product, flat)
         assert abs(info_triple(joint).symmetrized - direct) < 1e-12
 
 
@@ -244,7 +241,7 @@ def test_pinsker_relation():
     for _ in range(40):
         joint = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
         report = info_triple(joint)
-        tv = total_variation(joint.flattened(), joint.product_of_marginals().flattened())
+        tv = total_variation(*flattened_pair(joint))
         assert tv <= math.sqrt(2.0 * min(report.mutual, report.lautum)) + 1e-12
 
 
@@ -260,27 +257,3 @@ def test_relabeling_invariance():
         assert abs(a.symmetrized - b.symmetrized) <= 1e-10 * max(1.0, a.symmetrized)
         assert abs(a.mutual - b.mutual) <= 1e-10 * max(1.0, a.mutual)
 
-
-def test_conditional_info_degenerate_weight():
-    rng = np.random.default_rng(14)
-    joint = random_joint(rng, 3, 3)
-    single = conditional_info_triple([(1.0, joint)])
-    plain = info_triple(joint)
-    assert abs(single.symmetrized - plain.symmetrized) < 1e-14
-
-
-def test_conditional_info_independent_components():
-    p = np.array([0.4, 0.6])
-    q = np.array([0.1, 0.9])
-    table = JointTable(np.outer(p, q))
-    report = conditional_info_triple([(0.5, table), (0.5, table)])
-    assert abs(report.mutual) < 1e-14 and abs(report.lautum) < 1e-14
-
-
-def test_conditional_info_weighted_sum():
-    rng = np.random.default_rng(15)
-    j1 = random_joint(rng, 2, 3)
-    j2 = random_joint(rng, 2, 3)
-    combined = conditional_info_triple([(0.3, j1), (0.7, j2)])
-    manual = 0.3 * info_triple(j1).symmetrized + 0.7 * info_triple(j2).symmetrized
-    assert abs(combined.symmetrized - manual) < 1e-13

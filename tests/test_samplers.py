@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab import Diverged, InvalidInput, SgldConfig, mc_gen_error, sgld_run
+from gibbslab import Diverged, InvalidInput, SgldConfig, sgld_run
 from gibbslab.samplers import counter_rng
 
 
@@ -97,45 +97,6 @@ def test_sgld_config_validation():
     with pytest.raises(InvalidInput):
         SgldConfig(step=1e-3, gamma=1.0, iterations=0)
     with pytest.raises(InvalidInput):
-        SgldConfig(step=1e-3, gamma=1.0, iterations=100, burn_in=100)
-    with pytest.raises(InvalidInput):
         sgld_run(quadratic_gradient(0.0), np.zeros((2, 2)),
                  SgldConfig(step=1e-3, gamma=1.0, iterations=10))
 
-
-def erm_mean_ingredients():
-    # z ~ N(0, 1), w = training mean, loss (w - z)^2: gen is exactly 2 / n
-    def source(rng, count):
-        return rng.standard_normal(count)
-    def posterior(rng, training):
-        return float(np.mean(training))
-    def loss(w, z):
-        return (w - z) ** 2
-    return source, posterior, loss
-
-
-def test_mc_gen_error_matches_erm_oracle():
-    source, posterior, loss = erm_mean_ingredients()
-    n = 5
-    est, se = mc_gen_error(source, n, posterior, loss, 4000, 13)
-    assert se > 0.0
-    assert abs(est - 2.0 / n) <= 4.0 * se
-
-
-def test_mc_gen_error_deterministic():
-    source, posterior, loss = erm_mean_ingredients()
-    a = mc_gen_error(source, 4, posterior, loss, 1000, 2)
-    b = mc_gen_error(source, 4, posterior, loss, 1000, 2)
-    assert a == b
-    c = mc_gen_error(source, 4, posterior, loss, 1000, 3)
-    assert a != c
-
-
-def test_mc_gen_error_validation():
-    source, posterior, loss = erm_mean_ingredients()
-    with pytest.raises(InvalidInput):
-        mc_gen_error(source, 0, posterior, loss, 1000, 0)
-    with pytest.raises(InvalidInput):
-        mc_gen_error(source, 4, posterior, loss, 999, 0)
-    with pytest.raises(InvalidInput):
-        mc_gen_error(source, 4, posterior, loss, 1000, 0, held_out=0)
