@@ -25,7 +25,10 @@ valid for every order above one.
 bounds_table is the one path to the bound values of a (problem, gamma)
 pair: every row reads one gibbs_posterior evaluation, and the ratio
 constants come from the GenReport of that evaluation through
-RatioConstants.from_report.  bound_suite evaluates the closed forms for
+RatioConstants.from_report.  bounds_table and gibbs.gen_characterizations
+share one module-level slot that holds the evaluation either read last,
+so calling both on one pair builds it once; the slot holds one
+evaluation at a time.  bound_suite evaluates the closed forms for
 given constants and a given tail class.
 """
 
@@ -41,7 +44,7 @@ from .errors import (
     InvalidInput,
     NoPositiveRoot,
 )
-from .gibbs import GenReport, LearningProblem, gibbs_posterior
+from .gibbs import GenReport, LearningProblem, _evaluation
 
 DEGENERACY_TOL = 1e-15
 BISECT_REL_TOL = 1e-12
@@ -406,12 +409,14 @@ def bounds_table(
     population Gibbs law.  The sub-Gaussian parameter sigma is
     (max - min) / 2 of the loss table; a constant loss short-circuits to
     exact zeros.  Every row reads the one evaluation
-    gibbs_posterior(problem, gamma).
+    gibbs_posterior(problem, gamma): the shared slot's when
+    gen_characterizations or bounds_table last read the same problem
+    object at an equal gamma, a new build otherwise.
     """
     for alpha in alphas:
         if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
             raise AlphaOutOfRange(f"the Renyi upper bound requires alpha > 1, got {alpha!r}")
-    posterior = gibbs_posterior(problem, gamma)
+    posterior = _evaluation(problem, gamma)
     report = GenReport.from_posterior(posterior)
     tv = posterior.total_variation
     rows = [

@@ -20,13 +20,18 @@ this at construction.  Datasets are ordered tuples enumerated in
 lexicographic order; only the supersample sweep collapses its states, to
 one representative per orbit of pair swaps and pair permutations (see
 LearningProblem._supersample_geometry), and its size cap counts those
-orbit states.  gibbs_posterior is the one evaluation of a (problem,
+orbit states.  gibbs_posterior builds the one evaluation of a (problem,
 gamma) pair that every route and bound reads: the routes through
 gen_characterizations (a GenReport, which also carries the numbers behind
 RatioConstants.from_report and InfoDivergenceReport), the bounds through
-bounds.bounds_table.  Its information functionals never leave the log
-domain, so the identity holds in the large-gamma (ERM) regime too, where
-linear-domain rows underflow; the tests check it at gamma up to 1e6.
+bounds.bounds_table.  Those two share it through one module-level slot
+(_evaluation) that holds the evaluation either read last, so a caller
+that asks for the routes and then the bounds of a pair pays for one
+build, and at most one evaluation outlives its callers.  Every array an
+evaluation caches is read-only, so no caller can alter the shared one.
+Its information functionals never leave the log domain, so the identity
+holds in the large-gamma (ERM) regime too, where linear-domain rows
+underflow; the tests check it at gamma up to 1e6.
 Log-sum-exp is the private numpy kernel probability._logsumexp, which
 reproduces scipy's logsumexp results bit for bit without its per-call
 dispatch cost.
@@ -139,10 +144,12 @@ class LearningProblem:
             if len(self.data_model.marginal) != len(samples):
                 raise InvalidInput("IID marginal length does not match sample alphabet")
         elif isinstance(self.data_model, JointData):
-            if self.data_model.weights.size != len(samples) ** self.n:
+            size = self.data_model.weights.size
+            # a power above the size is never formed: with two or more
+            # symbols, an n of size.bit_length() or more already exceeds it
+            if len(samples) ** min(self.n, size.bit_length()) != size:
                 raise InvalidInput(
-                    f"joint law has {self.data_model.weights.size} entries, "
-                    f"expected |Z|**n = {len(samples) ** self.n}"
+                    f"joint law has {size} entries, expected |Z|**n = {len(samples)}**{self.n}"
                 )
         else:
             raise InvalidInput(f"unknown data model {type(self.data_model).__name__}")
@@ -169,7 +176,9 @@ class LearningProblem:
 
     @cached_property
     def _dataset_indices(self) -> np.ndarray:
-        """(m, n) sample indices of every dataset, lexicographic order."""
+        """(m, n) sample indices of every dataset, lexicographic order; every
+        enumerated table starts here, so the size check runs here first."""
+        _check_dataset_count(self.num_samples_symbols, self.n, "dataset enumeration")
         return _index_matrix(self.num_samples_symbols, self.n)
 
     @cached_property
@@ -179,7 +188,9 @@ class LearningProblem:
     @cached_property
     def _log_dataset_probs(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(self._dataset_probs)
+            log_probs = np.log(self._dataset_probs)
+        log_probs.flags.writeable = False
+        return log_probs
 
     @cached_property
     def _empirical_risk(self) -> np.ndarray:
@@ -271,6 +282,15 @@ def _check_enumeration(required: int, cap: int, what: str) -> None:
         )
 
 
+def _check_dataset_count(nz: int, n: int, what: str) -> None:
+    """Refuse nz**n ordered n-tuples above ENUMERATION_CAP without forming
+    a power above the cap.  With two or more symbols an n of
+    ENUMERATION_CAP.bit_length() (20) or more exceeds the cap whatever nz
+    is, so the exponent is clipped there first: EnumerationTooLarge.required
+    carries nz**n when n is below 20, and the lower bound nz**20 otherwise."""
+    _check_enumeration(nz ** min(n, ENUMERATION_CAP.bit_length()), ENUMERATION_CAP, what)
+
+
 @dataclass(frozen=True, eq=False)
 class _Kernel:
     """A kernel from datasets to hypotheses, given by log rows, and the
@@ -300,12 +320,16 @@ class _Kernel:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        return self.log_rows - _logsumexp(self.log_rows, axis=1, keepdims=True)
+        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=1, keepdims=True)
+        log_kernel.flags.writeable = False
+        return log_kernel
 
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        return _logsumexp(self.problem._log_dataset_probs[:, None] + self.log_kernel, axis=0)
+        log_marg = _logsumexp(self.problem._log_dataset_probs[:, None] + self.log_kernel, axis=0)
+        log_marg.flags.writeable = False
+        return log_marg
 
     def _expected_divergences(self, log_reference: np.ndarray) -> tuple[float, float]:
         """(E D(row || reference), E D(reference || row)) over datasets."""
@@ -358,18 +382,52 @@ class GibbsPosterior(_Kernel):
 
     @cached_property
     def replace_one(self) -> tuple[np.ndarray, np.ndarray]:
-        return replace_one_divergences(self.problem, self.log_kernel)
+        forward, reverse = replace_one_divergences(self.problem, self.log_kernel)
+        forward.flags.writeable = False
+        reverse.flags.writeable = False
+        return forward, reverse
 
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
-    """Tabulate the Gibbs posterior for every dataset, in the log domain."""
+    """Tabulate the Gibbs posterior for every dataset, in the log domain.
+    Raises EnumerationTooLarge above ENUMERATION_CAP datasets, before any
+    table is built.  Every call builds anew; see _evaluation for the one
+    evaluation that gen_characterizations and bounds_table share."""
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
-    _check_enumeration(problem.dataset_count, ENUMERATION_CAP, "dataset enumeration")
     logits = problem.prior.log_weights[:, None] - gamma * problem._empirical_risk
     log_rows = (logits - _logsumexp(logits, axis=0)[None, :]).T
     log_rows.flags.writeable = False
     return GibbsPosterior(problem=problem, gamma=float(gamma), log_rows=log_rows)
+
+
+# the evaluation that gen_characterizations or bounds_table read last
+_last_evaluation: GibbsPosterior | None = None
+
+
+def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
+    """gibbs_posterior(problem, gamma), kept in one module-level slot so that
+    gen_characterizations and bounds_table, called in turn on one pair,
+    read one evaluation.  A hit needs the same problem object and an int
+    or float gamma equal to the slot's as a float.  A hit returns what a fresh
+    build would, bit for bit: the problem's arrays and every cached array
+    of the posterior are read-only, and its numbers depend on nothing else.
+    A miss empties the slot before it builds, so at most one evaluation
+    outlives its callers.  Threads racing on the slot can only cost extra
+    builds: every posterior it holds is complete and immutable."""
+    global _last_evaluation
+    last = _last_evaluation
+    if (
+        last is not None
+        and last.problem is problem
+        and isinstance(gamma, (int, float))
+        and float(gamma) == last.gamma
+    ):
+        return last
+    del last
+    _last_evaluation = None
+    _last_evaluation = gibbs_posterior(problem, gamma)
+    return _last_evaluation
 
 
 def _log_population(problem: LearningProblem, gamma: float) -> np.ndarray:
@@ -416,7 +474,7 @@ def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -
 
 
 def _require_kernel(problem: LearningProblem, log_rows: np.ndarray) -> None:
-    expected = (problem.dataset_count, problem.num_hypotheses)
+    expected = (problem._dataset_indices.shape[0], problem.num_hypotheses)
     if np.shape(log_rows) != expected:
         raise InvalidInput(f"log_rows shape {np.shape(log_rows)} must be {expected}")
 
@@ -440,7 +498,9 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     counts pair type k, d the pairs of two distinct symbols).  The size
     check counts the states the sweep visits, C(K + n - 1, n) orbits times
     2**n selectors with K = |Z|(|Z|+1)/2 pair types, and runs before
-    anything is allocated.
+    anything is allocated.  The count grows with n and 2**n alone exceeds
+    SUPERSAMPLE_CAP from n = SUPERSAMPLE_CAP.bit_length() (24) on, so n is
+    clipped there first, as in the dataset count check.
     """
     if not problem.is_iid():
         raise NotIID("the supersample construction requires an IID data model")
@@ -448,7 +508,8 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     n = problem.n
     nw = problem.num_hypotheses
     pair_types = nz * (nz + 1) // 2
-    required = math.comb(pair_types + n - 1, n) * 2**n
+    clipped = min(n, SUPERSAMPLE_CAP.bit_length())
+    required = math.comb(pair_types + clipped - 1, clipped) * 2**clipped
     _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
     _require_kernel(problem, log_rows)
     super_probs, dataset_ids = problem._supersample_geometry
@@ -609,9 +670,11 @@ def gen_characterizations(problem: LearningProblem, gamma: float) -> GenReport:
     evaluation of (problem, gamma).
 
     Requires gamma > 0.  On joint data models the supersample and
-    replace-one forms are undefined and reported as None.
+    replace-one forms are undefined and reported as None.  The evaluation
+    is the shared one of _evaluation, so bounds_table on the same pair
+    next reads it instead of building its own.
     """
-    return GenReport.from_posterior(gibbs_posterior(problem, gamma))
+    return GenReport.from_posterior(_evaluation(problem, gamma))
 
 
 @dataclass(frozen=True)
@@ -699,7 +762,7 @@ def regularized_gen(
     _require_positive_gamma(gamma)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise InvalidInput(f"lam must be a finite real >= 0, got {lam!r}")
-    m = problem.dataset_count
+    m = problem._dataset_indices.shape[0]
     nw = problem.num_hypotheses
     emb = tgt = None
     if regularizer is None:

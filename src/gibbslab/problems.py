@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .gibbs import ENUMERATION_CAP, DataModel, IIDData, JointData, LearningProblem
-from .gibbs import _check_enumeration
+from .gibbs import DataModel, IIDData, JointData, LearningProblem, _check_dataset_count
 from .probability import ProbVec
 from .samplers import counter_rng
 
@@ -43,6 +42,9 @@ def random_problem(
     losses uniform in [0, 1], strictly positive random prior and data law."""
     if max_symbols < 2 or max_hypotheses < 2 or max_n < 1:
         raise InvalidInput("caps must allow at least two symbols, two hypotheses, n >= 1")
+    # each size is drawn as an int64 below its cap plus one
+    if max(max_symbols, max_hypotheses, max_n) >= 2**63:
+        raise InvalidInput("caps must be below 2**63, the limit of an int64 draw")
     nz = int(rng.integers(2, max_symbols + 1))
     nw = int(rng.integers(2, max_hypotheses + 1))
     n = int(rng.integers(1, max_n + 1))
@@ -54,7 +56,7 @@ def random_problem(
     else:
         # one weight per dataset: refuse a law too large to enumerate
         # before drawing it
-        _check_enumeration(nz**n, ENUMERATION_CAP, "joint data law")
+        _check_dataset_count(nz, n, "joint data law")
         model = JointData(_positive_weights(rng, nz**n))
     return LearningProblem(
         sample_alphabet=tuple(range(nz)),

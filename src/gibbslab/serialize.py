@@ -33,6 +33,7 @@ from .errors import ConfigInvalid, InvalidInput
 
 JSON_SIG = 17
 CSV_SIG = 12
+_CSV_FLOAT = f".{CSV_SIG - 1}e"
 
 
 def format_float(value: float, sig: int = JSON_SIG) -> str:
@@ -40,7 +41,7 @@ def format_float(value: float, sig: int = JSON_SIG) -> str:
     if not isinstance(value, (int, float)):
         raise InvalidInput(f"cannot format {type(value).__name__} as a float")
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidInput(f"non-finite value {value!r} cannot be serialized")
     return f"{value:.{sig - 1}e}"
 
@@ -89,16 +90,20 @@ def write_json(path: str, obj: object) -> None:
 
 
 def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    # strings and floats, the common cells, are tested first; a float is
+    # tested and formatted once, as format_float would at CSV_SIG digits
+    if type(value) is str:
+        return value
     if isinstance(value, (float, np.floating)):
         value = float(value)
         # unlike JSON, CSV can spell a non-finite number: nan, inf or -inf
-        return format_float(value, CSV_SIG) if math.isfinite(value) else str(value)
+        return format(value, _CSV_FLOAT) if math.isfinite(value) else str(value)
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     return str(value)
 
 
@@ -107,8 +112,7 @@ def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
+    writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
     return buffer.getvalue()
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +359,32 @@ def test_joint_law_cap_raises_before_drawing():
     assert peak < 1_000_000
 
 
+def test_unenumerable_n_is_refused_without_forming_the_power():
+    # 4**(10**12) has 2e12 bits and would never be formed; the check clips
+    # n at ENUMERATION_CAP.bit_length() = 20, already above the cap, so
+    # required carries the lower bound 4**20
+    problem = dataclasses.replace(small_problem(45, iid=True), n=10**12)
+    for evaluate in (gibbs_posterior, gen_characterizations, bounds_table):
+        with pytest.raises(EnumerationTooLarge) as caught:
+            evaluate(problem, 1.0)
+        assert caught.value.required == 4**20
+    # likewise the supersample count, clipped at SUPERSAMPLE_CAP.bit_length()
+    with pytest.raises(EnumerationTooLarge) as caught:
+        supersample_conditional_info(problem, np.zeros((1, 3)))
+    assert caught.value.required == math.comb(10 + 24 - 1, 24) * 2**24
+    # a joint law of 16 weights cannot be one of 4**(10**12) datasets
+    with pytest.raises(InvalidInput, match=r"expected \|Z\|\*\*n = 4\*\*1000000000000"):
+        dataclasses.replace(small_problem(45, iid=False), n=10**12)
+
+
+def test_random_problem_refuses_caps_beyond_int64():
+    # the sizes are drawn as int64 below cap + 1; numpy itself would raise a
+    # bare ValueError for a cap of 2**63
+    with pytest.raises(InvalidInput):
+        random_problem(instance_rng(0, 0), max_n=2**63)
+    assert random_problem(instance_rng(0, 0), max_n=2**63 - 1).n >= 1
+
+
 def test_supersample_cap_raises_before_allocating():
     # |Z| = 4 and n = 9 need C(K + n - 1, n) = C(18, 9) pair orbits (K = 10
     # pair types) times 2**9 selectors, 24,893,440 states, above the 1e7
@@ -401,6 +428,63 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
     fresh = dataclasses.replace(problem)
     for posterior, report in zip(posteriors, reports):
         assert supersample_conditional_info(fresh, posterior.log_kernel) == report
+
+
+def test_cached_arrays_are_read_only():
+    # gen_characterizations and bounds_table share one evaluation, so no
+    # caller may alter it through an array it hands out
+    for iid in (True, False):
+        posterior = gibbs_posterior(small_problem(41, iid=iid), 1.0)
+        arrays = [
+            posterior.log_rows,
+            posterior.row_array,
+            posterior.hypothesis_marginal,
+            posterior.log_kernel,
+            posterior.log_marginal,
+            posterior.problem._log_dataset_probs,
+        ]
+        if iid:
+            arrays.extend(posterior.replace_one)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+
+def test_routes_and_bounds_share_one_evaluation(monkeypatch):
+    built = []
+    build = gibbslab.gibbs.gibbs_posterior
+
+    def counting(problem, gamma):
+        posterior = build(problem, gamma)
+        built.append(weakref.ref(posterior))
+        return posterior
+
+    monkeypatch.setattr(gibbslab.gibbs, "gibbs_posterior", counting)
+    for iid in (True, False):
+        problem = small_problem(43, iid=iid, n=2)
+        built.clear()
+        gen_characterizations(problem, 1.0)
+        rows = bounds_table(problem, 1.0)
+        assert len(built) == 1
+        # a new gamma rebuilds, and the previous evaluation is freed
+        report = gen_characterizations(problem, 2.0)
+        assert len(built) == 2
+        assert built[0]() is None
+        # so does an equal-content copy of the problem
+        copy = dataclasses.replace(problem)
+        assert gen_characterizations(copy, 2.0) == report
+        assert len(built) == 3
+        assert built[1]() is None
+        # a hit gives what a fresh build gives, bit for bit
+        hit_rows = bounds_table(copy, 2.0)
+        assert len(built) == 3
+        monkeypatch.setattr(gibbslab.gibbs, "_last_evaluation", None)
+        fresh_rows = bounds_table(copy, 2.0)
+        assert len(built) == 4
+        assert [dataclasses.astuple(r) for r in hit_rows] == [
+            dataclasses.astuple(r) for r in fresh_rows
+        ]
+        assert rows != hit_rows
 
 
 def ordered_supersample_info(problem, log_rows):

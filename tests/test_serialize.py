@@ -71,6 +71,18 @@ def test_dumps_csv_cells():
     assert lines[2] == "b,2,false,x"
 
 
+def test_dumps_csv_cell_kinds():
+    # every kind of cell the CLI writes, numpy scalars and non-finite
+    # floats included, one per column
+    cells = [0.1, np.float64(-2.5e-300), np.float32(0.5), float("nan"), -math.inf,
+             np.bool_(True), np.int64(-7), 12, None, "a,b"]
+    text = dumps_csv([f"c{k}" for k in range(len(cells))], [cells])
+    assert text.split("\n")[1] == (
+        "1.00000000000e-01,-2.50000000000e-300,5.00000000000e-01,nan,-inf,"
+        'true,-7,12,,"a,b"'
+    )
+
+
 def test_write_helpers_round_trip(tmp_path):
     json_path = str(tmp_path / "obj.json")
     write_json(json_path, {"x": 0.125})
