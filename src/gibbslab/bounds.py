@@ -22,13 +22,16 @@ assumption are included as well: a total-variation lower bound
 bound never exceeds 4 / gamma) and a Renyi-divergence upper bound
 valid for every order above one.
 
-bounds_table is the one path to the bound values of a (problem, gamma)
-pair: every row reads one gibbs_posterior evaluation, and the ratio
-constants come from the GenReport of that evaluation through
-RatioConstants.from_report.  bounds_table and gibbs.gen_characterizations
-share one module-level slot that holds the evaluation either read last,
-so calling both on one pair builds it once; the slot holds one
-evaluation at a time.  bound_suite evaluates the closed forms for
+_bounds_rows is the one path to the bound values of a Gibbs posterior:
+every row reads that one evaluation, and the ratio constants come from
+its GenReport through RatioConstants.from_report.  bounds_table gives
+the rows of a (problem, gamma) pair; it shares one module-level slot with
+gibbs.gen_characterizations that holds the evaluation either read last,
+so calling both on one pair builds it once, and the slot holds one
+evaluation at a time.  The bounds-table subcommand instead reads the rows
+of each member of a stacked sweep over its gammas (gibbs._gibbs_sweep),
+whose functionals, the Renyi sums of every order among them, are computed
+for all the gammas at once.  bound_suite evaluates the closed forms for
 given constants and a given tail class.
 """
 
@@ -44,7 +47,7 @@ from .errors import (
     InvalidInput,
     NoPositiveRoot,
 )
-from .gibbs import GenReport, LearningProblem, _evaluation
+from .gibbs import GenReport, GibbsPosterior, LearningProblem, _evaluation
 
 DEGENERACY_TOL = 1e-15
 BISECT_REL_TOL = 1e-12
@@ -411,23 +414,35 @@ def bounds_table(
     exact zeros.  Every row reads the one evaluation
     gibbs_posterior(problem, gamma): the shared slot's when
     gen_characterizations or bounds_table last read the same problem
-    object at an equal gamma, a new build otherwise.
+    object at an equal gamma, a new build otherwise.  The bounds-table
+    subcommand, which visits each problem at several gammas, instead reads
+    _bounds_rows of each member of one stacked gibbs._gibbs_sweep: the same
+    rows bit for bit, with every functional computed for all the gammas at
+    once and peak memory held to one evaluation or one block of
+    BLOCK_ELEMENTS, whichever is larger.
     """
     for alpha in alphas:
         if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
             raise AlphaOutOfRange(f"the Renyi upper bound requires alpha > 1, got {alpha!r}")
-    posterior = _evaluation(problem, gamma)
+    return _bounds_rows(_evaluation(problem, gamma), alphas)
+
+
+def _bounds_rows(posterior: GibbsPosterior, alphas: tuple[float, ...]) -> list[BoundRow]:
+    """The rows of bounds_table for one evaluation, every order in alphas
+    already checked to exceed one."""
+    problem = posterior.problem
+    gamma = posterior.gamma
     report = GenReport.from_posterior(posterior)
     tv = posterior.total_variation
     rows = [
         BoundRow("exact_gen", report.direct, True, "definition", "", "exact"),
-        BoundRow("tv_lower", tv * tv / posterior.gamma, True, "any data model", "", "lower"),
+        BoundRow("tv_lower", tv * tv / gamma, True, "any data model", "", "lower"),
     ]
-    for alpha in alphas:
+    for alpha, renyi in zip(alphas, posterior.renyi(alphas)):
         rows.append(
             BoundRow(
                 f"renyi_upper_alpha_{alpha:g}",
-                posterior.renyi(alpha) / posterior.gamma,
+                renyi / gamma,
                 True,
                 "any data model; order > 1",
                 f"alpha={alpha:.12g}",

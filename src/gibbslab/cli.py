@@ -47,7 +47,7 @@ from .asymptotics import (
     mle_asymptotic_gen,
     single_well_gen,
 )
-from .bounds import RatioConstants, bounds_table, sandwich_violations
+from .bounds import RatioConstants, _bounds_rows, sandwich_violations
 from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch, InvalidInput
 from .gaussian import (
     GaussianMeanConfig,
@@ -60,13 +60,20 @@ from .gaussian import (
 from .gibbs import (
     CONCAVITY_SLACK,
     ENUMERATION_CAP,
+    GenReport,
     InfoDivergenceReport,
+    _gibbs_sweep,
     chain_rule_example,
     concavity_probe,
     empirical_risk_curve,
-    gen_characterizations,
 )
-from .problems import instance_rng, instance_sweep, random_mixture_components, random_problem
+from .problems import (
+    HYPOTHESIS_CAP,
+    instance_rng,
+    instance_sweep,
+    random_mixture_components,
+    random_problem,
+)
 from .samplers import MIN_TRIALS, SgldConfig, sgld_run
 from .serialize import load_json, write_csv, write_json
 
@@ -101,7 +108,8 @@ class Check:
     gives its own ``verdict``.  ``context`` says what was observed; the
     detail line is the context followed by the comparison.  A timed gate
     observes a wall time, which the manifest keeps under timings, apart
-    from the reproducible record.
+    from the reproducible record.  ``extra`` holds further numeric fields
+    of the record, such as where an aggregate gate saw its worst case.
     """
 
     name: str
@@ -111,6 +119,7 @@ class Check:
     limit: float | None = None
     verdict: bool | None = None
     timed: bool = False
+    extra: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -147,6 +156,7 @@ class Check:
             "name": self.name, "passed": self.passed, "detail": self.detail,
             "observed": _finite(observed), "comparison": self.comparison,
             "limit": _finite(self.limit), "margin": _finite(margin),
+            **{key: _finite(value) for key, value in (self.extra or {}).items()},
         }
 
 
@@ -214,9 +224,12 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     ratio_failures = []
     started = time.monotonic()
     for index, problem in instances:
+        # one stacked evaluation per problem; each member goes straight into
+        # its report, so only the current chunk of the sweep stays alive
+        members = _gibbs_sweep(problem, gammas)
         for gamma in gammas:
             try:
-                report = gen_characterizations(problem, gamma)
+                report = GenReport.from_posterior(next(members))
             except IdentityMismatch as exc:
                 failures.append(f"instance {index} gamma {gamma}: {exc}")
                 continue
@@ -254,12 +267,18 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
 
     # every evaluation gives either a row or a failure, so a count of
     # failures against 0 is also a count of rows against the evaluations
-    worst = max((row[-1] for row in identity_rows), default=0.0)
+    worst = max(identity_rows, key=lambda row: row[-1], default=None)
+    worst_gap, worst_instance, worst_gamma = (
+        (0.0, None, None) if worst is None else (worst[-1], worst[0], worst[1])
+    )
+    where = "" if worst is None else f" at instance {worst_instance} gamma {worst_gamma:g}"
     iid_rows = [row for row in identity_rows if row[2] == "iid"]
     checks = [
         Check("four_way_identities",
               f"evaluations of {count * len(gammas)} whose routes disagreed (worst pairwise "
-              f"gap {worst:.3e}){_first(failures)}", len(failures), "==", 0),
+              f"gap {worst_gap:.3e}{where}){_first(failures)}", len(failures), "==", 0,
+              extra={"worst_gap": worst_gap, "worst_gap_instance": worst_instance,
+                     "worst_gap_gamma": worst_gamma}),
         Check("cmi_and_replace_one_on_iid",
               f"{len(iid_rows)} iid evaluations carried both conditional forms",
               verdict=bool(iid_rows) and all(
@@ -469,8 +488,11 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
     violations = []
     sweep_failures = []
     for index, problem in instances:
+        # one stacked evaluation per problem, as in verify-identities; the
+        # orders are checked by RANGES, as bounds_table would check them
+        members = _gibbs_sweep(problem, gammas)
         for gamma in gammas:
-            table = bounds_table(problem, gamma, alphas=table_alphas)
+            table = _bounds_rows(next(members), table_alphas)
             value = {row.bound_name: row.value for row in table}
             rows = [r for r in table if probe_alpha in alphas or r.bound_name != probe_name]
             for row in rows:
@@ -851,16 +873,14 @@ RANGES = {
     # gaussian-mean keys its Philox streams by seed + config index < 2**64
     "seed": (">=", 0, "<", 2**63),
     # instance_sweep builds one problem at a time, and the sweep keeps only
-    # its rows; at the default sizes one instance takes about 5 ms over four
-    # gammas, so 10**4 instances take about a minute
+    # its rows; at the default sizes one instance takes about 2 ms over four
+    # gammas on a 2-core x86 machine, so 10**4 instances take about 20 s
     "instances": (">=", 1, "<=", 10**4),
     "gammas[]": (">", 0),
     # an instance has at least as many datasets as symbols, and one with
     # more than ENUMERATION_CAP datasets is never evaluated
     "max_symbols": (">=", 2, "<=", ENUMERATION_CAP),
-    # an evaluation peaks at about 140 bytes per (dataset, hypothesis) pair,
-    # so at ENUMERATION_CAP datasets 8 hypotheses peak near 1.1 GB
-    "max_hypotheses": (">=", 2, "<=", 8),
+    "max_hypotheses": (">=", 2, "<=", HYPOTHESIS_CAP),
     # an n whose datasets exceed ENUMERATION_CAP raises EnumerationTooLarge;
     # an alphabet has at least 2 symbols and 2**19 <= ENUMERATION_CAP < 2**20,
     # so no instance with n >= 20 can ever be evaluated

@@ -20,15 +20,29 @@ this at construction.  Datasets are ordered tuples enumerated in
 lexicographic order; only the supersample sweep collapses its states, to
 one representative per orbit of pair swaps and pair permutations (see
 LearningProblem._supersample_geometry), and its size cap counts those
-orbit states.  gibbs_posterior builds the one evaluation of a (problem,
-gamma) pair that every route and bound reads: the routes through
-gen_characterizations (a GenReport, which also carries the numbers behind
-RatioConstants.from_report and InfoDivergenceReport), the bounds through
-bounds.bounds_table.  Those two share it through one module-level slot
-(_evaluation) that holds the evaluation either read last, so a caller
-that asks for the routes and then the bounds of a pair pays for one
-build, and at most one evaluation outlives its callers.  Every array an
-evaluation caches is read-only, so no caller can alter the shared one.
+orbit states.
+
+One evaluation of a (problem, gamma) pair is what every route and bound
+reads: the routes through GenReport.from_posterior (which also carries
+the numbers behind RatioConstants.from_report and InfoDivergenceReport),
+the bounds through bounds._bounds_rows.  _gibbs_sweep evaluates a
+problem at several gammas as stacked arrays: one (g, m, nw) log-row table,
+and each functional computed for every gamma the first time any member
+asks, in the same operations, reductions and order as for one gamma, so
+each member's numbers are bit for bit those of a lone build.  The gammas
+go in chunks whose table holds at most max(m * nw, BLOCK_ELEMENTS)
+elements (probability.BLOCK_ELEMENTS), and the supersample and
+replace-one sweeps stack only as many gammas as fit in a block, so peak
+memory stays at that of one evaluation or one block, whichever is
+larger, however many gammas there are.  The
+verify-identities and bounds-table subcommands and empirical_risk_curve
+read their gamma sweeps this way.  gibbs_posterior is the sweep of one
+gamma.  gen_characterizations and bounds.bounds_table, the library's
+per-pair entry points, share one module-level slot (_evaluation) that
+holds the evaluation either read last, so a caller that asks for the
+routes and then the bounds of a pair pays for one build, and at most one
+evaluation outlives its callers.  Every array an evaluation caches is
+read-only, so no caller can alter a shared one.
 Its information functionals never leave the log domain, so the identity
 holds in the large-gamma (ERM) regime too, where linear-domain rows
 underflow; the tests check it at gamma up to 1e6.
@@ -44,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,18 +77,15 @@ from .probability import (
     ZERO_CUTOFF,
     _divergence_pair,
     _logsumexp,
+    _per_block,
     _product_of_marginals,
-    _renyi_sum,
+    _renyi_sums,
     _total_variation,
     info_triple,
 )
 
 ENUMERATION_CAP = 10**6
 SUPERSAMPLE_CAP = 10**7
-# elements per block of the supersample sweep.  The log-domain divergence
-# kernel holds about twice as many block-sized temporaries as a linear
-# rel_entr sweep, so the block is sized by peak memory
-SUPERSAMPLE_BLOCK = 100_000
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 COMPARE_TOL = 1e-10
@@ -177,8 +188,17 @@ class LearningProblem:
     @cached_property
     def _dataset_indices(self) -> np.ndarray:
         """(m, n) sample indices of every dataset, lexicographic order; every
-        enumerated table starts here, so the size check runs here first."""
+        enumerated table starts here, so the size checks run here first.
+        With two or more symbols the dataset count check keeps n below
+        ENUMERATION_CAP.bit_length(), so the matrix's m * n entries stay
+        below ENUMERATION_CAP * ENUMERATION_CAP.bit_length(); the entry
+        check can refuse only a one-symbol alphabet at a huge n."""
         _check_dataset_count(self.num_samples_symbols, self.n, "dataset enumeration")
+        _check_enumeration(
+            self.dataset_count * self.n,
+            ENUMERATION_CAP * ENUMERATION_CAP.bit_length(),
+            "dataset index matrix",
+        )
         return _index_matrix(self.num_samples_symbols, self.n)
 
     @cached_property
@@ -292,26 +312,33 @@ def _check_dataset_count(nz: int, n: int, what: str) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class _Kernel:
-    """A kernel from datasets to hypotheses, given by log rows, and the
-    functionals that need nothing else, each cached on first use."""
+class _Kernels:
+    """A stack of kernels from datasets to hypotheses, given by (g, m,
+    num_hypotheses) log rows, and the functionals that need nothing else,
+    each computed for the whole stack on first use and cached read-only.
+
+    Elementwise steps run on the stack, and every reduction runs over the
+    same axes in the same memory order as for one kernel, so kernel k's
+    numbers are bit for bit those of a stack of one.  Matrix products run
+    per kernel, since a stacked product may round differently."""
 
     problem: LearningProblem
     log_rows: np.ndarray
 
     @cached_property
     def row_array(self) -> np.ndarray:
-        """(m, num_hypotheses) posterior rows, renormalized in the linear
-        domain so each row sums to 1 at machine precision."""
+        """Posterior rows, renormalized in the linear domain so each row
+        sums to 1 at machine precision."""
         rows = np.exp(self.log_rows)
-        rows /= rows.sum(axis=1, keepdims=True)
+        rows /= rows.sum(axis=2, keepdims=True)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
-        marg = self.problem._dataset_probs @ self.row_array
+        probs = self.problem._dataset_probs
+        marg = np.stack([probs @ rows for rows in self.row_array])
         marg.flags.writeable = False
         return marg
 
@@ -320,85 +347,182 @@ class _Kernel:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=1, keepdims=True)
+        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=2, keepdims=True)
         log_kernel.flags.writeable = False
         return log_kernel
 
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        log_marg = _logsumexp(self.problem._log_dataset_probs[:, None] + self.log_kernel, axis=0)
+        log_probs = self.problem._log_dataset_probs[None, :, None]
+        log_marg = _logsumexp(log_probs + self.log_kernel, axis=1)
         log_marg.flags.writeable = False
         return log_marg
 
-    def _expected_divergences(self, log_reference: np.ndarray) -> tuple[float, float]:
-        """(E D(row || reference), E D(reference || row)) over datasets."""
+    def _expected_divergences(self, log_reference: np.ndarray) -> list[tuple[float, float]]:
+        """Per kernel, (E D(row || reference), E D(reference || row)) over
+        datasets, for one (g, num_hypotheses) reference per kernel."""
         probs = self.problem._dataset_probs
-        forward, reverse = _divergence_pair(self.log_kernel, log_reference[None, :], axis=1)
-        return float(probs @ forward), float(probs @ reverse)
+        forward, reverse = _divergence_pair(self.log_kernel, log_reference[:, None, :], axis=2)
+        return [(float(probs @ f), float(probs @ r)) for f, r in zip(forward, reverse)]
 
     @cached_property
-    def info(self) -> InfoReport:
+    def info(self) -> tuple[InfoReport, ...]:
         """Mutual, lautum and symmetrized information of (W, S)."""
-        mutual, lautum = self._expected_divergences(self.log_marginal)
-        return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
+        return tuple(
+            InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
+            for mutual, lautum in self._expected_divergences(self.log_marginal)
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class GibbsPosterior(_Kernel):
-    """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
-    tabulated per enumerated dataset and held in the log domain; build it
-    with gibbs_posterior.  Adds the remaining functionals the routes and
-    bounds read, each cached on first use as well."""
+class _Sweep(_Kernels):
+    """The Gibbs posteriors of one problem at several gammas, stacked: the
+    remaining functionals the routes and bounds read, each computed for
+    every gamma at once on first use.  Its members are GibbsPosterior
+    objects, one per gamma, each reading its own slice."""
 
-    gamma: float
+    gammas: tuple[float, ...]
 
     @cached_property
-    def reference_divergences(self) -> tuple[float, float]:
+    def reference_divergences(self) -> list[tuple[float, float]]:
         """(d_fwd, d_rev): the expected divergences from the posterior rows
         to the population-risk Gibbs law and back."""
-        return self._expected_divergences(_log_population(self.problem, self.gamma))
+        gammas = np.array(self.gammas)[:, None]
+        return self._expected_divergences(_log_population(self.problem, gammas))
 
     @cached_property
-    def total_variation(self) -> float:
+    def total_variation(self) -> list[float]:
         """Unnormalized total variation between the joint law of (W, S) and
         the product of its marginals."""
-        # row-major, as in a JointTable, so the sums run in the same order
-        joint = np.ascontiguousarray(self.row_array.T * self.problem._dataset_probs[None, :])
-        return _total_variation(joint, _product_of_marginals(joint))
+        # (g, nw, m) and row-major, as in a JointTable, so the sums run in
+        # the same order
+        joint = np.ascontiguousarray(
+            self.row_array.transpose(0, 2, 1) * self.problem._dataset_probs
+        )
+        return _total_variation(joint, _product_of_marginals(joint), axis=(1, 2)).tolist()
 
-    def renyi(self, alpha: float) -> float:
-        """Sum of the two directed Renyi divergences of order alpha between
-        the joint law of (W, S) and the product of its marginals."""
-        support = self.problem._dataset_probs > 0.0
-        log_probs = self.problem._log_dataset_probs[support, None]
-        joint = log_probs + self.log_kernel[support]
-        product = log_probs + self.log_marginal[None, :]
-        return _renyi_sum(joint, product, alpha) + _renyi_sum(product, joint, alpha)
+    def renyi(self, alphas: tuple[float, ...]) -> list[tuple[float, ...]]:
+        """Per gamma, the sum of the two directed Renyi divergences of each
+        order in alphas between the joint law of (W, S) and the product of
+        its marginals.  The values of the last alphas asked are kept."""
+        last = self.__dict__.get("_renyi")
+        if last is None or last[0] != alphas:
+            problem = self.problem
+            support = problem._dataset_probs > 0.0
+            log_probs = problem._log_dataset_probs[support, None]
+            # row-major per gamma, as a lone kernel's rows, so each sums alike
+            joint = log_probs + np.compress(support, self.log_kernel, axis=1)
+            product = log_probs + self.log_marginal[:, None, :]
+            # the reverse call's log ratio is the exact negation of the
+            # forward one's
+            sums = _renyi_sums(joint, product, alphas) + _renyi_sums(product, joint, alphas)
+            last = self.__dict__["_renyi"] = (alphas, [tuple(row) for row in sums.T.tolist()])
+        return last[1]
 
     @cached_property
-    def supersample_info(self) -> InfoReport:
-        return supersample_conditional_info(self.problem, self.log_kernel)
+    def supersample_info(self) -> list[InfoReport]:
+        _check_supersample(self.problem)
+        return _supersample_infos(self.problem, self.log_kernel)
 
     @cached_property
-    def replace_one(self) -> tuple[np.ndarray, np.ndarray]:
-        forward, reverse = replace_one_divergences(self.problem, self.log_kernel)
-        forward.flags.writeable = False
-        reverse.flags.writeable = False
-        return forward, reverse
+    def replace_one(self) -> np.ndarray:
+        """(g, 2, n): per gamma, the forward and the reverse replace-one
+        divergences."""
+        _check_replace_one(self.problem)
+        both = _replace_one_stack(self.problem, self.log_kernel)
+        both.flags.writeable = False
+        return both
+
+
+class _Slice:
+    """A GibbsPosterior attribute: the member's slice of the sweep's value
+    of the same name."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, member, owner=None):
+        if member is None:
+            return self
+        return getattr(member._sweep, self.name)[member._index]
+
+
+class GibbsPosterior:
+    """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
+    tabulated per enumerated dataset and held in the log domain; build it
+    with gibbs_posterior.  It is one member of a stacked sweep over gammas
+    of its problem (see _gibbs_sweep): each functional below is the
+    member's slice of the sweep's, which the sweep computes for all its
+    members the first time any of them asks.  Every array is read-only."""
+
+    def __init__(self, sweep: _Sweep, index: int) -> None:
+        self._sweep = sweep
+        self._index = index
+
+    @property
+    def problem(self) -> LearningProblem:
+        return self._sweep.problem
+
+    @property
+    def gamma(self) -> float:
+        return self._sweep.gammas[self._index]
+
+    log_rows = _Slice()
+    row_array = _Slice()
+    hypothesis_marginal = _Slice()
+    log_kernel = _Slice()
+    log_marginal = _Slice()
+    info = _Slice()
+    reference_divergences = _Slice()
+    total_variation = _Slice()
+    supersample_info = _Slice()
+    replace_one = _Slice()
+
+    def renyi(self, alphas: Sequence[float]) -> tuple[float, ...]:
+        """The sum of the two directed Renyi divergences of each order in
+        alphas between the joint law of (W, S) and the product of its
+        marginals."""
+        return self._sweep.renyi(tuple(alphas))[self._index]
+
+
+def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
+    """The Gibbs posteriors of problem at each of gammas, in order, as
+    stacked evaluations: the gammas go in chunks whose (g, m, nw) log-row
+    table holds at most max(m * nw, BLOCK_ELEMENTS) elements, and each
+    functional is computed for a whole chunk at once.  The stacked blocks of
+    the supersample and replace-one sweeps keep within the same budget, so
+    whatever the number of gammas, peak memory stays at that of one
+    evaluation or one block, whichever is larger.  A chunk is built when
+    its first member is reached and kept only by its members: a caller that
+    drops each member before asking for the next (map, or next() inside a
+    call) holds one chunk at a time.  Raises GammaNonPositive, then
+    EnumerationTooLarge, before any table is built."""
+    for gamma in gammas:
+        if not (math.isfinite(gamma) and gamma >= 0.0):
+            raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
+    values = [float(gamma) for gamma in gammas]
+    risk = problem._empirical_risk
+    size = _per_block(risk.size)
+    for start in range(0, len(values), size):
+        chunk = values[start : start + size]
+        logits = problem.prior.log_weights[:, None] - np.array(chunk)[:, None, None] * risk
+        log_rows = (logits - _logsumexp(logits, axis=1, keepdims=True)).transpose(0, 2, 1)
+        log_rows.flags.writeable = False
+        del logits
+        sweep = _Sweep(problem=problem, log_rows=log_rows, gammas=tuple(chunk))
+        for index in range(len(chunk)):
+            yield GibbsPosterior(sweep, index)
+        del sweep
 
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
-    """Tabulate the Gibbs posterior for every dataset, in the log domain.
-    Raises EnumerationTooLarge above ENUMERATION_CAP datasets, before any
-    table is built.  Every call builds anew; see _evaluation for the one
-    evaluation that gen_characterizations and bounds_table share."""
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
-    logits = problem.prior.log_weights[:, None] - gamma * problem._empirical_risk
-    log_rows = (logits - _logsumexp(logits, axis=0)[None, :]).T
-    log_rows.flags.writeable = False
-    return GibbsPosterior(problem=problem, gamma=float(gamma), log_rows=log_rows)
+    """Tabulate the Gibbs posterior for every dataset, in the log domain: a
+    sweep over the one gamma.  Raises EnumerationTooLarge above
+    ENUMERATION_CAP datasets, before any table is built.  Every call builds
+    anew; see _evaluation for the one evaluation that gen_characterizations
+    and bounds_table share."""
+    return next(_gibbs_sweep(problem, (gamma,)))
 
 
 # the evaluation that gen_characterizations or bounds_table read last
@@ -430,11 +554,13 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     return _last_evaluation
 
 
-def _log_population(problem: LearningProblem, gamma: float) -> np.ndarray:
-    # normalized twice, for the reason given at GibbsPosterior.log_kernel
+def _log_population(problem: LearningProblem, gamma) -> np.ndarray:
+    """The log population-risk Gibbs law at a gamma, or one row per gamma
+    of a (g, 1) column; normalized twice, for the reason given at
+    _Kernels.log_kernel."""
     logits = problem.prior.log_weights - gamma * problem._population_risk
-    logits = logits - _logsumexp(logits)
-    return logits - _logsumexp(logits)
+    logits = logits - _logsumexp(logits, axis=-1, keepdims=True)
+    return logits - _logsumexp(logits, axis=-1, keepdims=True)
 
 
 def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
@@ -479,6 +605,18 @@ def _require_kernel(problem: LearningProblem, log_rows: np.ndarray) -> None:
         raise InvalidInput(f"log_rows shape {np.shape(log_rows)} must be {expected}")
 
 
+def _check_supersample(problem: LearningProblem) -> None:
+    """Refuse a non-IID model, or a supersample sweep above SUPERSAMPLE_CAP
+    states, before anything is allocated (see supersample_conditional_info)."""
+    if not problem.is_iid():
+        raise NotIID("the supersample construction requires an IID data model")
+    nz = problem.num_samples_symbols
+    pair_types = nz * (nz + 1) // 2
+    clipped = min(problem.n, SUPERSAMPLE_CAP.bit_length())
+    required = math.comb(pair_types + clipped - 1, clipped) * 2**clipped
+    _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
+
+
 def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray) -> InfoReport:
     """Conditional information between W and the selector string U given a
     supersample of n sample pairs, for the posterior kernel whose log rows
@@ -502,37 +640,47 @@ def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray)
     SUPERSAMPLE_CAP from n = SUPERSAMPLE_CAP.bit_length() (24) on, so n is
     clipped there first, as in the dataset count check.
     """
-    if not problem.is_iid():
-        raise NotIID("the supersample construction requires an IID data model")
-    nz = problem.num_samples_symbols
-    n = problem.n
-    nw = problem.num_hypotheses
-    pair_types = nz * (nz + 1) // 2
-    clipped = min(n, SUPERSAMPLE_CAP.bit_length())
-    required = math.comb(pair_types + clipped - 1, clipped) * 2**clipped
-    _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
+    _check_supersample(problem)
     _require_kernel(problem, log_rows)
+    return _supersample_infos(problem, np.asarray(log_rows)[None])[0]
+
+
+def _supersample_infos(problem: LearningProblem, log_rows: np.ndarray) -> list[InfoReport]:
+    """supersample_conditional_info for each kernel of a (g, m, nw) stack,
+    after the checks.  A block holds BLOCK_ELEMENTS // (2**n * nw) orbits of
+    one kernel, as for a lone kernel, so each kernel's sums run over the
+    same blocks; when one block holds every orbit, it stacks as many
+    kernels as fit in it."""
     super_probs, dataset_ids = problem._supersample_geometry
     num_super, num_u = dataset_ids.shape
+    per_kernel = num_u * log_rows.shape[2]
+    block = _per_block(per_kernel)
+    group = _per_block(per_kernel * num_super)
+    mutual = [0.0] * log_rows.shape[0]
+    lautum = [0.0] * log_rows.shape[0]
+    for first in range(0, log_rows.shape[0], group):
+        kernels = log_rows[first : first + group]
+        for start in range(0, num_super, block):
+            stop = min(start + block, num_super)
+            # selector first: reductions over u then run on contiguous slices
+            log_cond = np.take(kernels, dataset_ids[start:stop].T, axis=1)  # (g, num_u, b, nw)
+            # log of the mixture over u, max-shifted in place
+            shift = log_cond.max(axis=1)
+            scaled = np.subtract(log_cond, shift[:, None])
+            np.exp(scaled, out=scaled)
+            log_mix = shift + np.log(scaled.mean(axis=1))
+            del scaled
+            forward, reverse = _divergence_pair(log_cond, log_mix[:, None], axis=1)
+            weights = super_probs[start:stop] / num_u
+            for k, (fwd, rev) in enumerate(zip(forward.sum(axis=2), reverse.sum(axis=2))):
+                mutual[first + k] += float(weights @ fwd)
+                lautum[first + k] += float(weights @ rev)
+    return [InfoReport(mutual=m, lautum=l, symmetrized=m + l) for m, l in zip(mutual, lautum)]
 
-    mutual = 0.0
-    lautum = 0.0
-    block = max(1, SUPERSAMPLE_BLOCK // (num_u * nw))
-    for start in range(0, num_super, block):
-        stop = min(start + block, num_super)
-        # selector first: reductions over u then run on contiguous slices
-        log_cond = log_rows[dataset_ids[start:stop].T]  # (num_u, b, nw)
-        # log of the mixture over u, max-shifted in place
-        shift = log_cond.max(axis=0)
-        scaled = np.subtract(log_cond, shift)
-        np.exp(scaled, out=scaled)
-        log_mix = shift + np.log(scaled.mean(axis=0))
-        del scaled
-        forward, reverse = _divergence_pair(log_cond, log_mix, axis=0)
-        weights = super_probs[start:stop] / num_u
-        mutual += float(weights @ forward.sum(axis=1))
-        lautum += float(weights @ reverse.sum(axis=1))
-    return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
+
+def _check_replace_one(problem: LearningProblem) -> None:
+    if not problem.is_iid():
+        raise NotIID("replace-one divergences require an IID data model")
 
 
 def replace_one_divergences(
@@ -545,27 +693,36 @@ def replace_one_divergences(
     sample: forward[i] = E[D(posterior(S) || posterior(S with slot i = Z))]
     and reverse[i] the opposite direction.  IID data models only.
     """
-    if not problem.is_iid():
-        raise NotIID("replace-one divergences require an IID data model")
+    _check_replace_one(problem)
     _require_kernel(problem, log_rows)
+    forward, reverse = _replace_one_stack(problem, np.asarray(log_rows)[None])[0]
+    return forward, reverse
+
+
+def _replace_one_stack(problem: LearningProblem, log_rows: np.ndarray) -> np.ndarray:
+    """(g, 2, n) forward and reverse replace-one divergences of each kernel
+    of a (g, m, nw) stack, after the checks; a block stacks as many kernels
+    as fit in BLOCK_ELEMENTS, or one."""
     nz = problem.num_samples_symbols
     n = problem.n
     cols = problem._dataset_indices
     probs = problem._dataset_probs
     marginal = problem.data_model.marginal.weights
     powers = nz ** np.arange(n - 1, -1, -1)
-    ids = np.arange(log_rows.shape[0])
-    log_own = log_rows[:, None, :]
-
-    forward = np.empty(n)
-    reverse = np.empty(n)
-    for i in range(n):
-        replaced = ids[:, None] + (np.arange(nz)[None, :] - cols[:, i][:, None]) * powers[i]
-        log_alt = log_rows[replaced]  # (m, nz, nw)
-        fwd, rev = _divergence_pair(log_own, log_alt, axis=2)
-        forward[i] = float(probs @ fwd @ marginal)
-        reverse[i] = float(probs @ rev @ marginal)
-    return forward, reverse
+    ids = np.arange(log_rows.shape[1])
+    group = _per_block(log_rows[0].size * nz)
+    out = np.empty((log_rows.shape[0], 2, n))
+    for first in range(0, log_rows.shape[0], group):
+        kernels = log_rows[first : first + group]
+        log_own = kernels[:, :, None, :]
+        for i in range(n):
+            replaced = ids[:, None] + (np.arange(nz)[None, :] - cols[:, i][:, None]) * powers[i]
+            log_alt = np.take(kernels, replaced, axis=1)  # (g, m, nz, nw)
+            fwd, rev = _divergence_pair(log_own, log_alt, axis=3)
+            for k in range(fwd.shape[0]):
+                out[first + k, 0, i] = float(probs @ fwd[k] @ marginal)
+                out[first + k, 1, i] = float(probs @ rev[k] @ marginal)
+    return out
 
 
 def _require_positive_gamma(gamma: float) -> None:
@@ -788,13 +945,13 @@ def regularized_gen(
     # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each
     # row: a kernel, but not the Gibbs posterior of the problem at gamma
     tilted = gibbs_posterior(problem, gamma).log_rows - (gamma * lam) * regularizer.T
-    kernel = _Kernel(problem, tilted - _logsumexp(tilted, axis=1, keepdims=True))
+    kernel = _Kernels(problem, (tilted - _logsumexp(tilted, axis=1, keepdims=True))[None])
 
     probs = problem._dataset_probs
-    rows = kernel.row_array
-    marginal = kernel.hypothesis_marginal
+    rows = kernel.row_array[0]
+    marginal = kernel.hypothesis_marginal[0]
     gen = _gen_under_law(rows, problem._empirical_risk, probs)
-    iskl_over_gamma = kernel.info.symmetrized / gamma
+    iskl_over_gamma = kernel.info[0].symmetrized / gamma
     joint_mean = float(np.einsum("s,sw,ws->", probs, rows, regularizer))
     product_mean = float(marginal @ (regularizer @ probs))
     reg_gap = product_mean - joint_mean
@@ -826,7 +983,7 @@ def empirical_risk_curve(
         raise InvalidInput("gammas must be finite reals >= 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInput("gammas must be strictly increasing")
-    return [expected_empirical_risk(gibbs_posterior(problem, gamma)) for gamma in values]
+    return list(map(expected_empirical_risk, _gibbs_sweep(problem, values)))
 
 
 def concavity_probe(

@@ -33,6 +33,12 @@ from .errors import (
 ZERO_CUTOFF = 1e-300
 NORMALIZATION_TOL = 1e-12
 IDENTITY_TOL = 1e-12
+# elements per block of stacked work: a chunk of a Gibbs gamma sweep, the
+# stacked blocks of its supersample and replace-one sweeps, and a stacked
+# Renyi log-sum-exp.  The log-domain divergence kernel holds about twice
+# as many block-sized temporaries as a linear rel_entr sweep, so the block
+# is sized by peak memory
+BLOCK_ELEMENTS = 100_000
 
 
 def _as_weight_array(weights: object, ndim: int) -> np.ndarray:
@@ -194,30 +200,77 @@ def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     return forward, reverse
 
 
+def _per_block(elements: int) -> int:
+    """How many slices of the given element count one block of
+    BLOCK_ELEMENTS holds: at least one, so a slice above the block size is
+    taken whole, as a lone one would be."""
+    return max(1, BLOCK_ELEMENTS // elements)
+
+
+def _renyi_sums(
+    log_p: np.ndarray, log_q: np.ndarray, alphas, p_off: float = 0.0, q_off: float = 0.0
+) -> np.ndarray:
+    """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for every order in alphas and
+    every pair of normalized laws in a stack, as a (len(alphas), pairs)
+    array.  log_p[k] and log_q[k] hold pair k's finite log weights on its
+    common support, summed over every axis after the first exactly as a
+    lone pair's would be; p_off and q_off are the masses the laws put
+    outside it.  Near independence the sum is 1 + u with u = sum q
+    (expm1(alpha r) - alpha expm1(r)) - (1 - alpha) q_off - alpha p_off,
+    r = log p - log q, which keeps small divergences accurate as in
+    _divergence_pair; r and exp(log q) are formed once for all orders,
+    and each order works in two more arrays of their size.  Far apart the
+    sum is taken by log-sum-exp, the pairs and orders that need it sharing
+    calls of at most BLOCK_ELEMENTS elements, or one pair each when a pair
+    is larger."""
+    axes = tuple(range(1, log_p.ndim))
+    out = np.empty((len(alphas), log_p.shape[0]))
+    far = []
+    r = np.subtract(log_p, log_q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.exp(log_q)
+        terms = np.empty_like(r)
+        scaled = np.empty_like(r)
+        for i, alpha in enumerate(alphas):
+            np.multiply(alpha, r, out=terms)
+            np.expm1(terms, out=terms)
+            np.expm1(r, out=scaled)
+            scaled *= alpha
+            terms -= scaled
+            terms *= q
+            for k, u in enumerate(terms.sum(axis=axes).tolist()):
+                u -= (1.0 - alpha) * q_off + alpha * p_off
+                if abs(u) < 1.0:
+                    out[i, k] = math.log1p(u) / (alpha - 1.0)
+                else:
+                    far.append((i, k))
+    del r, q, terms, scaled
+    per_call = _per_block(log_p[0].size)
+    for start in range(0, len(far), per_call):
+        calls = far[start : start + per_call]
+        terms = np.empty((len(calls),) + log_p.shape[1:])
+        for j, (i, k) in enumerate(calls):
+            np.add(alphas[i] * log_p[k], (1.0 - alphas[i]) * log_q[k], out=terms[j])
+        for (i, k), total in zip(calls, _logsumexp(terms, axis=axes).tolist()):
+            out[i, k] = total / (alphas[i] - 1.0)
+    return out
+
+
 def _renyi_sum(
     log_p: np.ndarray, log_q: np.ndarray, alpha: float, p_off: float = 0.0, q_off: float = 0.0
 ) -> float:
-    """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for normalized laws given by
-    finite log weights on their common support; p_off and q_off are the
-    masses the two laws put outside it.  Near independence the sum is 1 + u
-    with u = sum q (expm1(alpha r) - alpha expm1(r)) - (1 - alpha) q_off -
-    alpha p_off, r = log p - log q, which keeps small divergences accurate as
-    in _divergence_pair; far apart it is taken by log-sum-exp."""
-    r = np.subtract(log_p, log_q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = float((np.exp(log_q) * (np.expm1(alpha * r) - alpha * np.expm1(r))).sum())
-    u -= (1.0 - alpha) * q_off + alpha * p_off
-    if abs(u) < 1.0:
-        return math.log1p(u) / (alpha - 1.0)
-    return float(_logsumexp(alpha * log_p + (1.0 - alpha) * log_q)) / (alpha - 1.0)
+    """_renyi_sums for one pair of laws and one order."""
+    return float(_renyi_sums(log_p[None], log_q[None], (alpha,), p_off, q_off)[0, 0])
 
 
 def _product_of_marginals(table: np.ndarray) -> np.ndarray:
-    return np.outer(table.sum(axis=1), table.sum(axis=0))
+    """The product of the two marginals of each table in a stack (the last
+    two axes); np.outer for one table."""
+    return table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
 
 
-def _total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.abs(p - q).sum())
+def _total_variation(p: np.ndarray, q: np.ndarray, axis=None):
+    return np.abs(p - q).sum(axis=axis)
 
 
 def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:
@@ -282,7 +335,7 @@ def renyi_divergence(p: ProbVec, q: ProbVec, alpha: float) -> float:
 def total_variation(p: ProbVec, q: ProbVec) -> float:
     """Total variation in the sum |p_i - q_i| convention, range [0, 2]."""
     _require_same_alphabet(p, q)
-    return _total_variation(p.weights, q.weights)
+    return float(_total_variation(p.weights, q.weights))
 
 
 def info_triple(joint: JointTable) -> InfoReport:

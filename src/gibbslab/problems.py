@@ -14,11 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .gibbs import DataModel, IIDData, JointData, LearningProblem, _check_dataset_count
+from .gibbs import (
+    ENUMERATION_CAP,
+    DataModel,
+    IIDData,
+    JointData,
+    LearningProblem,
+    _check_dataset_count,
+)
 from .probability import ProbVec
 from .samplers import counter_rng
 
 WEIGHT_FLOOR = 0.05
+# the largest max_hypotheses, here and in the CLI: an evaluation peaks at
+# about 140 bytes per (dataset, hypothesis) pair, so at ENUMERATION_CAP
+# datasets 8 hypotheses peak near 1.1 GB
+HYPOTHESIS_CAP = 8
 
 
 def _positive_weights(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -39,12 +50,20 @@ def random_problem(
     iid: bool = True,
 ) -> LearningProblem:
     """One random problem: alphabet sizes and n uniform up to the caps,
-    losses uniform in [0, 1], strictly positive random prior and data law."""
+    losses uniform in [0, 1], strictly positive random prior and data law.
+    The symbol and hypothesis caps size the loss table, so they are bounded
+    before any draw: an instance has at least as many datasets as symbols,
+    and max_hypotheses is at most HYPOTHESIS_CAP."""
     if max_symbols < 2 or max_hypotheses < 2 or max_n < 1:
         raise InvalidInput("caps must allow at least two symbols, two hypotheses, n >= 1")
-    # each size is drawn as an int64 below its cap plus one
-    if max(max_symbols, max_hypotheses, max_n) >= 2**63:
-        raise InvalidInput("caps must be below 2**63, the limit of an int64 draw")
+    if max_symbols > ENUMERATION_CAP or max_hypotheses > HYPOTHESIS_CAP:
+        raise InvalidInput(
+            f"max_symbols must be at most {ENUMERATION_CAP} and max_hypotheses at most "
+            f"{HYPOTHESIS_CAP}, got {max_symbols} and {max_hypotheses}"
+        )
+    # n is drawn as an int64 below its cap plus one
+    if max_n >= 2**63:
+        raise InvalidInput("max_n must be below 2**63, the limit of an int64 draw")
     nz = int(rng.integers(2, max_symbols + 1))
     nw = int(rng.integers(2, max_hypotheses + 1))
     n = int(rng.integers(1, max_n + 1))

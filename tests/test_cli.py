@@ -1,5 +1,6 @@
 """Command-line driver: config validation, exit codes, manifests, determinism."""
 
+import csv
 import itertools
 import json
 import math
@@ -97,6 +98,15 @@ def test_verify_identities_small_run(tmp_path, capsys):
     with open(os.path.join(out, "identities.csv"), encoding="utf-8") as handle:
         lines = handle.read().strip().split("\n")
     assert len(lines) == 1 + 6 * 2  # header + instances x gammas
+    # the identity check names where its worst pairwise gap was seen
+    rows = list(csv.DictReader(lines))
+    worst = max(rows, key=lambda row: float(row["max_gap"]))
+    check = manifest["checks"][0]
+    assert check["worst_gap_instance"] == int(worst["instance"])
+    assert check["worst_gap_gamma"] == float(worst["gamma"])
+    assert check["worst_gap"] == pytest.approx(float(worst["max_gap"]), rel=1e-10)
+    where = f"at instance {worst['instance']} gamma {float(worst['gamma']):g}"
+    assert where in check["detail"]
     for name in ("divergence_order.csv", "risk_curve.csv", "concavity.csv"):
         assert os.path.exists(os.path.join(out, name))
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gibbslab.gibbs
+import gibbslab.probability
 from gibbslab import (
     EnumerationTooLarge,
     EpsilonOutOfRange,
@@ -40,6 +41,10 @@ from gibbslab import (
     sandwich_violations,
     supersample_conditional_info,
 )
+from gibbslab.bounds import _bounds_rows
+from gibbslab.cli import RANGES
+from gibbslab.gibbs import ENUMERATION_CAP, GenReport, _gibbs_sweep, expected_empirical_risk
+from gibbslab.problems import HYPOTHESIS_CAP
 
 
 def small_problem(seed=0, iid=True, n=2):
@@ -377,6 +382,48 @@ def test_unenumerable_n_is_refused_without_forming_the_power():
         dataclasses.replace(small_problem(45, iid=False), n=10**12)
 
 
+def test_one_symbol_alphabet_at_huge_n_is_refused_before_allocating():
+    # 1**n is a single dataset, which passes the dataset count check, but
+    # its index matrix would hold n entries (7.28 TiB at n = 10**12)
+    problem = LearningProblem(
+        sample_alphabet=(0,),
+        hypothesis_set=(0, 1),
+        loss=np.array([[0.25], [0.75]]),
+        prior=ProbVec(np.array([0.5, 0.5])),
+        data_model=IIDData(ProbVec(np.array([1.0]))),
+        n=10**12,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge) as caught:
+            gibbs_posterior(problem, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caught.value.required == 10**12
+    assert peak < 1_000_000
+    # a one-symbol alphabet at a small n is still evaluated
+    moderate = dataclasses.replace(problem, n=50)
+    assert gibbs_posterior(moderate, 1.0).row_array.shape == (1, 2)
+
+
+def test_random_problem_refuses_a_symbol_cap_above_the_enumeration_cap():
+    # an instance has at least as many datasets as symbols; before the check
+    # max_symbols = 2**62 sized a 1.48 EiB loss table
+    for max_symbols in (ENUMERATION_CAP + 1, 2**62):
+        with pytest.raises(InvalidInput, match="max_symbols"):
+            random_problem(instance_rng(0, 0), max_symbols=max_symbols)
+
+
+def test_random_problem_refuses_a_hypothesis_cap_above_the_cli_bound():
+    for max_hypotheses in (HYPOTHESIS_CAP + 1, 2**40):
+        with pytest.raises(InvalidInput, match="max_hypotheses"):
+            random_problem(instance_rng(0, 0), max_hypotheses=max_hypotheses)
+    assert random_problem(instance_rng(0, 0), max_hypotheses=HYPOTHESIS_CAP).num_hypotheses >= 2
+    # the CLI reads the same bound
+    assert RANGES["max_hypotheses"][-1] == HYPOTHESIS_CAP
+
+
 def test_random_problem_refuses_caps_beyond_int64():
     # the sizes are drawn as int64 below cap + 1; numpy itself would raise a
     # bare ValueError for a cap of 2**63
@@ -431,23 +478,25 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
 
 
 def test_cached_arrays_are_read_only():
-    # gen_characterizations and bounds_table share one evaluation, so no
-    # caller may alter it through an array it hands out
+    # gen_characterizations and bounds_table share one evaluation, and the
+    # members of a sweep share its stacked arrays, so no caller may alter
+    # them through an array it hands out
     for iid in (True, False):
-        posterior = gibbs_posterior(small_problem(41, iid=iid), 1.0)
-        arrays = [
-            posterior.log_rows,
-            posterior.row_array,
-            posterior.hypothesis_marginal,
-            posterior.log_kernel,
-            posterior.log_marginal,
-            posterior.problem._log_dataset_probs,
-        ]
-        if iid:
-            arrays.extend(posterior.replace_one)
-        for array in arrays:
-            with pytest.raises(ValueError):
-                array.flat[0] = 0.0
+        problem = small_problem(41, iid=iid)
+        for posterior in (gibbs_posterior(problem, 1.0), *_gibbs_sweep(problem, (0.5, 1.0, 2.0))):
+            arrays = [
+                posterior.log_rows,
+                posterior.row_array,
+                posterior.hypothesis_marginal,
+                posterior.log_kernel,
+                posterior.log_marginal,
+                posterior.problem._log_dataset_probs,
+            ]
+            if iid:
+                arrays.extend(posterior.replace_one)
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0.0
 
 
 def test_routes_and_bounds_share_one_evaluation(monkeypatch):
@@ -485,6 +534,67 @@ def test_routes_and_bounds_share_one_evaluation(monkeypatch):
             dataclasses.astuple(r) for r in fresh_rows
         ]
         assert rows != hit_rows
+
+
+def test_stacked_sweep_matches_single_builds():
+    # the first 40 instances of the default verify-identities and
+    # bounds-table sweeps, with their gammas, orders and curve gammas: a
+    # member of one stacked evaluation reads exactly what a lone build gives
+    gammas = (0.1, 1.0, 10.0, 100.0)
+    alphas = (1.5, 2.0, 4.0, 1.01)
+    curve_gammas = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
+    for _, problem in instance_sweep(40, 20260814, max_symbols=4, max_hypotheses=5, max_n=3):
+        members = list(_gibbs_sweep(problem, gammas))
+        assert len({member._sweep for member in members}) == 1
+        for member, gamma in zip(members, gammas):
+            single = gibbs_posterior(problem, gamma)
+            assert member.gamma == single.gamma == gamma
+            assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
+            assert [dataclasses.astuple(row) for row in _bounds_rows(member, alphas)] == [
+                dataclasses.astuple(row) for row in _bounds_rows(single, alphas)
+            ]
+        assert empirical_risk_curve(problem, curve_gammas) == [
+            expected_empirical_risk(gibbs_posterior(problem, gamma)) for gamma in curve_gammas
+        ]
+
+
+@pytest.mark.parametrize(
+    "budget, chunks",
+    [
+        # two gammas' tables per chunk; no supersample or replace-one block
+        # holds two gammas
+        (2 * 48, [2, 2, 1]),
+        # one chunk; replace-one stacks two gammas, the supersample sweep one
+        # gamma in two blocks of orbits
+        (400, [5]),
+        # one chunk; the supersample sweep stacks two gammas in one block
+        (1400, [5]),
+    ],
+)
+def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, chunks):
+    # |Z| = 4, n = 2 and 3 hypotheses: 16 x 3 = 48 table elements per gamma,
+    # 55 supersample orbits of 4 selectors
+    problem = small_problem(47, iid=True, n=2)
+    gammas = (0.1, 0.5, 1.0, 2.0, 5.0)
+    monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
+    members = list(_gibbs_sweep(problem, gammas))
+    sweeps = list(dict.fromkeys(member._sweep for member in members))
+    assert [len(sweep.gammas) for sweep in sweeps] == chunks
+    assert all(sweep.log_rows.size <= max(48, budget) for sweep in sweeps)
+    for member, gamma in zip(members, gammas):
+        single = gibbs_posterior(problem, gamma)
+        assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
+        assert [dataclasses.astuple(row) for row in _bounds_rows(member, (1.5, 4.0))] == [
+            dataclasses.astuple(row) for row in _bounds_rows(single, (1.5, 4.0))
+        ]
+    del members, sweeps
+    # a caller that drops each member holds one chunk at a time
+    if chunks[0] < len(gammas):
+        remaining = _gibbs_sweep(problem, gammas)
+        first_chunk = weakref.ref(next(remaining)._sweep)
+        for _ in range(chunks[0]):
+            next(remaining)
+        assert first_chunk() is None
 
 
 def ordered_supersample_info(problem, log_rows):
