@@ -83,8 +83,6 @@ from .gibbs import (
     log_ratio_means,
     population_gibbs,
     regularized_gen,
-    replace_one_divergences,
-    supersample_conditional_info,
 )
 from .probability import (
     InfoReport,

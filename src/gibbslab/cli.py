@@ -174,30 +174,23 @@ def _first(failures: list[str]) -> str:
     return f"; first: {failures[:3]}" if failures else ""
 
 
-def _gaussian(record: dict, **fields) -> GaussianMeanConfig:
-    """The Gaussian mean config of a config record; mu and mu0 may be a
-    real or a list of d reals."""
-    return GaussianMeanConfig(**record, **fields)
-
-
-def _laplace_config(laplace: dict) -> GaussianMeanConfig:
-    n = laplace["n"]
+def _laplace_config(
+    n: int, gamma: float, sigma0_sq: float, sigmaZ_sq: float, **_
+) -> GaussianMeanConfig:
     return GaussianMeanConfig(
-        d=1, mu=0.0, mu0=0.0, sigma0_sq=laplace["sigma0_sq"], sigmaZ_sq=laplace["sigmaZ_sq"],
-        sigma_sq=n / (2.0 * laplace["gamma"]), n=n,
+        d=1, mu=0.0, mu0=0.0, sigma0_sq=sigma0_sq, sigmaZ_sq=sigmaZ_sq,
+        sigma_sq=n / (2.0 * gamma), n=n,
     )
 
 
-def _spot_config(spot: dict) -> GaussianMeanConfig:
+def _spot_config(n: int, sigma_sq: float, **_) -> GaussianMeanConfig:
     return GaussianMeanConfig(
-        d=1, mu=0.0, mu0=0.0, sigma0_sq=1.0, sigmaZ_sq=1.0, sigma_sq=spot["sigma_sq"], n=spot["n"]
+        d=1, mu=0.0, mu0=0.0, sigma0_sq=1.0, sigmaZ_sq=1.0, sigma_sq=sigma_sq, n=n
     )
 
 
-def _sgld_config(config: dict, seed: int) -> SgldConfig:
-    return SgldConfig(
-        step=config["step"], gamma=config["gamma"], iterations=config["iterations"], seed=seed
-    )
+def _sgld_config(step: float, gamma: float, iterations: int, seed: int, **_) -> SgldConfig:
+    return SgldConfig(step=step, gamma=gamma, iterations=iterations, seed=seed)
 
 
 def _problem_kind(problem) -> str:
@@ -400,7 +393,7 @@ def cmd_counterexample(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
     trials = config["trials"]
-    configs = [_gaussian(record) for record in config["configs"]]
+    configs = [GaussianMeanConfig(**record) for record in config["configs"]]
 
     jobs = [(cfg, "gaussian") for cfg in configs]
     jobs.append((configs[config["two_point_config_index"]], "two_point"))
@@ -431,8 +424,8 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
     ]
 
     decay_n = config["decay_n"]
-    cfg_n = _gaussian(config["decay_config"], n=decay_n)
-    cfg_2n = _gaussian(config["decay_config"], n=2 * decay_n)
+    cfg_n = GaussianMeanConfig(**config["decay_config"], n=decay_n)
+    cfg_2n = GaussianMeanConfig(**config["decay_config"], n=2 * decay_n)
     ratio = mean_closed_forms(cfg_n).gen / mean_closed_forms(cfg_2n).gen
     checks.append(
         Check("inverse_n_decay", f"|gen(n)/gen(2n) - 2| at n = {decay_n} (ratio {ratio:.6f})",
@@ -443,7 +436,7 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
     ismi_rows = []
     ratios = []
     for n in ismi_ns:
-        cfg = _gaussian(config["ismi_config"], n=n)
+        cfg = GaussianMeanConfig(**config["ismi_config"], n=n)
         bound = ismi_bound(cfg)
         gen = mean_closed_forms(cfg).gen
         ismi_rows.append([n, cfg.gamma, bound.per_sample_mi, bound.bound, gen, bound.bound / gen])
@@ -608,7 +601,7 @@ def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
         for m in means
     ]
     laplace_value = single_well_gen(wells)
-    exact = mean_closed_forms(_laplace_config(laplace)).gen
+    exact = mean_closed_forms(_laplace_config(**laplace)).gen
     rel = abs(laplace_value - exact) / exact
     write_json(
         os.path.join(out_dir, "laplace.json"),
@@ -664,7 +657,7 @@ def cmd_sgld_demo(config: dict, out_dir: str, seed: int) -> list[Check]:
         del dataset
         return 2.0 * (w - target_mean)
 
-    sgld_config = _sgld_config(config, seed)
+    sgld_config = SgldConfig(step=step, gamma=gamma, iterations=iterations, seed=seed)
     samples = sgld_run(gradient, np.array([0.0]), sgld_config)
     again = sgld_run(gradient, np.array([0.0]), sgld_config)
     flat = samples[:, 0]
@@ -713,7 +706,7 @@ def cmd_pac_bayes(config: dict, out_dir: str, seed: int) -> list[Check]:
     checks = []
     spot_rows = []
     for i, spot in enumerate(config["spot_checks"]):
-        cfg = _spot_config(spot)
+        cfg = _spot_config(**spot)
         value = pac_bayes_bound(
             cfg,
             prime_shift=spot["prime_shift"],
@@ -739,7 +732,7 @@ def cmd_pac_bayes(config: dict, out_dir: str, seed: int) -> list[Check]:
               "reference values", _worst([row[-1] for row in spot_rows]), "<=", 1e-12)
     )
 
-    cfg = _gaussian(config["config"])
+    cfg = GaussianMeanConfig(**config["config"])
     clip = config["clip"]
     trials = config["trials"]
     deltas = tuple(config["deltas"])
@@ -993,11 +986,11 @@ def _checked(default: object, value: object, path: str, key: str, record: bool =
 
 
 def _built(path: str, record: dict, make: Callable, **fields):
-    """make(record, **fields); the InvalidInput of a constructor becomes a
+    """make(**record, **fields); the InvalidInput of a constructor becomes a
     config error at the record key its message starts with (the
     constructors name the offending field first), else at ``path``."""
     try:
-        return make(record, **fields)
+        return make(**record, **fields)
     except InvalidInput as exc:
         name = str(exc).split()[0]
         raise ConfigInvalid(str(exc), path=_join(path, name) if name in record else path) from exc
@@ -1016,10 +1009,10 @@ def validate_config(subcommand: str, user: object, seed: int | None = None) -> d
             raise ConfigInvalid("must be strictly increasing", path="curve_gammas")
     elif subcommand == "gaussian-mean":
         for i, record in enumerate(config["configs"]):
-            _built(f"configs[{i}]", record, _gaussian)
-        _built("decay_config", config["decay_config"], _gaussian, n=config["decay_n"])
+            _built(f"configs[{i}]", record, GaussianMeanConfig)
+        _built("decay_config", config["decay_config"], GaussianMeanConfig, n=config["decay_n"])
         for n in config["ismi_ns"]:
-            _built("ismi_config", config["ismi_config"], _gaussian, n=n)
+            _built("ismi_config", config["ismi_config"], GaussianMeanConfig, n=n)
         index, count = config["two_point_config_index"], len(config["configs"])
         if index >= count:
             raise ConfigInvalid(f"must be below the {count} configs, got {index}",
@@ -1027,13 +1020,13 @@ def validate_config(subcommand: str, user: object, seed: int | None = None) -> d
     elif subcommand == "asymptotics":
         _built("laplace", config["laplace"], _laplace_config)
     elif subcommand == "sgld-demo":
-        sgld = _built("", config, _sgld_config, seed=config["seed"])
+        sgld = _built("", config, _sgld_config)
         kept = sgld.iterations - sgld.burn_in
         if config["batch_count"] > kept:
             raise ConfigInvalid(f"must be at most the {kept} iterates kept after burn-in, "
                                 f"got {config['batch_count']}", path="batch_count")
     elif subcommand == "pac-bayes":
-        _built("config", config["config"], _gaussian)
+        _built("config", config["config"], GaussianMeanConfig)
         for i, spot in enumerate(config["spot_checks"]):
             _built(f"spot_checks[{i}]", spot, _spot_config)
     return config

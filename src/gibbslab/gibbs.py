@@ -32,9 +32,13 @@ asks, in the same operations, reductions and order as for one gamma, so
 each member's numbers are bit for bit those of a lone build.  The gammas
 go in chunks whose table holds at most max(m * nw, BLOCK_ELEMENTS)
 elements (probability.BLOCK_ELEMENTS), and the supersample and
-replace-one sweeps stack only as many gammas as fit in a block, so peak
-memory stays at that of one evaluation or one block, whichever is
-larger, however many gammas there are.  The
+replace-one sweeps work in blocks of the same budget, stacking only as
+many gammas as fit, so however many gammas there are, peak memory stays
+near that of one evaluation or one block, whichever is larger, plus
+replace-one's (m, |Z|) divergence tables of the gammas in its block.
+The two IID-only routes are read through a posterior alone
+(supersample_info, replace_one), and both run the supersample size check
+before they allocate anything.  The
 verify-identities and bounds-table subcommands and empirical_risk_curve
 read their gamma sweeps this way.  gibbs_posterior is the sweep of one
 gamma.  gen_characterizations and bounds.bounds_table, the library's
@@ -422,14 +426,41 @@ class _Sweep(_Kernels):
 
     @cached_property
     def supersample_info(self) -> list[InfoReport]:
+        """Per gamma, the conditional mutual, lautum and symmetrized
+        information between W and the selector string U given a supersample
+        of n sample pairs.  IID data models only.
+
+        The supersample holds 2n IID draws arranged as n pairs; U picks one
+        element of each pair to form the training tuple, uniformly and
+        independently.  The expectation over supersamples runs over orbits
+        rather than ordered tuples: swapping a pair's elements relabels one
+        selector bit, and permuting the pairs permutes every selected
+        dataset, which leaves an IID posterior unchanged, so I(W; U |
+        supersample) is constant on each orbit.  One sorted multiset of n
+        unordered pairs stands for its orbit, weighted by n! / prod_k m_k!
+        * 2**d times its own probability (m_k counts pair type k, d the
+        pairs of two distinct symbols).  _check_supersample counts the
+        states visited against SUPERSAMPLE_CAP before anything is
+        allocated."""
         _check_supersample(self.problem)
         return _supersample_infos(self.problem, self.log_kernel)
 
     @cached_property
     def replace_one(self) -> np.ndarray:
         """(g, 2, n): per gamma, the forward and the reverse replace-one
-        divergences."""
-        _check_replace_one(self.problem)
+        divergences.  For each coordinate i, averaged over (S, Z) with Z an
+        independent fresh sample: forward[i] = E[D(posterior(S) ||
+        posterior(S with slot i = Z))], and reverse[i] the opposite
+        direction.  IID data models only.
+
+        The supersample check runs first, so a problem the supersample
+        route refuses allocates neither route, whichever is read first.
+        GenReport.from_posterior reads both, so this refuses no pair that
+        it accepted.  The check bounds this route's result too: within
+        ENUMERATION_CAP the state count C(K + n - 1, n) * 2**n is never
+        below the m * |Z| elements of one gamma's forward or reverse
+        divergences (the ratio is smallest, (|Z| + 1) / |Z|, at n = 1)."""
+        _check_supersample(self.problem)
         both = _replace_one_stack(self.problem, self.log_kernel)
         both.flags.writeable = False
         return both
@@ -599,17 +630,15 @@ def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -
     return on_population - _risk_under_law(rows, empirical, probs)
 
 
-def _require_kernel(problem: LearningProblem, log_rows: np.ndarray) -> None:
-    expected = (problem._dataset_indices.shape[0], problem.num_hypotheses)
-    if np.shape(log_rows) != expected:
-        raise InvalidInput(f"log_rows shape {np.shape(log_rows)} must be {expected}")
-
-
 def _check_supersample(problem: LearningProblem) -> None:
     """Refuse a non-IID model, or a supersample sweep above SUPERSAMPLE_CAP
-    states, before anything is allocated (see supersample_conditional_info)."""
+    states, before anything is allocated.  The sweep visits C(K + n - 1, n)
+    orbits times 2**n selectors, K = |Z|(|Z|+1)/2 pair types (see
+    _Sweep.supersample_info).  The count grows with n and 2**n alone
+    exceeds SUPERSAMPLE_CAP from n = SUPERSAMPLE_CAP.bit_length() (24) on,
+    so n is clipped there first, as in the dataset count check."""
     if not problem.is_iid():
-        raise NotIID("the supersample construction requires an IID data model")
+        raise NotIID("the supersample and replace-one routes require an IID data model")
     nz = problem.num_samples_symbols
     pair_types = nz * (nz + 1) // 2
     clipped = min(problem.n, SUPERSAMPLE_CAP.bit_length())
@@ -617,36 +646,8 @@ def _check_supersample(problem: LearningProblem) -> None:
     _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
 
 
-def supersample_conditional_info(problem: LearningProblem, log_rows: np.ndarray) -> InfoReport:
-    """Conditional information between W and the selector string U given a
-    supersample of n sample pairs, for the posterior kernel whose log rows
-    (one per dataset, lexicographic order) are given.
-
-    The supersample holds 2n IID draws arranged as n pairs; U picks one
-    element of each pair to form the training tuple, uniformly and
-    independently.  Returns the conditional mutual, lautum, and symmetrized
-    information of (W; U) given the supersample.  IID data models only.
-
-    The expectation over supersamples runs over orbits rather than ordered
-    tuples: swapping a pair's elements relabels one selector bit, and
-    permuting the pairs permutes every selected dataset, which leaves an
-    IID posterior unchanged, so I(W; U | supersample) is constant on each
-    orbit.  One sorted multiset of n unordered pairs stands for its orbit,
-    weighted by n! / prod_k m_k! * 2**d times its own probability (m_k
-    counts pair type k, d the pairs of two distinct symbols).  The size
-    check counts the states the sweep visits, C(K + n - 1, n) orbits times
-    2**n selectors with K = |Z|(|Z|+1)/2 pair types, and runs before
-    anything is allocated.  The count grows with n and 2**n alone exceeds
-    SUPERSAMPLE_CAP from n = SUPERSAMPLE_CAP.bit_length() (24) on, so n is
-    clipped there first, as in the dataset count check.
-    """
-    _check_supersample(problem)
-    _require_kernel(problem, log_rows)
-    return _supersample_infos(problem, np.asarray(log_rows)[None])[0]
-
-
 def _supersample_infos(problem: LearningProblem, log_rows: np.ndarray) -> list[InfoReport]:
-    """supersample_conditional_info for each kernel of a (g, m, nw) stack,
+    """The supersample information of each kernel of a (g, m, nw) stack,
     after the checks.  A block holds BLOCK_ELEMENTS // (2**n * nw) orbits of
     one kernel, as for a lone kernel, so each kernel's sums run over the
     same blocks; when one block holds every orbit, it stacks as many
@@ -678,50 +679,44 @@ def _supersample_infos(problem: LearningProblem, log_rows: np.ndarray) -> list[I
     return [InfoReport(mutual=m, lautum=l, symmetrized=m + l) for m, l in zip(mutual, lautum)]
 
 
-def _check_replace_one(problem: LearningProblem) -> None:
-    if not problem.is_iid():
-        raise NotIID("replace-one divergences require an IID data model")
-
-
-def replace_one_divergences(
-    problem: LearningProblem, log_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed posterior divergences under replacing one training sample,
-    for the posterior kernel whose log rows are given.
-
-    For each coordinate i, averages over (S, Z) with Z an independent fresh
-    sample: forward[i] = E[D(posterior(S) || posterior(S with slot i = Z))]
-    and reverse[i] the opposite direction.  IID data models only.
-    """
-    _check_replace_one(problem)
-    _require_kernel(problem, log_rows)
-    forward, reverse = _replace_one_stack(problem, np.asarray(log_rows)[None])[0]
-    return forward, reverse
-
-
 def _replace_one_stack(problem: LearningProblem, log_rows: np.ndarray) -> np.ndarray:
     """(g, 2, n) forward and reverse replace-one divergences of each kernel
-    of a (g, m, nw) stack, after the checks; a block stacks as many kernels
-    as fit in BLOCK_ELEMENTS, or one."""
+    of a (g, m, nw) stack, after the checks.  For slot i, each dataset's
+    kernel is compared with those of its |Z| one-slot replacements,
+    gathered in (g, b, |Z|, nw) blocks of b datasets, into (g, m, |Z|)
+    forward and reverse divergences, then averaged over the dataset and
+    the fresh sample.  A block stacks as many kernels as fit in
+    BLOCK_ELEMENTS with every dataset, and splits one kernel's datasets
+    only when their gather is above that; each divergence sums the
+    hypotheses of one (dataset, replacement) pair, so no bit depends on
+    the blocks."""
     nz = problem.num_samples_symbols
     n = problem.n
     cols = problem._dataset_indices
     probs = problem._dataset_probs
     marginal = problem.data_model.marginal.weights
     powers = nz ** np.arange(n - 1, -1, -1)
-    ids = np.arange(log_rows.shape[1])
-    group = _per_block(log_rows[0].size * nz)
+    m, nw = log_rows.shape[1:]
+    ids = np.arange(m)
+    symbols = np.arange(nz)
+    block = _per_block(nz * nw)
+    group = _per_block(nz * nw * m)
     out = np.empty((log_rows.shape[0], 2, n))
     for first in range(0, log_rows.shape[0], group):
         kernels = log_rows[first : first + group]
-        log_own = kernels[:, :, None, :]
+        forward = np.empty((kernels.shape[0], m, nz))
+        reverse = np.empty_like(forward)
         for i in range(n):
-            replaced = ids[:, None] + (np.arange(nz)[None, :] - cols[:, i][:, None]) * powers[i]
-            log_alt = np.take(kernels, replaced, axis=1)  # (g, m, nz, nw)
-            fwd, rev = _divergence_pair(log_own, log_alt, axis=3)
-            for k in range(fwd.shape[0]):
-                out[first + k, 0, i] = float(probs @ fwd[k] @ marginal)
-                out[first + k, 1, i] = float(probs @ rev[k] @ marginal)
+            for start in range(0, m, block):
+                sets = slice(start, start + block)
+                replaced = ids[sets, None] + (symbols - cols[sets, i, None]) * powers[i]
+                log_alt = np.take(kernels, replaced, axis=1)  # (g, b, nz, nw)
+                forward[:, sets], reverse[:, sets] = _divergence_pair(
+                    kernels[:, sets, None, :], log_alt, axis=3
+                )
+            for k in range(kernels.shape[0]):
+                out[first + k, 0, i] = float(probs @ forward[k] @ marginal)
+                out[first + k, 1, i] = float(probs @ reverse[k] @ marginal)
     return out
 
 

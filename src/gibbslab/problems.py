@@ -27,8 +27,9 @@ from .samplers import counter_rng
 
 WEIGHT_FLOOR = 0.05
 # the largest max_hypotheses, here and in the CLI: an evaluation peaks at
-# about 140 bytes per (dataset, hypothesis) pair, so at ENUMERATION_CAP
-# datasets 8 hypotheses peak near 1.1 GB
+# 85 to 161 bytes per (dataset, hypothesis) pair (tracemalloc: 131-161 at
+# |Z| = 2 with n = 10 to 17, 90 at |Z| = 4 with n = 7, 87 at |Z| = 16 with
+# n = 4), so at ENUMERATION_CAP datasets 8 hypotheses peak near 0.75 GB
 HYPOTHESIS_CAP = 8
 
 

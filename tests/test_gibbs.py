@@ -37,9 +37,7 @@ from gibbslab import (
     instance_sweep,
     random_problem,
     regularized_gen,
-    replace_one_divergences,
     sandwich_violations,
-    supersample_conditional_info,
 )
 from gibbslab.bounds import _bounds_rows
 from gibbslab.cli import RANGES
@@ -160,12 +158,11 @@ def test_characterizations_on_random_instances():
 
 
 def test_iid_only_routes_reject_joint_models():
-    problem = small_problem(9, iid=False)
-    log_rows = gibbs_posterior(problem, 1.0).log_rows
+    posterior = gibbs_posterior(small_problem(9, iid=False), 1.0)
     with pytest.raises(NotIID):
-        supersample_conditional_info(problem, log_rows)
+        posterior.supersample_info
     with pytest.raises(NotIID):
-        replace_one_divergences(problem, log_rows)
+        posterior.replace_one
 
 
 def test_iid_routes_match_direct():
@@ -187,12 +184,9 @@ def test_iid_routes_match_direct():
 
 def test_replace_one_divergences_shape_and_sign():
     problem = small_problem(11, iid=True, n=3)
-    forward, reverse = replace_one_divergences(problem, gibbs_posterior(problem, 2.0).log_rows)
+    forward, reverse = gibbs_posterior(problem, 2.0).replace_one
     assert forward.shape == (3,) and reverse.shape == (3,)
     assert np.all(forward >= 0.0) and np.all(reverse >= 0.0)
-    # the log rows must hold one row per dataset
-    with pytest.raises(InvalidInput):
-        replace_one_divergences(problem, np.zeros((2, 3)))
 
 
 def test_log_ratio_means_balance_at_population_gibbs():
@@ -375,7 +369,7 @@ def test_unenumerable_n_is_refused_without_forming_the_power():
         assert caught.value.required == 4**20
     # likewise the supersample count, clipped at SUPERSAMPLE_CAP.bit_length()
     with pytest.raises(EnumerationTooLarge) as caught:
-        supersample_conditional_info(problem, np.zeros((1, 3)))
+        gibbslab.gibbs._check_supersample(problem)
     assert caught.value.required == math.comb(10 + 24 - 1, 24) * 2**24
     # a joint law of 16 weights cannot be one of 4**(10**12) datasets
     with pytest.raises(InvalidInput, match=r"expected \|Z\|\*\*n = 4\*\*1000000000000"):
@@ -436,12 +430,11 @@ def test_supersample_cap_raises_before_allocating():
     # |Z| = 4 and n = 9 need C(K + n - 1, n) = C(18, 9) pair orbits (K = 10
     # pair types) times 2**9 selectors, 24,893,440 states, above the 1e7
     # cap; the check must come before any state is built
-    problem = small_problem(27, iid=True, n=9)
-    log_rows = gibbs_posterior(problem, 1.0).log_rows
+    posterior = gibbs_posterior(small_problem(27, iid=True, n=9), 1.0)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationTooLarge) as caught:
-            supersample_conditional_info(problem, log_rows)
+            posterior.supersample_info
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -473,8 +466,8 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
     assert len({report.mutual for report in reports}) == len(gammas)
     # a fresh problem with its own geometry gives the same bits
     fresh = dataclasses.replace(problem)
-    for posterior, report in zip(posteriors, reports):
-        assert supersample_conditional_info(fresh, posterior.log_kernel) == report
+    for gamma, report in zip(gammas, reports):
+        assert gibbs_posterior(fresh, gamma).supersample_info == report
 
 
 def test_cached_arrays_are_read_only():
@@ -562,27 +555,36 @@ def test_stacked_sweep_matches_single_builds():
     "budget, chunks",
     [
         # two gammas' tables per chunk; no supersample or replace-one block
-        # holds two gammas
+        # holds two gammas, and replace-one splits each gamma's 16 datasets
+        # into two blocks of 8
         (2 * 48, [2, 2, 1]),
         # one chunk; replace-one stacks two gammas, the supersample sweep one
         # gamma in two blocks of orbits
         (400, [5]),
         # one chunk; the supersample sweep stacks two gammas in one block
         (1400, [5]),
+        # one gamma per chunk; one dataset per replace-one block
+        (1, [1, 1, 1, 1, 1]),
+        # one gamma per chunk; replace-one blocks of 7 datasets, the last
+        # one partial
+        (84, [1, 1, 1, 1, 1]),
     ],
 )
 def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, chunks):
     # |Z| = 4, n = 2 and 3 hypotheses: 16 x 3 = 48 table elements per gamma,
-    # 55 supersample orbits of 4 selectors
+    # 55 supersample orbits of 4 selectors, and a replace-one gather of
+    # 4 x 3 = 12 elements per dataset
     problem = small_problem(47, iid=True, n=2)
     gammas = (0.1, 0.5, 1.0, 2.0, 5.0)
+    one_block = [gibbs_posterior(problem, gamma).replace_one for gamma in gammas]
     monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
     members = list(_gibbs_sweep(problem, gammas))
     sweeps = list(dict.fromkeys(member._sweep for member in members))
     assert [len(sweep.gammas) for sweep in sweeps] == chunks
     assert all(sweep.log_rows.size <= max(48, budget) for sweep in sweeps)
-    for member, gamma in zip(members, gammas):
+    for member, gamma, expected in zip(members, gammas, one_block):
         single = gibbs_posterior(problem, gamma)
+        assert np.array_equal(member.replace_one, expected)
         assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
         assert [dataclasses.astuple(row) for row in _bounds_rows(member, (1.5, 4.0))] == [
             dataclasses.astuple(row) for row in _bounds_rows(single, (1.5, 4.0))
@@ -597,9 +599,63 @@ def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, c
         assert first_chunk() is None
 
 
-def ordered_supersample_info(problem, log_rows):
-    """The supersample information summed over all |Z|**(2n) ordered tuples
-    of n pairs, each its own state, through the same block loop."""
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_blocked_replace_one_matches_one_block(monkeypatch, per_block):
+    # a budget of per_block datasets' gathers splits every gamma's dataset
+    # axis; 7 divides no |Z|**n below 7 symbols, so the last block of 7 is
+    # partial
+    problems = [small_problem(48, iid=True, n=n) for n in (2, 3, 4)]
+    problems += [random_problem(instance_rng(9, index), max_n=4) for index in range(12)]
+    gammas = (0.1, 1.0, 10.0, 1e3, 1e6)
+    for problem in problems:
+        if problem.dataset_count <= 7:
+            continue
+        nz, nw = problem.num_samples_symbols, problem.num_hypotheses
+        assert nz < 7
+        one_block = [member.replace_one for member in _gibbs_sweep(problem, gammas)]
+        with monkeypatch.context() as patch:
+            patch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", per_block * nz * nw)
+            for gamma, expected in zip(gammas, one_block):
+                assert np.array_equal(gibbs_posterior(problem, gamma).replace_one, expected)
+
+
+def test_refused_supersample_stops_replace_one_before_allocating(monkeypatch):
+    # |Z| = 100, n = 2: 10,000 datasets are within ENUMERATION_CAP, but
+    # C(5050 + 1, 2) * 2**2 = 51,015,100 supersample states are above
+    # SUPERSAMPLE_CAP; replace-one's gather alone would take about 270 MiB
+    rng = np.random.default_rng(49)
+    problem = LearningProblem(
+        sample_alphabet=tuple(range(100)),
+        hypothesis_set=tuple(range(5)),
+        loss=rng.random((5, 100)),
+        prior=ProbVec(np.full(5, 0.2)),
+        data_model=IIDData(ProbVec(np.full(100, 0.01))),
+        n=2,
+    )
+    reads = (
+        gen_characterizations,
+        bounds_table,
+        lambda problem, gamma: gibbs_posterior(problem, gamma).replace_one,
+    )
+    for read in reads:
+        # a fresh problem and an empty slot, so each read builds its own
+        fresh = dataclasses.replace(problem)
+        monkeypatch.setattr(gibbslab.gibbs, "_last_evaluation", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLarge) as caught:
+                read(fresh, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert caught.value.required == 51_015_100
+        assert peak < 16 * 2**20
+
+
+def ordered_supersample_info(problem, gamma):
+    """The supersample information at gamma summed over all |Z|**(2n)
+    ordered tuples of n pairs, each its own state, through the same block
+    loop."""
     nz, n = problem.num_samples_symbols, problem.n
     pairs = gibbslab.gibbs._index_matrix(nz, 2 * n)
     super_probs = np.prod(problem.data_model.marginal.weights[pairs], axis=1)
@@ -612,7 +668,7 @@ def ordered_supersample_info(problem, log_rows):
     reference = dataclasses.replace(problem)
     # the cached property reads its value from the instance dict
     reference.__dict__["_supersample_geometry"] = (super_probs, dataset_ids)
-    return supersample_conditional_info(reference, log_rows)
+    return gibbs_posterior(reference, gamma).supersample_info
 
 
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0, 100.0, 1e3, 1e6])
@@ -627,9 +683,8 @@ def test_supersample_orbits_match_ordered_tuples(gamma):
     problems += [random_problem(instance_rng(7, index), max_n=4) for index in range(12)]
     assert max(problem.n for problem in problems) == 4
     for problem in problems:
-        log_kernel = gibbs_posterior(problem, gamma).log_kernel
-        orbits = supersample_conditional_info(problem, log_kernel)
-        ordered = ordered_supersample_info(problem, log_kernel)
+        orbits = gibbs_posterior(problem, gamma).supersample_info
+        ordered = ordered_supersample_info(problem, gamma)
         for got, want in ((orbits.mutual, ordered.mutual), (orbits.lautum, ordered.lautum)):
             assert abs(got - want) <= 1e-13 * abs(want)
 
