@@ -242,9 +242,13 @@ def bayes_location_regime_gen(
     check_trials(trials)
     precision = 1.0 + n
 
-    def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
-        mean = rng.standard_normal(size) / math.sqrt(n)
+    def gap_chunk(size: int, blocks: list) -> np.ndarray:
+        mean = np.empty(size)
+        for rng, rows in blocks:
+            rng.standard_normal(out=mean[rows])
+        mean /= math.sqrt(n)
         m = (prior_mean + n * mean) / precision
         return 0.5 * (1.0 / n + m**2 - (m - mean) ** 2)
 
-    return mean_and_std_error(block_gaps(trials, seed, gap_block))
+    # the sample means and a few temporaries of their size
+    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 4))

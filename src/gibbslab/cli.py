@@ -653,9 +653,13 @@ def cmd_sgld_demo(config: dict, out_dir: str, seed: int) -> list[Check]:
     target_mean = config["target_mean"]
     batch_count = config["batch_count"]
 
+    # one-element arrays: numpy combines them with w faster than Python
+    # floats, and to the same values
+    two, target = np.full(1, 2.0), np.full(1, target_mean)
+
     def gradient(w, dataset):
         del dataset
-        return 2.0 * (w - target_mean)
+        return two * (w - target)
 
     sgld_config = SgldConfig(step=step, gamma=gamma, iterations=iterations, seed=seed)
     samples = sgld_run(gradient, np.array([0.0]), sgld_config)
@@ -887,6 +891,10 @@ RANGES = {
     "epsilons[]": (">", 0, "<", 0.125),
     # block_gaps fills one (trials,) float64 array: 2**27 trials are 1 GiB
     "trials": (">=", MIN_TRIALS, "<=", 2**27),
+    # a gaussian-mean chunk holds at least one block, whose train and fresh
+    # (64, n, d) float64 draws take 2 * 64 * 64 * 8 B = 64 KiB per unit of n
+    # at d = 64: 1 GiB at n = 2**14
+    "configs[].n": ("<=", 2**14),
     "two_point_config_index": (">=", 0),
     "decay_n": (">=", 2),
     # the decay and ismi checks divide by gen, which is zero at sigmaZ_sq = 0
@@ -914,6 +922,10 @@ RANGES = {
     "deltas[]": (">", 0, "<", 0.5),
     "clip": (">", 0),
     "config.d": ("==", 1),  # the coverage experiment is one-dimensional
+    # a coverage block makes n passes over its (64, grid) arrays, about
+    # 0.11 ms per unit of n on a 2-core x86 machine: at n = 10**4 a block
+    # takes about 1 s, and the fewest trials, 16 blocks, about 20 s
+    "config.n": ("<=", 10**4),
     "spot_checks[].sigma": (">", 0),
     "spot_checks[].delta": (">", 0, "<", 0.5),
     "spot_checks[].prime_shift": (">=", 0),

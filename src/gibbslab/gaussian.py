@@ -211,16 +211,13 @@ def mean_closed_forms(config: GaussianMeanConfig) -> MeanClosedForms:
     )
 
 
-def _draw_samples(
-    rng: np.random.Generator, config: GaussianMeanConfig, shape: tuple[int, ...], law: str
-) -> np.ndarray:
-    """Samples of the given leading shape, each a d-vector."""
-    scale = math.sqrt(config.sigmaZ_sq)
+def _draw_noise(rng: np.random.Generator, law: str, out: np.ndarray) -> None:
+    """Fill ``out`` with unit-variance noise of the sample law."""
     if law == "gaussian":
-        noise = rng.standard_normal((*shape, config.d))
+        rng.standard_normal(out=out)
     else:  # two_point: a Rademacher sign per coordinate, matched variance
-        noise = rng.integers(0, 2, size=(*shape, config.d)) * 2.0 - 1.0
-    return config.mu + scale * noise
+        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
 
 
 def mc_mean_gen(
@@ -238,27 +235,42 @@ def mc_mean_gen(
     law selects the sample distribution: "gaussian" or "two_point" (a
     variance-matched Rademacher law, exercising the fact that the closed
     form depends on the sample law only through its covariance).
-    Trials are drawn in blocks (see samplers.block_gaps) as arrays of
-    shape (block, n, d).  Returns (estimate, standard error);
-    bit-reproducible for a fixed seed.
+    Trials are drawn in blocks and evaluated in chunks of blocks (see
+    samplers.block_gaps) as arrays of shape (chunk, n, d).  Returns
+    (estimate, standard error); bit-reproducible for a fixed seed.
     """
     check_trials(trials)
     if law not in ("gaussian", "two_point"):
         raise InvalidInput(f"law must be 'gaussian' or 'two_point', got {law!r}")
-    n = config.n
+    n, d = config.n, config.d
+    scale = math.sqrt(config.sigmaZ_sq)
     post_scale = math.sqrt(config.sigma1_sq)
 
-    def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
-        train = _draw_samples(rng, config, (size, n), law)
-        w = config.posterior_mean(train) + post_scale * rng.standard_normal((size, config.d))
-        fresh = _draw_samples(rng, config, (size, n), law)
-        delta_fresh = w[:, None, :] - fresh
-        delta_train = w[:, None, :] - train
-        return (
-            (delta_fresh * delta_fresh).sum(axis=2) - (delta_train * delta_train).sum(axis=2)
-        ).mean(axis=1)
+    def gap_chunk(size: int, blocks: list) -> np.ndarray:
+        train = np.empty((size, n, d))
+        w = np.empty((size, d))
+        fresh = np.empty((size, n, d))
+        for rng, rows in blocks:
+            _draw_noise(rng, law, train[rows])
+            rng.standard_normal(out=w[rows])
+            _draw_noise(rng, law, fresh[rows])
+        for samples in (train, fresh):
+            samples *= scale
+            samples += config.mu
+        # W is the posterior mean plus the scaled posterior noise
+        w *= post_scale
+        w += config.posterior_mean(train)
+        # the squared deviations overwrite the samples
+        for samples in (fresh, train):
+            np.subtract(w[:, None, :], samples, out=samples)
+            np.multiply(samples, samples, out=samples)
+        gaps = fresh.sum(axis=2)
+        gaps -= train.sum(axis=2)
+        return gaps.mean(axis=1)
 
-    return mean_and_std_error(block_gaps(trials, seed, gap_block))
+    # a trial holds n * d train and fresh elements and, while the gaps
+    # are summed, n squared distances of each
+    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 2 * n * (d + 1)))
 
 
 @dataclass(frozen=True)
@@ -400,8 +412,12 @@ def pac_bayes_coverage(
     n = config.n
     gamma = config.gamma
 
-    def gap_block(rng: np.random.Generator, size: int) -> np.ndarray:
-        samples = mu + sz * rng.standard_normal((size, n))
+    def gap_chunk(size: int, blocks: list) -> np.ndarray:
+        samples = np.empty((size, n))
+        for rng, rows in blocks:
+            rng.standard_normal(out=samples[rows])
+        samples *= sz
+        samples += mu
         # truncated empirical risk of every trial on the grid, summed
         # over the samples in their draw order
         emp = np.zeros((size, COVERAGE_GRID))
@@ -412,8 +428,8 @@ def pac_bayes_coverage(
             np.minimum(term, clip, out=term)
             emp += term
         emp /= n
-        # the posterior reuses the scratch buffer, keeping a block at two
-        # (block, grid) arrays
+        # the posterior reuses the scratch buffer, keeping a chunk at two
+        # (chunk, grid) arrays
         post = np.multiply(emp, -gamma, out=term)
         post += log_prior
         post -= post.max(axis=1, keepdims=True)
@@ -421,7 +437,8 @@ def pac_bayes_coverage(
         post /= post.sum(axis=1, keepdims=True)
         return np.abs(np.einsum("bg,bg->b", post, np.subtract(pop_risk, emp, out=emp)))
 
-    gaps = block_gaps(trials, seed, gap_block)
+    # two (chunk, grid) arrays: a chunk is one block
+    gaps = block_gaps(trials, seed, gap_chunk, 2 * COVERAGE_GRID)
 
     sigma = clip / 2.0
     bounds = {

@@ -366,6 +366,16 @@ CONFIG_ERRORS = [
     ("verify-identities", {"max_n": 100_000, "instances": 4}, (), "max_n"),
     ("verify-identities", {"max_n": 10**30}, (), "max_n"),
     ("bounds-table", {"max_n": 20}, (), "max_n"),
+    # Monte Carlo sample sizes whose one block would not fit in memory or
+    # would run for minutes
+    ("gaussian-mean",
+     {"configs": [{**DEFAULTS["gaussian-mean"]["configs"][0], "n": 10**12}]}, (), "configs[0].n"),
+    ("gaussian-mean",
+     {"configs": [*DEFAULTS["gaussian-mean"]["configs"][:2],
+                  {**DEFAULTS["gaussian-mean"]["configs"][2], "n": 2**14 + 1}]},
+     (), "configs[2].n"),
+    ("pac-bayes", {"config": {"n": 10**12}}, (), "config.n"),
+    ("pac-bayes", {"config": {"n": 10**4 + 1}}, (), "config.n"),
 ]
 
 

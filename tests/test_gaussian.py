@@ -217,10 +217,35 @@ def traced_peak(fn, *args):
     return peak
 
 
+@pytest.mark.parametrize(
+    "record, trials, seed, pins",
+    [
+        # 2000 = 31 * 64 + 16 trials in chunks of 7 blocks at n * d = 80
+        ({"d": 4, "mu": 0.0, "mu0": 0.5, "sigma0_sq": 1.0, "sigmaZ_sq": 0.5,
+          "sigma_sq": 2.0, "n": 20}, 2000, 7,
+         {"gaussian": ("0x1.8c651e24bda7dp-3", "0x1.8ec30f451ef64p-7"),
+          "two_point": ("0x1.744989d8322b3p-3", "0x1.d224b4361a2aep-8")}),
+        # 25,000 = 390 * 64 + 40 trials in chunks of 78 blocks at n * d = 5
+        ({"d": 1, "mu": 0.0, "mu0": 0.0, "sigma0_sq": 1.0, "sigmaZ_sq": 1.0,
+          "sigma_sq": 1.0, "n": 5}, 25_000, 11,
+         {"gaussian": ("0x1.4cf4ba4833719p-2", "0x1.b7a82072c5c25p-8"),
+          "two_point": ("0x1.48af85cd6f1eap-2", "0x1.31458ccade10bp-8")}),
+    ],
+)
+def test_mc_mean_gen_pinned_digits(record, trials, seed, pins):
+    # recorded when every block's arithmetic ran on its own; a trial's
+    # gap must not depend on how its block is grouped with others
+    cfg = GaussianMeanConfig(**record)
+    for law, expected in pins.items():
+        estimate, std_error = mc_mean_gen(cfg, trials, seed, law=law)
+        assert (estimate.hex(), std_error.hex()) == expected
+
+
 def test_mc_mean_gen_memory_is_gaps_plus_one_block():
     # the (trials,) gaps (0.8 MB), the deviations the standard error takes
-    # from them, and one (64, n, d) block; one unblocked (trials, n, d)
-    # draw alone would take 64 MB
+    # from them, and one chunk of blocks, whose train and fresh draws and
+    # squared distances stay within BLOCK_ELEMENTS (0.8 MB) together; one
+    # unblocked (trials, n, d) draw alone would take 64 MB
     cfg = make_config(d=4, n=20)
     assert traced_peak(mc_mean_gen, cfg, 100_000, 1) < 3_000_000
 
