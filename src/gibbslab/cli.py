@@ -59,7 +59,7 @@ from .gaussian import (
 )
 from .gibbs import (
     CONCAVITY_SLACK,
-    ENUMERATION_CAP,
+    ELEMENT_CAP,
     GenReport,
     InfoDivergenceReport,
     _gibbs_sweep,
@@ -68,7 +68,6 @@ from .gibbs import (
     empirical_risk_curve,
 )
 from .problems import (
-    HYPOTHESIS_CAP,
     instance_rng,
     instance_sweep,
     random_mixture_components,
@@ -874,14 +873,13 @@ RANGES = {
     # gammas on a 2-core x86 machine, so 10**4 instances take about 20 s
     "instances": (">=", 1, "<=", 10**4),
     "gammas[]": (">", 0),
-    # an instance has at least as many datasets as symbols, and one with
-    # more than ENUMERATION_CAP datasets is never evaluated
-    "max_symbols": (">=", 2, "<=", ENUMERATION_CAP),
-    "max_hypotheses": (">=", 2, "<=", HYPOTHESIS_CAP),
-    # an n whose datasets exceed ENUMERATION_CAP raises EnumerationTooLarge;
-    # an alphabet has at least 2 symbols and 2**19 <= ENUMERATION_CAP < 2**20,
-    # so no instance with n >= 20 can ever be evaluated
-    "max_n": (">=", 1, "<=", ENUMERATION_CAP.bit_length() - 1),
+    # an instance whose m * max(n, nw) exceeds ELEMENT_CAP raises
+    # EnumerationTooLarge before its tables are drawn; each bound is the
+    # largest value some instance can take: m >= |Z| >= 2 and nw >= 2, so
+    # |Z| and nw stay within ELEMENT_CAP // 2, and n * 2**n <= ELEMENT_CAP
+    "max_symbols": (">=", 2, "<=", ELEMENT_CAP // 2),
+    "max_hypotheses": (">=", 2, "<=", ELEMENT_CAP // 2),
+    "max_n": (">=", 1, "<=", max(n for n in range(1, 64) if n * 2**n <= ELEMENT_CAP)),
     # one curve or mixture takes under 1 ms at the default sizes and is
     # freed after it: 10**5 take about a minute
     "curve_instances": (">=", 1, "<=", 10**5),

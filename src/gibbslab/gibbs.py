@@ -19,8 +19,10 @@ All five agree to 1e-9 relative on any valid instance; GenReport enforces
 this at construction.  Datasets are ordered tuples enumerated in
 lexicographic order; only the supersample sweep collapses its states, to
 one representative per orbit of pair swaps and pair permutations (see
-LearningProblem._supersample_geometry), and its size cap counts those
-orbit states.
+LearningProblem._supersample_geometry).  One cap, ELEMENT_CAP, bounds
+every enumerated array: _check_elements counts the largest array of a
+problem before its first table, and each IID route's own count before
+that route allocates.
 
 One evaluation of a (problem, gamma) pair is what every route and bound
 reads: the routes through GenReport.from_posterior (which also carries
@@ -37,7 +39,7 @@ many gammas as fit, so however many gammas there are, peak memory stays
 near that of one evaluation or one block, whichever is larger, plus
 replace-one's (m, |Z|) divergence tables of the gammas in its block.
 The two IID-only routes are read through a posterior alone
-(supersample_info, replace_one), and both run the supersample size check
+(supersample_info, replace_one), and both run the same size checks
 before they allocate anything.  The
 verify-identities and bounds-table subcommands and empirical_risk_curve
 read their gamma sweeps this way.  gibbs_posterior is the sweep of one
@@ -88,8 +90,11 @@ from .probability import (
     info_triple,
 )
 
-ENUMERATION_CAP = 10**6
-SUPERSAMPLE_CAP = 10**7
+# the most elements any one enumerated array may hold: an evaluation peaks
+# at 85 to 117 bytes per element of its largest count (tracemalloc), so
+# 0.65 to 0.95 GB at the cap, and the 6,223,360 supersample states of
+# |Z| = 4, n = 8 fit
+ELEMENT_CAP = 8 * 10**6
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 COMPARE_TOL = 1e-10
@@ -191,17 +196,16 @@ class LearningProblem:
 
     @cached_property
     def _dataset_indices(self) -> np.ndarray:
-        """(m, n) sample indices of every dataset, lexicographic order; every
-        enumerated table starts here, so the size checks run here first.
-        With two or more symbols the dataset count check keeps n below
-        ENUMERATION_CAP.bit_length(), so the matrix's m * n entries stay
-        below ENUMERATION_CAP * ENUMERATION_CAP.bit_length(); the entry
-        check can refuse only a one-symbol alphabet at a huge n."""
-        _check_dataset_count(self.num_samples_symbols, self.n, "dataset enumeration")
-        _check_enumeration(
-            self.dataset_count * self.n,
-            ENUMERATION_CAP * ENUMERATION_CAP.bit_length(),
-            "dataset index matrix",
+        """(m, n) sample indices of every dataset, lexicographic order.
+        Every enumerated table starts here, so the size check runs here
+        first, on m * max(n, nw) elements: the largest of this matrix, the
+        dataset law, the risk table, every (m, nw) evaluation array and the
+        (nw, |Z|) loss table (|Z| <= m)."""
+        _check_elements(
+            "dataset enumeration",
+            max(self.n, self.num_hypotheses),
+            self.num_samples_symbols,
+            self.n,
         )
         return _index_matrix(self.num_samples_symbols, self.n)
 
@@ -218,8 +222,16 @@ class LearningProblem:
 
     @cached_property
     def _empirical_risk(self) -> np.ndarray:
-        """(num_hypotheses, m) empirical risk of every (w, dataset) pair."""
-        risk = self.loss[:, self._dataset_indices].mean(axis=2)
+        """(num_hypotheses, m) empirical risk of every (w, dataset) pair,
+        from (nw, b, n) loss gathers of b datasets within BLOCK_ELEMENTS;
+        each mean runs over one pair's n losses, so no bit depends on the
+        blocks.  The table is column-major, as a gather's mean is, since
+        the sums over it run in its memory order."""
+        cols = self._dataset_indices
+        risk = np.empty((self.num_hypotheses, cols.shape[0]), order="F")
+        block = _per_block(self.num_hypotheses * self.n)
+        for start in range(0, cols.shape[0], block):
+            risk[:, start : start + block] = self.loss[:, cols[start : start + block]].mean(axis=2)
         risk.flags.writeable = False
         return risk
 
@@ -268,7 +280,7 @@ class LearningProblem:
         super_probs = np.prod(weights[first] * weights[second], axis=1) * orbit_size
         powers = nz ** np.arange(n - 1, -1, -1)
         selectors = _index_matrix(2, n)
-        # dataset ids stay below ENUMERATION_CAP, so int32 holds them
+        # dataset ids stay below ELEMENT_CAP, so int32 holds them
         dataset_ids = np.empty((orbits.shape[0], selectors.shape[0]), dtype=np.int32)
         for k, bits in enumerate(selectors):
             chosen = np.where(bits[None, :] == 1, second, first)
@@ -297,22 +309,20 @@ def _tuple_probs(model: DataModel, indices: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _check_enumeration(required: int, cap: int, what: str) -> None:
-    if required > cap:
+def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) -> None:
+    """Refuse an array of factor * base**exponent elements above
+    ELEMENT_CAP, before anything is allocated, without forming a power
+    above the cap: with a base of 2 or more an exponent of
+    ELEMENT_CAP.bit_length() (23) or more already exceeds it, so the
+    exponent is clipped there first, and EnumerationTooLarge.required then
+    carries that lower bound instead of the count."""
+    required = factor * base ** min(exponent, ELEMENT_CAP.bit_length())
+    if required > ELEMENT_CAP:
         raise EnumerationTooLarge(
-            f"{what} needs more states than its cap of {cap}",
+            f"{what} needs more elements than the cap of {ELEMENT_CAP}",
             required=required,
-            cap=cap,
+            cap=ELEMENT_CAP,
         )
-
-
-def _check_dataset_count(nz: int, n: int, what: str) -> None:
-    """Refuse nz**n ordered n-tuples above ENUMERATION_CAP without forming
-    a power above the cap.  With two or more symbols an n of
-    ENUMERATION_CAP.bit_length() (20) or more exceeds the cap whatever nz
-    is, so the exponent is clipped there first: EnumerationTooLarge.required
-    carries nz**n when n is below 20, and the lower bound nz**20 otherwise."""
-    _check_enumeration(nz ** min(n, ENUMERATION_CAP.bit_length()), ENUMERATION_CAP, what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,10 +449,9 @@ class _Sweep(_Kernels):
         supersample) is constant on each orbit.  One sorted multiset of n
         unordered pairs stands for its orbit, weighted by n! / prod_k m_k!
         * 2**d times its own probability (m_k counts pair type k, d the
-        pairs of two distinct symbols).  _check_supersample counts the
-        states visited against SUPERSAMPLE_CAP before anything is
-        allocated."""
-        _check_supersample(self.problem)
+        pairs of two distinct symbols).  _require_iid_routes counts the
+        states visited before anything is allocated."""
+        _require_iid_routes(self.problem)
         return _supersample_infos(self.problem, self.log_kernel)
 
     @cached_property
@@ -453,14 +462,9 @@ class _Sweep(_Kernels):
         posterior(S with slot i = Z))], and reverse[i] the opposite
         direction.  IID data models only.
 
-        The supersample check runs first, so a problem the supersample
-        route refuses allocates neither route, whichever is read first.
-        GenReport.from_posterior reads both, so this refuses no pair that
-        it accepted.  The check bounds this route's result too: within
-        ENUMERATION_CAP the state count C(K + n - 1, n) * 2**n is never
-        below the m * |Z| elements of one gamma's forward or reverse
-        divergences (the ratio is smallest, (|Z| + 1) / |Z|, at n = 1)."""
-        _check_supersample(self.problem)
+        Both IID routes run the same checks first, so a problem either
+        refuses allocates neither route, whichever is read first."""
+        _require_iid_routes(self.problem)
         both = _replace_one_stack(self.problem, self.log_kernel)
         both.flags.writeable = False
         return both
@@ -549,8 +553,8 @@ def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """Tabulate the Gibbs posterior for every dataset, in the log domain: a
-    sweep over the one gamma.  Raises EnumerationTooLarge above
-    ENUMERATION_CAP datasets, before any table is built.  Every call builds
+    sweep over the one gamma.  Raises EnumerationTooLarge when m * max(n,
+    nw) is above ELEMENT_CAP, before any table is built.  Every call builds
     anew; see _evaluation for the one evaluation that gen_characterizations
     and bounds_table share."""
     return next(_gibbs_sweep(problem, (gamma,)))
@@ -630,20 +634,19 @@ def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -
     return on_population - _risk_under_law(rows, empirical, probs)
 
 
-def _check_supersample(problem: LearningProblem) -> None:
-    """Refuse a non-IID model, or a supersample sweep above SUPERSAMPLE_CAP
-    states, before anything is allocated.  The sweep visits C(K + n - 1, n)
+def _require_iid_routes(problem: LearningProblem) -> None:
+    """Refuse a non-IID model, or either IID route's count above
+    ELEMENT_CAP, before anything is allocated: replace-one's m * |Z|
+    divergences per gamma, then the supersample sweep's C(K + n - 1, n)
     orbits times 2**n selectors, K = |Z|(|Z|+1)/2 pair types (see
-    _Sweep.supersample_info).  The count grows with n and 2**n alone
-    exceeds SUPERSAMPLE_CAP from n = SUPERSAMPLE_CAP.bit_length() (24) on,
-    so n is clipped there first, as in the dataset count check."""
+    _Sweep.supersample_info).  The problem's own check has already bounded
+    n, so the binomial stays small."""
     if not problem.is_iid():
         raise NotIID("the supersample and replace-one routes require an IID data model")
     nz = problem.num_samples_symbols
-    pair_types = nz * (nz + 1) // 2
-    clipped = min(problem.n, SUPERSAMPLE_CAP.bit_length())
-    required = math.comb(pair_types + clipped - 1, clipped) * 2**clipped
-    _check_enumeration(required, SUPERSAMPLE_CAP, "supersample enumeration")
+    n = problem.n
+    _check_elements("replace-one divergences", nz, nz, n)
+    _check_elements("supersample enumeration", math.comb(nz * (nz + 1) // 2 + n - 1, n), 2, n)
 
 
 def _supersample_infos(problem: LearningProblem, log_rows: np.ndarray) -> list[InfoReport]:

@@ -14,23 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .gibbs import (
-    ENUMERATION_CAP,
-    DataModel,
-    IIDData,
-    JointData,
-    LearningProblem,
-    _check_dataset_count,
-)
+from .gibbs import DataModel, IIDData, JointData, LearningProblem, _check_elements
 from .probability import ProbVec
 from .samplers import counter_rng
 
 WEIGHT_FLOOR = 0.05
-# the largest max_hypotheses, here and in the CLI: an evaluation peaks at
-# 85 to 161 bytes per (dataset, hypothesis) pair (tracemalloc: 131-161 at
-# |Z| = 2 with n = 10 to 17, 90 at |Z| = 4 with n = 7, 87 at |Z| = 16 with
-# n = 4), so at ENUMERATION_CAP datasets 8 hypotheses peak near 0.75 GB
-HYPOTHESIS_CAP = 8
 
 
 def _positive_weights(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -52,31 +40,24 @@ def random_problem(
 ) -> LearningProblem:
     """One random problem: alphabet sizes and n uniform up to the caps,
     losses uniform in [0, 1], strictly positive random prior and data law.
-    The symbol and hypothesis caps size the loss table, so they are bounded
-    before any draw: an instance has at least as many datasets as symbols,
-    and max_hypotheses is at most HYPOTHESIS_CAP."""
+    The drawn sizes pass the problem's element check before any table is
+    drawn, so an instance too large to enumerate raises
+    EnumerationTooLarge without allocating."""
     if max_symbols < 2 or max_hypotheses < 2 or max_n < 1:
         raise InvalidInput("caps must allow at least two symbols, two hypotheses, n >= 1")
-    if max_symbols > ENUMERATION_CAP or max_hypotheses > HYPOTHESIS_CAP:
-        raise InvalidInput(
-            f"max_symbols must be at most {ENUMERATION_CAP} and max_hypotheses at most "
-            f"{HYPOTHESIS_CAP}, got {max_symbols} and {max_hypotheses}"
-        )
-    # n is drawn as an int64 below its cap plus one
-    if max_n >= 2**63:
-        raise InvalidInput("max_n must be below 2**63, the limit of an int64 draw")
+    # each size is drawn as an int64 below its cap plus one
+    if max(max_symbols, max_hypotheses, max_n) >= 2**63:
+        raise InvalidInput("the caps must be below 2**63, the limit of an int64 draw")
     nz = int(rng.integers(2, max_symbols + 1))
     nw = int(rng.integers(2, max_hypotheses + 1))
     n = int(rng.integers(1, max_n + 1))
+    _check_elements("dataset enumeration", max(n, nw), nz, n)
     loss = rng.random((nw, nz))
     prior = ProbVec(_positive_weights(rng, nw))
     model: DataModel
     if iid:
         model = IIDData(ProbVec(_positive_weights(rng, nz)))
     else:
-        # one weight per dataset: refuse a law too large to enumerate
-        # before drawing it
-        _check_dataset_count(nz, n, "joint data law")
         model = JointData(_positive_weights(rng, nz**n))
     return LearningProblem(
         sample_alphabet=tuple(range(nz)),

@@ -153,7 +153,9 @@ def sgld_run(
     gradient raises, the chain raises Diverged at the first iterate whose
     norm exceeded 1e10 or was not finite, naming its step and norm; the
     gradient may meanwhile have been called on up to CHECK_STEPS - 1
-    later iterates.  Returns an array of shape (iterations - burn_in, dim).
+    later iterates.  numpy's overflow and invalid-value warnings, the
+    gradient's included, are silenced while the chain runs.  Returns an
+    array of shape (iterations - burn_in, dim).
     """
     w = np.atleast_1d(np.asarray(initial, dtype=np.float64)).copy()
     if w.ndim != 1:
@@ -165,18 +167,21 @@ def sgld_run(
     # float, and to the same product
     step = np.full(1, config.step)
     iterates = np.empty((config.iterations, w.size))
-    for start in range(0, config.iterations, CHECK_STEPS):
-        rows = []
-        try:
-            for noise_row in noise[start : start + CHECK_STEPS]:
-                grad = gradient(w, dataset)
-                if type(grad) is not np.ndarray or grad.dtype is not dtype or grad.shape != shape:
-                    grad = np.asarray(grad, dtype=np.float64).reshape(shape)
-                w = w - step * grad + noise_row
-                rows.append(w)
-        finally:
-            if rows:
-                _check_block(iterates, start, rows)
+    # a diverging chain overflows on its way to its block's check, which
+    # raises Diverged at the first bad iterate, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, config.iterations, CHECK_STEPS):
+            rows = []
+            try:
+                for noise_row in noise[start : start + CHECK_STEPS]:
+                    grad = gradient(w, dataset)
+                    if type(grad) is not np.ndarray or grad.dtype is not dtype or grad.shape != shape:
+                        grad = np.asarray(grad, dtype=np.float64).reshape(shape)
+                    w = w - step * grad + noise_row
+                    rows.append(w)
+            finally:
+                if rows:
+                    _check_block(iterates, start, rows)
     return iterates[config.burn_in :]
 
 

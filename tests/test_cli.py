@@ -358,14 +358,14 @@ CONFIG_ERRORS = [
     ("verify-identities", {"curve_instances": 10**5 + 1}, (), "curve_instances"),
     ("verify-identities", {"mixture_instances": 10**5 + 1}, (), "mixture_instances"),
     ("asymptotics", {"aic_pairs": 10**5 + 1}, (), "aic_pairs"),
-    # problem sizes whose tables are allocated before the enumeration cap
-    ("bounds-table", {"max_symbols": 10**6 + 1}, (), "max_symbols"),
-    ("verify-identities", {"max_hypotheses": 9}, (), "max_hypotheses"),
-    # n >= 20 never fits the enumeration cap, and a huge n can neither be
+    # problem sizes that no instance within the element cap can take
+    ("bounds-table", {"max_symbols": 4 * 10**6 + 1}, (), "max_symbols"),
+    ("verify-identities", {"max_hypotheses": 4 * 10**6 + 1}, (), "max_hypotheses"),
+    # n >= 19 never fits the element cap, and a huge n can neither be
     # drawn as an int64 nor have its dataset count printed in decimal
     ("verify-identities", {"max_n": 100_000, "instances": 4}, (), "max_n"),
     ("verify-identities", {"max_n": 10**30}, (), "max_n"),
-    ("bounds-table", {"max_n": 20}, (), "max_n"),
+    ("bounds-table", {"max_n": 19}, (), "max_n"),
     # Monte Carlo sample sizes whose one block would not fit in memory or
     # would run for minutes
     ("gaussian-mean",
@@ -390,11 +390,49 @@ def test_config_error_exits_2_at_its_path(tmp_path, capsys, subcommand, override
 
 @pytest.mark.parametrize("subcommand", ["verify-identities", "bounds-table"])
 def test_largest_max_n_ends_with_a_documented_exit(tmp_path, capsys, subcommand):
-    # instance 2 of the default seed draws |Z| = 3 and n = 19: its 3**19
+    # instance 2 of the default seed draws |Z| = 3 and n = 18: its 3**18
     # datasets exceed the cap, a numerical error
-    config = write_config(tmp_path, "n.json", {"max_n": 19, "instances": 4})
+    config = write_config(tmp_path, "n.json", {"max_n": RANGES["max_n"][-1], "instances": 4})
     assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 3
     assert "numerical error: EnumerationTooLarge: " in capsys.readouterr().err
+
+
+# each size key of RANGES at its bound, with a seed whose first instance
+# lies just within ELEMENT_CAP, so that the run evaluates it: (|Z|, nw, n)
+# of (2660500, 3, 1), (1555293, 5, 1), (2, 3, 18) and (2, 3964134, 1),
+# m * max(n, nw) of 4.7 to 8.0 million elements; its peak, about 1.3 GB
+# at most, stays below an address-space limit of 3 GiB
+RANGE_CORNERS = {
+    "symbols-n1": ({"max_symbols": RANGES["max_symbols"][-1], "max_n": 1}, 94),
+    "symbols-n2": ({"max_symbols": RANGES["max_symbols"][-1], "max_n": 2}, 23),
+    "n-two-symbols": ({"max_symbols": 2, "max_n": RANGES["max_n"][-1]}, 178),
+    "hypotheses": ({"max_hypotheses": RANGES["max_hypotheses"][-1]}, 35),
+}
+
+
+@pytest.mark.parametrize("corner", list(RANGE_CORNERS))
+@pytest.mark.parametrize("subcommand", ["verify-identities", "bounds-table"])
+def test_range_corners_end_with_a_documented_exit(tmp_path, subcommand, corner):
+    # the child sets the limit on itself before it imports gibbslab, so
+    # that it holds for the run alone; an allocation above it would end
+    # the run with exit 4
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gibbslab.cli.__file__)))
+    sizes, seed = RANGE_CORNERS[corner]
+    config = write_config(
+        tmp_path, "corner.json", {**sizes, "seed": seed, "instances": 1, "gammas": [1.0]}
+    )
+    run = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30)); "
+        "from gibbslab.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", run, subcommand, "--config", config, "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode in (0, 1, 3), proc.stderr
 
 
 @pytest.mark.parametrize(

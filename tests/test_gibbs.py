@@ -41,8 +41,7 @@ from gibbslab import (
 )
 from gibbslab.bounds import _bounds_rows
 from gibbslab.cli import RANGES
-from gibbslab.gibbs import ENUMERATION_CAP, GenReport, _gibbs_sweep, expected_empirical_risk
-from gibbslab.problems import HYPOTHESIS_CAP
+from gibbslab.gibbs import ELEMENT_CAP, GenReport, _gibbs_sweep, expected_empirical_risk
 
 
 def small_problem(seed=0, iid=True, n=2):
@@ -328,25 +327,157 @@ def test_chain_rule_example_epsilon_validation():
             chain_rule_example(bad)
 
 
-def test_enumeration_cap():
-    # |Z| = 4 and n = 10 give 4**10 = 1,048,576 datasets, above the 1e6
-    # cap; the check must come before any table is built
-    problem = small_problem(22, iid=True, n=10)
-    tracemalloc.start()
-    try:
-        for evaluate in (gibbs_posterior, gen_characterizations):
+def one_symbol_problem(n):
+    return LearningProblem(
+        sample_alphabet=(0,),
+        hypothesis_set=(0, 1),
+        loss=np.array([[0.25], [0.75]]),
+        prior=ProbVec(np.array([0.5, 0.5])),
+        data_model=IIDData(ProbVec(np.array([1.0]))),
+        n=n,
+    )
+
+
+def uniform_problem(nz, n, nw):
+    rng = np.random.default_rng(50)
+    return LearningProblem(
+        sample_alphabet=tuple(range(nz)),
+        hypothesis_set=tuple(range(nw)),
+        loss=rng.random((nw, nz)),
+        prior=ProbVec(np.full(nw, 1.0 / nw)),
+        data_model=IIDData(ProbVec(np.full(nz, 1.0 / nz))),
+        n=n,
+    )
+
+
+def evaluate(problem):
+    return gibbs_posterior(problem, 1.0)
+
+
+def characterize(problem):
+    return gen_characterizations(problem, 1.0)
+
+
+def bound(problem):
+    return bounds_table(problem, 1.0)
+
+
+# The arrays ELEMENT_CAP counts, one case each: (build, reads, required).
+# build runs before the trace starts; each read gets what it built and
+# must raise EnumerationTooLarge carrying required (None: only above the
+# cap, for random draws) before it allocates.
+CAPPED = {
+    # |Z| = 4, n = 10, 3 hypotheses: 4**10 datasets of 10 samples each
+    "dataset-count": (
+        lambda: small_problem(22, iid=True, n=10),
+        (evaluate, characterize),
+        4**10 * 10,
+    ),
+    # |Z| = 32, n = 2: 1,024 datasets and one hypothesis more than the cap
+    # holds at that m; before the cap counted hypotheses, these 8 million
+    # pairs were evaluated, at a peak of about 250 MiB
+    "hypothesis-count": (
+        lambda: uniform_problem(32, 2, ELEMENT_CAP // 32**2 + 1),
+        (evaluate, characterize, bound),
+        32**2 * (ELEMENT_CAP // 32**2 + 1),
+    ),
+    # 4**(10**12) has 2e12 bits and is never formed: the exponent is clipped
+    # at ELEMENT_CAP.bit_length() = 23, already above the cap
+    "unenumerable-n": (
+        lambda: dataclasses.replace(small_problem(45, iid=True), n=10**12),
+        (evaluate, characterize, bound),
+        4**23 * 10**12,
+    ),
+    # 1**n is a single dataset, but its index matrix would hold n entries
+    # (7.28 TiB at n = 10**12)
+    "one-symbol-n": (lambda: one_symbol_problem(10**12), (evaluate,), 10**12),
+    # |Z| = 4, n = 9: C(K + n - 1, n) = C(18, 9) pair orbits (K = 10 pair
+    # types) times 2**9 selectors, read from a posterior within the cap
+    "supersample-states": (
+        lambda: evaluate(small_problem(27, iid=True, n=9)),
+        (lambda posterior: posterior.supersample_info, lambda posterior: posterior.replace_one),
+        math.comb(18, 9) * 2**9,
+    ),
+    # the IID route counts clip n as the dataset count does: replace-one's
+    # |Z|**(n + 1) at |Z| = 4, and with one symbol the 2**n selectors
+    "iid-routes-unenumerable-n": (
+        lambda: dataclasses.replace(small_problem(45, iid=True), n=10**12),
+        (gibbslab.gibbs._require_iid_routes,),
+        4 * 4**23,
+    ),
+    "supersample-one-symbol-n": (
+        lambda: one_symbol_problem(10**12),
+        (gibbslab.gibbs._require_iid_routes,),
+        2**23,
+    ),
+    # |Z| = 201, n = 2: replace-one's 201**3 divergences per gamma, counted
+    # before either IID route allocates
+    "replace-one-divergences": (
+        lambda: evaluate(uniform_problem(201, 2, 2)),
+        (lambda posterior: posterior.replace_one, lambda posterior: posterior.supersample_info),
+        201**3,
+    ),
+    # drawn sizes are checked before the loss table: max_symbols = 2**62
+    # used to size a 1.48 EiB table
+    "random-symbols": (
+        lambda: None,
+        (lambda _: random_problem(instance_rng(0, 0), max_symbols=2**62),),
+        None,
+    ),
+    "random-hypotheses": (
+        lambda: None,
+        (lambda _: random_problem(instance_rng(0, 0), max_hypotheses=2**40),),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CAPPED))
+def test_element_cap_refuses_before_allocating(monkeypatch, case):
+    build, reads, required = CAPPED[case]
+    built = build()
+    for read in reads:
+        # an empty slot, so each read builds its own evaluation
+        monkeypatch.setattr(gibbslab.gibbs, "_last_evaluation", None)
+        tracemalloc.start()
+        try:
             with pytest.raises(EnumerationTooLarge) as caught:
-                evaluate(problem, 1.0)
-            assert caught.value.required == 4**10
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+                read(built)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert caught.value.cap == ELEMENT_CAP
+        if required is None:
+            assert caught.value.required > ELEMENT_CAP
+        else:
+            assert caught.value.required == required
+        assert peak < 1_000_000
+
+
+def test_shapes_within_the_cap_are_evaluated():
+    # a one-symbol alphabet has one dataset at any n within the cap
+    assert gibbs_posterior(one_symbol_problem(50), 1.0).row_array.shape == (1, 2)
+    # a joint law of 16 weights cannot be one of 4**(10**12) datasets, and
+    # the size check forms no such power
+    with pytest.raises(InvalidInput, match=r"expected \|Z\|\*\*n = 4\*\*1000000000000"):
+        dataclasses.replace(small_problem(45, iid=False), n=10**12)
+
+
+def test_ranges_bound_each_size_at_the_largest_an_instance_can_take():
+    # the smallest instance at each CLI bound fits the cap, and at one more
+    # it does not, so the bounds refuse only what could never be evaluated
+    symbols, hypotheses, n = (RANGES[key][-1] for key in ("max_symbols", "max_hypotheses", "max_n"))
+    check = gibbslab.gibbs._check_elements
+    for nz, nw, size in ((symbols, 2, 1), (2, hypotheses, 1), (2, 2, n)):
+        check("instance", max(size, nw), nz, size)
+    for nz, nw, size in ((symbols + 1, 2, 1), (2, hypotheses + 1, 1), (2, 2, n + 1)):
+        with pytest.raises(EnumerationTooLarge):
+            check("instance", max(size, nw), nz, size)
 
 
 def test_joint_law_cap_raises_before_drawing():
     # instance (5, 17) draws |Z| = 4 and n = 10: a joint law of 4**10
-    # weights, above the 1e6 cap, which would take 8 MB to draw
+    # weights, above the cap, which would take 8 MB to draw
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationTooLarge) as caught:
@@ -354,92 +485,44 @@ def test_joint_law_cap_raises_before_drawing():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert caught.value.required == 4**10
+    assert caught.value.required == 4**10 * 10
     assert peak < 1_000_000
-
-
-def test_unenumerable_n_is_refused_without_forming_the_power():
-    # 4**(10**12) has 2e12 bits and would never be formed; the check clips
-    # n at ENUMERATION_CAP.bit_length() = 20, already above the cap, so
-    # required carries the lower bound 4**20
-    problem = dataclasses.replace(small_problem(45, iid=True), n=10**12)
-    for evaluate in (gibbs_posterior, gen_characterizations, bounds_table):
-        with pytest.raises(EnumerationTooLarge) as caught:
-            evaluate(problem, 1.0)
-        assert caught.value.required == 4**20
-    # likewise the supersample count, clipped at SUPERSAMPLE_CAP.bit_length()
-    with pytest.raises(EnumerationTooLarge) as caught:
-        gibbslab.gibbs._check_supersample(problem)
-    assert caught.value.required == math.comb(10 + 24 - 1, 24) * 2**24
-    # a joint law of 16 weights cannot be one of 4**(10**12) datasets
-    with pytest.raises(InvalidInput, match=r"expected \|Z\|\*\*n = 4\*\*1000000000000"):
-        dataclasses.replace(small_problem(45, iid=False), n=10**12)
-
-
-def test_one_symbol_alphabet_at_huge_n_is_refused_before_allocating():
-    # 1**n is a single dataset, which passes the dataset count check, but
-    # its index matrix would hold n entries (7.28 TiB at n = 10**12)
-    problem = LearningProblem(
-        sample_alphabet=(0,),
-        hypothesis_set=(0, 1),
-        loss=np.array([[0.25], [0.75]]),
-        prior=ProbVec(np.array([0.5, 0.5])),
-        data_model=IIDData(ProbVec(np.array([1.0]))),
-        n=10**12,
-    )
-    tracemalloc.start()
-    try:
-        with pytest.raises(EnumerationTooLarge) as caught:
-            gibbs_posterior(problem, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert caught.value.required == 10**12
-    assert peak < 1_000_000
-    # a one-symbol alphabet at a small n is still evaluated
-    moderate = dataclasses.replace(problem, n=50)
-    assert gibbs_posterior(moderate, 1.0).row_array.shape == (1, 2)
-
-
-def test_random_problem_refuses_a_symbol_cap_above_the_enumeration_cap():
-    # an instance has at least as many datasets as symbols; before the check
-    # max_symbols = 2**62 sized a 1.48 EiB loss table
-    for max_symbols in (ENUMERATION_CAP + 1, 2**62):
-        with pytest.raises(InvalidInput, match="max_symbols"):
-            random_problem(instance_rng(0, 0), max_symbols=max_symbols)
-
-
-def test_random_problem_refuses_a_hypothesis_cap_above_the_cli_bound():
-    for max_hypotheses in (HYPOTHESIS_CAP + 1, 2**40):
-        with pytest.raises(InvalidInput, match="max_hypotheses"):
-            random_problem(instance_rng(0, 0), max_hypotheses=max_hypotheses)
-    assert random_problem(instance_rng(0, 0), max_hypotheses=HYPOTHESIS_CAP).num_hypotheses >= 2
-    # the CLI reads the same bound
-    assert RANGES["max_hypotheses"][-1] == HYPOTHESIS_CAP
 
 
 def test_random_problem_refuses_caps_beyond_int64():
     # the sizes are drawn as int64 below cap + 1; numpy itself would raise a
     # bare ValueError for a cap of 2**63
-    with pytest.raises(InvalidInput):
-        random_problem(instance_rng(0, 0), max_n=2**63)
-    assert random_problem(instance_rng(0, 0), max_n=2**63 - 1).n >= 1
+    for caps in ({"max_n": 2**63}, {"max_symbols": 2**63}, {"max_hypotheses": 2**63}):
+        with pytest.raises(InvalidInput):
+            random_problem(instance_rng(0, 0), **caps)
+    # the largest int64 cap draws, and its n is refused by the element check
+    with pytest.raises(EnumerationTooLarge):
+        random_problem(instance_rng(0, 0), max_n=2**63 - 1)
 
 
-def test_supersample_cap_raises_before_allocating():
-    # |Z| = 4 and n = 9 need C(K + n - 1, n) = C(18, 9) pair orbits (K = 10
-    # pair types) times 2**9 selectors, 24,893,440 states, above the 1e7
-    # cap; the check must come before any state is built
-    posterior = gibbs_posterior(small_problem(27, iid=True, n=9), 1.0)
+def test_empirical_risk_is_blocked_and_bit_identical(monkeypatch):
+    problems = [small_problem(46, iid=iid, n=n) for iid in (True, False) for n in (1, 3, 5)]
+    problems += [uniform_problem(2, 9, 7)]
+    expected = [problem.loss[:, problem._dataset_indices].mean(axis=2) for problem in problems]
+    for per_block in (1, 7):
+        for problem, risk in zip(problems, expected):
+            fresh = dataclasses.replace(problem)
+            with monkeypatch.context() as patch:
+                budget = per_block * problem.num_hypotheses * problem.n
+                patch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
+                assert np.array_equal(fresh._empirical_risk, risk)
+                # the layout too, since later sums run in its memory order
+                assert fresh._empirical_risk.strides == risk.strides
+    # |Z| = 2, n = 16, 8 hypotheses: the unblocked (nw, m, n) gather peaked
+    # at 152 bytes per (dataset, hypothesis) pair
+    problem = uniform_problem(2, 16, 8)
     tracemalloc.start()
     try:
-        with pytest.raises(EnumerationTooLarge) as caught:
-            posterior.supersample_info
+        problem._empirical_risk
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert caught.value.required == math.comb(18, 9) * 2**9
-    assert peak < 1_000_000
+    assert peak < 64 * 2**16 * 8
 
 
 def test_supersample_geometry_built_once_per_problem(monkeypatch):
@@ -620,9 +703,10 @@ def test_blocked_replace_one_matches_one_block(monkeypatch, per_block):
 
 
 def test_refused_supersample_stops_replace_one_before_allocating(monkeypatch):
-    # |Z| = 100, n = 2: 10,000 datasets are within ENUMERATION_CAP, but
-    # C(5050 + 1, 2) * 2**2 = 51,015,100 supersample states are above
-    # SUPERSAMPLE_CAP; replace-one's gather alone would take about 270 MiB
+    # |Z| = 100, n = 2: 10,000 datasets and replace-one's 10**6 divergences
+    # are within ELEMENT_CAP, but C(5050 + 1, 2) * 2**2 = 51,015,100
+    # supersample states are above it; replace-one's gather alone would
+    # take about 270 MiB
     rng = np.random.default_rng(49)
     problem = LearningProblem(
         sample_alphabet=tuple(range(100)),

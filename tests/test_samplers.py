@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ def test_sgld_divergence_survives_a_gradient_that_raises():
         sgld_run(exploding_then_raising, 1.0, config)
     assert (info.value.iteration, info.value.norm) == DIVERGED_AT[1]
     assert isinstance(info.value.__context__, ValueError)
+
+
+def test_sgld_overflow_after_divergence_warns_nothing():
+    # the chain grows 1e30-fold a step, so the rest of its check block
+    # overflows; the block check still reports step 0, and numpy must not
+    # warn about the overshoot
+    config = SgldConfig(step=1.0, gamma=1.0, iterations=100, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Diverged) as info:
+            sgld_run(lambda w, dataset: -1e30 * w, np.ones(2), config)
+    assert info.value.iteration == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sgld_gradient_error_without_divergence_propagates():
