@@ -38,6 +38,15 @@ replace-one sweeps work in blocks of the same budget, stacking only as
 many gammas as fit, so however many gammas there are, peak memory stays
 near that of one evaluation or one block, whichever is larger, plus
 replace-one's (m, |Z|) divergence tables of the gammas in its block.
+A stack's kernels write their (g, m, nw) temporaries into a workspace
+the stack owns (_Kernels._workspace): at most five flat arrays of the
+table's size, made when a kernel first asks, used by one kernel at a
+time, and freed with the stack, before either IID route runs its own
+blocks, and when a reader of the shared slot below returns.  With the
+log rows, rows, log kernel and log joint law it caches, an evaluation
+of a table of CHAIN_MIN_ELEMENTS or more then peaks at nine tables,
+during the Renyi sums, as it did when every kernel allocated fresh
+temporaries; smaller tables still do, which costs them less.
 The two IID-only routes are read through a posterior alone
 (supersample_info, replace_one), and both run the same size checks
 before they allocate anything.  The
@@ -47,8 +56,8 @@ gamma.  gen_characterizations and bounds.bounds_table, the library's
 per-pair entry points, share one module-level slot (_evaluation) that
 holds the evaluation either read last, so a caller that asks for the
 routes and then the bounds of a pair pays for one build, and at most one
-evaluation outlives its callers.  Every array an evaluation caches is
-read-only, so no caller can alter a shared one.
+evaluation, without its workspace, outlives its callers.  Every array an
+evaluation caches is read-only, so no caller can alter a shared one.
 Its information functionals never leave the log domain, so the identity
 holds in the large-gamma (ERM) regime too, where linear-domain rows
 underflow; the tests check it at gamma up to 1e6.
@@ -62,6 +71,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -77,14 +87,17 @@ from .errors import (
     NotIID,
 )
 from .probability import (
+    CHAIN_MIN_ELEMENTS,
     InfoReport,
     JointTable,
     ProbVec,
     ZERO_CUTOFF,
     _divergence_pair,
+    _labels,
     _logsumexp,
     _per_block,
     _product_of_marginals,
+    _reduce,
     _renyi_sums,
     _total_variation,
     info_triple,
@@ -136,16 +149,16 @@ class LearningProblem:
     prior's support.
     """
 
-    sample_alphabet: tuple
-    hypothesis_set: tuple
+    sample_alphabet: tuple | range
+    hypothesis_set: tuple | range
     loss: np.ndarray
     prior: ProbVec
     data_model: DataModel
     n: int
 
     def __post_init__(self) -> None:
-        samples = tuple(self.sample_alphabet)
-        hypotheses = tuple(self.hypothesis_set)
+        samples = _labels(self.sample_alphabet)
+        hypotheses = _labels(self.hypothesis_set)
         loss = np.asarray(self.loss, dtype=np.float64)
         if loss.shape != (len(hypotheses), len(samples)):
             raise InvalidInput(
@@ -338,13 +351,40 @@ class _Kernels:
 
     problem: LearningProblem
     log_rows: np.ndarray
+    # held while a kernel uses the workspace, so that threads reading one
+    # evaluation never share a temporary
+    _lock: threading.RLock = dataclasses.field(
+        default_factory=threading.RLock, init=False, repr=False
+    )
+
+    def _workspace(self, count: int, shape: tuple | None = None) -> list[np.ndarray] | None:
+        """count arrays of shape (the table's by default) for a kernel's
+        temporaries, to use while holding the stack's lock: views of flat
+        float64 arrays of the table's size that the stack makes on first
+        request, hands to every later one and frees with itself or with
+        _free_workspace, so a table's temporaries are allocated once per
+        stack, not once per kernel call.  None for a table below
+        CHAIN_MIN_ELEMENTS, whose kernels allocate their own."""
+        size = self.log_rows.size
+        if size < CHAIN_MIN_ELEMENTS:
+            return None
+        flats = self.__dict__.setdefault("_flats", [])
+        while len(flats) < count:
+            flats.append(np.empty(size))
+        shape = self.log_rows.shape if shape is None else shape
+        return [flat[: math.prod(shape)].reshape(shape) for flat in flats[:count]]
+
+    def _free_workspace(self) -> None:
+        """Free the workspace; a later kernel makes it again."""
+        with self._lock:
+            self.__dict__.pop("_flats", None)
 
     @cached_property
     def row_array(self) -> np.ndarray:
         """Posterior rows, renormalized in the linear domain so each row
         sums to 1 at machine precision."""
         rows = np.exp(self.log_rows)
-        rows /= rows.sum(axis=2, keepdims=True)
+        rows /= _reduce(np.add, rows, 2)
         rows.flags.writeable = False
         return rows
 
@@ -361,15 +401,27 @@ class _Kernels:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=2, keepdims=True)
+        with self._lock:
+            log_norm = _logsumexp(
+                self.log_rows, axis=2, keepdims=True, buffers=self._workspace(2)
+            )
+        log_kernel = self.log_rows - log_norm
         log_kernel.flags.writeable = False
         return log_kernel
 
     @cached_property
+    def log_joint(self) -> np.ndarray:
+        """The joint law of (S, W) in the log domain, (g, m, num_hypotheses)."""
+        log_joint = self.problem._log_dataset_probs[None, :, None] + self.log_kernel
+        log_joint.flags.writeable = False
+        return log_joint
+
+    @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        log_probs = self.problem._log_dataset_probs[None, :, None]
-        log_marg = _logsumexp(log_probs + self.log_kernel, axis=1)
+        log_joint = self.log_joint
+        with self._lock:
+            log_marg = _logsumexp(log_joint, axis=1, buffers=self._workspace(2))
         log_marg.flags.writeable = False
         return log_marg
 
@@ -377,7 +429,11 @@ class _Kernels:
         """Per kernel, (E D(row || reference), E D(reference || row)) over
         datasets, for one (g, num_hypotheses) reference per kernel."""
         probs = self.problem._dataset_probs
-        forward, reverse = _divergence_pair(self.log_kernel, log_reference[:, None, :], axis=2)
+        log_kernel = self.log_kernel
+        with self._lock:
+            forward, reverse = _divergence_pair(
+                log_kernel, log_reference[:, None, :], axis=2, buffers=self._workspace(3)
+            )
         return [(float(probs @ f), float(probs @ r)) for f, r in zip(forward, reverse)]
 
     @cached_property
@@ -411,10 +467,14 @@ class _Sweep(_Kernels):
         the product of its marginals."""
         # (g, nw, m) and row-major, as in a JointTable, so the sums run in
         # the same order
-        joint = np.ascontiguousarray(
-            self.row_array.transpose(0, 2, 1) * self.problem._dataset_probs
-        )
-        return _total_variation(joint, _product_of_marginals(joint), axis=(1, 2)).tolist()
+        g, m, nw = self.log_rows.shape
+        rows = self.row_array.transpose(0, 2, 1)
+        probs = self.problem._dataset_probs
+        with self._lock:
+            joint, product = self._workspace(2, (g, nw, m)) or (np.empty((g, nw, m)), None)
+            np.multiply(rows, probs, out=joint)
+            product = _product_of_marginals(joint, out=product)
+            return _total_variation(joint, product, axis=(1, 2), out=product).tolist()
 
     def renyi(self, alphas: tuple[float, ...]) -> list[tuple[float, ...]]:
         """Per gamma, the sum of the two directed Renyi divergences of each
@@ -424,15 +484,36 @@ class _Sweep(_Kernels):
         if last is None or last[0] != alphas:
             problem = self.problem
             support = problem._dataset_probs > 0.0
-            log_probs = problem._log_dataset_probs[support, None]
+            log_probs = problem._log_dataset_probs[:, None]
             # row-major per gamma, as a lone kernel's rows, so each sums alike
-            joint = log_probs + np.compress(support, self.log_kernel, axis=1)
-            product = log_probs + self.log_marginal[:, None, :]
-            # the reverse call's log ratio is the exact negation of the
-            # forward one's
-            sums = _renyi_sums(joint, product, alphas) + _renyi_sums(product, joint, alphas)
+            joint = self.log_joint
+            if not support.all():
+                log_probs = log_probs[support]
+                joint = np.compress(support, joint, axis=1)
+            log_marginal = self.log_marginal[:, None, :]
+            with self._lock:
+                # numpy buffers this broadcast sum, so it runs before the
+                # workspace grows to five arrays
+                first = self._workspace(1, joint.shape)
+                product = np.add(log_probs, log_marginal, out=first and first[0])
+                work = self._workspace(5, joint.shape)
+                buffers = work and work[1:]
+                # the reverse call's log ratio is the exact negation of the
+                # forward one's
+                sums = _renyi_sums(joint, product, alphas, buffers=buffers)
+                sums += _renyi_sums(product, joint, alphas, buffers=buffers)
             last = self.__dict__["_renyi"] = (alphas, [tuple(row) for row in sums.T.tolist()])
         return last[1]
+
+    def _iid_route_kernel(self) -> np.ndarray:
+        """The log kernel an IID route reads, after the routes' checks, with
+        the workspace freed: a route works in blocks of its own, and a later
+        kernel makes the workspace again, so the route's peak does not hold
+        the workspace too."""
+        _require_iid_routes(self.problem)
+        log_kernel = self.log_kernel
+        self._free_workspace()
+        return log_kernel
 
     @cached_property
     def supersample_info(self) -> list[InfoReport]:
@@ -451,8 +532,7 @@ class _Sweep(_Kernels):
         * 2**d times its own probability (m_k counts pair type k, d the
         pairs of two distinct symbols).  _require_iid_routes counts the
         states visited before anything is allocated."""
-        _require_iid_routes(self.problem)
-        return _supersample_infos(self.problem, self.log_kernel)
+        return _supersample_infos(self.problem, self._iid_route_kernel())
 
     @cached_property
     def replace_one(self) -> np.ndarray:
@@ -464,8 +544,7 @@ class _Sweep(_Kernels):
 
         Both IID routes run the same checks first, so a problem either
         refuses allocates neither route, whichever is read first."""
-        _require_iid_routes(self.problem)
-        both = _replace_one_stack(self.problem, self.log_kernel)
+        both = _replace_one_stack(self.problem, self._iid_route_kernel())
         both.flags.writeable = False
         return both
 
@@ -564,16 +643,19 @@ def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
 _last_evaluation: GibbsPosterior | None = None
 
 
-def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
-    """gibbs_posterior(problem, gamma), kept in one module-level slot so that
-    gen_characterizations and bounds_table, called in turn on one pair,
-    read one evaluation.  A hit needs the same problem object and an int
-    or float gamma equal to the slot's as a float.  A hit returns what a fresh
-    build would, bit for bit: the problem's arrays and every cached array
-    of the posterior are read-only, and its numbers depend on nothing else.
-    A miss empties the slot before it builds, so at most one evaluation
-    outlives its callers.  Threads racing on the slot can only cost extra
-    builds: every posterior it holds is complete and immutable."""
+def _evaluation(problem: LearningProblem, gamma: float, read):
+    """read(gibbs_posterior(problem, gamma)), the posterior kept in one
+    module-level slot so that gen_characterizations and bounds_table,
+    called in turn on one pair, read one evaluation.  A hit needs the same
+    problem object and an int or float gamma equal to the slot's as a
+    float.  A hit reads what a fresh build would, bit for bit: the
+    problem's arrays and every cached array of the posterior are read-only,
+    and its numbers depend on nothing else.  A miss empties the slot before
+    it builds, so at most one evaluation outlives its callers, and once
+    read returns its workspace is freed: the slot keeps the functionals a
+    next reader may share, not the temporaries.  Threads racing on the slot
+    can only cost extra builds: every posterior it holds is complete and
+    immutable, and its kernels take turns at the workspace."""
     global _last_evaluation
     last = _last_evaluation
     if (
@@ -582,11 +664,15 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
         and isinstance(gamma, (int, float))
         and float(gamma) == last.gamma
     ):
-        return last
-    del last
-    _last_evaluation = None
-    _last_evaluation = gibbs_posterior(problem, gamma)
-    return _last_evaluation
+        posterior = last
+    else:
+        del last
+        _last_evaluation = None
+        posterior = _last_evaluation = gibbs_posterior(problem, gamma)
+    try:
+        return read(posterior)
+    finally:
+        posterior._sweep._free_workspace()
 
 
 def _log_population(problem: LearningProblem, gamma) -> np.ndarray:
@@ -829,7 +915,7 @@ def gen_characterizations(problem: LearningProblem, gamma: float) -> GenReport:
     is the shared one of _evaluation, so bounds_table on the same pair
     next reads it instead of building its own.
     """
-    return GenReport.from_posterior(_evaluation(problem, gamma))
+    return _evaluation(problem, gamma, GenReport.from_posterior)
 
 
 @dataclass(frozen=True)

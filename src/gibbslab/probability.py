@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,10 +36,17 @@ NORMALIZATION_TOL = 1e-12
 IDENTITY_TOL = 1e-12
 # elements per block of stacked work: a chunk of a Gibbs gamma sweep, the
 # stacked blocks of its supersample and replace-one sweeps, and a stacked
-# Renyi log-sum-exp.  The log-domain divergence kernel holds about twice
-# as many block-sized temporaries as a linear rel_entr sweep, so the block
-# is sized by peak memory
+# Renyi log-sum-exp.  The log-domain divergence kernel holds three
+# block-sized float temporaries and one boolean mask, and the Renyi kernel
+# four, so the block is sized by peak memory
 BLOCK_ELEMENTS = 100_000
+# a table of at least this many elements reduces an axis shorter than 8 as
+# a chain of elementwise calls over the axis's slices (see _reduce), and
+# gibbs._Kernels hands its kernels workspace arrays to write their
+# temporaries into; a smaller table keeps numpy's one reduce call and
+# fresh temporaries, which cost less there.  Stacks of the CLI's default
+# problems hold at most 1,280 elements
+CHAIN_MIN_ELEMENTS = 4096
 
 
 def _as_weight_array(weights: object, ndim: int) -> np.ndarray:
@@ -57,6 +65,22 @@ def _as_weight_array(weights: object, ndim: int) -> np.ndarray:
     return arr
 
 
+def _labels(given, size: int = 0) -> tuple | range:
+    """Labels as a tuple, or as the range given: range(size) when none are
+    given, so default labels take constant memory however many there are."""
+    if isinstance(given, range):
+        return given
+    return tuple(given) or range(size)
+
+
+def _same_labels(first: tuple | range, second: tuple | range) -> bool:
+    """Whether two label sequences hold equal labels in the same order: a
+    range matches the tuple of its ints."""
+    if type(first) is type(second):
+        return first == second
+    return len(first) == len(second) and all(map(operator.eq, first, second))
+
+
 def _zeroed(weights: np.ndarray) -> np.ndarray:
     """Weights with sub-cutoff entries replaced by exact zeros."""
     return np.where(weights < ZERO_CUTOFF, 0.0, weights)
@@ -71,12 +95,12 @@ class ProbVec:
     """
 
     weights: np.ndarray
-    alphabet: tuple = ()
+    alphabet: tuple | range = ()
 
     def __post_init__(self) -> None:
         arr = _as_weight_array(self.weights, ndim=1)
         object.__setattr__(self, "weights", arr)
-        alphabet = tuple(self.alphabet) if self.alphabet else tuple(range(arr.size))
+        alphabet = _labels(self.alphabet, arr.size)
         if len(alphabet) != arr.size:
             raise AlphabetMismatch(f"alphabet has {len(alphabet)} labels for {arr.size} weights")
         object.__setattr__(self, "alphabet", alphabet)
@@ -100,14 +124,14 @@ class JointTable:
     """
 
     table: np.ndarray
-    row_alphabet: tuple = ()
-    col_alphabet: tuple = ()
+    row_alphabet: tuple | range = ()
+    col_alphabet: tuple | range = ()
 
     def __post_init__(self) -> None:
         arr = _as_weight_array(self.table, ndim=2)
         object.__setattr__(self, "table", arr)
-        rows = tuple(self.row_alphabet) if self.row_alphabet else tuple(range(arr.shape[0]))
-        cols = tuple(self.col_alphabet) if self.col_alphabet else tuple(range(arr.shape[1]))
+        rows = _labels(self.row_alphabet, arr.shape[0])
+        cols = _labels(self.col_alphabet, arr.shape[1])
         if (len(rows), len(cols)) != arr.shape:
             raise AlphabetMismatch(
                 f"alphabet sizes {(len(rows), len(cols))} do not match table shape {arr.shape}"
@@ -137,7 +161,7 @@ class InfoReport:
 
 
 def _require_same_alphabet(p: ProbVec, q: ProbVec) -> None:
-    if p.alphabet != q.alphabet:
+    if not _same_labels(p.alphabet, q.alphabet):
         raise AlphabetMismatch(
             f"distributions live on different alphabets ({len(p)} vs {len(q)} labels)"
         )
@@ -147,7 +171,34 @@ def _require_same_alphabet(p: ProbVec, q: ProbVec) -> None:
 # below and by the log-domain functionals of gibbs.GibbsPosterior.
 
 
-def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
+def _reduce(ufunc, a: np.ndarray, axis, keepdims: bool = True, dtype=None) -> np.ndarray:
+    """ufunc.reduce(a, axis, keepdims=keepdims, dtype=dtype), bit for bit.
+
+    numpy reduces an axis of fewer than 8 elements in order, one element at
+    a time, from the ufunc's identity when it has one (a sum is 0.0 + a0 +
+    a1 + ...) and from the first element otherwise; a longer axis it sums
+    pairwise.  On a short contiguous axis it pays a per-row overhead that
+    dominates a large table, so a table of CHAIN_MIN_ELEMENTS or more
+    reduces a single axis of 1 to 7 elements as that same chain of
+    elementwise calls over the axis's slices.  max is exact in any order."""
+    if a.size < CHAIN_MIN_ELEMENTS:
+        return ufunc.reduce(a, axis=axis, keepdims=keepdims, dtype=dtype)
+    if isinstance(axis, tuple) and len(axis) == 1:
+        axis = axis[0]
+    if not isinstance(axis, int) or not 0 < a.shape[axis] < 8:
+        return ufunc.reduce(a, axis=axis, keepdims=keepdims, dtype=dtype)
+    axis %= a.ndim
+    parts = [a[(slice(None),) * axis + (slice(k, k + 1),)] for k in range(a.shape[axis])]
+    if ufunc.identity is None:
+        out = parts[0].astype(dtype or a.dtype)
+    else:
+        out = ufunc(parts[0], ufunc.identity, dtype=dtype)
+    for part in parts[1:]:
+        ufunc(out, part, out=out)
+    return out if keepdims else out.squeeze(axis=axis)
+
+
+def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False, buffers=None):
     """log(sum(exp(a))) over axis, bit for bit what scipy's logsumexp
     returns on real floats, without its per-call array-API dispatch.
 
@@ -155,14 +206,26 @@ def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     shifted sum and counted (m), the rest is summed and divided by m, and
     the result is log1p(s) + log(m) + max; where that is not finite (an
     all -inf slice, or an infinite entry) log(sum(exp(a))) stands instead.
+    buffers, when given, are two contiguous float arrays of a's shape: the
+    shifted exponentials go into the first and the tie mask into the
+    memory of the second.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axes = tuple(range(a.ndim)) if axis is None else axis
-    a_max = a.max(axis=axes, keepdims=True)
-    tied = a == a_max
-    m = tied.sum(axis=axes, keepdims=True, dtype=np.float64)
+    buffer, mask = None, None
+    if buffers is not None:
+        buffer = buffers[0]
+        mask = buffers[1].reshape(-1).view(np.bool_)[: a.size].reshape(a.shape)
+    a_max = _reduce(np.maximum, a, axes)
+    tied = np.equal(a, a_max, out=mask)
+    m = _reduce(np.add, tied, axes, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=axes, keepdims=True)
+        # the tied maxima shift to -inf (scipy's -inf - max only differs
+        # on an all -inf slice, which the direct sum below replaces)
+        shifted = np.subtract(a, a_max, out=buffer)
+        np.copyto(shifted, -np.inf, where=tied)
+        s = _reduce(np.add, np.exp(shifted, out=shifted), axes)
+        del shifted
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
@@ -174,7 +237,7 @@ def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     return out[()] if out.ndim == 0 else out
 
 
-def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
+def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None, buffers=None) -> tuple:
     """(D(p || q), D(q || p)) summed over axis, for laws given by finite log
     weights that broadcast against each other.
 
@@ -182,22 +245,36 @@ def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     is the KL divergence of normalized laws, rounding in the log weights
     enters it only multiplied by r, so small values near independence keep
     their digits, and as max(p, q) times a function of expm1(-|r|) it
-    neither overflows nor underflows at any temperature.
+    neither overflows nor underflows at any temperature.  The terms are
+    formed in three arrays of the broadcast shape, buffers when given.
     """
-    r = np.subtract(log_p, log_q)
+    first, second, third = buffers or (None, None, None)
+    r = np.subtract(log_p, log_q, out=first)
     p_larger = r >= 0.0
     a = np.abs(r, out=r)
-    e1 = np.expm1(-a)
+    e1 = np.negative(a, out=second)
+    np.expm1(e1, out=e1)
     # terms over max(p, q), for the direction whose first law is the larger
-    # one and for the other direction
-    smaller_term = -(a * (e1 + 1.0) + e1)
+    # one, a + e1, and for the other direction, -(a (e1 + 1) + e1)
+    smaller_term = np.add(e1, 1.0, out=third)
+    smaller_term *= a
+    smaller_term += e1
+    np.negative(smaller_term, out=smaller_term)
     larger_term = np.add(a, e1, out=a)
-    scale = np.exp(np.maximum(log_p, log_q))
+    scale = np.maximum(log_p, log_q, out=e1)
+    np.exp(scale, out=scale)
     larger_term *= scale
     smaller_term *= scale
-    forward = np.where(p_larger, larger_term, smaller_term).sum(axis=axis)
-    reverse = np.where(p_larger, smaller_term, larger_term).sum(axis=axis)
-    return forward, reverse
+    # the forward terms replace the scale, then the reverse terms the
+    # larger ones
+    forward = scale
+    np.copyto(forward, smaller_term)
+    np.copyto(forward, larger_term, where=p_larger)
+    reverse = larger_term
+    np.copyto(reverse, smaller_term, where=p_larger)
+    return _reduce(np.add, forward, axis, keepdims=False), _reduce(
+        np.add, reverse, axis, keepdims=False
+    )
 
 
 def _per_block(elements: int) -> int:
@@ -208,7 +285,12 @@ def _per_block(elements: int) -> int:
 
 
 def _renyi_sums(
-    log_p: np.ndarray, log_q: np.ndarray, alphas, p_off: float = 0.0, q_off: float = 0.0
+    log_p: np.ndarray,
+    log_q: np.ndarray,
+    alphas,
+    p_off: float = 0.0,
+    q_off: float = 0.0,
+    buffers=None,
 ) -> np.ndarray:
     """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for every order in alphas and
     every pair of normalized laws in a stack, as a (len(alphas), pairs)
@@ -218,25 +300,33 @@ def _renyi_sums(
     outside it.  Near independence the sum is 1 + u with u = sum q
     (expm1(alpha r) - alpha expm1(r)) - (1 - alpha) q_off - alpha p_off,
     r = log p - log q, which keeps small divergences accurate as in
-    _divergence_pair; r and exp(log q) are formed once for all orders,
-    and each order works in two more arrays of their size.  Far apart the
-    sum is taken by log-sum-exp, the pairs and orders that need it sharing
-    calls of at most BLOCK_ELEMENTS elements, or one pair each when a pair
-    is larger."""
+    _divergence_pair; r, exp(log q) and expm1(r) are formed once for all
+    orders, each order's terms in one more array of their size (the four
+    are buffers when given), and alpha expm1(r) a block of at most
+    CHAIN_MIN_ELEMENTS at a time.  Far apart the sum is taken by
+    log-sum-exp, the pairs and orders that need it sharing calls of at
+    most BLOCK_ELEMENTS elements, or one pair each when a pair is
+    larger."""
     axes = tuple(range(1, log_p.ndim))
     out = np.empty((len(alphas), log_p.shape[0]))
     far = []
-    r = np.subtract(log_p, log_q)
+    r, q, em1, terms = buffers or (None,) * 4
+    r = np.subtract(log_p, log_q, out=r)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.exp(log_q)
-        terms = np.empty_like(r)
-        scaled = np.empty_like(r)
+        q = np.exp(log_q, out=q)
+        em1 = np.expm1(r, out=em1)
+        terms = np.empty_like(r) if terms is None else terms
+        flat_em1, flat_terms = em1.reshape(-1), terms.reshape(-1)
+        scaled = np.empty(min(flat_terms.size, CHAIN_MIN_ELEMENTS))
+        blocks = [
+            (flat_em1[start : start + scaled.size], flat_terms[start : start + scaled.size])
+            for start in range(0, flat_terms.size, scaled.size)
+        ]
         for i, alpha in enumerate(alphas):
             np.multiply(alpha, r, out=terms)
             np.expm1(terms, out=terms)
-            np.expm1(r, out=scaled)
-            scaled *= alpha
-            terms -= scaled
+            for em1_block, terms_block in blocks:
+                terms_block -= np.multiply(em1_block, alpha, out=scaled[: em1_block.size])
             terms *= q
             for k, u in enumerate(terms.sum(axis=axes).tolist()):
                 u -= (1.0 - alpha) * q_off + alpha * p_off
@@ -244,14 +334,25 @@ def _renyi_sums(
                     out[i, k] = math.log1p(u) / (alpha - 1.0)
                 else:
                     far.append((i, k))
-    del r, q, terms, scaled
+    del r, q, em1, terms, flat_em1, flat_terms, scaled, blocks
     per_call = _per_block(log_p[0].size)
+    if buffers:
+        # the buffers hold one pair per row: a block of far pairs takes its
+        # terms, one weighted log law and its log-sum-exp's two arrays from
+        # them
+        per_call = min(per_call, log_p.shape[0])
+    far_terms, weighted_q, shifted, mask = buffers or (None,) * 4
     for start in range(0, len(far), per_call):
         calls = far[start : start + per_call]
-        terms = np.empty((len(calls),) + log_p.shape[1:])
+        if buffers:
+            terms = far_terms[: len(calls)]
+            sum_buffers = (shifted[: len(calls)], mask[: len(calls)])
+        else:
+            terms, sum_buffers = np.empty((len(calls),) + log_p.shape[1:]), None
         for j, (i, k) in enumerate(calls):
-            np.add(alphas[i] * log_p[k], (1.0 - alphas[i]) * log_q[k], out=terms[j])
-        for (i, k), total in zip(calls, _logsumexp(terms, axis=axes).tolist()):
+            np.multiply(alphas[i], log_p[k], out=terms[j])
+            terms[j] += np.multiply(1.0 - alphas[i], log_q[k], out=buffers and weighted_q[0])
+        for (i, k), total in zip(calls, _logsumexp(terms, axis=axes, buffers=sum_buffers).tolist()):
             out[i, k] = total / (alphas[i] - 1.0)
     return out
 
@@ -263,14 +364,16 @@ def _renyi_sum(
     return float(_renyi_sums(log_p[None], log_q[None], (alpha,), p_off, q_off)[0, 0])
 
 
-def _product_of_marginals(table: np.ndarray) -> np.ndarray:
+def _product_of_marginals(table: np.ndarray, out=None) -> np.ndarray:
     """The product of the two marginals of each table in a stack (the last
     two axes); np.outer for one table."""
-    return table.sum(axis=-1)[..., :, None] * table.sum(axis=-2)[..., None, :]
+    return np.multiply(table.sum(axis=-1)[..., :, None], table.sum(axis=-2)[..., None, :], out=out)
 
 
-def _total_variation(p: np.ndarray, q: np.ndarray, axis=None):
-    return np.abs(p - q).sum(axis=axis)
+def _total_variation(p: np.ndarray, q: np.ndarray, axis=None, out=None):
+    """sum |p - q| over axis, the differences formed in out when given."""
+    diff = np.subtract(p, q, out=out)
+    return np.abs(diff, out=diff).sum(axis=axis)
 
 
 def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:

@@ -60,8 +60,8 @@ def random_problem(
     else:
         model = JointData(_positive_weights(rng, nz**n))
     return LearningProblem(
-        sample_alphabet=tuple(range(nz)),
-        hypothesis_set=tuple(range(nw)),
+        sample_alphabet=range(nz),
+        hypothesis_set=range(nw),
         loss=loss,
         prior=prior,
         data_model=model,

@@ -500,6 +500,22 @@ def test_random_problem_refuses_caps_beyond_int64():
         random_problem(instance_rng(0, 0), max_n=2**63 - 1)
 
 
+def test_random_problem_labels_take_no_memory_per_label():
+    # seed 35 draws |W| = 3,964,134 at max_hypotheses 4 * 10**6 (the
+    # hypotheses corner of the CLI ranges); tuples of Python ints held 393
+    # MiB there, the loss table and the prior's weights 90 MiB of it
+    tracemalloc.start()
+    try:
+        problem = random_problem(instance_rng(35, 0), max_hypotheses=4 * 10**6)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert problem.num_hypotheses == 3_964_134
+    assert problem.hypothesis_set == range(3_964_134)
+    assert problem.sample_alphabet == range(problem.num_samples_symbols)
+    assert held < problem.loss.nbytes + problem.prior.weights.nbytes + 2**20
+
+
 def test_empirical_risk_is_blocked_and_bit_identical(monkeypatch):
     problems = [small_problem(46, iid=iid, n=n) for iid in (True, False) for n in (1, 3, 5)]
     problems += [uniform_problem(2, 9, 7)]

@@ -58,6 +58,23 @@ def test_kl_alphabet_mismatch():
         kl_divergence(p, q)
 
 
+def test_default_labels_are_ranges_compared_by_content():
+    weights = np.array([0.2, 0.3, 0.5])
+    p = ProbVec(weights)
+    assert p.alphabet == range(3)
+    table = JointTable(np.full((2, 3), 1.0 / 6.0))
+    assert (table.row_alphabet, table.col_alphabet) == (range(2), range(3))
+    # a range and the tuple of its ints are one alphabet
+    for labels in ((0, 1, 2), range(3), [0, 1, 2]):
+        assert kl_divergence(p, ProbVec(weights[::-1], alphabet=labels)) > 0.0
+        assert total_variation(ProbVec(weights, alphabet=labels), p) == 0.0
+    for labels in ((0, 1, 3), range(1, 4), ("0", "1", "2")):
+        with pytest.raises(AlphabetMismatch):
+            kl_divergence(p, ProbVec(weights, alphabet=labels))
+    with pytest.raises(AlphabetMismatch):
+        kl_divergence(ProbVec(np.full(4, 0.25)), ProbVec(np.full(4, 0.25), alphabet=(0, 1, 2, 4)))
+
+
 def test_kl_absolute_continuity():
     p = ProbVec(np.array([0.5, 0.5, 0.0]))
     q = ProbVec(np.array([0.0, 0.5, 0.5]))
