@@ -424,7 +424,7 @@ def bounds_table(
     for alpha in alphas:
         if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
             raise AlphaOutOfRange(f"the Renyi upper bound requires alpha > 1, got {alpha!r}")
-    return _evaluation(problem, gamma, lambda posterior: _bounds_rows(posterior, alphas))
+    return _bounds_rows(_evaluation(problem, gamma), alphas)
 
 
 def _bounds_rows(posterior: GibbsPosterior, alphas: tuple[float, ...]) -> list[BoundRow]:

@@ -38,15 +38,9 @@ replace-one sweeps work in blocks of the same budget, stacking only as
 many gammas as fit, so however many gammas there are, peak memory stays
 near that of one evaluation or one block, whichever is larger, plus
 replace-one's (m, |Z|) divergence tables of the gammas in its block.
-A stack's kernels write their (g, m, nw) temporaries into a workspace
-the stack owns (_Kernels._workspace): at most five flat arrays of the
-table's size, made when a kernel first asks, used by one kernel at a
-time, and freed with the stack, before either IID route runs its own
-blocks, and when a reader of the shared slot below returns.  With the
-log rows, rows, log kernel and log joint law it caches, an evaluation
-of a table of CHAIN_MIN_ELEMENTS or more then peaks at nine tables,
-during the Renyi sums, as it did when every kernel allocated fresh
-temporaries; smaller tables still do, which costs them less.
+The kernels of probability own their temporaries, each call taking what
+it needs and freeing it on return, so an evaluation holds only the
+arrays it caches and threads reading one share no temporary.
 The two IID-only routes are read through a posterior alone
 (supersample_info, replace_one), and both run the same size checks
 before they allocate anything.  The
@@ -56,8 +50,8 @@ gamma.  gen_characterizations and bounds.bounds_table, the library's
 per-pair entry points, share one module-level slot (_evaluation) that
 holds the evaluation either read last, so a caller that asks for the
 routes and then the bounds of a pair pays for one build, and at most one
-evaluation, without its workspace, outlives its callers.  Every array an
-evaluation caches is read-only, so no caller can alter a shared one.
+evaluation outlives its callers.  Every array an evaluation caches is
+read-only, so no caller can alter a shared one.
 Its information functionals never leave the log domain, so the identity
 holds in the large-gamma (ERM) regime too, where linear-domain rows
 underflow; the tests check it at gamma up to 1e6.
@@ -71,7 +65,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -87,7 +80,6 @@ from .errors import (
     NotIID,
 )
 from .probability import (
-    CHAIN_MIN_ELEMENTS,
     InfoReport,
     JointTable,
     ProbVec,
@@ -99,6 +91,7 @@ from .probability import (
     _product_of_marginals,
     _reduce,
     _renyi_sums,
+    _require_order,
     _total_variation,
     info_triple,
 )
@@ -351,33 +344,6 @@ class _Kernels:
 
     problem: LearningProblem
     log_rows: np.ndarray
-    # held while a kernel uses the workspace, so that threads reading one
-    # evaluation never share a temporary
-    _lock: threading.RLock = dataclasses.field(
-        default_factory=threading.RLock, init=False, repr=False
-    )
-
-    def _workspace(self, count: int, shape: tuple | None = None) -> list[np.ndarray] | None:
-        """count arrays of shape (the table's by default) for a kernel's
-        temporaries, to use while holding the stack's lock: views of flat
-        float64 arrays of the table's size that the stack makes on first
-        request, hands to every later one and frees with itself or with
-        _free_workspace, so a table's temporaries are allocated once per
-        stack, not once per kernel call.  None for a table below
-        CHAIN_MIN_ELEMENTS, whose kernels allocate their own."""
-        size = self.log_rows.size
-        if size < CHAIN_MIN_ELEMENTS:
-            return None
-        flats = self.__dict__.setdefault("_flats", [])
-        while len(flats) < count:
-            flats.append(np.empty(size))
-        shape = self.log_rows.shape if shape is None else shape
-        return [flat[: math.prod(shape)].reshape(shape) for flat in flats[:count]]
-
-    def _free_workspace(self) -> None:
-        """Free the workspace; a later kernel makes it again."""
-        with self._lock:
-            self.__dict__.pop("_flats", None)
 
     @cached_property
     def row_array(self) -> np.ndarray:
@@ -401,11 +367,7 @@ class _Kernels:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        with self._lock:
-            log_norm = _logsumexp(
-                self.log_rows, axis=2, keepdims=True, buffers=self._workspace(2)
-            )
-        log_kernel = self.log_rows - log_norm
+        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=2, keepdims=True)
         log_kernel.flags.writeable = False
         return log_kernel
 
@@ -419,9 +381,7 @@ class _Kernels:
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        log_joint = self.log_joint
-        with self._lock:
-            log_marg = _logsumexp(log_joint, axis=1, buffers=self._workspace(2))
+        log_marg = _logsumexp(self.log_joint, axis=1)
         log_marg.flags.writeable = False
         return log_marg
 
@@ -429,11 +389,7 @@ class _Kernels:
         """Per kernel, (E D(row || reference), E D(reference || row)) over
         datasets, for one (g, num_hypotheses) reference per kernel."""
         probs = self.problem._dataset_probs
-        log_kernel = self.log_kernel
-        with self._lock:
-            forward, reverse = _divergence_pair(
-                log_kernel, log_reference[:, None, :], axis=2, buffers=self._workspace(3)
-            )
+        forward, reverse = _divergence_pair(self.log_kernel, log_reference[:, None, :], axis=2)
         return [(float(probs @ f), float(probs @ r)) for f, r in zip(forward, reverse)]
 
     @cached_property
@@ -469,12 +425,8 @@ class _Sweep(_Kernels):
         # the same order
         g, m, nw = self.log_rows.shape
         rows = self.row_array.transpose(0, 2, 1)
-        probs = self.problem._dataset_probs
-        with self._lock:
-            joint, product = self._workspace(2, (g, nw, m)) or (np.empty((g, nw, m)), None)
-            np.multiply(rows, probs, out=joint)
-            product = _product_of_marginals(joint, out=product)
-            return _total_variation(joint, product, axis=(1, 2), out=product).tolist()
+        joint = np.multiply(rows, self.problem._dataset_probs, out=np.empty((g, nw, m)))
+        return _total_variation(joint, _product_of_marginals(joint), axis=(1, 2)).tolist()
 
     def renyi(self, alphas: tuple[float, ...]) -> list[tuple[float, ...]]:
         """Per gamma, the sum of the two directed Renyi divergences of each
@@ -490,30 +442,13 @@ class _Sweep(_Kernels):
             if not support.all():
                 log_probs = log_probs[support]
                 joint = np.compress(support, joint, axis=1)
-            log_marginal = self.log_marginal[:, None, :]
-            with self._lock:
-                # numpy buffers this broadcast sum, so it runs before the
-                # workspace grows to five arrays
-                first = self._workspace(1, joint.shape)
-                product = np.add(log_probs, log_marginal, out=first and first[0])
-                work = self._workspace(5, joint.shape)
-                buffers = work and work[1:]
-                # the reverse call's log ratio is the exact negation of the
-                # forward one's
-                sums = _renyi_sums(joint, product, alphas, buffers=buffers)
-                sums += _renyi_sums(product, joint, alphas, buffers=buffers)
+            product = log_probs + self.log_marginal[:, None, :]
+            # the reverse call's log ratio is the exact negation of the
+            # forward one's
+            sums = _renyi_sums(joint, product, alphas)
+            sums += _renyi_sums(product, joint, alphas)
             last = self.__dict__["_renyi"] = (alphas, [tuple(row) for row in sums.T.tolist()])
         return last[1]
-
-    def _iid_route_kernel(self) -> np.ndarray:
-        """The log kernel an IID route reads, after the routes' checks, with
-        the workspace freed: a route works in blocks of its own, and a later
-        kernel makes the workspace again, so the route's peak does not hold
-        the workspace too."""
-        _require_iid_routes(self.problem)
-        log_kernel = self.log_kernel
-        self._free_workspace()
-        return log_kernel
 
     @cached_property
     def supersample_info(self) -> list[InfoReport]:
@@ -532,7 +467,8 @@ class _Sweep(_Kernels):
         * 2**d times its own probability (m_k counts pair type k, d the
         pairs of two distinct symbols).  _require_iid_routes counts the
         states visited before anything is allocated."""
-        return _supersample_infos(self.problem, self._iid_route_kernel())
+        _require_iid_routes(self.problem)
+        return _supersample_infos(self.problem, self.log_kernel)
 
     @cached_property
     def replace_one(self) -> np.ndarray:
@@ -544,7 +480,8 @@ class _Sweep(_Kernels):
 
         Both IID routes run the same checks first, so a problem either
         refuses allocates neither route, whichever is read first."""
-        both = _replace_one_stack(self.problem, self._iid_route_kernel())
+        _require_iid_routes(self.problem)
+        both = _replace_one_stack(self.problem, self.log_kernel)
         both.flags.writeable = False
         return both
 
@@ -596,8 +533,12 @@ class GibbsPosterior:
     def renyi(self, alphas: Sequence[float]) -> tuple[float, ...]:
         """The sum of the two directed Renyi divergences of each order in
         alphas between the joint law of (W, S) and the product of its
-        marginals."""
-        return self._sweep.renyi(tuple(alphas))[self._index]
+        marginals.  Raises AlphaOutOfRange, as renyi_divergence does, for
+        an order that is not a finite real, positive and != 1."""
+        alphas = tuple(alphas)
+        for alpha in alphas:
+            _require_order(alpha)
+        return self._sweep.renyi(alphas)[self._index]
 
 
 def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
@@ -613,8 +554,7 @@ def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[
     call) holds one chunk at a time.  Raises GammaNonPositive, then
     EnumerationTooLarge, before any table is built."""
     for gamma in gammas:
-        if not (math.isfinite(gamma) and gamma >= 0.0):
-            raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
+        _require_gamma(gamma)
     values = [float(gamma) for gamma in gammas]
     risk = problem._empirical_risk
     size = _per_block(risk.size)
@@ -643,19 +583,18 @@ def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
 _last_evaluation: GibbsPosterior | None = None
 
 
-def _evaluation(problem: LearningProblem, gamma: float, read):
-    """read(gibbs_posterior(problem, gamma)), the posterior kept in one
-    module-level slot so that gen_characterizations and bounds_table,
-    called in turn on one pair, read one evaluation.  A hit needs the same
-    problem object and an int or float gamma equal to the slot's as a
-    float.  A hit reads what a fresh build would, bit for bit: the
-    problem's arrays and every cached array of the posterior are read-only,
-    and its numbers depend on nothing else.  A miss empties the slot before
-    it builds, so at most one evaluation outlives its callers, and once
-    read returns its workspace is freed: the slot keeps the functionals a
-    next reader may share, not the temporaries.  Threads racing on the slot
-    can only cost extra builds: every posterior it holds is complete and
-    immutable, and its kernels take turns at the workspace."""
+def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
+    """gibbs_posterior(problem, gamma), kept in one module-level slot so that
+    gen_characterizations and bounds_table, called in turn on one pair,
+    read one evaluation.  A hit needs the same problem object and an int
+    or float gamma equal to the slot's as a float.  A hit returns what a
+    fresh build would, bit for bit: the problem's arrays and every cached
+    array of the posterior are read-only, and its numbers depend on nothing
+    else.  A miss empties the slot before it builds, so at most one
+    evaluation outlives its callers, and it holds only the functionals a
+    next reader may share, since every kernel frees its own temporaries.
+    Threads racing on the slot can only cost extra builds: every posterior
+    it holds is complete and immutable."""
     global _last_evaluation
     last = _last_evaluation
     if (
@@ -664,15 +603,11 @@ def _evaluation(problem: LearningProblem, gamma: float, read):
         and isinstance(gamma, (int, float))
         and float(gamma) == last.gamma
     ):
-        posterior = last
-    else:
-        del last
-        _last_evaluation = None
-        posterior = _last_evaluation = gibbs_posterior(problem, gamma)
-    try:
-        return read(posterior)
-    finally:
-        posterior._sweep._free_workspace()
+        return last
+    del last
+    _last_evaluation = None
+    _last_evaluation = gibbs_posterior(problem, gamma)
+    return _last_evaluation
 
 
 def _log_population(problem: LearningProblem, gamma) -> np.ndarray:
@@ -687,8 +622,7 @@ def _log_population(problem: LearningProblem, gamma) -> np.ndarray:
 def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
     """The Gibbs law built on the population risk instead of the empirical
     risk; the hypothesis-space reference measure of the divergence form."""
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
+    _require_gamma(gamma)
     weights = np.exp(_log_population(problem, gamma))
     weights /= weights.sum()
     return ProbVec(weights, problem.hypothesis_set)
@@ -809,6 +743,11 @@ def _replace_one_stack(problem: LearningProblem, log_rows: np.ndarray) -> np.nda
     return out
 
 
+def _require_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
+
+
 def _require_positive_gamma(gamma: float) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
@@ -915,7 +854,7 @@ def gen_characterizations(problem: LearningProblem, gamma: float) -> GenReport:
     is the shared one of _evaluation, so bounds_table on the same pair
     next reads it instead of building its own.
     """
-    return _evaluation(problem, gamma, GenReport.from_posterior)
+    return GenReport.from_posterior(_evaluation(problem, gamma))
 
 
 @dataclass(frozen=True)
@@ -1059,12 +998,11 @@ def empirical_risk_curve(
     problem: LearningProblem, gammas: Sequence[float]
 ) -> list[float]:
     """E[empirical risk] per inverse temperature; the sequence is
-    non-increasing for ascending gammas."""
+    non-increasing for ascending gammas.  The sweep refuses a gamma that is
+    not a finite real >= 0 before it builds anything."""
     values = list(gammas)
     if not values:
         raise InvalidInput("need at least one gamma")
-    if any(not (math.isfinite(g) and g >= 0.0) for g in values):
-        raise InvalidInput("gammas must be finite reals >= 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInput("gammas must be strictly increasing")
     return list(map(expected_empirical_risk, _gibbs_sweep(problem, values)))

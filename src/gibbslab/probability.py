@@ -42,10 +42,10 @@ IDENTITY_TOL = 1e-12
 BLOCK_ELEMENTS = 100_000
 # a table of at least this many elements reduces an axis shorter than 8 as
 # a chain of elementwise calls over the axis's slices (see _reduce), and
-# gibbs._Kernels hands its kernels workspace arrays to write their
-# temporaries into; a smaller table keeps numpy's one reduce call and
-# fresh temporaries, which cost less there.  Stacks of the CLI's default
-# problems hold at most 1,280 elements
+# its kernels take their temporaries as one block per call (_scratch); a
+# smaller table keeps numpy's one reduce call and lets numpy make each
+# temporary, which costs less there.  Stacks of the CLI's default problems
+# hold at most 1,280 elements
 CHAIN_MIN_ELEMENTS = 4096
 
 
@@ -198,7 +198,18 @@ def _reduce(ufunc, a: np.ndarray, axis, keepdims: bool = True, dtype=None) -> np
     return out if keepdims else out.squeeze(axis=axis)
 
 
-def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False, buffers=None):
+def _scratch(count: int, *shapes: tuple) -> tuple:
+    """count float arrays of the shape that shapes broadcast to, for one
+    kernel call's temporaries: views of one fresh (count, *shape) block
+    when the largest of shapes holds CHAIN_MIN_ELEMENTS or more, freed when
+    the call drops them, and (None,) * count below that, so that numpy
+    makes each temporary as it goes."""
+    if max(map(math.prod, shapes)) < CHAIN_MIN_ELEMENTS:
+        return (None,) * count
+    return tuple(np.empty((count, *np.broadcast_shapes(*shapes))))
+
+
+def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     """log(sum(exp(a))) over axis, bit for bit what scipy's logsumexp
     returns on real floats, without its per-call array-API dispatch.
 
@@ -206,16 +217,14 @@ def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False, buffers=None):
     shifted sum and counted (m), the rest is summed and divided by m, and
     the result is log1p(s) + log(m) + max; where that is not finite (an
     all -inf slice, or an infinite entry) log(sum(exp(a))) stands instead.
-    buffers, when given, are two contiguous float arrays of a's shape: the
-    shifted exponentials go into the first and the tie mask into the
-    memory of the second.
+    The shifted exponentials and the tie mask take the two arrays of a
+    scratch block.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axes = tuple(range(a.ndim)) if axis is None else axis
-    buffer, mask = None, None
-    if buffers is not None:
-        buffer = buffers[0]
-        mask = buffers[1].reshape(-1).view(np.bool_)[: a.size].reshape(a.shape)
+    buffer, mask = _scratch(2, a.shape)
+    if mask is not None:
+        mask = mask.reshape(-1).view(np.bool_)[: a.size].reshape(a.shape)
     a_max = _reduce(np.maximum, a, axes)
     tied = np.equal(a, a_max, out=mask)
     m = _reduce(np.add, tied, axes, dtype=np.float64)
@@ -237,7 +246,7 @@ def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False, buffers=None):
     return out[()] if out.ndim == 0 else out
 
 
-def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None, buffers=None) -> tuple:
+def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     """(D(p || q), D(q || p)) summed over axis, for laws given by finite log
     weights that broadcast against each other.
 
@@ -246,9 +255,9 @@ def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None, buffers=No
     enters it only multiplied by r, so small values near independence keep
     their digits, and as max(p, q) times a function of expm1(-|r|) it
     neither overflows nor underflows at any temperature.  The terms are
-    formed in three arrays of the broadcast shape, buffers when given.
+    formed in the three arrays of a scratch block of the broadcast shape.
     """
-    first, second, third = buffers or (None, None, None)
+    first, second, third = _scratch(3, log_p.shape, log_q.shape)
     r = np.subtract(log_p, log_q, out=first)
     p_larger = r >= 0.0
     a = np.abs(r, out=r)
@@ -290,27 +299,44 @@ def _renyi_sums(
     alphas,
     p_off: float = 0.0,
     q_off: float = 0.0,
-    buffers=None,
 ) -> np.ndarray:
     """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for every order in alphas and
     every pair of normalized laws in a stack, as a (len(alphas), pairs)
     array.  log_p[k] and log_q[k] hold pair k's finite log weights on its
     common support, summed over every axis after the first exactly as a
     lone pair's would be; p_off and q_off are the masses the laws put
-    outside it.  Near independence the sum is 1 + u with u = sum q
-    (expm1(alpha r) - alpha expm1(r)) - (1 - alpha) q_off - alpha p_off,
-    r = log p - log q, which keeps small divergences accurate as in
-    _divergence_pair; r, exp(log q) and expm1(r) are formed once for all
-    orders, each order's terms in one more array of their size (the four
-    are buffers when given), and alpha expm1(r) a block of at most
-    CHAIN_MIN_ELEMENTS at a time.  Far apart the sum is taken by
-    log-sum-exp, the pairs and orders that need it sharing calls of at
-    most BLOCK_ELEMENTS elements, or one pair each when a pair is
-    larger."""
-    axes = tuple(range(1, log_p.ndim))
+    outside it.  Near independence the sum is 1 + u, taken by
+    _near_renyi_sums.  Far apart the sum is taken by log-sum-exp, the pairs
+    and orders that need it sharing calls of at most BLOCK_ELEMENTS
+    elements, or one pair each when a pair is larger."""
     out = np.empty((len(alphas), log_p.shape[0]))
+    far = _near_renyi_sums(out, log_p, log_q, alphas, p_off, q_off)
+    axes = tuple(range(1, log_p.ndim))
+    per_call = _per_block(log_p[0].size)
+    for start in range(0, len(far), per_call):
+        calls = far[start : start + per_call]
+        terms = np.empty((len(calls),) + log_p.shape[1:])
+        for j, (i, k) in enumerate(calls):
+            np.multiply(alphas[i], log_p[k], out=terms[j])
+            terms[j] += (1.0 - alphas[i]) * log_q[k]
+        for (i, k), total in zip(calls, _logsumexp(terms, axis=axes).tolist()):
+            out[i, k] = total / (alphas[i] - 1.0)
+    return out
+
+
+def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas, p_off: float, q_off: float) -> list:
+    """Fill out[i, k] with _renyi_sums' value for order i and pair k where
+    the sum is 1 + u with |u| < 1, u = sum q (expm1(alpha r) - alpha
+    expm1(r)) - (1 - alpha) q_off - alpha p_off and r = log p - log q, which
+    keeps small divergences accurate as in _divergence_pair; return the
+    (i, k) of the others.  r, exp(log q) and expm1(r) are formed once for
+    all orders, each order's terms in one more array of their size (the
+    four arrays of a scratch block, freed with this call, before the far
+    sums take theirs), and alpha expm1(r) a block of at most
+    CHAIN_MIN_ELEMENTS at a time."""
+    axes = tuple(range(1, log_p.ndim))
     far = []
-    r, q, em1, terms = buffers or (None,) * 4
+    r, q, em1, terms = _scratch(4, log_p.shape)
     r = np.subtract(log_p, log_q, out=r)
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.exp(log_q, out=q)
@@ -334,27 +360,7 @@ def _renyi_sums(
                     out[i, k] = math.log1p(u) / (alpha - 1.0)
                 else:
                     far.append((i, k))
-    del r, q, em1, terms, flat_em1, flat_terms, scaled, blocks
-    per_call = _per_block(log_p[0].size)
-    if buffers:
-        # the buffers hold one pair per row: a block of far pairs takes its
-        # terms, one weighted log law and its log-sum-exp's two arrays from
-        # them
-        per_call = min(per_call, log_p.shape[0])
-    far_terms, weighted_q, shifted, mask = buffers or (None,) * 4
-    for start in range(0, len(far), per_call):
-        calls = far[start : start + per_call]
-        if buffers:
-            terms = far_terms[: len(calls)]
-            sum_buffers = (shifted[: len(calls)], mask[: len(calls)])
-        else:
-            terms, sum_buffers = np.empty((len(calls),) + log_p.shape[1:]), None
-        for j, (i, k) in enumerate(calls):
-            np.multiply(alphas[i], log_p[k], out=terms[j])
-            terms[j] += np.multiply(1.0 - alphas[i], log_q[k], out=buffers and weighted_q[0])
-        for (i, k), total in zip(calls, _logsumexp(terms, axis=axes, buffers=sum_buffers).tolist()):
-            out[i, k] = total / (alphas[i] - 1.0)
-    return out
+    return far
 
 
 def _renyi_sum(
@@ -364,15 +370,15 @@ def _renyi_sum(
     return float(_renyi_sums(log_p[None], log_q[None], (alpha,), p_off, q_off)[0, 0])
 
 
-def _product_of_marginals(table: np.ndarray, out=None) -> np.ndarray:
+def _product_of_marginals(table: np.ndarray) -> np.ndarray:
     """The product of the two marginals of each table in a stack (the last
     two axes); np.outer for one table."""
-    return np.multiply(table.sum(axis=-1)[..., :, None], table.sum(axis=-2)[..., None, :], out=out)
+    return np.multiply(table.sum(axis=-1)[..., :, None], table.sum(axis=-2)[..., None, :])
 
 
-def _total_variation(p: np.ndarray, q: np.ndarray, axis=None, out=None):
-    """sum |p - q| over axis, the differences formed in out when given."""
-    diff = np.subtract(p, q, out=out)
+def _total_variation(p: np.ndarray, q: np.ndarray, axis=None):
+    """sum |p - q| over axis."""
+    diff = np.subtract(p, q)
     return np.abs(diff, out=diff).sum(axis=axis)
 
 
@@ -397,6 +403,14 @@ def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:
     return float(forward) + float(qz[~support].sum())
 
 
+def _require_order(alpha: float) -> None:
+    """Refuse a Renyi order that is not a finite real, positive and != 1."""
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+        raise AlphaOutOfRange(f"alpha must be a finite real, got {alpha!r}")
+    if alpha <= 0.0 or alpha == 1.0:
+        raise AlphaOutOfRange(f"alpha must be > 0 and != 1, got {alpha!r}")
+
+
 def kl_divergence(p: ProbVec, q: ProbVec) -> float:
     """KL divergence D(p || q) in nats; requires p absolutely continuous
     with respect to q."""
@@ -411,10 +425,7 @@ def renyi_divergence(p: ProbVec, q: ProbVec, alpha: float) -> float:
     alpha -> 1 limit should call kl_divergence instead.  For alpha > 1, p
     must be absolutely continuous with respect to q.
     """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-        raise AlphaOutOfRange(f"alpha must be a finite real, got {alpha!r}")
-    if alpha <= 0.0 or alpha == 1.0:
-        raise AlphaOutOfRange(f"alpha must be > 0 and != 1, got {alpha!r}")
+    _require_order(alpha)
     _require_same_alphabet(p, q)
     pw = _zeroed(p.weights)
     qw = _zeroed(q.weights)

@@ -12,6 +12,7 @@ import pytest
 import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import (
+    AlphaOutOfRange,
     EnumerationTooLarge,
     EpsilonOutOfRange,
     GammaNonPositive,
@@ -252,6 +253,15 @@ def test_risk_curve_rejects_bad_gammas():
         empirical_risk_curve(problem, [-1.0, 2.0])
     with pytest.raises(InvalidInput):
         empirical_risk_curve(problem, [])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.0, -1.0, math.nan, math.inf])
+def test_posterior_renyi_rejects_bad_orders(alpha):
+    # the orders renyi_divergence refuses, alone and after a valid one
+    posterior = gibbs_posterior(small_problem(17), 1.0)
+    for alphas in ((alpha,), (2.0, alpha)):
+        with pytest.raises(AlphaOutOfRange):
+            posterior.renyi(alphas)
 
 
 def test_concavity_probe_identical_components_tie():

@@ -1,14 +1,12 @@
 """The whole-table kernels against numpy's reductions and against frozen
 copies of the formulas they replaced: every number bit for bit, on both
-sides of CHAIN_MIN_ELEMENTS, with and without workspace arrays."""
+sides of CHAIN_MIN_ELEMENTS, with and without scratch blocks."""
 
 import dataclasses
-import gc
 import math
 import sys
 import threading
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -24,14 +22,15 @@ from gibbslab.probability import (
     _logsumexp,
     _reduce,
     _renyi_sums,
+    _scratch,
 )
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
 ALPHAS = (1.5, 2.0, 4.0)
 
 
-# Frozen copies of the kernels as they were before the workspace and the
-# chained short-axis reductions: the references the kernels must match.
+# Frozen copies of the kernels as they were before the scratch blocks and
+# the chained short-axis reductions: the references the kernels must match.
 
 
 def frozen_logsumexp(a, axis=None, keepdims=False):
@@ -194,27 +193,29 @@ def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
 
     monkeypatch.setattr(gibbslab.probability, "_logsumexp", counting_logsumexp)
     rng = np.random.default_rng(3)
+    # two shapes take scratch blocks, the last is below CHAIN_MIN_ELEMENTS
     for shape in ((1, 16384, 5), (3, 2048, 5), (2, 64, 5)):
         log_p = np.log(rng.dirichlet(np.ones(math.prod(shape[1:])), size=shape[0])).reshape(shape)
         for log_q in (np.log(rng.dirichlet(np.ones(log_p[0].size), size=shape[0])).reshape(shape),
                       log_p + 1e-3 * rng.standard_normal(shape)):
             expected = frozen_renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
-            for buffers in (None, [np.empty(shape) for _ in range(4)]):
-                got = _renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02, buffers=buffers)
-                assert np.array_equal(bits(got), bits(expected)), shape
-    # the far path ran on every shape, with buffers and without
+            got = _renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
+            assert np.array_equal(bits(got), bits(expected)), shape
+    # the far path ran on every shape, with scratch blocks and without
     assert {shape[1:] for shape in far_calls} == {(16384, 5), (2048, 5), (64, 5)}
 
 
 def test_divergence_pair_and_logsumexp_match_with_buffers():
     rng = np.random.default_rng(5)
+    # the middle shape is below CHAIN_MIN_ELEMENTS, the others take scratch
+    # blocks
     for shape in ((1, 16384, 5), (4, 64, 5), (2, 4096, 3)):
         log_p = rng.normal(scale=5.0, size=shape)
         log_q = rng.normal(scale=5.0, size=(shape[0], 1, shape[2]))
-        buffers = [np.empty(shape) for _ in range(3)]
         expected = frozen_divergence_pair(log_p, log_q, axis=2)
+        # the broadcast operand first and second
         for got in (_divergence_pair(log_p, log_q, axis=2),
-                    _divergence_pair(log_p, log_q, axis=2, buffers=buffers)):
+                    _divergence_pair(log_q, log_p, axis=2)[::-1]):
             assert all(np.array_equal(bits(g), bits(e)) for g, e in zip(got, expected))
         # ties, -inf entries, an all -inf row and an infinite entry
         a = np.round(log_p)
@@ -223,9 +224,8 @@ def test_divergence_pair_and_logsumexp_match_with_buffers():
         a[0, 2, 0] = np.inf
         for axis in (1, 2, (1, 2)):
             expected = frozen_logsumexp(a, axis=axis, keepdims=True)
-            for buffers in (None, [np.empty(shape) for _ in range(2)]):
-                got = _logsumexp(a, axis=axis, keepdims=True, buffers=buffers)
-                assert np.array_equal(got, expected, equal_nan=True), (shape, axis)
+            got = _logsumexp(a, axis=axis, keepdims=True)
+            assert np.array_equal(got, expected, equal_nan=True), (shape, axis)
 
 
 class Recording:
@@ -293,26 +293,59 @@ def test_joint_evaluation_peaks_below_the_earlier_kernels():
         assert peak <= 5.77 * 2**20, gamma
 
 
-def test_workspace_is_chosen_by_size_and_freed_with_its_stack():
-    # the joint shape gets five workspace arrays of its table's size, a
-    # CLI-sized stack none; the arrays go when the stack goes
-    posterior = gibbs_posterior(problem_of(4, 7, 5, False), 1.0)
-    posterior.renyi(ALPHAS)
-    flats = posterior._sweep.__dict__["_flats"]
-    assert [flat.size for flat in flats] == [posterior.log_rows.size] * 5
-    refs = [weakref.ref(flat) for flat in flats]
-    del posterior, flats
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-    small = gibbs_posterior(problem_of(4, 3, 5, True), 1.0)
-    small.renyi(ALPHAS), small.info
-    assert "_flats" not in small._sweep.__dict__
-    # an IID route drops the workspace before its own blocks
-    iid = gibbs_posterior(problem_of(4, 6, 5, True), 1.0)
-    iid.info
-    assert "_flats" in iid._sweep.__dict__
-    iid.replace_one
-    assert "_flats" not in iid._sweep.__dict__
+# every functional of a stack that has no IID route, as a reader
+FUNCTIONALS = {
+    "row_array": lambda posterior: posterior.row_array,
+    "hypothesis_marginal": lambda posterior: posterior.hypothesis_marginal,
+    "log_kernel": lambda posterior: posterior.log_kernel,
+    "log_marginal": lambda posterior: posterior.log_marginal,
+    "info": lambda posterior: posterior.info,
+    "reference_divergences": lambda posterior: posterior.reference_divergences,
+    "total_variation": lambda posterior: posterior.total_variation,
+    "renyi": lambda posterior: posterior.renyi(ALPHAS),
+}
+
+
+def test_no_kernel_temporary_outlives_its_call(monkeypatch):
+    # after each functional of lib-wide's joint stack returns, the traced
+    # memory is that of the arrays the evaluation caches: every scratch
+    # block went with its call.  A CLI-sized stack takes no scratch block
+    calls = []
+
+    def recording_scratch(count, *shapes):
+        arrays = _scratch(count, *shapes)
+        calls.append((max(map(math.prod, shapes)), arrays[0] is not None))
+        return arrays
+
+    monkeypatch.setattr(gibbslab.probability, "_scratch", recording_scratch)
+    problem = problem_of(4, 7, 5, False)
+    problem._population_risk, problem._log_dataset_probs
+    posterior = gibbs_posterior(problem, 1.0)
+
+    def cached_bytes():
+        owners = (vars(problem), vars(posterior._sweep))
+        return sum(value.nbytes for owner in owners for value in owner.values()
+                   if isinstance(value, np.ndarray))
+
+    before = cached_bytes()
+    tracemalloc.start()
+    try:
+        for name, read in FUNCTIONALS.items():
+            read(posterior)
+            current, _ = tracemalloc.get_traced_memory()
+            # a few KiB of Python objects (reports, lists of floats, the
+            # recorded calls); a table is 640 KiB
+            assert 0 <= current - (cached_bytes() - before) < 16 * 2**10, name
+    finally:
+        tracemalloc.stop()
+    assert any(taken for _, taken in calls)
+    assert all(taken == (size >= CHAIN_MIN_ELEMENTS) for size, taken in calls)
+    calls.clear()
+    small = next(_gibbs_sweep(problem_of(4, 3, 5, True), GAMMAS[:4]))
+    assert small.log_rows.size * 4 < CHAIN_MIN_ELEMENTS
+    for read in FUNCTIONALS.values():
+        read(small)
+    assert calls and not any(taken for _, taken in calls)
 
 
 def test_threads_reading_one_evaluation_share_no_temporary():
