@@ -41,11 +41,9 @@ IDENTITY_TOL = 1e-12
 # four, so the block is sized by peak memory
 BLOCK_ELEMENTS = 100_000
 # a table of at least this many elements reduces an axis shorter than 8 as
-# a chain of elementwise calls over the axis's slices (see _reduce), and
-# its kernels take their temporaries as one block per call (_scratch); a
-# smaller table keeps numpy's one reduce call and lets numpy make each
-# temporary, which costs less there.  Stacks of the CLI's default problems
-# hold at most 1,280 elements
+# a chain of elementwise calls over the axis's slices (see _reduce); a
+# smaller table keeps numpy's one reduce call, which costs less there.
+# Stacks of the CLI's default problems hold at most 1,280 elements
 CHAIN_MIN_ELEMENTS = 4096
 
 
@@ -198,17 +196,6 @@ def _reduce(ufunc, a: np.ndarray, axis, keepdims: bool = True, dtype=None) -> np
     return out if keepdims else out.squeeze(axis=axis)
 
 
-def _scratch(count: int, *shapes: tuple) -> tuple:
-    """count float arrays of the shape that shapes broadcast to, for one
-    kernel call's temporaries: views of one fresh (count, *shape) block
-    when the largest of shapes holds CHAIN_MIN_ELEMENTS or more, freed when
-    the call drops them, and (None,) * count below that, so that numpy
-    makes each temporary as it goes."""
-    if max(map(math.prod, shapes)) < CHAIN_MIN_ELEMENTS:
-        return (None,) * count
-    return tuple(np.empty((count, *np.broadcast_shapes(*shapes))))
-
-
 def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     """log(sum(exp(a))) over axis, bit for bit what scipy's logsumexp
     returns on real floats, without its per-call array-API dispatch.
@@ -217,21 +204,16 @@ def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     shifted sum and counted (m), the rest is summed and divided by m, and
     the result is log1p(s) + log(m) + max; where that is not finite (an
     all -inf slice, or an infinite entry) log(sum(exp(a))) stands instead.
-    The shifted exponentials and the tie mask take the two arrays of a
-    scratch block.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axes = tuple(range(a.ndim)) if axis is None else axis
-    buffer, mask = _scratch(2, a.shape)
-    if mask is not None:
-        mask = mask.reshape(-1).view(np.bool_)[: a.size].reshape(a.shape)
     a_max = _reduce(np.maximum, a, axes)
-    tied = np.equal(a, a_max, out=mask)
+    tied = np.equal(a, a_max)
     m = _reduce(np.add, tied, axes, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the tied maxima shift to -inf (scipy's -inf - max only differs
         # on an all -inf slice, which the direct sum below replaces)
-        shifted = np.subtract(a, a_max, out=buffer)
+        shifted = np.subtract(a, a_max)
         np.copyto(shifted, -np.inf, where=tied)
         s = _reduce(np.add, np.exp(shifted, out=shifted), axes)
         del shifted
@@ -255,17 +237,16 @@ def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     enters it only multiplied by r, so small values near independence keep
     their digits, and as max(p, q) times a function of expm1(-|r|) it
     neither overflows nor underflows at any temperature.  The terms are
-    formed in the three arrays of a scratch block of the broadcast shape.
+    formed in three arrays of the broadcast shape.
     """
-    first, second, third = _scratch(3, log_p.shape, log_q.shape)
-    r = np.subtract(log_p, log_q, out=first)
+    r = np.subtract(log_p, log_q)
     p_larger = r >= 0.0
     a = np.abs(r, out=r)
-    e1 = np.negative(a, out=second)
+    e1 = np.negative(a)
     np.expm1(e1, out=e1)
     # terms over max(p, q), for the direction whose first law is the larger
     # one, a + e1, and for the other direction, -(a (e1 + 1) + e1)
-    smaller_term = np.add(e1, 1.0, out=third)
+    smaller_term = np.add(e1, 1.0)
     smaller_term *= a
     smaller_term += e1
     np.negative(smaller_term, out=smaller_term)
@@ -330,18 +311,17 @@ def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas, p_off: float, q_off:
     expm1(r)) - (1 - alpha) q_off - alpha p_off and r = log p - log q, which
     keeps small divergences accurate as in _divergence_pair; return the
     (i, k) of the others.  r, exp(log q) and expm1(r) are formed once for
-    all orders, each order's terms in one more array of their size (the
-    four arrays of a scratch block, freed with this call, before the far
-    sums take theirs), and alpha expm1(r) a block of at most
+    all orders, each order's terms in one more array of their size (four
+    tables, freed when this returns, before the far sums' log-sum-exp
+    takes its own), and alpha expm1(r) a block of at most
     CHAIN_MIN_ELEMENTS at a time."""
     axes = tuple(range(1, log_p.ndim))
     far = []
-    r, q, em1, terms = _scratch(4, log_p.shape)
-    r = np.subtract(log_p, log_q, out=r)
+    r = np.subtract(log_p, log_q)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.exp(log_q, out=q)
-        em1 = np.expm1(r, out=em1)
-        terms = np.empty_like(r) if terms is None else terms
+        q = np.exp(log_q)
+        em1 = np.expm1(r)
+        terms = np.empty_like(r)
         flat_em1, flat_terms = em1.reshape(-1), terms.reshape(-1)
         scaled = np.empty(min(flat_terms.size, CHAIN_MIN_ELEMENTS))
         blocks = [

@@ -1,6 +1,6 @@
 """The whole-table kernels against numpy's reductions and against frozen
 copies of the formulas they replaced: every number bit for bit, on both
-sides of CHAIN_MIN_ELEMENTS, with and without scratch blocks."""
+sides of CHAIN_MIN_ELEMENTS."""
 
 import dataclasses
 import math
@@ -22,15 +22,14 @@ from gibbslab.probability import (
     _logsumexp,
     _reduce,
     _renyi_sums,
-    _scratch,
 )
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
 ALPHAS = (1.5, 2.0, 4.0)
 
 
-# Frozen copies of the kernels as they were before the scratch blocks and
-# the chained short-axis reductions: the references the kernels must match.
+# Frozen copies of the kernels as they were before the in-place temporaries
+# and the chained short-axis reductions: the references the kernels must match.
 
 
 def frozen_logsumexp(a, axis=None, keepdims=False):
@@ -193,7 +192,7 @@ def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
 
     monkeypatch.setattr(gibbslab.probability, "_logsumexp", counting_logsumexp)
     rng = np.random.default_rng(3)
-    # two shapes take scratch blocks, the last is below CHAIN_MIN_ELEMENTS
+    # two shapes are above CHAIN_MIN_ELEMENTS, the last is below it
     for shape in ((1, 16384, 5), (3, 2048, 5), (2, 64, 5)):
         log_p = np.log(rng.dirichlet(np.ones(math.prod(shape[1:])), size=shape[0])).reshape(shape)
         for log_q in (np.log(rng.dirichlet(np.ones(log_p[0].size), size=shape[0])).reshape(shape),
@@ -201,14 +200,13 @@ def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
             expected = frozen_renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
             got = _renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
             assert np.array_equal(bits(got), bits(expected)), shape
-    # the far path ran on every shape, with scratch blocks and without
+    # the far path ran on every shape, on both sides of the gate
     assert {shape[1:] for shape in far_calls} == {(16384, 5), (2048, 5), (64, 5)}
 
 
 def test_divergence_pair_and_logsumexp_match_with_buffers():
     rng = np.random.default_rng(5)
-    # the middle shape is below CHAIN_MIN_ELEMENTS, the others take scratch
-    # blocks
+    # the middle shape is below CHAIN_MIN_ELEMENTS, the others above it
     for shape in ((1, 16384, 5), (4, 64, 5), (2, 4096, 3)):
         log_p = rng.normal(scale=5.0, size=shape)
         log_q = rng.normal(scale=5.0, size=(shape[0], 1, shape[2]))
@@ -306,46 +304,31 @@ FUNCTIONALS = {
 }
 
 
-def test_no_kernel_temporary_outlives_its_call(monkeypatch):
-    # after each functional of lib-wide's joint stack returns, the traced
-    # memory is that of the arrays the evaluation caches: every scratch
-    # block went with its call.  A CLI-sized stack takes no scratch block
-    calls = []
+def test_no_kernel_temporary_outlives_its_call():
+    # after each functional of lib-wide's joint stack, and of a CLI-sized
+    # stack below CHAIN_MIN_ELEMENTS, returns, the traced memory is that of
+    # the arrays the evaluation caches: every temporary went with its call
+    for problem, gammas in ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4])):
+        problem._population_risk, problem._log_dataset_probs
+        posterior = next(_gibbs_sweep(problem, gammas))
 
-    def recording_scratch(count, *shapes):
-        arrays = _scratch(count, *shapes)
-        calls.append((max(map(math.prod, shapes)), arrays[0] is not None))
-        return arrays
+        def cached_bytes():
+            owners = (vars(problem), vars(posterior._sweep))
+            return sum(value.nbytes for owner in owners for value in owner.values()
+                       if isinstance(value, np.ndarray))
 
-    monkeypatch.setattr(gibbslab.probability, "_scratch", recording_scratch)
-    problem = problem_of(4, 7, 5, False)
-    problem._population_risk, problem._log_dataset_probs
-    posterior = gibbs_posterior(problem, 1.0)
-
-    def cached_bytes():
-        owners = (vars(problem), vars(posterior._sweep))
-        return sum(value.nbytes for owner in owners for value in owner.values()
-                   if isinstance(value, np.ndarray))
-
-    before = cached_bytes()
-    tracemalloc.start()
-    try:
-        for name, read in FUNCTIONALS.items():
-            read(posterior)
-            current, _ = tracemalloc.get_traced_memory()
-            # a few KiB of Python objects (reports, lists of floats, the
-            # recorded calls); a table is 640 KiB
-            assert 0 <= current - (cached_bytes() - before) < 16 * 2**10, name
-    finally:
-        tracemalloc.stop()
-    assert any(taken for _, taken in calls)
-    assert all(taken == (size >= CHAIN_MIN_ELEMENTS) for size, taken in calls)
-    calls.clear()
-    small = next(_gibbs_sweep(problem_of(4, 3, 5, True), GAMMAS[:4]))
-    assert small.log_rows.size * 4 < CHAIN_MIN_ELEMENTS
-    for read in FUNCTIONALS.values():
-        read(small)
-    assert calls and not any(taken for _, taken in calls)
+        before = cached_bytes()
+        tracemalloc.start()
+        try:
+            for name, read in FUNCTIONALS.items():
+                read(posterior)
+                current, _ = tracemalloc.get_traced_memory()
+                # a few KiB of Python objects (reports, lists of floats);
+                # a lib-wide table is 640 KiB
+                assert 0 <= current - (cached_bytes() - before) < 16 * 2**10, (gammas, name)
+        finally:
+            tracemalloc.stop()
+        assert (posterior._sweep.log_rows.size >= CHAIN_MIN_ELEMENTS) == (len(gammas) == 1)
 
 
 def test_threads_reading_one_evaluation_share_no_temporary():

@@ -1,6 +1,6 @@
 """Source hygiene: every module-level import of the package is used,
 every module-level private function or class is used somewhere in it,
-and the size gate of the kernels' temporaries stays in one module."""
+and the size gate of the kernels' chained reductions stays in one module."""
 
 import ast
 import pathlib
@@ -12,9 +12,9 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 # private names that only the tests reference: the bisection is the tests'
 # reference for fixed_point_kappa
 TEST_ONLY = {"bounds._bisect_fixed_point"}
-# the names of the size gate for the kernels' temporaries, which only
+# the size gate of the kernels' chained reductions, which only
 # probability.py may use
-GATE = {"CHAIN_MIN_ELEMENTS", "_scratch"}
+GATE = {"CHAIN_MIN_ELEMENTS"}
 
 
 def unused_imports(source: str) -> list[str]:
