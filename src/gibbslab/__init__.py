@@ -80,7 +80,6 @@ from .gibbs import (
     gen_characterizations,
     gen_error_direct,
     gibbs_posterior,
-    log_ratio_means,
     population_gibbs,
     regularized_gen,
 )

@@ -28,16 +28,21 @@ One evaluation of a (problem, gamma) pair is what every route and bound
 reads: the routes through GenReport.from_posterior (which also carries
 the numbers behind RatioConstants.from_report and InfoDivergenceReport),
 the bounds through bounds._bounds_rows.  _gibbs_sweep evaluates a
-problem at several gammas as stacked arrays: one (g, m, nw) log-row table,
+problem at several gammas as stacked arrays: one (g, nw, m) log-row table,
 and each functional computed for every gamma the first time any member
 asks, in the same operations, reductions and order as for one gamma, so
-each member's numbers are bit for bit those of a lone build.  The gammas
+each member's numbers are bit for bit those of a lone build.  Every
+table is hypothesis-major and C-contiguous, (g, nw, m) with the datasets
+last, and every sum is numpy's own reduction: over the contiguous
+dataset axis it is pairwise, over hypotheses it adds rows in order, and
+no sum goes through BLAS, so no number depends on its kernel or thread
+count.  The gammas
 go in chunks whose table holds at most max(m * nw, BLOCK_ELEMENTS)
 elements (probability.BLOCK_ELEMENTS), and the supersample and
 replace-one sweeps work in blocks of the same budget, stacking only as
 many gammas as fit, so however many gammas there are, peak memory stays
 near that of one evaluation or one block, whichever is larger, plus
-replace-one's (m, |Z|) divergence tables of the gammas in its block.
+replace-one's (|Z|, m) divergence tables of the gammas in its block.
 The kernels of probability own their temporaries, each call taking what
 it needs and freeing it on return, so an evaluation holds only the
 arrays it caches and threads reading one share no temporary.
@@ -89,7 +94,6 @@ from .probability import (
     _logsumexp,
     _per_block,
     _product_of_marginals,
-    _reduce,
     _renyi_sums,
     _require_order,
     _total_variation,
@@ -97,8 +101,8 @@ from .probability import (
 )
 
 # the most elements any one enumerated array may hold: an evaluation peaks
-# at 85 to 117 bytes per element of its largest count (tracemalloc), so
-# 0.65 to 0.95 GB at the cap, and the 6,223,360 supersample states of
+# at 85 to 105 bytes per element of its largest count (tracemalloc), so
+# 0.65 to 0.85 GB at the cap, and the 6,223,360 supersample states of
 # |Z| = 4, n = 8 fit
 ELEMENT_CAP = 8 * 10**6
 REL_TOL = 1e-9
@@ -205,7 +209,7 @@ class LearningProblem:
         """(m, n) sample indices of every dataset, lexicographic order.
         Every enumerated table starts here, so the size check runs here
         first, on m * max(n, nw) elements: the largest of this matrix, the
-        dataset law, the risk table, every (m, nw) evaluation array and the
+        dataset law, the risk table, every (nw, m) evaluation array and the
         (nw, |Z|) loss table (|Z| <= m)."""
         _check_elements(
             "dataset enumeration",
@@ -229,12 +233,11 @@ class LearningProblem:
     @cached_property
     def _empirical_risk(self) -> np.ndarray:
         """(num_hypotheses, m) empirical risk of every (w, dataset) pair,
-        from (nw, b, n) loss gathers of b datasets within BLOCK_ELEMENTS;
-        each mean runs over one pair's n losses, so no bit depends on the
-        blocks.  The table is column-major, as a gather's mean is, since
-        the sums over it run in its memory order."""
+        C-contiguous like every evaluation table, from (nw, b, n) loss
+        gathers of b datasets within BLOCK_ELEMENTS; each mean runs over
+        one pair's n losses, so no bit depends on the blocks."""
         cols = self._dataset_indices
-        risk = np.empty((self.num_hypotheses, cols.shape[0]), order="F")
+        risk = np.empty((self.num_hypotheses, cols.shape[0]))
         block = _per_block(self.num_hypotheses * self.n)
         for start in range(0, cols.shape[0], block):
             risk[:, start : start + block] = self.loss[:, cols[start : start + block]].mean(axis=2)
@@ -243,7 +246,7 @@ class LearningProblem:
 
     @cached_property
     def _population_risk(self) -> np.ndarray:
-        risk = self._empirical_risk @ self._dataset_probs
+        risk = _expect(self._empirical_risk, self._dataset_probs)
         risk.flags.writeable = False
         return risk
 
@@ -333,14 +336,15 @@ def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) ->
 
 @dataclass(frozen=True, eq=False)
 class _Kernels:
-    """A stack of kernels from datasets to hypotheses, given by (g, m,
-    num_hypotheses) log rows, and the functionals that need nothing else,
-    each computed for the whole stack on first use and cached read-only.
+    """A stack of kernels from datasets to hypotheses, given by C-contiguous
+    (g, num_hypotheses, m) log rows, and the functionals that need nothing
+    else, each computed for the whole stack on first use and cached
+    read-only.
 
-    Elementwise steps run on the stack, and every reduction runs over the
-    same axes in the same memory order as for one kernel, so kernel k's
-    numbers are bit for bit those of a stack of one.  Matrix products run
-    per kernel, since a stacked product may round differently."""
+    Elementwise steps run on the stack; sums over hypotheses run over axis
+    1 and sums over datasets over the last axis, so each row reduces on
+    its own and kernel k's numbers are bit for bit those of a stack of
+    one."""
 
     problem: LearningProblem
     log_rows: np.ndarray
@@ -350,15 +354,14 @@ class _Kernels:
         """Posterior rows, renormalized in the linear domain so each row
         sums to 1 at machine precision."""
         rows = np.exp(self.log_rows)
-        rows /= _reduce(np.add, rows, 2)
+        rows /= rows.sum(axis=1, keepdims=True)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
-        probs = self.problem._dataset_probs
-        marg = np.stack([probs @ rows for rows in self.row_array])
+        marg = _expect(self.row_array, self.problem._dataset_probs)
         marg.flags.writeable = False
         return marg
 
@@ -367,21 +370,21 @@ class _Kernels:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=2, keepdims=True)
+        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=1, keepdims=True)
         log_kernel.flags.writeable = False
         return log_kernel
 
     @cached_property
     def log_joint(self) -> np.ndarray:
-        """The joint law of (S, W) in the log domain, (g, m, num_hypotheses)."""
-        log_joint = self.problem._log_dataset_probs[None, :, None] + self.log_kernel
+        """The joint law of (S, W) in the log domain, (g, num_hypotheses, m)."""
+        log_joint = self.problem._log_dataset_probs + self.log_kernel
         log_joint.flags.writeable = False
         return log_joint
 
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        log_marg = _logsumexp(self.log_joint, axis=1)
+        log_marg = _logsumexp(self.log_joint, axis=2)
         log_marg.flags.writeable = False
         return log_marg
 
@@ -389,8 +392,8 @@ class _Kernels:
         """Per kernel, (E D(row || reference), E D(reference || row)) over
         datasets, for one (g, num_hypotheses) reference per kernel."""
         probs = self.problem._dataset_probs
-        forward, reverse = _divergence_pair(self.log_kernel, log_reference[:, None, :], axis=2)
-        return [(float(probs @ f), float(probs @ r)) for f, r in zip(forward, reverse)]
+        forward, reverse = _divergence_pair(self.log_kernel, log_reference[:, :, None], axis=1)
+        return list(zip(_expect(forward, probs).tolist(), _expect(reverse, probs).tolist()))
 
     @cached_property
     def info(self) -> tuple[InfoReport, ...]:
@@ -421,11 +424,7 @@ class _Sweep(_Kernels):
     def total_variation(self) -> list[float]:
         """Unnormalized total variation between the joint law of (W, S) and
         the product of its marginals."""
-        # (g, nw, m) and row-major, as in a JointTable, so the sums run in
-        # the same order
-        g, m, nw = self.log_rows.shape
-        rows = self.row_array.transpose(0, 2, 1)
-        joint = np.multiply(rows, self.problem._dataset_probs, out=np.empty((g, nw, m)))
+        joint = np.multiply(self.row_array, self.problem._dataset_probs)
         return _total_variation(joint, _product_of_marginals(joint), axis=(1, 2)).tolist()
 
     def renyi(self, alphas: tuple[float, ...]) -> list[tuple[float, ...]]:
@@ -436,13 +435,12 @@ class _Sweep(_Kernels):
         if last is None or last[0] != alphas:
             problem = self.problem
             support = problem._dataset_probs > 0.0
-            log_probs = problem._log_dataset_probs[:, None]
-            # row-major per gamma, as a lone kernel's rows, so each sums alike
+            log_probs = problem._log_dataset_probs
             joint = self.log_joint
             if not support.all():
                 log_probs = log_probs[support]
-                joint = np.compress(support, joint, axis=1)
-            product = log_probs + self.log_marginal[:, None, :]
+                joint = np.compress(support, joint, axis=2)
+            product = log_probs + self.log_marginal[:, :, None]
             # the reverse call's log ratio is the exact negation of the
             # forward one's
             sums = _renyi_sums(joint, product, alphas)
@@ -488,7 +486,11 @@ class _Sweep(_Kernels):
 
 class _Slice:
     """A GibbsPosterior attribute: the member's slice of the sweep's value
-    of the same name."""
+    of the same name, transposed when dataset_major: a (num_hypotheses, m)
+    table is then read as its (m, num_hypotheses) view."""
+
+    def __init__(self, dataset_major: bool = False) -> None:
+        self.dataset_major = dataset_major
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -496,7 +498,8 @@ class _Slice:
     def __get__(self, member, owner=None):
         if member is None:
             return self
-        return getattr(member._sweep, self.name)[member._index]
+        value = getattr(member._sweep, self.name)[member._index]
+        return value.T if self.dataset_major else value
 
 
 class GibbsPosterior:
@@ -505,7 +508,9 @@ class GibbsPosterior:
     with gibbs_posterior.  It is one member of a stacked sweep over gammas
     of its problem (see _gibbs_sweep): each functional below is the
     member's slice of the sweep's, which the sweep computes for all its
-    members the first time any of them asks.  Every array is read-only."""
+    members the first time any of them asks.  Every array is read-only.
+    log_rows, row_array and log_kernel are (m, num_hypotheses), one row per
+    dataset: views of the sweep's hypothesis-major tables."""
 
     def __init__(self, sweep: _Sweep, index: int) -> None:
         self._sweep = sweep
@@ -519,10 +524,10 @@ class GibbsPosterior:
     def gamma(self) -> float:
         return self._sweep.gammas[self._index]
 
-    log_rows = _Slice()
-    row_array = _Slice()
+    log_rows = _Slice(dataset_major=True)
+    row_array = _Slice(dataset_major=True)
     hypothesis_marginal = _Slice()
-    log_kernel = _Slice()
+    log_kernel = _Slice(dataset_major=True)
     log_marginal = _Slice()
     info = _Slice()
     reference_divergences = _Slice()
@@ -543,7 +548,7 @@ class GibbsPosterior:
 
 def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
     """The Gibbs posteriors of problem at each of gammas, in order, as
-    stacked evaluations: the gammas go in chunks whose (g, m, nw) log-row
+    stacked evaluations: the gammas go in chunks whose (g, nw, m) log-row
     table holds at most max(m * nw, BLOCK_ELEMENTS) elements, and each
     functional is computed for a whole chunk at once.  The stacked blocks of
     the supersample and replace-one sweeps keep within the same budget, so
@@ -561,7 +566,7 @@ def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[
     for start in range(0, len(values), size):
         chunk = values[start : start + size]
         logits = problem.prior.log_weights[:, None] - np.array(chunk)[:, None, None] * risk
-        log_rows = (logits - _logsumexp(logits, axis=1, keepdims=True)).transpose(0, 2, 1)
+        log_rows = logits - _logsumexp(logits, axis=1, keepdims=True)
         log_rows.flags.writeable = False
         del logits
         sweep = _Sweep(problem=problem, log_rows=log_rows, gammas=tuple(chunk))
@@ -632,25 +637,35 @@ def gen_error_direct(posterior: GibbsPosterior) -> float:
     """Expected generalization error straight from the definition:
     E[population risk - empirical risk] under the joint law of (W, S)."""
     problem = posterior.problem
-    return _gen_under_law(posterior.row_array, problem._empirical_risk, problem._dataset_probs)
+    # the transposed view reads the sweep's hypothesis-major rows
+    return _gen_under_law(posterior.row_array.T, problem._empirical_risk, problem._dataset_probs)
 
 
 def expected_empirical_risk(posterior: GibbsPosterior) -> float:
     """E[empirical risk] under the joint law of (W, S)."""
     problem = posterior.problem
-    return _risk_under_law(posterior.row_array, problem._empirical_risk, problem._dataset_probs)
+    return _risk_under_law(posterior.row_array.T, problem._empirical_risk, problem._dataset_probs)
+
+
+def _expect(table: np.ndarray, law: np.ndarray) -> np.ndarray:
+    """The expectation of each row of a table under a law on its last,
+    contiguous axis: one pairwise sum per row, so a row of a stack reads
+    what it reads alone."""
+    return np.multiply(table, law).sum(axis=-1)
 
 
 def _risk_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -> float:
-    """E[empirical risk] of a fixed posterior kernel under a dataset law."""
-    return float(np.einsum("s,sw,ws->", probs, rows, empirical))
+    """E[empirical risk] of a fixed posterior kernel, given by its
+    (num_hypotheses, m) rows, under a dataset law."""
+    return float(_expect(np.multiply(rows, empirical), probs).sum())
 
 
 def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -> float:
     """Generalization error of a fixed posterior kernel under a dataset law:
     the population risk of the induced hypothesis marginal minus the
     expected empirical risk."""
-    on_population = float((probs @ rows) @ (empirical @ probs))
+    marginal = _expect(rows, probs)
+    on_population = float(_expect(marginal, _expect(empirical, probs)))
     return on_population - _risk_under_law(rows, empirical, probs)
 
 
@@ -670,43 +685,45 @@ def _require_iid_routes(problem: LearningProblem) -> None:
 
 
 def _supersample_infos(problem: LearningProblem, log_rows: np.ndarray) -> list[InfoReport]:
-    """The supersample information of each kernel of a (g, m, nw) stack,
+    """The supersample information of each kernel of a (g, nw, m) stack,
     after the checks.  A block holds BLOCK_ELEMENTS // (2**n * nw) orbits of
     one kernel, as for a lone kernel, so each kernel's sums run over the
     same blocks; when one block holds every orbit, it stacks as many
     kernels as fit in it."""
     super_probs, dataset_ids = problem._supersample_geometry
     num_super, num_u = dataset_ids.shape
-    per_kernel = num_u * log_rows.shape[2]
+    per_kernel = num_u * log_rows.shape[1]
     block = _per_block(per_kernel)
     group = _per_block(per_kernel * num_super)
-    mutual = [0.0] * log_rows.shape[0]
-    lautum = [0.0] * log_rows.shape[0]
+    mutual = np.zeros(log_rows.shape[0])
+    lautum = np.zeros(log_rows.shape[0])
     for first in range(0, log_rows.shape[0], group):
         kernels = log_rows[first : first + group]
         for start in range(0, num_super, block):
             stop = min(start + block, num_super)
-            # selector first: reductions over u then run on contiguous slices
-            log_cond = np.take(kernels, dataset_ids[start:stop].T, axis=1)  # (g, num_u, b, nw)
+            # orbits last, as datasets are in the table
+            log_cond = np.take(kernels, dataset_ids[start:stop].T, axis=2)  # (g, nw, num_u, b)
             # log of the mixture over u, max-shifted in place
-            shift = log_cond.max(axis=1)
-            scaled = np.subtract(log_cond, shift[:, None])
+            shift = log_cond.max(axis=2, keepdims=True)
+            scaled = np.subtract(log_cond, shift)
             np.exp(scaled, out=scaled)
-            log_mix = shift + np.log(scaled.mean(axis=1))
+            log_mix = shift + np.log(scaled.mean(axis=2, keepdims=True))
             del scaled
-            forward, reverse = _divergence_pair(log_cond, log_mix[:, None], axis=1)
+            forward, reverse = _divergence_pair(log_cond, log_mix, axis=(1, 2))
             weights = super_probs[start:stop] / num_u
-            for k, (fwd, rev) in enumerate(zip(forward.sum(axis=2), reverse.sum(axis=2))):
-                mutual[first + k] += float(weights @ fwd)
-                lautum[first + k] += float(weights @ rev)
-    return [InfoReport(mutual=m, lautum=l, symmetrized=m + l) for m, l in zip(mutual, lautum)]
+            mutual[first : first + group] += _expect(forward, weights)
+            lautum[first : first + group] += _expect(reverse, weights)
+    return [
+        InfoReport(mutual=m, lautum=l, symmetrized=m + l)
+        for m, l in zip(mutual.tolist(), lautum.tolist())
+    ]
 
 
 def _replace_one_stack(problem: LearningProblem, log_rows: np.ndarray) -> np.ndarray:
     """(g, 2, n) forward and reverse replace-one divergences of each kernel
-    of a (g, m, nw) stack, after the checks.  For slot i, each dataset's
+    of a (g, nw, m) stack, after the checks.  For slot i, each dataset's
     kernel is compared with those of its |Z| one-slot replacements,
-    gathered in (g, b, |Z|, nw) blocks of b datasets, into (g, m, |Z|)
+    gathered in (g, nw, |Z|, b) blocks of b datasets, into (g, |Z|, m)
     forward and reverse divergences, then averaged over the dataset and
     the fresh sample.  A block stacks as many kernels as fit in
     BLOCK_ELEMENTS with every dataset, and splits one kernel's datasets
@@ -719,27 +736,26 @@ def _replace_one_stack(problem: LearningProblem, log_rows: np.ndarray) -> np.nda
     probs = problem._dataset_probs
     marginal = problem.data_model.marginal.weights
     powers = nz ** np.arange(n - 1, -1, -1)
-    m, nw = log_rows.shape[1:]
+    nw, m = log_rows.shape[1:]
     ids = np.arange(m)
-    symbols = np.arange(nz)
+    symbols = np.arange(nz)[:, None]
     block = _per_block(nz * nw)
     group = _per_block(nz * nw * m)
     out = np.empty((log_rows.shape[0], 2, n))
     for first in range(0, log_rows.shape[0], group):
         kernels = log_rows[first : first + group]
-        forward = np.empty((kernels.shape[0], m, nz))
+        forward = np.empty((kernels.shape[0], nz, m))
         reverse = np.empty_like(forward)
         for i in range(n):
             for start in range(0, m, block):
                 sets = slice(start, start + block)
-                replaced = ids[sets, None] + (symbols - cols[sets, i, None]) * powers[i]
-                log_alt = np.take(kernels, replaced, axis=1)  # (g, b, nz, nw)
-                forward[:, sets], reverse[:, sets] = _divergence_pair(
-                    kernels[:, sets, None, :], log_alt, axis=3
+                replaced = ids[sets] + (symbols - cols[sets, i]) * powers[i]
+                log_alt = np.take(kernels, replaced, axis=2)  # (g, nw, nz, b)
+                forward[..., sets], reverse[..., sets] = _divergence_pair(
+                    kernels[:, :, None, sets], log_alt, axis=1
                 )
-            for k in range(kernels.shape[0]):
-                out[first + k, 0, i] = float(probs @ forward[k] @ marginal)
-                out[first + k, 1, i] = float(probs @ reverse[k] @ marginal)
+            out[first : first + group, 0, i] = _expect(_expect(forward, probs), marginal)
+            out[first : first + group, 1, i] = _expect(_expect(reverse, probs), marginal)
     return out
 
 
@@ -949,11 +965,12 @@ def regularized_gen(
         if embedding is None or target is None:
             raise InvalidInput("pass either a regularizer table or embedding + target")
         emb = np.asarray(embedding, dtype=np.float64).reshape(nw, -1)
-        tgt = np.asarray(target, dtype=np.float64).reshape(m, -1)
-        if emb.shape[1] != tgt.shape[1]:
+        # (k, m): the datasets last, as in every table
+        tgt = np.ascontiguousarray(np.asarray(target, dtype=np.float64).reshape(m, -1).T)
+        if emb.shape[1] != tgt.shape[0]:
             raise InvalidInput("embedding and target dimensions differ")
-        diff = emb[:, None, :] - tgt[None, :, :]
-        regularizer = (diff * diff).sum(axis=2)
+        diff = emb[:, :, None] - tgt  # (nw, k, m)
+        regularizer = (diff * diff).sum(axis=1)
     else:
         if embedding is not None or target is not None:
             raise InvalidInput("pass either a regularizer table or embedding + target, not both")
@@ -967,24 +984,25 @@ def regularized_gen(
 
     # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each
     # row: a kernel, but not the Gibbs posterior of the problem at gamma
-    tilted = gibbs_posterior(problem, gamma).log_rows - (gamma * lam) * regularizer.T
-    kernel = _Kernels(problem, (tilted - _logsumexp(tilted, axis=1, keepdims=True))[None])
+    tilted = gibbs_posterior(problem, gamma).log_rows.T - (gamma * lam) * regularizer
+    kernel = _Kernels(problem, (tilted - _logsumexp(tilted, axis=0, keepdims=True))[None])
 
     probs = problem._dataset_probs
     rows = kernel.row_array[0]
     marginal = kernel.hypothesis_marginal[0]
     gen = _gen_under_law(rows, problem._empirical_risk, probs)
     iskl_over_gamma = kernel.info[0].symmetrized / gamma
-    joint_mean = float(np.einsum("s,sw,ws->", probs, rows, regularizer))
-    product_mean = float(marginal @ (regularizer @ probs))
+    joint_mean = _risk_under_law(rows, regularizer, probs)
+    product_mean = float(_expect(_expect(regularizer, probs), marginal))
     reg_gap = product_mean - joint_mean
 
     trace_cov = None
     if emb is not None:
-        mean_emb = marginal @ emb
-        mean_tgt = probs @ tgt
-        joint_dot = float(np.einsum("s,sw,wk,sk->", probs, rows, emb, tgt))
-        trace_cov = joint_dot - float(mean_emb @ mean_tgt)
+        mean_emb = _expect(emb.T, marginal)
+        mean_tgt = _expect(tgt, probs)
+        # emb[w] . tgt[:, s] for every pair, in the diff table's memory
+        dots = np.multiply(emb[:, :, None], tgt, out=diff).sum(axis=1)
+        trace_cov = _risk_under_law(rows, dots, probs) - float(_expect(mean_emb, mean_tgt))
     return RegularizedGenReport(
         gen=gen,
         iskl_over_gamma=iskl_over_gamma,
@@ -1035,7 +1053,7 @@ def concavity_probe(
         mixture += w * probs
     mixture_problem = dataclasses.replace(problem, data_model=JointData(mixture))
     posterior = gibbs_posterior(mixture_problem, gamma)
-    rows = posterior.row_array
+    rows = posterior.row_array.T
     empirical = mixture_problem._empirical_risk
     gen_mixture = _gen_under_law(rows, empirical, mixture_problem._dataset_probs)
     avg_gen = sum(
@@ -1091,26 +1109,3 @@ def chain_rule_example(epsilon: float) -> ChainRuleReport:
         individual_sum=individual_sum,
         sum_exceeds_joint=individual_sum > info_pair.symmetrized,
     )
-
-
-def log_ratio_means(
-    problem: LearningProblem, gamma: float, candidate: ProbVec
-) -> tuple[float, float]:
-    """The dataset-averaged log ratio ln(candidate / posterior), averaged
-    once under the posterior's hypothesis marginal and once under the
-    candidate itself.
-
-    The two averages coincide exactly when the candidate is the
-    population-risk Gibbs law, and generically differ otherwise; this is
-    the balance condition that singles that law out.
-    """
-    if len(candidate) != problem.num_hypotheses:
-        raise InvalidInput("candidate length does not match the hypothesis set")
-    if float(candidate.weights.min()) < ZERO_CUTOFF:
-        raise InvalidInput("candidate must be strictly positive")
-    posterior = gibbs_posterior(problem, gamma)
-    # g(w), averaged over datasets
-    inner = candidate.log_weights - problem._dataset_probs @ posterior.log_rows
-    under_marginal = float(posterior.hypothesis_marginal @ inner)
-    under_candidate = float(candidate.weights @ inner)
-    return under_marginal, under_candidate

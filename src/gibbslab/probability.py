@@ -34,17 +34,13 @@ from .errors import (
 ZERO_CUTOFF = 1e-300
 NORMALIZATION_TOL = 1e-12
 IDENTITY_TOL = 1e-12
-# elements per block of stacked work: a chunk of a Gibbs gamma sweep, the
-# stacked blocks of its supersample and replace-one sweeps, and a stacked
-# Renyi log-sum-exp.  The log-domain divergence kernel holds three
-# block-sized float temporaries and one boolean mask, and the Renyi kernel
-# four, so the block is sized by peak memory
+# elements per block of stacked work: a chunk of a Gibbs gamma sweep, a
+# stacked Renyi log-sum-exp, and a run of the last (dataset or orbit) axis
+# of a hypothesis-major table in the empirical-risk gather and in the
+# supersample and replace-one gathers.  The log-domain divergence kernel
+# holds three block-sized float temporaries and one boolean mask, and the
+# Renyi kernel four, so the block is sized by peak memory
 BLOCK_ELEMENTS = 100_000
-# a table of at least this many elements reduces an axis shorter than 8 as
-# a chain of elementwise calls over the axis's slices (see _reduce); a
-# smaller table keeps numpy's one reduce call, which costs less there.
-# Stacks of the CLI's default problems hold at most 1,280 elements
-CHAIN_MIN_ELEMENTS = 4096
 
 
 def _as_weight_array(weights: object, ndim: int) -> np.ndarray:
@@ -169,33 +165,6 @@ def _require_same_alphabet(p: ProbVec, q: ProbVec) -> None:
 # below and by the log-domain functionals of gibbs.GibbsPosterior.
 
 
-def _reduce(ufunc, a: np.ndarray, axis, keepdims: bool = True, dtype=None) -> np.ndarray:
-    """ufunc.reduce(a, axis, keepdims=keepdims, dtype=dtype), bit for bit.
-
-    numpy reduces an axis of fewer than 8 elements in order, one element at
-    a time, from the ufunc's identity when it has one (a sum is 0.0 + a0 +
-    a1 + ...) and from the first element otherwise; a longer axis it sums
-    pairwise.  On a short contiguous axis it pays a per-row overhead that
-    dominates a large table, so a table of CHAIN_MIN_ELEMENTS or more
-    reduces a single axis of 1 to 7 elements as that same chain of
-    elementwise calls over the axis's slices.  max is exact in any order."""
-    if a.size < CHAIN_MIN_ELEMENTS:
-        return ufunc.reduce(a, axis=axis, keepdims=keepdims, dtype=dtype)
-    if isinstance(axis, tuple) and len(axis) == 1:
-        axis = axis[0]
-    if not isinstance(axis, int) or not 0 < a.shape[axis] < 8:
-        return ufunc.reduce(a, axis=axis, keepdims=keepdims, dtype=dtype)
-    axis %= a.ndim
-    parts = [a[(slice(None),) * axis + (slice(k, k + 1),)] for k in range(a.shape[axis])]
-    if ufunc.identity is None:
-        out = parts[0].astype(dtype or a.dtype)
-    else:
-        out = ufunc(parts[0], ufunc.identity, dtype=dtype)
-    for part in parts[1:]:
-        ufunc(out, part, out=out)
-    return out if keepdims else out.squeeze(axis=axis)
-
-
 def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     """log(sum(exp(a))) over axis, bit for bit what scipy's logsumexp
     returns on real floats, without its per-call array-API dispatch.
@@ -207,15 +176,15 @@ def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     axes = tuple(range(a.ndim)) if axis is None else axis
-    a_max = _reduce(np.maximum, a, axes)
+    a_max = a.max(axis=axes, keepdims=True)
     tied = np.equal(a, a_max)
-    m = _reduce(np.add, tied, axes, dtype=np.float64)
+    m = tied.sum(axis=axes, keepdims=True, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the tied maxima shift to -inf (scipy's -inf - max only differs
         # on an all -inf slice, which the direct sum below replaces)
         shifted = np.subtract(a, a_max)
         np.copyto(shifted, -np.inf, where=tied)
-        s = _reduce(np.add, np.exp(shifted, out=shifted), axes)
+        s = np.exp(shifted, out=shifted).sum(axis=axes, keepdims=True)
         del shifted
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
@@ -262,9 +231,7 @@ def _divergence_pair(log_p: np.ndarray, log_q: np.ndarray, axis=None) -> tuple:
     np.copyto(forward, larger_term, where=p_larger)
     reverse = larger_term
     np.copyto(reverse, smaller_term, where=p_larger)
-    return _reduce(np.add, forward, axis, keepdims=False), _reduce(
-        np.add, reverse, axis, keepdims=False
-    )
+    return forward.sum(axis=axis), reverse.sum(axis=axis)
 
 
 def _per_block(elements: int) -> int:
@@ -313,8 +280,8 @@ def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas, p_off: float, q_off:
     (i, k) of the others.  r, exp(log q) and expm1(r) are formed once for
     all orders, each order's terms in one more array of their size (four
     tables, freed when this returns, before the far sums' log-sum-exp
-    takes its own), and alpha expm1(r) a block of at most
-    CHAIN_MIN_ELEMENTS at a time."""
+    takes its own), and alpha expm1(r) a flat block of at most 4,096
+    elements at a time."""
     axes = tuple(range(1, log_p.ndim))
     far = []
     r = np.subtract(log_p, log_q)
@@ -323,7 +290,7 @@ def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas, p_off: float, q_off:
         em1 = np.expm1(r)
         terms = np.empty_like(r)
         flat_em1, flat_terms = em1.reshape(-1), terms.reshape(-1)
-        scaled = np.empty(min(flat_terms.size, CHAIN_MIN_ELEMENTS))
+        scaled = np.empty(min(flat_terms.size, 4096))
         blocks = [
             (flat_em1[start : start + scaled.size], flat_terms[start : start + scaled.size])
             for start in range(0, flat_terms.size, scaled.size)

@@ -1,9 +1,13 @@
-"""The whole-table kernels against numpy's reductions and against frozen
-copies of the formulas they replaced: every number bit for bit, on both
-sides of CHAIN_MIN_ELEMENTS."""
+"""The whole-table kernels on hypothesis-major (g, nw, m) tables: every
+number bit for bit against frozen copies of the formulas they replaced,
+the layout of every cached table, the memory each call keeps, and
+numbers that do not depend on the BLAS thread count."""
 
 import dataclasses
+import inspect
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -15,21 +19,14 @@ import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import IIDData, JointData, LearningProblem, ProbVec, bounds_table, gen_characterizations
 from gibbslab.gibbs import _gibbs_sweep, _log_population, gibbs_posterior
-from gibbslab.probability import (
-    BLOCK_ELEMENTS,
-    CHAIN_MIN_ELEMENTS,
-    _divergence_pair,
-    _logsumexp,
-    _reduce,
-    _renyi_sums,
-)
+from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_sums
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
 ALPHAS = (1.5, 2.0, 4.0)
 
 
-# Frozen copies of the kernels as they were before the in-place temporaries
-# and the chained short-axis reductions: the references the kernels must match.
+# Frozen copies of the kernels as they were before the in-place temporaries:
+# the references the kernels must match.
 
 
 def frozen_logsumexp(a, axis=None, keepdims=False):
@@ -100,31 +97,35 @@ def frozen_renyi_sums(log_p, log_q, alphas, p_off=0.0, q_off=0.0):
 
 
 def frozen_evaluation(problem, gammas):
-    """Every functional of a stacked evaluation, by the frozen formulas."""
+    """Every functional of a stacked evaluation, by the frozen formulas, on
+    (g, nw, m) tables: hypothesis sums over axis 1, dataset sums over the
+    last axis."""
     risk = problem._empirical_risk
     probs = problem._dataset_probs
     logits = problem.prior.log_weights[:, None] - np.array(gammas)[:, None, None] * risk
-    log_rows = (logits - frozen_logsumexp(logits, axis=1, keepdims=True)).transpose(0, 2, 1)
+    log_rows = logits - frozen_logsumexp(logits, axis=1, keepdims=True)
     rows = np.exp(log_rows)
-    rows /= rows.sum(axis=2, keepdims=True)
-    log_kernel = log_rows - frozen_logsumexp(log_rows, axis=2, keepdims=True)
-    log_probs = problem._log_dataset_probs[None, :, None]
-    log_marginal = frozen_logsumexp(log_probs + log_kernel, axis=1)
+    rows /= rows.sum(axis=1, keepdims=True)
+    log_kernel = log_rows - frozen_logsumexp(log_rows, axis=1, keepdims=True)
+    log_joint = problem._log_dataset_probs + log_kernel
+    log_marginal = frozen_logsumexp(log_joint, axis=2)
 
     def expected(log_reference):
-        forward, reverse = frozen_divergence_pair(log_kernel, log_reference[:, None, :], axis=2)
-        return [(float(probs @ f), float(probs @ r)) for f, r in zip(forward, reverse)]
+        forward, reverse = frozen_divergence_pair(log_kernel, log_reference[:, :, None], axis=1)
+        return list(zip((forward * probs).sum(axis=1).tolist(), (reverse * probs).sum(axis=1).tolist()))
 
-    joint_table = np.ascontiguousarray(rows.transpose(0, 2, 1) * probs)
+    joint_table = rows * probs
     product_table = joint_table.sum(axis=-1)[..., :, None] * joint_table.sum(axis=-2)[..., None, :]
     support = probs > 0.0
-    joint = problem._log_dataset_probs[support, None] + np.compress(support, log_kernel, axis=1)
-    product = problem._log_dataset_probs[support, None] + log_marginal[:, None, :]
+    joint = np.compress(support, log_joint, axis=2)
+    product = problem._log_dataset_probs[support] + log_marginal[:, :, None]
     sums = frozen_renyi_sums(joint, product, ALPHAS) + frozen_renyi_sums(product, joint, ALPHAS)
     return {
         "log_rows": log_rows,
         "row_array": rows,
+        "hypothesis_marginal": joint_table.sum(axis=2),
         "log_kernel": log_kernel,
+        "log_joint": log_joint,
         "log_marginal": log_marginal,
         "info": expected(log_marginal),
         "reference_divergences": expected(_log_population(problem, np.array(gammas)[:, None])),
@@ -154,7 +155,7 @@ def bits(value):
 
 # (|Z|, n, |W|, IID, gammas per stack): lib-wide's joint problem one gamma
 # at a time, as its library calls evaluate it, and all gammas stacked; a
-# CLI-sized IID stack, below the gate
+# CLI-sized IID stack
 SHAPES = {
     "lib-wide-joint": (4, 7, 5, False, 1),
     "joint-stacked": (4, 7, 5, False, len(GAMMAS)),
@@ -173,7 +174,6 @@ def test_evaluation_matches_the_frozen_formulas(monkeypatch, shape):
         gammas = GAMMAS[start : start + per_stack]
         sweep = next(_gibbs_sweep(problem, gammas))._sweep
         assert sweep.gammas == gammas
-        assert (sweep.log_rows.size >= CHAIN_MIN_ELEMENTS) == (shape != "cli-stack")
         expected = frozen_evaluation(problem, gammas)
         for name, value in expected.items():
             got = sweep.renyi(ALPHAS) if name == "renyi" else getattr(sweep, name)
@@ -192,84 +192,41 @@ def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
 
     monkeypatch.setattr(gibbslab.probability, "_logsumexp", counting_logsumexp)
     rng = np.random.default_rng(3)
-    # two shapes are above CHAIN_MIN_ELEMENTS, the last is below it
-    for shape in ((1, 16384, 5), (3, 2048, 5), (2, 64, 5)):
+    # lib-wide's joint table, a stack of three and a CLI-sized stack
+    for shape in ((1, 5, 16384), (3, 5, 2048), (2, 5, 64)):
         log_p = np.log(rng.dirichlet(np.ones(math.prod(shape[1:])), size=shape[0])).reshape(shape)
         for log_q in (np.log(rng.dirichlet(np.ones(log_p[0].size), size=shape[0])).reshape(shape),
                       log_p + 1e-3 * rng.standard_normal(shape)):
             expected = frozen_renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
             got = _renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
             assert np.array_equal(bits(got), bits(expected)), shape
-    # the far path ran on every shape, on both sides of the gate
-    assert {shape[1:] for shape in far_calls} == {(16384, 5), (2048, 5), (64, 5)}
+    # the far path ran on every shape
+    assert {shape[1:] for shape in far_calls} == {(5, 16384), (5, 2048), (5, 64)}
 
 
 def test_divergence_pair_and_logsumexp_match_with_buffers():
     rng = np.random.default_rng(5)
-    # the middle shape is below CHAIN_MIN_ELEMENTS, the others above it
     for shape in ((1, 16384, 5), (4, 64, 5), (2, 4096, 3)):
         log_p = rng.normal(scale=5.0, size=shape)
         log_q = rng.normal(scale=5.0, size=(shape[0], 1, shape[2]))
-        expected = frozen_divergence_pair(log_p, log_q, axis=2)
-        # the broadcast operand first and second
-        for got in (_divergence_pair(log_p, log_q, axis=2),
-                    _divergence_pair(log_q, log_p, axis=2)[::-1]):
-            assert all(np.array_equal(bits(g), bits(e)) for g, e in zip(got, expected))
+        # the hypotheses last, summed over axis 2; and a (g, nw, m) table
+        # with a per-hypothesis reference, summed over hypothesis axis 1
+        table = np.ascontiguousarray(log_p.transpose(0, 2, 1))
+        for p, q, axis in ((log_p, log_q, 2), (table, log_q.transpose(0, 2, 1), 1)):
+            expected = frozen_divergence_pair(p, q, axis=axis)
+            # the broadcast operand first and second
+            for got in (_divergence_pair(p, q, axis=axis), _divergence_pair(q, p, axis=axis)[::-1]):
+                assert all(np.array_equal(bits(g), bits(e)) for g, e in zip(got, expected)), axis
         # ties, -inf entries, an all -inf row and an infinite entry
         a = np.round(log_p)
         a[rng.random(shape) < 0.2] = -np.inf
         a[0, 1] = -np.inf
         a[0, 2, 0] = np.inf
-        for axis in (1, 2, (1, 2)):
-            expected = frozen_logsumexp(a, axis=axis, keepdims=True)
-            got = _logsumexp(a, axis=axis, keepdims=True)
-            assert np.array_equal(got, expected, equal_nan=True), (shape, axis)
-
-
-class Recording:
-    """A ufunc that records whether _reduce reduced or chained it."""
-
-    def __init__(self, ufunc):
-        self.ufunc = ufunc
-        self.identity = ufunc.identity
-        self.paths = set()
-
-    def reduce(self, *args, **kwargs):
-        self.paths.add("reduce")
-        return self.ufunc.reduce(*args, **kwargs)
-
-    def __call__(self, *args, **kwargs):
-        self.paths.add("chain")
-        return self.ufunc(*args, **kwargs)
-
-
-@pytest.mark.parametrize("count", range(1, 10))
-def test_short_axis_reduction_equals_numpy_bit_for_bit(count):
-    rng = np.random.default_rng(count)
-    specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
-    for rows in (CHAIN_MIN_ELEMENTS // count - 1, CHAIN_MIN_ELEMENTS // count + 1):
-        rows = max(rows, 1)
-        a = rng.normal(scale=10.0 ** rng.uniform(-8, 8, size=(rows, 1)), size=(rows, count))
-        special = rng.random(a.shape) < 0.1
-        a[special] = rng.choice(specials, size=int(special.sum()))
-        a[0] = -np.inf  # an all -inf row
-        a[1] = -0.0
-        a[2] = np.round(a[2])  # ties
-        tied = a == a.max(axis=1, keepdims=True)
-        chained = a.size >= CHAIN_MIN_ELEMENTS and count < 8
-        # the hypothesis axis of a (g, m, nw) table, and the contiguous
-        # hypothesis axis 1 of a (g, nw, m) table's transpose
-        for table, axis in ((a[None], 2), (a.T[None], 1)):
-            with np.errstate(invalid="ignore"):
-                for ufunc in (np.maximum, np.add):
-                    recording = Recording(ufunc)
-                    got = _reduce(recording, table, axis)
-                    expected = ufunc.reduce(table, axis=axis, keepdims=True)
-                    assert np.array_equal(bits(got), bits(expected)), (ufunc, axis)
-                    assert ("reduce" in recording.paths) != chained
-            counts = tied[None] if axis == 2 else tied.T[None]
-            got = _reduce(np.add, counts, axis, dtype=np.float64)
-            assert np.array_equal(got, counts.sum(axis=axis, keepdims=True, dtype=np.float64))
+        for b in (a, np.ascontiguousarray(a.transpose(0, 2, 1))):
+            for axis in (1, 2, (1, 2)):
+                expected = frozen_logsumexp(b, axis=axis, keepdims=True)
+                got = _logsumexp(b, axis=axis, keepdims=True)
+                assert np.array_equal(got, expected, equal_nan=True), (shape, axis)
 
 
 def test_joint_evaluation_peaks_below_the_earlier_kernels():
@@ -306,8 +263,8 @@ FUNCTIONALS = {
 
 def test_no_kernel_temporary_outlives_its_call():
     # after each functional of lib-wide's joint stack, and of a CLI-sized
-    # stack below CHAIN_MIN_ELEMENTS, returns, the traced memory is that of
-    # the arrays the evaluation caches: every temporary went with its call
+    # stack, returns, the traced memory is that of the arrays the
+    # evaluation caches: every temporary went with its call
     for problem, gammas in ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4])):
         problem._population_risk, problem._log_dataset_probs
         posterior = next(_gibbs_sweep(problem, gammas))
@@ -328,7 +285,6 @@ def test_no_kernel_temporary_outlives_its_call():
                 assert 0 <= current - (cached_bytes() - before) < 16 * 2**10, (gammas, name)
         finally:
             tracemalloc.stop()
-        assert (posterior._sweep.log_rows.size >= CHAIN_MIN_ELEMENTS) == (len(gammas) == 1)
 
 
 def test_threads_reading_one_evaluation_share_no_temporary():
@@ -367,3 +323,49 @@ def test_threads_reading_one_evaluation_share_no_temporary():
             assert got == expected
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_every_table_is_hypothesis_major():
+    # the one layout: each cached sweep table is C-contiguous (g, nw, m),
+    # the risk table (nw, m), and a member reads (m, nw) views of them
+    for problem, gammas in ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4])):
+        m, nw = problem.dataset_count, problem.num_hypotheses
+        risk = problem._empirical_risk
+        assert risk.shape == (nw, m) and risk.flags.c_contiguous
+        posterior = next(_gibbs_sweep(problem, gammas))
+        for name in ("log_rows", "row_array", "log_kernel", "log_joint"):
+            table = getattr(posterior._sweep, name)
+            assert table.shape == (len(gammas), nw, m) and table.flags.c_contiguous, name
+        for name in ("log_rows", "row_array", "log_kernel"):
+            view = getattr(posterior, name)
+            assert view.shape == (m, nw) and view.flags.f_contiguous, name
+            assert np.shares_memory(view, getattr(posterior._sweep, name)), name
+
+
+# evaluates lib-wide's joint problem at four gammas and prints the reprs
+BLAS_CHILD = """
+import numpy as np
+from gibbslab import IIDData, JointData, LearningProblem, ProbVec, bounds_table, gen_characterizations
+
+{problem_of}
+problem = problem_of(4, 7, 5, False)
+for gamma in (0.1, 1.0, 10.0, 100.0):
+    print(repr(gen_characterizations(problem, gamma)))
+    print(repr(bounds_table(problem, gamma)))
+"""
+
+
+def test_numbers_do_not_depend_on_the_blas_thread_count():
+    code = BLAS_CHILD.format(problem_of=inspect.getsource(problem_of))
+    package_root = os.path.dirname(os.path.dirname(gibbslab.gibbs.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].count("GenReport(") == 4
+    assert outputs[0] == outputs[1]

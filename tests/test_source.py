@@ -1,6 +1,5 @@
-"""Source hygiene: every module-level import of the package is used,
-every module-level private function or class is used somewhere in it,
-and the size gate of the kernels' chained reductions stays in one module."""
+"""Source hygiene: every module-level import of the package is used, and
+every module-level private function or class is used somewhere in it."""
 
 import ast
 import pathlib
@@ -12,9 +11,6 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 # private names that only the tests reference: the bisection is the tests'
 # reference for fixed_point_kappa
 TEST_ONLY = {"bounds._bisect_fixed_point"}
-# the size gate of the kernels' chained reductions, which only
-# probability.py may use
-GATE = {"CHAIN_MIN_ELEMENTS"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,12 +87,3 @@ def test_an_orphaned_private_name_is_reported():
         "b": "from .a import _used\n\nx = _used()\n",
     }
     assert orphaned_private_names(sources) == ["a._orphan"]
-
-
-def test_kernel_size_gate_stays_in_probability():
-    referenced = {
-        path.name: GATE & _referenced(ast.parse(path.read_text(encoding="utf-8")))
-        for path in PACKAGE.glob("*.py")
-    }
-    assert referenced.pop("probability.py") == GATE
-    assert {name: names for name, names in referenced.items() if names} == {}
