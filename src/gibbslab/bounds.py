@@ -29,10 +29,11 @@ the rows of a (problem, gamma) pair; it shares one module-level slot with
 gibbs.gen_characterizations that holds the evaluation either read last,
 so calling both on one pair builds it once, and the slot holds one
 evaluation at a time.  The bounds-table subcommand instead reads the rows
-of each member of a stacked sweep over its gammas (gibbs._gibbs_sweep),
-whose functionals, the Renyi sums of every order among them, are computed
-for all the gammas at once.  bound_suite evaluates the closed forms for
-given constants and a given tail class.
+of each member of a stacked sweep over its gammas and over the
+same-shape problems of a window of instances (gibbs._shape_sweep), whose
+functionals, the Renyi sums of every order among them, are computed for
+all of a stack's (problem, gamma) members at once.  bound_suite
+evaluates the closed forms for given constants and a given tail class.
 """
 
 from __future__ import annotations
@@ -416,9 +417,10 @@ def bounds_table(
     gen_characterizations or bounds_table last read the same problem
     object at an equal gamma, a new build otherwise.  The bounds-table
     subcommand, which visits each problem at several gammas, instead reads
-    _bounds_rows of each member of one stacked gibbs._gibbs_sweep: the same
-    rows bit for bit, with every functional computed for all the gammas at
-    once and peak memory held to one evaluation or one block of
+    _bounds_rows of each member of gibbs._shape_sweep, which stacks the
+    gammas of the same-shape problems of a window of instances: the same
+    rows bit for bit, with every functional computed for a whole stack at
+    once and peak memory held to one window or one block of
     BLOCK_ELEMENTS, whichever is larger.
     """
     for alpha in alphas:

@@ -31,27 +31,33 @@ the bounds through bounds._bounds_rows.  _gibbs_sweep evaluates a
 problem at several gammas as stacked arrays: one (g, nw, m) log-row table,
 and each functional computed for every gamma the first time any member
 asks, in the same operations, reductions and order as for one gamma, so
-each member's numbers are bit for bit those of a lone build.  Every
-table is hypothesis-major and C-contiguous, (g, nw, m) with the datasets
-last, and every sum is numpy's own reduction: over the contiguous
-dataset axis it is pairwise, over hypotheses it adds rows in order, and
-no sum goes through BLAS, so no number depends on its kernel or thread
-count.  The gammas
-go in chunks whose table holds at most max(m * nw, BLOCK_ELEMENTS)
-elements (probability.BLOCK_ELEMENTS), and the supersample and
-replace-one sweeps work in blocks of the same budget, stacking only as
-many gammas as fit, so however many gammas there are, peak memory stays
-near that of one evaluation or one block, whichever is larger, plus
-replace-one's (|Z|, m) divergence tables of the gammas in its block.
+each member's numbers are bit for bit those of a lone build.
+_shape_sweep takes the same step across problems: it reads instances in
+windows of at most BLOCK_ELEMENTS table elements and evaluates the
+problems of a window that share a shape (data model kind, |Z|, n and
+|W|) as one _Stack, whose (p, g, nw, m) tables each problem's arrays,
+stacked (p, 1, ...), broadcast against; the shape-only data (the index
+matrix, the supersample orbits and replace-one's ids) is built once per
+stack.  Every table is hypothesis-major and C-contiguous, (..., nw, m)
+with the datasets last, and every sum is numpy's own reduction: over the
+contiguous dataset axis it is pairwise, over hypotheses it adds rows in
+order, and no sum goes through BLAS, so no number depends on its kernel
+or thread count.  The gammas go in chunks whose table holds at most
+max(m * nw, BLOCK_ELEMENTS) elements (probability.BLOCK_ELEMENTS), and
+the supersample and replace-one sweeps work in blocks of the same
+budget, stacking only as many members as fit, so however many gammas
+there are, peak memory stays near that of one evaluation or one block,
+whichever is larger, plus replace-one's (|Z|, m) divergence tables of
+the members in its block.
 The kernels of probability own their temporaries, each call taking what
 it needs and freeing it on return, so an evaluation holds only the
 arrays it caches and threads reading one share no temporary.
 The two IID-only routes are read through a posterior alone
 (supersample_info, replace_one), and both run the same size checks
-before they allocate anything.  The
-verify-identities and bounds-table subcommands and empirical_risk_curve
-read their gamma sweeps this way.  gibbs_posterior is the sweep of one
-gamma.  gen_characterizations and bounds.bounds_table, the library's
+before they allocate anything.  The verify-identities and bounds-table
+subcommands read their sweeps through _shape_sweep, and
+empirical_risk_curve through _gibbs_sweep.  gibbs_posterior is the sweep
+of one gamma.  gen_characterizations and bounds.bounds_table, the library's
 per-pair entry points, share one module-level slot (_evaluation) that
 holds the evaluation either read last, so a caller that asks for the
 routes and then the bounds of a pair pays for one build, and at most one
@@ -72,10 +78,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import probability
 from .errors import (
     EnumerationTooLarge,
     EpsilonOutOfRange,
@@ -137,8 +144,66 @@ class JointData:
 DataModel = IIDData | JointData
 
 
+class _Tables:
+    """The enumerated arrays of a problem, or of a _Stack of same-shape
+    problems, each built on first use and cached read-only.  They read four
+    inputs, the loss table (loss), the prior's log weights (_log_prior),
+    the data model's weights (_law_weights) and the index matrix
+    (_dataset_indices), with leading axes: none for one problem and
+    (p, 1) for a stack of p, so that a stack's arrays broadcast against its
+    (p, g, ...) tables and each problem's entries are bit for bit what it
+    gives alone."""
+
+    @cached_property
+    def _dataset_probs(self) -> np.ndarray:
+        return _tuple_probs(self._law_weights, self._dataset_indices, self.is_iid())
+
+    @cached_property
+    def _log_dataset_probs(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(self._dataset_probs)
+        log_probs.flags.writeable = False
+        return log_probs
+
+    @cached_property
+    def _empirical_risk(self) -> np.ndarray:
+        """(..., num_hypotheses, m) empirical risk of every (w, dataset)
+        pair, C-contiguous like every evaluation table, from (..., nw, b, n)
+        loss gathers of b datasets within BLOCK_ELEMENTS; each mean runs
+        over one pair's n losses, so no bit depends on the blocks."""
+        cols = self._dataset_indices
+        loss = self.loss
+        risk = np.empty(loss.shape[:-1] + cols.shape[:1])
+        block = _per_block(math.prod(loss.shape[:-1]) * self.n)
+        for start in range(0, cols.shape[0], block):
+            risk[..., start : start + block] = loss[..., cols[start : start + block]].mean(axis=-1)
+        risk.flags.writeable = False
+        return risk
+
+    @cached_property
+    def _population_risk(self) -> np.ndarray:
+        risk = _expect(self._empirical_risk, self._dataset_probs[..., None, :])
+        risk.flags.writeable = False
+        return risk
+
+    @cached_property
+    def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gamma-independent part of the supersample sweep, one entry
+        per orbit of supersamples (see _supersample_orbits): the orbit's
+        total probability, and the (orbits, 2**n) ids of the dataset each
+        selector string picks from the orbit's representative.  IID models
+        only; callers check the enumeration size first."""
+        first, second, orbit_size, dataset_ids = _supersample_orbits(
+            self.num_samples_symbols, self.n
+        )
+        weights = self._law_weights
+        super_probs = np.prod(weights[..., first] * weights[..., second], axis=-1) * orbit_size
+        super_probs.flags.writeable = False
+        return super_probs, dataset_ids
+
+
 @dataclass(frozen=True, eq=False)
-class LearningProblem:
+class LearningProblem(_Tables):
     """A finite supervised learning problem with an explicit data law.
 
     loss[w, z] is the nonnegative loss of hypothesis w on sample z; the
@@ -219,84 +284,101 @@ class LearningProblem:
         )
         return _index_matrix(self.num_samples_symbols, self.n)
 
-    @cached_property
-    def _dataset_probs(self) -> np.ndarray:
-        return _tuple_probs(self.data_model, self._dataset_indices)
+    @property
+    def _log_prior(self) -> np.ndarray:
+        return self.prior.log_weights
+
+    @property
+    def _law_weights(self) -> np.ndarray:
+        return _model_weights(self.data_model)
+
+
+@dataclass(frozen=True, eq=False)
+class _Stack(_Tables):
+    """Problems of one shape (data model kind, |Z|, n and |W|) evaluated as
+    one: the inputs of _Tables stacked with a (p, 1) lead, and the
+    shape-only data, the index matrix and the supersample orbits, built
+    once for all of them.  Every problem's dataset law must be positive on
+    every dataset, since the Renyi sums compress a support of their own
+    per problem (see _Sweep.renyi)."""
+
+    problems: tuple[LearningProblem, ...]
+
+    @property
+    def n(self) -> int:
+        return self.problems[0].n
+
+    @property
+    def num_samples_symbols(self) -> int:
+        return self.problems[0].num_samples_symbols
+
+    @property
+    def num_hypotheses(self) -> int:
+        return self.problems[0].num_hypotheses
+
+    def is_iid(self) -> bool:
+        return self.problems[0].is_iid()
+
+    def _stacked(self, name: str) -> np.ndarray:
+        values = np.stack([getattr(problem, name) for problem in self.problems])[:, None]
+        values.flags.writeable = False
+        return values
 
     @cached_property
-    def _log_dataset_probs(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(self._dataset_probs)
-        log_probs.flags.writeable = False
-        return log_probs
+    def _dataset_indices(self) -> np.ndarray:
+        return self.problems[0]._dataset_indices
 
     @cached_property
-    def _empirical_risk(self) -> np.ndarray:
-        """(num_hypotheses, m) empirical risk of every (w, dataset) pair,
-        C-contiguous like every evaluation table, from (nw, b, n) loss
-        gathers of b datasets within BLOCK_ELEMENTS; each mean runs over
-        one pair's n losses, so no bit depends on the blocks."""
-        cols = self._dataset_indices
-        risk = np.empty((self.num_hypotheses, cols.shape[0]))
-        block = _per_block(self.num_hypotheses * self.n)
-        for start in range(0, cols.shape[0], block):
-            risk[:, start : start + block] = self.loss[:, cols[start : start + block]].mean(axis=2)
-        risk.flags.writeable = False
-        return risk
+    def loss(self) -> np.ndarray:
+        return self._stacked("loss")
 
     @cached_property
-    def _population_risk(self) -> np.ndarray:
-        risk = _expect(self._empirical_risk, self._dataset_probs)
-        risk.flags.writeable = False
-        return risk
+    def _log_prior(self) -> np.ndarray:
+        return self._stacked("_log_prior")
 
     @cached_property
-    def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gamma-independent part of the supersample sweep, one row per
-        orbit of supersamples: the orbit's total probability, and the
-        (orbits, 2**n) ids of the dataset each selector string picks from
-        the orbit's representative.  IID models only; callers check the
-        enumeration size first.
+    def _law_weights(self) -> np.ndarray:
+        return self._stacked("_law_weights")
 
-        The term I(W; U | supersample) is constant on an orbit of two
-        symmetries.  Swapping the two elements of a pair only relabels that
-        selector bit, and permuting the pairs permutes the datasets, which
-        an IID posterior cannot see because the empirical risk is a mean.
-        The representative is a sorted multiset of n unordered pairs
-        (a <= b); its orbit holds n! / prod_k m_k! * 2**d ordered tuples of
-        equal probability, m_k being how often pair type k appears and d
-        the number of pairs with a != b."""
-        nz = self.num_samples_symbols
-        n = self.n
-        pair_first, pair_second = np.triu_indices(nz)
-        orbits = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.combinations_with_replacement(range(pair_first.size), n)
-            ),
-            dtype=np.intp,
-        ).reshape(-1, n)
-        first = pair_first[orbits]
-        second = pair_second[orbits]
-        weights = self.data_model.marginal.weights
-        # rows are sorted, so column j repeats the type of column j - 1 when
-        # a run continues; the running run lengths multiply to prod_k m_k!
-        run = np.ones(orbits.shape, dtype=np.float64)
-        for j in range(1, n):
-            run[:, j] = np.where(orbits[:, j] == orbits[:, j - 1], run[:, j - 1] + 1.0, 1.0)
-        orbit_size = (
-            math.factorial(n) / run.prod(axis=1) * 2.0 ** (first != second).sum(axis=1)
-        )
-        super_probs = np.prod(weights[first] * weights[second], axis=1) * orbit_size
-        powers = nz ** np.arange(n - 1, -1, -1)
-        selectors = _index_matrix(2, n)
-        # dataset ids stay below ELEMENT_CAP, so int32 holds them
-        dataset_ids = np.empty((orbits.shape[0], selectors.shape[0]), dtype=np.int32)
-        for k, bits in enumerate(selectors):
-            chosen = np.where(bits[None, :] == 1, second, first)
-            dataset_ids[:, k] = chosen @ powers
-        super_probs.flags.writeable = False
-        dataset_ids.flags.writeable = False
-        return super_probs, dataset_ids
+
+def _supersample_orbits(nz: int, n: int) -> tuple[np.ndarray, ...]:
+    """The shape-only part of the supersample sweep over |Z| = nz symbols
+    and n pairs, one row per orbit of supersamples: the (orbits, n) first
+    and second symbols of the representative's pairs, the orbit's size and
+    the (orbits, 2**n) ids of the dataset each selector string picks.
+
+    The term I(W; U | supersample) is constant on an orbit of two
+    symmetries.  Swapping the two elements of a pair only relabels that
+    selector bit, and permuting the pairs permutes the datasets, which
+    an IID posterior cannot see because the empirical risk is a mean.
+    The representative is a sorted multiset of n unordered pairs
+    (a <= b); its orbit holds n! / prod_k m_k! * 2**d ordered tuples of
+    equal probability, m_k being how often pair type k appears and d
+    the number of pairs with a != b."""
+    pair_first, pair_second = np.triu_indices(nz)
+    orbits = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(pair_first.size), n)
+        ),
+        dtype=np.intp,
+    ).reshape(-1, n)
+    first = pair_first[orbits]
+    second = pair_second[orbits]
+    # rows are sorted, so column j repeats the type of column j - 1 when
+    # a run continues; the running run lengths multiply to prod_k m_k!
+    run = np.ones(orbits.shape, dtype=np.float64)
+    for j in range(1, n):
+        run[:, j] = np.where(orbits[:, j] == orbits[:, j - 1], run[:, j - 1] + 1.0, 1.0)
+    orbit_size = math.factorial(n) / run.prod(axis=1) * 2.0 ** (first != second).sum(axis=1)
+    powers = nz ** np.arange(n - 1, -1, -1)
+    selectors = _index_matrix(2, n)
+    # dataset ids stay below ELEMENT_CAP, so int32 holds them
+    dataset_ids = np.empty((orbits.shape[0], selectors.shape[0]), dtype=np.int32)
+    for k, bits in enumerate(selectors):
+        chosen = np.where(bits[None, :] == 1, second, first)
+        dataset_ids[:, k] = chosen @ powers
+    dataset_ids.flags.writeable = False
+    return first, second, orbit_size, dataset_ids
 
 
 def _index_matrix(base: int, length: int) -> np.ndarray:
@@ -309,11 +391,16 @@ def _index_matrix(base: int, length: int) -> np.ndarray:
     return cols
 
 
-def _tuple_probs(model: DataModel, indices: np.ndarray) -> np.ndarray:
-    if isinstance(model, IIDData):
-        probs = np.prod(model.marginal.weights[indices], axis=1)
-    else:
-        probs = model.weights.copy()
+def _model_weights(model: DataModel) -> np.ndarray:
+    """An IID model's marginal, or a joint model's weights over datasets."""
+    return model.marginal.weights if isinstance(model, IIDData) else model.weights
+
+
+def _tuple_probs(weights: np.ndarray, indices: np.ndarray, iid: bool) -> np.ndarray:
+    """The law of every dataset of an index matrix, from the data model's
+    weights with any leading axes: the product of an IID marginal over
+    each tuple, or a joint law's own weights."""
+    probs = np.prod(weights[..., indices], axis=-1) if iid else weights.copy()
     probs.flags.writeable = False
     return probs
 
@@ -337,16 +424,19 @@ def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) ->
 @dataclass(frozen=True, eq=False)
 class _Kernels:
     """A stack of kernels from datasets to hypotheses, given by C-contiguous
-    (g, num_hypotheses, m) log rows, and the functionals that need nothing
+    (..., num_hypotheses, m) log rows, and the functionals that need nothing
     else, each computed for the whole stack on first use and cached
-    read-only.
+    read-only.  The leading axes are (g,) for one problem at g gammas, and
+    (p, g) for a _Stack of p problems, whose arrays lead with (p, 1) and
+    so broadcast against the tables without being copied.
 
     Elementwise steps run on the stack; sums over hypotheses run over axis
-    1 and sums over datasets over the last axis, so each row reduces on
-    its own and kernel k's numbers are bit for bit those of a stack of
-    one."""
+    -2 and sums over datasets over the last axis, so each row reduces on
+    its own and each kernel's numbers are bit for bit those of a stack of
+    one.  A functional that gives one value per kernel lists them in
+    member order, problem by problem and gamma by gamma."""
 
-    problem: LearningProblem
+    problem: LearningProblem | _Stack
     log_rows: np.ndarray
 
     @cached_property
@@ -354,14 +444,14 @@ class _Kernels:
         """Posterior rows, renormalized in the linear domain so each row
         sums to 1 at machine precision."""
         rows = np.exp(self.log_rows)
-        rows /= rows.sum(axis=1, keepdims=True)
+        rows /= rows.sum(axis=-2, keepdims=True)
         rows.flags.writeable = False
         return rows
 
     @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
-        marg = _expect(self.row_array, self.problem._dataset_probs)
+        marg = _expect(self.row_array, self.problem._dataset_probs[..., None, :])
         marg.flags.writeable = False
         return marg
 
@@ -370,30 +460,31 @@ class _Kernels:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=1, keepdims=True)
+        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=-2, keepdims=True)
         log_kernel.flags.writeable = False
         return log_kernel
 
     @cached_property
     def log_joint(self) -> np.ndarray:
-        """The joint law of (S, W) in the log domain, (g, num_hypotheses, m)."""
-        log_joint = self.problem._log_dataset_probs + self.log_kernel
+        """The joint law of (S, W) in the log domain, (..., num_hypotheses, m)."""
+        log_joint = self.problem._log_dataset_probs[..., None, :] + self.log_kernel
         log_joint.flags.writeable = False
         return log_joint
 
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        log_marg = _logsumexp(self.log_joint, axis=2)
+        log_marg = _logsumexp(self.log_joint, axis=-1)
         log_marg.flags.writeable = False
         return log_marg
 
     def _expected_divergences(self, log_reference: np.ndarray) -> list[tuple[float, float]]:
         """Per kernel, (E D(row || reference), E D(reference || row)) over
-        datasets, for one (g, num_hypotheses) reference per kernel."""
+        datasets, for one (..., num_hypotheses) reference per kernel."""
         probs = self.problem._dataset_probs
-        forward, reverse = _divergence_pair(self.log_kernel, log_reference[:, :, None], axis=1)
-        return list(zip(_expect(forward, probs).tolist(), _expect(reverse, probs).tolist()))
+        forward, reverse = _divergence_pair(self.log_kernel, log_reference[..., None], axis=-2)
+        forward, reverse = _expect(forward, probs), _expect(reverse, probs)
+        return list(zip(forward.ravel().tolist(), reverse.ravel().tolist()))
 
     @cached_property
     def info(self) -> tuple[InfoReport, ...]:
@@ -406,10 +497,11 @@ class _Kernels:
 
 @dataclass(frozen=True, eq=False)
 class _Sweep(_Kernels):
-    """The Gibbs posteriors of one problem at several gammas, stacked: the
-    remaining functionals the routes and bounds read, each computed for
-    every gamma at once on first use.  Its members are GibbsPosterior
-    objects, one per gamma, each reading its own slice."""
+    """The Gibbs posteriors of one problem, or of each problem of a _Stack,
+    at several gammas, stacked: the remaining functionals the routes and
+    bounds read, each computed for every member at once on first use.  Its
+    members are GibbsPosterior objects, one per (problem, gamma), each
+    reading its own slice."""
 
     gammas: tuple[float, ...]
 
@@ -421,16 +513,29 @@ class _Sweep(_Kernels):
         return self._expected_divergences(_log_population(self.problem, gammas))
 
     @cached_property
+    def risks(self) -> list[tuple[float, float]]:
+        """(population, empirical): the expected population risk of the
+        hypothesis marginal and the expected empirical risk, under the
+        joint law of (W, S)."""
+        problem = self.problem
+        population = _expect(self.hypothesis_marginal, problem._population_risk)
+        empirical = np.multiply(self.row_array, problem._empirical_risk)
+        empirical = _expect(empirical, problem._dataset_probs[..., None, :]).sum(axis=-1)
+        return list(zip(population.ravel().tolist(), empirical.ravel().tolist()))
+
+    @cached_property
     def total_variation(self) -> list[float]:
         """Unnormalized total variation between the joint law of (W, S) and
         the product of its marginals."""
-        joint = np.multiply(self.row_array, self.problem._dataset_probs)
-        return _total_variation(joint, _product_of_marginals(joint), axis=(1, 2)).tolist()
+        joint = np.multiply(self.row_array, self.problem._dataset_probs[..., None, :])
+        tv = _total_variation(joint, _product_of_marginals(joint), axis=(-2, -1))
+        return tv.ravel().tolist()
 
     def renyi(self, alphas: tuple[float, ...]) -> list[tuple[float, ...]]:
-        """Per gamma, the sum of the two directed Renyi divergences of each
-        order in alphas between the joint law of (W, S) and the product of
-        its marginals.  The values of the last alphas asked are kept."""
+        """Per member, the sum of the two directed Renyi divergences of
+        each order in alphas between the joint law of (W, S) and the
+        product of its marginals.  The values of the last alphas asked are
+        kept."""
         last = self.__dict__.get("_renyi")
         if last is None or last[0] != alphas:
             problem = self.problem
@@ -438,9 +543,13 @@ class _Sweep(_Kernels):
             log_probs = problem._log_dataset_probs
             joint = self.log_joint
             if not support.all():
+                # one problem: a _Stack's laws are positive everywhere
                 log_probs = log_probs[support]
-                joint = np.compress(support, joint, axis=2)
-            product = log_probs + self.log_marginal[:, :, None]
+                joint = np.compress(support, joint, axis=-1)
+            product = log_probs[..., None, :] + self.log_marginal[..., None]
+            # one (nw, m') pair of laws per member
+            joint = joint.reshape((-1,) + joint.shape[-2:])
+            product = product.reshape(joint.shape)
             # the reverse call's log ratio is the exact negation of the
             # forward one's
             sums = _renyi_sums(joint, product, alphas)
@@ -450,7 +559,7 @@ class _Sweep(_Kernels):
 
     @cached_property
     def supersample_info(self) -> list[InfoReport]:
-        """Per gamma, the conditional mutual, lautum and symmetrized
+        """Per member, the conditional mutual, lautum and symmetrized
         information between W and the selector string U given a supersample
         of n sample pairs.  IID data models only.
 
@@ -470,7 +579,7 @@ class _Sweep(_Kernels):
 
     @cached_property
     def replace_one(self) -> np.ndarray:
-        """(g, 2, n): per gamma, the forward and the reverse replace-one
+        """(..., 2, n): per member, the forward and the reverse replace-one
         divergences.  For each coordinate i, averaged over (S, Z) with Z an
         independent fresh sample: forward[i] = E[D(posterior(S) ||
         posterior(S with slot i = Z))], and reverse[i] the opposite
@@ -486,8 +595,10 @@ class _Sweep(_Kernels):
 
 class _Slice:
     """A GibbsPosterior attribute: the member's slice of the sweep's value
-    of the same name, transposed when dataset_major: a (num_hypotheses, m)
-    table is then read as its (m, num_hypotheses) view."""
+    of the same name, a list or an array whose leading (g,) or (p, g) axes
+    are read as one member axis; transposed when dataset_major: a
+    (num_hypotheses, m) table is then read as its (m, num_hypotheses)
+    view."""
 
     def __init__(self, dataset_major: bool = False) -> None:
         self.dataset_major = dataset_major
@@ -498,7 +609,10 @@ class _Slice:
     def __get__(self, member, owner=None):
         if member is None:
             return self
-        value = getattr(member._sweep, self.name)[member._index]
+        value = getattr(member._sweep, self.name)
+        if isinstance(value, np.ndarray):
+            value = value.reshape((-1,) + value.shape[member._sweep.log_rows.ndim - 2 :])
+        value = value[member._index]
         return value.T if self.dataset_major else value
 
 
@@ -506,23 +620,28 @@ class GibbsPosterior:
     """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
     tabulated per enumerated dataset and held in the log domain; build it
     with gibbs_posterior.  It is one member of a stacked sweep over gammas
-    of its problem (see _gibbs_sweep): each functional below is the
-    member's slice of the sweep's, which the sweep computes for all its
-    members the first time any of them asks.  Every array is read-only.
-    log_rows, row_array and log_kernel are (m, num_hypotheses), one row per
-    dataset: views of the sweep's hypothesis-major tables."""
+    of its problem, or over the gammas of several same-shape problems (see
+    _gibbs_sweep): each functional below is the member's slice of the
+    sweep's, which the sweep computes for all its members the first time
+    any of them asks.  Every array is read-only.  log_rows, row_array and
+    log_kernel are (m, num_hypotheses), one row per dataset: views of the
+    sweep's hypothesis-major tables."""
 
     def __init__(self, sweep: _Sweep, index: int) -> None:
         self._sweep = sweep
         self._index = index
+        gammas = len(sweep.gammas)
+        stack = sweep.problem
+        self._problem = stack.problems[index // gammas] if isinstance(stack, _Stack) else stack
+        self._gamma = sweep.gammas[index % gammas]
 
     @property
     def problem(self) -> LearningProblem:
-        return self._sweep.problem
+        return self._problem
 
     @property
     def gamma(self) -> float:
-        return self._sweep.gammas[self._index]
+        return self._gamma
 
     log_rows = _Slice(dataset_major=True)
     row_array = _Slice(dataset_major=True)
@@ -531,6 +650,7 @@ class GibbsPosterior:
     log_marginal = _Slice()
     info = _Slice()
     reference_divergences = _Slice()
+    risks = _Slice()
     total_variation = _Slice()
     supersample_info = _Slice()
     replace_one = _Slice()
@@ -546,18 +666,23 @@ class GibbsPosterior:
         return self._sweep.renyi(alphas)[self._index]
 
 
-def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
+def _gibbs_sweep(
+    problem: LearningProblem | _Stack, gammas: Sequence[float]
+) -> Iterator[GibbsPosterior]:
     """The Gibbs posteriors of problem at each of gammas, in order, as
-    stacked evaluations: the gammas go in chunks whose (g, nw, m) log-row
-    table holds at most max(m * nw, BLOCK_ELEMENTS) elements, and each
-    functional is computed for a whole chunk at once.  The stacked blocks of
-    the supersample and replace-one sweeps keep within the same budget, so
-    whatever the number of gammas, peak memory stays at that of one
-    evaluation or one block, whichever is larger.  A chunk is built when
-    its first member is reached and kept only by its members: a caller that
-    drops each member before asking for the next (map, or next() inside a
-    call) holds one chunk at a time.  Raises GammaNonPositive, then
-    EnumerationTooLarge, before any table is built."""
+    stacked evaluations: the gammas go in chunks whose log-row table holds
+    at most max(m * nw, BLOCK_ELEMENTS) elements, (g, nw, m) for one
+    problem and (p, g, nw, m) for a _Stack of p, and each functional is
+    computed for a whole chunk at once.  A stack's posteriors come problem
+    by problem within each chunk; _shape_sweep builds only stacks that fit
+    in one.  The stacked blocks of the supersample and replace-one sweeps
+    keep within the same budget, so whatever the number of gammas, peak
+    memory stays at that of one evaluation or one block, whichever is
+    larger.  A chunk is built when its first member is reached and kept
+    only by its members: a caller that drops each member before asking for
+    the next (map, or next() inside a call) holds one chunk at a time.
+    Raises GammaNonPositive, then EnumerationTooLarge, before any table is
+    built."""
     for gamma in gammas:
         _require_gamma(gamma)
     values = [float(gamma) for gamma in gammas]
@@ -565,14 +690,72 @@ def _gibbs_sweep(problem: LearningProblem, gammas: Sequence[float]) -> Iterator[
     size = _per_block(risk.size)
     for start in range(0, len(values), size):
         chunk = values[start : start + size]
-        logits = problem.prior.log_weights[:, None] - np.array(chunk)[:, None, None] * risk
-        log_rows = logits - _logsumexp(logits, axis=1, keepdims=True)
+        logits = problem._log_prior[..., None] - np.array(chunk)[:, None, None] * risk
+        log_rows = logits - _logsumexp(logits, axis=-2, keepdims=True)
         log_rows.flags.writeable = False
         del logits
         sweep = _Sweep(problem=problem, log_rows=log_rows, gammas=tuple(chunk))
-        for index in range(len(chunk)):
+        for index in range(math.prod(log_rows.shape[:-2])):
             yield GibbsPosterior(sweep, index)
         del sweep
+
+
+def _shape_sweep(
+    instances: Iterable[tuple[int, LearningProblem]], gammas: Sequence[float]
+) -> Iterator[tuple[int, LearningProblem, float, GibbsPosterior]]:
+    """(index, problem, gamma, posterior) for every (index, problem) of
+    instances at each of gammas, in (instance, gamma) order, with the
+    problems of one shape evaluated together.  The instances are read in
+    windows of at most BLOCK_ELEMENTS table elements (m * nw per gamma), or
+    of one instance when that is larger, and the problems of a window that
+    share data model kind, |Z|, n and |W| are evaluated as one _Stack, in
+    one chunk of _gibbs_sweep.  A problem whose dataset law has a zero is
+    evaluated alone, since the Renyi sums compress its support.  Every
+    posterior reads bit for bit what a lone gibbs_posterior build gives."""
+    window: list[tuple[int, LearningProblem]] = []
+    elements = 0
+    for index, problem in instances:
+        size = problem.dataset_count * problem.num_hypotheses * len(gammas)
+        if window and elements + size > probability.BLOCK_ELEMENTS:
+            yield from _window_sweep(window, gammas)
+            window, elements = [], 0
+        window.append((index, problem))
+        elements += size
+    yield from _window_sweep(window, gammas)
+
+
+def _window_sweep(
+    window: list[tuple[int, LearningProblem]], gammas: Sequence[float]
+) -> Iterator[tuple[int, LearningProblem, float, GibbsPosterior]]:
+    """_shape_sweep over one window: a member iterator per shape stack,
+    from which each problem takes its posteriors in window order."""
+    shapes: dict[tuple, list[LearningProblem]] = {}
+    for _, problem in window:
+        key = (problem.is_iid(), problem.num_samples_symbols, problem.n, problem.num_hypotheses)
+        shapes.setdefault(key, []).append(problem)
+    members = {}
+    for group in shapes.values():
+        for stack in _shape_stacks(group):
+            sweep = _gibbs_sweep(stack, gammas)
+            for problem in stack.problems if isinstance(stack, _Stack) else (stack,):
+                members[problem] = sweep
+    for index, problem in window:
+        sweep = members.pop(problem)
+        for gamma in gammas:
+            yield index, problem, gamma, next(sweep)
+
+
+def _shape_stacks(group: list[LearningProblem]) -> list[LearningProblem | _Stack]:
+    """The same-shape problems of a window as one _Stack, but each problem
+    whose dataset law has a zero on its own."""
+    if len(group) < 2:
+        return group
+    stack = _Stack(tuple(group))
+    positive = (stack._dataset_probs > 0.0).all(axis=(1, 2)).tolist()
+    if all(positive):
+        return [stack]
+    alone = [problem for problem, full in zip(group, positive) if not full]
+    return alone + _shape_stacks([problem for problem, full in zip(group, positive) if full])
 
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
@@ -615,11 +798,11 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     return _last_evaluation
 
 
-def _log_population(problem: LearningProblem, gamma) -> np.ndarray:
+def _log_population(problem: LearningProblem | _Stack, gamma) -> np.ndarray:
     """The log population-risk Gibbs law at a gamma, or one row per gamma
-    of a (g, 1) column; normalized twice, for the reason given at
-    _Kernels.log_kernel."""
-    logits = problem.prior.log_weights - gamma * problem._population_risk
+    of a (g, 1) column, (p, g, nw) for a _Stack; normalized twice, for the
+    reason given at _Kernels.log_kernel."""
+    logits = problem._log_prior - gamma * problem._population_risk
     logits = logits - _logsumexp(logits, axis=-1, keepdims=True)
     return logits - _logsumexp(logits, axis=-1, keepdims=True)
 
@@ -636,15 +819,13 @@ def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
 def gen_error_direct(posterior: GibbsPosterior) -> float:
     """Expected generalization error straight from the definition:
     E[population risk - empirical risk] under the joint law of (W, S)."""
-    problem = posterior.problem
-    # the transposed view reads the sweep's hypothesis-major rows
-    return _gen_under_law(posterior.row_array.T, problem._empirical_risk, problem._dataset_probs)
+    population, empirical = posterior.risks
+    return population - empirical
 
 
 def expected_empirical_risk(posterior: GibbsPosterior) -> float:
     """E[empirical risk] under the joint law of (W, S)."""
-    problem = posterior.problem
-    return _risk_under_law(posterior.row_array.T, problem._empirical_risk, problem._dataset_probs)
+    return posterior.risks[1]
 
 
 def _expect(table: np.ndarray, law: np.ndarray) -> np.ndarray:
@@ -669,7 +850,7 @@ def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -
     return on_population - _risk_under_law(rows, empirical, probs)
 
 
-def _require_iid_routes(problem: LearningProblem) -> None:
+def _require_iid_routes(problem: LearningProblem | _Stack) -> None:
     """Refuse a non-IID model, or either IID route's count above
     ELEMENT_CAP, before anything is allocated: replace-one's m * |Z|
     divergences per gamma, then the supersample sweep's C(K + n - 1, n)
@@ -684,78 +865,100 @@ def _require_iid_routes(problem: LearningProblem) -> None:
     _check_elements("supersample enumeration", math.comb(nz * (nz + 1) // 2 + n - 1, n), 2, n)
 
 
-def _supersample_infos(problem: LearningProblem, log_rows: np.ndarray) -> list[InfoReport]:
-    """The supersample information of each kernel of a (g, nw, m) stack,
+def _member_blocks(lead: tuple[int, ...], count: int) -> list[tuple]:
+    """Index tuples that split a stack's members, its (g,) or (p, g) leading
+    axes, into blocks of at most count members: runs of gammas of one
+    problem, or runs of whole problems when count holds all of a problem's
+    gammas.  A tuple without its last entry indexes the stack's problem
+    arrays, whose lead is () or (p, 1)."""
+    *problems, gammas = lead
+    if not problems:
+        return [(slice(start, start + count),) for start in range(0, gammas, count)]
+    if count >= gammas:
+        step = count // gammas
+        return [(slice(start, start + step), slice(None)) for start in range(0, problems[0], step)]
+    return [
+        (k, slice(start, start + count))
+        for k in range(problems[0])
+        for start in range(0, gammas, count)
+    ]
+
+
+def _supersample_infos(problem: LearningProblem | _Stack, log_rows: np.ndarray) -> list[InfoReport]:
+    """The supersample information of each kernel of a (..., nw, m) stack,
     after the checks.  A block holds BLOCK_ELEMENTS // (2**n * nw) orbits of
     one kernel, as for a lone kernel, so each kernel's sums run over the
     same blocks; when one block holds every orbit, it stacks as many
     kernels as fit in it."""
     super_probs, dataset_ids = problem._supersample_geometry
     num_super, num_u = dataset_ids.shape
-    per_kernel = num_u * log_rows.shape[1]
+    lead = log_rows.shape[:-2]
+    per_kernel = num_u * log_rows.shape[-2]
     block = _per_block(per_kernel)
-    group = _per_block(per_kernel * num_super)
-    mutual = np.zeros(log_rows.shape[0])
-    lautum = np.zeros(log_rows.shape[0])
-    for first in range(0, log_rows.shape[0], group):
-        kernels = log_rows[first : first + group]
+    mutual = np.zeros(lead)
+    lautum = np.zeros(lead)
+    for members in _member_blocks(lead, _per_block(per_kernel * num_super)):
+        kernels = log_rows[members]
+        laws = super_probs[members[:-1]]
         for start in range(0, num_super, block):
             stop = min(start + block, num_super)
             # orbits last, as datasets are in the table
-            log_cond = np.take(kernels, dataset_ids[start:stop].T, axis=2)  # (g, nw, num_u, b)
+            log_cond = np.take(kernels, dataset_ids[start:stop].T, axis=-1)  # (..., nw, num_u, b)
             # log of the mixture over u, max-shifted in place
-            shift = log_cond.max(axis=2, keepdims=True)
+            shift = log_cond.max(axis=-2, keepdims=True)
             scaled = np.subtract(log_cond, shift)
             np.exp(scaled, out=scaled)
-            log_mix = shift + np.log(scaled.mean(axis=2, keepdims=True))
+            log_mix = shift + np.log(scaled.mean(axis=-2, keepdims=True))
             del scaled
-            forward, reverse = _divergence_pair(log_cond, log_mix, axis=(1, 2))
-            weights = super_probs[start:stop] / num_u
-            mutual[first : first + group] += _expect(forward, weights)
-            lautum[first : first + group] += _expect(reverse, weights)
+            forward, reverse = _divergence_pair(log_cond, log_mix, axis=(-3, -2))
+            weights = laws[..., start:stop] / num_u
+            mutual[members] += _expect(forward, weights)
+            lautum[members] += _expect(reverse, weights)
     return [
         InfoReport(mutual=m, lautum=l, symmetrized=m + l)
-        for m, l in zip(mutual.tolist(), lautum.tolist())
+        for m, l in zip(mutual.ravel().tolist(), lautum.ravel().tolist())
     ]
 
 
-def _replace_one_stack(problem: LearningProblem, log_rows: np.ndarray) -> np.ndarray:
-    """(g, 2, n) forward and reverse replace-one divergences of each kernel
-    of a (g, nw, m) stack, after the checks.  For slot i, each dataset's
+def _replace_one_stack(problem: LearningProblem | _Stack, log_rows: np.ndarray) -> np.ndarray:
+    """(..., 2, n) forward and reverse replace-one divergences of each kernel
+    of a (..., nw, m) stack, after the checks.  For slot i, each dataset's
     kernel is compared with those of its |Z| one-slot replacements,
-    gathered in (g, nw, |Z|, b) blocks of b datasets, into (g, |Z|, m)
+    gathered in (..., nw, |Z|, b) blocks of b datasets, into (..., |Z|, m)
     forward and reverse divergences, then averaged over the dataset and
     the fresh sample.  A block stacks as many kernels as fit in
     BLOCK_ELEMENTS with every dataset, and splits one kernel's datasets
-    only when their gather is above that; each divergence sums the
-    hypotheses of one (dataset, replacement) pair, so no bit depends on
-    the blocks."""
+    only when their gather is above that; the replacements' ids depend on
+    the shape alone, so one block of kernels computes them for every
+    problem of a stack.  Each divergence sums the hypotheses of one
+    (dataset, replacement) pair, so no bit depends on the blocks."""
     nz = problem.num_samples_symbols
     n = problem.n
     cols = problem._dataset_indices
-    probs = problem._dataset_probs
-    marginal = problem.data_model.marginal.weights
+    probs = problem._dataset_probs[..., None, :]
+    marginal = problem._law_weights
     powers = nz ** np.arange(n - 1, -1, -1)
-    nw, m = log_rows.shape[1:]
+    lead = log_rows.shape[:-2]
+    nw, m = log_rows.shape[-2:]
     ids = np.arange(m)
     symbols = np.arange(nz)[:, None]
     block = _per_block(nz * nw)
-    group = _per_block(nz * nw * m)
-    out = np.empty((log_rows.shape[0], 2, n))
-    for first in range(0, log_rows.shape[0], group):
-        kernels = log_rows[first : first + group]
-        forward = np.empty((kernels.shape[0], nz, m))
+    out = np.empty(lead + (2, n))
+    for members in _member_blocks(lead, _per_block(nz * nw * m)):
+        kernels = log_rows[members]
+        law, fresh = probs[members[:-1]], marginal[members[:-1]]
+        forward = np.empty(kernels.shape[:-2] + (nz, m))
         reverse = np.empty_like(forward)
         for i in range(n):
             for start in range(0, m, block):
                 sets = slice(start, start + block)
                 replaced = ids[sets] + (symbols - cols[sets, i]) * powers[i]
-                log_alt = np.take(kernels, replaced, axis=2)  # (g, nw, nz, b)
+                log_alt = np.take(kernels, replaced, axis=-1)  # (..., nw, nz, b)
                 forward[..., sets], reverse[..., sets] = _divergence_pair(
-                    kernels[:, :, None, sets], log_alt, axis=1
+                    kernels[..., :, None, sets], log_alt, axis=-3
                 )
-            out[first : first + group, 0, i] = _expect(_expect(forward, probs), marginal)
-            out[first : first + group, 1, i] = _expect(_expect(reverse, probs), marginal)
+            out[members + (0, i)] = _expect(_expect(forward, law), fresh)
+            out[members + (1, i)] = _expect(_expect(reverse, law), fresh)
     return out
 
 
@@ -969,6 +1172,7 @@ def regularized_gen(
         tgt = np.ascontiguousarray(np.asarray(target, dtype=np.float64).reshape(m, -1).T)
         if emb.shape[1] != tgt.shape[0]:
             raise InvalidInput("embedding and target dimensions differ")
+        _check_elements("regularizer differences", nw * emb.shape[1] * m)
         diff = emb[:, :, None] - tgt  # (nw, k, m)
         regularizer = (diff * diff).sum(axis=1)
     else:
@@ -1047,7 +1251,10 @@ def concavity_probe(
     """
     weights = ProbVec(np.array([w for w, _ in components], dtype=np.float64))
     indices = problem._dataset_indices
-    component_probs = [_tuple_probs(model, indices) for _, model in components]
+    component_probs = [
+        _tuple_probs(_model_weights(model), indices, isinstance(model, IIDData))
+        for _, model in components
+    ]
     mixture = np.zeros(problem.dataset_count)
     for w, probs in zip(weights.weights, component_probs):
         mixture += w * probs

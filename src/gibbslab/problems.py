@@ -79,7 +79,9 @@ def instance_sweep(
     """An iterator over count reproducible (index, problem) instances,
     alternating IID and joint data models.  Each problem is built when it
     is reached, so it and its cached tables can be freed once the caller
-    moves on to the next."""
+    moves on; gibbs._shape_sweep reads it a window of at most
+    BLOCK_ELEMENTS table elements at a time and evaluates the window's
+    same-shape problems together."""
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count!r}")
     return (

@@ -1,6 +1,7 @@
 """Command-line driver: config validation, exit codes, manifests, determinism."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -15,10 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbslab.cli
-from gibbslab import ConfigInvalid, IdentityMismatch, RatioConstants, write_json
+import gibbslab.probability
+from gibbslab import (
+    ConfigInvalid, GenReport, IdentityMismatch, RatioConstants, gibbs_posterior, instance_sweep,
+    write_csv, write_json
+)
+from gibbslab.bounds import _bounds_rows
 from gibbslab.cli import (
     DEFAULT_SEED, DEFAULTS, NONEMPTY, OPERATORS, RANGES, main, validate_config
 )
+
+
+IDENTITY_HEADER = ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses",
+                   "direct", "via_iskl", "via_skl_div", "via_cmi", "via_replace_one", "max_gap"]
+BOUNDS_HEADER = ["instance", "gamma", "data_kind", "bound_name", "value", "feasible", "regime",
+                 "constants_used", "side"]
 
 
 def write_config(tmp_path, name, obj):
@@ -395,6 +407,58 @@ def test_largest_max_n_ends_with_a_documented_exit(tmp_path, capsys, subcommand)
     config = write_config(tmp_path, "n.json", {"max_n": RANGES["max_n"][-1], "instances": 4})
     assert main([subcommand, "--config", config, "--out", str(tmp_path / "o")]) == 3
     assert "numerical error: EnumerationTooLarge: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [None, 10**6])
+@pytest.mark.parametrize(
+    "subcommand, table", [("verify-identities", "identities.csv"), ("bounds-table", "bounds.csv")]
+)
+def test_instance_above_the_cap_stops_the_windowed_sweep(tmp_path, capsys, monkeypatch, budget,
+                                                         subcommand, table):
+    # instance 2 of the default seed draws 3**18 datasets, above the cap: it
+    # ends the run with exit 3 and no table, whether it comes after a window
+    # was evaluated (at the default budget instance 0, 104,976 table
+    # elements at four gammas, is a window of its own) or shares a window
+    # with instances 0 and 1, so that neither is evaluated (10**6 elements)
+    if budget is not None:
+        monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
+    config = write_config(tmp_path, "n.json", {"max_n": RANGES["max_n"][-1], "instances": 4})
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", config, "--out", str(out)]) == 3
+    assert "numerical error: EnumerationTooLarge: " in capsys.readouterr().err
+    assert not (out / table).exists()
+
+
+def test_repeated_gammas_write_the_rows_of_single_builds(tmp_path):
+    # one instance at gammas [1.0, 1.0, 0.1]: a stack of one problem whose
+    # members repeat a gamma; each row is the one a lone build gives
+    gammas = [1.0, 1.0, 0.1]
+    config = write_config(
+        tmp_path, "dup.json",
+        {"instances": 1, "gammas": gammas, "curve_instances": 1, "mixture_instances": 1},
+    )
+    assert main(["verify-identities", "--config", config, "--out", str(tmp_path / "vi")]) == 0
+    bounds_config = write_config(tmp_path, "dup-bt.json", {"instances": 1, "gammas": gammas})
+    assert main(["bounds-table", "--config", bounds_config, "--out", str(tmp_path / "bt")]) == 0
+    [(_, problem)] = instance_sweep(1, DEFAULT_SEED, max_symbols=4, max_hypotheses=5, max_n=3)
+    identity_rows = []
+    bound_rows = []
+    for gamma in gammas:
+        posterior = gibbs_posterior(problem, gamma)
+        report = GenReport.from_posterior(posterior)
+        identity_rows.append(
+            [0, gamma, "iid", problem.n, problem.num_samples_symbols, problem.num_hypotheses,
+             report.direct, report.via_iskl, report.via_skl_div, report.via_cmi,
+             report.via_replace_one, report.max_pairwise_gap()]
+        )
+        # the probe order 1.01 rides in the table but is not written
+        for row in _bounds_rows(posterior, (1.5, 2.0, 4.0, 1.01)):
+            if row.bound_name != "renyi_upper_alpha_1.01":
+                bound_rows.append([0, gamma, "iid", *dataclasses.astuple(row)])
+    write_csv(str(tmp_path / "identities.csv"), IDENTITY_HEADER, identity_rows)
+    write_csv(str(tmp_path / "bounds.csv"), BOUNDS_HEADER, bound_rows)
+    for name, run in (("identities.csv", "vi"), ("bounds.csv", "bt")):
+        assert (tmp_path / run / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 # each size key of RANGES at its bound, with a seed whose first instance

@@ -41,7 +41,13 @@ from gibbslab import (
 )
 from gibbslab.bounds import _bounds_rows
 from gibbslab.cli import RANGES
-from gibbslab.gibbs import ELEMENT_CAP, GenReport, _gibbs_sweep, expected_empirical_risk
+from gibbslab.gibbs import (
+    ELEMENT_CAP,
+    GenReport,
+    _gibbs_sweep,
+    _shape_sweep,
+    expected_empirical_risk,
+)
 
 
 def small_problem(seed=0, iid=True, n=2):
@@ -552,6 +558,63 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
         assert gibbs_posterior(fresh, gamma).supersample_info == report
 
 
+def test_supersample_geometry_built_once_per_shape_stack(monkeypatch):
+    # five IID problems of one shape, |Z| = 4, n = 2 and 3 hypotheses, go
+    # into one stack; the geometry a lone build makes per problem, the stack
+    # makes once for all of them
+    problems = [small_problem(seed, iid=True, n=2) for seed in range(50, 55)]
+    gammas = (0.1, 1.0, 10.0, 100.0)
+    # fresh copies, so the stacked problems have built nothing of their own
+    expected = [
+        gibbs_posterior(dataclasses.replace(problem), gamma).supersample_info
+        for problem in problems
+        for gamma in gammas
+    ]
+    builds = []
+    orbit_builds = []
+    index_matrix = gibbslab.gibbs._index_matrix
+    supersample_orbits = gibbslab.gibbs._supersample_orbits
+
+    def counting(base, length):
+        builds.append((base, length))
+        return index_matrix(base, length)
+
+    def counting_orbits(nz, n):
+        orbit_builds.append((nz, n))
+        return supersample_orbits(nz, n)
+
+    monkeypatch.setattr(gibbslab.gibbs, "_index_matrix", counting)
+    monkeypatch.setattr(gibbslab.gibbs, "_supersample_orbits", counting_orbits)
+    members = [member for *_, member in _shape_sweep(enumerate(problems), gammas)]
+    assert len({member._sweep for member in members}) == 1
+    reports = [member.supersample_info for member in members]
+    # one dataset index matrix, one selector matrix and one table of
+    # dataset_ids for the whole stack
+    assert builds == [(4, 2), (2, 2)]
+    assert orbit_builds == [(4, 2)]
+    assert reports == expected
+    assert [member.problem for member in members] == [p for p in problems for _ in gammas]
+
+
+def test_a_law_with_a_zero_is_evaluated_alone():
+    # three joint problems of one shape, the middle one's law zero on two
+    # datasets: the Renyi sums compress its support, so it is a stack of
+    # its own, and the other two share one
+    problems = [small_problem(seed, iid=False, n=2) for seed in (56, 57, 58)]
+    weights = problems[1].data_model.weights.copy()
+    weights[[3, 9]] = 0.0
+    problems[1] = dataclasses.replace(problems[1], data_model=JointData(weights / weights.sum()))
+    gammas = (0.5, 5.0)
+    members = [member for *_, member in _shape_sweep(enumerate(problems), gammas)]
+    sweeps = [member._sweep for member in members]
+    assert sweeps[0] is sweeps[1] is sweeps[4] is sweeps[5]
+    assert sweeps[2] is sweeps[3] and sweeps[2].problem is problems[1]
+    for member in members:
+        single = gibbs_posterior(member.problem, member.gamma)
+        assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
+        assert member.renyi((1.5, 4.0)) == single.renyi((1.5, 4.0))
+
+
 def test_cached_arrays_are_read_only():
     # gen_characterizations and bounds_table share one evaluation, and the
     # members of a sweep share its stacked arrays, so no caller may alter
@@ -631,6 +694,41 @@ def test_stacked_sweep_matches_single_builds():
         assert empirical_risk_curve(problem, curve_gammas) == [
             expected_empirical_risk(gibbs_posterior(problem, gamma)) for gamma in curve_gammas
         ]
+
+
+@pytest.mark.parametrize("budget", [None, 600])
+def test_shape_stacks_match_single_builds(monkeypatch, budget):
+    # the 200 default instances of verify-identities and bounds-table,
+    # evaluated by shape, at all four gammas and with the probe order: every
+    # member of a shape stack reads exactly what a lone build gives.  At the
+    # default BLOCK_ELEMENTS they form one window and 64 stacks; a budget of
+    # 600 elements splits them into many windows and smaller stacks, puts
+    # each problem above it alone and splits its gammas into chunks
+    if budget is not None:
+        monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
+    gammas = (0.1, 1.0, 10.0, 100.0)
+    alphas = (1.5, 2.0, 4.0, 1.01)
+    instances = instance_sweep(200, 20260814, max_symbols=4, max_hypotheses=5, max_n=3)
+    visited = []
+    sweeps = set()
+    stacked = 0
+    for index, problem, gamma, member in _shape_sweep(instances, gammas):
+        visited.append((index, gamma))
+        sweeps.add(member._sweep)
+        stacked += isinstance(member._sweep.problem, gibbslab.gibbs._Stack)
+        assert member.problem is problem and member.gamma == gamma
+        single = gibbs_posterior(problem, gamma)
+        assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
+        assert [dataclasses.astuple(row) for row in _bounds_rows(member, alphas)] == [
+            dataclasses.astuple(row) for row in _bounds_rows(single, alphas)
+        ]
+    assert visited == [(index, gamma) for index in range(200) for gamma in gammas]
+    if budget is None:
+        assert len(sweeps) == 64
+    else:
+        assert 64 < len(sweeps) < 200 * len(gammas)
+        assert any(len(sweep.gammas) < len(gammas) for sweep in sweeps)
+    assert stacked > 0
 
 
 @pytest.mark.parametrize(
@@ -829,6 +927,28 @@ def test_regularized_gen_embedding_route():
     assert abs(report.reg_gap - 2.0 * report.trace_cov) < max(
         1e-12, 1e-9 * abs(report.reg_gap)
     )
+
+
+def test_regularized_gen_counts_its_differences_against_the_cap(monkeypatch):
+    # |Z| = 4, n = 3 and 3 hypotheses: 64 datasets, and with k = 1,000
+    # embedding dimensions a (3, 1000, 64) difference table of 192,000
+    # elements (1.5 MB), refused under a cap of 100,000 before it is formed
+    problem = small_problem(27, iid=True, n=3)
+    nw, m, k = problem.num_hypotheses, problem.dataset_count, 1000
+    assert (nw, m) == (3, 64)
+    rng = np.random.default_rng(27)
+    embedding = rng.normal(size=(nw, k))
+    target = rng.normal(size=(m, k))
+    monkeypatch.setattr(gibbslab.gibbs, "ELEMENT_CAP", 100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge) as caught:
+            regularized_gen(problem, 1.0, 0.5, embedding=embedding, target=target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert caught.value.required == nw * k * m
+    assert peak < nw * k * m * 8
 
 
 def test_regularized_gen_input_validation():
