@@ -24,15 +24,18 @@ valid for every order above one.
 
 _bounds_rows is the one path to the bound values of a Gibbs posterior:
 every row reads that one evaluation, and the ratio constants come from
-its GenReport through RatioConstants.from_report.  bounds_table gives
-the rows of a (problem, gamma) pair; it shares one module-level slot with
-gibbs.gen_characterizations that holds the evaluation either read last,
-so calling both on one pair builds it once, and the slot holds one
+its GenReport through RatioConstants.from_report.  Every posterior is a
+member of a stacked sweep over the gammas of a stack of same-shape
+problems (gibbs._gibbs_sweep), a problem on its own being a stack of one,
+and its functionals, the Renyi sums of every order among them, are
+computed for all of the sweep's (problem, gamma) members at once.
+bounds_table gives the rows of a (problem, gamma) pair, a sweep of the
+problem's stack of one at that gamma; it shares one module-level slot
+with gibbs.gen_characterizations that holds the evaluation either read
+last, so calling both on one pair builds it once, and the slot holds one
 evaluation at a time.  The bounds-table subcommand instead reads the rows
-of each member of a stacked sweep over its gammas and over the
-same-shape problems of a window of instances (gibbs._shape_sweep), whose
-functionals, the Renyi sums of every order among them, are computed for
-all of a stack's (problem, gamma) members at once.  bound_suite
+of each member of the sweeps of gibbs._shape_sweep, which stacks the
+same-shape problems of a window of instances at all its gammas.  bound_suite
 evaluates the closed forms for given constants and a given tail class.
 """
 
@@ -413,15 +416,16 @@ def bounds_table(
     population Gibbs law.  The sub-Gaussian parameter sigma is
     (max - min) / 2 of the loss table; a constant loss short-circuits to
     exact zeros.  Every row reads the one evaluation
-    gibbs_posterior(problem, gamma): the shared slot's when
-    gen_characterizations or bounds_table last read the same problem
-    object at an equal gamma, a new build otherwise.  The bounds-table
-    subcommand, which visits each problem at several gammas, instead reads
-    _bounds_rows of each member of gibbs._shape_sweep, which stacks the
-    gammas of the same-shape problems of a window of instances: the same
-    rows bit for bit, with every functional computed for a whole stack at
-    once and peak memory held to one window or one block of
-    BLOCK_ELEMENTS, whichever is larger.
+    gibbs_posterior(problem, gamma), the sweep of the problem's stack of
+    one at gamma: the shared slot's when gen_characterizations or
+    bounds_table last read the same problem object at an equal gamma, a
+    new one otherwise, on the tables the problem built at its first
+    evaluation.  The bounds-table subcommand, which visits each problem at
+    several gammas, instead reads _bounds_rows of each member of
+    gibbs._shape_sweep, which stacks the gammas of the same-shape problems
+    of a window of instances: the same rows bit for bit, with every
+    functional computed for a whole stack at once and peak memory held to
+    one window or one block of BLOCK_ELEMENTS, whichever is larger.
     """
     for alpha in alphas:
         if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):

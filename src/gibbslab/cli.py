@@ -1013,6 +1013,11 @@ def validate_config(subcommand: str, user: object, seed: int | None = None) -> d
     if subcommand == "verify-identities":
         if config["curve_gammas"] != sorted(set(config["curve_gammas"])):
             raise ConfigInvalid("must be strictly increasing", path="curve_gammas")
+    elif subcommand == "bounds-table":
+        # the near-one probe compares only the rows at these gammas
+        if not set(config["probe_gammas"]) & set(config["gammas"]):
+            raise ConfigInvalid(f"must share a value with gammas {config['gammas']}, got "
+                                f"{config['probe_gammas']}", path="probe_gammas")
     elif subcommand == "gaussian-mean":
         for i, record in enumerate(config["configs"]):
             _built(f"configs[{i}]", record, GaussianMeanConfig)

@@ -19,27 +19,29 @@ All five agree to 1e-9 relative on any valid instance; GenReport enforces
 this at construction.  Datasets are ordered tuples enumerated in
 lexicographic order; only the supersample sweep collapses its states, to
 one representative per orbit of pair swaps and pair permutations (see
-LearningProblem._supersample_geometry).  One cap, ELEMENT_CAP, bounds
-every enumerated array: _check_elements counts the largest array of a
-problem before its first table, and each IID route's own count before
-that route allocates.
+_Stack._supersample_geometry).  One cap, ELEMENT_CAP, bounds every
+enumerated array: _check_elements counts the largest array of a problem
+before its first table, and each IID route's own count before that route
+allocates.
 
 One evaluation of a (problem, gamma) pair is what every route and bound
 reads: the routes through GenReport.from_posterior (which also carries
 the numbers behind RatioConstants.from_report and InfoDivergenceReport),
-the bounds through bounds._bounds_rows.  _gibbs_sweep evaluates a
-problem at several gammas as stacked arrays: one (g, nw, m) log-row table,
-and each functional computed for every gamma the first time any member
-asks, in the same operations, reductions and order as for one gamma, so
-each member's numbers are bit for bit those of a lone build.
-_shape_sweep takes the same step across problems: it reads instances in
-windows of at most BLOCK_ELEMENTS table elements and evaluates the
-problems of a window that share a shape (data model kind, |Z|, n and
-|W|) as one _Stack, whose (p, g, nw, m) tables each problem's arrays,
-stacked (p, 1, ...), broadcast against; the shape-only data (the index
-matrix, the supersample orbits and replace-one's ids) is built once per
-stack.  Every table is hypothesis-major and C-contiguous, (..., nw, m)
-with the datasets last, and every sum is numpy's own reduction: over the
+the bounds through bounds._bounds_rows.  There is one evaluation path:
+_gibbs_sweep evaluates a _Stack of p problems of one shape (data model
+kind, |Z|, n and |W|) at g gammas as one (p, g, nw, m) log-row table, and
+a problem on its own is a stack of one, which it caches
+(LearningProblem._stack), so every enumerated table leads with (p, 1) and
+every sweep table with (p, g), and a problem read at several gammas builds
+its tables once.  Each functional is computed for every member the first
+time any member asks, in the same operations, reductions and order
+whatever p and g, so each member's numbers are bit for bit those of a
+stack of one at one gamma.  _shape_sweep reads instances in windows of at
+most BLOCK_ELEMENTS table elements and evaluates the problems of a window
+that share a shape as one stack; the shape-only data (the index matrix,
+the supersample orbits and replace-one's ids) is built once per stack.
+Every table is hypothesis-major and C-contiguous, (..., nw, m) with the
+datasets last, and every sum is numpy's own reduction: over the
 contiguous dataset axis it is pairwise, over hypotheses it adds rows in
 order, and no sum goes through BLAS, so no number depends on its kernel
 or thread count.  The gammas go in chunks whose table holds at most
@@ -76,6 +78,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -144,71 +147,14 @@ class JointData:
 DataModel = IIDData | JointData
 
 
-class _Tables:
-    """The enumerated arrays of a problem, or of a _Stack of same-shape
-    problems, each built on first use and cached read-only.  They read four
-    inputs, the loss table (loss), the prior's log weights (_log_prior),
-    the data model's weights (_law_weights) and the index matrix
-    (_dataset_indices), with leading axes: none for one problem and
-    (p, 1) for a stack of p, so that a stack's arrays broadcast against its
-    (p, g, ...) tables and each problem's entries are bit for bit what it
-    gives alone."""
-
-    @cached_property
-    def _dataset_probs(self) -> np.ndarray:
-        return _tuple_probs(self._law_weights, self._dataset_indices, self.is_iid())
-
-    @cached_property
-    def _log_dataset_probs(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(self._dataset_probs)
-        log_probs.flags.writeable = False
-        return log_probs
-
-    @cached_property
-    def _empirical_risk(self) -> np.ndarray:
-        """(..., num_hypotheses, m) empirical risk of every (w, dataset)
-        pair, C-contiguous like every evaluation table, from (..., nw, b, n)
-        loss gathers of b datasets within BLOCK_ELEMENTS; each mean runs
-        over one pair's n losses, so no bit depends on the blocks."""
-        cols = self._dataset_indices
-        loss = self.loss
-        risk = np.empty(loss.shape[:-1] + cols.shape[:1])
-        block = _per_block(math.prod(loss.shape[:-1]) * self.n)
-        for start in range(0, cols.shape[0], block):
-            risk[..., start : start + block] = loss[..., cols[start : start + block]].mean(axis=-1)
-        risk.flags.writeable = False
-        return risk
-
-    @cached_property
-    def _population_risk(self) -> np.ndarray:
-        risk = _expect(self._empirical_risk, self._dataset_probs[..., None, :])
-        risk.flags.writeable = False
-        return risk
-
-    @cached_property
-    def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gamma-independent part of the supersample sweep, one entry
-        per orbit of supersamples (see _supersample_orbits): the orbit's
-        total probability, and the (orbits, 2**n) ids of the dataset each
-        selector string picks from the orbit's representative.  IID models
-        only; callers check the enumeration size first."""
-        first, second, orbit_size, dataset_ids = _supersample_orbits(
-            self.num_samples_symbols, self.n
-        )
-        weights = self._law_weights
-        super_probs = np.prod(weights[..., first] * weights[..., second], axis=-1) * orbit_size
-        super_probs.flags.writeable = False
-        return super_probs, dataset_ids
-
-
 @dataclass(frozen=True, eq=False)
-class LearningProblem(_Tables):
+class LearningProblem:
     """A finite supervised learning problem with an explicit data law.
 
     loss[w, z] is the nonnegative loss of hypothesis w on sample z; the
     prior must be strictly positive so every Gibbs posterior shares the
-    prior's support.
+    prior's support.  Its enumerated tables belong to its stack of one
+    (_stack), so they are built once however many gammas it is read at.
     """
 
     sample_alphabet: tuple | range
@@ -270,12 +216,54 @@ class LearningProblem(_Tables):
         return isinstance(self.data_model, IIDData)
 
     @cached_property
+    def _stack(self) -> _Stack:
+        return _Stack((self,))
+
+
+class _Stack:
+    """Problems of one shape (data model kind, |Z|, n and |W|) evaluated as
+    one; a problem evaluated on its own is a stack of one.  The stack owns
+    the enumerated arrays, each built on first use and cached read-only
+    with a (p, 1) lead, so that they broadcast against its (p, g, ...)
+    sweep tables.  They read three stacked inputs, the loss tables (loss),
+    the priors' log weights (_log_prior) and the data models' weights
+    (_law_weights), which a stack of one views instead of copying, and the
+    index matrix (_dataset_indices), which like the supersample orbits
+    depends on the shape alone and is built once for all the problems.  A
+    stack of two or more needs every dataset law positive on every
+    dataset, since the Renyi sums compress the support of a stack of one
+    only (see _Sweep.renyi).
+
+    The stack refers to its problems weakly: a problem caches its stack of
+    one, and a reference back would make a cycle that only the garbage
+    collector frees, keeping a dropped problem's tables until it runs.
+    Whoever draws posteriors from a stack keeps its problems alive."""
+
+    def __init__(self, problems: Sequence[LearningProblem]) -> None:
+        first = problems[0]
+        self.n = first.n
+        self.num_samples_symbols = first.num_samples_symbols
+        self.num_hypotheses = first.num_hypotheses
+        self._iid = first.is_iid()
+        self._problems = tuple(map(weakref.ref, problems))
+        self.loss = _stacked([problem.loss for problem in problems])
+        self._log_prior = _stacked([problem.prior.log_weights for problem in problems])
+        self._law_weights = _stacked([_model_weights(problem.data_model) for problem in problems])
+
+    @property
+    def problems(self) -> tuple[LearningProblem, ...]:
+        return tuple(ref() for ref in self._problems)
+
+    def is_iid(self) -> bool:
+        return self._iid
+
+    @cached_property
     def _dataset_indices(self) -> np.ndarray:
         """(m, n) sample indices of every dataset, lexicographic order.
         Every enumerated table starts here, so the size check runs here
         first, on m * max(n, nw) elements: the largest of this matrix, the
         dataset law, the risk table, every (nw, m) evaluation array and the
-        (nw, |Z|) loss table (|Z| <= m)."""
+        (nw, |Z|) loss table (|Z| <= m), per problem."""
         _check_elements(
             "dataset enumeration",
             max(self.n, self.num_hypotheses),
@@ -284,61 +272,61 @@ class LearningProblem(_Tables):
         )
         return _index_matrix(self.num_samples_symbols, self.n)
 
-    @property
-    def _log_prior(self) -> np.ndarray:
-        return self.prior.log_weights
-
-    @property
-    def _law_weights(self) -> np.ndarray:
-        return _model_weights(self.data_model)
-
-
-@dataclass(frozen=True, eq=False)
-class _Stack(_Tables):
-    """Problems of one shape (data model kind, |Z|, n and |W|) evaluated as
-    one: the inputs of _Tables stacked with a (p, 1) lead, and the
-    shape-only data, the index matrix and the supersample orbits, built
-    once for all of them.  Every problem's dataset law must be positive on
-    every dataset, since the Renyi sums compress a support of their own
-    per problem (see _Sweep.renyi)."""
-
-    problems: tuple[LearningProblem, ...]
-
-    @property
-    def n(self) -> int:
-        return self.problems[0].n
-
-    @property
-    def num_samples_symbols(self) -> int:
-        return self.problems[0].num_samples_symbols
-
-    @property
-    def num_hypotheses(self) -> int:
-        return self.problems[0].num_hypotheses
-
-    def is_iid(self) -> bool:
-        return self.problems[0].is_iid()
-
-    def _stacked(self, name: str) -> np.ndarray:
-        values = np.stack([getattr(problem, name) for problem in self.problems])[:, None]
-        values.flags.writeable = False
-        return values
+    @cached_property
+    def _dataset_probs(self) -> np.ndarray:
+        return _tuple_probs(self._law_weights, self._dataset_indices, self._iid)
 
     @cached_property
-    def _dataset_indices(self) -> np.ndarray:
-        return self.problems[0]._dataset_indices
+    def _log_dataset_probs(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(self._dataset_probs)
+        log_probs.flags.writeable = False
+        return log_probs
 
     @cached_property
-    def loss(self) -> np.ndarray:
-        return self._stacked("loss")
+    def _empirical_risk(self) -> np.ndarray:
+        """(p, 1, num_hypotheses, m) empirical risk of every (w, dataset)
+        pair, C-contiguous like every evaluation table, from (p, 1, nw, b, n)
+        loss gathers of b datasets within BLOCK_ELEMENTS; each mean runs
+        over one pair's n losses, so no bit depends on the blocks."""
+        cols = self._dataset_indices
+        loss = self.loss
+        risk = np.empty(loss.shape[:-1] + cols.shape[:1])
+        block = _per_block(math.prod(loss.shape[:-1]) * self.n)
+        for start in range(0, cols.shape[0], block):
+            risk[..., start : start + block] = loss[..., cols[start : start + block]].mean(axis=-1)
+        risk.flags.writeable = False
+        return risk
 
     @cached_property
-    def _log_prior(self) -> np.ndarray:
-        return self._stacked("_log_prior")
+    def _population_risk(self) -> np.ndarray:
+        risk = _expect(self._empirical_risk, self._dataset_probs[..., None, :])
+        risk.flags.writeable = False
+        return risk
 
     @cached_property
-    def _law_weights(self) -> np.ndarray:
-        return self._stacked("_law_weights")
+    def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gamma-independent part of the supersample sweep, one entry
+        per orbit of supersamples (see _supersample_orbits): each problem's
+        (p, 1, orbits) total probability of the orbit, and the (orbits,
+        2**n) ids of the dataset each selector string picks from the orbit's
+        representative.  IID models only; callers check the enumeration
+        size first."""
+        first, second, orbit_size, dataset_ids = _supersample_orbits(
+            self.num_samples_symbols, self.n
+        )
+        weights = self._law_weights
+        super_probs = np.prod(weights[..., first] * weights[..., second], axis=-1) * orbit_size
+        super_probs.flags.writeable = False
+        return super_probs, dataset_ids
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Same-shape read-only arrays stacked with a (p, 1) lead; a single
+    array is viewed, not copied."""
+    values = np.stack(arrays)[:, None] if len(arrays) > 1 else arrays[0][None, None]
+    values.flags.writeable = False
+    return values
 
 
 def _supersample_orbits(nz: int, n: int) -> tuple[np.ndarray, ...]:
@@ -398,9 +386,11 @@ def _model_weights(model: DataModel) -> np.ndarray:
 
 def _tuple_probs(weights: np.ndarray, indices: np.ndarray, iid: bool) -> np.ndarray:
     """The law of every dataset of an index matrix, from the data model's
-    weights with any leading axes: the product of an IID marginal over
-    each tuple, or a joint law's own weights."""
-    probs = np.prod(weights[..., indices], axis=-1) if iid else weights.copy()
+    read-only weights with any leading axes: the product of an IID marginal
+    over each tuple, or a joint law's own weights, not copied."""
+    if not iid:
+        return weights
+    probs = np.prod(weights[..., indices], axis=-1)
     probs.flags.writeable = False
     return probs
 
@@ -423,20 +413,21 @@ def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) ->
 
 @dataclass(frozen=True, eq=False)
 class _Kernels:
-    """A stack of kernels from datasets to hypotheses, given by C-contiguous
-    (..., num_hypotheses, m) log rows, and the functionals that need nothing
-    else, each computed for the whole stack on first use and cached
-    read-only.  The leading axes are (g,) for one problem at g gammas, and
-    (p, g) for a _Stack of p problems, whose arrays lead with (p, 1) and
-    so broadcast against the tables without being copied.
+    """Kernels from datasets to hypotheses, one per (problem, gamma) of a
+    _Stack of p problems at g gammas, given by C-contiguous (p, g,
+    num_hypotheses, m) log rows, and the functionals that need nothing
+    else, each computed for every kernel on first use and cached
+    read-only.  The stack's arrays lead with (p, 1) and so broadcast
+    against the tables without being copied; a problem on its own is a
+    stack of one, (1, g, ...).
 
-    Elementwise steps run on the stack; sums over hypotheses run over axis
-    -2 and sums over datasets over the last axis, so each row reduces on
-    its own and each kernel's numbers are bit for bit those of a stack of
-    one.  A functional that gives one value per kernel lists them in
-    member order, problem by problem and gamma by gamma."""
+    Elementwise steps run on the whole table; sums over hypotheses run over
+    axis -2 and sums over datasets over the last axis, so each row reduces
+    on its own and each kernel's numbers are bit for bit those of a stack
+    of one at one gamma.  A functional that gives one value per kernel
+    lists them in member order, problem by problem and gamma by gamma."""
 
-    problem: LearningProblem | _Stack
+    stack: _Stack
     log_rows: np.ndarray
 
     @cached_property
@@ -451,7 +442,7 @@ class _Kernels:
     @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
-        marg = _expect(self.row_array, self.problem._dataset_probs[..., None, :])
+        marg = _expect(self.row_array, self.stack._dataset_probs[..., None, :])
         marg.flags.writeable = False
         return marg
 
@@ -466,8 +457,8 @@ class _Kernels:
 
     @cached_property
     def log_joint(self) -> np.ndarray:
-        """The joint law of (S, W) in the log domain, (..., num_hypotheses, m)."""
-        log_joint = self.problem._log_dataset_probs[..., None, :] + self.log_kernel
+        """The joint law of (S, W) in the log domain, (p, g, num_hypotheses, m)."""
+        log_joint = self.stack._log_dataset_probs[..., None, :] + self.log_kernel
         log_joint.flags.writeable = False
         return log_joint
 
@@ -480,8 +471,8 @@ class _Kernels:
 
     def _expected_divergences(self, log_reference: np.ndarray) -> list[tuple[float, float]]:
         """Per kernel, (E D(row || reference), E D(reference || row)) over
-        datasets, for one (..., num_hypotheses) reference per kernel."""
-        probs = self.problem._dataset_probs
+        datasets, for one (p, g, num_hypotheses) reference per kernel."""
+        probs = self.stack._dataset_probs
         forward, reverse = _divergence_pair(self.log_kernel, log_reference[..., None], axis=-2)
         forward, reverse = _expect(forward, probs), _expect(reverse, probs)
         return list(zip(forward.ravel().tolist(), reverse.ravel().tolist()))
@@ -497,11 +488,11 @@ class _Kernels:
 
 @dataclass(frozen=True, eq=False)
 class _Sweep(_Kernels):
-    """The Gibbs posteriors of one problem, or of each problem of a _Stack,
-    at several gammas, stacked: the remaining functionals the routes and
-    bounds read, each computed for every member at once on first use.  Its
-    members are GibbsPosterior objects, one per (problem, gamma), each
-    reading its own slice."""
+    """The Gibbs posteriors of each problem of a _Stack at several gammas,
+    stacked: the remaining functionals the routes and bounds read, each
+    computed for every member at once on first use.  Its members are
+    GibbsPosterior objects, one per (problem, gamma), each reading its own
+    slice."""
 
     gammas: tuple[float, ...]
 
@@ -510,24 +501,24 @@ class _Sweep(_Kernels):
         """(d_fwd, d_rev): the expected divergences from the posterior rows
         to the population-risk Gibbs law and back."""
         gammas = np.array(self.gammas)[:, None]
-        return self._expected_divergences(_log_population(self.problem, gammas))
+        return self._expected_divergences(_log_population(self.stack, gammas))
 
     @cached_property
     def risks(self) -> list[tuple[float, float]]:
         """(population, empirical): the expected population risk of the
         hypothesis marginal and the expected empirical risk, under the
         joint law of (W, S)."""
-        problem = self.problem
-        population = _expect(self.hypothesis_marginal, problem._population_risk)
-        empirical = np.multiply(self.row_array, problem._empirical_risk)
-        empirical = _expect(empirical, problem._dataset_probs[..., None, :]).sum(axis=-1)
+        stack = self.stack
+        population = _expect(self.hypothesis_marginal, stack._population_risk)
+        empirical = np.multiply(self.row_array, stack._empirical_risk)
+        empirical = _expect(empirical, stack._dataset_probs[..., None, :]).sum(axis=-1)
         return list(zip(population.ravel().tolist(), empirical.ravel().tolist()))
 
     @cached_property
     def total_variation(self) -> list[float]:
         """Unnormalized total variation between the joint law of (W, S) and
         the product of its marginals."""
-        joint = np.multiply(self.row_array, self.problem._dataset_probs[..., None, :])
+        joint = np.multiply(self.row_array, self.stack._dataset_probs[..., None, :])
         tv = _total_variation(joint, _product_of_marginals(joint), axis=(-2, -1))
         return tv.ravel().tolist()
 
@@ -538,13 +529,13 @@ class _Sweep(_Kernels):
         kept."""
         last = self.__dict__.get("_renyi")
         if last is None or last[0] != alphas:
-            problem = self.problem
-            support = problem._dataset_probs > 0.0
-            log_probs = problem._log_dataset_probs
+            stack = self.stack
+            log_probs = stack._log_dataset_probs
             joint = self.log_joint
+            support = stack._dataset_probs[0, 0] > 0.0
             if not support.all():
-                # one problem: a _Stack's laws are positive everywhere
-                log_probs = log_probs[support]
+                # a stack of one: a larger stack's laws are positive everywhere
+                log_probs = log_probs[..., support]
                 joint = np.compress(support, joint, axis=-1)
             product = log_probs[..., None, :] + self.log_marginal[..., None]
             # one (nw, m') pair of laws per member
@@ -574,12 +565,12 @@ class _Sweep(_Kernels):
         * 2**d times its own probability (m_k counts pair type k, d the
         pairs of two distinct symbols).  _require_iid_routes counts the
         states visited before anything is allocated."""
-        _require_iid_routes(self.problem)
-        return _supersample_infos(self.problem, self.log_kernel)
+        _require_iid_routes(self.stack)
+        return _supersample_infos(self.stack, self.log_kernel)
 
     @cached_property
     def replace_one(self) -> np.ndarray:
-        """(..., 2, n): per member, the forward and the reverse replace-one
+        """(p, g, 2, n): per member, the forward and the reverse replace-one
         divergences.  For each coordinate i, averaged over (S, Z) with Z an
         independent fresh sample: forward[i] = E[D(posterior(S) ||
         posterior(S with slot i = Z))], and reverse[i] the opposite
@@ -587,18 +578,17 @@ class _Sweep(_Kernels):
 
         Both IID routes run the same checks first, so a problem either
         refuses allocates neither route, whichever is read first."""
-        _require_iid_routes(self.problem)
-        both = _replace_one_stack(self.problem, self.log_kernel)
+        _require_iid_routes(self.stack)
+        both = _replace_one_stack(self.stack, self.log_kernel)
         both.flags.writeable = False
         return both
 
 
 class _Slice:
     """A GibbsPosterior attribute: the member's slice of the sweep's value
-    of the same name, a list or an array whose leading (g,) or (p, g) axes
-    are read as one member axis; transposed when dataset_major: a
-    (num_hypotheses, m) table is then read as its (m, num_hypotheses)
-    view."""
+    of the same name, a list or an array whose (p, g) lead is read as one
+    member axis; transposed when dataset_major: a (num_hypotheses, m)
+    table is then read as its (m, num_hypotheses) view."""
 
     def __init__(self, dataset_major: bool = False) -> None:
         self.dataset_major = dataset_major
@@ -611,7 +601,7 @@ class _Slice:
             return self
         value = getattr(member._sweep, self.name)
         if isinstance(value, np.ndarray):
-            value = value.reshape((-1,) + value.shape[member._sweep.log_rows.ndim - 2 :])
+            value = value.reshape((-1,) + value.shape[2:])
         value = value[member._index]
         return value.T if self.dataset_major else value
 
@@ -619,20 +609,19 @@ class _Slice:
 class GibbsPosterior:
     """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
     tabulated per enumerated dataset and held in the log domain; build it
-    with gibbs_posterior.  It is one member of a stacked sweep over gammas
-    of its problem, or over the gammas of several same-shape problems (see
-    _gibbs_sweep): each functional below is the member's slice of the
-    sweep's, which the sweep computes for all its members the first time
-    any of them asks.  Every array is read-only.  log_rows, row_array and
-    log_kernel are (m, num_hypotheses), one row per dataset: views of the
-    sweep's hypothesis-major tables."""
+    with gibbs_posterior.  It is one member of a stacked sweep over the
+    gammas of the problems of a _Stack, a problem on its own being a stack
+    of one (see _gibbs_sweep): each functional below is the member's slice
+    of the sweep's, which the sweep computes for all its members the first
+    time any of them asks.  Every array is read-only.  log_rows, row_array
+    and log_kernel are (m, num_hypotheses), one row per dataset: views of
+    the sweep's (p, g, num_hypotheses, m) tables."""
 
     def __init__(self, sweep: _Sweep, index: int) -> None:
         self._sweep = sweep
         self._index = index
         gammas = len(sweep.gammas)
-        stack = sweep.problem
-        self._problem = stack.problems[index // gammas] if isinstance(stack, _Stack) else stack
+        self._problem = sweep.stack.problems[index // gammas]
         self._gamma = sweep.gammas[index % gammas]
 
     @property
@@ -666,35 +655,34 @@ class GibbsPosterior:
         return self._sweep.renyi(alphas)[self._index]
 
 
-def _gibbs_sweep(
-    problem: LearningProblem | _Stack, gammas: Sequence[float]
-) -> Iterator[GibbsPosterior]:
-    """The Gibbs posteriors of problem at each of gammas, in order, as
-    stacked evaluations: the gammas go in chunks whose log-row table holds
-    at most max(m * nw, BLOCK_ELEMENTS) elements, (g, nw, m) for one
-    problem and (p, g, nw, m) for a _Stack of p, and each functional is
-    computed for a whole chunk at once.  A stack's posteriors come problem
-    by problem within each chunk; _shape_sweep builds only stacks that fit
-    in one.  The stacked blocks of the supersample and replace-one sweeps
-    keep within the same budget, so whatever the number of gammas, peak
-    memory stays at that of one evaluation or one block, whichever is
-    larger.  A chunk is built when its first member is reached and kept
-    only by its members: a caller that drops each member before asking for
-    the next (map, or next() inside a call) holds one chunk at a time.
-    Raises GammaNonPositive, then EnumerationTooLarge, before any table is
+def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
+    """The Gibbs posteriors of each problem of stack at each of gammas, as
+    stacked evaluations: the gammas go in chunks whose (p, g, nw, m)
+    log-row table holds at most max(p * m * nw, BLOCK_ELEMENTS) elements,
+    and each functional is computed for a whole chunk at once.  The
+    posteriors come problem by problem within each chunk, each problem's
+    gammas in order; a problem on its own is its stack of one, and
+    _shape_sweep builds only stacks that fit in one chunk.  The stacked
+    blocks of the supersample and replace-one sweeps keep within the same
+    budget, so whatever the number of gammas, peak memory stays at that of
+    one evaluation or one block, whichever is larger.  A chunk is built
+    when its first member is reached and kept only by its members: a
+    caller that drops each member before asking for the next (map, or
+    next() inside a call) holds one chunk at a time.  Raises
+    GammaNonPositive, then EnumerationTooLarge, before any table is
     built."""
     for gamma in gammas:
         _require_gamma(gamma)
     values = [float(gamma) for gamma in gammas]
-    risk = problem._empirical_risk
+    risk = stack._empirical_risk
     size = _per_block(risk.size)
     for start in range(0, len(values), size):
         chunk = values[start : start + size]
-        logits = problem._log_prior[..., None] - np.array(chunk)[:, None, None] * risk
+        logits = stack._log_prior[..., None] - np.array(chunk)[:, None, None] * risk
         log_rows = logits - _logsumexp(logits, axis=-2, keepdims=True)
         log_rows.flags.writeable = False
         del logits
-        sweep = _Sweep(problem=problem, log_rows=log_rows, gammas=tuple(chunk))
+        sweep = _Sweep(stack=stack, log_rows=log_rows, gammas=tuple(chunk))
         for index in range(math.prod(log_rows.shape[:-2])):
             yield GibbsPosterior(sweep, index)
         del sweep
@@ -710,7 +698,7 @@ def _shape_sweep(
     of one instance when that is larger, and the problems of a window that
     share data model kind, |Z|, n and |W| are evaluated as one _Stack, in
     one chunk of _gibbs_sweep.  A problem whose dataset law has a zero is
-    evaluated alone, since the Renyi sums compress its support.  Every
+    its own stack of one, since the Renyi sums compress its support.  Every
     posterior reads bit for bit what a lone gibbs_posterior build gives."""
     window: list[tuple[int, LearningProblem]] = []
     elements = 0
@@ -737,7 +725,7 @@ def _window_sweep(
     for group in shapes.values():
         for stack in _shape_stacks(group):
             sweep = _gibbs_sweep(stack, gammas)
-            for problem in stack.problems if isinstance(stack, _Stack) else (stack,):
+            for problem in stack.problems:
                 members[problem] = sweep
     for index, problem in window:
         sweep = members.pop(problem)
@@ -745,26 +733,27 @@ def _window_sweep(
             yield index, problem, gamma, next(sweep)
 
 
-def _shape_stacks(group: list[LearningProblem]) -> list[LearningProblem | _Stack]:
+def _shape_stacks(group: list[LearningProblem]) -> list[_Stack]:
     """The same-shape problems of a window as one _Stack, but each problem
-    whose dataset law has a zero on its own."""
+    whose dataset law has a zero as its own stack of one."""
     if len(group) < 2:
-        return group
-    stack = _Stack(tuple(group))
+        return [problem._stack for problem in group]
+    stack = _Stack(group)
     positive = (stack._dataset_probs > 0.0).all(axis=(1, 2)).tolist()
     if all(positive):
         return [stack]
-    alone = [problem for problem, full in zip(group, positive) if not full]
+    alone = [problem._stack for problem, full in zip(group, positive) if not full]
     return alone + _shape_stacks([problem for problem, full in zip(group, positive) if full])
 
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """Tabulate the Gibbs posterior for every dataset, in the log domain: a
-    sweep over the one gamma.  Raises EnumerationTooLarge when m * max(n,
-    nw) is above ELEMENT_CAP, before any table is built.  Every call builds
-    anew; see _evaluation for the one evaluation that gen_characterizations
-    and bounds_table share."""
-    return next(_gibbs_sweep(problem, (gamma,)))
+    sweep over the one gamma of the problem's stack of one.  Raises
+    EnumerationTooLarge when m * max(n, nw) is above ELEMENT_CAP, before any
+    table is built.  Every call evaluates anew, on the tables the problem
+    built at its first call; see _evaluation for the one evaluation that
+    gen_characterizations and bounds_table share."""
+    return next(_gibbs_sweep(problem._stack, (gamma,)))
 
 
 # the evaluation that gen_characterizations or bounds_table read last
@@ -798,11 +787,11 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     return _last_evaluation
 
 
-def _log_population(problem: LearningProblem | _Stack, gamma) -> np.ndarray:
-    """The log population-risk Gibbs law at a gamma, or one row per gamma
-    of a (g, 1) column, (p, g, nw) for a _Stack; normalized twice, for the
-    reason given at _Kernels.log_kernel."""
-    logits = problem._log_prior - gamma * problem._population_risk
+def _log_population(stack: _Stack, gamma) -> np.ndarray:
+    """The log population-risk Gibbs law of each problem of a stack at a
+    gamma, (p, 1, nw), or one row per gamma of a (g, 1) column, (p, g, nw);
+    normalized twice, for the reason given at _Kernels.log_kernel."""
+    logits = stack._log_prior - gamma * stack._population_risk
     logits = logits - _logsumexp(logits, axis=-1, keepdims=True)
     return logits - _logsumexp(logits, axis=-1, keepdims=True)
 
@@ -811,7 +800,7 @@ def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
     """The Gibbs law built on the population risk instead of the empirical
     risk; the hypothesis-space reference measure of the divergence form."""
     _require_gamma(gamma)
-    weights = np.exp(_log_population(problem, gamma))
+    weights = np.exp(_log_population(problem._stack, gamma)[0, 0])
     weights /= weights.sum()
     return ProbVec(weights, problem.hypothesis_set)
 
@@ -850,47 +839,42 @@ def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -
     return on_population - _risk_under_law(rows, empirical, probs)
 
 
-def _require_iid_routes(problem: LearningProblem | _Stack) -> None:
+def _require_iid_routes(stack: _Stack) -> None:
     """Refuse a non-IID model, or either IID route's count above
     ELEMENT_CAP, before anything is allocated: replace-one's m * |Z|
     divergences per gamma, then the supersample sweep's C(K + n - 1, n)
     orbits times 2**n selectors, K = |Z|(|Z|+1)/2 pair types (see
-    _Sweep.supersample_info).  The problem's own check has already bounded
+    _Sweep.supersample_info).  The stack's own check has already bounded
     n, so the binomial stays small."""
-    if not problem.is_iid():
+    if not stack.is_iid():
         raise NotIID("the supersample and replace-one routes require an IID data model")
-    nz = problem.num_samples_symbols
-    n = problem.n
+    nz = stack.num_samples_symbols
+    n = stack.n
     _check_elements("replace-one divergences", nz, nz, n)
     _check_elements("supersample enumeration", math.comb(nz * (nz + 1) // 2 + n - 1, n), 2, n)
 
 
-def _member_blocks(lead: tuple[int, ...], count: int) -> list[tuple]:
-    """Index tuples that split a stack's members, its (g,) or (p, g) leading
-    axes, into blocks of at most count members: runs of gammas of one
-    problem, or runs of whole problems when count holds all of a problem's
-    gammas.  A tuple without its last entry indexes the stack's problem
-    arrays, whose lead is () or (p, 1)."""
-    *problems, gammas = lead
-    if not problems:
-        return [(slice(start, start + count),) for start in range(0, gammas, count)]
+def _member_blocks(lead: tuple[int, int], count: int) -> list[tuple]:
+    """Index tuples that split a sweep's members, its (p, g) lead, into
+    blocks of at most count members: runs of gammas of one problem, or runs
+    of whole problems when count holds all of a problem's gammas.  A tuple
+    without its last entry indexes the stack's (p, 1) arrays."""
+    problems, gammas = lead
     if count >= gammas:
         step = count // gammas
-        return [(slice(start, start + step), slice(None)) for start in range(0, problems[0], step)]
+        return [(slice(start, start + step), slice(None)) for start in range(0, problems, step)]
     return [
-        (k, slice(start, start + count))
-        for k in range(problems[0])
-        for start in range(0, gammas, count)
+        (k, slice(start, start + count)) for k in range(problems) for start in range(0, gammas, count)
     ]
 
 
-def _supersample_infos(problem: LearningProblem | _Stack, log_rows: np.ndarray) -> list[InfoReport]:
-    """The supersample information of each kernel of a (..., nw, m) stack,
+def _supersample_infos(stack: _Stack, log_rows: np.ndarray) -> list[InfoReport]:
+    """The supersample information of each kernel of a (p, g, nw, m) table,
     after the checks.  A block holds BLOCK_ELEMENTS // (2**n * nw) orbits of
     one kernel, as for a lone kernel, so each kernel's sums run over the
     same blocks; when one block holds every orbit, it stacks as many
     kernels as fit in it."""
-    super_probs, dataset_ids = problem._supersample_geometry
+    super_probs, dataset_ids = stack._supersample_geometry
     num_super, num_u = dataset_ids.shape
     lead = log_rows.shape[:-2]
     per_kernel = num_u * log_rows.shape[-2]
@@ -920,9 +904,9 @@ def _supersample_infos(problem: LearningProblem | _Stack, log_rows: np.ndarray) 
     ]
 
 
-def _replace_one_stack(problem: LearningProblem | _Stack, log_rows: np.ndarray) -> np.ndarray:
-    """(..., 2, n) forward and reverse replace-one divergences of each kernel
-    of a (..., nw, m) stack, after the checks.  For slot i, each dataset's
+def _replace_one_stack(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
+    """(p, g, 2, n) forward and reverse replace-one divergences of each
+    kernel of a (p, g, nw, m) table, after the checks.  For slot i, each dataset's
     kernel is compared with those of its |Z| one-slot replacements,
     gathered in (..., nw, |Z|, b) blocks of b datasets, into (..., |Z|, m)
     forward and reverse divergences, then averaged over the dataset and
@@ -932,11 +916,11 @@ def _replace_one_stack(problem: LearningProblem | _Stack, log_rows: np.ndarray) 
     the shape alone, so one block of kernels computes them for every
     problem of a stack.  Each divergence sums the hypotheses of one
     (dataset, replacement) pair, so no bit depends on the blocks."""
-    nz = problem.num_samples_symbols
-    n = problem.n
-    cols = problem._dataset_indices
-    probs = problem._dataset_probs[..., None, :]
-    marginal = problem._law_weights
+    nz = stack.num_samples_symbols
+    n = stack.n
+    cols = stack._dataset_indices
+    probs = stack._dataset_probs[..., None, :]
+    marginal = stack._law_weights
     powers = nz ** np.arange(n - 1, -1, -1)
     lead = log_rows.shape[:-2]
     nw, m = log_rows.shape[-2:]
@@ -1161,7 +1145,8 @@ def regularized_gen(
     _require_positive_gamma(gamma)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise InvalidInput(f"lam must be a finite real >= 0, got {lam!r}")
-    m = problem._dataset_indices.shape[0]
+    stack = problem._stack
+    m = stack._dataset_indices.shape[0]
     nw = problem.num_hypotheses
     emb = tgt = None
     if regularizer is None:
@@ -1189,12 +1174,12 @@ def regularized_gen(
     # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each
     # row: a kernel, but not the Gibbs posterior of the problem at gamma
     tilted = gibbs_posterior(problem, gamma).log_rows.T - (gamma * lam) * regularizer
-    kernel = _Kernels(problem, (tilted - _logsumexp(tilted, axis=0, keepdims=True))[None])
+    kernel = _Kernels(stack, (tilted - _logsumexp(tilted, axis=0, keepdims=True))[None, None])
 
-    probs = problem._dataset_probs
-    rows = kernel.row_array[0]
-    marginal = kernel.hypothesis_marginal[0]
-    gen = _gen_under_law(rows, problem._empirical_risk, probs)
+    probs = stack._dataset_probs[0, 0]
+    rows = kernel.row_array[0, 0]
+    marginal = kernel.hypothesis_marginal[0, 0]
+    gen = _gen_under_law(rows, stack._empirical_risk[0, 0], probs)
     iskl_over_gamma = kernel.info[0].symmetrized / gamma
     joint_mean = _risk_under_law(rows, regularizer, probs)
     product_mean = float(_expect(_expect(regularizer, probs), marginal))
@@ -1227,7 +1212,7 @@ def empirical_risk_curve(
         raise InvalidInput("need at least one gamma")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInput("gammas must be strictly increasing")
-    return list(map(expected_empirical_risk, _gibbs_sweep(problem, values)))
+    return list(map(expected_empirical_risk, _gibbs_sweep(problem._stack, values)))
 
 
 def concavity_probe(
@@ -1250,7 +1235,7 @@ def concavity_probe(
     to catch IdentityMismatch.
     """
     weights = ProbVec(np.array([w for w, _ in components], dtype=np.float64))
-    indices = problem._dataset_indices
+    indices = problem._stack._dataset_indices
     component_probs = [
         _tuple_probs(_model_weights(model), indices, isinstance(model, IIDData))
         for _, model in components
@@ -1261,8 +1246,8 @@ def concavity_probe(
     mixture_problem = dataclasses.replace(problem, data_model=JointData(mixture))
     posterior = gibbs_posterior(mixture_problem, gamma)
     rows = posterior.row_array.T
-    empirical = mixture_problem._empirical_risk
-    gen_mixture = _gen_under_law(rows, empirical, mixture_problem._dataset_probs)
+    empirical = mixture_problem._stack._empirical_risk[0, 0]
+    gen_mixture = _gen_under_law(rows, empirical, mixture_problem._stack._dataset_probs[0, 0])
     avg_gen = sum(
         float(w) * _gen_under_law(rows, empirical, probs)
         for w, probs in zip(weights.weights, component_probs)

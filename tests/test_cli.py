@@ -263,6 +263,8 @@ def test_asymptotics_bad_bayes_config_exits_2(tmp_path, capsys, bayes, path):
         ("bounds-table", "probe_gammas", [0.0]),
         ("verify-identities", "curve_gammas", [0.0, 1.0, 0.5]),
         ("verify-identities", "curve_gammas", [0.0, 1.0, 1.0]),
+        # a probe that shares no gamma with the table compares no row
+        ("bounds-table", "probe_gammas", [0.5]),
     ],
 )
 def test_bad_gamma_list_exits_2(tmp_path, capsys, subcommand, key, value):
@@ -624,7 +626,11 @@ def assert_typed(default, value, key=""):
 
 # errors that a value at one key may raise at the other key of a rule
 # relating the two
-PARTNERS = {"configs": "two_point_config_index", "iterations": "batch_count"}
+PARTNERS = {
+    "configs": "two_point_config_index",
+    "iterations": "batch_count",
+    "gammas": "probe_gammas",
+}
 
 TARGETS = [(sub, path) for sub in DEFAULTS for path in config_paths(DEFAULTS[sub])]
 

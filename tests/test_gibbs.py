@@ -1,6 +1,7 @@
 """Exact posterior enumeration and the error characterizations."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -95,7 +96,7 @@ def test_large_gamma_concentrates_on_minimizers():
     problem = small_problem(3)
     rows = gibbs_posterior(problem, 1e6).row_array
     for s in range(problem.dataset_count):
-        best = int(np.argmin(problem._empirical_risk[:, s]))
+        best = int(np.argmin(problem._stack._empirical_risk[0, 0, :, s]))
         assert rows[s, best] > 0.999
 
 
@@ -212,7 +213,7 @@ def test_risk_curve_monotone_and_prior_start():
     curve = empirical_risk_curve(problem, gammas)
     assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
     prior_risk = float(
-        problem.prior.weights @ problem._empirical_risk @ problem._dataset_probs
+        problem.prior.weights @ problem._stack._empirical_risk[0, 0] @ problem._stack._dataset_probs[0, 0]
     )
     assert abs(curve[0] - prior_risk) < 1e-12
 
@@ -508,22 +509,22 @@ def test_random_problem_labels_take_no_memory_per_label():
 def test_empirical_risk_is_blocked_and_bit_identical(monkeypatch):
     problems = [small_problem(46, iid=iid, n=n) for iid in (True, False) for n in (1, 3, 5)]
     problems += [uniform_problem(2, 9, 7)]
-    expected = [problem.loss[:, problem._dataset_indices].mean(axis=2) for problem in problems]
+    expected = [problem.loss[:, problem._stack._dataset_indices].mean(axis=2) for problem in problems]
     for per_block in (1, 7):
         for problem, risk in zip(problems, expected):
             fresh = dataclasses.replace(problem)
             with monkeypatch.context() as patch:
                 budget = per_block * problem.num_hypotheses * problem.n
                 patch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
-                assert np.array_equal(fresh._empirical_risk, risk)
+                assert np.array_equal(fresh._stack._empirical_risk[0, 0], risk)
                 # C order, hypothesis-major like every evaluation table
-                assert fresh._empirical_risk.flags.c_contiguous
+                assert fresh._stack._empirical_risk.flags.c_contiguous
     # |Z| = 2, n = 16, 8 hypotheses: the unblocked (nw, m, n) gather peaked
     # at 152 bytes per (dataset, hypothesis) pair
     problem = uniform_problem(2, 16, 8)
     tracemalloc.start()
     try:
-        problem._empirical_risk
+        problem._stack._empirical_risk
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -545,7 +546,7 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
     reports = [posterior.supersample_info for posterior in posteriors]
     # one selector matrix (2, n = 2) for all four gammas
     assert builds == [(2, 2)]
-    super_probs, dataset_ids = problem._supersample_geometry
+    super_probs, dataset_ids = problem._stack._supersample_geometry
     # one orbit per multiset of n unordered pairs over K = |Z|(|Z|+1)/2 types
     pair_types = 4 * 5 // 2
     orbits = math.comb(pair_types + 2 - 1, 2)
@@ -556,6 +557,35 @@ def test_supersample_geometry_built_once_per_problem(monkeypatch):
     fresh = dataclasses.replace(problem)
     for gamma, report in zip(gammas, reports):
         assert gibbs_posterior(fresh, gamma).supersample_info == report
+
+
+def test_a_problem_builds_its_tables_once(monkeypatch):
+    # four gibbs_posterior calls on one problem, as gen_characterizations
+    # and bounds_table make them at four gammas, read the tables of the
+    # problem's one stack of one: one dataset index matrix and one
+    # empirical risk table
+    problem = small_problem(44, iid=True, n=3)
+    builds = []
+    risk_builds = []
+    index_matrix = gibbslab.gibbs._index_matrix
+    risk = gibbslab.gibbs._Stack._empirical_risk
+
+    def counting(base, length):
+        builds.append((base, length))
+        return index_matrix(base, length)
+
+    def counting_risk(stack):
+        risk_builds.append(stack)
+        return risk.func(stack)
+
+    counted_risk = functools.cached_property(counting_risk)
+    counted_risk.__set_name__(gibbslab.gibbs._Stack, "_empirical_risk")
+    monkeypatch.setattr(gibbslab.gibbs, "_index_matrix", counting)
+    monkeypatch.setattr(gibbslab.gibbs._Stack, "_empirical_risk", counted_risk)
+    posteriors = [gibbs_posterior(problem, gamma) for gamma in (0.1, 1.0, 10.0, 100.0)]
+    assert builds == [(4, 3)]
+    assert risk_builds == [problem._stack]
+    assert all(posterior._sweep.stack is problem._stack for posterior in posteriors)
 
 
 def test_supersample_geometry_built_once_per_shape_stack(monkeypatch):
@@ -608,7 +638,7 @@ def test_a_law_with_a_zero_is_evaluated_alone():
     members = [member for *_, member in _shape_sweep(enumerate(problems), gammas)]
     sweeps = [member._sweep for member in members]
     assert sweeps[0] is sweeps[1] is sweeps[4] is sweeps[5]
-    assert sweeps[2] is sweeps[3] and sweeps[2].problem is problems[1]
+    assert sweeps[2] is sweeps[3] and sweeps[2].stack is problems[1]._stack
     for member in members:
         single = gibbs_posterior(member.problem, member.gamma)
         assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
@@ -621,14 +651,14 @@ def test_cached_arrays_are_read_only():
     # them through an array it hands out
     for iid in (True, False):
         problem = small_problem(41, iid=iid)
-        for posterior in (gibbs_posterior(problem, 1.0), *_gibbs_sweep(problem, (0.5, 1.0, 2.0))):
+        for posterior in (gibbs_posterior(problem, 1.0), *_gibbs_sweep(problem._stack, (0.5, 1.0, 2.0))):
             arrays = [
                 posterior.log_rows,
                 posterior.row_array,
                 posterior.hypothesis_marginal,
                 posterior.log_kernel,
                 posterior.log_marginal,
-                posterior.problem._log_dataset_probs,
+                posterior.problem._stack._log_dataset_probs,
             ]
             if iid:
                 arrays.extend(posterior.replace_one)
@@ -682,7 +712,7 @@ def test_stacked_sweep_matches_single_builds():
     alphas = (1.5, 2.0, 4.0, 1.01)
     curve_gammas = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
     for _, problem in instance_sweep(40, 20260814, max_symbols=4, max_hypotheses=5, max_n=3):
-        members = list(_gibbs_sweep(problem, gammas))
+        members = list(_gibbs_sweep(problem._stack, gammas))
         assert len({member._sweep for member in members}) == 1
         for member, gamma in zip(members, gammas):
             single = gibbs_posterior(problem, gamma)
@@ -715,7 +745,7 @@ def test_shape_stacks_match_single_builds(monkeypatch, budget):
     for index, problem, gamma, member in _shape_sweep(instances, gammas):
         visited.append((index, gamma))
         sweeps.add(member._sweep)
-        stacked += isinstance(member._sweep.problem, gibbslab.gibbs._Stack)
+        stacked += len(member._sweep.stack.problems) > 1
         assert member.problem is problem and member.gamma == gamma
         single = gibbs_posterior(problem, gamma)
         assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
@@ -758,7 +788,7 @@ def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, c
     gammas = (0.1, 0.5, 1.0, 2.0, 5.0)
     one_block = [gibbs_posterior(problem, gamma).replace_one for gamma in gammas]
     monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
-    members = list(_gibbs_sweep(problem, gammas))
+    members = list(_gibbs_sweep(problem._stack, gammas))
     sweeps = list(dict.fromkeys(member._sweep for member in members))
     assert [len(sweep.gammas) for sweep in sweeps] == chunks
     assert all(sweep.log_rows.size <= max(48, budget) for sweep in sweeps)
@@ -772,7 +802,7 @@ def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, c
     del members, sweeps
     # a caller that drops each member holds one chunk at a time
     if chunks[0] < len(gammas):
-        remaining = _gibbs_sweep(problem, gammas)
+        remaining = _gibbs_sweep(problem._stack, gammas)
         first_chunk = weakref.ref(next(remaining)._sweep)
         for _ in range(chunks[0]):
             next(remaining)
@@ -792,7 +822,7 @@ def test_blocked_replace_one_matches_one_block(monkeypatch, per_block):
             continue
         nz, nw = problem.num_samples_symbols, problem.num_hypotheses
         assert nz < 7
-        one_block = [member.replace_one for member in _gibbs_sweep(problem, gammas)]
+        one_block = [member.replace_one for member in _gibbs_sweep(problem._stack, gammas)]
         with monkeypatch.context() as patch:
             patch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", per_block * nz * nw)
             for gamma, expected in zip(gammas, one_block):
@@ -833,13 +863,13 @@ def test_refused_supersample_stops_replace_one_before_allocating(monkeypatch):
         assert peak < 16 * 2**20
 
 
-def ordered_supersample_info(problem, gamma):
+def ordered_supersample_info(problem, gamma, scale=1.0):
     """The supersample information at gamma summed over all |Z|**(2n)
     ordered tuples of n pairs, each its own state, through the same block
-    loop."""
+    loop; each tuple's probability times scale."""
     nz, n = problem.num_samples_symbols, problem.n
     pairs = gibbslab.gibbs._index_matrix(nz, 2 * n)
-    super_probs = np.prod(problem.data_model.marginal.weights[pairs], axis=1)
+    super_probs = scale * np.prod(problem.data_model.marginal.weights[pairs], axis=1)
     powers = nz ** np.arange(n - 1, -1, -1)
     selectors = gibbslab.gibbs._index_matrix(2, n)
     dataset_ids = np.stack(
@@ -847,9 +877,23 @@ def ordered_supersample_info(problem, gamma):
         axis=1,
     ).astype(np.int32)
     reference = dataclasses.replace(problem)
-    # the cached property reads its value from the instance dict
-    reference.__dict__["_supersample_geometry"] = (super_probs, dataset_ids)
+    # the cached property reads its value from the instance dict of the
+    # problem's stack of one, whose arrays lead with (1, 1)
+    reference._stack.__dict__["_supersample_geometry"] = (super_probs[None, None], dataset_ids)
     return gibbs_posterior(reference, gamma).supersample_info
+
+
+def test_ordered_tuple_reference_reaches_the_sweep():
+    # the negative control of the oracle below: a reference whose tuple
+    # probabilities are 0.1% high moves the information by 0.1%, far
+    # outside the oracle's tolerance, so the sweep reads the reference the
+    # oracle writes
+    problem = small_problem(45, iid=True, n=2)
+    orbits = gibbs_posterior(problem, 1.0).supersample_info
+    perturbed = ordered_supersample_info(problem, 1.0, scale=1.001)
+    for got, want in ((perturbed.mutual, orbits.mutual), (perturbed.lautum, orbits.lautum)):
+        assert abs(got - want) > 1e-13 * abs(want)
+        assert got == pytest.approx(1.001 * want, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0, 100.0, 1e3, 1e6])

@@ -18,7 +18,7 @@ import pytest
 import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import IIDData, JointData, LearningProblem, ProbVec, bounds_table, gen_characterizations
-from gibbslab.gibbs import _gibbs_sweep, _log_population, gibbs_posterior
+from gibbslab.gibbs import GenReport, _gibbs_sweep, _log_population, gibbs_posterior
 from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_sums
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
@@ -100,14 +100,14 @@ def frozen_evaluation(problem, gammas):
     """Every functional of a stacked evaluation, by the frozen formulas, on
     (g, nw, m) tables: hypothesis sums over axis 1, dataset sums over the
     last axis."""
-    risk = problem._empirical_risk
-    probs = problem._dataset_probs
+    risk = problem._stack._empirical_risk[0, 0]
+    probs = problem._stack._dataset_probs[0, 0]
     logits = problem.prior.log_weights[:, None] - np.array(gammas)[:, None, None] * risk
     log_rows = logits - frozen_logsumexp(logits, axis=1, keepdims=True)
     rows = np.exp(log_rows)
     rows /= rows.sum(axis=1, keepdims=True)
     log_kernel = log_rows - frozen_logsumexp(log_rows, axis=1, keepdims=True)
-    log_joint = problem._log_dataset_probs + log_kernel
+    log_joint = problem._stack._log_dataset_probs[0, 0] + log_kernel
     log_marginal = frozen_logsumexp(log_joint, axis=2)
 
     def expected(log_reference):
@@ -118,7 +118,7 @@ def frozen_evaluation(problem, gammas):
     product_table = joint_table.sum(axis=-1)[..., :, None] * joint_table.sum(axis=-2)[..., None, :]
     support = probs > 0.0
     joint = np.compress(support, log_joint, axis=2)
-    product = problem._log_dataset_probs[support] + log_marginal[:, :, None]
+    product = problem._stack._log_dataset_probs[0, 0][support] + log_marginal[:, :, None]
     sums = frozen_renyi_sums(joint, product, ALPHAS) + frozen_renyi_sums(product, joint, ALPHAS)
     return {
         "log_rows": log_rows,
@@ -128,7 +128,7 @@ def frozen_evaluation(problem, gammas):
         "log_joint": log_joint,
         "log_marginal": log_marginal,
         "info": expected(log_marginal),
-        "reference_divergences": expected(_log_population(problem, np.array(gammas)[:, None])),
+        "reference_divergences": expected(_log_population(problem._stack, np.array(gammas)[:, None])[0]),
         "total_variation": np.abs(joint_table - product_table).sum(axis=(1, 2)).tolist(),
         "renyi": [tuple(row) for row in sums.T.tolist()],
     }
@@ -172,11 +172,14 @@ def test_evaluation_matches_the_frozen_formulas(monkeypatch, shape):
     monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", max(BLOCK_ELEMENTS, per_stack * table))
     for start in range(0, len(GAMMAS), per_stack):
         gammas = GAMMAS[start : start + per_stack]
-        sweep = next(_gibbs_sweep(problem, gammas))._sweep
+        sweep = next(_gibbs_sweep(problem._stack, gammas))._sweep
         assert sweep.gammas == gammas
         expected = frozen_evaluation(problem, gammas)
         for name, value in expected.items():
             got = sweep.renyi(ALPHAS) if name == "renyi" else getattr(sweep, name)
+            if isinstance(got, np.ndarray):
+                # the problem's stack of one
+                got = got[0]
             if name == "info":
                 got = [(report.mutual, report.lautum) for report in got]
             assert np.array_equal(bits(got), bits(value)), (shape, gammas, name)
@@ -235,7 +238,7 @@ def test_joint_evaluation_peaks_below_the_earlier_kernels():
     problem = problem_of(4, 7, 5, False)
     for gamma in (0.1, 1.0, 100.0, 1e6):
         fresh = dataclasses.replace(problem)
-        fresh._population_risk, fresh._log_dataset_probs
+        fresh._stack._population_risk, fresh._stack._log_dataset_probs
         gibbslab.gibbs._last_evaluation = None
         tracemalloc.start()
         try:
@@ -246,6 +249,23 @@ def test_joint_evaluation_peaks_below_the_earlier_kernels():
             tracemalloc.stop()
             gibbslab.gibbs._last_evaluation = None
         assert peak <= 5.77 * 2**20, gamma
+
+
+def test_joint_evaluation_holds_the_joint_law_once():
+    # a lone joint evaluation on lib-wide's shape (|Z| = 4, n = 7, |W| = 5)
+    # at gamma 1, with the posterior alive: the problem's 128 KiB law is
+    # the stack's dataset law, not a copy.  Evaluations that copied it
+    # kept 4,357 KiB (one copy) and 4,488 KiB (two copies)
+    problem = problem_of(4, 7, 5, False)
+    tracemalloc.start()
+    try:
+        posterior = gibbs_posterior(problem, 1.0)
+        GenReport.from_posterior(posterior)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(posterior._sweep.stack._dataset_probs, problem.data_model.weights)
+    assert retained <= 4357 * 2**10
 
 
 # every functional of a stack that has no IID route, as a reader
@@ -266,11 +286,11 @@ def test_no_kernel_temporary_outlives_its_call():
     # stack, returns, the traced memory is that of the arrays the
     # evaluation caches: every temporary went with its call
     for problem, gammas in ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4])):
-        problem._population_risk, problem._log_dataset_probs
-        posterior = next(_gibbs_sweep(problem, gammas))
+        problem._stack._population_risk, problem._stack._log_dataset_probs
+        posterior = next(_gibbs_sweep(problem._stack, gammas))
 
         def cached_bytes():
-            owners = (vars(problem), vars(posterior._sweep))
+            owners = (vars(problem._stack), vars(posterior._sweep))
             return sum(value.nbytes for owner in owners for value in owner.values()
                        if isinstance(value, np.ndarray))
 
@@ -326,20 +346,33 @@ def test_threads_reading_one_evaluation_share_no_temporary():
 
 
 def test_every_table_is_hypothesis_major():
-    # the one layout: each cached sweep table is C-contiguous (g, nw, m),
-    # the risk table (nw, m), and a member reads (m, nw) views of them
-    for problem, gammas in ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4])):
-        m, nw = problem.dataset_count, problem.num_hypotheses
-        risk = problem._empirical_risk
-        assert risk.shape == (nw, m) and risk.flags.c_contiguous
-        posterior = next(_gibbs_sweep(problem, gammas))
+    # the one layout and the one lead: each cached sweep table is
+    # C-contiguous (p, g, nw, m), (1, g, nw, m) for a lone problem's stack
+    # of one, the risk table (p, 1, nw, m), and every member reads (m, nw)
+    # views of them
+    lone = ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4]))
+    shape_stack = [problem_of(4, 3, 5, True, seed) for seed in (15, 16, 17)]
+    cases = [(problem._stack, gammas) for problem, gammas in lone]
+    cases.append((gibbslab.gibbs._Stack(shape_stack), GAMMAS[:4]))
+    for stack, gammas in cases:
+        p, m, nw = len(stack.problems), stack.num_samples_symbols**stack.n, stack.num_hypotheses
+        risk = stack._empirical_risk
+        assert risk.shape == (p, 1, nw, m) and risk.flags.c_contiguous
+        members = list(_gibbs_sweep(stack, gammas))
+        assert len(members) == p * len(gammas)
+        sweep = members[0]._sweep
         for name in ("log_rows", "row_array", "log_kernel", "log_joint"):
-            table = getattr(posterior._sweep, name)
-            assert table.shape == (len(gammas), nw, m) and table.flags.c_contiguous, name
-        for name in ("log_rows", "row_array", "log_kernel"):
-            view = getattr(posterior, name)
-            assert view.shape == (m, nw) and view.flags.f_contiguous, name
-            assert np.shares_memory(view, getattr(posterior._sweep, name)), name
+            table = getattr(sweep, name)
+            assert table.shape == (p, len(gammas), nw, m) and table.flags.c_contiguous, name
+        for posterior in members:
+            assert posterior._sweep is sweep
+            for name in ("log_rows", "row_array", "log_kernel"):
+                view = getattr(posterior, name)
+                assert view.shape == (m, nw) and view.flags.f_contiguous, name
+                assert np.shares_memory(view, getattr(sweep, name)), name
+    # gibbs_posterior is a sweep of the problem's stack of one at one gamma
+    problem = lone[0][0]
+    assert gibbs_posterior(problem, 1.0)._sweep.log_rows.shape == (1, 1, 5, 4**7)
 
 
 # evaluates lib-wide's joint problem at four gammas and prints the reprs
