@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import tracemalloc
@@ -586,6 +587,23 @@ def test_a_problem_builds_its_tables_once(monkeypatch):
     assert builds == [(4, 3)]
     assert risk_builds == [problem._stack]
     assert all(posterior._sweep.stack is problem._stack for posterior in posteriors)
+
+
+def test_a_dropped_problem_frees_its_tables_without_the_collector():
+    # a problem caches its stack of one, which refers back to it weakly, so
+    # no reference cycle keeps the tables once the problem and its
+    # posteriors are dropped
+    problem = small_problem(42, iid=True, n=2)
+    posterior = gibbs_posterior(problem, 1.0)
+    stack = weakref.ref(problem._stack)
+    gc.disable()
+    try:
+        del problem
+        assert posterior.problem._stack is stack()
+        del posterior
+        assert stack() is None
+    finally:
+        gc.enable()
 
 
 def test_supersample_geometry_built_once_per_shape_stack(monkeypatch):
