@@ -467,7 +467,8 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
     alphas = tuple(config["alphas"])
     probe_alpha = config["probe_alpha"]
 
-    probe_gammas = set(config["probe_gammas"])
+    # only the probe gammas that the table sweeps have rows to compare
+    probe_gammas = set(config["probe_gammas"]) & set(gammas)
     sweep_alphas = sorted(set(alphas) | {probe_alpha}, reverse=True)
     # the probe order rides in the same table; its row is written only if listed
     table_alphas = alphas if probe_alpha in alphas else alphas + (probe_alpha,)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DeltaOutOfRange,
@@ -103,6 +102,19 @@ class GaussianMeanConfig:
         return s1 * (self.mu0 / self.sigma0_sq + samples.sum(axis=-2) / self.sigma_sq)
 
 
+def _linalg():
+    """scipy.linalg, imported at the first Cholesky factorization.
+
+    Its import takes longer than the rest of the package's (about 0.3 s on
+    a 2-core machine, most of it scipy's array-API layer), and only the
+    Gaussian channel and the asymptotic MLE rate factor a matrix: a
+    process that runs only the exact enumeration never loads it.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 def _spd_cholesky(matrix: np.ndarray, name: str):
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -113,7 +125,7 @@ def _spd_cholesky(matrix: np.ndarray, name: str):
     if float(np.abs(arr - arr.T).max()) > 1e-10 * scale:
         raise NotPositiveDefinite(f"{name} must be symmetric")
     try:
-        return cho_factor((arr + arr.T) / 2.0, lower=True)
+        return _linalg().cho_factor((arr + arr.T) / 2.0, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{name} is not positive definite") from exc
 
@@ -153,7 +165,7 @@ def gaussian_channel_info(channel: GaussianChannel) -> tuple[float, float]:
     """
     noise = _spd_cholesky(channel.SigmaN, "SigmaN")
     m = channel.A @ channel.Sigma @ channel.A.T
-    trace_term = float(np.trace(cho_solve(noise, m)))
+    trace_term = float(np.trace(_linalg().cho_solve(noise, m)))
     total = channel.SigmaN + m
     sign, logdet_total = np.linalg.slogdet(total)
     if sign <= 0:

@@ -142,6 +142,23 @@ def test_mle_matches_eigendecomposition_oracle():
         assert abs(value - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
+def test_mle_rate_is_the_scipy_cholesky_solve_bit_for_bit():
+    # pins the solver: a switch to another factorization moves digits
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        d = int(rng.integers(2, 8))
+        n = int(rng.integers(10, 10_001))
+        root = rng.normal(size=(d, d))
+        rootf = rng.normal(size=(d, d))
+        spec = MleSpec(J=root @ root.T + (0.1 + rng.random()) * np.eye(d),
+                       fisher=rootf @ rootf.T, n=n)
+        assert not np.array_equal(spec.fisher, spec.J)
+        expected = float(np.trace(cho_solve(cho_factor(spec.J, lower=True), spec.fisher))) / n
+        assert mle_asymptotic_gen(spec) == expected
+
+
 def test_mle_spec_validation():
     with pytest.raises(SingularHessian):
         MleSpec(J=np.array([[1.0, 0.0], [0.0, 0.0]]), fisher=np.eye(2), n=10)

@@ -274,15 +274,56 @@ def test_bad_gamma_list_exits_2(tmp_path, capsys, subcommand, key, value):
     assert f"config error at {key}:" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_special():
-    # the exact path runs on the private log-sum-exp kernel
+def test_renyi_probe_detail_names_only_the_compared_gammas(tmp_path):
+    # gamma 0.5 has no rows in a table swept at 10 and 100
+    config = write_config(tmp_path, "probe.json",
+                          {"gammas": [10.0, 100.0], "probe_gammas": [0.5, 10.0], "instances": 5})
+    out = str(tmp_path / "bt")
+    main(["bounds-table", "--config", config, "--out", out])
+    [check] = [c for c in read_manifest(out)["checks"] if c["name"] == "renyi_order_near_one"]
+    assert " at gammas [10.0], " in check["detail"]
+    assert "0.5" not in check["detail"]
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, os, sys
+import gibbslab, gibbslab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(sub, config):
+    path = os.path.join(sys.argv[1], sub + ".json")
+    with open(path, "w") as handle:
+        json.dump(config, handle)
+    with contextlib.redirect_stdout(io.StringIO()):
+        return gibbslab.cli.main([sub, "--config", path, "--out", os.path.join(sys.argv[1], sub)])
+
+seen = {"import": scipy_modules()}
+codes = [
+    run("counterexample", {}),
+    run("verify-identities",
+        {"instances": 4, "max_n": 2, "curve_instances": 2, "mixture_instances": 2}),
+    run("bounds-table", {"instances": 4, "max_n": 2}),
+]
+seen["exact"] = scipy_modules()
+codes.append(run("asymptotics", {"aic_pairs": 2, "bayes": {"n": 100, "trials": 1000}}))
+seen["asymptotics"] = "scipy.linalg" in sys.modules
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_cli_import_does_not_load_scipy_special(tmp_path):
+    # the exact path needs no scipy; scipy.linalg loads at the first Cholesky solve
     src = os.path.dirname(os.path.dirname(os.path.abspath(gibbslab.cli.__file__)))
-    probe = "import sys, gibbslab.cli; print('scipy.special' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["seen"] == {"import": [], "exact": [], "asymptotics": True}
 
 
 def test_sgld_demo_run(tmp_path):

@@ -149,6 +149,28 @@ def test_channel_info_scalar_closed_form():
     assert lautum > 0.0
 
 
+def test_channel_info_is_the_scipy_cholesky_solve_bit_for_bit():
+    # pins the solver: a switch to another factorization moves digits
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        dx = int(rng.integers(2, 6))
+        dy = int(rng.integers(2, 6))
+        A = rng.normal(size=(dy, dx))
+        root = rng.normal(size=(dx, dx))
+        rootn = rng.normal(size=(dy, dy))
+        channel = GaussianChannel(
+            A=A, Sigma=root @ root.T + 0.3 * np.eye(dx), SigmaN=rootn @ rootn.T + 0.3 * np.eye(dy)
+        )
+        noise = cho_factor((channel.SigmaN + channel.SigmaN.T) / 2.0, lower=True)
+        m = channel.A @ channel.Sigma @ channel.A.T
+        _, logdet_total = np.linalg.slogdet(channel.SigmaN + m)
+        mutual = 0.5 * (logdet_total - 2.0 * float(np.log(np.diag(noise[0])).sum()))
+        lautum = float(np.trace(cho_solve(noise, m))) - mutual
+        assert gaussian_channel_info(channel) == (mutual, lautum)
+
+
 def test_ismi_per_sample_information_matches_channel():
     # I(W; Z_i) through the scalar channel Z_i -> W with the other n - 1
     # samples and the posterior noise folded into the channel noise
