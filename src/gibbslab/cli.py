@@ -1023,6 +1023,10 @@ def validate_config(subcommand: str, user: object, seed: int | None = None) -> d
         for i, record in enumerate(config["configs"]):
             _built(f"configs[{i}]", record, GaussianMeanConfig)
         _built("decay_config", config["decay_config"], GaussianMeanConfig, n=config["decay_n"])
+        # the rate is the slope of a line fitted through the sizes
+        if len(set(config["ismi_ns"])) < 2:
+            raise ConfigInvalid(f"needs two distinct sizes, got {config['ismi_ns']}",
+                                path="ismi_ns")
         for n in config["ismi_ns"]:
             _built("ismi_config", config["ismi_config"], GaussianMeanConfig, n=n)
         index, count = config["two_point_config_index"], len(config["configs"])

@@ -132,7 +132,9 @@ def _spd_cholesky(matrix: np.ndarray, name: str):
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
-    """A linear channel Y = A X + N with Gaussian input and noise."""
+    """A linear channel Y = A X + N with Gaussian input and noise.  The
+    Cholesky factor of SigmaN that validates it is kept (_noise_factor) for
+    gaussian_channel_info."""
 
     A: np.ndarray
     Sigma: np.ndarray
@@ -143,7 +145,7 @@ class GaussianChannel:
         if a.ndim != 2:
             raise InvalidInput(f"A must be a matrix, got shape {a.shape}")
         _spd_cholesky(self.Sigma, "Sigma")
-        _spd_cholesky(self.SigmaN, "SigmaN")
+        noise = _spd_cholesky(self.SigmaN, "SigmaN")
         sig = np.asarray(self.Sigma, dtype=np.float64)
         sign = np.asarray(self.SigmaN, dtype=np.float64)
         if a.shape[1] != sig.shape[0] or a.shape[0] != sign.shape[0]:
@@ -154,6 +156,8 @@ class GaussianChannel:
             arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, field_name, arr)
+        noise[0].flags.writeable = False
+        object.__setattr__(self, "_noise_factor", noise)
 
 
 def gaussian_channel_info(channel: GaussianChannel) -> tuple[float, float]:
@@ -163,7 +167,7 @@ def gaussian_channel_info(channel: GaussianChannel) -> tuple[float, float]:
     lautum = tr(snr) - mutual; lautum >= mutual always because the trace
     dominates the log-determinant.
     """
-    noise = _spd_cholesky(channel.SigmaN, "SigmaN")
+    noise = channel._noise_factor
     m = channel.A @ channel.Sigma @ channel.A.T
     trace_term = float(np.trace(_linalg().cho_solve(noise, m)))
     total = channel.SigmaN + m

@@ -65,6 +65,13 @@ holds the evaluation either read last, so a caller that asks for the
 routes and then the bounds of a pair pays for one build, and at most one
 evaluation outlives its callers.  Every array an evaluation caches is
 read-only, so no caller can alter a shared one.
+One method, _Kernels.means, forms every mean of a (..., nw, m) table under
+the product of the marginals P_W x P_S and under the joint law P_{W,S}:
+gen is the gap of the empirical risk's two means (_Kernels.risks),
+regularized_gen reads gen, the regularizer gap and the covariance trace
+as such gaps under the Gibbs kernel of its penalized energy, and
+concavity_probe reads one kernel under a stack of the mixture and
+component laws.
 Its information functionals never leave the log domain, so the identity
 holds in the large-gamma (ERM) regime too, where linear-domain rows
 underflow; the tests check it at gamma up to 1e6.
@@ -231,8 +238,8 @@ class _Stack:
     index matrix (_dataset_indices), which like the supersample orbits
     depends on the shape alone and is built once for all the problems.  A
     stack of two or more needs every dataset law positive on every
-    dataset, since the Renyi sums compress the support of a stack of one
-    only (see _Sweep.renyi).
+    dataset for its Renyi sums, which compress the support of a stack of
+    one only (see _Sweep.renyi).
 
     The stack refers to its problems weakly: a problem caches its stack of
     one, and a reference back would make a cycle that only the garbage
@@ -248,7 +255,9 @@ class _Stack:
         self._problems = tuple(map(weakref.ref, problems))
         self.loss = _stacked([problem.loss for problem in problems])
         self._log_prior = _stacked([problem.prior.log_weights for problem in problems])
-        self._law_weights = _stacked([_model_weights(problem.data_model) for problem in problems])
+        models = (problem.data_model for problem in problems)
+        weights = [model.marginal.weights if self._iid else model.weights for model in models]
+        self._law_weights = _stacked(weights)
 
     @property
     def problems(self) -> tuple[LearningProblem, ...]:
@@ -274,7 +283,13 @@ class _Stack:
 
     @cached_property
     def _dataset_probs(self) -> np.ndarray:
-        return _tuple_probs(self._law_weights, self._dataset_indices, self._iid)
+        """The law of every dataset: the product of an IID marginal over each
+        tuple, or a joint law's own weights, not copied."""
+        if not self._iid:
+            return self._law_weights
+        probs = np.prod(self._law_weights[..., self._dataset_indices], axis=-1)
+        probs.flags.writeable = False
+        return probs
 
     @cached_property
     def _log_dataset_probs(self) -> np.ndarray:
@@ -379,22 +394,6 @@ def _index_matrix(base: int, length: int) -> np.ndarray:
     return cols
 
 
-def _model_weights(model: DataModel) -> np.ndarray:
-    """An IID model's marginal, or a joint model's weights over datasets."""
-    return model.marginal.weights if isinstance(model, IIDData) else model.weights
-
-
-def _tuple_probs(weights: np.ndarray, indices: np.ndarray, iid: bool) -> np.ndarray:
-    """The law of every dataset of an index matrix, from the data model's
-    read-only weights with any leading axes: the product of an IID marginal
-    over each tuple, or a joint law's own weights, not copied."""
-    if not iid:
-        return weights
-    probs = np.prod(weights[..., indices], axis=-1)
-    probs.flags.writeable = False
-    return probs
-
-
 def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) -> None:
     """Refuse an array of factor * base**exponent elements above
     ELEMENT_CAP, before anything is allocated, without forming a power
@@ -419,7 +418,8 @@ class _Kernels:
     else, each computed for every kernel on first use and cached
     read-only.  The stack's arrays lead with (p, 1) and so broadcast
     against the tables without being copied; a problem on its own is a
-    stack of one, (1, g, ...).
+    stack of one, (1, g, ...), and one kernel read under the p dataset
+    laws of a stack is a (1, 1, ...) table.
 
     Elementwise steps run on the whole table; sums over hypotheses run over
     axis -2 and sums over datasets over the last axis, so each row reduces
@@ -485,6 +485,29 @@ class _Kernels:
             for mutual, lautum in self._expected_divergences(self.log_marginal)
         )
 
+    def means(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per kernel, the mean of a (..., num_hypotheses, m) table f(w, s)
+        under the product of the hypothesis marginal and the data law, and
+        under the joint law of (W, S), each with the kernels' lead.  The
+        product mean less the joint mean is the gap that gen (f the
+        empirical risk) and the regularizer gap (f = R) are."""
+        probs = self.stack._dataset_probs[..., None, :]
+        terms = np.multiply(self.row_array, table)
+        terms *= probs
+        joint = terms.sum(axis=-1).sum(axis=-1)
+        # the table's mean under the data law, in the same memory, so a call
+        # holds one table-sized temporary at a time
+        data_mean = np.multiply(table, probs, out=terms).sum(axis=-1)
+        return _expect(self.hypothesis_marginal, data_mean), joint
+
+    @cached_property
+    def risks(self) -> list[tuple[float, float]]:
+        """(population, empirical): the mean empirical risk under the product
+        law, which is the expected population risk of the hypothesis
+        marginal, and under the joint law of (W, S)."""
+        population, empirical = self.means(self.stack._empirical_risk)
+        return list(zip(population.ravel().tolist(), empirical.ravel().tolist()))
+
 
 @dataclass(frozen=True, eq=False)
 class _Sweep(_Kernels):
@@ -502,17 +525,6 @@ class _Sweep(_Kernels):
         to the population-risk Gibbs law and back."""
         gammas = np.array(self.gammas)[:, None]
         return self._expected_divergences(_log_population(self.stack, gammas))
-
-    @cached_property
-    def risks(self) -> list[tuple[float, float]]:
-        """(population, empirical): the expected population risk of the
-        hypothesis marginal and the expected empirical risk, under the
-        joint law of (W, S)."""
-        stack = self.stack
-        population = _expect(self.hypothesis_marginal, stack._population_risk)
-        empirical = np.multiply(self.row_array, stack._empirical_risk)
-        empirical = _expect(empirical, stack._dataset_probs[..., None, :]).sum(axis=-1)
-        return list(zip(population.ravel().tolist(), empirical.ravel().tolist()))
 
     @cached_property
     def total_variation(self) -> list[float]:
@@ -678,14 +690,24 @@ def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPoster
     size = _per_block(risk.size)
     for start in range(0, len(values), size):
         chunk = values[start : start + size]
-        logits = stack._log_prior[..., None] - np.array(chunk)[:, None, None] * risk
-        log_rows = logits - _logsumexp(logits, axis=-2, keepdims=True)
-        log_rows.flags.writeable = False
-        del logits
+        log_rows = _gibbs_log_rows(stack._log_prior, np.array(chunk)[:, None, None], risk)
         sweep = _Sweep(stack=stack, log_rows=log_rows, gammas=tuple(chunk))
         for index in range(math.prod(log_rows.shape[:-2])):
             yield GibbsPosterior(sweep, index)
         del sweep
+
+
+def _gibbs_log_rows(
+    log_prior: np.ndarray, gamma: float | np.ndarray, energy: np.ndarray
+) -> np.ndarray:
+    """The read-only log rows of the Gibbs kernels prior(w) * exp(-gamma *
+    energy(w, s)) / V(s), from (..., nw) log priors, a gamma or a (g, 1, 1)
+    column of them, and a (..., nw, m) energy table: the empirical risk, or
+    it plus a penalty."""
+    logits = log_prior[..., None] - gamma * energy
+    log_rows = logits - _logsumexp(logits, axis=-2, keepdims=True)
+    log_rows.flags.writeable = False
+    return log_rows
 
 
 def _shape_sweep(
@@ -822,21 +844,6 @@ def _expect(table: np.ndarray, law: np.ndarray) -> np.ndarray:
     contiguous axis: one pairwise sum per row, so a row of a stack reads
     what it reads alone."""
     return np.multiply(table, law).sum(axis=-1)
-
-
-def _risk_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -> float:
-    """E[empirical risk] of a fixed posterior kernel, given by its
-    (num_hypotheses, m) rows, under a dataset law."""
-    return float(_expect(np.multiply(rows, empirical), probs).sum())
-
-
-def _gen_under_law(rows: np.ndarray, empirical: np.ndarray, probs: np.ndarray) -> float:
-    """Generalization error of a fixed posterior kernel under a dataset law:
-    the population risk of the induced hypothesis marginal minus the
-    expected empirical risk."""
-    marginal = _expect(rows, probs)
-    on_population = float(_expect(marginal, _expect(empirical, probs)))
-    return on_population - _risk_under_law(rows, empirical, probs)
 
 
 def _require_iid_routes(stack: _Stack) -> None:
@@ -1171,31 +1178,24 @@ def regularized_gen(
         if not np.all(np.isfinite(regularizer)) or np.any(regularizer < 0.0):
             raise InvalidInput("regularizer entries must be finite and nonnegative")
 
-    # tilt the plain kernel by exp(-gamma * lam * R) and renormalize each
-    # row: a kernel, but not the Gibbs posterior of the problem at gamma
-    tilted = gibbs_posterior(problem, gamma).log_rows.T - (gamma * lam) * regularizer
-    kernel = _Kernels(stack, (tilted - _logsumexp(tilted, axis=0, keepdims=True))[None, None])
+    # the Gibbs kernel of the penalized energy, built as _gibbs_sweep builds
+    # the plain one: at lam = 0 it is that kernel bit for bit
+    energy = stack._empirical_risk + lam * regularizer
+    kernel = _Kernels(stack, _gibbs_log_rows(stack._log_prior, gamma, energy))
 
-    probs = stack._dataset_probs[0, 0]
-    rows = kernel.row_array[0, 0]
-    marginal = kernel.hypothesis_marginal[0, 0]
-    gen = _gen_under_law(rows, stack._empirical_risk[0, 0], probs)
-    iskl_over_gamma = kernel.info[0].symmetrized / gamma
-    joint_mean = _risk_under_law(rows, regularizer, probs)
-    product_mean = float(_expect(_expect(regularizer, probs), marginal))
-    reg_gap = product_mean - joint_mean
+    def gap(table: np.ndarray) -> float:
+        product, joint = kernel.means(table)
+        return product.item() - joint.item()
 
     trace_cov = None
     if emb is not None:
-        mean_emb = _expect(emb.T, marginal)
-        mean_tgt = _expect(tgt, probs)
-        # emb[w] . tgt[:, s] for every pair, in the diff table's memory
-        dots = np.multiply(emb[:, :, None], tgt, out=diff).sum(axis=1)
-        trace_cov = _risk_under_law(rows, dots, probs) - float(_expect(mean_emb, mean_tgt))
+        # emb[w] . tgt[:, s] for every pair, in the diff table's memory; the
+        # covariance is its joint mean less its product mean
+        trace_cov = -gap(np.multiply(emb[:, :, None], tgt, out=diff).sum(axis=1))
     return RegularizedGenReport(
-        gen=gen,
-        iskl_over_gamma=iskl_over_gamma,
-        reg_gap=reg_gap,
+        gen=gap(stack._empirical_risk),
+        iskl_over_gamma=kernel.info[0].symmetrized / gamma,
+        reg_gap=gap(regularizer),
         lam=float(lam),
         trace_cov=trace_cov,
     )
@@ -1234,24 +1234,23 @@ def concavity_probe(
     arithmetic).  Callers sampling generic mixtures should be prepared
     to catch IdentityMismatch.
     """
+    _require_gamma(gamma)
     weights = ProbVec(np.array([w for w, _ in components], dtype=np.float64))
-    indices = problem._stack._dataset_indices
-    component_probs = [
-        _tuple_probs(_model_weights(model), indices, isinstance(model, IIDData))
+    laws = [
+        dataclasses.replace(problem, data_model=model)._stack._dataset_probs[0, 0]
         for _, model in components
     ]
     mixture = np.zeros(problem.dataset_count)
-    for w, probs in zip(weights.weights, component_probs):
+    for w, probs in zip(weights.weights, laws):
         mixture += w * probs
-    mixture_problem = dataclasses.replace(problem, data_model=JointData(mixture))
-    posterior = gibbs_posterior(mixture_problem, gamma)
-    rows = posterior.row_array.T
-    empirical = mixture_problem._stack._empirical_risk[0, 0]
-    gen_mixture = _gen_under_law(rows, empirical, mixture_problem._stack._dataset_probs[0, 0])
-    avg_gen = sum(
-        float(w) * _gen_under_law(rows, empirical, probs)
-        for w, probs in zip(weights.weights, component_probs)
+    # one member per law, the mixture's first, all read with one kernel
+    stack = _Stack(
+        [dataclasses.replace(problem, data_model=JointData(law)) for law in [mixture, *laws]]
     )
+    log_rows = _gibbs_log_rows(stack._log_prior[:1], gamma, stack._empirical_risk[:1])
+    kernel = _Kernels(stack, log_rows)
+    gen_mixture, *gens = [population - empirical for population, empirical in kernel.risks]
+    avg_gen = sum(float(w) * gen for w, gen in zip(weights.weights, gens))
     if gen_mixture < avg_gen - CONCAVITY_SLACK:
         raise IdentityMismatch(
             f"mixture error {gen_mixture!r} fell below the component average {avg_gen!r}"

@@ -431,6 +431,9 @@ CONFIG_ERRORS = [
      (), "configs[2].n"),
     ("pac-bayes", {"config": {"n": 10**12}}, (), "config.n"),
     ("pac-bayes", {"config": {"n": 10**4 + 1}}, (), "config.n"),
+    # a rate fitted through one distinct size measures nothing
+    ("gaussian-mean", {"ismi_ns": [100]}, (), "ismi_ns"),
+    ("gaussian-mean", {"ismi_ns": [100, 100]}, (), "ismi_ns"),
 ]
 
 

@@ -171,6 +171,25 @@ def test_channel_info_is_the_scipy_cholesky_solve_bit_for_bit():
         assert gaussian_channel_info(channel) == (mutual, lautum)
 
 
+def test_mean_closed_forms_factors_each_covariance_once(monkeypatch):
+    # the channel keeps the SigmaN factor that validates it, so the
+    # information split factors Sigma and SigmaN once each
+    import scipy.linalg
+
+    calls = []
+    factor = scipy.linalg.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    for d in (1, 3):
+        calls.clear()
+        mean_closed_forms(make_config(d=d))
+        assert len(calls) == 2
+
+
 def test_ismi_per_sample_information_matches_channel():
     # I(W; Z_i) through the scalar channel Z_i -> W with the other n - 1
     # samples and the posterior noise folded into the channel noise

@@ -961,7 +961,9 @@ def test_regularized_gen_zero_lambda_matches_plain():
         table = rng.random((problem.num_hypotheses, problem.dataset_count))
         report = regularized_gen(problem, gamma, 0.0, table)
         plain = gen_characterizations(problem, gamma)
-        assert abs(report.gen - plain.direct) < 1e-12
+        # at lam = 0 the penalized kernel is the plain one, bit for bit
+        assert report.gen == plain.direct
+        assert report.iskl_over_gamma == plain.via_iskl
 
 
 def test_regularized_gen_identity_holds_with_penalty():

@@ -1,7 +1,8 @@
 """The whole-table kernels on hypothesis-major (g, nw, m) tables: every
-number bit for bit against frozen copies of the formulas they replaced,
-the layout of every cached table, the memory each call keeps, and
-numbers that do not depend on the BLAS thread count."""
+number, the concavity probe's too, bit for bit against frozen copies of
+the formulas they replaced, the layout of every cached table, the memory
+each call keeps, and numbers that do not depend on the BLAS thread
+count."""
 
 import dataclasses
 import inspect
@@ -17,8 +18,21 @@ import pytest
 
 import gibbslab.gibbs
 import gibbslab.probability
-from gibbslab import IIDData, JointData, LearningProblem, ProbVec, bounds_table, gen_characterizations
-from gibbslab.gibbs import GenReport, _gibbs_sweep, _log_population, gibbs_posterior
+from gibbslab import (
+    IdentityMismatch,
+    IIDData,
+    JointData,
+    LearningProblem,
+    ProbVec,
+    bounds_table,
+    concavity_probe,
+    gen_characterizations,
+    instance_rng,
+    random_mixture_components,
+    random_problem,
+)
+from gibbslab.cli import DEFAULTS
+from gibbslab.gibbs import CONCAVITY_SLACK, GenReport, _gibbs_sweep, _log_population, gibbs_posterior
 from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_sums
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
@@ -373,6 +387,99 @@ def test_every_table_is_hypothesis_major():
     # gibbs_posterior is a sweep of the problem's stack of one at one gamma
     problem = lone[0][0]
     assert gibbs_posterior(problem, 1.0)._sweep.log_rows.shape == (1, 1, 5, 4**7)
+
+
+# Frozen copies of the fixed-kernel expectations that concavity_probe read
+# before it read its kernel through _Kernels.means, and the probe as it was
+# written on them: the references the probe must match.
+
+
+def frozen_risk_under_law(rows, empirical, probs):
+    return float(((rows * empirical) * probs).sum(axis=-1).sum())
+
+
+def frozen_gen_under_law(rows, empirical, probs):
+    marginal = (rows * probs).sum(axis=-1)
+    on_population = float((marginal * (empirical * probs).sum(axis=-1)).sum(axis=-1))
+    return on_population - frozen_risk_under_law(rows, empirical, probs)
+
+
+def frozen_concavity(components, problem, gamma):
+    weights = ProbVec(np.array([w for w, _ in components], dtype=np.float64))
+    indices = problem._stack._dataset_indices
+    component_probs = [
+        np.prod(model.marginal.weights[indices], axis=-1)
+        if isinstance(model, IIDData)
+        else model.weights
+        for _, model in components
+    ]
+    mixture = np.zeros(problem.dataset_count)
+    for w, probs in zip(weights.weights, component_probs):
+        mixture += w * probs
+    mixture_problem = dataclasses.replace(problem, data_model=JointData(mixture))
+    rows = gibbs_posterior(mixture_problem, gamma).row_array.T
+    empirical = mixture_problem._stack._empirical_risk[0, 0]
+    gen_mixture = frozen_gen_under_law(rows, empirical, mixture_problem._stack._dataset_probs[0, 0])
+    avg_gen = sum(
+        float(w) * frozen_gen_under_law(rows, empirical, probs)
+        for w, probs in zip(weights.weights, component_probs)
+    )
+    return gen_mixture, avg_gen
+
+
+def assert_probe_matches_the_frozen_one(components, problem, gamma):
+    expected = frozen_concavity(components, problem, gamma)
+    try:
+        got = concavity_probe(components, problem, gamma)
+    except IdentityMismatch:
+        assert expected[0] < expected[1] - CONCAVITY_SLACK
+    else:
+        assert bits(got).tolist() == bits(expected).tolist()
+
+
+def test_concavity_probe_matches_the_frozen_expectations_on_the_default_mixtures():
+    config = DEFAULTS["verify-identities"]
+    for i in range(config["mixture_instances"]):
+        rng = instance_rng(config["seed"], 30_000 + i)
+        problem = random_problem(rng, iid=True)
+        components = random_mixture_components(rng, problem)
+        assert_probe_matches_the_frozen_one(components, problem, config["mixture_gamma"])
+
+
+def test_concavity_probe_matches_the_frozen_expectations_on_mixed_and_zero_laws():
+    problem = problem_of(3, 3, 4, True)
+    rng = np.random.default_rng(20)
+    joint = rng.random(27)
+    iid = np.array([0.5, 0.0, 0.5])
+    # one joint and one IID component, then an IID component whose tuple
+    # law is zero on every dataset that holds symbol 1, and a joint one
+    # with zeros of its own
+    sparse = np.where(rng.random(27) < 0.3, 0.0, joint)
+    cases = [
+        [(0.3, JointData(joint / joint.sum())), (0.7, problem.data_model)],
+        [(0.6, IIDData(ProbVec(iid))), (0.4, problem.data_model)],
+        [(0.25, JointData(sparse / sparse.sum())), (0.75, IIDData(ProbVec(iid)))],
+    ]
+    for components in cases:
+        for gamma in (0.5, 2.0, 50.0):
+            assert_probe_matches_the_frozen_one(components, problem, gamma)
+
+
+def test_concavity_probe_builds_one_kernel_whatever_its_components(monkeypatch):
+    built = []
+    log_rows = gibbslab.gibbs._gibbs_log_rows
+
+    def counted(*args):
+        built.append(log_rows(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gibbslab.gibbs, "_gibbs_log_rows", counted)
+    problem = problem_of(3, 2, 4, True)
+    marginal = problem.data_model.marginal
+    for count in (1, 2, 5):
+        built.clear()
+        concavity_probe([(1.0 / count, IIDData(marginal))] * count, problem, 2.0)
+        assert [table.shape for table in built] == [(1, 1, 4, 9)]
 
 
 # evaluates lib-wide's joint problem at four gammas and prints the reprs
