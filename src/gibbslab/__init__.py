@@ -33,7 +33,6 @@ from .bounds import (
 )
 from .errors import (
     AbsoluteContinuityViolation,
-    AlphabetMismatch,
     AlphaOutOfRange,
     ConfigInvalid,
     DeltaOutOfRange,
@@ -76,22 +75,12 @@ from .gibbs import (
     chain_rule_example,
     concavity_probe,
     empirical_risk_curve,
-    expected_empirical_risk,
     gen_characterizations,
     gen_error_direct,
     gibbs_posterior,
-    population_gibbs,
     regularized_gen,
 )
-from .probability import (
-    InfoReport,
-    JointTable,
-    ProbVec,
-    info_triple,
-    kl_divergence,
-    renyi_divergence,
-    total_variation,
-)
+from .probability import InfoReport, JointTable, ProbVec, info_triple
 from .problems import instance_rng, instance_sweep, random_mixture_components, random_problem
 from .samplers import SgldConfig, sgld_run
 from .serialize import (

@@ -21,10 +21,6 @@ class InvalidDistribution(InvalidInput):
     """Weights are negative, non-finite, or do not sum to one."""
 
 
-class AlphabetMismatch(InvalidInput):
-    """Two distributions were combined over different index sets."""
-
-
 class AbsoluteContinuityViolation(GibbsLabError):
     """A divergence required p ≪ q but some q_i = 0 carries p_i > 0."""
 

@@ -85,6 +85,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,7 +108,6 @@ from .probability import (
     ProbVec,
     ZERO_CUTOFF,
     _divergence_pair,
-    _labels,
     _logsumexp,
     _per_block,
     _product_of_marginals,
@@ -152,6 +152,12 @@ class JointData:
 
 
 DataModel = IIDData | JointData
+
+
+def _labels(given) -> tuple | range:
+    """Labels as a tuple, or as the range given, so that range labels take
+    constant memory however many there are."""
+    return given if isinstance(given, range) else tuple(given)
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,11 +605,8 @@ class _Sweep(_Kernels):
 class _Slice:
     """A GibbsPosterior attribute: the member's slice of the sweep's value
     of the same name, a list or an array whose (p, g) lead is read as one
-    member axis; transposed when dataset_major: a (num_hypotheses, m)
-    table is then read as its (m, num_hypotheses) view."""
-
-    def __init__(self, dataset_major: bool = False) -> None:
-        self.dataset_major = dataset_major
+    member axis, so a (p, g, num_hypotheses, m) table is read as its
+    member's (num_hypotheses, m) view."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -614,8 +617,7 @@ class _Slice:
         value = getattr(member._sweep, self.name)
         if isinstance(value, np.ndarray):
             value = value.reshape((-1,) + value.shape[2:])
-        value = value[member._index]
-        return value.T if self.dataset_major else value
+        return value[member._index]
 
 
 class GibbsPosterior:
@@ -626,8 +628,9 @@ class GibbsPosterior:
     of one (see _gibbs_sweep): each functional below is the member's slice
     of the sweep's, which the sweep computes for all its members the first
     time any of them asks.  Every array is read-only.  log_rows, row_array
-    and log_kernel are (m, num_hypotheses), one row per dataset: views of
-    the sweep's (p, g, num_hypotheses, m) tables."""
+    and log_kernel are (num_hypotheses, m), one column per dataset: views
+    of the sweep's (p, g, num_hypotheses, m) tables, in the layout of every
+    table."""
 
     def __init__(self, sweep: _Sweep, index: int) -> None:
         self._sweep = sweep
@@ -644,10 +647,10 @@ class GibbsPosterior:
     def gamma(self) -> float:
         return self._gamma
 
-    log_rows = _Slice(dataset_major=True)
-    row_array = _Slice(dataset_major=True)
+    log_rows = _Slice()
+    row_array = _Slice()
     hypothesis_marginal = _Slice()
-    log_kernel = _Slice(dataset_major=True)
+    log_kernel = _Slice()
     log_marginal = _Slice()
     info = _Slice()
     reference_divergences = _Slice()
@@ -659,8 +662,8 @@ class GibbsPosterior:
     def renyi(self, alphas: Sequence[float]) -> tuple[float, ...]:
         """The sum of the two directed Renyi divergences of each order in
         alphas between the joint law of (W, S) and the product of its
-        marginals.  Raises AlphaOutOfRange, as renyi_divergence does, for
-        an order that is not a finite real, positive and != 1."""
+        marginals.  Raises AlphaOutOfRange for an order that is not a
+        finite real, positive and != 1."""
         alphas = tuple(alphas)
         for alpha in alphas:
             _require_order(alpha)
@@ -818,25 +821,11 @@ def _log_population(stack: _Stack, gamma) -> np.ndarray:
     return logits - _logsumexp(logits, axis=-1, keepdims=True)
 
 
-def population_gibbs(problem: LearningProblem, gamma: float) -> ProbVec:
-    """The Gibbs law built on the population risk instead of the empirical
-    risk; the hypothesis-space reference measure of the divergence form."""
-    _require_gamma(gamma)
-    weights = np.exp(_log_population(problem._stack, gamma)[0, 0])
-    weights /= weights.sum()
-    return ProbVec(weights, problem.hypothesis_set)
-
-
 def gen_error_direct(posterior: GibbsPosterior) -> float:
     """Expected generalization error straight from the definition:
     E[population risk - empirical risk] under the joint law of (W, S)."""
     population, empirical = posterior.risks
     return population - empirical
-
-
-def expected_empirical_risk(posterior: GibbsPosterior) -> float:
-    """E[empirical risk] under the joint law of (W, S)."""
-    return posterior.risks[1]
 
 
 def _expect(table: np.ndarray, law: np.ndarray) -> np.ndarray:
@@ -1212,7 +1201,10 @@ def empirical_risk_curve(
         raise InvalidInput("need at least one gamma")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInput("gammas must be strictly increasing")
-    return list(map(expected_empirical_risk, _gibbs_sweep(problem._stack, values)))
+    # map keeps no member between calls, so one chunk is alive at a time; a
+    # loop variable over the members would hold one into the next chunk
+    risks = map(operator.attrgetter("risks"), _gibbs_sweep(problem._stack, values))
+    return [empirical for _, empirical in risks]
 
 
 def concavity_probe(
@@ -1288,10 +1280,10 @@ def chain_rule_example(epsilon: float) -> ChainRuleReport:
         cube[1, z1, z2] = 0.25 - epsilon
         cube[0, z1, z2] = epsilon
 
-    info_first = info_triple(JointTable(cube.sum(axis=2), (0, 1), (0, 1)))
-    info_second = info_triple(JointTable(cube.sum(axis=1), (0, 1), (0, 1)))
-    pair_alphabet = ((0, 0), (0, 1), (1, 0), (1, 1))
-    info_pair = info_triple(JointTable(cube.reshape(2, 4), (0, 1), pair_alphabet))
+    info_first = info_triple(JointTable(cube.sum(axis=2)))
+    info_second = info_triple(JointTable(cube.sum(axis=1)))
+    # the pair (z1, z2) as one column symbol, 2 * z1 + z2
+    info_pair = info_triple(JointTable(cube.reshape(2, 4)))
     individual_sum = info_first.symmetrized + info_second.symmetrized
     return ChainRuleReport(
         info_first=info_first,

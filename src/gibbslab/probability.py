@@ -2,9 +2,12 @@
 
 Everything downstream (Gibbs posteriors, bound suites, counterexamples) is
 built on exact tabulated distributions, so this module is deliberately
-strict: weights must be nonnegative and normalized to 1e-12, divergences
-demand absolute continuity instead of returning infinities, and all
-ratio-of-probability arithmetic runs in the log domain.
+strict: ProbVec and JointTable weights must be nonnegative and normalized
+to 1e-12, info_triple demands absolute continuity instead of returning
+infinities, and all ratio-of-probability arithmetic runs in the log
+domain.  The array kernels below (log-sum-exp, the divergence pair, the
+Renyi sums, total variation) take weight arrays, stacked or not; the
+functionals of gibbs.GibbsPosterior read every divergence through them.
 
 Conventions:
   * All information quantities are in nats.
@@ -17,7 +20,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import (
     AbsoluteContinuityViolation,
     AlphaOutOfRange,
-    AlphabetMismatch,
     InvalidDistribution,
     InvalidInput,
 )
@@ -59,22 +60,6 @@ def _as_weight_array(weights: object, ndim: int) -> np.ndarray:
     return arr
 
 
-def _labels(given, size: int = 0) -> tuple | range:
-    """Labels as a tuple, or as the range given: range(size) when none are
-    given, so default labels take constant memory however many there are."""
-    if isinstance(given, range):
-        return given
-    return tuple(given) or range(size)
-
-
-def _same_labels(first: tuple | range, second: tuple | range) -> bool:
-    """Whether two label sequences hold equal labels in the same order: a
-    range matches the tuple of its ints."""
-    if type(first) is type(second):
-        return first == second
-    return len(first) == len(second) and all(map(operator.eq, first, second))
-
-
 def _zeroed(weights: np.ndarray) -> np.ndarray:
     """Weights with sub-cutoff entries replaced by exact zeros."""
     return np.where(weights < ZERO_CUTOFF, 0.0, weights)
@@ -82,22 +67,16 @@ def _zeroed(weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProbVec:
-    """A probability distribution on a finite labeled alphabet.
+    """A probability distribution on a finite alphabet, given by its weights.
 
     Immutable after construction; the weight array is marked read-only and
     log weights are cached on first use (zeros map to -inf).
     """
 
     weights: np.ndarray
-    alphabet: tuple | range = ()
 
     def __post_init__(self) -> None:
-        arr = _as_weight_array(self.weights, ndim=1)
-        object.__setattr__(self, "weights", arr)
-        alphabet = _labels(self.alphabet, arr.size)
-        if len(alphabet) != arr.size:
-            raise AlphabetMismatch(f"alphabet has {len(alphabet)} labels for {arr.size} weights")
-        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "weights", _as_weight_array(self.weights, ndim=1))
 
     @cached_property
     def log_weights(self) -> np.ndarray:
@@ -112,26 +91,14 @@ class ProbVec:
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """A joint distribution on the product of two finite alphabets.
-
-    ``table[i, j]`` is the probability of ``(row_alphabet[i], col_alphabet[j])``.
+    """A joint distribution on the product of two finite alphabets:
+    ``table[i, j]`` is the probability of row symbol i with column symbol j.
     """
 
     table: np.ndarray
-    row_alphabet: tuple | range = ()
-    col_alphabet: tuple | range = ()
 
     def __post_init__(self) -> None:
-        arr = _as_weight_array(self.table, ndim=2)
-        object.__setattr__(self, "table", arr)
-        rows = _labels(self.row_alphabet, arr.shape[0])
-        cols = _labels(self.col_alphabet, arr.shape[1])
-        if (len(rows), len(cols)) != arr.shape:
-            raise AlphabetMismatch(
-                f"alphabet sizes {(len(rows), len(cols))} do not match table shape {arr.shape}"
-            )
-        object.__setattr__(self, "row_alphabet", rows)
-        object.__setattr__(self, "col_alphabet", cols)
+        object.__setattr__(self, "table", _as_weight_array(self.table, ndim=2))
 
 
 @dataclass(frozen=True)
@@ -154,15 +121,8 @@ class InfoReport:
             raise InvalidInput("symmetrized must equal mutual + lautum")
 
 
-def _require_same_alphabet(p: ProbVec, q: ProbVec) -> None:
-    if not _same_labels(p.alphabet, q.alphabet):
-        raise AlphabetMismatch(
-            f"distributions live on different alphabets ({len(p)} vs {len(q)} labels)"
-        )
-
-
-# Array kernels: each formula once, called by the validated public functions
-# below and by the log-domain functionals of gibbs.GibbsPosterior.
+# Array kernels: each formula once, called by info_triple below and by the
+# log-domain functionals of gibbs.GibbsPosterior.
 
 
 def _logsumexp(a: np.ndarray, axis=None, keepdims: bool = False):
@@ -241,24 +201,18 @@ def _per_block(elements: int) -> int:
     return max(1, BLOCK_ELEMENTS // elements)
 
 
-def _renyi_sums(
-    log_p: np.ndarray,
-    log_q: np.ndarray,
-    alphas,
-    p_off: float = 0.0,
-    q_off: float = 0.0,
-) -> np.ndarray:
+def _renyi_sums(log_p: np.ndarray, log_q: np.ndarray, alphas) -> np.ndarray:
     """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for every order in alphas and
     every pair of normalized laws in a stack, as a (len(alphas), pairs)
-    array.  log_p[k] and log_q[k] hold pair k's finite log weights on its
-    common support, summed over every axis after the first exactly as a
-    lone pair's would be; p_off and q_off are the masses the laws put
-    outside it.  Near independence the sum is 1 + u, taken by
-    _near_renyi_sums.  Far apart the sum is taken by log-sum-exp, the pairs
-    and orders that need it sharing calls of at most BLOCK_ELEMENTS
-    elements, or one pair each when a pair is larger."""
+    array.  log_p[k] and log_q[k] hold pair k's finite log weights on a
+    support that carries all the mass of both laws, summed over every axis
+    after the first exactly as a lone pair's would be.  Near independence
+    the sum is 1 + u, taken by _near_renyi_sums.  Far apart the sum is
+    taken by log-sum-exp, the pairs and orders that need it sharing calls
+    of at most BLOCK_ELEMENTS elements, or one pair each when a pair is
+    larger."""
     out = np.empty((len(alphas), log_p.shape[0]))
-    far = _near_renyi_sums(out, log_p, log_q, alphas, p_off, q_off)
+    far = _near_renyi_sums(out, log_p, log_q, alphas)
     axes = tuple(range(1, log_p.ndim))
     per_call = _per_block(log_p[0].size)
     for start in range(0, len(far), per_call):
@@ -272,16 +226,15 @@ def _renyi_sums(
     return out
 
 
-def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas, p_off: float, q_off: float) -> list:
+def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas) -> list:
     """Fill out[i, k] with _renyi_sums' value for order i and pair k where
     the sum is 1 + u with |u| < 1, u = sum q (expm1(alpha r) - alpha
-    expm1(r)) - (1 - alpha) q_off - alpha p_off and r = log p - log q, which
-    keeps small divergences accurate as in _divergence_pair; return the
-    (i, k) of the others.  r, exp(log q) and expm1(r) are formed once for
-    all orders, each order's terms in one more array of their size (four
-    tables, freed when this returns, before the far sums' log-sum-exp
-    takes its own), and alpha expm1(r) a flat block of at most 4,096
-    elements at a time."""
+    expm1(r)) and r = log p - log q, which keeps small divergences accurate
+    as in _divergence_pair; return the (i, k) of the others.  r, exp(log q)
+    and expm1(r) are formed once for all orders, each order's terms in one
+    more array of their size (four tables, freed when this returns, before
+    the far sums' log-sum-exp takes its own), and alpha expm1(r) a flat
+    block of at most 4,096 elements at a time."""
     axes = tuple(range(1, log_p.ndim))
     far = []
     r = np.subtract(log_p, log_q)
@@ -302,19 +255,11 @@ def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas, p_off: float, q_off:
                 terms_block -= np.multiply(em1_block, alpha, out=scaled[: em1_block.size])
             terms *= q
             for k, u in enumerate(terms.sum(axis=axes).tolist()):
-                u -= (1.0 - alpha) * q_off + alpha * p_off
                 if abs(u) < 1.0:
                     out[i, k] = math.log1p(u) / (alpha - 1.0)
                 else:
                     far.append((i, k))
     return far
-
-
-def _renyi_sum(
-    log_p: np.ndarray, log_q: np.ndarray, alpha: float, p_off: float = 0.0, q_off: float = 0.0
-) -> float:
-    """_renyi_sums for one pair of laws and one order."""
-    return float(_renyi_sums(log_p[None], log_q[None], (alpha,), p_off, q_off)[0, 0])
 
 
 def _product_of_marginals(table: np.ndarray) -> np.ndarray:
@@ -356,47 +301,6 @@ def _require_order(alpha: float) -> None:
         raise AlphaOutOfRange(f"alpha must be a finite real, got {alpha!r}")
     if alpha <= 0.0 or alpha == 1.0:
         raise AlphaOutOfRange(f"alpha must be > 0 and != 1, got {alpha!r}")
-
-
-def kl_divergence(p: ProbVec, q: ProbVec) -> float:
-    """KL divergence D(p || q) in nats; requires p absolutely continuous
-    with respect to q."""
-    _require_same_alphabet(p, q)
-    return _kl_arrays(p.weights, q.weights, "kl_divergence")
-
-
-def renyi_divergence(p: ProbVec, q: ProbVec, alpha: float) -> float:
-    """Renyi divergence of order alpha: ln(sum p^alpha q^(1-alpha)) / (alpha - 1).
-
-    alpha must be positive and different from 1; callers wanting the
-    alpha -> 1 limit should call kl_divergence instead.  For alpha > 1, p
-    must be absolutely continuous with respect to q.
-    """
-    _require_order(alpha)
-    _require_same_alphabet(p, q)
-    pw = _zeroed(p.weights)
-    qw = _zeroed(q.weights)
-    if alpha > 1.0:
-        bad = (pw > 0.0) & (qw == 0.0)
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
-            raise AbsoluteContinuityViolation(
-                f"renyi_divergence with alpha={alpha}: p has mass where q is zero at index {idx}",
-                index=idx,
-            )
-    # Terms with p_i = 0 vanish for every alpha > 0; for alpha < 1 so do
-    # terms with q_i = 0.
-    mask = (pw > 0.0) & (qw > 0.0)
-    if not mask.any():
-        raise AbsoluteContinuityViolation("renyi_divergence: supports are disjoint")
-    off = (float(pw[~mask].sum()), float(qw[~mask].sum()))
-    return _renyi_sum(np.log(pw[mask]), np.log(qw[mask]), alpha, *off)
-
-
-def total_variation(p: ProbVec, q: ProbVec) -> float:
-    """Total variation in the sum |p_i - q_i| convention, range [0, 2]."""
-    _require_same_alphabet(p, q)
-    return float(_total_variation(p.weights, q.weights))
 
 
 def info_triple(joint: JointTable) -> InfoReport:

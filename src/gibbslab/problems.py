@@ -108,6 +108,6 @@ def random_mixture_components(
     w = float(rng.uniform(0.2, 0.8))
     nz = problem.num_samples_symbols
     return [
-        (w, IIDData(ProbVec(_positive_weights(rng, nz), problem.sample_alphabet))),
-        (1.0 - w, IIDData(ProbVec(_positive_weights(rng, nz), problem.sample_alphabet))),
+        (w, IIDData(ProbVec(_positive_weights(rng, nz)))),
+        (1.0 - w, IIDData(ProbVec(_positive_weights(rng, nz)))),
     ]

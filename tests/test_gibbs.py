@@ -32,7 +32,6 @@ from gibbslab import (
     gen_error_direct,
     gibbs_posterior,
     instance_rng,
-    population_gibbs,
     InfoDivergenceReport,
     RatioConstants,
     bounds_table,
@@ -47,8 +46,8 @@ from gibbslab.gibbs import (
     ELEMENT_CAP,
     GenReport,
     _gibbs_sweep,
+    _log_population,
     _shape_sweep,
-    expected_empirical_risk,
 )
 
 
@@ -76,9 +75,9 @@ def test_posterior_rows_are_distributions():
     problem = small_problem(1)
     posterior = gibbs_posterior(problem, 2.0)
     rows = posterior.row_array
-    assert rows.shape == (problem.dataset_count, problem.num_hypotheses)
+    assert rows.shape == (problem.num_hypotheses, problem.dataset_count)
     assert np.all(rows > 0.0)
-    assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(rows.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_gamma_scaling_invariance():
@@ -98,23 +97,23 @@ def test_large_gamma_concentrates_on_minimizers():
     rows = gibbs_posterior(problem, 1e6).row_array
     for s in range(problem.dataset_count):
         best = int(np.argmin(problem._stack._empirical_risk[0, 0, :, s]))
-        assert rows[s, best] > 0.999
+        assert rows[best, s] > 0.999
 
 
 def test_tiny_gamma_approaches_prior():
     problem = small_problem(4)
     rows = gibbs_posterior(problem, 1e-9).row_array
-    assert np.max(np.abs(rows - problem.prior.weights[None, :])) < 1e-8
+    assert np.max(np.abs(rows - problem.prior.weights[:, None])) < 1e-8
     # zero inverse temperature is allowed and gives the prior exactly
     flat = gibbs_posterior(problem, 0.0).row_array
-    assert np.max(np.abs(flat - problem.prior.weights[None, :])) < 1e-15
+    assert np.max(np.abs(flat - problem.prior.weights[:, None])) < 1e-15
 
 
 def test_population_gibbs_is_a_distribution():
     problem = small_problem(5)
-    candidate = population_gibbs(problem, 2.5)
-    assert abs(candidate.weights.sum() - 1.0) < 1e-12
-    assert np.all(candidate.weights > 0.0)
+    weights = np.exp(_log_population(problem._stack, 2.5)[0, 0])
+    assert abs(weights.sum() - 1.0) < 1e-12
+    assert np.all(weights > 0.0)
 
 
 def test_gamma_validation():
@@ -142,7 +141,7 @@ def test_direct_gen_matches_hand_rolled_sum():
         for w in range(3):
             pop = float(problem.loss[w] @ marg)
             emp = float(np.mean([problem.loss[w, z] for z in tup]))
-            gen += p_s * rows[s, w] * (pop - emp)
+            gen += p_s * rows[w, s] * (pop - emp)
     assert abs(gen_error_direct(posterior) - gen) < 1e-14
 
 
@@ -226,6 +225,26 @@ def test_risk_curve_constant_loss_is_flat():
     assert np.allclose(curve, 0.7, atol=1e-12)
 
 
+def test_risk_curve_holds_one_chunk_at_a_time(monkeypatch):
+    # one gamma per chunk: each chunk's sweep is built only after every
+    # earlier one was freed, so no member outlives its own step
+    problem = small_problem(15)
+    expected = empirical_risk_curve(problem, [0.0, 0.5, 1.0, 4.0])
+    monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", 1)
+    sweeps = []
+    build = gibbslab.gibbs._Sweep
+
+    def tracked(**fields):
+        assert all(ref() is None for ref in sweeps)
+        sweep = build(**fields)
+        sweeps.append(weakref.ref(sweep))
+        return sweep
+
+    monkeypatch.setattr(gibbslab.gibbs, "_Sweep", tracked)
+    assert empirical_risk_curve(problem, [0.0, 0.5, 1.0, 4.0]) == expected
+    assert len(sweeps) == 4
+
+
 def test_risk_curve_rejects_bad_gammas():
     problem = small_problem(17)
     with pytest.raises(InvalidInput):
@@ -238,7 +257,7 @@ def test_risk_curve_rejects_bad_gammas():
 
 @pytest.mark.parametrize("alpha", [1.0, 0.0, -1.0, math.nan, math.inf])
 def test_posterior_renyi_rejects_bad_orders(alpha):
-    # the orders renyi_divergence refuses, alone and after a valid one
+    # orders that are not finite, positive and != 1, alone and after a valid one
     posterior = gibbs_posterior(small_problem(17), 1.0)
     for alphas in ((alpha,), (2.0, alpha)):
         with pytest.raises(AlphaOutOfRange):
@@ -447,7 +466,7 @@ def test_element_cap_refuses_before_allocating(monkeypatch, case):
 
 def test_shapes_within_the_cap_are_evaluated():
     # a one-symbol alphabet has one dataset at any n within the cap
-    assert gibbs_posterior(one_symbol_problem(50), 1.0).row_array.shape == (1, 2)
+    assert gibbs_posterior(one_symbol_problem(50), 1.0).row_array.shape == (2, 1)
     # a joint law of 16 weights cannot be one of 4**(10**12) datasets, and
     # the size check forms no such power
     with pytest.raises(InvalidInput, match=r"expected \|Z\|\*\*n = 4\*\*1000000000000"):
@@ -740,7 +759,7 @@ def test_stacked_sweep_matches_single_builds():
                 dataclasses.astuple(row) for row in _bounds_rows(single, alphas)
             ]
         assert empirical_risk_curve(problem, curve_gammas) == [
-            expected_empirical_risk(gibbs_posterior(problem, gamma)) for gamma in curve_gammas
+            gibbs_posterior(problem, gamma).risks[1] for gamma in curve_gammas
         ]
 
 

@@ -77,7 +77,7 @@ def frozen_divergence_pair(log_p, log_q, axis=None):
     return forward, reverse
 
 
-def frozen_renyi_sums(log_p, log_q, alphas, p_off=0.0, q_off=0.0):
+def frozen_renyi_sums(log_p, log_q, alphas):
     axes = tuple(range(1, log_p.ndim))
     out = np.empty((len(alphas), log_p.shape[0]))
     far = []
@@ -94,7 +94,6 @@ def frozen_renyi_sums(log_p, log_q, alphas, p_off=0.0, q_off=0.0):
             terms -= scaled
             terms *= q
             for k, u in enumerate(terms.sum(axis=axes).tolist()):
-                u -= (1.0 - alpha) * q_off + alpha * p_off
                 if abs(u) < 1.0:
                     out[i, k] = math.log1p(u) / (alpha - 1.0)
                 else:
@@ -214,8 +213,8 @@ def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
         log_p = np.log(rng.dirichlet(np.ones(math.prod(shape[1:])), size=shape[0])).reshape(shape)
         for log_q in (np.log(rng.dirichlet(np.ones(log_p[0].size), size=shape[0])).reshape(shape),
                       log_p + 1e-3 * rng.standard_normal(shape)):
-            expected = frozen_renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
-            got = _renyi_sums(log_p, log_q, ALPHAS, 0.01, 0.02)
+            expected = frozen_renyi_sums(log_p, log_q, ALPHAS)
+            got = _renyi_sums(log_p, log_q, ALPHAS)
             assert np.array_equal(bits(got), bits(expected)), shape
     # the far path ran on every shape
     assert {shape[1:] for shape in far_calls} == {(5, 16384), (5, 2048), (5, 64)}
@@ -362,8 +361,8 @@ def test_threads_reading_one_evaluation_share_no_temporary():
 def test_every_table_is_hypothesis_major():
     # the one layout and the one lead: each cached sweep table is
     # C-contiguous (p, g, nw, m), (1, g, nw, m) for a lone problem's stack
-    # of one, the risk table (p, 1, nw, m), and every member reads (m, nw)
-    # views of them
+    # of one, the risk table (p, 1, nw, m), and every member reads its
+    # C-contiguous (nw, m) slices of them
     lone = ((problem_of(4, 7, 5, False), (1.0,)), (problem_of(4, 3, 5, True), GAMMAS[:4]))
     shape_stack = [problem_of(4, 3, 5, True, seed) for seed in (15, 16, 17)]
     cases = [(problem._stack, gammas) for problem, gammas in lone]
@@ -382,7 +381,7 @@ def test_every_table_is_hypothesis_major():
             assert posterior._sweep is sweep
             for name in ("log_rows", "row_array", "log_kernel"):
                 view = getattr(posterior, name)
-                assert view.shape == (m, nw) and view.flags.f_contiguous, name
+                assert view.shape == (nw, m) and view.flags.c_contiguous, name
                 assert np.shares_memory(view, getattr(sweep, name)), name
     # gibbs_posterior is a sweep of the problem's stack of one at one gamma
     problem = lone[0][0]
@@ -417,7 +416,7 @@ def frozen_concavity(components, problem, gamma):
     for w, probs in zip(weights.weights, component_probs):
         mixture += w * probs
     mixture_problem = dataclasses.replace(problem, data_model=JointData(mixture))
-    rows = gibbs_posterior(mixture_problem, gamma).row_array.T
+    rows = gibbs_posterior(mixture_problem, gamma).row_array
     empirical = mixture_problem._stack._empirical_risk[0, 0]
     gen_mixture = frozen_gen_under_law(rows, empirical, mixture_problem._stack._dataset_probs[0, 0])
     avg_gen = sum(

@@ -1,16 +1,31 @@
-"""Source hygiene: every module-level import of the package is used, and
-every module-level private function or class is used somewhere in it."""
+"""Source hygiene: every module-level import of the package is used,
+every module-level private function or class is used somewhere in it, and
+every public name is reached by the package or the benchmark."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "gibbslab"
+import gibbslab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gibbslab"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 # private names that only the tests reference: the bisection is the tests'
 # reference for fixed_point_kappa
 TEST_ONLY = {"bounds._bisect_fixed_point"}
+# public names that neither the package nor the benchmark reaches, kept as
+# results of the paper:
+PAPER_RESULTS = {
+    # the exact decomposition gen = I_SKL / gamma - lam * reg_gap of a
+    # Gibbs posterior with a data-dependent regularizer (README, "Library");
+    # ROADMAP item 10 decides whether it stays
+    "regularized_gen",
+    # the zero-temperature bound for a posterior with several isolated
+    # wells (asymptotics module docstring)
+    "multi_well_bound",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,8 +61,8 @@ def test_an_unused_import_is_reported():
 
 
 def _referenced(node: ast.AST) -> set[str]:
-    """Every identifier that node reads, as a bare name, an attribute or an
-    imported name."""
+    """Every identifier that node reads, as a bare name, an attribute, an
+    imported name or a module it imports from."""
     names = set()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
@@ -56,24 +71,43 @@ def _referenced(node: ast.AST) -> set[str]:
             names.add(child.attr)
         elif isinstance(child, ast.alias):
             names.add(child.name)
+        elif isinstance(child, ast.ImportFrom) and child.module:
+            names.update(child.module.split("."))
     return names
+
+
+def referenced_outside_definitions(sources) -> set[str]:
+    """Every identifier that a module-level statement of any of sources
+    references, less the name a function or class statement defines."""
+    used = set()
+    for source in sources:
+        for statement in ast.parse(source).body:
+            names = _referenced(statement)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(statement.name)
+            used |= names
+    return used
 
 
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:
     """module.name of each module-level private function or class in
     ``sources`` (module name -> source) that no statement of any of them
     references outside its own definition."""
-    definitions = []
-    used = set()
-    for module, source in sources.items():
-        for statement in ast.parse(source).body:
-            names = _referenced(statement)
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                if statement.name.startswith("_"):
-                    definitions.append((module, statement.name))
-                names.discard(statement.name)
-            used |= names
-    return sorted(f"{module}.{name}" for module, name in definitions if name not in used)
+    used = referenced_outside_definitions(sources.values())
+    return sorted(
+        f"{module}.{statement.name}"
+        for module, source in sources.items()
+        for statement in ast.parse(source).body
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+        and statement.name.startswith("_")
+        and statement.name not in used
+    )
+
+
+def unreached_public_names(public, sources) -> list[str]:
+    """Each of the names public that no statement of sources references
+    outside its own definition."""
+    return sorted(set(public) - referenced_outside_definitions(sources))
 
 
 def test_every_private_name_is_used():
@@ -87,3 +121,19 @@ def test_an_orphaned_private_name_is_reported():
         "b": "from .a import _used\n\nx = _used()\n",
     }
     assert orphaned_private_names(sources) == ["a._orphan"]
+
+
+def test_every_public_name_is_reached():
+    # a module of the package other than __init__ or a benchmark script
+    # must reach each exported name, or it is a result of the paper
+    paths = MODULES + sorted((ROOT / "bench").glob("*.py"))
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    assert unreached_public_names(gibbslab.__all__, sources) == sorted(PAPER_RESULTS)
+
+
+def test_an_unreached_public_name_is_reported():
+    sources = [
+        "def used():\n    return 1\n\n\ndef orphan():\n    return orphan()\n",
+        "from .a import used\n\nx = used()\n",
+    ]
+    assert unreached_public_names(["used", "orphan"], sources) == ["orphan"]
