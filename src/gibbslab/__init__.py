@@ -52,11 +52,9 @@ from .errors import (
 )
 from .gaussian import (
     CoverageReport,
-    GaussianChannel,
     GaussianMeanConfig,
     IsmiBoundReport,
     MeanClosedForms,
-    gaussian_channel_info,
     ismi_bound,
     mc_mean_gen,
     mean_closed_forms,

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NotPositiveDefinite, SingularHessian
-from .gaussian import _linalg
 from .samplers import block_gaps, check_trials, mean_and_std_error
 
 WEIGHT_TOL = 1e-8
@@ -194,12 +193,12 @@ class MleSpec:
 
 
 def mle_asymptotic_gen(spec: MleSpec) -> float:
-    """tr(fisher . J^{-1}) / n; exactly d / n when fisher equals J."""
+    """tr(fisher . J^{-1}) / n, read as the trace of np.linalg.solve(J,
+    fisher) (MleSpec has already checked J by its Cholesky factor);
+    exactly d / n when fisher equals J."""
     if np.array_equal(spec.fisher, spec.J):
         return spec.d / spec.n
-    linalg = _linalg()
-    factor = linalg.cho_factor(spec.J, lower=True)
-    return float(np.trace(linalg.cho_solve(factor, spec.fisher))) / spec.n
+    return float(np.trace(np.linalg.solve(spec.J, spec.fisher))) / spec.n
 
 
 def bayes_location_regime_exact(n: int, prior_var: float = 1.0) -> float:

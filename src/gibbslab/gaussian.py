@@ -10,8 +10,9 @@ makes every quantity of interest available in closed form:
   * expected generalization error 2 d sigma0_sq sigmaZ_sq / (n sigma0_sq + sigma_sq),
     which holds for ANY sample law with covariance sigmaZ_sq * I_d, not
     just the Gaussian one;
-  * mutual and lautum information through the linear Gaussian channel
-    identity (trace and log-determinant of the SNR matrix).
+  * mutual and lautum information of the linear Gaussian channel that
+    carries the sample sum, whose SNR matrix is a multiple q I of the
+    identity: (d/2) ln(1 + q) and d q minus that (see mean_closed_forms).
 
 The module also evaluates two comparison bounds on the same example: a
 per-sample mutual information bound (reproduced exactly as displayed in
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DeltaOutOfRange,
-    IdentityMismatch,
-    InvalidInput,
-    NTooSmall,
-    NotPositiveDefinite,
-)
+from .errors import DeltaOutOfRange, IdentityMismatch, InvalidInput, NTooSmall
 from .samplers import block_gaps, check_trials, mean_and_std_error
 
 MAX_DIM = 64
@@ -102,84 +97,6 @@ class GaussianMeanConfig:
         return s1 * (self.mu0 / self.sigma0_sq + samples.sum(axis=-2) / self.sigma_sq)
 
 
-def _linalg():
-    """scipy.linalg, imported at the first Cholesky factorization.
-
-    Its import takes longer than the rest of the package's (about 0.3 s on
-    a 2-core machine, most of it scipy's array-API layer), and only the
-    Gaussian channel and the asymptotic MLE rate factor a matrix: a
-    process that runs only the exact enumeration never loads it.
-    """
-    import scipy.linalg
-
-    return scipy.linalg
-
-
-def _spd_cholesky(matrix: np.ndarray, name: str):
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotPositiveDefinite(f"{name} must be a square matrix, got shape {arr.shape}")
-    if arr.shape[0] > MAX_DIM:
-        raise InvalidInput(f"{name} exceeds the dense dimension cap {MAX_DIM}")
-    scale = float(np.abs(arr).max()) or 1.0
-    if float(np.abs(arr - arr.T).max()) > 1e-10 * scale:
-        raise NotPositiveDefinite(f"{name} must be symmetric")
-    try:
-        return _linalg().cho_factor((arr + arr.T) / 2.0, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite") from exc
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianChannel:
-    """A linear channel Y = A X + N with Gaussian input and noise.  The
-    Cholesky factor of SigmaN that validates it is kept (_noise_factor) for
-    gaussian_channel_info."""
-
-    A: np.ndarray
-    Sigma: np.ndarray
-    SigmaN: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.A, dtype=np.float64)
-        if a.ndim != 2:
-            raise InvalidInput(f"A must be a matrix, got shape {a.shape}")
-        _spd_cholesky(self.Sigma, "Sigma")
-        noise = _spd_cholesky(self.SigmaN, "SigmaN")
-        sig = np.asarray(self.Sigma, dtype=np.float64)
-        sign = np.asarray(self.SigmaN, dtype=np.float64)
-        if a.shape[1] != sig.shape[0] or a.shape[0] != sign.shape[0]:
-            raise InvalidInput(
-                f"shapes disagree: A {a.shape}, Sigma {sig.shape}, SigmaN {sign.shape}"
-            )
-        for field_name, arr in (("A", a), ("Sigma", sig), ("SigmaN", sign)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, field_name, arr)
-        noise[0].flags.writeable = False
-        object.__setattr__(self, "_noise_factor", noise)
-
-
-def gaussian_channel_info(channel: GaussianChannel) -> tuple[float, float]:
-    """Mutual and lautum information of a Gaussian linear channel.
-
-    With snr = SigmaN^{-1} A Sigma A^T, mutual = ln det(I + snr) / 2 and
-    lautum = tr(snr) - mutual; lautum >= mutual always because the trace
-    dominates the log-determinant.
-    """
-    noise = channel._noise_factor
-    m = channel.A @ channel.Sigma @ channel.A.T
-    trace_term = float(np.trace(_linalg().cho_solve(noise, m)))
-    total = channel.SigmaN + m
-    sign, logdet_total = np.linalg.slogdet(total)
-    if sign <= 0:
-        raise NotPositiveDefinite("output covariance is not positive definite")
-    logdet_noise = 2.0 * float(np.log(np.diag(noise[0])).sum())
-    mutual = 0.5 * (logdet_total - logdet_noise)
-    lautum = trace_term - mutual
-    return mutual, lautum
-
-
 @dataclass(frozen=True)
 class MeanClosedForms:
     """All closed forms of the mean-estimation example in one record."""
@@ -191,6 +108,9 @@ class MeanClosedForms:
     iskl: float
 
     def __post_init__(self) -> None:
+        values = (self.sigma1_sq, self.gen, self.mutual, self.lautum, self.iskl)
+        if not all(map(math.isfinite, values)):
+            raise IdentityMismatch(f"closed forms must be finite, got {values!r}")
         gap = abs((self.mutual + self.lautum) - self.iskl)
         if gap > IDENTITY_TOL * max(1.0, abs(self.iskl)):
             raise IdentityMismatch(
@@ -201,27 +121,30 @@ class MeanClosedForms:
 def mean_closed_forms(config: GaussianMeanConfig) -> MeanClosedForms:
     """Posterior variance, generalization error, and the information triple.
 
-    The information split uses the reduced d x d channel carrying the
-    centered sample sum: A = (sigma1_sq / sigma_sq) I, input covariance
-    n sigmaZ_sq I, noise covariance sigma1_sq I.  The symmetrized value
-    iskl always equals gamma * gen; the split into mutual and lautum is
+    The information split uses the reduced d x d channel Y = A X + N that
+    carries the centered sample sum: A = (sigma1_sq / sigma_sq) I, input
+    covariance Sigma = n sigmaZ_sq I, noise covariance SigmaN = sigma1_sq I.
+    For Gaussian X and N with snr = SigmaN^{-1} A Sigma A^T, mutual =
+    h(Y) - h(Y | X) = ln det(I + snr) / 2; under the product of marginals
+    Y - A X has covariance SigmaN + 2 A Sigma A^T, so lautum =
+    E_prod[ln p(Y) - ln p(Y | X)] = tr(snr) - mutual.  Here snr = q I with
+    the scalar q = n sigmaZ_sq sigma1_sq / sigma_sq^2, hence
+
+        mutual = (d / 2) ln(1 + q),    lautum = d q - mutual.
+
+    With sigma1_sq = sigma0_sq sigma_sq / (n sigma0_sq + sigma_sq), d q
+    equals gamma * gen, the symmetrized value iskl; MeanClosedForms checks
+    that the two formulas agree.  iskl = gamma * gen holds for any sample
+    law with covariance sigmaZ_sq I; the split into mutual and lautum is
     exact when the sample law is Gaussian.
     """
     d = config.d
     denom = config.n * config.sigma0_sq + config.sigma_sq
     gen = 2.0 * d * config.sigma0_sq * config.sigmaZ_sq / denom
     iskl = config.gamma * gen
-    if config.sigmaZ_sq == 0.0:
-        mutual = lautum = 0.0
-    else:
-        s1 = config.sigma1_sq
-        eye = np.eye(d)
-        channel = GaussianChannel(
-            A=(s1 / config.sigma_sq) * eye,
-            Sigma=config.n * config.sigmaZ_sq * eye,
-            SigmaN=s1 * eye,
-        )
-        mutual, lautum = gaussian_channel_info(channel)
+    q = config.n * config.sigmaZ_sq * config.sigma1_sq / config.sigma_sq**2
+    mutual = 0.5 * d * math.log1p(q)
+    lautum = d * q - mutual
     return MeanClosedForms(
         sigma1_sq=config.sigma1_sq, gen=gen, mutual=mutual, lautum=lautum, iskl=iskl
     )

@@ -1028,12 +1028,17 @@ class GenReport:
         return out
 
     def max_pairwise_gap(self) -> float:
-        vals = list(self.values().values())
-        return max(abs(a - b) for a in vals for b in vals)
+        # rounding is monotone, so max - min is the largest |a - b| bit for bit
+        vals = self.values().values()
+        return max(vals) - min(vals)
 
     def __post_init__(self) -> None:
+        vals = self.values().values()
+        # max and min drop a NaN that is not first, so test finiteness apart
+        if not all(map(math.isfinite, vals)):
+            raise IdentityMismatch(f"characterizations must be finite, got {self.values()!r}")
         gap = self.max_pairwise_gap()
-        scale = max(abs(v) for v in self.values().values())
+        scale = max(map(abs, vals))
         # absolute floor: below scale 1e-3 a pure relative test would demand
         # agreement finer than the error floor of the O(1) intermediate terms
         limit = max(REL_TOL * scale, ABS_TOL)
@@ -1073,6 +1078,9 @@ class InfoDivergenceReport:
     d_rev: float
 
     def __post_init__(self) -> None:
+        values = (self.mutual, self.lautum, self.d_fwd, self.d_rev)
+        if not all(map(math.isfinite, values)):
+            raise IdentityMismatch(f"information and divergences must be finite, got {values!r}")
         scale = max(1.0, abs(self.mutual) + abs(self.lautum))
         if self.mutual > self.d_fwd + COMPARE_TOL * scale:
             raise IdentityMismatch(
@@ -1104,6 +1112,11 @@ class RegularizedGenReport:
     trace_cov: float | None = None
 
     def __post_init__(self) -> None:
+        values = (self.gen, self.iskl_over_gamma, self.reg_gap, self.lam)
+        if self.trace_cov is not None:
+            values += (self.trace_cov,)
+        if not all(map(math.isfinite, values)):
+            raise IdentityMismatch(f"decomposition terms must be finite, got {values!r}")
         lhs = self.gen
         rhs = self.iskl_over_gamma - self.lam * self.reg_gap
         gap = abs(lhs - rhs)

@@ -111,6 +111,9 @@ class InfoReport:
     symmetrized: float
 
     def __post_init__(self) -> None:
+        values = (self.mutual, self.lautum, self.symmetrized)
+        if not all(map(math.isfinite, values)):
+            raise InvalidInput(f"information must be finite, got {values!r}")
         if self.mutual < -IDENTITY_TOL or self.lautum < -IDENTITY_TOL:
             raise InvalidInput(
                 f"information must be nonnegative, got mutual={self.mutual!r} lautum={self.lautum!r}"

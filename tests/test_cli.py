@@ -300,30 +300,37 @@ def run(sub, config):
         return gibbslab.cli.main([sub, "--config", path, "--out", os.path.join(sys.argv[1], sub)])
 
 seen = {"import": scipy_modules()}
-codes = [
-    run("counterexample", {}),
-    run("verify-identities",
-        {"instances": 4, "max_n": 2, "curve_instances": 2, "mixture_instances": 2}),
-    run("bounds-table", {"instances": 4, "max_n": 2}),
-]
-seen["exact"] = scipy_modules()
-codes.append(run("asymptotics", {"aic_pairs": 2, "bayes": {"n": 100, "trials": 1000}}))
-seen["asymptotics"] = "scipy.linalg" in sys.modules
+codes = []
+for sub, config in json.loads(sys.argv[2]):
+    codes.append(run(sub, config))
+    seen[sub] = scipy_modules()
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
+# every subcommand at a small config, in one process
+SMALL_RUNS = [
+    ("counterexample", {}),
+    ("verify-identities",
+     {"instances": 4, "max_n": 2, "curve_instances": 2, "mixture_instances": 2}),
+    ("bounds-table", {"instances": 4, "max_n": 2}),
+    ("gaussian-mean", {"trials": 4000, "ismi_ns": [100, 1000]}),
+    ("pac-bayes", {"trials": 1000}),
+    ("asymptotics", {"aic_pairs": 2, "bayes": {"n": 100, "trials": 1000}}),
+    ("sgld-demo", {}),
+]
+
 
 def test_cli_import_does_not_load_scipy_special(tmp_path):
-    # the exact path needs no scipy; scipy.linalg loads at the first Cholesky solve
+    # the package depends on numpy alone: no subcommand loads any scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(gibbslab.cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path), json.dumps(SMALL_RUNS)],
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
-    assert result["seen"] == {"import": [], "exact": [], "asymptotics": True}
+    assert result["codes"] == [0] * len(SMALL_RUNS)
+    assert result["seen"] == {"import": [], **{sub: [] for sub, _ in SMALL_RUNS}}
 
 
 def test_sgld_demo_run(tmp_path):

@@ -1,5 +1,6 @@
 """Gaussian mean-estimation example: closed forms, sampling, bounds."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,11 +9,10 @@ import pytest
 
 from gibbslab import (
     DeltaOutOfRange,
-    GaussianChannel,
     GaussianMeanConfig,
+    IdentityMismatch,
     InvalidInput,
     NTooSmall,
-    gaussian_channel_info,
     ismi_bound,
     mc_mean_gen,
     mean_closed_forms,
@@ -115,79 +115,65 @@ def gaussian_kl(mean_a, cov_a, mean_b, cov_b):
     return 0.5 * (np.trace(solve) - d + quad + logdet_b - logdet_a)
 
 
+def channel_oracle(A, Sigma, SigmaN):
+    """(mutual, lautum) of Y = A X + N with Gaussian input and noise, as the
+    two KL divergences between the block covariances of the joint law of
+    (X, Y) and of the product of its marginals."""
+    dx, dy = Sigma.shape[0], SigmaN.shape[0]
+    cross = Sigma @ A.T
+    output = A @ Sigma @ A.T + SigmaN
+    joint = np.block([[Sigma, cross], [cross.T, output]])
+    product = np.block([[Sigma, np.zeros((dx, dy))], [np.zeros((dy, dx)), output]])
+    zero = np.zeros(dx + dy)
+    return gaussian_kl(zero, joint, zero, product), gaussian_kl(zero, product, zero, joint)
+
+
+def reduced_channel_oracle(cfg):
+    """The oracle on mean_closed_forms' reduced channel: the centered sample
+    sum through A = (sigma1_sq / sigma_sq) I, with input covariance
+    n sigmaZ_sq I and noise covariance sigma1_sq I."""
+    eye = np.eye(cfg.d)
+    return channel_oracle(
+        (cfg.sigma1_sq / cfg.sigma_sq) * eye, cfg.n * cfg.sigmaZ_sq * eye, cfg.sigma1_sq * eye
+    )
+
+
 def test_channel_info_against_block_covariance_oracle():
     rng = np.random.default_rng(2)
     for _ in range(15):
-        dx = int(rng.integers(1, 4))
-        dy = int(rng.integers(1, 4))
-        A = rng.normal(size=(dy, dx))
-        root = rng.normal(size=(dx, dx))
-        Sigma = root @ root.T + 0.3 * np.eye(dx)
-        rootn = rng.normal(size=(dy, dy))
-        SigmaN = rootn @ rootn.T + 0.3 * np.eye(dy)
-        mutual, lautum = gaussian_channel_info(
-            GaussianChannel(A=A, Sigma=Sigma, SigmaN=SigmaN)
+        cfg = make_config(
+            d=int(rng.integers(1, 5)), n=int(rng.integers(1, 200)),
+            sigma0_sq=float(rng.uniform(0.1, 3.0)), sigmaZ_sq=float(rng.uniform(0.1, 3.0)),
+            sigma_sq=float(rng.uniform(0.1, 3.0)),
         )
-        cross = Sigma @ A.T
-        joint = np.block([[Sigma, cross], [cross.T, A @ Sigma @ A.T + SigmaN]])
-        product = np.block(
-            [[Sigma, np.zeros((dx, dy))], [np.zeros((dy, dx)), A @ Sigma @ A.T + SigmaN]]
-        )
-        zero = np.zeros(dx + dy)
-        mutual_oracle = gaussian_kl(zero, joint, zero, product)
-        lautum_oracle = gaussian_kl(zero, product, zero, joint)
-        assert abs(mutual - mutual_oracle) < 1e-10 * max(1.0, mutual_oracle)
-        assert abs(lautum - lautum_oracle) < 1e-10 * max(1.0, lautum_oracle)
+        forms = mean_closed_forms(cfg)
+        mutual_oracle, lautum_oracle = reduced_channel_oracle(cfg)
+        assert abs(forms.mutual - mutual_oracle) < 1e-10 * max(1.0, mutual_oracle)
+        assert abs(forms.lautum - lautum_oracle) < 1e-10 * max(1.0, lautum_oracle)
 
 
 def test_channel_info_scalar_closed_form():
-    mutual, lautum = gaussian_channel_info(
-        GaussianChannel(A=np.array([[1.0]]), Sigma=np.array([[2.0]]), SigmaN=np.array([[0.5]]))
-    )
-    rho_sq = 2.0 / 2.5
-    assert abs(mutual - (-0.5 * math.log(1.0 - rho_sq))) < 1e-14
-    assert lautum > 0.0
+    # d = 1: mutual is -ln(1 - rho^2) / 2 for the squared correlation rho^2
+    # of the sample sum and W
+    cfg = make_config(d=1, n=3, sigma0_sq=2.0, sigmaZ_sq=0.5, sigma_sq=1.5)
+    forms = mean_closed_forms(cfg)
+    a = cfg.sigma1_sq / cfg.sigma_sq
+    signal = a * a * cfg.n * cfg.sigmaZ_sq
+    rho_sq = signal / (signal + cfg.sigma1_sq)
+    assert abs(forms.mutual - (-0.5 * math.log(1.0 - rho_sq))) < 1e-14
+    mutual_oracle, lautum_oracle = reduced_channel_oracle(cfg)
+    assert abs(forms.mutual - mutual_oracle) < 1e-10 * max(1.0, mutual_oracle)
+    assert abs(forms.lautum - lautum_oracle) < 1e-10 * max(1.0, lautum_oracle)
+    assert forms.lautum > forms.mutual > 0.0
 
 
-def test_channel_info_is_the_scipy_cholesky_solve_bit_for_bit():
-    # pins the solver: a switch to another factorization moves digits
-    from scipy.linalg import cho_factor, cho_solve
-
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        dx = int(rng.integers(2, 6))
-        dy = int(rng.integers(2, 6))
-        A = rng.normal(size=(dy, dx))
-        root = rng.normal(size=(dx, dx))
-        rootn = rng.normal(size=(dy, dy))
-        channel = GaussianChannel(
-            A=A, Sigma=root @ root.T + 0.3 * np.eye(dx), SigmaN=rootn @ rootn.T + 0.3 * np.eye(dy)
-        )
-        noise = cho_factor((channel.SigmaN + channel.SigmaN.T) / 2.0, lower=True)
-        m = channel.A @ channel.Sigma @ channel.A.T
-        _, logdet_total = np.linalg.slogdet(channel.SigmaN + m)
-        mutual = 0.5 * (logdet_total - 2.0 * float(np.log(np.diag(noise[0])).sum()))
-        lautum = float(np.trace(cho_solve(noise, m))) - mutual
-        assert gaussian_channel_info(channel) == (mutual, lautum)
-
-
-def test_mean_closed_forms_factors_each_covariance_once(monkeypatch):
-    # the channel keeps the SigmaN factor that validates it, so the
-    # information split factors Sigma and SigmaN once each
-    import scipy.linalg
-
-    calls = []
-    factor = scipy.linalg.cho_factor
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return factor(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
-    for d in (1, 3):
-        calls.clear()
-        mean_closed_forms(make_config(d=d))
-        assert len(calls) == 2
+def test_mean_closed_forms_reject_a_non_finite_value():
+    # a NaN gap is not above any limit, so finiteness is tested apart
+    forms = mean_closed_forms(make_config())
+    for name in ("sigma1_sq", "gen", "mutual", "lautum", "iskl"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(IdentityMismatch):
+                dataclasses.replace(forms, **{name: bad})
 
 
 def test_ismi_per_sample_information_matches_channel():
@@ -197,12 +183,8 @@ def test_ismi_per_sample_information_matches_channel():
     report = ismi_bound(cfg)
     a = cfg.sigma1_sq / cfg.sigma_sq
     noise = a * a * (cfg.n - 1) * cfg.sigmaZ_sq + cfg.sigma1_sq
-    mutual, _ = gaussian_channel_info(
-        GaussianChannel(
-            A=np.array([[a]]),
-            Sigma=np.array([[cfg.sigmaZ_sq]]),
-            SigmaN=np.array([[noise]]),
-        )
+    mutual, _ = channel_oracle(
+        np.array([[a]]), np.array([[cfg.sigmaZ_sq]]), np.array([[noise]])
     )
     assert abs(report.per_sample_mi - mutual) < 1e-12
 

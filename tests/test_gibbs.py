@@ -207,6 +207,41 @@ def test_info_divergence_compare_order():
         assert report.lautum >= report.d_rev - tol
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def test_gen_report_rejects_a_non_finite_route():
+    # max and min drop a NaN that is not first, and a NaN gap is not above
+    # any limit, so finiteness is tested apart
+    report = gen_characterizations(small_problem(14, iid=True, n=2), 2.0)
+    forward = report.replace_forward
+    for bad in NON_FINITE:
+        for change in ({"direct": bad}, {"d_fwd": bad}, {"d_rev": bad},
+                       {"replace_forward": (bad,) + forward[1:]}):
+            with pytest.raises(IdentityMismatch):
+                dataclasses.replace(report, **change)
+
+
+def test_gen_report_gap_is_the_largest_pairwise_difference():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        report = gen_characterizations(
+            random_problem(rng, iid=bool(rng.integers(0, 2))), float(rng.uniform(0.2, 10.0))
+        )
+        vals = list(report.values().values())
+        assert report.max_pairwise_gap() == max(abs(a - b) for a in vals for b in vals)
+
+
+def test_info_divergence_report_rejects_a_non_finite_value():
+    gen = gen_characterizations(small_problem(14), 2.0)
+    values = [gen.info.mutual, gen.info.lautum, gen.d_fwd, gen.d_rev]
+    InfoDivergenceReport(*values)
+    for i in range(len(values)):
+        for bad in NON_FINITE:
+            with pytest.raises(IdentityMismatch):
+                InfoDivergenceReport(*values[:i], bad, *values[i + 1 :])
+
+
 def test_risk_curve_monotone_and_prior_start():
     problem = small_problem(15)
     gammas = [0.0, 0.5, 1.0, 4.0, 16.0]
@@ -1010,6 +1045,18 @@ def test_regularized_gen_embedding_route():
     assert abs(report.reg_gap - 2.0 * report.trace_cov) < max(
         1e-12, 1e-9 * abs(report.reg_gap)
     )
+
+
+def test_regularized_gen_report_rejects_a_non_finite_value():
+    rng = np.random.default_rng(25)
+    problem = random_problem(rng)
+    embedding = rng.normal(size=(problem.num_hypotheses, 2))
+    target = rng.normal(size=(problem.dataset_count, 2))
+    report = regularized_gen(problem, 1.5, 0.4, embedding=embedding, target=target)
+    for name in ("gen", "iskl_over_gamma", "reg_gap", "lam", "trace_cov"):
+        for bad in NON_FINITE:
+            with pytest.raises(IdentityMismatch):
+                dataclasses.replace(report, **{name: bad})
 
 
 def test_regularized_gen_counts_its_differences_against_the_cap(monkeypatch):

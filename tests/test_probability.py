@@ -10,7 +10,9 @@ from scipy.special import logsumexp as scipy_logsumexp
 from gibbslab import (
     AlphaOutOfRange,
     AbsoluteContinuityViolation,
+    InfoReport,
     InvalidDistribution,
+    InvalidInput,
     JointTable,
     ProbVec,
     info_triple,
@@ -210,6 +212,15 @@ def test_info_triple_nonneg_and_sum():
         assert report.mutual >= 0.0
         assert report.lautum >= 0.0
         assert abs(report.symmetrized - (report.mutual + report.lautum)) < 1e-14
+
+
+def test_info_report_rejects_a_non_finite_value():
+    values = {"mutual": 0.25, "lautum": 0.5, "symmetrized": 0.75}
+    InfoReport(**values)
+    for name in values:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInput):
+                InfoReport(**{**values, name: bad})
 
 
 def flattened_pair(joint):

@@ -1,9 +1,11 @@
-"""Source hygiene: every module-level import of the package is used,
-every module-level private function or class is used somewhere in it, and
-every public name is reached by the package or the benchmark."""
+"""Source hygiene: every import of the package names the standard library,
+numpy or the package itself, every module-level import is used, every
+module-level private function or class is used somewhere in it, and every
+public name is reached by the package or the benchmark."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -12,6 +14,8 @@ import gibbslab
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gibbslab"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the only third-party package the package may import
+RUNTIME_DEPENDENCIES = {"numpy"}
 # private names that only the tests reference: the bisection is the tests'
 # reference for fixed_point_kappa
 TEST_ONLY = {"bounds._bisect_fixed_point"}
@@ -26,6 +30,37 @@ PAPER_RESULTS = {
     # wells (asymptotics module docstring)
     "multi_well_bound",
 }
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Every import of ``source``, at module level or inside a function,
+    whose top-level package is neither in the standard library, nor numpy,
+    nor gibbslab (a relative import)."""
+    allowed = set(sys.stdlib_module_names) | RUNTIME_DEPENDENCIES | {"gibbslab"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_a_runtime_dependency(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_foreign_import_is_reported():
+    source = (
+        "import math\nimport numpy as np\nfrom .errors import InvalidInput\n\n\n"
+        "def solve():\n    import scipy.linalg\n    from scipy import special\n"
+    )
+    assert foreign_imports(source) == ["scipy.linalg (line 7)", "scipy (line 8)"]
 
 
 def unused_imports(source: str) -> list[str]:
