@@ -15,34 +15,26 @@ Three ingredients combine here:
     (1 + c) kappa / gamma.
 
 Every parametric bound assumes IID training samples; on joint data
-models the table marks them infeasible instead of silently emitting
-numbers.  Two distribution-free comparisons that need no sampling
-assumption are included as well: a total-variation lower bound
-(TV^2 / gamma, with TV the unnormalized two-sided difference, so the
-bound never exceeds 4 / gamma) and a Renyi-divergence upper bound
-valid for every order above one.
+models the table marks them infeasible.  Two distribution-free
+comparisons are included as well: a total-variation lower bound (TV^2 /
+gamma, with TV the unnormalized two-sided difference, so at most 4 /
+gamma) and a Renyi-divergence upper bound for every order above one.
 
-_bounds_rows is the one path to the bound values of a Gibbs posterior:
-every row reads that one evaluation, and the ratio constants come from
-its GenReport through RatioConstants.from_report.  Every posterior is a
-member of a stacked sweep over the gammas of a stack of same-shape
-problems (gibbs._gibbs_sweep), a problem on its own being a stack of one,
-and its functionals, the Renyi sums of every order among them, are
-computed for all of the sweep's (problem, gamma) members at once.
-bounds_table gives the rows of a (problem, gamma) pair, a sweep of the
-problem's stack of one at that gamma; it shares one module-level slot
-with gibbs.gen_characterizations that holds the evaluation either read
-last, so calling both on one pair builds it once, and the slot holds one
-evaluation at a time.  The bounds-table subcommand instead reads the rows
-of each member of the sweeps of gibbs._shape_sweep, which stacks the
-same-shape problems of a window of instances at all its gammas.  bound_suite
-evaluates the closed forms for given constants and a given tail class.
+Every bound of a sweep is a column with one value per (problem, gamma)
+member, computed for the whole stack at once (_BoundTable, which the
+bounds-table subcommand reads), as are the ratio constants (_ratios) and
+the sub-Gaussian entries (_sub_gaussian).  bounds_table, from_report,
+bound_suite and sandwich_violations read one member, and each record
+checks itself by its columns' check on a member of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
@@ -51,7 +43,8 @@ from .errors import (
     InvalidInput,
     NoPositiveRoot,
 )
-from .gibbs import GenReport, GibbsPosterior, LearningProblem, _evaluation
+from .gibbs import GenReport, GibbsPosterior, LearningProblem, _evaluation, _Sweep
+from .probability import _failures, _one
 
 DEGENERACY_TOL = 1e-15
 BISECT_REL_TOL = 1e-12
@@ -166,17 +159,14 @@ def _bisect_fixed_point(tail: TailClass, gamma: float, n: int, c_ratio: float) -
 def fixed_point_kappa(tail: TailClass, gamma: float, n: int, c_ratio: float) -> float:
     """The positive crossing of psi_star_inverse(kappa / n) with the line
     (1 + c_ratio) kappa / gamma, from the closed form of the tail class.
-
     The crossing caps the information measure whose ratio constant is
-    c_ratio, and (1 + c_ratio) kappa / gamma is then the induced bound
-    on the generalization error.  The tests check the closed forms
-    against _bisect_fixed_point, which brackets and bisects
-    psi_star_inverse directly.
-    """
+    c_ratio, and (1 + c_ratio) kappa / gamma is the induced bound on the
+    generalization error.  The tests check the closed forms against
+    _bisect_fixed_point, which brackets and bisects psi_star_inverse."""
     _validate_fixed_point_args(gamma, n, c_ratio)
     one_c = 1.0 + c_ratio
     if isinstance(tail, SubGaussian):
-        return 2.0 * tail.sigma**2 * gamma**2 / (n * one_c**2)
+        return _sub_gaussian_kappa(tail.sigma**2, gamma**2, n, one_c**2)
     if isinstance(tail, SubExponential):
         if n * one_c >= 2.0 * gamma * tail.b:
             return 2.0 * tail.sigma_e_sq * gamma**2 / (n * one_c**2)
@@ -196,6 +186,17 @@ def fixed_point_kappa(tail: TailClass, gamma: float, n: int, c_ratio: float) -> 
     return 2.0 * tail.tau_sq * gamma**2 * n / denom**2
 
 
+def _sub_gaussian_kappa(sigma_sq, gamma_sq, n: int, one_c_sq):
+    """The sub-Gaussian crossing, on floats or on columns of members."""
+    return 2.0 * sigma_sq * gamma_sq / (n * one_c_sq)
+
+
+def _squares(column: np.ndarray) -> np.ndarray:
+    """Each value squared by Python's float power, as a lone bound squares
+    it: numpy's square rounds differently on about 1 in 1,000 values."""
+    return np.array([value**2 for value in column.tolist()])
+
+
 @dataclass(frozen=True)
 class RatioConstants:
     """Divergence ratios of one enumerable problem at one temperature.
@@ -203,10 +204,9 @@ class RatioConstants:
     c_i = lautum / mutual of the hypothesis-sample coupling; c_k is the
     reverse/forward conditional divergence ratio against the population
     Gibbs reference (never larger than c_i); c_c and c_s come from the
-    supersample and replace-one constructions and exist only for IID
-    data models.  degenerate flags a coupling with (numerically) zero
-    mutual information, where every ratio is reported as zero, the
-    always-admissible choice.
+    supersample and replace-one constructions, IID data models only.
+    degenerate flags a coupling with (numerically) zero mutual
+    information, where every ratio is zero, the always-admissible choice.
     """
 
     c_i: float
@@ -216,47 +216,116 @@ class RatioConstants:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("c_i", "c_k"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidInput(f"{name} must be a finite nonnegative real, got {value!r}")
-        for name in ("c_c", "c_s_ratio"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0.0):
-                raise InvalidInput(f"{name} must be None or >= 0, got {value!r}")
-        if not self.degenerate and self.c_k > self.c_i + 1e-9 * max(1.0, self.c_i):
-            raise IdentityMismatch(
-                f"c_k={self.c_k!r} exceeds c_i={self.c_i!r}; the reverse/forward ratio "
-                "can never beat the lautum/mutual ratio"
-            )
+        columns = (_one(getattr(self, name)) for name in ("c_i", "c_k", "c_c", "c_s_ratio"))
+        for error in RatioConstants.failures(*columns, _one(self.degenerate)).values():
+            raise error
+
+    @staticmethod
+    def failures(c_i, c_k, c_c, c_s_ratio, degenerate) -> dict:
+        """The checks of a record over columns of members: each failing
+        member's first failure, in the order a lone record tests them.  A
+        record is a member of one."""
+
+        def refuse(name: str, column: np.ndarray, rule: str):
+            return ~(np.isfinite(column) & (column >= 0.0)), lambda k: InvalidInput(
+                f"{name} must be {rule}, got {column[k].item()!r}")
+
+        checks = [refuse("c_i", c_i, "a finite nonnegative real"),
+                  refuse("c_k", c_k, "a finite nonnegative real")]
+        checks += [refuse(name, column, "None or >= 0") for name, column
+                   in (("c_c", c_c), ("c_s_ratio", c_s_ratio)) if column is not None]
+        beaten = ~degenerate & (c_k > c_i + 1e-9 * np.maximum(1.0, c_i))
+        checks.append((beaten, lambda k: IdentityMismatch(
+            f"c_k={c_k[k].item()!r} exceeds c_i={c_i[k].item()!r}; the reverse/forward ratio "
+            "can never beat the lautum/mutual ratio")))
+        return _failures(*checks)
 
     @classmethod
     def from_report(cls, report: GenReport) -> "RatioConstants":
-        """The ratios of the numbers behind one GenReport.
-
-        Uses the largest admissible value of each constant, which gives the
-        tightest version of each parametric bound.  Conditional and
-        replace-one ratios whose denominators vanish fall back to zero,
-        which keeps the resulting bounds valid (smaller constants only
-        loosen them).
-        """
-        info = report.info
-        iid = report.conditional is not None
-        if info.mutual <= DEGENERACY_TOL:
-            zero = 0.0 if iid else None
-            return cls(c_i=0.0, c_k=0.0, c_c=zero, c_s_ratio=zero, degenerate=True)
-        c_i = info.lautum / info.mutual
-        c_k = report.d_rev / report.d_fwd if report.d_fwd > DEGENERACY_TOL else 0.0
-        if not iid:
-            return cls(c_i=c_i, c_k=c_k, c_c=None, c_s_ratio=None)
+        """The ratios of the numbers behind one GenReport, by _ratios on a
+        member of one: the largest admissible value of each constant, which
+        gives the tightest version of each parametric bound, and zero for a
+        conditional or replace-one ratio whose denominator vanishes, which
+        keeps the bounds valid (smaller constants only loosen them)."""
         cond = report.conditional
-        c_c = cond.lautum / cond.mutual if cond.mutual > DEGENERACY_TOL else 0.0
-        usable = [
-            rev / fwd
-            for fwd, rev in zip(report.replace_forward, report.replace_reverse)
-            if fwd > DEGENERACY_TOL
-        ]
-        return cls(c_i=c_i, c_k=c_k, c_c=c_c, c_s_ratio=min(usable, default=0.0))
+        ratios = _ratios(
+            _one(report.info.mutual), _one(report.info.lautum), _one(report.d_fwd),
+            _one(report.d_rev), None if cond is None else (_one(cond.mutual), _one(cond.lautum)),
+            _one(report.replace_forward), _one(report.replace_reverse),
+        )
+        return cls(**{name: None if column is None else column.item()
+                      for name, column in ratios.items()})
+
+
+def _ratios(mutual, lautum, d_fwd, d_rev, conditional=None, forward=None, reverse=None) -> dict:
+    """RatioConstants' fields as columns over members; c_c and c_s_ratio
+    from the (mutual, lautum) supersample columns and the (members, n)
+    replace-one divergences, when given, and None otherwise."""
+    tol = DEGENERACY_TOL
+    degenerate = mutual <= tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = {
+            "c_i": np.where(degenerate, 0.0, lautum / mutual),
+            "c_k": np.where(degenerate | ~(d_fwd > tol), 0.0, d_rev / d_fwd),
+            "c_c": None,
+            "c_s_ratio": None,
+        }
+        if conditional is not None:
+            cond_mutual, cond_lautum = conditional
+            unusable = degenerate | ~(cond_mutual > tol)
+            ratios["c_c"] = np.where(unusable, 0.0, cond_lautum / cond_mutual)
+            # the smallest usable slot ratio, 0 when none is usable
+            usable = forward > tol
+            slots = np.where(usable, reverse / forward, np.inf).min(axis=-1)
+            ratios["c_s_ratio"] = np.where(degenerate | ~usable.any(axis=-1), 0.0, slots)
+    return {**ratios, "degenerate": degenerate}
+
+
+def _sweep_ratios(sweep: _Sweep) -> dict:
+    """_ratios of every member of a sweep, after its routes are read."""
+    extras = ()
+    if sweep.stack.is_iid():
+        replace = sweep.replace_one.reshape(-1, 2, sweep.stack.n).transpose(1, 0, 2)
+        extras = (sweep.supersample_information, *replace)
+    return _ratios(*sweep.information, *sweep.references, *extras)
+
+
+# the regime of each parametric row an IID model gets
+REGIMES = {
+    "sub_gaussian_c_i": "iid; loss sub-Gaussian on the left tail under the sample law",
+    "sub_gaussian_c_k": "iid; loss sub-Gaussian under the sample law",
+    "bounded_c_c": "iid; loss bounded in [0, 1]",
+    "stability_c_s": "iid; loss sub-Gaussian under the posterior for every dataset",
+    "fixed_point": "iid; generic crossing of the dual inverse with the ratio line",
+    "kl_based": "iid; loss sub-Gaussian under the sample law",
+}
+
+
+def _sub_gaussian(gamma, n: int, sigma, c_i, c_k, c_c=None, c_s=None) -> dict:
+    """bound_suite's sub-Gaussian entries over columns of members, each a
+    (values, constants_used) pair; bounded_c_c and stability_c_s only
+    when their constants are given."""
+    sigma_sq, one_ci = _squares(sigma), 1.0 + c_i
+    kappa = _sub_gaussian_kappa(sigma_sq, _squares(gamma), n, _squares(one_ci))
+    entries = {
+        "sub_gaussian_c_i": (2.0 * sigma_sq * gamma / (one_ci * n), "c_i={}, sigma={}", c_i, sigma),
+        "sub_gaussian_c_k": (2.0 * sigma_sq * gamma / ((1.0 + c_k) * n), "c_k={}, sigma={}", c_k,
+                             sigma),
+    }
+    if c_c is not None:
+        entries["bounded_c_c"] = (gamma / ((1.0 + c_c) * n), "c_c={}", c_c)
+    if c_s is not None:
+        entries["stability_c_s"] = (4.0 * sigma_sq * gamma / ((1.0 + c_s) * n), "c_s={}, tau={}",
+                                    c_s, sigma)
+    entries["fixed_point"] = (one_ci * kappa / gamma, "c_i={}, kappa={}", c_i, kappa)
+    return {name: (values, _texts(template, *columns))
+            for name, (values, template, *columns) in entries.items()}
+
+
+def _texts(template: str, *columns: np.ndarray) -> list[str]:
+    """template filled per member with its values of columns, .12g."""
+    texts = ([format(value, ".12g") for value in column.tolist()] for column in columns)
+    return [template.format(*member) for member in zip(*texts)]
 
 
 @dataclass(frozen=True)
@@ -276,111 +345,63 @@ def bound_suite(
     ratios: RatioConstants,
     mutual: float | None = None,
 ) -> dict[str, BoundEntry]:
-    """Every closed-form parametric bound available for one tail class.
-
-    All entries assume IID samples.  For sub-exponential tails the two
-    regimes switch on the mutual information: pass it to select the
-    applicable branch, or omit it to get both branches labeled with
-    their applicability conditions.  The fixed_point entry is
-    (1 + c_i) kappa / gamma with kappa from fixed_point_kappa, itself a
-    closed form of the crossing: for sub-Gaussian tails it equals
-    sub_gaussian_c_i up to rounding, and for the other classes it is
-    the c_i bound of the crossing construction.
-    """
+    """Every closed-form parametric bound available for one tail class,
+    all assuming IID samples.  For sub-exponential tails the two regimes
+    switch on the mutual information: pass it to select the applicable
+    branch, or omit it to get both branches labeled with their conditions.
+    The fixed_point entry is (1 + c_i) kappa / gamma with kappa from
+    fixed_point_kappa: for sub-Gaussian tails it equals sub_gaussian_c_i up
+    to rounding.  The sub-Gaussian entries are _sub_gaussian's columns on
+    a member of one."""
     _validate_fixed_point_args(gamma, n, ratios.c_i)
+    if isinstance(tail, SubGaussian):
+        columns = _sub_gaussian(_one(gamma), n, _one(tail.sigma), *map(_one, (
+            ratios.c_i, ratios.c_k, ratios.c_c, ratios.c_s_ratio)))
+        return {name: BoundEntry(values.item(), True, REGIMES[name], constants[0])
+                for name, (values, constants) in columns.items()}
     entries: dict[str, BoundEntry] = {}
     one_ci = 1.0 + ratios.c_i
-
-    if isinstance(tail, SubGaussian):
-        s2 = tail.sigma**2
-        entries["sub_gaussian_c_i"] = BoundEntry(
-            2.0 * s2 * gamma / (one_ci * n),
-            True,
-            "iid; loss sub-Gaussian on the left tail under the sample law",
-            f"c_i={ratios.c_i:.12g}, sigma={tail.sigma:.12g}",
-        )
-        entries["sub_gaussian_c_k"] = BoundEntry(
-            2.0 * s2 * gamma / ((1.0 + ratios.c_k) * n),
-            True,
-            "iid; loss sub-Gaussian under the sample law",
-            f"c_k={ratios.c_k:.12g}, sigma={tail.sigma:.12g}",
-        )
-        if ratios.c_c is not None:
-            entries["bounded_c_c"] = BoundEntry(
-                gamma / ((1.0 + ratios.c_c) * n),
-                True,
-                "iid; loss bounded in [0, 1]",
-                f"c_c={ratios.c_c:.12g}",
-            )
-        if ratios.c_s_ratio is not None:
-            entries["stability_c_s"] = BoundEntry(
-                4.0 * s2 * gamma / ((1.0 + ratios.c_s_ratio) * n),
-                True,
-                "iid; loss sub-Gaussian under the posterior for every dataset",
-                f"c_s={ratios.c_s_ratio:.12g}, tau={tail.sigma:.12g}",
-            )
-    elif isinstance(tail, SubExponential):
+    if isinstance(tail, SubExponential):
         large = 2.0 * tail.sigma_e_sq * gamma / (one_ci * n)
         denom = one_ci * n - gamma * tail.b
-        small = (
-            tail.sigma_e_sq / (2.0 * tail.b) * (gamma * tail.b / denom + 1.0)
-            if denom > 0.0
-            else None
-        )
+        small = None
+        if denom > 0.0:
+            small = tail.sigma_e_sq / (2.0 * tail.b) * (gamma * tail.b / denom + 1.0)
+        infeasible = "infeasible: requires (1 + c_i) * n > gamma * b"
         constants = f"c_i={ratios.c_i:.12g}, sigma_e_sq={tail.sigma_e_sq:.12g}, b={tail.b:.12g}"
-        gate = f"2 * b * mutual / sigma_e_sq = {2.0 * tail.b * mutual / tail.sigma_e_sq:.12g}" if mutual is not None else "2 * b * mutual / sigma_e_sq"
+        gate = "2 * b * mutual / sigma_e_sq"
+        if mutual is not None:
+            gate += f" = {2.0 * tail.b * mutual / tail.sigma_e_sq:.12g}"
         if mutual is None:
             entries["sub_exponential_large_n"] = BoundEntry(
-                large, True, f"iid; applies when n >= {gate}", constants
-            )
+                large, True, f"iid; applies when n >= {gate}", constants)
             entries["sub_exponential_small_n"] = BoundEntry(
-                small,
-                small is not None,
-                f"iid; applies when gamma * b / (1 + c_i) < n < {gate}"
-                if small is not None
-                else "infeasible: requires (1 + c_i) * n > gamma * b",
-                constants,
-            )
+                small, small is not None, infeasible if small is None else
+                f"iid; applies when gamma * b / (1 + c_i) < n < {gate}", constants)
         elif n >= 2.0 * tail.b * mutual / tail.sigma_e_sq:
             entries["sub_exponential"] = BoundEntry(
-                large, True, f"iid, large-n branch (n >= {gate})", constants
-            )
+                large, True, f"iid, large-n branch (n >= {gate})", constants)
         else:
             entries["sub_exponential"] = BoundEntry(
-                small,
-                small is not None,
-                f"iid, small-n branch (n < {gate})"
-                if small is not None
-                else "infeasible: requires (1 + c_i) * n > gamma * b",
-                constants,
-            )
+                small, small is not None,
+                infeasible if small is None else f"iid, small-n branch (n < {gate})", constants)
     else:
         denom = one_ci * n - gamma * tail.c_s
         constants = f"c_i={ratios.c_i:.12g}, tau_sq={tail.tau_sq:.12g}, c_s={tail.c_s:.12g}"
         if denom > 0.0:
-            entries["sub_gamma"] = BoundEntry(
-                2.0 * tail.tau_sq * gamma * one_ci * n / denom**2,
-                True,
-                "iid; loss sub-gamma on the left tail under the sample law",
-                constants,
-            )
+            value = 2.0 * tail.tau_sq * gamma * one_ci * n / denom**2
+            regime = "iid; loss sub-gamma on the left tail under the sample law"
         else:
-            entries["sub_gamma"] = BoundEntry(
-                None, False, "infeasible: requires (1 + c_i) * n > gamma * c_s", constants
-            )
-
+            value, regime = None, "infeasible: requires (1 + c_i) * n > gamma * c_s"
+        entries["sub_gamma"] = BoundEntry(value, value is not None, regime, constants)
     try:
         kappa = fixed_point_kappa(tail, gamma, n, ratios.c_i)
         entries["fixed_point"] = BoundEntry(
-            one_ci * kappa / gamma,
-            True,
-            "iid; generic crossing of the dual inverse with the ratio line",
-            f"c_i={ratios.c_i:.12g}, kappa={kappa:.12g}",
-        )
+            one_ci * kappa / gamma, True, REGIMES["fixed_point"],
+            f"c_i={ratios.c_i:.12g}, kappa={kappa:.12g}")
     except NoPositiveRoot as exc:
         entries["fixed_point"] = BoundEntry(
-            None, False, f"infeasible: {exc.condition}", f"c_i={ratios.c_i:.12g}"
-        )
+            None, False, f"infeasible: {exc.condition}", f"c_i={ratios.c_i:.12g}")
     return entries
 
 
@@ -415,114 +436,130 @@ def bounds_table(
     sqrt(2 sigma^2 d_fwd / n), d_fwd the expected forward divergence to the
     population Gibbs law.  The sub-Gaussian parameter sigma is
     (max - min) / 2 of the loss table; a constant loss short-circuits to
-    exact zeros.  Every row reads the one evaluation
-    gibbs_posterior(problem, gamma), the sweep of the problem's stack of
-    one at gamma: the shared slot's when gen_characterizations or
-    bounds_table last read the same problem object at an equal gamma, a
-    new one otherwise, on the tables the problem built at its first
-    evaluation.  The bounds-table subcommand, which visits each problem at
-    several gammas, instead reads _bounds_rows of each member of
-    gibbs._shape_sweep, which stacks the gammas of the same-shape problems
-    of a window of instances: the same rows bit for bit, with every
-    functional computed for a whole stack at once and peak memory held to
-    one window or one block of BLOCK_ELEMENTS, whichever is larger.
+    exact zeros.  The rows are the pair's member of the _BoundTable of the
+    evaluation that _evaluation shares with gen_characterizations, the
+    table that the bounds-table subcommand reads of each stack.
     """
     for alpha in alphas:
         if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
             raise AlphaOutOfRange(f"the Renyi upper bound requires alpha > 1, got {alpha!r}")
-    return _bounds_rows(_evaluation(problem, gamma), alphas)
+    return _bounds_rows(_evaluation(problem, gamma), tuple(alphas))
 
 
 def _bounds_rows(posterior: GibbsPosterior, alphas: tuple[float, ...]) -> list[BoundRow]:
     """The rows of bounds_table for one evaluation, every order in alphas
-    already checked to exceed one."""
-    problem = posterior.problem
-    gamma = posterior.gamma
-    report = GenReport.from_posterior(posterior)
-    tv = posterior.total_variation
-    rows = [
-        BoundRow("exact_gen", report.direct, True, "definition", "", "exact"),
-        BoundRow("tv_lower", tv * tv / gamma, True, "any data model", "", "lower"),
-    ]
-    for alpha, renyi in zip(alphas, posterior.renyi(alphas)):
-        rows.append(
-            BoundRow(
-                f"renyi_upper_alpha_{alpha:g}",
-                renyi / gamma,
-                True,
-                "any data model; order > 1",
-                f"alpha={alpha:.12g}",
-                "upper",
-            )
-        )
-    loss = problem.loss
-    sigma = float(loss.max() - loss.min()) / 2.0
-    parametric_names = (
-        "sub_gaussian_c_i",
-        "sub_gaussian_c_k",
-        "bounded_c_c",
-        "stability_c_s",
-        "fixed_point",
-    )
-    if not problem.is_iid():
-        for name in parametric_names + ("kl_based",):
-            rows.append(
-                BoundRow(name, None, False, "requires iid sampling", "", "upper")
-            )
-        return rows
-    if sigma == 0.0:
-        for name in parametric_names + ("kl_based",):
-            rows.append(BoundRow(name, 0.0, True, "constant loss", "sigma=0", "upper"))
-        return rows
-    ratios = RatioConstants.from_report(report)
-    suite = bound_suite(gamma, problem.n, SubGaussian(sigma), ratios, mutual=None)
-    for name in parametric_names:
-        if name not in suite:
-            continue
-        entry = suite[name]
-        regime = entry.regime
-        if name == "bounded_c_c" and (loss.min() < 0.0 or loss.max() > 1.0):
-            regime += "; NOTE: loss leaves [0, 1], bound not applicable"
-        rows.append(
-            BoundRow(name, entry.value, entry.feasible, regime, entry.constants_used, "upper")
-        )
-    rows.append(
-        BoundRow(
-            "kl_based",
-            math.sqrt(2.0 * sigma**2 * report.d_fwd / problem.n),
-            True,
-            "iid; loss sub-Gaussian under the sample law",
-            f"sigma={sigma:.12g}",
-            "upper",
-        )
-    )
-    return rows
+    already checked to exceed one: its member of its sweep's table."""
+    table = posterior._sweep.columns(_BoundTable, alphas)
+    return [BoundRow(*row) for row in table.rows(posterior._index)]
+
+
+class _BoundTable:
+    """Every bounds_table row of each member of a sweep, as columns: per
+    bound its name and side, and per member its value (None where
+    infeasible), regime and constants_used.  rows raises, for its member
+    alone, the failure a lone bounds_table raises: routes that disagree,
+    or on IID models with a non-constant loss ratio constants that fail."""
+
+    def __init__(self, sweep: _Sweep, alphas: tuple[float, ...]) -> None:
+        gen = sweep.routes["direct"]
+        gamma = np.array(sweep.gammas * sweep.log_rows.shape[0])
+        tv = sweep.total_variation.ravel()
+        renyi = sweep.renyi(alphas).reshape(gen.size, -1).T
+        columns = [("exact_gen", gen, "definition", "", "exact"),
+                   ("tv_lower", tv * tv / gamma, "any data model", "", "lower")]
+        columns += [(f"renyi_upper_alpha_{alpha:g}", sums / gamma, "any data model; order > 1",
+                     f"alpha={alpha:.12g}", "upper") for alpha, sums in zip(alphas, renyi)]
+        self.failures = dict(sweep.route_check[1])
+        if sweep.stack.is_iid():
+            columns += self._parametric(sweep, gamma)
+        else:
+            columns += [(name, [None] * gen.size, "requires iid sampling", "", "upper")
+                        for name in REGIMES]
+        # a text shared by every member is kept once
+        self.names, values, self.regimes, self.constants, self.sides = zip(*columns)
+        self.values = [column if isinstance(column, list) else column.tolist() for column in values]
+
+    def _parametric(self, sweep: _Sweep, gamma: np.ndarray) -> list[tuple]:
+        """The sub-Gaussian columns of an IID stack, sigma = (max - min) / 2
+        of each problem's loss; a constant loss reads exact zeros instead."""
+        loss, per_problem, n = sweep.stack.loss, len(sweep.gammas), sweep.stack.n
+        low, high = loss.min(axis=(-2, -1)).ravel(), loss.max(axis=(-2, -1)).ravel()
+        sigma = ((high - low) / 2.0).repeat(per_problem)
+        leaves = ((low < 0.0) | (high > 1.0)).repeat(per_problem).tolist()
+        constant = (sigma == 0.0).nonzero()[0].tolist()
+        ratios = _sweep_ratios(sweep)
+        for k, error in RatioConstants.failures(*ratios.values()).items():
+            if k not in constant:
+                self.failures.setdefault(k, error)
+        # a member with no valid constants raises, so its values go unread
+        with np.errstate(all="ignore"):
+            columns = _sub_gaussian(gamma, n, sigma, *list(ratios.values())[:4])
+            kl = 2.0 * _squares(sigma) * sweep.references[0] / n
+        with np.errstate(invalid="raise"):  # as math.sqrt refuses a negative
+            columns["kl_based"] = (np.sqrt(kl), _texts("sigma={}", sigma))
+        out = []
+        for name, (values, constants) in columns.items():
+            regimes = [REGIMES[name]] * gamma.size
+            if name == "bounded_c_c":
+                regimes = [regime + "; NOTE: loss leaves [0, 1], bound not applicable" if leave
+                           else regime for regime, leave in zip(regimes, leaves)]
+            values = values.tolist()
+            for k in constant:
+                values[k], regimes[k], constants[k] = 0.0, "constant loss", "sigma=0"
+            out.append((name, values, regimes, constants, "upper"))
+        return out
+
+    def rows(self, k: int) -> list[tuple]:
+        """Member k's (bound_name, value, feasible, regime, constants_used,
+        side) rows, after raising its failure if it has one."""
+        error = self.failures.get(k)
+        if error is not None:
+            raise error
+        return [(name, values[k], values[k] is not None, _at(regime, k), _at(constants, k), side)
+                for name, values, regime, constants, side
+                in zip(self.names, self.values, self.regimes, self.constants, self.sides)]
+
+    @cached_property
+    def violations(self) -> list[list[tuple[str, str]]]:
+        """_sandwich of every bound column."""
+        return _sandwich(self.values[0], zip(self.names, self.values, self.regimes, self.sides))
+
+
+def _at(text: str | list[str], k: int) -> str:
+    """Member k's text of a column, or the text all members share."""
+    return text if isinstance(text, str) else text[k]
+
+
+def _sandwich(gen: list[float], columns) -> list[list[tuple[str, str]]]:
+    """Per member, (bound_name, violation) for each (bound_name, values,
+    regimes, side) column whose value lies on the wrong side of the
+    member's exact value gen by more than SANDWICH_SLACK * max(1, |gen|):
+    an upper side below it, a lower side above it.  A value of None (an
+    infeasible bound) and a regime flagged not applicable are skipped."""
+    names, values, regimes, sides = zip(*columns)
+    exact = np.array(gen, dtype=np.float64)
+    slack = SANDWICH_SLACK * np.maximum(1.0, np.abs(exact))
+    checked = np.array(values, dtype=np.float64)  # None reads nan
+    for row, regime in zip(checked, regimes):
+        texts = [regime] * row.size if isinstance(regime, str) else regime
+        if any(skip := ["not applicable" in text for text in texts]):
+            row[skip] = np.nan
+    upper, lower = (np.array([[s == side] for s in sides]) for side in ("upper", "lower"))
+    wrong = upper & (checked < exact - slack) | lower & (checked > exact + slack)
+    found = [[] for _ in gen]
+    for k, b in zip(*(index.tolist() for index in wrong.T.nonzero())):
+        name, verb = names[b], "fell below" if sides[b] == "upper" else "rose above"
+        found[k].append((name, f"{name}={values[b][k]!r} {verb} the exact value {gen[k]!r}"))
+    return found
 
 
 def sandwich_violations(rows: list[BoundRow]) -> list[str]:
-    """Compare every feasible bound row against the exact_gen row.
-
-    Returns human-readable violation strings; empty means the exact
-    value sits inside every applicable bound up to a 1e-12 absolute
-    slack.  Rows flagged not applicable in their regime are skipped.
-    """
+    """Compare every feasible bound row against the exact_gen row, as
+    _sandwich compares a member of one: human-readable violations, none
+    when the exact value sits inside every applicable bound up to a 1e-12
+    absolute slack.  Rows flagged not applicable are skipped."""
     exact = [r for r in rows if r.side == "exact"]
     if len(exact) != 1:
         raise InvalidInput(f"expected exactly one exact row, got {len(exact)}")
-    gen = exact[0].value
-    violations = []
-    for row in rows:
-        if row.side == "exact" or not row.feasible or row.value is None:
-            continue
-        if "not applicable" in row.regime:
-            continue
-        slack = SANDWICH_SLACK * max(1.0, abs(gen))
-        if row.side == "upper" and row.value < gen - slack:
-            violations.append(
-                f"{row.bound_name}={row.value!r} fell below the exact value {gen!r}"
-            )
-        if row.side == "lower" and row.value > gen + slack:
-            violations.append(
-                f"{row.bound_name}={row.value!r} rose above the exact value {gen!r}"
-            )
-    return violations
+    columns = ((r.bound_name, [r.value if r.feasible else None], r.regime, r.side) for r in rows)
+    return [violation for _, violation in _sandwich([exact[0].value], columns)[0]]

@@ -47,7 +47,7 @@ from .asymptotics import (
     mle_asymptotic_gen,
     single_well_gen,
 )
-from .bounds import RatioConstants, _bounds_rows, sandwich_violations
+from .bounds import RatioConstants, _BoundTable, _sweep_ratios
 from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch, InvalidInput
 from .gaussian import (
     GaussianMeanConfig,
@@ -60,7 +60,7 @@ from .gaussian import (
 from .gibbs import (
     CONCAVITY_SLACK,
     ELEMENT_CAP,
-    GenReport,
+    ROUTES,
     InfoDivergenceReport,
     _shape_sweep,
     chain_rule_example,
@@ -198,21 +198,28 @@ def _problem_kind(problem) -> str:
 
 def _instance_posteriors(config: dict, seed: int):
     """(index, problem, gamma, posterior) for every configured instance at
-    every configured gamma, in (instance, gamma) order; the instances of
-    one shape are evaluated together (gibbs._shape_sweep), and each
-    posterior goes straight into its rows, so only the current window's
-    stacks stay alive."""
-    instances = instance_sweep(
-        config["instances"],
-        seed,
-        max_symbols=config["max_symbols"],
-        max_hypotheses=config["max_hypotheses"],
-        max_n=config["max_n"],
-    )
-    return _shape_sweep(instances, config["gammas"])
+    every configured gamma, in (instance, gamma) order (gibbs._shape_sweep);
+    only the current window's stacks stay alive."""
+    sizes = {key: config[key] for key in ("max_symbols", "max_hypotheses", "max_n")}
+    return _shape_sweep(instance_sweep(config["instances"], seed, **sizes), config["gammas"])
 
 
 # ---------------------------------------------------------------- identities
+
+
+def _identity_columns(sweep) -> tuple:
+    """Per member of a sweep, its identities.csv cells from direct and its
+    divergence_order.csv cells from mutual, and the failures of the
+    divergence order and of the ratio constants by member."""
+    gaps, ratios = sweep.route_check[0], _sweep_ratios(sweep)
+    routes = [sweep.routes.get(name) for name in ROUTES]
+    numbers = (*sweep.information, *sweep.references)
+    divergences = (*numbers, ratios["c_i"], ratios["c_k"], ratios["degenerate"])
+    return (
+        list(zip(*([None] * gaps.size if c is None else c.tolist() for c in (*routes, gaps)))),
+        list(zip(*(column.tolist() for column in divergences))),
+        InfoDivergenceReport.failures(*numbers), RatioConstants.failures(*ratios.values()),
+    )
 
 
 def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
@@ -225,42 +232,33 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     ratio_failures = []
     started = time.monotonic()
     for index, problem, gamma, posterior in _instance_posteriors(config, seed):
-        try:
-            report = GenReport.from_posterior(posterior)
-        except IdentityMismatch as exc:
-            failures.append(f"instance {index} gamma {gamma}: {exc}")
+        sweep, k = posterior._sweep, posterior._index
+        where = f"instance {index} gamma {gamma}"
+        error = sweep.route_check[1].get(k)
+        if error is not None:
+            failures.append(f"{where}: {error}")
             continue
+        routes, divergences, order_failures, constant_failures = sweep.columns(_identity_columns)
         identity_rows.append(
             [index, gamma, _problem_kind(problem), problem.n, problem.num_samples_symbols,
-             problem.num_hypotheses, report.direct, report.via_iskl, report.via_skl_div,
-             report.via_cmi, report.via_replace_one, report.max_pairwise_gap()]
+             problem.num_hypotheses, *routes[k]]
         )
-        # both gates read the numbers behind the report just checked
-        try:
-            prop = InfoDivergenceReport(
-                report.info.mutual, report.info.lautum, report.d_fwd, report.d_rev
-            )
-            ratios = RatioConstants.from_report(report)
-        except IdentityMismatch as exc:
-            ratio_failures.append(f"instance {index} gamma {gamma}: {exc}")
+        # both gates read the numbers behind the routes just checked
+        error = order_failures.get(k) or constant_failures.get(k)
+        if error is not None:
+            if not isinstance(error, IdentityMismatch):
+                raise error
+            ratio_failures.append(f"{where}: {error}")
             continue
-        prop_rows.append(
-            [index, gamma, prop.mutual, prop.lautum, prop.d_fwd, prop.d_rev, ratios.c_i,
-             ratios.c_k, ratios.degenerate]
-        )
+        prop_rows.append([index, gamma, *divergences[k]])
     sweep_seconds = time.monotonic() - started
 
-    write_csv(
-        os.path.join(out_dir, "identities.csv"),
-        ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses", "direct",
-         "via_iskl", "via_skl_div", "via_cmi", "via_replace_one", "max_gap"],
-        identity_rows,
-    )
-    write_csv(
-        os.path.join(out_dir, "divergence_order.csv"),
-        ["instance", "gamma", "mutual", "lautum", "d_fwd", "d_rev", "c_i", "c_k", "degenerate"],
-        prop_rows,
-    )
+    write_csv(os.path.join(out_dir, "identities.csv"),
+              ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses", *ROUTES,
+               "max_gap"], identity_rows)
+    write_csv(os.path.join(out_dir, "divergence_order.csv"),
+              ["instance", "gamma", "mutual", "lautum", "d_fwd", "d_rev", "c_i", "c_k",
+               "degenerate"], prop_rows)
 
     # every evaluation gives either a row or a failure, so a count of
     # failures against 0 is also a count of rows against the evaluations
@@ -470,9 +468,10 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
     # only the probe gammas that the table sweeps have rows to compare
     probe_gammas = set(config["probe_gammas"]) & set(gammas)
     sweep_alphas = sorted(set(alphas) | {probe_alpha}, reverse=True)
-    # the probe order rides in the same table; its row is written only if listed
+    # the probe order rides in the same table; its row is written, and
+    # compared, only if listed
     table_alphas = alphas if probe_alpha in alphas else alphas + (probe_alpha,)
-    probe_name = f"renyi_upper_alpha_{probe_alpha:g}"
+    unlisted = None if probe_alpha in alphas else f"renyi_upper_alpha_{probe_alpha:g}"
 
     all_rows = []
     probe_rows = []
@@ -480,49 +479,32 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
     sweep_failures = []
     # the orders are checked by RANGES, as bounds_table would check them
     for index, problem, gamma, posterior in _instance_posteriors(config, seed):
-        table = _bounds_rows(posterior, table_alphas)
-        value = {row.bound_name: row.value for row in table}
-        rows = [r for r in table if probe_alpha in alphas or r.bound_name != probe_name]
-        for row in rows:
-            all_rows.append(
-                [index, gamma, _problem_kind(problem), row.bound_name, row.value,
-                 row.feasible, row.regime, row.constants_used, row.side]
-            )
-        violations.extend(
-            f"instance {index} gamma {gamma}: {v}" for v in sandwich_violations(rows)
-        )
+        table, k = posterior._sweep.columns(_BoundTable, table_alphas), posterior._index
+        where, kind = f"instance {index} gamma {gamma}", _problem_kind(problem)
+        all_rows.extend([index, gamma, kind, name, value, feasible, regime, constants, side]
+                        for name, value, feasible, regime, constants, side in table.rows(k)
+                        if name != unlisted)
+        violations.extend(f"{where}: {v}" for name, v in table.violations[k] if name != unlisted)
+        value = {name: values[k] for name, values in zip(table.names, table.values)}
         gen = value["exact_gen"]
         sweep = [value[f"renyi_upper_alpha_{a:g}"] for a in sweep_alphas]
         if any(b > a + 1e-12 for a, b in zip(sweep, sweep[1:])):
-            sweep_failures.append(
-                f"instance {index} gamma {gamma}: values not decreasing along "
-                f"alphas {sweep_alphas}"
-            )
+            sweep_failures.append(f"{where}: values not decreasing along alphas {sweep_alphas}")
         if sweep[-1] < gen - 1e-10:
             sweep_failures.append(
-                f"instance {index} gamma {gamma}: order-{probe_alpha} value "
-                f"{sweep[-1]!r} fell below gen {gen!r}"
+                f"{where}: order-{probe_alpha} value {sweep[-1]!r} fell below gen {gen!r}"
             )
         excess = sweep[-1] / gen - 1.0 if gen > 1e-300 else 0.0
         probe_rows.append([index, gamma, gen, sweep[-1], excess])
 
-    write_csv(
-        os.path.join(out_dir, "bounds.csv"),
-        ["instance", "gamma", "data_kind", "bound_name", "value", "feasible", "regime",
-         "constants_used", "side"],
-        all_rows,
-    )
-    write_csv(
-        os.path.join(out_dir, "renyi_probe.csv"),
-        ["instance", "gamma", "gen", f"renyi_{probe_alpha:g}", "excess_ratio"],
-        probe_rows,
-    )
+    names = ["bound_name", "value", "feasible", "regime", "constants_used"]
+    write_csv(os.path.join(out_dir, "bounds.csv"),
+              ["instance", "gamma", "data_kind", *names, "side"], all_rows)
+    write_csv(os.path.join(out_dir, "renyi_probe.csv"),
+              ["instance", "gamma", "gen", f"renyi_{probe_alpha:g}", "excess_ratio"], probe_rows)
     first = (0, gammas[0])  # the sweep starts at instance 0
-    write_csv(
-        os.path.join(out_dir, "suite_example.csv"),
-        ["bound_name", "value", "feasible", "regime", "constants_used"],
-        [row[3:8] for row in all_rows if (row[0], row[1]) == first],
-    )
+    write_csv(os.path.join(out_dir, "suite_example.csv"), names,
+              [row[3:8] for row in all_rows if (row[0], row[1]) == first])
 
     worst_excess = {
         gamma: max(row[4] for row in probe_rows if row[1] == gamma) for gamma in gammas

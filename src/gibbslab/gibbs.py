@@ -4,85 +4,50 @@ A learning problem here is fully tabulated: finite sample alphabet, finite
 hypothesis set, a loss table, a prior, and a data law for n-sample training
 tuples (IID product or an arbitrary joint law).  Because every dataset can
 be enumerated, the Gibbs posterior and all of its information functionals
-are computed exactly, which turns the theory's identities into machine
-checkable statements:
+are computed exactly, and the expected generalization error comes out five
+ways (ROUTES): from the definition (gen_error_direct), from the
+symmetrized KL information of (W, S), from the expected symmetrized KL
+divergence to the population-risk Gibbs law, and on IID models from the
+conditional information between W and supersample selectors and from the
+replace-one divergence sum.  All five agree to 1e-9 relative on any valid
+instance.  Datasets are ordered tuples in lexicographic order; only the
+supersample sweep collapses its states, to one per orbit of pair swaps and
+pair permutations.  One cap, ELEMENT_CAP, bounds every enumerated array,
+counted (_check_elements) before anything is allocated.
 
-  * gen_error_direct evaluates the definition, the expected gap between
-    population and empirical risk under the joint law of (W, S);
-  * gen_characterizations re-derives the same number four more ways: from
-    the symmetrized KL information of (W, S), from the expected symmetrized
-    KL divergence to the population-risk Gibbs law, from the conditional
-    information between W and supersample selectors (IID only), and from
-    the replace-one-sample divergence sum (IID only).
+There is one evaluation path.  _gibbs_sweep evaluates a _Stack of p
+problems of one shape (data model kind, |Z|, n and |W|) at g gammas as one
+(p, g, nw, m) log-row table; a problem on its own is a stack of one, which
+it caches (LearningProblem._stack).  Each functional of the _Sweep is
+computed for all its (problem, gamma) members the first time any member
+asks, in the same operations, reductions and order whatever p and g, so
+each member's numbers are bit for bit those of a stack of one at one
+gamma.  The results are columns with one value per member: the routes
+(_Sweep.routes) and their check (_route_check) here, the ratio constants
+and every bound in bounds._BoundTable.  The verify-identities and
+bounds-table subcommands read the columns of the stacks of _shape_sweep,
+which stacks the same-shape problems of a window of instances; GenReport,
+InfoReport and InfoDivergenceReport are one-member views, each checking
+itself by its columns' check on a member of one.  gen_characterizations
+and bounds.bounds_table, the per-pair entry points, share one module-level
+slot (_evaluation), so the routes and then the bounds of a pair cost one
+evaluation.
 
-All five agree to 1e-9 relative on any valid instance; GenReport enforces
-this at construction.  Datasets are ordered tuples enumerated in
-lexicographic order; only the supersample sweep collapses its states, to
-one representative per orbit of pair swaps and pair permutations (see
-_Stack._supersample_geometry).  One cap, ELEMENT_CAP, bounds every
-enumerated array: _check_elements counts the largest array of a problem
-before its first table, and each IID route's own count before that route
-allocates.
-
-One evaluation of a (problem, gamma) pair is what every route and bound
-reads: the routes through GenReport.from_posterior (which also carries
-the numbers behind RatioConstants.from_report and InfoDivergenceReport),
-the bounds through bounds._bounds_rows.  There is one evaluation path:
-_gibbs_sweep evaluates a _Stack of p problems of one shape (data model
-kind, |Z|, n and |W|) at g gammas as one (p, g, nw, m) log-row table, and
-a problem on its own is a stack of one, which it caches
-(LearningProblem._stack), so every enumerated table leads with (p, 1) and
-every sweep table with (p, g), and a problem read at several gammas builds
-its tables once.  Each functional is computed for every member the first
-time any member asks, in the same operations, reductions and order
-whatever p and g, so each member's numbers are bit for bit those of a
-stack of one at one gamma.  _shape_sweep reads instances in windows of at
-most BLOCK_ELEMENTS table elements and evaluates the problems of a window
-that share a shape as one stack; the shape-only data (the index matrix,
-the supersample orbits and replace-one's ids) is built once per stack.
 Every table is hypothesis-major and C-contiguous, (..., nw, m) with the
-datasets last, and every sum is numpy's own reduction: over the
-contiguous dataset axis it is pairwise, over hypotheses it adds rows in
-order, and no sum goes through BLAS, so no number depends on its kernel
-or thread count.  The gammas go in chunks whose table holds at most
-max(m * nw, BLOCK_ELEMENTS) elements (probability.BLOCK_ELEMENTS), and
-the supersample and replace-one sweeps work in blocks of the same
-budget, stacking only as many members as fit, so however many gammas
-there are, peak memory stays near that of one evaluation or one block,
-whichever is larger, plus replace-one's (|Z|, m) divergence tables of
-the members in its block.
-The kernels of probability own their temporaries, each call taking what
-it needs and freeing it on return, so an evaluation holds only the
-arrays it caches and threads reading one share no temporary.
-The two IID-only routes are read through a posterior alone
-(supersample_info, replace_one), and both run the same size checks
-before they allocate anything.  The verify-identities and bounds-table
-subcommands read their sweeps through _shape_sweep, and
-empirical_risk_curve through _gibbs_sweep.  gibbs_posterior is the sweep
-of one gamma.  gen_characterizations and bounds.bounds_table, the library's
-per-pair entry points, share one module-level slot (_evaluation) that
-holds the evaluation either read last, so a caller that asks for the
-routes and then the bounds of a pair pays for one build, and at most one
-evaluation outlives its callers.  Every array an evaluation caches is
-read-only, so no caller can alter a shared one.
-One method, _Kernels.means, forms every mean of a (..., nw, m) table under
-the product of the marginals P_W x P_S and under the joint law P_{W,S}:
-gen is the gap of the empirical risk's two means (_Kernels.risks),
-regularized_gen reads gen, the regularizer gap and the covariance trace
-as such gaps under the Gibbs kernel of its penalized energy, and
-concavity_probe reads one kernel under a stack of the mixture and
-component laws.
-Its information functionals never leave the log domain, so the identity
-holds in the large-gamma (ERM) regime too, where linear-domain rows
-underflow; the tests check it at gamma up to 1e6.
-Log-sum-exp is the private numpy kernel probability._logsumexp, which
-reproduces scipy's logsumexp results bit for bit without its per-call
-dispatch cost.
+datasets last, and every sum is numpy's own reduction, none through BLAS,
+so no number depends on the BLAS kernel or thread count.  Gammas go in
+chunks, and the supersample and replace-one sweeps in blocks, of
+probability.BLOCK_ELEMENTS, so peak memory stays near one evaluation or
+one block.  Every cached array is read-only.  _Kernels.means forms every
+mean of a table under the product of the marginals and under the joint law:
+gen, regularized_gen's gaps and concavity_probe's errors are such gaps.
+The information functionals never leave the log domain, so the identity
+holds in the large-gamma (ERM) regime too; the tests check it at gamma up
+to 1e6.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -108,7 +73,9 @@ from .probability import (
     ProbVec,
     ZERO_CUTOFF,
     _divergence_pair,
+    _failures,
     _logsumexp,
+    _one,
     _per_block,
     _product_of_marginals,
     _renyi_sums,
@@ -166,8 +133,7 @@ class LearningProblem:
 
     loss[w, z] is the nonnegative loss of hypothesis w on sample z; the
     prior must be strictly positive so every Gibbs posterior shares the
-    prior's support.  Its enumerated tables belong to its stack of one
-    (_stack), so they are built once however many gammas it is read at.
+    prior's support.  Its tables belong to its cached stack of one.
     """
 
     sample_alphabet: tuple | range
@@ -235,22 +201,12 @@ class LearningProblem:
 
 class _Stack:
     """Problems of one shape (data model kind, |Z|, n and |W|) evaluated as
-    one; a problem evaluated on its own is a stack of one.  The stack owns
-    the enumerated arrays, each built on first use and cached read-only
-    with a (p, 1) lead, so that they broadcast against its (p, g, ...)
-    sweep tables.  They read three stacked inputs, the loss tables (loss),
-    the priors' log weights (_log_prior) and the data models' weights
-    (_law_weights), which a stack of one views instead of copying, and the
-    index matrix (_dataset_indices), which like the supersample orbits
-    depends on the shape alone and is built once for all the problems.  A
-    stack of two or more needs every dataset law positive on every
-    dataset for its Renyi sums, which compress the support of a stack of
-    one only (see _Sweep.renyi).
-
-    The stack refers to its problems weakly: a problem caches its stack of
-    one, and a reference back would make a cycle that only the garbage
-    collector frees, keeping a dropped problem's tables until it runs.
-    Whoever draws posteriors from a stack keeps its problems alive."""
+    one.  The stack owns the enumerated arrays, built on first use and
+    cached read-only with a (p, 1) lead that broadcasts against its (p, g,
+    ...) sweep tables.  A stack of two or more needs every dataset law
+    positive, since the Renyi sums compress the support of a stack of one
+    only.  It refers to its problems weakly, as a problem caches its stack
+    of one: whoever draws posteriors from a stack keeps them alive."""
 
     def __init__(self, problems: Sequence[LearningProblem]) -> None:
         first = problems[0]
@@ -276,16 +232,10 @@ class _Stack:
     def _dataset_indices(self) -> np.ndarray:
         """(m, n) sample indices of every dataset, lexicographic order.
         Every enumerated table starts here, so the size check runs here
-        first, on m * max(n, nw) elements: the largest of this matrix, the
-        dataset law, the risk table, every (nw, m) evaluation array and the
-        (nw, |Z|) loss table (|Z| <= m), per problem."""
-        _check_elements(
-            "dataset enumeration",
-            max(self.n, self.num_hypotheses),
-            self.num_samples_symbols,
-            self.n,
-        )
-        return _index_matrix(self.num_samples_symbols, self.n)
+        first, on m * max(n, nw) elements, the largest array per problem."""
+        nz, n = self.num_samples_symbols, self.n
+        _check_elements("dataset enumeration", max(n, self.num_hypotheses), nz, n)
+        return _index_matrix(nz, n)
 
     @cached_property
     def _dataset_probs(self) -> np.ndarray:
@@ -293,61 +243,53 @@ class _Stack:
         tuple, or a joint law's own weights, not copied."""
         if not self._iid:
             return self._law_weights
-        probs = np.prod(self._law_weights[..., self._dataset_indices], axis=-1)
-        probs.flags.writeable = False
-        return probs
+        return _frozen(np.prod(self._law_weights[..., self._dataset_indices], axis=-1))
 
     @cached_property
     def _log_dataset_probs(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            log_probs = np.log(self._dataset_probs)
-        log_probs.flags.writeable = False
-        return log_probs
+            return _frozen(np.log(self._dataset_probs))
 
     @cached_property
     def _empirical_risk(self) -> np.ndarray:
         """(p, 1, num_hypotheses, m) empirical risk of every (w, dataset)
-        pair, C-contiguous like every evaluation table, from (p, 1, nw, b, n)
-        loss gathers of b datasets within BLOCK_ELEMENTS; each mean runs
-        over one pair's n losses, so no bit depends on the blocks."""
+        pair, from loss gathers of blocks of datasets; each mean runs over
+        one pair's n losses, so no bit depends on the blocks."""
         cols = self._dataset_indices
         loss = self.loss
         risk = np.empty(loss.shape[:-1] + cols.shape[:1])
         block = _per_block(math.prod(loss.shape[:-1]) * self.n)
         for start in range(0, cols.shape[0], block):
             risk[..., start : start + block] = loss[..., cols[start : start + block]].mean(axis=-1)
-        risk.flags.writeable = False
-        return risk
+        return _frozen(risk)
 
     @cached_property
     def _population_risk(self) -> np.ndarray:
-        risk = _expect(self._empirical_risk, self._dataset_probs[..., None, :])
-        risk.flags.writeable = False
-        return risk
+        return _frozen(_expect(self._empirical_risk, self._dataset_probs[..., None, :]))
 
     @cached_property
     def _supersample_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gamma-independent part of the supersample sweep, one entry
-        per orbit of supersamples (see _supersample_orbits): each problem's
-        (p, 1, orbits) total probability of the orbit, and the (orbits,
-        2**n) ids of the dataset each selector string picks from the orbit's
-        representative.  IID models only; callers check the enumeration
-        size first."""
-        first, second, orbit_size, dataset_ids = _supersample_orbits(
-            self.num_samples_symbols, self.n
-        )
+        """The gamma-independent part of the supersample sweep: each
+        problem's (p, 1, orbits) total probability of each orbit, and the
+        (orbits, 2**n) dataset ids of _supersample_orbits.  IID models only;
+        callers check the enumeration size first."""
+        nz, n = self.num_samples_symbols, self.n
+        first, second, orbit_size, dataset_ids = _supersample_orbits(nz, n)
         weights = self._law_weights
         super_probs = np.prod(weights[..., first] * weights[..., second], axis=-1) * orbit_size
-        super_probs.flags.writeable = False
-        return super_probs, dataset_ids
+        return _frozen(super_probs), dataset_ids
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     """Same-shape read-only arrays stacked with a (p, 1) lead; a single
     array is viewed, not copied."""
-    values = np.stack(arrays)[:, None] if len(arrays) > 1 else arrays[0][None, None]
-    values.flags.writeable = False
-    return values
+    return _frozen(np.stack(arrays)[:, None] if len(arrays) > 1 else arrays[0][None, None])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def _supersample_orbits(nz: int, n: int) -> tuple[np.ndarray, ...]:
@@ -356,14 +298,12 @@ def _supersample_orbits(nz: int, n: int) -> tuple[np.ndarray, ...]:
     and second symbols of the representative's pairs, the orbit's size and
     the (orbits, 2**n) ids of the dataset each selector string picks.
 
-    The term I(W; U | supersample) is constant on an orbit of two
-    symmetries.  Swapping the two elements of a pair only relabels that
-    selector bit, and permuting the pairs permutes the datasets, which
-    an IID posterior cannot see because the empirical risk is a mean.
-    The representative is a sorted multiset of n unordered pairs
-    (a <= b); its orbit holds n! / prod_k m_k! * 2**d ordered tuples of
-    equal probability, m_k being how often pair type k appears and d
-    the number of pairs with a != b."""
+    I(W; U | supersample) is constant on an orbit: swapping a pair's
+    elements relabels one selector bit, and permuting the pairs permutes
+    the datasets, which an IID posterior cannot see.  The representative is
+    a sorted multiset of n unordered pairs (a <= b); its orbit holds n! /
+    prod_k m_k! * 2**d ordered tuples of equal probability, m_k being how
+    often pair type k appears and d the number of pairs with a != b."""
     pair_first, pair_second = np.triu_indices(nz)
     orbits = np.fromiter(
         itertools.chain.from_iterable(
@@ -386,8 +326,7 @@ def _supersample_orbits(nz: int, n: int) -> tuple[np.ndarray, ...]:
     for k, bits in enumerate(selectors):
         chosen = np.where(bits[None, :] == 1, second, first)
         dataset_ids[:, k] = chosen @ powers
-    dataset_ids.flags.writeable = False
-    return first, second, orbit_size, dataset_ids
+    return first, second, orbit_size, _frozen(dataset_ids)
 
 
 def _index_matrix(base: int, length: int) -> np.ndarray:
@@ -395,25 +334,19 @@ def _index_matrix(base: int, length: int) -> np.ndarray:
     count = base**length
     idx = np.arange(count)
     powers = base ** np.arange(length - 1, -1, -1)
-    cols = (idx[:, None] // powers[None, :]) % base
-    cols.flags.writeable = False
-    return cols
+    return _frozen((idx[:, None] // powers[None, :]) % base)
 
 
 def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) -> None:
     """Refuse an array of factor * base**exponent elements above
     ELEMENT_CAP, before anything is allocated, without forming a power
-    above the cap: with a base of 2 or more an exponent of
-    ELEMENT_CAP.bit_length() (23) or more already exceeds it, so the
-    exponent is clipped there first, and EnumerationTooLarge.required then
-    carries that lower bound instead of the count."""
+    above the cap: the exponent is clipped at ELEMENT_CAP.bit_length(),
+    which with a base of 2 or more already exceeds it, and
+    EnumerationTooLarge.required then carries that lower bound."""
     required = factor * base ** min(exponent, ELEMENT_CAP.bit_length())
     if required > ELEMENT_CAP:
-        raise EnumerationTooLarge(
-            f"{what} needs more elements than the cap of {ELEMENT_CAP}",
-            required=required,
-            cap=ELEMENT_CAP,
-        )
+        raise EnumerationTooLarge(f"{what} needs more elements than the cap of {ELEMENT_CAP}",
+                                  required=required, cap=ELEMENT_CAP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,16 +355,11 @@ class _Kernels:
     _Stack of p problems at g gammas, given by C-contiguous (p, g,
     num_hypotheses, m) log rows, and the functionals that need nothing
     else, each computed for every kernel on first use and cached
-    read-only.  The stack's arrays lead with (p, 1) and so broadcast
-    against the tables without being copied; a problem on its own is a
-    stack of one, (1, g, ...), and one kernel read under the p dataset
-    laws of a stack is a (1, 1, ...) table.
-
-    Elementwise steps run on the whole table; sums over hypotheses run over
-    axis -2 and sums over datasets over the last axis, so each row reduces
-    on its own and each kernel's numbers are bit for bit those of a stack
-    of one at one gamma.  A functional that gives one value per kernel
-    lists them in member order, problem by problem and gamma by gamma."""
+    read-only.  Sums over hypotheses run over axis -2 and over datasets
+    over the last axis, so each row reduces on its own and each kernel's
+    numbers are bit for bit those of a stack of one at one gamma.  A
+    column holds one value per kernel in member order, problem by problem
+    and gamma by gamma."""
 
     stack: _Stack
     log_rows: np.ndarray
@@ -442,69 +370,66 @@ class _Kernels:
         sums to 1 at machine precision."""
         rows = np.exp(self.log_rows)
         rows /= rows.sum(axis=-2, keepdims=True)
-        rows.flags.writeable = False
-        return rows
+        return _frozen(rows)
 
     @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
-        marg = _expect(self.row_array, self.stack._dataset_probs[..., None, :])
-        marg.flags.writeable = False
-        return marg
+        return _frozen(_expect(self.row_array, self.stack._dataset_probs[..., None, :]))
 
     @cached_property
     def log_kernel(self) -> np.ndarray:
         """log_rows normalized again, for the information functionals: the
         first log-sum-exp leaves each row's total off by rounding that grows
         with gamma times the risk; a second pass near zero removes it."""
-        log_kernel = self.log_rows - _logsumexp(self.log_rows, axis=-2, keepdims=True)
-        log_kernel.flags.writeable = False
-        return log_kernel
+        return _frozen(self.log_rows - _logsumexp(self.log_rows, axis=-2, keepdims=True))
 
     @cached_property
     def log_joint(self) -> np.ndarray:
         """The joint law of (S, W) in the log domain, (p, g, num_hypotheses, m)."""
-        log_joint = self.stack._log_dataset_probs[..., None, :] + self.log_kernel
-        log_joint.flags.writeable = False
-        return log_joint
+        return _frozen(self.stack._log_dataset_probs[..., None, :] + self.log_kernel)
 
     @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain."""
-        log_marg = _logsumexp(self.log_joint, axis=-1)
-        log_marg.flags.writeable = False
-        return log_marg
+        return _frozen(_logsumexp(self.log_joint, axis=-1))
 
-    def _expected_divergences(self, log_reference: np.ndarray) -> list[tuple[float, float]]:
-        """Per kernel, (E D(row || reference), E D(reference || row)) over
+    def _expected_divergences(self, log_reference: np.ndarray) -> np.ndarray:
+        """(2, members): E D(row || reference) and E D(reference || row) over
         datasets, for one (p, g, num_hypotheses) reference per kernel."""
         probs = self.stack._dataset_probs
         forward, reverse = _divergence_pair(self.log_kernel, log_reference[..., None], axis=-2)
-        forward, reverse = _expect(forward, probs), _expect(reverse, probs)
-        return list(zip(forward.ravel().tolist(), reverse.ravel().tolist()))
+        return _frozen(np.array((_expect(forward, probs).ravel(), _expect(reverse, probs).ravel())))
+
+    @cached_property
+    def information(self) -> np.ndarray:
+        """(2, members): the mutual and the lautum information of (W, S)."""
+        return self._expected_divergences(self.log_marginal)
 
     @cached_property
     def info(self) -> tuple[InfoReport, ...]:
         """Mutual, lautum and symmetrized information of (W, S)."""
-        return tuple(
-            InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)
-            for mutual, lautum in self._expected_divergences(self.log_marginal)
-        )
+        return _info_reports(self.information)
 
-    def means(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def means(self, table: np.ndarray, laws: np.ndarray | None = None) -> tuple:
         """Per kernel, the mean of a (..., num_hypotheses, m) table f(w, s)
-        under the product of the hypothesis marginal and the data law, and
-        under the joint law of (W, S), each with the kernels' lead.  The
-        product mean less the joint mean is the gap that gen (f the
-        empirical risk) and the regularizer gap (f = R) are."""
-        probs = self.stack._dataset_probs[..., None, :]
+        under the product of the hypothesis marginal and the data law (the
+        stack's, or (..., m) laws given), and under the joint law of (W, S),
+        with the lead of the kernels and the laws.  The product mean less
+        the joint mean is the gap that gen (f the empirical risk) and the
+        regularizer gap (f = R) are."""
+        if laws is None:
+            laws, marginal = self.stack._dataset_probs, self.hypothesis_marginal
+        else:
+            marginal = _expect(self.row_array, laws[..., None, :])
+        probs = laws[..., None, :]
         terms = np.multiply(self.row_array, table)
         terms *= probs
         joint = terms.sum(axis=-1).sum(axis=-1)
         # the table's mean under the data law, in the same memory, so a call
         # holds one table-sized temporary at a time
         data_mean = np.multiply(table, probs, out=terms).sum(axis=-1)
-        return _expect(self.hypothesis_marginal, data_mean), joint
+        return _expect(marginal, data_mean), joint
 
     @cached_property
     def risks(self) -> list[tuple[float, float]]:
@@ -515,36 +440,51 @@ class _Kernels:
         return list(zip(population.ravel().tolist(), empirical.ravel().tolist()))
 
 
+def _info_reports(pairs: np.ndarray) -> tuple[InfoReport, ...]:
+    """One InfoReport per member of (2, members) mutual and lautum columns."""
+    return tuple(InfoReport(m, l, m + l) for m, l in zip(*pairs.tolist()))
+
+
+def _symmetrized(pairs: np.ndarray) -> np.ndarray:
+    """mutual + lautum of (2, members) columns, after InfoReport's checks."""
+    mutual, lautum = pairs
+    for error in InfoReport.failures(mutual, lautum, mutual + lautum).values():
+        raise error
+    return mutual + lautum
+
+
 @dataclass(frozen=True, eq=False)
 class _Sweep(_Kernels):
     """The Gibbs posteriors of each problem of a _Stack at several gammas,
-    stacked: the remaining functionals the routes and bounds read, each
-    computed for every member at once on first use.  Its members are
-    GibbsPosterior objects, one per (problem, gamma), each reading its own
-    slice."""
+    stacked: the remaining functionals and the routes, each computed for
+    every member at once on first use.  Its members are GibbsPosterior
+    objects, one per (problem, gamma), each reading its own slice."""
 
     gammas: tuple[float, ...]
 
     @cached_property
-    def reference_divergences(self) -> list[tuple[float, float]]:
-        """(d_fwd, d_rev): the expected divergences from the posterior rows
-        to the population-risk Gibbs law and back."""
+    def references(self) -> np.ndarray:
+        """(2, members): d_fwd and d_rev, the expected divergences from the
+        posterior rows to the population-risk Gibbs law and back."""
         gammas = np.array(self.gammas)[:, None]
         return self._expected_divergences(_log_population(self.stack, gammas))
 
     @cached_property
-    def total_variation(self) -> list[float]:
-        """Unnormalized total variation between the joint law of (W, S) and
-        the product of its marginals."""
-        joint = np.multiply(self.row_array, self.stack._dataset_probs[..., None, :])
-        tv = _total_variation(joint, _product_of_marginals(joint), axis=(-2, -1))
-        return tv.ravel().tolist()
+    def reference_divergences(self) -> list[tuple[float, float]]:
+        """(d_fwd, d_rev) per member: references as floats."""
+        return list(zip(*self.references.tolist()))
 
-    def renyi(self, alphas: tuple[float, ...]) -> list[tuple[float, ...]]:
-        """Per member, the sum of the two directed Renyi divergences of
-        each order in alphas between the joint law of (W, S) and the
-        product of its marginals.  The values of the last alphas asked are
-        kept."""
+    @cached_property
+    def total_variation(self) -> np.ndarray:
+        """(p, g): unnormalized total variation between the joint law of
+        (W, S) and the product of its marginals."""
+        joint = np.multiply(self.row_array, self.stack._dataset_probs[..., None, :])
+        return _frozen(_total_variation(joint, _product_of_marginals(joint), axis=(-2, -1)))
+
+    def renyi(self, alphas: tuple[float, ...]) -> np.ndarray:
+        """(p, g, len(alphas)): per member, the sum of the two directed Renyi
+        divergences of each order in alphas between the joint law of (W, S)
+        and the product of its marginals, kept for the last alphas asked."""
         last = self.__dict__.get("_renyi")
         if last is None or last[0] != alphas:
             stack = self.stack
@@ -557,34 +497,31 @@ class _Sweep(_Kernels):
                 joint = np.compress(support, joint, axis=-1)
             product = log_probs[..., None, :] + self.log_marginal[..., None]
             # one (nw, m') pair of laws per member
+            lead = joint.shape[:-2]
             joint = joint.reshape((-1,) + joint.shape[-2:])
             product = product.reshape(joint.shape)
             # the reverse call's log ratio is the exact negation of the
             # forward one's
             sums = _renyi_sums(joint, product, alphas)
             sums += _renyi_sums(product, joint, alphas)
-            last = self.__dict__["_renyi"] = (alphas, [tuple(row) for row in sums.T.tolist()])
+            last = self.__dict__["_renyi"] = (alphas, _frozen(sums.T.reshape(lead + (-1,))))
         return last[1]
 
     @cached_property
-    def supersample_info(self) -> list[InfoReport]:
-        """Per member, the conditional mutual, lautum and symmetrized
+    def supersample_information(self) -> np.ndarray:
+        """(2, members): per member, the conditional mutual and lautum
         information between W and the selector string U given a supersample
-        of n sample pairs.  IID data models only.
-
-        The supersample holds 2n IID draws arranged as n pairs; U picks one
-        element of each pair to form the training tuple, uniformly and
-        independently.  The expectation over supersamples runs over orbits
-        rather than ordered tuples: swapping a pair's elements relabels one
-        selector bit, and permuting the pairs permutes every selected
-        dataset, which leaves an IID posterior unchanged, so I(W; U |
-        supersample) is constant on each orbit.  One sorted multiset of n
-        unordered pairs stands for its orbit, weighted by n! / prod_k m_k!
-        * 2**d times its own probability (m_k counts pair type k, d the
-        pairs of two distinct symbols).  _require_iid_routes counts the
-        states visited before anything is allocated."""
+        of n sample pairs (2n IID draws; U picks one element of each pair to
+        form the training tuple, uniformly and independently), summed over
+        orbits of supersamples (_supersample_orbits).  IID data models only;
+        _require_iid_routes counts the states before anything is allocated."""
         _require_iid_routes(self.stack)
         return _supersample_infos(self.stack, self.log_kernel)
+
+    @cached_property
+    def supersample_info(self) -> tuple[InfoReport, ...]:
+        """supersample_information as one InfoReport per member."""
+        return _info_reports(self.supersample_information)
 
     @cached_property
     def replace_one(self) -> np.ndarray:
@@ -592,14 +529,41 @@ class _Sweep(_Kernels):
         divergences.  For each coordinate i, averaged over (S, Z) with Z an
         independent fresh sample: forward[i] = E[D(posterior(S) ||
         posterior(S with slot i = Z))], and reverse[i] the opposite
-        direction.  IID data models only.
-
-        Both IID routes run the same checks first, so a problem either
-        refuses allocates neither route, whichever is read first."""
+        direction.  IID data models only; both IID routes run the same
+        checks first, so a problem either refuses allocates neither."""
         _require_iid_routes(self.stack)
-        both = _replace_one_stack(self.stack, self.log_kernel)
-        both.flags.writeable = False
-        return both
+        return _frozen(_replace_one_stack(self.stack, self.log_kernel))
+
+    @cached_property
+    def routes(self) -> dict[str, np.ndarray]:
+        """Every route of gen as a column of members (the IID two on IID
+        stacks only), from the numbers that GenReport.from_posterior reads,
+        in its order, so a stack raises what its first member's would."""
+        for gamma in self.gammas:
+            _require_positive_gamma(gamma)
+        extras = {}
+        if self.stack.is_iid():
+            forward, reverse = self.replace_one.reshape(-1, 2, self.stack.n).transpose(1, 0, 2)
+            conditional = _symmetrized(self.supersample_information)
+            extras = {"conditional": conditional, "forward": forward, "reverse": reverse}
+        population, empirical = np.array(self.risks).T
+        gammas = np.array(self.gammas * self.log_rows.shape[0])
+        symmetrized = _symmetrized(self.information)
+        return _routes(gammas, population - empirical, symmetrized, *self.references, **extras)
+
+    @cached_property
+    def route_check(self) -> tuple[np.ndarray, dict[int, IdentityMismatch]]:
+        """_route_check of routes: each member's gap and failure."""
+        return _route_check(self.routes)
+
+    def columns(self, build, *args):
+        """build(self, *args), columns that another module reads from these
+        functionals, computed on first use and kept with them."""
+        kept = self.__dict__.setdefault("_columns", {})
+        key = (build, *args)
+        if key not in kept:
+            kept[key] = build(self, *args)
+        return kept[key]
 
 
 class _Slice:
@@ -623,14 +587,9 @@ class _Slice:
 class GibbsPosterior:
     """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
     tabulated per enumerated dataset and held in the log domain; build it
-    with gibbs_posterior.  It is one member of a stacked sweep over the
-    gammas of the problems of a _Stack, a problem on its own being a stack
-    of one (see _gibbs_sweep): each functional below is the member's slice
-    of the sweep's, which the sweep computes for all its members the first
-    time any of them asks.  Every array is read-only.  log_rows, row_array
-    and log_kernel are (num_hypotheses, m), one column per dataset: views
-    of the sweep's (p, g, num_hypotheses, m) tables, in the layout of every
-    table."""
+    with gibbs_posterior.  It is one member of a _Sweep, and each
+    functional below is its read-only slice of the sweep's: log_rows,
+    row_array and log_kernel are (num_hypotheses, m) views."""
 
     def __init__(self, sweep: _Sweep, index: int) -> None:
         self._sweep = sweep
@@ -667,7 +626,7 @@ class GibbsPosterior:
         alphas = tuple(alphas)
         for alpha in alphas:
             _require_order(alpha)
-        return self._sweep.renyi(alphas)[self._index]
+        return tuple(self._sweep.renyi(alphas).reshape(-1, len(alphas))[self._index].tolist())
 
 
 def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
@@ -676,14 +635,9 @@ def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPoster
     log-row table holds at most max(p * m * nw, BLOCK_ELEMENTS) elements,
     and each functional is computed for a whole chunk at once.  The
     posteriors come problem by problem within each chunk, each problem's
-    gammas in order; a problem on its own is its stack of one, and
-    _shape_sweep builds only stacks that fit in one chunk.  The stacked
-    blocks of the supersample and replace-one sweeps keep within the same
-    budget, so whatever the number of gammas, peak memory stays at that of
-    one evaluation or one block, whichever is larger.  A chunk is built
-    when its first member is reached and kept only by its members: a
-    caller that drops each member before asking for the next (map, or
-    next() inside a call) holds one chunk at a time.  Raises
+    gammas in order.  A chunk is built when its first member is reached
+    and kept only by its members, so a caller that drops each member
+    before asking for the next holds one chunk at a time.  Raises
     GammaNonPositive, then EnumerationTooLarge, before any table is
     built."""
     for gamma in gammas:
@@ -700,31 +654,25 @@ def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPoster
         del sweep
 
 
-def _gibbs_log_rows(
-    log_prior: np.ndarray, gamma: float | np.ndarray, energy: np.ndarray
-) -> np.ndarray:
+def _gibbs_log_rows(log_prior: np.ndarray, gamma, energy: np.ndarray) -> np.ndarray:
     """The read-only log rows of the Gibbs kernels prior(w) * exp(-gamma *
     energy(w, s)) / V(s), from (..., nw) log priors, a gamma or a (g, 1, 1)
     column of them, and a (..., nw, m) energy table: the empirical risk, or
     it plus a penalty."""
     logits = log_prior[..., None] - gamma * energy
-    log_rows = logits - _logsumexp(logits, axis=-2, keepdims=True)
-    log_rows.flags.writeable = False
-    return log_rows
+    return _frozen(logits - _logsumexp(logits, axis=-2, keepdims=True))
 
 
 def _shape_sweep(
     instances: Iterable[tuple[int, LearningProblem]], gammas: Sequence[float]
 ) -> Iterator[tuple[int, LearningProblem, float, GibbsPosterior]]:
     """(index, problem, gamma, posterior) for every (index, problem) of
-    instances at each of gammas, in (instance, gamma) order, with the
-    problems of one shape evaluated together.  The instances are read in
-    windows of at most BLOCK_ELEMENTS table elements (m * nw per gamma), or
-    of one instance when that is larger, and the problems of a window that
-    share data model kind, |Z|, n and |W| are evaluated as one _Stack, in
-    one chunk of _gibbs_sweep.  A problem whose dataset law has a zero is
-    its own stack of one, since the Renyi sums compress its support.  Every
-    posterior reads bit for bit what a lone gibbs_posterior build gives."""
+    instances at each of gammas, in (instance, gamma) order.  The instances
+    are read in windows of at most BLOCK_ELEMENTS table elements, or one
+    instance, and the problems of a window that share a shape are one
+    _Stack in one chunk of _gibbs_sweep, but a problem whose dataset law
+    has a zero is alone.  Every posterior reads bit for bit what a lone
+    gibbs_posterior gives."""
     window: list[tuple[int, LearningProblem]] = []
     elements = 0
     for index, problem in instances:
@@ -740,8 +688,7 @@ def _shape_sweep(
 def _window_sweep(
     window: list[tuple[int, LearningProblem]], gammas: Sequence[float]
 ) -> Iterator[tuple[int, LearningProblem, float, GibbsPosterior]]:
-    """_shape_sweep over one window: a member iterator per shape stack,
-    from which each problem takes its posteriors in window order."""
+    """_shape_sweep over one window: a member iterator per shape stack."""
     shapes: dict[tuple, list[LearningProblem]] = {}
     for _, problem in window:
         key = (problem.is_iid(), problem.num_samples_symbols, problem.n, problem.num_hypotheses)
@@ -773,11 +720,9 @@ def _shape_stacks(group: list[LearningProblem]) -> list[_Stack]:
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """Tabulate the Gibbs posterior for every dataset, in the log domain: a
-    sweep over the one gamma of the problem's stack of one.  Raises
-    EnumerationTooLarge when m * max(n, nw) is above ELEMENT_CAP, before any
-    table is built.  Every call evaluates anew, on the tables the problem
-    built at its first call; see _evaluation for the one evaluation that
-    gen_characterizations and bounds_table share."""
+    sweep over the one gamma of the problem's stack of one, evaluated anew
+    on every call.  Raises EnumerationTooLarge when m * max(n, nw) is above
+    ELEMENT_CAP, before any table is built."""
     return next(_gibbs_sweep(problem._stack, (gamma,)))
 
 
@@ -789,22 +734,15 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """gibbs_posterior(problem, gamma), kept in one module-level slot so that
     gen_characterizations and bounds_table, called in turn on one pair,
     read one evaluation.  A hit needs the same problem object and an int
-    or float gamma equal to the slot's as a float.  A hit returns what a
-    fresh build would, bit for bit: the problem's arrays and every cached
-    array of the posterior are read-only, and its numbers depend on nothing
-    else.  A miss empties the slot before it builds, so at most one
-    evaluation outlives its callers, and it holds only the functionals a
-    next reader may share, since every kernel frees its own temporaries.
-    Threads racing on the slot can only cost extra builds: every posterior
-    it holds is complete and immutable."""
+    or float gamma equal to the slot's as a float, and returns what a
+    fresh build would, bit for bit, every cached array being read-only.  A
+    miss empties the slot before it builds, so at most one evaluation
+    outlives its callers.  Threads racing on the slot can only cost extra
+    builds: every posterior it holds is complete and immutable."""
     global _last_evaluation
     last = _last_evaluation
-    if (
-        last is not None
-        and last.problem is problem
-        and isinstance(gamma, (int, float))
-        and float(gamma) == last.gamma
-    ):
+    hit = last is not None and last.problem is problem and isinstance(gamma, (int, float))
+    if hit and float(gamma) == last.gamma:
         return last
     del last
     _last_evaluation = None
@@ -839,9 +777,7 @@ def _require_iid_routes(stack: _Stack) -> None:
     """Refuse a non-IID model, or either IID route's count above
     ELEMENT_CAP, before anything is allocated: replace-one's m * |Z|
     divergences per gamma, then the supersample sweep's C(K + n - 1, n)
-    orbits times 2**n selectors, K = |Z|(|Z|+1)/2 pair types (see
-    _Sweep.supersample_info).  The stack's own check has already bounded
-    n, so the binomial stays small."""
+    orbits times 2**n selectors, K = |Z|(|Z|+1)/2 pair types."""
     if not stack.is_iid():
         raise NotIID("the supersample and replace-one routes require an IID data model")
     nz = stack.num_samples_symbols
@@ -864,12 +800,12 @@ def _member_blocks(lead: tuple[int, int], count: int) -> list[tuple]:
     ]
 
 
-def _supersample_infos(stack: _Stack, log_rows: np.ndarray) -> list[InfoReport]:
-    """The supersample information of each kernel of a (p, g, nw, m) table,
-    after the checks.  A block holds BLOCK_ELEMENTS // (2**n * nw) orbits of
-    one kernel, as for a lone kernel, so each kernel's sums run over the
-    same blocks; when one block holds every orbit, it stacks as many
-    kernels as fit in it."""
+def _supersample_infos(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
+    """The (2, members) supersample mutual and lautum information of each
+    kernel of a (p, g, nw, m) table, after the checks.  A block holds
+    BLOCK_ELEMENTS // (2**n * nw) orbits of one kernel, as for a lone
+    kernel, so each kernel's sums run over the same blocks; when one block
+    holds every orbit, it stacks as many kernels as fit in it."""
     super_probs, dataset_ids = stack._supersample_geometry
     num_super, num_u = dataset_ids.shape
     lead = log_rows.shape[:-2]
@@ -894,24 +830,19 @@ def _supersample_infos(stack: _Stack, log_rows: np.ndarray) -> list[InfoReport]:
             weights = laws[..., start:stop] / num_u
             mutual[members] += _expect(forward, weights)
             lautum[members] += _expect(reverse, weights)
-    return [
-        InfoReport(mutual=m, lautum=l, symmetrized=m + l)
-        for m, l in zip(mutual.ravel().tolist(), lautum.ravel().tolist())
-    ]
+    return _frozen(np.array((mutual.ravel(), lautum.ravel())))
 
 
 def _replace_one_stack(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
     """(p, g, 2, n) forward and reverse replace-one divergences of each
-    kernel of a (p, g, nw, m) table, after the checks.  For slot i, each dataset's
-    kernel is compared with those of its |Z| one-slot replacements,
-    gathered in (..., nw, |Z|, b) blocks of b datasets, into (..., |Z|, m)
-    forward and reverse divergences, then averaged over the dataset and
-    the fresh sample.  A block stacks as many kernels as fit in
-    BLOCK_ELEMENTS with every dataset, and splits one kernel's datasets
-    only when their gather is above that; the replacements' ids depend on
-    the shape alone, so one block of kernels computes them for every
-    problem of a stack.  Each divergence sums the hypotheses of one
-    (dataset, replacement) pair, so no bit depends on the blocks."""
+    kernel of a (p, g, nw, m) table, after the checks.  For slot i, each
+    dataset's kernel is compared with those of its |Z| one-slot
+    replacements, gathered in (..., nw, |Z|, b) blocks of b datasets, then
+    averaged over the dataset and the fresh sample.  A block stacks as
+    many kernels as fit in BLOCK_ELEMENTS with every dataset, and splits
+    one kernel's datasets only when their gather is above that.  Each
+    divergence sums the hypotheses of one (dataset, replacement) pair, so
+    no bit depends on the blocks."""
     nz = stack.num_samples_symbols
     n = stack.n
     cols = stack._dataset_indices
@@ -952,20 +883,59 @@ def _require_positive_gamma(gamma: float) -> None:
         raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
 
 
+# the five routes of gen, in the order every report and table lists them
+ROUTES = ("direct", "via_iskl", "via_skl_div", "via_cmi", "via_replace_one")
+
+
+def _routes(
+    gamma, direct, symmetrized, d_fwd, d_rev, conditional=None, forward=None, reverse=None
+) -> dict[str, np.ndarray]:
+    """Each route of gen as a column over members: direct from the
+    definition, via_iskl from the symmetrized information of (W, S),
+    via_skl_div from the divergences to the population Gibbs law, and when
+    given via_cmi from the symmetrized supersample information and
+    via_replace_one from the (members, n) replace-one divergences, whose
+    slots are added in order, not by numpy's pairwise sum."""
+    routes = {"direct": direct, "via_iskl": symmetrized / gamma,
+              "via_skl_div": (d_fwd + d_rev) / gamma}
+    if conditional is not None:
+        routes["via_cmi"] = 2.0 * conditional / gamma
+    if forward is not None:
+        # a running sum from 0, as Python's sum adds the slots
+        total = 0.0 + np.add.accumulate(forward + reverse, axis=-1)[..., -1]
+        routes["via_replace_one"] = total / (2.0 * gamma)
+    return routes
+
+
+def _route_check(routes: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[int, IdentityMismatch]]:
+    """Each member's largest pairwise gap between its routes, max - min
+    (rounding is monotone, so it is the largest |a - b| bit for bit), and
+    the failure of each member whose routes are not all finite or differ
+    by more than 1e-9 relative or 1e-12 absolute, whichever is larger."""
+    table = np.array(list(routes.values()))
+    with np.errstate(invalid="ignore"):
+        gap = table.max(axis=0) - table.min(axis=0)
+    scale = np.abs(table).max(axis=0)
+    # absolute floor: below scale 1e-3 a pure relative test would demand
+    # agreement finer than the error floor of the O(1) intermediate terms
+    limit = np.maximum(REL_TOL * scale, ABS_TOL)
+    finite = np.isfinite(table).all(axis=0)
+    return gap, _failures(
+        # max and min drop a NaN that is not first, so test finiteness apart
+        (~finite, lambda k: IdentityMismatch(
+            f"characterizations must be finite, got {dict(zip(routes, table[:, k].tolist()))!r}")),
+        (gap > limit, lambda k: IdentityMismatch(
+            f"characterizations disagree by {gap[k].item()!r} (scale {scale[k].item()!r}, "
+            f"limit {limit[k].item()!r})")),
+    )
+
+
 @dataclass(frozen=True)
 class GenReport:
     """One generalization error computed five ways, with the numbers behind
-    the routes.
-
-    direct comes from the definition; via_iskl from the symmetrized KL
-    information of (W, S) divided by gamma; via_skl_div from the expected
-    symmetrized KL divergence d_fwd + d_rev to the population-risk Gibbs
-    law; via_cmi from the supersample selector information (conditional);
-    via_replace_one from the replace-one divergence sums.  The last two are
-    None on joint (non-IID) data models.  Construction fails unless all
-    present values agree within 1e-9 relative or 1e-12 absolute, whichever
-    is larger.
-    """
+    the routes, which are _routes on a member of one; via_cmi and
+    via_replace_one are None on joint (non-IID) data models.  Construction
+    fails unless all present values agree (_route_check)."""
 
     gamma: float
     direct: float
@@ -985,92 +955,50 @@ class GenReport:
         d_fwd, d_rev = posterior.reference_divergences
         extras = {}
         if posterior.problem.is_iid():
-            forward, reverse = posterior.replace_one
-            extras = {
-                "conditional": posterior.supersample_info,
-                "replace_forward": tuple(forward.tolist()),
-                "replace_reverse": tuple(reverse.tolist()),
-            }
+            forward, reverse = map(tuple, posterior.replace_one.tolist())
+            extras = {"conditional": posterior.supersample_info, "replace_forward": forward,
+                      "replace_reverse": reverse}
         direct = gen_error_direct(posterior)
         return cls(posterior.gamma, direct, posterior.info, d_fwd, d_rev, **extras)
 
-    @property
-    def via_iskl(self) -> float:
-        return self.info.symmetrized / self.gamma
+    @cached_property
+    def _routes(self) -> dict[str, np.ndarray]:
+        cond = None if self.conditional is None else self.conditional.symmetrized
+        return _routes(*map(_one, (self.gamma, self.direct, self.info.symmetrized, self.d_fwd,
+                                  self.d_rev, cond, self.replace_forward, self.replace_reverse)))
 
-    @property
-    def via_skl_div(self) -> float:
-        return (self.d_fwd + self.d_rev) / self.gamma
-
-    @property
-    def via_cmi(self) -> float | None:
-        if self.conditional is None:
-            return None
-        return 2.0 * self.conditional.symmetrized / self.gamma
-
-    @property
-    def via_replace_one(self) -> float | None:
-        if self.replace_forward is None:
-            return None
-        total = sum(f + r for f, r in zip(self.replace_forward, self.replace_reverse))
-        return total / (2.0 * self.gamma)
+    # the routes, None where the data model has none
+    via_iskl = property(lambda self: self.values()["via_iskl"])
+    via_skl_div = property(lambda self: self.values()["via_skl_div"])
+    via_cmi = property(lambda self: self.values().get("via_cmi"))
+    via_replace_one = property(lambda self: self.values().get("via_replace_one"))
 
     def values(self) -> dict[str, float]:
-        out = {
-            "direct": self.direct,
-            "via_iskl": self.via_iskl,
-            "via_skl_div": self.via_skl_div,
-        }
-        if self.via_cmi is not None:
-            out["via_cmi"] = self.via_cmi
-        if self.via_replace_one is not None:
-            out["via_replace_one"] = self.via_replace_one
-        return out
+        return {name: column.item() for name, column in self._routes.items()}
 
     def max_pairwise_gap(self) -> float:
-        # rounding is monotone, so max - min is the largest |a - b| bit for bit
-        vals = self.values().values()
-        return max(vals) - min(vals)
+        return _route_check(self._routes)[0].item()
 
     def __post_init__(self) -> None:
-        vals = self.values().values()
-        # max and min drop a NaN that is not first, so test finiteness apart
-        if not all(map(math.isfinite, vals)):
-            raise IdentityMismatch(f"characterizations must be finite, got {self.values()!r}")
-        gap = self.max_pairwise_gap()
-        scale = max(map(abs, vals))
-        # absolute floor: below scale 1e-3 a pure relative test would demand
-        # agreement finer than the error floor of the O(1) intermediate terms
-        limit = max(REL_TOL * scale, ABS_TOL)
-        if gap > limit:
-            raise IdentityMismatch(
-                f"characterizations disagree by {gap!r} (scale {scale!r}, limit {limit!r})"
-            )
+        for error in _route_check(self._routes)[1].values():
+            raise error
 
 
 def gen_characterizations(problem: LearningProblem, gamma: float) -> GenReport:
     """The expected generalization error by definition and by every exact
-    characterization available for the data model, all read from one
-    evaluation of (problem, gamma).
-
-    Requires gamma > 0.  On joint data models the supersample and
-    replace-one forms are undefined and reported as None.  The evaluation
-    is the shared one of _evaluation, so bounds_table on the same pair
-    next reads it instead of building its own.
-    """
+    characterization available for the data model, all read from the one
+    evaluation of (problem, gamma) that _evaluation shares with
+    bounds_table.  Requires gamma > 0; on joint data models the supersample
+    and replace-one forms are undefined and reported as None."""
     return GenReport.from_posterior(_evaluation(problem, gamma))
 
 
 @dataclass(frozen=True)
 class InfoDivergenceReport:
     """Mutual and lautum information next to the directed divergences from
-    and to the population-risk Gibbs law.
-
-    Enforces mutual <= d_fwd, lautum >= d_rev, and the exact exchange
-    mutual + lautum = d_fwd + d_rev, all with 1e-10 slack.  Build it from
-    the numbers behind a GenReport: InfoDivergenceReport(report.info.mutual,
-    report.info.lautum, report.d_fwd, report.d_rev).
-    """
+    and to the population-risk Gibbs law, which a GenReport holds.  Enforces
+    mutual <= d_fwd, lautum >= d_rev, and the exact exchange mutual + lautum
+    = d_fwd + d_rev, all with 1e-10 slack."""
 
     mutual: float
     lautum: float
@@ -1079,19 +1007,28 @@ class InfoDivergenceReport:
 
     def __post_init__(self) -> None:
         values = (self.mutual, self.lautum, self.d_fwd, self.d_rev)
-        if not all(map(math.isfinite, values)):
-            raise IdentityMismatch(f"information and divergences must be finite, got {values!r}")
-        scale = max(1.0, abs(self.mutual) + abs(self.lautum))
-        if self.mutual > self.d_fwd + COMPARE_TOL * scale:
-            raise IdentityMismatch(
-                f"mutual {self.mutual!r} exceeds forward divergence {self.d_fwd!r}"
-            )
-        if self.lautum < self.d_rev - COMPARE_TOL * scale:
-            raise IdentityMismatch(
-                f"lautum {self.lautum!r} is below reverse divergence {self.d_rev!r}"
-            )
-        if abs((self.mutual + self.lautum) - (self.d_fwd + self.d_rev)) > COMPARE_TOL * scale:
-            raise IdentityMismatch("information sum does not match divergence sum")
+        for error in InfoDivergenceReport.failures(*map(_one, values)).values():
+            raise error
+
+    @staticmethod
+    def failures(mutual, lautum, d_fwd, d_rev) -> dict[int, IdentityMismatch]:
+        """The checks of a report over columns of members, each failing
+        member's first failure.  A report is a member of one."""
+        values = np.array((mutual, lautum, d_fwd, d_rev))
+        slack = COMPARE_TOL * np.maximum(1.0, np.abs(mutual) + np.abs(lautum))
+        with np.errstate(invalid="ignore"):
+            exceeds, below = mutual > d_fwd + slack, lautum < d_rev - slack
+            unequal = np.abs((mutual + lautum) - (d_fwd + d_rev)) > slack
+        return _failures(
+            (~np.isfinite(values).all(axis=0), lambda k: IdentityMismatch(
+                "information and divergences must be finite, got "
+                f"{tuple(values[:, k].tolist())!r}")),
+            (exceeds, lambda k: IdentityMismatch(
+                f"mutual {mutual[k].item()!r} exceeds forward divergence {d_fwd[k].item()!r}")),
+            (below, lambda k: IdentityMismatch(
+                f"lautum {lautum[k].item()!r} is below reverse divergence {d_rev[k].item()!r}")),
+            (unequal, lambda k: IdentityMismatch("information sum does not match divergence sum")),
+        )
 
 
 @dataclass(frozen=True)
@@ -1226,35 +1163,36 @@ def concavity_probe(
     gamma: float,
 ) -> tuple[float, float]:
     """Generalization error of the mixture data law versus the component
-    average, both evaluated with the single Gibbs kernel of the mixture
-    problem (the kernel depends only on loss, prior, and gamma, so it is
-    also each component's own kernel).  The mixture value is asserted to
-    be at least the component average within CONCAVITY_SLACK.
-
-    Caution: the asserted inequality is not a theorem.  The mutual
-    information part of the error is concave in the data law, but the
-    reverse-order (lautum) part is not, and on roughly 1% of random
-    two-component mixtures the total dips below the average by amounts
-    far above rounding (1e-6 to 1e-3, confirmed with 50-digit
-    arithmetic).  Callers sampling generic mixtures should be prepared
-    to catch IdentityMismatch.
-    """
+    average, both read with the problem's one Gibbs kernel (it depends only
+    on loss, prior and gamma) under each law, on the problem's own index
+    matrix.  The mixture value is asserted to be at least the component
+    average within CONCAVITY_SLACK.  Caution: that is not a theorem.  The
+    mutual information part of the error is concave in the data law, but
+    the lautum part is not, and on roughly 1% of random two-component
+    mixtures the total dips below the average by amounts far above
+    rounding (1e-6 to 1e-3, confirmed with 50-digit arithmetic)."""
     _require_gamma(gamma)
     weights = ProbVec(np.array([w for w, _ in components], dtype=np.float64))
-    laws = [
-        dataclasses.replace(problem, data_model=model)._stack._dataset_probs[0, 0]
-        for _, model in components
-    ]
+    own = problem._stack
+    indices = own._dataset_indices
+    laws = []
+    for _, model in components:
+        if isinstance(model, IIDData) and len(model.marginal) == problem.num_samples_symbols:
+            # _Stack._dataset_probs of the component on its own
+            laws.append(np.prod(model.marginal.weights[indices], axis=-1))
+        elif isinstance(model, JointData) and model.weights.size == indices.shape[0]:
+            laws.append(model.weights)
+        else:
+            raise InvalidInput("a component law does not match the problem's datasets")
     mixture = np.zeros(problem.dataset_count)
     for w, probs in zip(weights.weights, laws):
         mixture += w * probs
-    # one member per law, the mixture's first, all read with one kernel
-    stack = _Stack(
-        [dataclasses.replace(problem, data_model=JointData(law)) for law in [mixture, *laws]]
-    )
-    log_rows = _gibbs_log_rows(stack._log_prior[:1], gamma, stack._empirical_risk[:1])
-    kernel = _Kernels(stack, log_rows)
-    gen_mixture, *gens = [population - empirical for population, empirical in kernel.risks]
+    # one kernel read under each law, the mixture's first
+    laws = np.stack([mixture, *laws])[:, None]
+    kernel = _Kernels(own, _gibbs_log_rows(own._log_prior, gamma, own._empirical_risk))
+    risk = np.broadcast_to(own._empirical_risk, laws.shape[:2] + own._empirical_risk.shape[2:])
+    population, empirical = kernel.means(risk, laws)
+    gen_mixture, *gens = (population - empirical).ravel().tolist()
     avg_gen = sum(float(w) * gen for w, gen in zip(weights.weights, gens))
     if gen_mixture < avg_gen - CONCAVITY_SLACK:
         raise IdentityMismatch(

@@ -111,17 +111,42 @@ class InfoReport:
     symmetrized: float
 
     def __post_init__(self) -> None:
-        values = (self.mutual, self.lautum, self.symmetrized)
-        if not all(map(math.isfinite, values)):
-            raise InvalidInput(f"information must be finite, got {values!r}")
-        if self.mutual < -IDENTITY_TOL or self.lautum < -IDENTITY_TOL:
-            raise InvalidInput(
-                f"information must be nonnegative, got mutual={self.mutual!r} lautum={self.lautum!r}"
-            )
-        if abs(self.symmetrized - (self.mutual + self.lautum)) > IDENTITY_TOL * max(
-            1.0, abs(self.symmetrized)
-        ):
-            raise InvalidInput("symmetrized must equal mutual + lautum")
+        columns = map(_one, (self.mutual, self.lautum, self.symmetrized))
+        for error in InfoReport.failures(*columns).values():
+            raise error
+
+    @staticmethod
+    def failures(mutual, lautum, symmetrized) -> dict:
+        """Each failing member's first failure of a report's checks over
+        columns of members; a report is a member of one."""
+        values = np.array((mutual, lautum, symmetrized))
+        with np.errstate(invalid="ignore"):
+            off = np.abs(symmetrized - (mutual + lautum))
+        off = off > IDENTITY_TOL * np.maximum(1.0, np.abs(symmetrized))
+        return _failures(
+            (~np.isfinite(values).all(axis=0), lambda k: InvalidInput(
+                f"information must be finite, got {tuple(values[:, k].tolist())!r}")),
+            ((mutual < -IDENTITY_TOL) | (lautum < -IDENTITY_TOL), lambda k: InvalidInput(
+                f"information must be nonnegative, got mutual={mutual[k].item()!r} "
+                f"lautum={lautum[k].item()!r}")),
+            (off, lambda k: InvalidInput("symmetrized must equal mutual + lautum")),
+        )
+
+
+def _failures(*checks) -> dict:
+    """The first failure of each failing member, in member order, of checks
+    given as (1-d mask, error) pairs in the order a lone record tests them."""
+    found = {}
+    for mask, error in checks:
+        for k in mask.nonzero()[0].tolist():
+            if k not in found:
+                found[k] = error(k)
+    return dict(sorted(found.items()))
+
+
+def _one(value) -> np.ndarray | None:
+    """A value as the column of a member of one; None stays None."""
+    return None if value is None else np.array([value])
 
 
 # Array kernels: each formula once, called by info_triple below and by the

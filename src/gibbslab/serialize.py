@@ -9,8 +9,10 @@ Schemas:
   * JSON: objects with string keys, arrays, strings, integers, booleans,
     null and finite floats in scientific notation; numpy scalars and
     arrays render as their Python values;
-  * CSV: a header row, then one row per record; None is the empty cell,
-    booleans are true/false and non-finite floats nan, inf or -inf.
+  * CSV: a header row, then one row per record, all of one length,
+    rendered column by column, one formatter per kind of cell; None is the
+    empty cell, booleans are true/false and non-finite floats nan, inf or
+    -inf.
 
 A value that cannot be rendered (a non-finite float in JSON, a
 non-string key, an unknown type) raises InvalidInput, a numerical error,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from typing import Iterable, Sequence
@@ -34,6 +37,8 @@ from .errors import ConfigInvalid, InvalidInput
 JSON_SIG = 17
 CSV_SIG = 12
 _CSV_FLOAT = f".{CSV_SIG - 1}e"
+# the most rows whose cell text is held at once; more write no faster
+CSV_BLOCK_ROWS = 1024
 
 
 def format_float(value: float, sig: int = JSON_SIG) -> str:
@@ -89,22 +94,31 @@ def write_json(path: str, obj: object) -> None:
         handle.write(text)
 
 
-def _csv_cell(value: object) -> str:
-    # strings and floats, the common cells, are tested first; a float is
-    # tested and formatted once, as format_float would at CSV_SIG digits
-    if type(value) is str:
-        return value
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        # unlike JSON, CSV can spell a non-finite number: nan, inf or -inf
-        return format(value, _CSV_FLOAT) if math.isfinite(value) else str(value)
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+# one formatter per kind of cell, run over every cell of its kind in a
+# column: a float as format_float would at CSV_SIG digits, or nan, inf, -inf
+_FORMATS = (
+    (str, list),
+    ((bool, np.bool_), lambda cells: ["true" if cell else "false" for cell in cells]),
+    ((int, np.integer), lambda cells: [str(int(cell)) for cell in cells]),
+    ((float, np.floating, type(None)),
+     lambda cells: ["" if cell is None else format(float(cell), _CSV_FLOAT) for cell in cells]),
+    (object, lambda cells: list(map(str, cells))),
+)
+
+
+def _column(cells: Sequence[object]) -> list[str]:
+    """One column's text, each kind of cell in it formatted at once."""
+    by_type = {cls: next(form for kind, form in _FORMATS if issubclass(cls, kind))
+               for cls in set(map(type, cells))}
+    formats = set(by_type.values())
+    if len(formats) == 1:
+        return formats.pop()(cells)
+    text = [""] * len(cells)
+    for form in formats:
+        at = [i for i, cell in enumerate(cells) if by_type[type(cell)] is form]
+        for i, cell in zip(at, form([cells[i] for i in at])):
+            text[i] = cell
+    return text
 
 
 def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -112,7 +126,9 @@ def dumps_csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(header))
-    writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK_ROWS)):
+        writer.writerows(zip(*(_column(cells) for cells in zip(*block, strict=True))))
     return buffer.getvalue()
 
 

@@ -11,17 +11,18 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbslab.cli
+import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import (
-    ConfigInvalid, GenReport, IdentityMismatch, RatioConstants, gibbs_posterior, instance_sweep,
-    write_csv, write_json
+    ConfigInvalid, IdentityMismatch, IIDData, InfoDivergenceReport, JointData, LearningProblem,
+    ProbVec, RatioConstants, bounds_table, gen_characterizations, write_csv, write_json
 )
-from gibbslab.bounds import _bounds_rows
 from gibbslab.cli import (
     DEFAULT_SEED, DEFAULTS, NONEMPTY, OPERATORS, RANGES, main, validate_config
 )
@@ -148,15 +149,19 @@ def test_verify_identities_deterministic_reruns(tmp_path, monkeypatch):
 
 
 def test_ratio_constant_failure_has_its_own_check(tmp_path, monkeypatch):
-    def refuse(cls, report):
-        raise IdentityMismatch("c_k exceeds c_i")
+    # the ratio-constant check that RatioConstants and the sweep's columns
+    # share refuses every member
+    def refuse(c_i, c_k, c_c, c_s_ratio, degenerate):
+        return {k: IdentityMismatch("c_k exceeds c_i") for k in range(c_i.size)}
 
-    monkeypatch.setattr(RatioConstants, "from_report", classmethod(refuse))
+    monkeypatch.setattr(RatioConstants, "failures", staticmethod(refuse))
     code, out = run_identities(tmp_path, "ratios")
     assert code == 1
-    checks = {c["name"]: c["passed"] for c in read_manifest(out)["checks"]}
-    assert checks["four_way_identities"] is True
-    assert checks["divergence_order_and_ratio_constants"] is False
+    checks = {c["name"]: c for c in read_manifest(out)["checks"]}
+    assert checks["four_way_identities"]["passed"] is True
+    assert checks["divergence_order_and_ratio_constants"]["passed"] is False
+    evaluations = SMALL_IDENTITIES["instances"] * len(SMALL_IDENTITIES["gammas"])
+    assert checks["divergence_order_and_ratio_constants"]["observed"] == evaluations
 
 
 def test_seed_flag_changes_outputs(tmp_path):
@@ -482,36 +487,114 @@ def test_instance_above_the_cap_stops_the_windowed_sweep(tmp_path, capsys, monke
     assert not (out / table).exists()
 
 
-def test_repeated_gammas_write_the_rows_of_single_builds(tmp_path):
-    # one instance at gammas [1.0, 1.0, 0.1]: a stack of one problem whose
-    # members repeat a gamma; each row is the one a lone build gives
-    gammas = [1.0, 1.0, 0.1]
-    config = write_config(
-        tmp_path, "dup.json",
-        {"instances": 1, "gammas": gammas, "curve_instances": 1, "mixture_instances": 1},
+def oracle_problem(rng, nz, n, nw, iid, zero=False):
+    weights = rng.random(nz if iid else nz**n) + 0.05
+    if zero:
+        weights[-1] = 0.0
+    weights /= weights.sum()
+    prior = rng.random(nw) + 0.1
+    return LearningProblem(
+        sample_alphabet=range(nz), hypothesis_set=range(nw), loss=rng.random((nw, nz)),
+        prior=ProbVec(prior / prior.sum()),
+        data_model=IIDData(ProbVec(weights)) if iid else JointData(weights), n=n,
     )
-    assert main(["verify-identities", "--config", config, "--out", str(tmp_path / "vi")]) == 0
-    bounds_config = write_config(tmp_path, "dup-bt.json", {"instances": 1, "gammas": gammas})
-    assert main(["bounds-table", "--config", bounds_config, "--out", str(tmp_path / "bt")]) == 0
-    [(_, problem)] = instance_sweep(1, DEFAULT_SEED, max_symbols=4, max_hypotheses=5, max_n=3)
-    identity_rows = []
-    bound_rows = []
-    for gamma in gammas:
-        posterior = gibbs_posterior(problem, gamma)
-        report = GenReport.from_posterior(posterior)
-        identity_rows.append(
-            [0, gamma, "iid", problem.n, problem.num_samples_symbols, problem.num_hypotheses,
-             report.direct, report.via_iskl, report.via_skl_div, report.via_cmi,
-             report.via_replace_one, report.max_pairwise_gap()]
-        )
-        # the probe order 1.01 rides in the table but is not written
-        for row in _bounds_rows(posterior, (1.5, 2.0, 4.0, 1.01)):
-            if row.bound_name != "renyi_upper_alpha_1.01":
-                bound_rows.append([0, gamma, "iid", *dataclasses.astuple(row)])
-    write_csv(str(tmp_path / "identities.csv"), IDENTITY_HEADER, identity_rows)
-    write_csv(str(tmp_path / "bounds.csv"), BOUNDS_HEADER, bound_rows)
-    for name, run in (("identities.csv", "vi"), ("bounds.csv", "bt")):
-        assert (tmp_path / run / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_repeated_gammas_write_the_rows_of_single_builds(tmp_path, monkeypatch):
+    # IID and joint problems, several per shape stack, and an IID problem
+    # whose law has a zero, which is evaluated on its own, at gammas with a
+    # repeat: every row of the four tables is the one that lone
+    # gen_characterizations and bounds_table calls give
+    rng = np.random.default_rng(23)
+    shapes = [(2, 2, 3, True), (2, 2, 3, False), (3, 1, 4, True), (2, 2, 3, True),
+              (2, 2, 3, False), (3, 1, 4, True), (2, 2, 3, True)]
+    problems = [oracle_problem(rng, *shape) for shape in shapes]
+    problems.insert(3, oracle_problem(rng, 2, 2, 3, True, zero=True))
+    instances = list(enumerate(problems))
+    monkeypatch.setattr(gibbslab.cli, "instance_sweep", lambda count, seed, **_: iter(instances))
+    gammas = [0.5, 2.0, 2.0, 10.0]
+    vi = write_config(tmp_path, "vi.json", {"instances": len(instances), "gammas": gammas,
+                                            "curve_instances": 1, "mixture_instances": 1})
+    bt = write_config(tmp_path, "bt.json", {"instances": len(instances), "gammas": gammas,
+                                            "probe_gammas": [0.5]})
+    assert main(["verify-identities", "--config", vi, "--out", str(tmp_path / "vi")]) == 0
+    assert main(["bounds-table", "--config", bt, "--out", str(tmp_path / "bt")]) == 0
+    tables = {
+        "identities": ("vi", IDENTITY_HEADER, []),
+        "divergence_order": ("vi", ["instance", "gamma", "mutual", "lautum", "d_fwd", "d_rev",
+                                    "c_i", "c_k", "degenerate"], []),
+        "bounds": ("bt", BOUNDS_HEADER, []),
+        "renyi_probe": ("bt", ["instance", "gamma", "gen", "renyi_1.01", "excess_ratio"], []),
+    }
+    for index, problem in instances:
+        kind = "iid" if problem.is_iid() else "joint"
+        for gamma in gammas:
+            report = gen_characterizations(problem, gamma)
+            tables["identities"][2].append(
+                [index, gamma, kind, problem.n, problem.num_samples_symbols,
+                 problem.num_hypotheses, report.direct, report.via_iskl, report.via_skl_div,
+                 report.via_cmi, report.via_replace_one, report.max_pairwise_gap()]
+            )
+            prop = InfoDivergenceReport(
+                report.info.mutual, report.info.lautum, report.d_fwd, report.d_rev
+            )
+            ratios = RatioConstants.from_report(report)
+            tables["divergence_order"][2].append(
+                [index, gamma, prop.mutual, prop.lautum, prop.d_fwd, prop.d_rev, ratios.c_i,
+                 ratios.c_k, ratios.degenerate]
+            )
+            rows = bounds_table(problem, gamma, (1.5, 2.0, 4.0, 1.01))
+            tables["bounds"][2].extend(
+                [index, gamma, kind, *dataclasses.astuple(row)] for row in rows
+                if row.bound_name != "renyi_upper_alpha_1.01"
+            )
+            value = {row.bound_name: row.value for row in rows}
+            gen, near = value["exact_gen"], value["renyi_upper_alpha_1.01"]
+            excess = near / gen - 1.0 if gen > 1e-300 else 0.0
+            tables["renyi_probe"][2].append([index, gamma, gen, near, excess])
+    for name, (run, header, rows) in tables.items():
+        write_csv(str(tmp_path / f"{name}.csv"), header, rows)
+        written = (tmp_path / run / f"{name}.csv").read_bytes()
+        assert written == (tmp_path / f"{name}.csv").read_bytes(), name
+
+
+# a config whose IID instances 0, 2 and 4 share one shape stack of three
+# problems at two gammas, six members
+INJECTED = {"instances": 6, "gammas": [0.5, 2.0], "max_symbols": 2, "max_hypotheses": 2,
+            "max_n": 1, "curve_instances": 1, "mixture_instances": 1}
+
+
+def test_a_mismatch_in_one_member_of_a_stack_reads_as_a_lone_failure(tmp_path, monkeypatch):
+    # the population Gibbs law of one member (problem 1, gamma 2.0) of the
+    # IID stack is moved, so its divergence route alone disagrees; the
+    # detail is the text that building one report per member gave
+    config = write_config(tmp_path, "inject.json", INJECTED)
+    assert main(["verify-identities", "--config", config, "--out", str(tmp_path / "clean")]) == 0
+    original = gibbslab.gibbs._log_population
+
+    def moved(stack, gamma):
+        log_population = original(stack, gamma)
+        if stack.is_iid() and len(stack.problems) > 1:
+            log_population = log_population.copy()
+            log_population[1, 1, 0] += 0.5
+        return log_population
+
+    monkeypatch.setattr(gibbslab.gibbs, "_log_population", moved)
+    assert main(["verify-identities", "--config", config, "--out", str(tmp_path / "bad")]) == 1
+    checks = {check["name"]: check for check in read_manifest(str(tmp_path / "bad"))["checks"]}
+    identities = checks["four_way_identities"]
+    assert identities["observed"] == 1
+    assert identities["detail"] == (
+        "evaluations of 12 whose routes disagreed (worst pairwise gap 2.220e-16 at instance 0 "
+        "gamma 0.5); first: ['instance 2 gamma 2.0: characterizations disagree by "
+        "0.08118502779261674 (scale 0.11903052957179873, limit 1.1903052957179875e-10)']: 1 == 0"
+    )
+    assert checks["divergence_order_and_ratio_constants"]["passed"] is True
+    for name in ("identities.csv", "divergence_order.csv"):
+        clean = (tmp_path / "clean" / name).read_text(encoding="utf-8").splitlines()
+        bad = (tmp_path / "bad" / name).read_text(encoding="utf-8").splitlines()
+        assert [line for line in clean if line.startswith("2,2.00000000000e+00,")] != []
+        assert bad == [line for line in clean if not line.startswith("2,2.00000000000e+00,")]
 
 
 # each size key of RANGES at its bound, with a seed whose first instance

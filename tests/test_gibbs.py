@@ -1089,3 +1089,28 @@ def test_regularized_gen_input_validation():
         regularized_gen(problem, 1.0, -0.5, np.zeros((3, problem.dataset_count)))
     with pytest.raises(InvalidInput):
         regularized_gen(problem, 1.0, 0.5, np.zeros((2, 2)))
+
+
+def test_replace_one_route_adds_its_slots_in_order():
+    # nine slots, past the eight at which numpy's sum turns pairwise: the
+    # route adds them in order, as Python's sum over the slots does, in a
+    # lone report and in the sweep's column alike
+    rng = np.random.default_rng(0)
+    marginal = rng.random(2) + 0.1
+    prior = rng.random(3) + 0.1
+    problem = LearningProblem(
+        sample_alphabet=range(2), hypothesis_set=range(3), loss=rng.random((3, 2)),
+        prior=ProbVec(prior / prior.sum()), data_model=IIDData(ProbVec(marginal / marginal.sum())),
+        n=9,
+    )
+    pairwise_differs = False
+    for gamma in (0.5, 3.0, 20.0):
+        posterior = gibbs_posterior(problem, gamma)
+        forward, reverse = posterior.replace_one.tolist()
+        expected = sum(f + r for f, r in zip(forward, reverse)) / (2.0 * gamma)
+        assert gen_characterizations(problem, gamma).via_replace_one == expected
+        assert posterior._sweep.routes["via_replace_one"].tolist() == [expected]
+        pairwise = float(np.add(forward, reverse).sum()) / (2.0 * gamma)
+        pairwise_differs |= pairwise != expected
+    # the order is seen: numpy's own sum of these slots reads otherwise
+    assert pairwise_differs

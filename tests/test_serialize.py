@@ -83,6 +83,33 @@ def test_dumps_csv_cell_kinds():
     )
 
 
+def test_each_kind_of_column_renders_as_its_cells_did():
+    # one column per kind of cell, three rows each, plus a column of floats
+    # and None; the text is frozen from the cell-by-cell rules the column
+    # formatters replaced
+    columns = {
+        "none": [None, None, None],
+        "bool": [True, False, True],
+        "np_bool": [np.bool_(False), np.bool_(True), np.bool_(True)],
+        "int": [0, -12345678901234567890, 42],
+        "np_int": [np.int64(7), np.int64(-3), np.int32(2**31 - 1)],
+        "float": [0.1, -2.5e-300, 1e300],
+        "np_float": [np.float64(-0.0), np.float64(123456.7890123456), np.float32(0.1)],
+        "non_finite": [math.nan, math.inf, -math.inf],
+        "float_or_none": [None, 0.5, np.float64(math.nan)],
+        "str": ["a", "", "with space"],
+        "comma": ["a,b", 'say "x"', "c"],
+    }
+    text = dumps_csv(list(columns), zip(*columns.values()))
+    assert text == (
+        "none,bool,np_bool,int,np_int,float,np_float,non_finite,float_or_none,str,comma\n"
+        ',true,false,0,7,1.00000000000e-01,-0.00000000000e+00,nan,,a,"a,b"\n'
+        ",false,true,-12345678901234567890,-3,-2.50000000000e-300,1.23456789012e+05,inf,"
+        '5.00000000000e-01,,"say ""x"""\n'
+        ",true,true,42,2147483647,1.00000000000e+300,1.00000001490e-01,-inf,nan,with space,c\n"
+    )
+
+
 def test_write_helpers_round_trip(tmp_path):
     json_path = str(tmp_path / "obj.json")
     write_json(json_path, {"x": 0.125})

@@ -29,6 +29,10 @@ PAPER_RESULTS = {
     # the zero-temperature bound for a posterior with several isolated
     # wells (asymptotics module docstring)
     "multi_well_bound",
+    # the paper's tightened parametric bounds of each tail class; the
+    # bounds-table subcommand reads the sub-Gaussian ones as columns of a
+    # stack (bounds._sub_gaussian), which bound_suite reads for one member
+    "bound_suite",
 }
 
 
