@@ -630,17 +630,13 @@ def cmd_sgld_demo(config: dict, out_dir: str, seed: int) -> list[Check]:
     target_mean = config["target_mean"]
     batch_count = config["batch_count"]
 
-    # one-element arrays: numpy combines them with w faster than Python
-    # floats, and to the same values
-    two, target = np.full(1, 2.0), np.full(1, target_mean)
-
     def gradient(w, dataset):
         del dataset
-        return two * (w - target)
+        return 2.0 * (w - target_mean)
 
     sgld_config = SgldConfig(step=step, gamma=gamma, iterations=iterations, seed=seed)
-    samples = sgld_run(gradient, np.array([0.0]), sgld_config)
-    again = sgld_run(gradient, np.array([0.0]), sgld_config)
+    samples = sgld_run(gradient, 0.0, sgld_config)
+    again = sgld_run(gradient, 0.0, sgld_config)
     flat = samples[:, 0]
 
     usable = (flat.size // batch_count) * batch_count

@@ -11,7 +11,10 @@ variance 1 / (2 gamma (1 - step)), so the continuous-time variance
 1 / (2 gamma) is recovered as the step vanishes; tests lean on both
 facts.  All noise comes from the counter-based stream (seed, 0), so a
 run is bit-reproducible.  The chain checks for divergence once per
-CHECK_STEPS iterations, on the iterates of the block just run.
+CHECK_STEPS iterations, on the iterates of the block just run.  A Python
+int or float start runs a one-dimensional chain on Python floats, whose
+iterates equal bit for bit those of the one-element array start: both
+do the same IEEE-754 double operations in the same order, unfused.
 
 counter_rng is the one source of randomness in the package: a Philox
 generator keyed by (seed, stream) whose counter starts at a block
@@ -79,6 +82,12 @@ def check_trials(trials: object) -> None:
         raise InvalidInput(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}")
 
 
+def check_seed(seed: object) -> None:
+    """Philox keys take an integer seed in [0, 2**64)."""
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise InvalidInput(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def block_gaps(
     trials: int,
     seed: int,
@@ -97,6 +106,7 @@ def block_gaps(
     trial_elements is the number of array elements one trial takes while
     gap_chunk runs.  Returns the (trials,) array of gaps.
     """
+    check_seed(seed)
     chunk_trials = BLOCK_TRIALS * max(1, BLOCK_ELEMENTS // (BLOCK_TRIALS * trial_elements))
     gaps = np.empty(trials)
     for start in range(0, trials, chunk_trials):
@@ -132,6 +142,7 @@ class SgldConfig:
             raise InvalidInput(f"gamma must be > 0, got {self.gamma!r}")
         if not (isinstance(self.iterations, int) and self.iterations >= 1):
             raise InvalidInput(f"iterations must be a positive integer, got {self.iterations!r}")
+        check_seed(self.seed)
 
     @property
     def burn_in(self) -> int:
@@ -139,7 +150,7 @@ class SgldConfig:
 
 
 def sgld_run(
-    gradient: Callable[[np.ndarray, object], np.ndarray],
+    gradient: Callable[[object, object], object],
     initial: object,
     config: SgldConfig,
     dataset: object = None,
@@ -148,35 +159,47 @@ def sgld_run(
 
     gradient(w, dataset) must return the gradient of the objective whose
     Gibbs density (at the config's gamma) is being targeted, without
-    writing into w; a result that is not a float64 array of w's shape is
-    converted to one.  After every CHECK_STEPS iterations, and when the
-    gradient raises, the chain raises Diverged at the first iterate whose
-    norm exceeded 1e10 or was not finite, naming its step and norm; the
-    gradient may meanwhile have been called on up to CHECK_STEPS - 1
-    later iterates.  numpy's overflow and invalid-value warnings, the
-    gradient's included, are silenced while the chain runs.  Returns an
-    array of shape (iterations - burn_in, dim).
+    writing into w.  A Python int or float start (np.float64 is one)
+    runs a one-dimensional chain whose w is a Python float, converts a
+    one-element result that is not a float to one, and gives bit for bit
+    the iterates of the one-element array start.  From a vector start, a
+    result that is not a float64 array of w's shape is converted to one.
+    After every CHECK_STEPS iterations, and when the gradient raises,
+    the chain raises Diverged at the first iterate whose norm exceeded
+    1e10 or was not finite, naming its step and norm; the gradient may
+    meanwhile have been called on up to CHECK_STEPS - 1 later iterates.
+    numpy's overflow and invalid-value warnings, the gradient's
+    included, are silenced while the chain runs.  Returns an array of
+    shape (iterations - burn_in, dim).
     """
-    w = np.atleast_1d(np.asarray(initial, dtype=np.float64)).copy()
-    if w.ndim != 1:
-        raise InvalidInput(f"initial must be a scalar or vector, got shape {w.shape}")
-    shape, dtype = w.shape, w.dtype
-    noise = counter_rng(config.seed, 0).standard_normal((config.iterations, w.size))
+    scalar = isinstance(initial, (int, float))
+    if scalar:
+        w, step, kind, size = float(initial), config.step, float, 1
+    else:
+        w = np.atleast_1d(np.asarray(initial, dtype=np.float64)).copy()
+        if w.ndim != 1:
+            raise InvalidInput(f"initial must be a scalar or vector, got shape {w.shape}")
+        shape, dtype, kind, size = w.shape, w.dtype, np.ndarray, w.size
+        # numpy multiplies by a one-element array faster than by a Python
+        # float, and to the same product
+        step = np.full(1, config.step)
+    noise = counter_rng(config.seed, 0).standard_normal((config.iterations, size))
     noise *= math.sqrt(2.0 * config.step / config.gamma)
-    # numpy multiplies by a one-element array faster than by a Python
-    # float, and to the same product
-    step = np.full(1, config.step)
-    iterates = np.empty((config.iterations, w.size))
+    iterates = np.empty((config.iterations, size))
     # a diverging chain overflows on its way to its block's check, which
     # raises Diverged at the first bad iterate, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, config.iterations, CHECK_STEPS):
+            block_noise = noise[start : start + CHECK_STEPS]
             rows = []
             try:
-                for noise_row in noise[start : start + CHECK_STEPS]:
+                for noise_row in block_noise[:, 0].tolist() if scalar else block_noise:
                     grad = gradient(w, dataset)
-                    if type(grad) is not np.ndarray or grad.dtype is not dtype or grad.shape != shape:
-                        grad = np.asarray(grad, dtype=np.float64).reshape(shape)
+                    if type(grad) is not kind or (
+                        not scalar and (grad.dtype is not dtype or grad.shape != shape)
+                    ):
+                        grad = np.asarray(grad, dtype=np.float64)
+                        grad = grad.item() if scalar else grad.reshape(shape)
                     w = w - step * grad + noise_row
                     rows.append(w)
             finally:
@@ -185,12 +208,13 @@ def sgld_run(
     return iterates[config.burn_in :]
 
 
-def _check_block(iterates: np.ndarray, start: int, rows: list[np.ndarray]) -> None:
-    """Store the iterates ``rows`` of steps start onward and raise
-    Diverged at the first whose norm exceeds DIVERGENCE_NORM or is not
-    finite; the norm is the one a per-step check would compute."""
+def _check_block(iterates: np.ndarray, start: int, rows: list) -> None:
+    """Store the iterates ``rows`` of steps start onward, arrays or the
+    floats of a one-dimensional chain, and raise Diverged at the first
+    whose norm exceeds DIVERGENCE_NORM or is not finite; the norm is the
+    one a per-step check would compute."""
     block = iterates[start : start + len(rows)]
-    block[:] = rows
+    (block[:, 0] if type(rows[0]) is float else block)[:] = rows
     squared = np.einsum("ij,ij->i", block, block)
     for i in np.flatnonzero(~(squared < SCREEN_SQUARED_NORM)).tolist():
         norm = math.sqrt(block[i].dot(block[i]))

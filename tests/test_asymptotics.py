@@ -210,6 +210,12 @@ def test_bayes_monte_carlo_deterministic():
     assert a != c
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_bayes_monte_carlo_rejects_a_seed_philox_cannot_take(seed):
+    with pytest.raises(InvalidInput, match="seed"):
+        bayes_location_regime_gen(20, 1000, seed)
+
+
 def test_bayes_monte_carlo_validation():
     with pytest.raises(InvalidInput):
         bayes_location_regime_gen(20, 999, 0)

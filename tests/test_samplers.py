@@ -113,10 +113,13 @@ DIVERGED_AT = {1: (7, 41598799283.960014), 3: (7, 69185731621.55759)}
 def test_sgld_divergence_detection():
     # the chain grows 21-fold a step, so the rest of its check block
     # stays far from overflow and raises no floating-point warning
+    # the scalar start runs the chain on Python floats, whose overflow
+    # must not warn either, and reports the (1,) chain's step and norm
     config = SgldConfig(step=2.0, gamma=1.0, iterations=5000, seed=3)
-    for d, (step, norm) in DIVERGED_AT.items():
+    cases = [(np.ones(d), at) for d, at in DIVERGED_AT.items()] + [(1.0, DIVERGED_AT[1])]
+    for start, (step, norm) in cases:
         with pytest.raises(Diverged) as info:
-            sgld_run(exploding, np.ones(d), config)
+            sgld_run(exploding, start, config)
         assert (info.value.iteration, info.value.norm) == (step, norm)
         assert f"at step {step} " in str(info.value)
 
@@ -177,33 +180,52 @@ def test_sgld_converts_gradient_results():
     assert np.array_equal(as_list, exact)
     as_row = sgld_run(lambda w, dataset: (2.0 * (w - 0.5)).reshape(1, 2), start, config)
     assert np.array_equal(as_row, exact)
-    scalar = sgld_run(lambda w, dataset: 2.0 * (float(w[0]) - 0.5), 0.0, config)
-    assert np.array_equal(scalar, sgld_run(quadratic_gradient(0.5), 0.0, config))
+
+    # a scalar start hands the gradient a Python float, converts any other
+    # one-element result to one, and runs the one-element array's chain
+    seen = set()
+
+    def scalar_gradient(w, dataset):
+        seen.add(type(w))
+        return 2.0 * (w - 0.5)
+
+    scalar = sgld_run(scalar_gradient, 0.0, config)
+    assert seen == {float}
+    assert np.array_equal(scalar, sgld_run(quadratic_gradient(0.5), np.array([0.0]), config))
+    for convert in (np.float64, np.array, lambda g: np.array([g])):
+        converted = sgld_run(lambda w, dataset: convert(scalar_gradient(w, dataset)), 0.0, config)
+        assert np.array_equal(converted, scalar)
+    with pytest.raises(ValueError):
+        sgld_run(lambda w, dataset: np.full(2, scalar_gradient(w, dataset)), 0.0, config)
 
 
 def test_sgld_iterates_pinned_at_demo_defaults():
     # the iterates of the sgld-demo defaults, hashed before the per-step
-    # loop was batched into check blocks; sgld.json records the same hash
+    # loop was batched into check blocks; sgld.json records the same hash,
+    # and the scalar start, which sgld-demo passes, gives the same iterates
     config = SgldConfig(step=1e-3, gamma=4.0, iterations=100_000, seed=20)
-    out = sgld_run(quadratic_gradient(1.25), np.array([0.0]), config)
-    assert hashlib.sha256(out.tobytes()).hexdigest() == (
-        "060ae023d5094ea4cc543af49d3a05a928879b8d56dd91a22447a7a91835fc63"
-    )
+    for start in (np.array([0.0]), 0.0):
+        out = sgld_run(quadratic_gradient(1.25), start, config)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "060ae023d5094ea4cc543af49d3a05a928879b8d56dd91a22447a7a91835fc63"
+        )
 
 
 def test_sgld_memory_is_noise_and_iterates_plus_one_block():
     # the (iterations, 1) noise and iterates arrays (0.8 MB each) and one
-    # check block of 64 one-element iterates (about 10 kB); keeping every
-    # step's iterate object would take about 15 MB more
+    # check block of 64 one-element iterates (about 10 kB) or, from a
+    # scalar start, 64 floats; keeping every step's iterate object would
+    # take about 15 MB more
     iterations = 100_000
     config = SgldConfig(step=1e-3, gamma=4.0, iterations=iterations, seed=20)
-    tracemalloc.start()
-    try:
-        sgld_run(quadratic_gradient(1.25), np.array([0.0]), config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * iterations + 32_768
+    for start in (np.array([0.0]), 0.0):
+        tracemalloc.start()
+        try:
+            sgld_run(quadratic_gradient(1.25), start, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * iterations + 32_768
 
 
 def test_sgld_dataset_passthrough():
@@ -227,3 +249,9 @@ def test_sgld_config_validation():
         sgld_run(quadratic_gradient(0.0), np.zeros((2, 2)),
                  SgldConfig(step=1e-3, gamma=1.0, iterations=10))
 
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_sgld_rejects_a_seed_philox_cannot_take(seed):
+    # a Philox key word is an integer in [0, 2**64)
+    with pytest.raises(InvalidInput, match="seed"):
+        SgldConfig(step=1e-3, gamma=1.0, iterations=10, seed=seed)
