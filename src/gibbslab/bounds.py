@@ -285,8 +285,7 @@ def _sweep_ratios(sweep: _Sweep) -> dict:
     """_ratios of every member of a sweep, after its routes are read."""
     extras = ()
     if sweep.stack.is_iid():
-        replace = sweep.replace_one.reshape(-1, 2, sweep.stack.n).transpose(1, 0, 2)
-        extras = (sweep.supersample_information, *replace)
+        extras = (sweep.supersample_information, *sweep.replace_one)
     return _ratios(*sweep.information, *sweep.references, *extras)
 
 
@@ -462,9 +461,9 @@ class _BoundTable:
 
     def __init__(self, sweep: _Sweep, alphas: tuple[float, ...]) -> None:
         gen = sweep.routes["direct"]
-        gamma = np.array(sweep.gammas * sweep.log_rows.shape[0])
-        tv = sweep.total_variation.ravel()
-        renyi = sweep.renyi(alphas).reshape(gen.size, -1).T
+        gamma = sweep.gamma
+        tv = sweep.total_variation
+        renyi = sweep.renyi(alphas)
         columns = [("exact_gen", gen, "definition", "", "exact"),
                    ("tv_lower", tv * tv / gamma, "any data model", "", "lower")]
         columns += [(f"renyi_upper_alpha_{alpha:g}", sums / gamma, "any data model; order > 1",

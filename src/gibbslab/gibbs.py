@@ -22,14 +22,15 @@ it caches (LearningProblem._stack).  Each functional of the _Sweep is
 computed for all its (problem, gamma) members the first time any member
 asks, in the same operations, reductions and order whatever p and g, so
 each member's numbers are bit for bit those of a stack of one at one
-gamma.  The results are columns with one value per member: the routes
-(_Sweep.routes) and their check (_route_check) here, the ratio constants
-and every bound in bounds._BoundTable.  The verify-identities and
-bounds-table subcommands read the columns of the stacks of _shape_sweep,
-which stacks the same-shape problems of a window of instances; GenReport,
-InfoReport and InfoDivergenceReport are one-member views, each checking
-itself by its columns' check on a member of one.  gen_characterizations
-and bounds.bounds_table, the per-pair entry points, share one module-level
+gamma.  Tables keep the (p, g) lead; every per-member number is a column
+with one value per member: the routes (_Sweep.routes) and their check
+(_route_check) here, the ratio constants and every bound in
+bounds._BoundTable.  The verify-identities and bounds-table subcommands
+read the columns of the stacks of _shape_sweep, which stacks the
+same-shape problems of a window of instances; GenReport, InfoReport and
+InfoDivergenceReport are one-member views, each checking itself by its
+columns' check on a member of one.  gen_characterizations and
+bounds.bounds_table, the per-pair entry points, share one module-level
 slot (_evaluation), so the routes and then the bounds of a pair cost one
 evaluation.
 
@@ -38,7 +39,7 @@ datasets last, and every sum is numpy's own reduction, none through BLAS,
 so no number depends on the BLAS kernel or thread count.  Gammas go in
 chunks, and the supersample and replace-one sweeps in blocks, of
 probability.BLOCK_ELEMENTS, so peak memory stays near one evaluation or
-one block.  Every cached array is read-only.  _Kernels.means forms every
+one block.  Every cached array is read-only.  _Sweep.means forms every
 mean of a table under the product of the marginals and under the joint law:
 gen, regularized_gen's gaps and concavity_probe's errors are such gaps.
 The information functionals never leave the log domain, so the identity
@@ -350,19 +351,25 @@ def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) ->
 
 
 @dataclass(frozen=True, eq=False)
-class _Kernels:
-    """Kernels from datasets to hypotheses, one per (problem, gamma) of a
-    _Stack of p problems at g gammas, given by C-contiguous (p, g,
-    num_hypotheses, m) log rows, and the functionals that need nothing
-    else, each computed for every kernel on first use and cached
-    read-only.  Sums over hypotheses run over axis -2 and over datasets
-    over the last axis, so each row reduces on its own and each kernel's
-    numbers are bit for bit those of a stack of one at one gamma.  A
-    column holds one value per kernel in member order, problem by problem
-    and gamma by gamma."""
+class _Sweep:
+    """The one evaluation object: the Gibbs kernels from datasets to
+    hypotheses of each problem of a _Stack at g gammas, one per (problem,
+    gamma) member, given by C-contiguous (p, g, num_hypotheses, m) log
+    rows, and every functional of them, computed for all members on first
+    use and cached read-only.  Tables keep the (p, g) lead; a per-member
+    number is a column whose member axis runs problem by problem and gamma
+    by gamma.  Sums over hypotheses run over axis -2 and over datasets over
+    the last axis, so each row reduces on its own and each member's numbers
+    are bit for bit those of a stack of one at one gamma."""
 
     stack: _Stack
     log_rows: np.ndarray
+    gammas: tuple[float, ...]
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """(members,): each member's gamma."""
+        return _frozen(np.array(self.gammas * self.log_rows.shape[0]))
 
     @cached_property
     def row_array(self) -> np.ndarray:
@@ -396,7 +403,7 @@ class _Kernels:
 
     def _expected_divergences(self, log_reference: np.ndarray) -> np.ndarray:
         """(2, members): E D(row || reference) and E D(reference || row) over
-        datasets, for one (p, g, num_hypotheses) reference per kernel."""
+        datasets, for one (p, g, num_hypotheses) reference per member."""
         probs = self.stack._dataset_probs
         forward, reverse = _divergence_pair(self.log_kernel, log_reference[..., None], axis=-2)
         return _frozen(np.array((_expect(forward, probs).ravel(), _expect(reverse, probs).ravel())))
@@ -406,16 +413,11 @@ class _Kernels:
         """(2, members): the mutual and the lautum information of (W, S)."""
         return self._expected_divergences(self.log_marginal)
 
-    @cached_property
-    def info(self) -> tuple[InfoReport, ...]:
-        """Mutual, lautum and symmetrized information of (W, S)."""
-        return _info_reports(self.information)
-
     def means(self, table: np.ndarray, laws: np.ndarray | None = None) -> tuple:
-        """Per kernel, the mean of a (..., num_hypotheses, m) table f(w, s)
+        """Per member, the mean of a (..., num_hypotheses, m) table f(w, s)
         under the product of the hypothesis marginal and the data law (the
         stack's, or (..., m) laws given), and under the joint law of (W, S),
-        with the lead of the kernels and the laws.  The product mean less
+        with the lead of the members and the laws.  The product mean less
         the joint mean is the gap that gen (f the empirical risk) and the
         regularizer gap (f = R) are."""
         if laws is None:
@@ -432,35 +434,12 @@ class _Kernels:
         return _expect(marginal, data_mean), joint
 
     @cached_property
-    def risks(self) -> list[tuple[float, float]]:
-        """(population, empirical): the mean empirical risk under the product
-        law, which is the expected population risk of the hypothesis
-        marginal, and under the joint law of (W, S)."""
+    def risks(self) -> np.ndarray:
+        """(2, members): population and empirical, the mean empirical risk
+        under the product law, which is the expected population risk of the
+        hypothesis marginal, and under the joint law of (W, S)."""
         population, empirical = self.means(self.stack._empirical_risk)
-        return list(zip(population.ravel().tolist(), empirical.ravel().tolist()))
-
-
-def _info_reports(pairs: np.ndarray) -> tuple[InfoReport, ...]:
-    """One InfoReport per member of (2, members) mutual and lautum columns."""
-    return tuple(InfoReport(m, l, m + l) for m, l in zip(*pairs.tolist()))
-
-
-def _symmetrized(pairs: np.ndarray) -> np.ndarray:
-    """mutual + lautum of (2, members) columns, after InfoReport's checks."""
-    mutual, lautum = pairs
-    for error in InfoReport.failures(mutual, lautum, mutual + lautum).values():
-        raise error
-    return mutual + lautum
-
-
-@dataclass(frozen=True, eq=False)
-class _Sweep(_Kernels):
-    """The Gibbs posteriors of each problem of a _Stack at several gammas,
-    stacked: the remaining functionals and the routes, each computed for
-    every member at once on first use.  Its members are GibbsPosterior
-    objects, one per (problem, gamma), each reading its own slice."""
-
-    gammas: tuple[float, ...]
+        return _frozen(np.array((population.ravel(), empirical.ravel())))
 
     @cached_property
     def references(self) -> np.ndarray:
@@ -470,42 +449,17 @@ class _Sweep(_Kernels):
         return self._expected_divergences(_log_population(self.stack, gammas))
 
     @cached_property
-    def reference_divergences(self) -> list[tuple[float, float]]:
-        """(d_fwd, d_rev) per member: references as floats."""
-        return list(zip(*self.references.tolist()))
-
-    @cached_property
     def total_variation(self) -> np.ndarray:
-        """(p, g): unnormalized total variation between the joint law of
+        """(members,): unnormalized total variation between the joint law of
         (W, S) and the product of its marginals."""
         joint = np.multiply(self.row_array, self.stack._dataset_probs[..., None, :])
-        return _frozen(_total_variation(joint, _product_of_marginals(joint), axis=(-2, -1)))
+        return _frozen(_total_variation(joint, _product_of_marginals(joint), axis=(-2, -1)).ravel())
 
     def renyi(self, alphas: tuple[float, ...]) -> np.ndarray:
-        """(p, g, len(alphas)): per member, the sum of the two directed Renyi
-        divergences of each order in alphas between the joint law of (W, S)
-        and the product of its marginals, kept for the last alphas asked."""
-        last = self.__dict__.get("_renyi")
-        if last is None or last[0] != alphas:
-            stack = self.stack
-            log_probs = stack._log_dataset_probs
-            joint = self.log_joint
-            support = stack._dataset_probs[0, 0] > 0.0
-            if not support.all():
-                # a stack of one: a larger stack's laws are positive everywhere
-                log_probs = log_probs[..., support]
-                joint = np.compress(support, joint, axis=-1)
-            product = log_probs[..., None, :] + self.log_marginal[..., None]
-            # one (nw, m') pair of laws per member
-            lead = joint.shape[:-2]
-            joint = joint.reshape((-1,) + joint.shape[-2:])
-            product = product.reshape(joint.shape)
-            # the reverse call's log ratio is the exact negation of the
-            # forward one's
-            sums = _renyi_sums(joint, product, alphas)
-            sums += _renyi_sums(product, joint, alphas)
-            last = self.__dict__["_renyi"] = (alphas, _frozen(sums.T.reshape(lead + (-1,))))
-        return last[1]
+        """(len(alphas), members): per member, the sum of the two directed
+        Renyi divergences of each order in alphas between the joint law of
+        (W, S) and the product of its marginals, kept per alphas asked."""
+        return self.columns(_renyi_columns, alphas)
 
     @cached_property
     def supersample_information(self) -> np.ndarray:
@@ -519,15 +473,10 @@ class _Sweep(_Kernels):
         return _supersample_infos(self.stack, self.log_kernel)
 
     @cached_property
-    def supersample_info(self) -> tuple[InfoReport, ...]:
-        """supersample_information as one InfoReport per member."""
-        return _info_reports(self.supersample_information)
-
-    @cached_property
     def replace_one(self) -> np.ndarray:
-        """(p, g, 2, n): per member, the forward and the reverse replace-one
-        divergences.  For each coordinate i, averaged over (S, Z) with Z an
-        independent fresh sample: forward[i] = E[D(posterior(S) ||
+        """(2, members, n): per member, the forward and the reverse
+        replace-one divergences.  For each coordinate i, averaged over (S, Z)
+        with Z an independent fresh sample: forward[i] = E[D(posterior(S) ||
         posterior(S with slot i = Z))], and reverse[i] the opposite
         direction.  IID data models only; both IID routes run the same
         checks first, so a problem either refuses allocates neither."""
@@ -543,13 +492,12 @@ class _Sweep(_Kernels):
             _require_positive_gamma(gamma)
         extras = {}
         if self.stack.is_iid():
-            forward, reverse = self.replace_one.reshape(-1, 2, self.stack.n).transpose(1, 0, 2)
+            forward, reverse = self.replace_one
             conditional = _symmetrized(self.supersample_information)
             extras = {"conditional": conditional, "forward": forward, "reverse": reverse}
-        population, empirical = np.array(self.risks).T
-        gammas = np.array(self.gammas * self.log_rows.shape[0])
+        population, empirical = self.risks
         symmetrized = _symmetrized(self.information)
-        return _routes(gammas, population - empirical, symmetrized, *self.references, **extras)
+        return _routes(self.gamma, population - empirical, symmetrized, *self.references, **extras)
 
     @cached_property
     def route_check(self) -> tuple[np.ndarray, dict[int, IdentityMismatch]]:
@@ -557,8 +505,8 @@ class _Sweep(_Kernels):
         return _route_check(self.routes)
 
     def columns(self, build, *args):
-        """build(self, *args), columns that another module reads from these
-        functionals, computed on first use and kept with them."""
+        """build(self, *args), columns that are computed on first use and
+        kept with these functionals."""
         kept = self.__dict__.setdefault("_columns", {})
         key = (build, *args)
         if key not in kept:
@@ -566,11 +514,45 @@ class _Sweep(_Kernels):
         return kept[key]
 
 
+def _renyi_columns(sweep: _Sweep, alphas: tuple[float, ...]) -> np.ndarray:
+    """sweep.renyi(alphas), computed."""
+    stack = sweep.stack
+    log_probs = stack._log_dataset_probs
+    joint = sweep.log_joint
+    support = stack._dataset_probs[0, 0] > 0.0
+    if not support.all():
+        # a stack of one: a larger stack's laws are positive everywhere
+        log_probs = log_probs[..., support]
+        joint = np.compress(support, joint, axis=-1)
+    product = log_probs[..., None, :] + sweep.log_marginal[..., None]
+    # one (nw, m') pair of laws per member
+    joint = joint.reshape((-1,) + joint.shape[-2:])
+    product = product.reshape(joint.shape)
+    # the reverse call's log ratio is the exact negation of the forward one's
+    sums = _renyi_sums(joint, product, alphas)
+    sums += _renyi_sums(product, joint, alphas)
+    return _frozen(sums)
+
+
+def _info_report(pair: np.ndarray) -> InfoReport:
+    """The InfoReport of one member's mutual and lautum entries."""
+    mutual, lautum = pair.tolist()
+    return InfoReport(mutual, lautum, mutual + lautum)
+
+
+def _symmetrized(pairs: np.ndarray) -> np.ndarray:
+    """mutual + lautum of (2, members) columns, after InfoReport's checks."""
+    mutual, lautum = pairs
+    for error in InfoReport.failures(mutual, lautum, mutual + lautum).values():
+        raise error
+    return mutual + lautum
+
+
 class _Slice:
-    """A GibbsPosterior attribute: the member's slice of the sweep's value
-    of the same name, a list or an array whose (p, g) lead is read as one
-    member axis, so a (p, g, num_hypotheses, m) table is read as its
-    member's (num_hypotheses, m) view."""
+    """A GibbsPosterior attribute: the member's slice of the sweep's table
+    of the same name at the member's (problem, gamma) position in its (p,
+    g) lead, so a (p, g, num_hypotheses, m) table is read as its member's
+    (num_hypotheses, m) view."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -578,25 +560,23 @@ class _Slice:
     def __get__(self, member, owner=None):
         if member is None:
             return self
-        value = getattr(member._sweep, self.name)
-        if isinstance(value, np.ndarray):
-            value = value.reshape((-1,) + value.shape[2:])
-        return value[member._index]
+        return getattr(member._sweep, self.name)[member._position]
 
 
 class GibbsPosterior:
     """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
     tabulated per enumerated dataset and held in the log domain; build it
     with gibbs_posterior.  It is one member of a _Sweep, and each
-    functional below is its read-only slice of the sweep's: log_rows,
-    row_array and log_kernel are (num_hypotheses, m) views."""
+    functional below reads its own read-only entries of the sweep's tables
+    and columns: log_rows, row_array and log_kernel are (num_hypotheses,
+    m) views, replace_one a (2, n) view."""
 
     def __init__(self, sweep: _Sweep, index: int) -> None:
         self._sweep = sweep
         self._index = index
-        gammas = len(sweep.gammas)
-        self._problem = sweep.stack.problems[index // gammas]
-        self._gamma = sweep.gammas[index % gammas]
+        self._position = divmod(index, len(sweep.gammas))
+        self._problem = sweep.stack.problems[self._position[0]]
+        self._gamma = sweep.gammas[self._position[1]]
 
     @property
     def problem(self) -> LearningProblem:
@@ -611,12 +591,17 @@ class GibbsPosterior:
     hypothesis_marginal = _Slice()
     log_kernel = _Slice()
     log_marginal = _Slice()
-    info = _Slice()
-    reference_divergences = _Slice()
-    risks = _Slice()
-    total_variation = _Slice()
-    supersample_info = _Slice()
-    replace_one = _Slice()
+
+    def _entry(self, name: str) -> np.ndarray:
+        """The member's entry of the sweep's (2, members, ...) column name."""
+        return getattr(self._sweep, name)[:, self._index]
+
+    info = property(lambda self: _info_report(self._entry("information")))
+    supersample_info = property(lambda self: _info_report(self._entry("supersample_information")))
+    reference_divergences = property(lambda self: tuple(self._entry("references").tolist()))
+    risks = property(lambda self: tuple(self._entry("risks").tolist()))
+    replace_one = property(lambda self: self._entry("replace_one"))
+    total_variation = property(lambda self: self._sweep.total_variation[self._index])
 
     def renyi(self, alphas: Sequence[float]) -> tuple[float, ...]:
         """The sum of the two directed Renyi divergences of each order in
@@ -626,7 +611,7 @@ class GibbsPosterior:
         alphas = tuple(alphas)
         for alpha in alphas:
             _require_order(alpha)
-        return tuple(self._sweep.renyi(alphas).reshape(-1, len(alphas))[self._index].tolist())
+        return tuple(self._sweep.renyi(alphas)[:, self._index].tolist())
 
 
 def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
@@ -753,7 +738,7 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
 def _log_population(stack: _Stack, gamma) -> np.ndarray:
     """The log population-risk Gibbs law of each problem of a stack at a
     gamma, (p, 1, nw), or one row per gamma of a (g, 1) column, (p, g, nw);
-    normalized twice, for the reason given at _Kernels.log_kernel."""
+    normalized twice, for the reason given at _Sweep.log_kernel."""
     logits = stack._log_prior - gamma * stack._population_risk
     logits = logits - _logsumexp(logits, axis=-1, keepdims=True)
     return logits - _logsumexp(logits, axis=-1, keepdims=True)
@@ -834,7 +819,7 @@ def _supersample_infos(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
 
 
 def _replace_one_stack(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
-    """(p, g, 2, n) forward and reverse replace-one divergences of each
+    """(2, members, n) forward and reverse replace-one divergences of each
     kernel of a (p, g, nw, m) table, after the checks.  For slot i, each
     dataset's kernel is compared with those of its |Z| one-slot
     replacements, gathered in (..., nw, |Z|, b) blocks of b datasets, then
@@ -854,7 +839,7 @@ def _replace_one_stack(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
     ids = np.arange(m)
     symbols = np.arange(nz)[:, None]
     block = _per_block(nz * nw)
-    out = np.empty(lead + (2, n))
+    out = np.empty((2,) + lead + (n,))
     for members in _member_blocks(lead, _per_block(nz * nw * m)):
         kernels = log_rows[members]
         law, fresh = probs[members[:-1]], marginal[members[:-1]]
@@ -868,9 +853,9 @@ def _replace_one_stack(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
                 forward[..., sets], reverse[..., sets] = _divergence_pair(
                     kernels[..., :, None, sets], log_alt, axis=-3
                 )
-            out[members + (0, i)] = _expect(_expect(forward, law), fresh)
-            out[members + (1, i)] = _expect(_expect(reverse, law), fresh)
-    return out
+            out[(0, *members, i)] = _expect(_expect(forward, law), fresh)
+            out[(1, *members, i)] = _expect(_expect(reverse, law), fresh)
+    return out.reshape(2, -1, n)
 
 
 def _require_gamma(gamma: float) -> None:
@@ -1120,7 +1105,7 @@ def regularized_gen(
     # the Gibbs kernel of the penalized energy, built as _gibbs_sweep builds
     # the plain one: at lam = 0 it is that kernel bit for bit
     energy = stack._empirical_risk + lam * regularizer
-    kernel = _Kernels(stack, _gibbs_log_rows(stack._log_prior, gamma, energy))
+    kernel = _Sweep(stack, _gibbs_log_rows(stack._log_prior, gamma, energy), (gamma,))
 
     def gap(table: np.ndarray) -> float:
         product, joint = kernel.means(table)
@@ -1133,7 +1118,7 @@ def regularized_gen(
         trace_cov = -gap(np.multiply(emb[:, :, None], tgt, out=diff).sum(axis=1))
     return RegularizedGenReport(
         gen=gap(stack._empirical_risk),
-        iskl_over_gamma=kernel.info[0].symmetrized / gamma,
+        iskl_over_gamma=_info_report(kernel.information[:, 0]).symmetrized / gamma,
         reg_gap=gap(regularizer),
         lam=float(lam),
         trace_cov=trace_cov,
@@ -1189,7 +1174,7 @@ def concavity_probe(
         mixture += w * probs
     # one kernel read under each law, the mixture's first
     laws = np.stack([mixture, *laws])[:, None]
-    kernel = _Kernels(own, _gibbs_log_rows(own._log_prior, gamma, own._empirical_risk))
+    kernel = _Sweep(own, _gibbs_log_rows(own._log_prior, gamma, own._empirical_risk), (gamma,))
     risk = np.broadcast_to(own._empirical_risk, laws.shape[:2] + own._empirical_risk.shape[2:])
     population, empirical = kernel.means(risk, laws)
     gen_mixture, *gens = (population - empirical).ravel().tolist()

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidInput
 from .gibbs import DataModel, IIDData, JointData, LearningProblem, _check_elements
 from .probability import ProbVec
-from .samplers import counter_rng
+from .samplers import check_seed, counter_rng
 
 WEIGHT_FLOOR = 0.05
 
@@ -28,6 +28,7 @@ def _positive_weights(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
     """The substream that generates instance number ``index``."""
+    check_seed(seed)
     return counter_rng(seed, index)
 
 
@@ -81,9 +82,11 @@ def instance_sweep(
     is reached, so it and its cached tables can be freed once the caller
     moves on; gibbs._shape_sweep reads it a window of at most
     BLOCK_ELEMENTS table elements at a time and evaluates the window's
-    same-shape problems together."""
+    same-shape problems together.  The count and the seed are checked
+    when it is called, before any instance is drawn."""
     if count < 1:
         raise InvalidInput(f"count must be >= 1, got {count!r}")
+    check_seed(seed)
     return (
         (
             index,

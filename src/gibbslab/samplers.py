@@ -83,8 +83,8 @@ def check_trials(trials: object) -> None:
 
 
 def check_seed(seed: object) -> None:
-    """Philox keys take an integer seed in [0, 2**64)."""
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    """Philox keys take an integer seed in [0, 2**64); a bool is refused."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
         raise InvalidInput(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -174,15 +174,13 @@ def sgld_run(
     """
     scalar = isinstance(initial, (int, float))
     if scalar:
-        w, step, kind, size = float(initial), config.step, float, 1
+        w, kind, size = float(initial), float, 1
     else:
         w = np.atleast_1d(np.asarray(initial, dtype=np.float64)).copy()
         if w.ndim != 1:
             raise InvalidInput(f"initial must be a scalar or vector, got shape {w.shape}")
         shape, dtype, kind, size = w.shape, w.dtype, np.ndarray, w.size
-        # numpy multiplies by a one-element array faster than by a Python
-        # float, and to the same product
-        step = np.full(1, config.step)
+    step = config.step
     noise = counter_rng(config.seed, 0).standard_normal((config.iterations, size))
     noise *= math.sqrt(2.0 * config.step / config.gamma)
     iterates = np.empty((config.iterations, size))

@@ -210,7 +210,7 @@ def test_bayes_monte_carlo_deterministic():
     assert a != c
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_bayes_monte_carlo_rejects_a_seed_philox_cannot_take(seed):
     with pytest.raises(InvalidInput, match="seed"):
         bayes_location_regime_gen(20, 1000, seed)

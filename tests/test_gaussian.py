@@ -230,7 +230,7 @@ def test_mc_mean_gen_validation():
         mc_mean_gen(cfg, 1000, 0, law="uniform")
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_mc_mean_gen_rejects_a_seed_philox_cannot_take(seed):
     with pytest.raises(InvalidInput, match="seed"):
         mc_mean_gen(make_config(), 1000, seed)
@@ -344,7 +344,7 @@ def test_pac_bayes_coverage_memory_is_gaps_plus_one_block():
     assert traced_peak(pac_bayes_coverage, pac_config(20, 1.0), 2.0, 10_000, 1) < 1_500_000
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_pac_bayes_coverage_rejects_a_seed_philox_cannot_take(seed):
     with pytest.raises(InvalidInput, match="seed"):
         pac_bayes_coverage(pac_config(20, 1.0), 2.0, 1000, seed)

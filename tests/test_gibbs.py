@@ -545,6 +545,21 @@ def test_random_problem_refuses_caps_beyond_int64():
         random_problem(instance_rng(0, 0), max_n=2**63 - 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_instance_rng_rejects_a_seed_philox_cannot_take(seed):
+    # a Philox key word is an integer in [0, 2**64), and neither a float
+    # nor a bool is taken for one
+    with pytest.raises(InvalidInput, match="seed"):
+        instance_rng(seed, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_instance_sweep_rejects_a_seed_philox_cannot_take(seed):
+    # refused when the sweep is asked for, not at its first instance
+    with pytest.raises(InvalidInput, match="seed"):
+        instance_sweep(2, seed)
+
+
 def test_random_problem_labels_take_no_memory_per_label():
     # seed 35 draws |W| = 3,964,134 at max_hypotheses 4 * 10**6 (the
     # hypotheses corner of the CLI ranges); tuples of Python ints held 393

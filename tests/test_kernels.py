@@ -112,7 +112,7 @@ def frozen_renyi_sums(log_p, log_q, alphas):
 def frozen_evaluation(problem, gammas):
     """Every functional of a stacked evaluation, by the frozen formulas, on
     (g, nw, m) tables: hypothesis sums over axis 1, dataset sums over the
-    last axis."""
+    last axis; the COLUMNS hold one entry per gamma on their last axis."""
     risk = problem._stack._empirical_risk[0, 0]
     probs = problem._stack._dataset_probs[0, 0]
     logits = problem.prior.log_weights[:, None] - np.array(gammas)[:, None, None] * risk
@@ -125,7 +125,7 @@ def frozen_evaluation(problem, gammas):
 
     def expected(log_reference):
         forward, reverse = frozen_divergence_pair(log_kernel, log_reference[:, :, None], axis=1)
-        return list(zip((forward * probs).sum(axis=1).tolist(), (reverse * probs).sum(axis=1).tolist()))
+        return np.array(((forward * probs).sum(axis=1), (reverse * probs).sum(axis=1)))
 
     joint_table = rows * probs
     product_table = joint_table.sum(axis=-1)[..., :, None] * joint_table.sum(axis=-2)[..., None, :]
@@ -140,11 +140,15 @@ def frozen_evaluation(problem, gammas):
         "log_kernel": log_kernel,
         "log_joint": log_joint,
         "log_marginal": log_marginal,
-        "info": expected(log_marginal),
-        "reference_divergences": expected(_log_population(problem._stack, np.array(gammas)[:, None])[0]),
-        "total_variation": np.abs(joint_table - product_table).sum(axis=(1, 2)).tolist(),
-        "renyi": [tuple(row) for row in sums.T.tolist()],
+        "information": expected(log_marginal),
+        "references": expected(_log_population(problem._stack, np.array(gammas)[:, None])[0]),
+        "total_variation": np.abs(joint_table - product_table).sum(axis=(1, 2)),
+        "renyi": sums,
     }
+
+
+# the per-member numbers of frozen_evaluation, which a sweep holds as columns
+COLUMNS = ("information", "references", "total_variation", "renyi")
 
 
 def problem_of(nz, n, nw, iid, seed=14):
@@ -190,12 +194,32 @@ def test_evaluation_matches_the_frozen_formulas(monkeypatch, shape):
         expected = frozen_evaluation(problem, gammas)
         for name, value in expected.items():
             got = sweep.renyi(ALPHAS) if name == "renyi" else getattr(sweep, name)
-            if isinstance(got, np.ndarray):
-                # the problem's stack of one
+            if name not in COLUMNS:
+                # a (1, g, ...) table of the problem's stack of one
                 got = got[0]
-            if name == "info":
-                got = [(report.mutual, report.lautum) for report in got]
+            assert got.shape == value.shape, (shape, gammas, name)
             assert np.array_equal(bits(got), bits(value)), (shape, gammas, name)
+
+
+def test_sweep_keeps_the_renyi_column_of_every_order_tuple(monkeypatch):
+    # orders A, then B, then A again: the third call returns the first
+    # call's array without computing it again
+    calls = []
+
+    def counting_renyi_sums(*args):
+        calls.append(args[2])
+        return _renyi_sums(*args)
+
+    monkeypatch.setattr(gibbslab.gibbs, "_renyi_sums", counting_renyi_sums)
+    sweep = next(_gibbs_sweep(problem_of(4, 3, 5, True)._stack, GAMMAS[:4]))._sweep
+    first = sweep.renyi(ALPHAS)
+    other = sweep.renyi((1.5, 3.0))
+    # a forward and a reverse call per order tuple
+    assert calls == [ALPHAS, ALPHAS, (1.5, 3.0), (1.5, 3.0)]
+    assert sweep.renyi(ALPHAS) is first
+    assert len(calls) == 4
+    # one column per order, one entry per member
+    assert first.shape == (len(ALPHAS), 4) and other.shape == (2, 4)
 
 
 def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
@@ -389,7 +413,7 @@ def test_every_table_is_hypothesis_major():
 
 
 # Frozen copies of the fixed-kernel expectations that concavity_probe read
-# before it read its kernel through _Kernels.means, and the probe as it was
+# before it read its kernel through _Sweep.means, and the probe as it was
 # written on them: the references the probe must match.
 
 

@@ -202,13 +202,18 @@ def test_sgld_converts_gradient_results():
 def test_sgld_iterates_pinned_at_demo_defaults():
     # the iterates of the sgld-demo defaults, hashed before the per-step
     # loop was batched into check blocks; sgld.json records the same hash,
-    # and the scalar start, which sgld-demo passes, gives the same iterates
+    # and the scalar start, which sgld-demo passes, gives the same iterates.
+    # A three-dimensional start at the same settings pins the vector path
     config = SgldConfig(step=1e-3, gamma=4.0, iterations=100_000, seed=20)
-    for start in (np.array([0.0]), 0.0):
-        out = sgld_run(quadratic_gradient(1.25), start, config)
-        assert hashlib.sha256(out.tobytes()).hexdigest() == (
-            "060ae023d5094ea4cc543af49d3a05a928879b8d56dd91a22447a7a91835fc63"
-        )
+    demo = "060ae023d5094ea4cc543af49d3a05a928879b8d56dd91a22447a7a91835fc63"
+    for start, target, digest in (
+        (np.array([0.0]), 1.25, demo),
+        (0.0, 1.25, demo),
+        (np.zeros(3), np.full(3, 1.25),
+         "0893e52ce2cb2a5c578a9dc1af2725eab3dab3f640f096d088c292a31b40092a"),
+    ):
+        out = sgld_run(quadratic_gradient(target), start, config)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 def test_sgld_memory_is_noise_and_iterates_plus_one_block():
@@ -250,7 +255,7 @@ def test_sgld_config_validation():
                  SgldConfig(step=1e-3, gamma=1.0, iterations=10))
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_sgld_rejects_a_seed_philox_cannot_take(seed):
     # a Philox key word is an integer in [0, 2**64)
     with pytest.raises(InvalidInput, match="seed"):

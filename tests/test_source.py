@@ -1,6 +1,6 @@
 """Source hygiene: every import of the package names the standard library,
 numpy or the package itself, every module-level import is used, every
-module-level private function or class is used somewhere in it, and every
+private function, class or method is used somewhere in it, and every
 public name is reached by the package or the benchmark."""
 
 import ast
@@ -16,9 +16,12 @@ PACKAGE = ROOT / "src" / "gibbslab"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 # the only third-party package the package may import
 RUNTIME_DEPENDENCIES = {"numpy"}
-# private names that only the tests reference: the bisection is the tests'
-# reference for fixed_point_kappa
-TEST_ONLY = {"bounds._bisect_fixed_point"}
+# private names that only the tests reference:
+TEST_ONLY = {
+    # the tests' reference oracle for fixed_point_kappa, which brackets and
+    # bisects psi_star_inverse instead of solving the closed forms
+    "bounds._bisect_fixed_point",
+}
 # public names that neither the package nor the benchmark reaches, kept as
 # results of the paper:
 PAPER_RESULTS = {
@@ -115,31 +118,54 @@ def _referenced(node: ast.AST) -> set[str]:
     return names
 
 
+def _used_by(statement: ast.stmt) -> set[str]:
+    """Every identifier that statement references, less the name a function
+    or class statement defines; each statement of a class body counts on
+    its own, so a method that only its own body names is not used."""
+    if isinstance(statement, ast.ClassDef):
+        heading = (*statement.bases, *statement.keywords, *statement.decorator_list)
+        names = set().union(*map(_referenced, heading), *map(_used_by, statement.body))
+    else:
+        names = _referenced(statement)
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(statement.name)
+    return names
+
+
 def referenced_outside_definitions(sources) -> set[str]:
     """Every identifier that a module-level statement of any of sources
-    references, less the name a function or class statement defines."""
-    used = set()
-    for source in sources:
-        for statement in ast.parse(source).body:
-            names = _referenced(statement)
-            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(statement.name)
-            used |= names
-    return used
+    references outside the definition of the name."""
+    return set().union(*(_used_by(statement) for source in sources
+                         for statement in ast.parse(source).body))
+
+
+def _private_definitions(module: str, statements) -> list[tuple[str, str]]:
+    """(name, module.qualified name) of each private function or class
+    among statements and of each private method of their classes; dunder
+    methods are Python's, not the package's."""
+    found = []
+    for statement in statements:
+        if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = statement.name
+        if name.startswith("_") and not name.endswith("__"):
+            found.append((name, f"{module}.{name}"))
+        if isinstance(statement, ast.ClassDef):
+            found += _private_definitions(f"{module}.{name}", statement.body)
+    return found
 
 
 def orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """module.name of each module-level private function or class in
-    ``sources`` (module name -> source) that no statement of any of them
-    references outside its own definition."""
+    """module.name of each module-level private function or class, and
+    module.Class.name of each private method, in ``sources`` (module name
+    -> source) that no statement of any of them references outside its
+    own definition."""
     used = referenced_outside_definitions(sources.values())
     return sorted(
-        f"{module}.{statement.name}"
+        qualified
         for module, source in sources.items()
-        for statement in ast.parse(source).body
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-        and statement.name.startswith("_")
-        and statement.name not in used
+        for name, qualified in _private_definitions(module, ast.parse(source).body)
+        if name not in used
     )
 
 
@@ -155,11 +181,21 @@ def test_every_private_name_is_used():
 
 
 def test_an_orphaned_private_name_is_reported():
+    # in c, a private method that only its own body calls is an orphan, one
+    # that a sibling method calls is used, and a dunder method is Python's
     sources = {
         "a": "def _used():\n    return 1\n\n\ndef _orphan():\n    return _orphan()\n",
         "b": "from .a import _used\n\nx = _used()\n",
+        "c": (
+            "class Table:\n"
+            "    def __init__(self):\n        self._fill()\n\n"
+            "    def _fill(self):\n        return 1\n\n"
+            "    def _orphan(self):\n        return self._orphan()\n\n\n"
+            "class _Kept:\n    def _step(self):\n        return 0\n\n\n"
+            "x = _Kept\n"
+        ),
     }
-    assert orphaned_private_names(sources) == ["a._orphan"]
+    assert orphaned_private_names(sources) == ["a._orphan", "c.Table._orphan", "c._Kept._step"]
 
 
 def test_every_public_name_is_reached():
