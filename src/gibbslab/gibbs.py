@@ -78,17 +78,15 @@ from .probability import (
     _logsumexp,
     _one,
     _per_block,
-    _product_of_marginals,
-    _renyi_sums,
+    _renyi_logsums,
     _require_order,
-    _total_variation,
     info_triple,
 )
 
-# the most elements any one enumerated array may hold: an evaluation peaks
-# at 85 to 105 bytes per element of its largest count (tracemalloc), so
-# 0.65 to 0.85 GB at the cap, and the 6,223,360 supersample states of
-# |Z| = 4, n = 8 fit
+# the most elements any one enumerated array may hold: at the cap an
+# evaluation peaks at 77 to 104 bytes per element of its largest count
+# (tracemalloc; 77 on joint laws, 104 on IID ones), so 590 to 800 MiB,
+# and the 6,223,360 supersample states of |Z| = 4, n = 8 fit
 ELEMENT_CAP = 8 * 10**6
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -204,10 +202,9 @@ class _Stack:
     """Problems of one shape (data model kind, |Z|, n and |W|) evaluated as
     one.  The stack owns the enumerated arrays, built on first use and
     cached read-only with a (p, 1) lead that broadcasts against its (p, g,
-    ...) sweep tables.  A stack of two or more needs every dataset law
-    positive, since the Renyi sums compress the support of a stack of one
-    only.  It refers to its problems weakly, as a problem caches its stack
-    of one: whoever draws posteriors from a stack keeps them alive."""
+    ...) sweep tables.  It refers to its problems weakly, as a problem
+    caches its stack of one: whoever draws posteriors from a stack keeps
+    them alive."""
 
     def __init__(self, problems: Sequence[LearningProblem]) -> None:
         first = problems[0]
@@ -392,14 +389,11 @@ class _Sweep:
         return _frozen(self.log_rows - _logsumexp(self.log_rows, axis=-2, keepdims=True))
 
     @cached_property
-    def log_joint(self) -> np.ndarray:
-        """The joint law of (S, W) in the log domain, (p, g, num_hypotheses, m)."""
-        return _frozen(self.stack._log_dataset_probs[..., None, :] + self.log_kernel)
-
-    @cached_property
     def log_marginal(self) -> np.ndarray:
-        """The hypothesis marginal in the log domain."""
-        return _frozen(_logsumexp(self.log_joint, axis=-1))
+        """The hypothesis marginal in the log domain: a log-sum-exp over
+        datasets of the log joint law of (S, W), a temporary."""
+        log_joint = self.stack._log_dataset_probs[..., None, :] + self.log_kernel
+        return _frozen(_logsumexp(log_joint, axis=-1))
 
     def _expected_divergences(self, log_reference: np.ndarray) -> np.ndarray:
         """(2, members): E D(row || reference) and E D(reference || row) over
@@ -451,9 +445,11 @@ class _Sweep:
     @cached_property
     def total_variation(self) -> np.ndarray:
         """(members,): unnormalized total variation between the joint law of
-        (W, S) and the product of its marginals."""
-        joint = np.multiply(self.row_array, self.stack._dataset_probs[..., None, :])
-        return _frozen(_total_variation(joint, _product_of_marginals(joint), axis=(-2, -1)).ravel())
+        (W, S) and the product of its marginals, the expected sum over
+        hypotheses of |row - hypothesis marginal|."""
+        diff = np.subtract(self.row_array, self.hypothesis_marginal[..., None])
+        distances = np.abs(diff, out=diff).sum(axis=-2)
+        return _frozen(_expect(distances, self.stack._dataset_probs).ravel())
 
     def renyi(self, alphas: tuple[float, ...]) -> np.ndarray:
         """(len(alphas), members): per member, the sum of the two directed
@@ -515,23 +511,23 @@ class _Sweep:
 
 
 def _renyi_columns(sweep: _Sweep, alphas: tuple[float, ...]) -> np.ndarray:
-    """sweep.renyi(alphas), computed."""
-    stack = sweep.stack
-    log_probs = stack._log_dataset_probs
-    joint = sweep.log_joint
-    support = stack._dataset_probs[0, 0] > 0.0
-    if not support.all():
-        # a stack of one: a larger stack's laws are positive everywhere
-        log_probs = log_probs[..., support]
-        joint = np.compress(support, joint, axis=-1)
-    product = log_probs[..., None, :] + sweep.log_marginal[..., None]
-    # one (nw, m') pair of laws per member
-    joint = joint.reshape((-1,) + joint.shape[-2:])
-    product = product.reshape(joint.shape)
-    # the reverse call's log ratio is the exact negation of the forward one's
-    sums = _renyi_sums(joint, product, alphas)
-    sums += _renyi_sums(product, joint, alphas)
-    return _frozen(sums)
+    """sweep.renyi(alphas), computed from one log ratio r = log kernel - log
+    hypothesis marginal and the product law q of the hypothesis marginal
+    and the data law: per order alpha, the log-sums at exponents alpha (the
+    joint law to the product) and 1 - alpha (the product to the joint law),
+    each over alpha - 1.  A dataset of probability zero adds exact zeros:
+    its q is zero, and its r is set to zero."""
+    log_probs = sweep.stack._log_dataset_probs[..., None, :]
+    log_marginal = sweep.log_marginal[..., None]
+    r = np.subtract(sweep.log_kernel, log_marginal)
+    np.copyto(r, 0.0, where=log_probs == -np.inf)
+    log_q = np.add(log_probs, log_marginal)
+    # one (nw, m) table per member
+    shape = (-1,) + r.shape[-2:]
+    betas = alphas + tuple(1.0 - alpha for alpha in alphas)
+    logsums = _renyi_logsums(r.reshape(shape), log_q.reshape(shape), betas)
+    orders = np.array(alphas)[:, None] - 1.0
+    return _frozen(logsums[: len(alphas)] / orders + logsums[len(alphas) :] / orders)
 
 
 def _info_report(pair: np.ndarray) -> InfoReport:
@@ -655,9 +651,9 @@ def _shape_sweep(
     instances at each of gammas, in (instance, gamma) order.  The instances
     are read in windows of at most BLOCK_ELEMENTS table elements, or one
     instance, and the problems of a window that share a shape are one
-    _Stack in one chunk of _gibbs_sweep, but a problem whose dataset law
-    has a zero is alone.  Every posterior reads bit for bit what a lone
-    gibbs_posterior gives."""
+    _Stack in one chunk of _gibbs_sweep, whatever zeros their dataset laws
+    hold.  Every posterior reads bit for bit what a lone gibbs_posterior
+    gives."""
     window: list[tuple[int, LearningProblem]] = []
     elements = 0
     for index, problem in instances:
@@ -680,27 +676,13 @@ def _window_sweep(
         shapes.setdefault(key, []).append(problem)
     members = {}
     for group in shapes.values():
-        for stack in _shape_stacks(group):
-            sweep = _gibbs_sweep(stack, gammas)
-            for problem in stack.problems:
-                members[problem] = sweep
+        sweep = _gibbs_sweep(group[0]._stack if len(group) == 1 else _Stack(group), gammas)
+        for problem in group:
+            members[problem] = sweep
     for index, problem in window:
         sweep = members.pop(problem)
         for gamma in gammas:
             yield index, problem, gamma, next(sweep)
-
-
-def _shape_stacks(group: list[LearningProblem]) -> list[_Stack]:
-    """The same-shape problems of a window as one _Stack, but each problem
-    whose dataset law has a zero as its own stack of one."""
-    if len(group) < 2:
-        return [problem._stack for problem in group]
-    stack = _Stack(group)
-    positive = (stack._dataset_probs > 0.0).all(axis=(1, 2)).tolist()
-    if all(positive):
-        return [stack]
-    alone = [problem._stack for problem, full in zip(group, positive) if not full]
-    return alone + _shape_stacks([problem for problem, full in zip(group, positive) if full])
 
 
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:

@@ -6,8 +6,9 @@ strict: ProbVec and JointTable weights must be nonnegative and normalized
 to 1e-12, info_triple demands absolute continuity instead of returning
 infinities, and all ratio-of-probability arithmetic runs in the log
 domain.  The array kernels below (log-sum-exp, the divergence pair, the
-Renyi sums, total variation) take weight arrays, stacked or not; the
-functionals of gibbs.GibbsPosterior read every divergence through them.
+Renyi log-sums of one log ratio) take log weight arrays, stacked or not;
+the functionals of gibbs.GibbsPosterior read every divergence through
+them.
 
 Conventions:
   * All information quantities are in nats.
@@ -40,7 +41,8 @@ IDENTITY_TOL = 1e-12
 # of a hypothesis-major table in the empirical-risk gather and in the
 # supersample and replace-one gathers.  The log-domain divergence kernel
 # holds three block-sized float temporaries and one boolean mask, and the
-# Renyi kernel four, so the block is sized by peak memory
+# Renyi far sums two and one (the near sums hold whole tables, four with
+# their log ratio), so the block is sized by peak memory
 BLOCK_ELEMENTS = 100_000
 
 
@@ -229,77 +231,57 @@ def _per_block(elements: int) -> int:
     return max(1, BLOCK_ELEMENTS // elements)
 
 
-def _renyi_sums(log_p: np.ndarray, log_q: np.ndarray, alphas) -> np.ndarray:
-    """ln(sum p^alpha q^(1-alpha)) / (alpha - 1) for every order in alphas and
-    every pair of normalized laws in a stack, as a (len(alphas), pairs)
-    array.  log_p[k] and log_q[k] hold pair k's finite log weights on a
-    support that carries all the mass of both laws, summed over every axis
-    after the first exactly as a lone pair's would be.  Near independence
-    the sum is 1 + u, taken by _near_renyi_sums.  Far apart the sum is
-    taken by log-sum-exp, the pairs and orders that need it sharing calls
-    of at most BLOCK_ELEMENTS elements, or one pair each when a pair is
+def _renyi_logsums(r: np.ndarray, log_q: np.ndarray, betas) -> np.ndarray:
+    """ln(sum q e^(beta r)) for every exponent in betas and every member of
+    a stack, as a (len(betas), members) array.  r[k] is member k's finite
+    log ratio log p - log q of two normalized laws, zero where q is, and
+    log_q[k] the log weights of q; each member is summed over every axis
+    after the first exactly as a lone member would be.  Over alpha - 1, the
+    value at beta = alpha is the Renyi divergence of order alpha from p to
+    q and the value at beta = 1 - alpha the one from q to p.
+
+    Near independence the sum is 1 + u with |u| < 1, u = sum q
+    (expm1(beta r) - beta expm1(r)), taken as log1p(u), which keeps small
+    divergences accurate as in _divergence_pair.  q and expm1(r) are formed
+    once for all exponents, each exponent's terms in one more array of
+    their size (with r, four tables, freed before the far sums' log-sum-exp
+    takes its own), and beta expm1(r) a flat block of at most 4,096
+    elements at a time.  Far apart the sum is taken by log-sum-exp of log q
+    + beta r, the exponents and members that need it sharing calls of at
+    most BLOCK_ELEMENTS elements, or one member each when a member is
     larger."""
-    out = np.empty((len(alphas), log_p.shape[0]))
-    far = _near_renyi_sums(out, log_p, log_q, alphas)
-    axes = tuple(range(1, log_p.ndim))
-    per_call = _per_block(log_p[0].size)
-    for start in range(0, len(far), per_call):
-        calls = far[start : start + per_call]
-        terms = np.empty((len(calls),) + log_p.shape[1:])
-        for j, (i, k) in enumerate(calls):
-            np.multiply(alphas[i], log_p[k], out=terms[j])
-            terms[j] += (1.0 - alphas[i]) * log_q[k]
-        for (i, k), total in zip(calls, _logsumexp(terms, axis=axes).tolist()):
-            out[i, k] = total / (alphas[i] - 1.0)
-    return out
-
-
-def _near_renyi_sums(out: np.ndarray, log_p, log_q, alphas) -> list:
-    """Fill out[i, k] with _renyi_sums' value for order i and pair k where
-    the sum is 1 + u with |u| < 1, u = sum q (expm1(alpha r) - alpha
-    expm1(r)) and r = log p - log q, which keeps small divergences accurate
-    as in _divergence_pair; return the (i, k) of the others.  r, exp(log q)
-    and expm1(r) are formed once for all orders, each order's terms in one
-    more array of their size (four tables, freed when this returns, before
-    the far sums' log-sum-exp takes its own), and alpha expm1(r) a flat
-    block of at most 4,096 elements at a time."""
-    axes = tuple(range(1, log_p.ndim))
+    axes = tuple(range(1, r.ndim))
+    out = np.empty((len(betas), r.shape[0]))
     far = []
-    r = np.subtract(log_p, log_q)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.exp(log_q)
-        em1 = np.expm1(r)
-        terms = np.empty_like(r)
-        flat_em1, flat_terms = em1.reshape(-1), terms.reshape(-1)
-        scaled = np.empty(min(flat_terms.size, 4096))
-        blocks = [
-            (flat_em1[start : start + scaled.size], flat_terms[start : start + scaled.size])
-            for start in range(0, flat_terms.size, scaled.size)
-        ]
-        for i, alpha in enumerate(alphas):
-            np.multiply(alpha, r, out=terms)
+        # flat tables, so that no view of them outlives the del below
+        flat_r = r.reshape(-1)
+        q = np.exp(log_q.reshape(-1))
+        em1 = np.expm1(flat_r)
+        terms = np.empty_like(em1)
+        scaled = np.empty(min(terms.size, 4096))
+        for i, beta in enumerate(betas):
+            np.multiply(beta, flat_r, out=terms)
             np.expm1(terms, out=terms)
-            for em1_block, terms_block in blocks:
-                terms_block -= np.multiply(em1_block, alpha, out=scaled[: em1_block.size])
+            for start in range(0, terms.size, scaled.size):
+                block = slice(start, start + scaled.size)
+                terms[block] -= np.multiply(em1[block], beta, out=scaled[: em1[block].size])
             terms *= q
-            for k, u in enumerate(terms.sum(axis=axes).tolist()):
+            for k, u in enumerate(terms.reshape(r.shape).sum(axis=axes).tolist()):
                 if abs(u) < 1.0:
-                    out[i, k] = math.log1p(u) / (alpha - 1.0)
+                    out[i, k] = math.log1p(u)
                 else:
                     far.append((i, k))
-    return far
-
-
-def _product_of_marginals(table: np.ndarray) -> np.ndarray:
-    """The product of the two marginals of each table in a stack (the last
-    two axes); np.outer for one table."""
-    return np.multiply(table.sum(axis=-1)[..., :, None], table.sum(axis=-2)[..., None, :])
-
-
-def _total_variation(p: np.ndarray, q: np.ndarray, axis=None):
-    """sum |p - q| over axis."""
-    diff = np.subtract(p, q)
-    return np.abs(diff, out=diff).sum(axis=axis)
+    del q, em1, terms
+    per_call = _per_block(r[0].size)
+    for start in range(0, len(far), per_call):
+        calls = far[start : start + per_call]
+        exponents = np.empty((len(calls),) + r.shape[1:])
+        for j, (i, k) in enumerate(calls):
+            np.multiply(betas[i], r[k], out=exponents[j])
+            exponents[j] += log_q[k]
+        out[tuple(zip(*calls))] = _logsumexp(exponents, axis=axes)
+    return out
 
 
 def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:
@@ -339,7 +321,7 @@ def info_triple(joint: JointTable) -> InfoReport:
     with respect to the joint, which fails exactly when some cell with
     both marginals positive carries zero joint mass.
     """
-    product = _product_of_marginals(joint.table)
+    product = np.outer(joint.table.sum(axis=1), joint.table.sum(axis=0))
     mutual = _kl_arrays(joint.table, product, "info_triple (joint vs product)")
     lautum = _kl_arrays(product, joint.table, "info_triple (product vs joint)")
     return InfoReport(mutual=mutual, lautum=lautum, symmetrized=mutual + lautum)

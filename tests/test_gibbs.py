@@ -713,23 +713,33 @@ def test_supersample_geometry_built_once_per_shape_stack(monkeypatch):
     assert [member.problem for member in members] == [p for p in problems for _ in gammas]
 
 
-def test_a_law_with_a_zero_is_evaluated_alone():
+def test_a_law_with_a_zero_shares_its_window_sweep():
     # three joint problems of one shape, the middle one's law zero on two
-    # datasets: the Renyi sums compress its support, so it is a stack of
-    # its own, and the other two share one
-    problems = [small_problem(seed, iid=False, n=2) for seed in (56, 57, 58)]
-    weights = problems[1].data_model.weights.copy()
+    # datasets, and three IID problems, the middle one's marginal zero on
+    # one symbol: a dataset of probability zero adds exact zeros to every
+    # sum, so each shape is one stack and every member reads what a lone
+    # build gives, bit for bit
+    joint = [small_problem(seed, iid=False, n=2) for seed in (56, 57, 58)]
+    weights = joint[1].data_model.weights.copy()
     weights[[3, 9]] = 0.0
-    problems[1] = dataclasses.replace(problems[1], data_model=JointData(weights / weights.sum()))
+    joint[1] = dataclasses.replace(joint[1], data_model=JointData(weights / weights.sum()))
+    iid = [small_problem(seed, iid=True, n=2) for seed in (59, 60, 61)]
+    marginal = iid[1].data_model.marginal.weights.copy()
+    marginal[2] = 0.0
+    iid[1] = dataclasses.replace(iid[1], data_model=IIDData(ProbVec(marginal / marginal.sum())))
     gammas = (0.5, 5.0)
-    members = [member for *_, member in _shape_sweep(enumerate(problems), gammas)]
-    sweeps = [member._sweep for member in members]
-    assert sweeps[0] is sweeps[1] is sweeps[4] is sweeps[5]
-    assert sweeps[2] is sweeps[3] and sweeps[2].stack is problems[1]._stack
+    members = [member for *_, member in _shape_sweep(enumerate(joint + iid), gammas)]
+    assert [member.problem for member in members] == [p for p in joint + iid for _ in gammas]
+    for group in (members[:6], members[6:]):
+        assert len({member._sweep for member in group}) == 1
     for member in members:
         single = gibbs_posterior(member.problem, member.gamma)
         assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
         assert member.renyi((1.5, 4.0)) == single.renyi((1.5, 4.0))
+        assert member.total_variation == single.total_variation
+        assert [dataclasses.astuple(row) for row in _bounds_rows(member, (1.5, 4.0))] == [
+            dataclasses.astuple(row) for row in _bounds_rows(single, (1.5, 4.0))
+        ]
 
 
 def test_cached_arrays_are_read_only():

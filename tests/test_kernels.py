@@ -1,11 +1,13 @@
 """The whole-table kernels on hypothesis-major (g, nw, m) tables: every
 number, the concavity probe's too, bit for bit against frozen copies of
-the formulas they replaced, the layout of every cached table, the memory
-each call keeps, and numbers that do not depend on the BLAS thread
-count."""
+the formulas they replaced, the dependence measures against a 40-digit
+reference, the layout of every cached table, the memory each call keeps,
+and numbers that do not depend on the BLAS thread count."""
 
 import dataclasses
+import decimal
 import inspect
+import itertools
 import math
 import os
 import subprocess
@@ -32,8 +34,16 @@ from gibbslab import (
     random_problem,
 )
 from gibbslab.cli import DEFAULTS
-from gibbslab.gibbs import CONCAVITY_SLACK, GenReport, _gibbs_sweep, _log_population, gibbs_posterior
-from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_sums
+from gibbslab.gibbs import (
+    ABS_TOL,
+    CONCAVITY_SLACK,
+    REL_TOL,
+    GenReport,
+    _gibbs_sweep,
+    _log_population,
+    gibbs_posterior,
+)
+from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_logsums
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
 ALPHAS = (1.5, 2.0, 4.0)
@@ -77,6 +87,38 @@ def frozen_divergence_pair(log_p, log_q, axis=None):
     return forward, reverse
 
 
+def frozen_renyi_logsums(r, log_q, betas):
+    axes = tuple(range(1, r.ndim))
+    out = np.empty((len(betas), r.shape[0]))
+    far = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.exp(log_q)
+        em1 = np.expm1(r)
+        for i, beta in enumerate(betas):
+            terms = (np.expm1(beta * r) - em1 * beta) * q
+            for k, u in enumerate(terms.sum(axis=axes).tolist()):
+                if abs(u) < 1.0:
+                    out[i, k] = math.log1p(u)
+                else:
+                    far.append((i, k))
+    per_call = max(1, BLOCK_ELEMENTS // r[0].size)
+    for start in range(0, len(far), per_call):
+        calls = far[start : start + per_call]
+        exponents = np.array([betas[i] * r[k] + log_q[k] for i, k in calls])
+        for (i, k), total in zip(calls, frozen_logsumexp(exponents, axis=axes).tolist()):
+            out[i, k] = total
+    return out
+
+
+def betas_of(alphas):
+    """The exponents of the forward and then the reverse Renyi sums."""
+    return alphas + tuple(1.0 - alpha for alpha in alphas)
+
+
+# The Renyi sums and the total variation as they were formed before they
+# read one log ratio: a second reference, met to REL_TOL and ABS_TOL.
+
+
 def frozen_renyi_sums(log_p, log_q, alphas):
     axes = tuple(range(1, log_p.ndim))
     out = np.empty((len(alphas), log_p.shape[0]))
@@ -112,39 +154,56 @@ def frozen_renyi_sums(log_p, log_q, alphas):
 def frozen_evaluation(problem, gammas):
     """Every functional of a stacked evaluation, by the frozen formulas, on
     (g, nw, m) tables: hypothesis sums over axis 1, dataset sums over the
-    last axis; the COLUMNS hold one entry per gamma on their last axis."""
+    last axis; the COLUMNS hold one entry per gamma on their last axis.
+    Second, the total variation and the Renyi sums by the formulas before
+    they read one log ratio: the linear joint table against the product of
+    its marginals, and two Renyi calls on the log joint law and the log
+    product law, on the support."""
     risk = problem._stack._empirical_risk[0, 0]
     probs = problem._stack._dataset_probs[0, 0]
+    log_probs = problem._stack._log_dataset_probs[0, 0]
     logits = problem.prior.log_weights[:, None] - np.array(gammas)[:, None, None] * risk
     log_rows = logits - frozen_logsumexp(logits, axis=1, keepdims=True)
     rows = np.exp(log_rows)
     rows /= rows.sum(axis=1, keepdims=True)
     log_kernel = log_rows - frozen_logsumexp(log_rows, axis=1, keepdims=True)
-    log_joint = problem._stack._log_dataset_probs[0, 0] + log_kernel
+    log_joint = log_probs + log_kernel
     log_marginal = frozen_logsumexp(log_joint, axis=2)
 
     def expected(log_reference):
         forward, reverse = frozen_divergence_pair(log_kernel, log_reference[:, :, None], axis=1)
         return np.array(((forward * probs).sum(axis=1), (reverse * probs).sum(axis=1)))
 
+    marginal = (rows * probs).sum(axis=2)
+    r = np.where(probs > 0.0, log_kernel - log_marginal[:, :, None], 0.0)
+    logsums = frozen_renyi_logsums(r, log_probs + log_marginal[:, :, None], betas_of(ALPHAS))
+    orders = np.array(ALPHAS)[:, None] - 1.0
+    current = {
+        "log_rows": log_rows,
+        "row_array": rows,
+        "hypothesis_marginal": marginal,
+        "log_kernel": log_kernel,
+        "log_marginal": log_marginal,
+        "information": expected(log_marginal),
+        "references": expected(_log_population(problem._stack, np.array(gammas)[:, None])[0]),
+        "total_variation": (np.abs(rows - marginal[:, :, None]).sum(axis=1) * probs).sum(axis=1),
+        "renyi": logsums[: len(ALPHAS)] / orders + logsums[len(ALPHAS) :] / orders,
+    }
     joint_table = rows * probs
     product_table = joint_table.sum(axis=-1)[..., :, None] * joint_table.sum(axis=-2)[..., None, :]
     support = probs > 0.0
     joint = np.compress(support, log_joint, axis=2)
-    product = problem._stack._log_dataset_probs[0, 0][support] + log_marginal[:, :, None]
-    sums = frozen_renyi_sums(joint, product, ALPHAS) + frozen_renyi_sums(product, joint, ALPHAS)
-    return {
-        "log_rows": log_rows,
-        "row_array": rows,
-        "hypothesis_marginal": joint_table.sum(axis=2),
-        "log_kernel": log_kernel,
-        "log_joint": log_joint,
-        "log_marginal": log_marginal,
-        "information": expected(log_marginal),
-        "references": expected(_log_population(problem._stack, np.array(gammas)[:, None])[0]),
+    product = log_probs[support] + log_marginal[:, :, None]
+    earlier = {
         "total_variation": np.abs(joint_table - product_table).sum(axis=(1, 2)),
-        "renyi": sums,
+        "renyi": frozen_renyi_sums(joint, product, ALPHAS) + frozen_renyi_sums(product, joint, ALPHAS),
     }
+    return current, earlier
+
+
+def close(got, expected):
+    """Within REL_TOL of expected, or ABS_TOL, entry by entry."""
+    return np.all(np.abs(got - expected) <= np.maximum(REL_TOL * np.abs(expected), ABS_TOL))
 
 
 # the per-member numbers of frozen_evaluation, which a sweep holds as columns
@@ -191,7 +250,7 @@ def test_evaluation_matches_the_frozen_formulas(monkeypatch, shape):
         gammas = GAMMAS[start : start + per_stack]
         sweep = next(_gibbs_sweep(problem._stack, gammas))._sweep
         assert sweep.gammas == gammas
-        expected = frozen_evaluation(problem, gammas)
+        expected, earlier = frozen_evaluation(problem, gammas)
         for name, value in expected.items():
             got = sweep.renyi(ALPHAS) if name == "renyi" else getattr(sweep, name)
             if name not in COLUMNS:
@@ -199,6 +258,8 @@ def test_evaluation_matches_the_frozen_formulas(monkeypatch, shape):
                 got = got[0]
             assert got.shape == value.shape, (shape, gammas, name)
             assert np.array_equal(bits(got), bits(value)), (shape, gammas, name)
+            if name in earlier:
+                assert close(got, earlier[name]), (shape, gammas, name)
 
 
 def test_sweep_keeps_the_renyi_column_of_every_order_tuple(monkeypatch):
@@ -206,20 +267,110 @@ def test_sweep_keeps_the_renyi_column_of_every_order_tuple(monkeypatch):
     # call's array without computing it again
     calls = []
 
-    def counting_renyi_sums(*args):
+    def counting_renyi_logsums(*args):
         calls.append(args[2])
-        return _renyi_sums(*args)
+        return _renyi_logsums(*args)
 
-    monkeypatch.setattr(gibbslab.gibbs, "_renyi_sums", counting_renyi_sums)
+    monkeypatch.setattr(gibbslab.gibbs, "_renyi_logsums", counting_renyi_logsums)
     sweep = next(_gibbs_sweep(problem_of(4, 3, 5, True)._stack, GAMMAS[:4]))._sweep
     first = sweep.renyi(ALPHAS)
     other = sweep.renyi((1.5, 3.0))
-    # a forward and a reverse call per order tuple
-    assert calls == [ALPHAS, ALPHAS, (1.5, 3.0), (1.5, 3.0)]
+    # one call per order tuple, at the forward and the reverse exponents
+    assert calls == [betas_of(ALPHAS), betas_of((1.5, 3.0))]
     assert sweep.renyi(ALPHAS) is first
-    assert len(calls) == 4
+    assert len(calls) == 2
     # one column per order, one entry per member
     assert first.shape == (len(ALPHAS), 4) and other.shape == (2, 4)
+
+
+def decimal_dependence(problem, gamma, digits=40):
+    """The total variation and the two-direction Renyi sums of ALPHAS
+    between the joint law of (W, S) and the product of its marginals, from
+    the problem's loss, prior weights, data law and n alone, in decimal
+    arithmetic at the given digits."""
+    D = decimal.Decimal
+    with decimal.localcontext() as context:
+        context.prec = digits
+        # exp(4 r) at gamma 1e6 is far outside the default exponent range
+        context.Emax, context.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        loss = [[D(float(value)) for value in row] for row in problem.loss]
+        log_prior = [D(float(weight)).ln() for weight in problem.prior.weights]
+        model = problem.data_model
+        iid = isinstance(model, IIDData)
+        law = [D(float(weight)) for weight in (model.marginal.weights if iid else model.weights)]
+        # float weights sum to one only to rounding; the measures are those
+        # of the normalized law
+        total = sum(law)
+        law = [weight / total for weight in law]
+        nw, nz, n = len(log_prior), len(loss[0]), problem.n
+        probs, rows = [], []
+        for index, sample in enumerate(itertools.product(range(nz), repeat=n)):
+            prob = math.prod((law[z] for z in sample), start=D(1)) if iid else law[index]
+            if prob == 0:
+                continue
+            logits = [log_prior[w] - D(gamma) * sum(loss[w][z] for z in sample) / n for w in range(nw)]
+            top = max(logits)
+            weights = [(logit - top).exp() for logit in logits]
+            total = sum(weights)
+            probs.append(prob)
+            rows.append([weight / total for weight in weights])
+        marginal = [sum(p * row[w] for p, row in zip(probs, rows)) for w in range(nw)]
+        tv = sum(p * sum(abs(row[w] - marginal[w]) for w in range(nw)) for p, row in zip(probs, rows))
+        log_ratios = [[row[w].ln() - marginal[w].ln() for w in range(nw)] for row in rows]
+
+        def log_sum(beta):
+            # ln sum_s,w P(s) marginal(w) (row(w) / marginal(w))**beta
+            return sum(
+                p * marginal[w] * (beta * ratios[w]).exp()
+                for p, ratios in zip(probs, log_ratios)
+                for w in range(nw)
+            ).ln()
+
+        renyi = [(log_sum(D(alpha)) + log_sum(1 - D(alpha))) / (D(alpha) - 1) for alpha in ALPHAS]
+        return float(tv), [float(value) for value in renyi]
+
+
+def test_dependence_measures_match_a_decimal_reference():
+    # TV and the Renyi sums of orders 1.5, 2 and 4 against a 40-digit
+    # reference that shares no code with the stack or the sweep, on IID
+    # and joint problems and on an IID law with a zero, from near
+    # independence (gamma 0.1) to point-mass posteriors (gamma 1e6)
+    zero = problem_of(4, 3, 5, True, seed=15)
+    marginal = zero.data_model.marginal.weights.copy()
+    marginal[1] = 0.0
+    zero = dataclasses.replace(zero, data_model=IIDData(ProbVec(marginal / marginal.sum())))
+    problems = [problem_of(4, 3, 5, True), problem_of(3, 2, 4, False), problem_of(2, 3, 3, True), zero]
+    for problem in problems:
+        for gamma in (0.1, 10.0, 1e3, 1e6):
+            tv, renyi = decimal_dependence(problem, gamma)
+            posterior = gibbs_posterior(problem, gamma)
+            got = [posterior.total_variation, *posterior.renyi(ALPHAS)]
+            for value, reference in zip(got, [tv, *renyi]):
+                assert math.isclose(value, reference, rel_tol=REL_TOL, abs_tol=ABS_TOL), (
+                    problem.data_model, gamma, got, [tv, *renyi])
+
+
+def test_a_zero_probability_dataset_keeps_the_near_renyi_digits():
+    # symbols 0 and 1 carry the mass and barely move the posterior, so the
+    # Renyi sums are tiny; symbol 2, of probability zero, puts its
+    # posterior on a hypothesis the others make unlikely, so its log
+    # ratio is near gamma and exp(beta r) overflows.  Its terms must still
+    # be exact zeros, or the near-independence sum is lost to the
+    # log-sum-exp branch, which keeps only absolute digits
+    problem = LearningProblem(
+        sample_alphabet=(0, 1, 2),
+        hypothesis_set=(0, 1, 2),
+        loss=np.array([[0.0, 1e-9, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+        prior=ProbVec(np.full(3, 1.0 / 3.0)),
+        data_model=IIDData(ProbVec(np.array([0.5, 0.5, 0.0]))),
+        n=1,
+    )
+    for gamma in (1e3, 1e6):
+        _, renyi = decimal_dependence(problem, gamma)
+        got = gibbs_posterior(problem, gamma).renyi(ALPHAS)
+        assert 0.0 < min(renyi) < 1e-6
+        for value, reference in zip(got, renyi):
+            assert math.isclose(value, reference, rel_tol=REL_TOL), (gamma, got, renyi)
 
 
 def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
@@ -237,8 +388,8 @@ def test_far_renyi_sums_match_with_and_without_buffers(monkeypatch):
         log_p = np.log(rng.dirichlet(np.ones(math.prod(shape[1:])), size=shape[0])).reshape(shape)
         for log_q in (np.log(rng.dirichlet(np.ones(log_p[0].size), size=shape[0])).reshape(shape),
                       log_p + 1e-3 * rng.standard_normal(shape)):
-            expected = frozen_renyi_sums(log_p, log_q, ALPHAS)
-            got = _renyi_sums(log_p, log_q, ALPHAS)
+            expected = frozen_renyi_logsums(log_p - log_q, log_q, betas_of(ALPHAS))
+            got = _renyi_logsums(log_p - log_q, log_q, betas_of(ALPHAS))
             assert np.array_equal(bits(got), bits(expected)), shape
     # the far path ran on every shape
     assert {shape[1:] for shape in far_calls} == {(5, 16384), (5, 2048), (5, 64)}
@@ -291,8 +442,10 @@ def test_joint_evaluation_peaks_below_the_earlier_kernels():
 def test_joint_evaluation_holds_the_joint_law_once():
     # a lone joint evaluation on lib-wide's shape (|Z| = 4, n = 7, |W| = 5)
     # at gamma 1, with the posterior alive: the problem's 128 KiB law is
-    # the stack's dataset law, not a copy.  Evaluations that copied it
-    # kept 4,357 KiB (one copy) and 4,488 KiB (two copies)
+    # the stack's dataset law, not a copy, and no log joint table is kept.
+    # Evaluations that copied the law kept 4,357 KiB (one copy) and 4,488
+    # KiB (two copies), and one that cached the 640 KiB log joint table
+    # 4,232 KiB
     problem = problem_of(4, 7, 5, False)
     tracemalloc.start()
     try:
@@ -302,7 +455,7 @@ def test_joint_evaluation_holds_the_joint_law_once():
     finally:
         tracemalloc.stop()
     assert np.shares_memory(posterior._sweep.stack._dataset_probs, problem.data_model.weights)
-    assert retained <= 4357 * 2**10
+    assert retained <= 3717 * 2**10
 
 
 # every functional of a stack that has no IID route, as a reader
@@ -398,7 +551,7 @@ def test_every_table_is_hypothesis_major():
         members = list(_gibbs_sweep(stack, gammas))
         assert len(members) == p * len(gammas)
         sweep = members[0]._sweep
-        for name in ("log_rows", "row_array", "log_kernel", "log_joint"):
+        for name in ("log_rows", "row_array", "log_kernel"):
             table = getattr(sweep, name)
             assert table.shape == (p, len(gammas), nw, m) and table.flags.c_contiguous, name
         for posterior in members:

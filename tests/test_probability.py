@@ -10,20 +10,24 @@ from scipy.special import logsumexp as scipy_logsumexp
 from gibbslab import (
     AlphaOutOfRange,
     AbsoluteContinuityViolation,
+    IIDData,
     InfoReport,
     InvalidDistribution,
     InvalidInput,
     JointTable,
+    LearningProblem,
     ProbVec,
+    gibbs_posterior,
     info_triple,
+    instance_rng,
+    random_problem,
 )
 from gibbslab.probability import (
     _divergence_pair,
     _kl_arrays,
     _logsumexp,
-    _renyi_sums,
+    _renyi_logsums,
     _require_order,
-    _total_variation,
 )
 
 
@@ -44,8 +48,10 @@ def kl(p, q):
 
 def renyi(p, q, alpha):
     """The Renyi divergence of order alpha of two positive laws, by the
-    stacked kernel the posteriors' Renyi sums run through."""
-    return float(_renyi_sums(np.log(p)[None], np.log(q)[None], (alpha,))[0, 0])
+    stacked kernel the posteriors' Renyi sums run through: its log-sum at
+    exponent alpha over alpha - 1."""
+    log_p, log_q = np.log(p), np.log(q)
+    return float(_renyi_logsums((log_p - log_q)[None], log_q[None], (alpha,))[0, 0]) / (alpha - 1.0)
 
 
 def test_kl_bernoulli_closed_form():
@@ -90,22 +96,45 @@ def test_kl_absolute_continuity():
         info_triple(JointTable(np.array([[0.5, 0.0], [0.25, 0.25]])))
 
 
+def guess_the_sample(loss, n=1):
+    """One fair bit per sample, a uniform prior on two hypotheses and the
+    given (2, 2) loss table."""
+    return LearningProblem(
+        sample_alphabet=(0, 1),
+        hypothesis_set=(0, 1),
+        loss=np.asarray(loss, dtype=np.float64),
+        prior=ProbVec(np.array([0.5, 0.5])),
+        data_model=IIDData(ProbVec(np.array([0.5, 0.5]))),
+        n=n,
+    )
+
+
 def test_total_variation_oracles():
-    # Bern(.5) vs Bern(.25): |.5-.75| + |.5-.25| = 0.5 in the summed convention
-    assert abs(_total_variation(bern(0.5), bern(0.25)) - 0.5) < 1e-15
-    point0 = np.array([1.0, 0.0])
-    point1 = np.array([0.0, 1.0])
-    assert _total_variation(point0, point1) == 2.0
-    assert _total_variation(point0, point0) == 0.0
+    # guessing one fair bit under the 0-1 loss: each row is (1, e^-gamma)
+    # / (1 + e^-gamma) or its mirror, the marginal is uniform, and the
+    # summed convention gives TV = tanh(gamma / 2)
+    problem = guess_the_sample([[0.0, 1.0], [1.0, 0.0]])
+    for gamma in (0.1, 1.0, 5.0):
+        tv = gibbs_posterior(problem, gamma).total_variation
+        assert abs(tv - math.tanh(gamma / 2.0)) < 1e-15
+    # at large gamma the rows are point masses on the sample: TV 1, exactly
+    assert gibbs_posterior(problem, 1e6).total_variation == 1.0
+    # a loss that does not depend on the sample: the rows are the
+    # marginal, and on four datasets of probability 1/4 exactly so
+    for n in (1, 2):
+        independent = guess_the_sample([[0.25, 0.25], [0.75, 0.75]], n=n)
+        for gamma in (0.5, 3.0, 1e6):
+            assert gibbs_posterior(independent, gamma).total_variation == 0.0
 
 
 def test_total_variation_range_and_symmetry():
-    rng = np.random.default_rng(6)
-    for _ in range(40):
-        p, q = random_pair(rng, int(rng.integers(2, 8)))
-        tv = _total_variation(p, q)
-        assert 0.0 <= tv <= 2.0
-        assert tv == _total_variation(q, p)
+    # the joint law and the product of its marginals are distributions,
+    # so their distance in the summed convention is finite and in [0, 2]
+    for index in range(40):
+        problem = random_problem(instance_rng(6, index), iid=index % 2 == 0, max_n=3)
+        for gamma in (0.1, 10.0, 1e3, 1e6):
+            tv = gibbs_posterior(problem, gamma).total_variation
+            assert math.isfinite(tv) and 0.0 <= tv <= 2.0, (index, gamma)
 
 
 def test_renyi_identical_is_zero():
@@ -146,7 +175,7 @@ def test_renyi_far_apart_takes_log_sum_exp_branch():
         top = max(terms)
         oracle = (top + math.log(sum(math.exp(t - top) for t in terms))) / (alpha - 1.0)
         assert math.isfinite(oracle)
-        got = _renyi_sums(log_p[None], log_q[None], (alpha,))[0, 0]
+        got = _renyi_logsums((log_p - log_q)[None], log_q[None], (alpha,))[0, 0] / (alpha - 1.0)
         assert abs(got - oracle) <= 1e-14 * oracle
 
 
