@@ -15,10 +15,10 @@ supersample sweep collapses its states, to one per orbit of pair swaps and
 pair permutations.  One cap, ELEMENT_CAP, bounds every enumerated array,
 counted (_check_elements) before anything is allocated.
 
-There is one evaluation path.  _gibbs_sweep evaluates a _Stack of p
+There is one evaluation path.  _gibbs_sweep evaluates the _Stack of p
 problems of one shape (data model kind, |Z|, n and |W|) at g gammas as one
-(p, g, nw, m) log-row table; a problem on its own is a stack of one, which
-it caches (LearningProblem._stack).  Each functional of the _Sweep is
+_Sweep of two (p, g, nw, m) tables; a problem on its own is a stack of one,
+which it caches (LearningProblem._stack).  Each functional of the _Sweep is
 computed for all its (problem, gamma) members the first time any member
 asks, in the same operations, reductions and order whatever p and g, so
 each member's numbers are bit for bit those of a stack of one at one
@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -84,8 +83,8 @@ from .probability import (
 )
 
 # the most elements any one enumerated array may hold: at the cap an
-# evaluation peaks at 77 to 104 bytes per element of its largest count
-# (tracemalloc; 77 on joint laws, 104 on IID ones), so 590 to 800 MiB,
+# evaluation peaks at 61 to 89 bytes per element of its largest count
+# (tracemalloc; 61 on joint laws, 89 on IID ones), so 470 to 680 MiB,
 # and the 6,223,360 supersample states of |Z| = 4, n = 8 fit
 ELEMENT_CAP = 8 * 10**6
 REL_TOL = 1e-9
@@ -202,9 +201,8 @@ class _Stack:
     """Problems of one shape (data model kind, |Z|, n and |W|) evaluated as
     one.  The stack owns the enumerated arrays, built on first use and
     cached read-only with a (p, 1) lead that broadcasts against its (p, g,
-    ...) sweep tables.  It refers to its problems weakly, as a problem
-    caches its stack of one: whoever draws posteriors from a stack keeps
-    them alive."""
+    ...) sweep tables.  It holds arrays only, never its problems, so a
+    problem that caches its stack of one makes no reference cycle."""
 
     def __init__(self, problems: Sequence[LearningProblem]) -> None:
         first = problems[0]
@@ -212,16 +210,11 @@ class _Stack:
         self.num_samples_symbols = first.num_samples_symbols
         self.num_hypotheses = first.num_hypotheses
         self._iid = first.is_iid()
-        self._problems = tuple(map(weakref.ref, problems))
         self.loss = _stacked([problem.loss for problem in problems])
         self._log_prior = _stacked([problem.prior.log_weights for problem in problems])
         models = (problem.data_model for problem in problems)
         weights = [model.marginal.weights if self._iid else model.weights for model in models]
         self._law_weights = _stacked(weights)
-
-    @property
-    def problems(self) -> tuple[LearningProblem, ...]:
-        return tuple(ref() for ref in self._problems)
 
     def is_iid(self) -> bool:
         return self._iid
@@ -351,16 +344,17 @@ def _check_elements(what: str, factor: int, base: int = 1, exponent: int = 0) ->
 class _Sweep:
     """The one evaluation object: the Gibbs kernels from datasets to
     hypotheses of each problem of a _Stack at g gammas, one per (problem,
-    gamma) member, given by C-contiguous (p, g, num_hypotheses, m) log
-    rows, and every functional of them, computed for all members on first
-    use and cached read-only.  Tables keep the (p, g) lead; a per-member
-    number is a column whose member axis runs problem by problem and gamma
-    by gamma.  Sums over hypotheses run over axis -2 and over datasets over
-    the last axis, so each row reduces on its own and each member's numbers
-    are bit for bit those of a stack of one at one gamma."""
+    gamma) member, given by C-contiguous (p, g, num_hypotheses, m) log_rows
+    and row_array, and every functional of them, computed for all members
+    on first use and cached read-only.  Tables keep the (p, g) lead; a
+    per-member number is a column whose member axis runs problem by problem
+    and gamma by gamma.  Sums over hypotheses run over axis -2 and over
+    datasets over the last axis, so each row reduces on its own and each
+    member's numbers are bit for bit those of a stack of one at one gamma."""
 
     stack: _Stack
     log_rows: np.ndarray
+    row_array: np.ndarray
     gammas: tuple[float, ...]
 
     @cached_property
@@ -369,37 +363,22 @@ class _Sweep:
         return _frozen(np.array(self.gammas * self.log_rows.shape[0]))
 
     @cached_property
-    def row_array(self) -> np.ndarray:
-        """Posterior rows, renormalized in the linear domain so each row
-        sums to 1 at machine precision."""
-        rows = np.exp(self.log_rows)
-        rows /= rows.sum(axis=-2, keepdims=True)
-        return _frozen(rows)
-
-    @cached_property
     def hypothesis_marginal(self) -> np.ndarray:
         """The induced marginal over hypotheses under the data law."""
         return _frozen(_expect(self.row_array, self.stack._dataset_probs[..., None, :]))
 
     @cached_property
-    def log_kernel(self) -> np.ndarray:
-        """log_rows normalized again, for the information functionals: the
-        first log-sum-exp leaves each row's total off by rounding that grows
-        with gamma times the risk; a second pass near zero removes it."""
-        return _frozen(self.log_rows - _logsumexp(self.log_rows, axis=-2, keepdims=True))
-
-    @cached_property
     def log_marginal(self) -> np.ndarray:
         """The hypothesis marginal in the log domain: a log-sum-exp over
         datasets of the log joint law of (S, W), a temporary."""
-        log_joint = self.stack._log_dataset_probs[..., None, :] + self.log_kernel
+        log_joint = self.stack._log_dataset_probs[..., None, :] + self.log_rows
         return _frozen(_logsumexp(log_joint, axis=-1))
 
     def _expected_divergences(self, log_reference: np.ndarray) -> np.ndarray:
         """(2, members): E D(row || reference) and E D(reference || row) over
         datasets, for one (p, g, num_hypotheses) reference per member."""
         probs = self.stack._dataset_probs
-        forward, reverse = _divergence_pair(self.log_kernel, log_reference[..., None], axis=-2)
+        forward, reverse = _divergence_pair(self.log_rows, log_reference[..., None], axis=-2)
         return _frozen(np.array((_expect(forward, probs).ravel(), _expect(reverse, probs).ravel())))
 
     @cached_property
@@ -446,9 +425,13 @@ class _Sweep:
     def total_variation(self) -> np.ndarray:
         """(members,): unnormalized total variation between the joint law of
         (W, S) and the product of its marginals, the expected sum over
-        hypotheses of |row - hypothesis marginal|."""
+        hypotheses of |row - hypothesis marginal|.  At each dataset's
+        largest row entry the difference is taken as minus the sum of the
+        others, which keep the digits that rounding near 1 would lose."""
         diff = np.subtract(self.row_array, self.hypothesis_marginal[..., None])
-        distances = np.abs(diff, out=diff).sum(axis=-2)
+        np.put_along_axis(diff, self.row_array.argmax(axis=-2, keepdims=True), 0.0, axis=-2)
+        dominant = np.abs(diff.sum(axis=-2))
+        distances = np.abs(diff, out=diff).sum(axis=-2) + dominant
         return _frozen(_expect(distances, self.stack._dataset_probs).ravel())
 
     def renyi(self, alphas: tuple[float, ...]) -> np.ndarray:
@@ -466,7 +449,7 @@ class _Sweep:
         orbits of supersamples (_supersample_orbits).  IID data models only;
         _require_iid_routes counts the states before anything is allocated."""
         _require_iid_routes(self.stack)
-        return _supersample_infos(self.stack, self.log_kernel)
+        return _supersample_infos(self.stack, self.log_rows)
 
     @cached_property
     def replace_one(self) -> np.ndarray:
@@ -477,7 +460,7 @@ class _Sweep:
         direction.  IID data models only; both IID routes run the same
         checks first, so a problem either refuses allocates neither."""
         _require_iid_routes(self.stack)
-        return _frozen(_replace_one_stack(self.stack, self.log_kernel))
+        return _frozen(_replace_one_stack(self.stack, self.log_rows))
 
     @cached_property
     def routes(self) -> dict[str, np.ndarray]:
@@ -518,14 +501,15 @@ def _renyi_columns(sweep: _Sweep, alphas: tuple[float, ...]) -> np.ndarray:
     each over alpha - 1.  A dataset of probability zero adds exact zeros:
     its q is zero, and its r is set to zero."""
     log_probs = sweep.stack._log_dataset_probs[..., None, :]
-    log_marginal = sweep.log_marginal[..., None]
-    r = np.subtract(sweep.log_kernel, log_marginal)
+    r = np.subtract(sweep.log_rows, sweep.log_marginal[..., None])
     np.copyto(r, 0.0, where=log_probs == -np.inf)
-    log_q = np.add(log_probs, log_marginal)
-    # one (nw, m) table per member
-    shape = (-1,) + r.shape[-2:]
+    # one (nw, m) table per member, and the (1, m) law and (nw, 1) marginal
+    # whose log sum is its log q
+    nw, m = r.shape[-2:]
+    log_probs = np.broadcast_to(log_probs, r.shape[:-2] + (1, m)).reshape(-1, 1, m)
+    log_marginal = sweep.log_marginal.reshape(-1, nw, 1)
     betas = alphas + tuple(1.0 - alpha for alpha in alphas)
-    logsums = _renyi_logsums(r.reshape(shape), log_q.reshape(shape), betas)
+    logsums = _renyi_logsums(r.reshape(-1, nw, m), log_probs, log_marginal, betas)
     orders = np.array(alphas)[:, None] - 1.0
     return _frozen(logsums[: len(alphas)] / orders + logsums[len(alphas) :] / orders)
 
@@ -564,14 +548,14 @@ class GibbsPosterior:
     tabulated per enumerated dataset and held in the log domain; build it
     with gibbs_posterior.  It is one member of a _Sweep, and each
     functional below reads its own read-only entries of the sweep's tables
-    and columns: log_rows, row_array and log_kernel are (num_hypotheses,
-    m) views, replace_one a (2, n) view."""
+    and columns: log_rows (the log kernel, normalized twice) and row_array
+    are (num_hypotheses, m) views, replace_one a (2, n) view."""
 
-    def __init__(self, sweep: _Sweep, index: int) -> None:
+    def __init__(self, sweep: _Sweep, index: int, problem: LearningProblem) -> None:
         self._sweep = sweep
         self._index = index
         self._position = divmod(index, len(sweep.gammas))
-        self._problem = sweep.stack.problems[self._position[0]]
+        self._problem = problem
         self._gamma = sweep.gammas[self._position[1]]
 
     @property
@@ -585,7 +569,6 @@ class GibbsPosterior:
     log_rows = _Slice()
     row_array = _Slice()
     hypothesis_marginal = _Slice()
-    log_kernel = _Slice()
     log_marginal = _Slice()
 
     def _entry(self, name: str) -> np.ndarray:
@@ -610,38 +593,50 @@ class GibbsPosterior:
         return tuple(self._sweep.renyi(alphas)[:, self._index].tolist())
 
 
-def _gibbs_sweep(stack: _Stack, gammas: Sequence[float]) -> Iterator[GibbsPosterior]:
-    """The Gibbs posteriors of each problem of stack at each of gammas, as
-    stacked evaluations: the gammas go in chunks whose (p, g, nw, m)
-    log-row table holds at most max(p * m * nw, BLOCK_ELEMENTS) elements,
-    and each functional is computed for a whole chunk at once.  The
+def _gibbs_sweep(
+    problems: Sequence[LearningProblem], gammas: Sequence[float]
+) -> Iterator[GibbsPosterior]:
+    """The Gibbs posteriors of each of problems, all of one shape, at each
+    of gammas, as stacked evaluations of their _Stack (a lone problem's
+    cached stack of one, or a new one): the gammas go in chunks whose (p,
+    g, nw, m) tables hold at most max(p * m * nw, BLOCK_ELEMENTS) elements
+    each, and each functional is computed for a whole chunk at once.  The
     posteriors come problem by problem within each chunk, each problem's
-    gammas in order.  A chunk is built when its first member is reached
-    and kept only by its members, so a caller that drops each member
-    before asking for the next holds one chunk at a time.  Raises
-    GammaNonPositive, then EnumerationTooLarge, before any table is
-    built."""
+    gammas in order, each carrying its problem.  A chunk is built when its
+    first member is reached and kept only by its members, so a caller that
+    drops each member before asking for the next holds one chunk at a
+    time.  Raises GammaNonPositive, then EnumerationTooLarge, before any
+    table is built."""
     for gamma in gammas:
         _require_gamma(gamma)
     values = [float(gamma) for gamma in gammas]
+    stack = problems[0]._stack if len(problems) == 1 else _Stack(problems)
     risk = stack._empirical_risk
     size = _per_block(risk.size)
     for start in range(0, len(values), size):
         chunk = values[start : start + size]
-        log_rows = _gibbs_log_rows(stack._log_prior, np.array(chunk)[:, None, None], risk)
-        sweep = _Sweep(stack=stack, log_rows=log_rows, gammas=tuple(chunk))
-        for index in range(math.prod(log_rows.shape[:-2])):
-            yield GibbsPosterior(sweep, index)
+        column = np.array(chunk)[:, None, None]
+        sweep = _Sweep(stack, *_gibbs_log_rows(stack._log_prior, column, risk), tuple(chunk))
+        for index in range(len(problems) * len(chunk)):
+            yield GibbsPosterior(sweep, index, problems[index // len(chunk)])
         del sweep
 
 
-def _gibbs_log_rows(log_prior: np.ndarray, gamma, energy: np.ndarray) -> np.ndarray:
-    """The read-only log rows of the Gibbs kernels prior(w) * exp(-gamma *
-    energy(w, s)) / V(s), from (..., nw) log priors, a gamma or a (g, 1, 1)
-    column of them, and a (..., nw, m) energy table: the empirical risk, or
-    it plus a penalty."""
+def _gibbs_log_rows(log_prior: np.ndarray, gamma, energy: np.ndarray) -> tuple:
+    """The read-only (log_rows, row_array) of the Gibbs kernels prior(w) *
+    exp(-gamma * energy(w, s)) / V(s), from (..., nw) log priors, a gamma or
+    a (g, 1, 1) column of them, and a (..., nw, m) energy table: the
+    empirical risk, or it plus a penalty.  row_array is the exponential of
+    the logits less their log-sum-exp, renormalized so each row sums to 1
+    at machine precision; log_rows, which the information functionals
+    read, is normalized a second time, since the first pass leaves each
+    row's total off by rounding that grows with gamma times the energy."""
     logits = log_prior[..., None] - gamma * energy
-    return _frozen(logits - _logsumexp(logits, axis=-2, keepdims=True))
+    logits -= _logsumexp(logits, axis=-2, keepdims=True)
+    rows = np.exp(logits)
+    rows /= rows.sum(axis=-2, keepdims=True)
+    logits -= _logsumexp(logits, axis=-2, keepdims=True)
+    return _frozen(logits), _frozen(rows)
 
 
 def _shape_sweep(
@@ -676,7 +671,7 @@ def _window_sweep(
         shapes.setdefault(key, []).append(problem)
     members = {}
     for group in shapes.values():
-        sweep = _gibbs_sweep(group[0]._stack if len(group) == 1 else _Stack(group), gammas)
+        sweep = _gibbs_sweep(group, gammas)
         for problem in group:
             members[problem] = sweep
     for index, problem in window:
@@ -690,7 +685,7 @@ def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     sweep over the one gamma of the problem's stack of one, evaluated anew
     on every call.  Raises EnumerationTooLarge when m * max(n, nw) is above
     ELEMENT_CAP, before any table is built."""
-    return next(_gibbs_sweep(problem._stack, (gamma,)))
+    return next(_gibbs_sweep((problem,), (gamma,)))
 
 
 # the evaluation that gen_characterizations or bounds_table read last
@@ -720,7 +715,7 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
 def _log_population(stack: _Stack, gamma) -> np.ndarray:
     """The log population-risk Gibbs law of each problem of a stack at a
     gamma, (p, 1, nw), or one row per gamma of a (g, 1) column, (p, g, nw);
-    normalized twice, for the reason given at _Sweep.log_kernel."""
+    normalized twice, for the reason given at _gibbs_log_rows."""
     logits = stack._log_prior - gamma * stack._population_risk
     logits = logits - _logsumexp(logits, axis=-1, keepdims=True)
     return logits - _logsumexp(logits, axis=-1, keepdims=True)
@@ -1087,7 +1082,7 @@ def regularized_gen(
     # the Gibbs kernel of the penalized energy, built as _gibbs_sweep builds
     # the plain one: at lam = 0 it is that kernel bit for bit
     energy = stack._empirical_risk + lam * regularizer
-    kernel = _Sweep(stack, _gibbs_log_rows(stack._log_prior, gamma, energy), (gamma,))
+    kernel = _Sweep(stack, *_gibbs_log_rows(stack._log_prior, gamma, energy), (gamma,))
 
     def gap(table: np.ndarray) -> float:
         product, joint = kernel.means(table)
@@ -1120,7 +1115,7 @@ def empirical_risk_curve(
         raise InvalidInput("gammas must be strictly increasing")
     # map keeps no member between calls, so one chunk is alive at a time; a
     # loop variable over the members would hold one into the next chunk
-    risks = map(operator.attrgetter("risks"), _gibbs_sweep(problem._stack, values))
+    risks = map(operator.attrgetter("risks"), _gibbs_sweep((problem,), values))
     return [empirical for _, empirical in risks]
 
 
@@ -1156,7 +1151,7 @@ def concavity_probe(
         mixture += w * probs
     # one kernel read under each law, the mixture's first
     laws = np.stack([mixture, *laws])[:, None]
-    kernel = _Sweep(own, _gibbs_log_rows(own._log_prior, gamma, own._empirical_risk), (gamma,))
+    kernel = _Sweep(own, *_gibbs_log_rows(own._log_prior, gamma, own._empirical_risk), (gamma,))
     risk = np.broadcast_to(own._empirical_risk, laws.shape[:2] + own._empirical_risk.shape[2:])
     population, empirical = kernel.means(risk, laws)
     gen_mixture, *gens = (population - empirical).ravel().tolist()

@@ -36,13 +36,13 @@ from .errors import (
 ZERO_CUTOFF = 1e-300
 NORMALIZATION_TOL = 1e-12
 IDENTITY_TOL = 1e-12
-# elements per block of stacked work: a chunk of a Gibbs gamma sweep, a
-# stacked Renyi log-sum-exp, and a run of the last (dataset or orbit) axis
-# of a hypothesis-major table in the empirical-risk gather and in the
-# supersample and replace-one gathers.  The log-domain divergence kernel
-# holds three block-sized float temporaries and one boolean mask, and the
-# Renyi far sums two and one (the near sums hold whole tables, four with
-# their log ratio), so the block is sized by peak memory
+# elements per block of stacked work: each of the two tables of a chunk of
+# a Gibbs gamma sweep, a stacked Renyi log-sum-exp, and a run of the last
+# (dataset or orbit) axis of a hypothesis-major table in the empirical-risk
+# gather and in the supersample and replace-one gathers.  The divergence
+# kernel holds three block-sized float temporaries and one boolean mask,
+# and the Renyi far sums two and one (the near sums hold whole tables,
+# four with their log ratio), so the block is sized by peak memory
 BLOCK_ELEMENTS = 100_000
 
 
@@ -231,32 +231,36 @@ def _per_block(elements: int) -> int:
     return max(1, BLOCK_ELEMENTS // elements)
 
 
-def _renyi_logsums(r: np.ndarray, log_q: np.ndarray, betas) -> np.ndarray:
+def _renyi_logsums(
+    r: np.ndarray, log_probs: np.ndarray, log_marginal: np.ndarray, betas
+) -> np.ndarray:
     """ln(sum q e^(beta r)) for every exponent in betas and every member of
     a stack, as a (len(betas), members) array.  r[k] is member k's finite
     log ratio log p - log q of two normalized laws, zero where q is, and
-    log_q[k] the log weights of q; each member is summed over every axis
-    after the first exactly as a lone member would be.  Over alpha - 1, the
-    value at beta = alpha is the Renyi divergence of order alpha from p to
-    q and the value at beta = 1 - alpha the one from q to p.
+    log q = log_probs[k] + log_marginal[k], addends that broadcast to its
+    shape; each member is summed over every axis after the first exactly
+    as a lone member would be.  Over alpha - 1, the value at beta = alpha
+    is the Renyi divergence of order alpha from p to q and the value at
+    beta = 1 - alpha the one from q to p.
 
     Near independence the sum is 1 + u with |u| < 1, u = sum q
     (expm1(beta r) - beta expm1(r)), taken as log1p(u), which keeps small
-    divergences accurate as in _divergence_pair.  q and expm1(r) are formed
-    once for all exponents, each exponent's terms in one more array of
-    their size (with r, four tables, freed before the far sums' log-sum-exp
-    takes its own), and beta expm1(r) a flat block of at most 4,096
-    elements at a time.  Far apart the sum is taken by log-sum-exp of log q
-    + beta r, the exponents and members that need it sharing calls of at
-    most BLOCK_ELEMENTS elements, or one member each when a member is
-    larger."""
+    divergences accurate as in _divergence_pair.  q (the addends' sum,
+    exponentiated in place) and expm1(r) are formed once for all
+    exponents, each exponent's terms in one more array of their size (with
+    r, four tables, freed before the far sums' log-sum-exp takes its own),
+    and beta expm1(r) a flat block of at most 4,096 elements at a time.
+    Far apart the sum is taken by log-sum-exp of log q + beta r, the
+    exponents and members that need it sharing calls of at most
+    BLOCK_ELEMENTS elements, or one member each when a member is larger."""
     axes = tuple(range(1, r.ndim))
     out = np.empty((len(betas), r.shape[0]))
     far = []
     with np.errstate(over="ignore", invalid="ignore"):
         # flat tables, so that no view of them outlives the del below
         flat_r = r.reshape(-1)
-        q = np.exp(log_q.reshape(-1))
+        q = np.add(log_probs, log_marginal).reshape(-1)
+        np.exp(q, out=q)
         em1 = np.expm1(flat_r)
         terms = np.empty_like(em1)
         scaled = np.empty(min(terms.size, 4096))
@@ -279,7 +283,7 @@ def _renyi_logsums(r: np.ndarray, log_q: np.ndarray, betas) -> np.ndarray:
         exponents = np.empty((len(calls),) + r.shape[1:])
         for j, (i, k) in enumerate(calls):
             np.multiply(betas[i], r[k], out=exponents[j])
-            exponents[j] += log_q[k]
+            exponents[j] += log_probs[k] + log_marginal[k]
         out[tuple(zip(*calls))] = _logsumexp(exponents, axis=axes)
     return out
 

@@ -575,7 +575,7 @@ def test_a_mismatch_in_one_member_of_a_stack_reads_as_a_lone_failure(tmp_path, m
 
     def moved(stack, gamma):
         log_population = original(stack, gamma)
-        if stack.is_iid() and len(stack.problems) > 1:
+        if stack.is_iid() and stack.loss.shape[0] > 1:
             log_population = log_population.copy()
             log_population[1, 1, 0] += 0.5
         return log_population

@@ -269,9 +269,9 @@ def test_risk_curve_holds_one_chunk_at_a_time(monkeypatch):
     sweeps = []
     build = gibbslab.gibbs._Sweep
 
-    def tracked(**fields):
+    def tracked(*fields):
         assert all(ref() is None for ref in sweeps)
-        sweep = build(**fields)
+        sweep = build(*fields)
         sweeps.append(weakref.ref(sweep))
         return sweep
 
@@ -659,11 +659,12 @@ def test_a_problem_builds_its_tables_once(monkeypatch):
 
 
 def test_a_dropped_problem_frees_its_tables_without_the_collector():
-    # a problem caches its stack of one, which refers back to it weakly, so
-    # no reference cycle keeps the tables once the problem and its
-    # posteriors are dropped
+    # a problem caches its stack of one, which holds arrays only, never the
+    # problem, so no reference cycle keeps the tables once the problem and
+    # its posteriors are dropped
     problem = small_problem(42, iid=True, n=2)
     posterior = gibbs_posterior(problem, 1.0)
+    assert not any(isinstance(value, LearningProblem) for value in vars(problem._stack).values())
     stack = weakref.ref(problem._stack)
     gc.disable()
     try:
@@ -748,12 +749,11 @@ def test_cached_arrays_are_read_only():
     # them through an array it hands out
     for iid in (True, False):
         problem = small_problem(41, iid=iid)
-        for posterior in (gibbs_posterior(problem, 1.0), *_gibbs_sweep(problem._stack, (0.5, 1.0, 2.0))):
+        for posterior in (gibbs_posterior(problem, 1.0), *_gibbs_sweep((problem,), (0.5, 1.0, 2.0))):
             arrays = [
                 posterior.log_rows,
                 posterior.row_array,
                 posterior.hypothesis_marginal,
-                posterior.log_kernel,
                 posterior.log_marginal,
                 posterior.problem._stack._log_dataset_probs,
             ]
@@ -809,7 +809,7 @@ def test_stacked_sweep_matches_single_builds():
     alphas = (1.5, 2.0, 4.0, 1.01)
     curve_gammas = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0)
     for _, problem in instance_sweep(40, 20260814, max_symbols=4, max_hypotheses=5, max_n=3):
-        members = list(_gibbs_sweep(problem._stack, gammas))
+        members = list(_gibbs_sweep((problem,), gammas))
         assert len({member._sweep for member in members}) == 1
         for member, gamma in zip(members, gammas):
             single = gibbs_posterior(problem, gamma)
@@ -842,7 +842,7 @@ def test_shape_stacks_match_single_builds(monkeypatch, budget):
     for index, problem, gamma, member in _shape_sweep(instances, gammas):
         visited.append((index, gamma))
         sweeps.add(member._sweep)
-        stacked += len(member._sweep.stack.problems) > 1
+        stacked += member._sweep.stack.loss.shape[0] > 1
         assert member.problem is problem and member.gamma == gamma
         single = gibbs_posterior(problem, gamma)
         assert GenReport.from_posterior(member) == GenReport.from_posterior(single)
@@ -885,7 +885,7 @@ def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, c
     gammas = (0.1, 0.5, 1.0, 2.0, 5.0)
     one_block = [gibbs_posterior(problem, gamma).replace_one for gamma in gammas]
     monkeypatch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", budget)
-    members = list(_gibbs_sweep(problem._stack, gammas))
+    members = list(_gibbs_sweep((problem,), gammas))
     sweeps = list(dict.fromkeys(member._sweep for member in members))
     assert [len(sweep.gammas) for sweep in sweeps] == chunks
     assert all(sweep.log_rows.size <= max(48, budget) for sweep in sweeps)
@@ -899,7 +899,7 @@ def test_sweep_splits_into_chunks_within_the_block_budget(monkeypatch, budget, c
     del members, sweeps
     # a caller that drops each member holds one chunk at a time
     if chunks[0] < len(gammas):
-        remaining = _gibbs_sweep(problem._stack, gammas)
+        remaining = _gibbs_sweep((problem,), gammas)
         first_chunk = weakref.ref(next(remaining)._sweep)
         for _ in range(chunks[0]):
             next(remaining)
@@ -919,7 +919,7 @@ def test_blocked_replace_one_matches_one_block(monkeypatch, per_block):
             continue
         nz, nw = problem.num_samples_symbols, problem.num_hypotheses
         assert nz < 7
-        one_block = [member.replace_one for member in _gibbs_sweep(problem._stack, gammas)]
+        one_block = [member.replace_one for member in _gibbs_sweep((problem,), gammas)]
         with monkeypatch.context() as patch:
             patch.setattr(gibbslab.probability, "BLOCK_ELEMENTS", per_block * nz * nw)
             for gamma, expected in zip(gammas, one_block):
