@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotPositiveDefinite, SingularHessian
+from .errors import InvalidInput, NotPositiveDefinite, SingularHessian, require_count, require_real
 from .samplers import block_gaps, check_trials, mean_and_std_error
 
 WEIGHT_TOL = 1e-8
@@ -89,8 +89,7 @@ class WellSample:
             raise InvalidInput(
                 f"hessian shape {hess.shape} does not match minimizer length {vec.size}"
             )
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
-            raise InvalidInput(f"weight must be >= 0, got {self.weight!r}")
+        require_real("weight", self.weight, ">=", 0)
         vec.flags.writeable = False
         hess.flags.writeable = False
         object.__setattr__(self, "minimizer", vec)
@@ -180,8 +179,7 @@ class MleSpec:
         low = float(np.linalg.eigvalsh(f).min())
         if low < -1e-10 * (float(np.abs(f).max()) or 1.0):
             raise NotPositiveDefinite("fisher must be positive semidefinite")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
+        require_count("n", self.n, ">=", 1)
         j.flags.writeable = False
         f.flags.writeable = False
         object.__setattr__(self, "J", j)
@@ -210,10 +208,8 @@ def bayes_location_regime_exact(n: int, prior_var: float = 1.0) -> float:
     (1/n + v^2 n - v^2 / (prior_var^2 n)) / 2; multiplied by n it tends
     to 1, the parameter dimension.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if not (math.isfinite(prior_var) and prior_var > 0.0):
-        raise InvalidInput(f"prior_var must be > 0, got {prior_var!r}")
+    require_count("n", n, ">=", 1)
+    require_real("prior_var", prior_var, ">", 0)
     v = 1.0 / (1.0 / prior_var + n)
     return 0.5 * (1.0 / n + v * v * n - v * v / (prior_var * prior_var * n))
 
@@ -237,8 +233,8 @@ def bayes_location_regime_gen(
     prior_mean is: the error of the Bayes posterior does not depend on the
     prior location.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
+    require_count("n", n, ">=", 1)
+    require_real("prior_mean", prior_mean)
     check_trials(trials)
     precision = 1.0 + n
 

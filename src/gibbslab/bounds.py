@@ -42,6 +42,8 @@ from .errors import (
     IdentityMismatch,
     InvalidInput,
     NoPositiveRoot,
+    require_count,
+    require_real,
 )
 from .gibbs import GenReport, GibbsPosterior, LearningProblem, _evaluation, _Sweep
 from .probability import _failures, _one
@@ -52,12 +54,6 @@ MAX_BRACKET_DOUBLINGS = 60
 SANDWICH_SLACK = 1e-12
 
 
-def _require_positive(name: str, value: float) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise InvalidInput(f"{name} must be a finite positive real, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SubGaussian:
     """Loss whose centered cumulant is bounded by sigma^2 lambda^2 / 2."""
@@ -65,11 +61,10 @@ class SubGaussian:
     sigma: float
 
     def __post_init__(self) -> None:
-        _require_positive("sigma", self.sigma)
+        require_real("sigma", self.sigma, ">", 0)
 
     def psi_star_inverse(self, y: float) -> float:
-        if y < 0.0:
-            raise InvalidInput(f"psi_star_inverse needs y >= 0, got {y!r}")
+        require_real("y", y, ">=", 0)
         return math.sqrt(2.0 * self.sigma**2 * y)
 
 
@@ -86,16 +81,15 @@ class SubExponential:
     b: float
 
     def __post_init__(self) -> None:
-        _require_positive("sigma_e_sq", self.sigma_e_sq)
-        _require_positive("b", self.b)
+        require_real("sigma_e_sq", self.sigma_e_sq, ">", 0)
+        require_real("b", self.b, ">", 0)
 
     @property
     def branch_point(self) -> float:
         return self.sigma_e_sq / (2.0 * self.b**2)
 
     def psi_star_inverse(self, y: float) -> float:
-        if y < 0.0:
-            raise InvalidInput(f"psi_star_inverse needs y >= 0, got {y!r}")
+        require_real("y", y, ">=", 0)
         if y <= self.branch_point:
             return math.sqrt(2.0 * self.sigma_e_sq * y)
         return self.b * y + self.sigma_e_sq / (2.0 * self.b)
@@ -109,12 +103,11 @@ class SubGamma:
     c_s: float
 
     def __post_init__(self) -> None:
-        _require_positive("tau_sq", self.tau_sq)
-        _require_positive("c_s", self.c_s)
+        require_real("tau_sq", self.tau_sq, ">", 0)
+        require_real("c_s", self.c_s, ">", 0)
 
     def psi_star_inverse(self, y: float) -> float:
-        if y < 0.0:
-            raise InvalidInput(f"psi_star_inverse needs y >= 0, got {y!r}")
+        require_real("y", y, ">=", 0)
         return math.sqrt(2.0 * self.tau_sq * y) + self.c_s * y
 
 
@@ -122,12 +115,9 @@ TailClass = SubGaussian | SubExponential | SubGamma
 
 
 def _validate_fixed_point_args(gamma: float, n: int, c_ratio: float) -> None:
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInput(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(c_ratio, (int, float)) and math.isfinite(c_ratio) and c_ratio >= 0.0):
-        raise InvalidInput(f"c_ratio must be >= 0, got {c_ratio!r}")
+    require_real("gamma", gamma, ">", 0, error=GammaNonPositive)
+    require_count("n", n, ">=", 1)
+    require_real("c_ratio", c_ratio, ">=", 0)
 
 
 def _bisect_fixed_point(tail: TailClass, gamma: float, n: int, c_ratio: float) -> float:
@@ -440,8 +430,7 @@ def bounds_table(
     table that the bounds-table subcommand reads of each stack.
     """
     for alpha in alphas:
-        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
-            raise AlphaOutOfRange(f"the Renyi upper bound requires alpha > 1, got {alpha!r}")
+        require_real("alpha", alpha, ">", 1, error=AlphaOutOfRange)
     return _bounds_rows(_evaluation(problem, gamma), tuple(alphas))
 
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import operator
 import os
 import sys
 import time
 import traceback
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +48,15 @@ from .asymptotics import (
     single_well_gen,
 )
 from .bounds import RatioConstants, _BoundTable, _sweep_ratios
-from .errors import ConfigInvalid, GibbsLabError, IdentityMismatch, InvalidInput
+from .errors import (
+    OPERATORS,
+    ConfigInvalid,
+    GibbsLabError,
+    IdentityMismatch,
+    InvalidInput,
+    require_count,
+    require_real,
+)
 from .gaussian import (
     GaussianMeanConfig,
     ismi_bound,
@@ -905,10 +913,6 @@ RANGES = {
     "spot_checks[].c_p": (">=", 0),
     "spot_checks[].expected": ("!=", 0),
 }
-OPERATORS = {
-    "<": operator.lt, "<=": operator.le, "==": operator.eq,
-    "!=": operator.ne, ">=": operator.ge, ">": operator.gt,
-}
 NONEMPTY = ("gammas", "curve_gammas", "probe_gammas", "ismi_ns")
 # keys whose real default also admits a list of d reals
 VECTOR_KEYS = ("mu", "mu0")
@@ -953,27 +957,18 @@ def _checked(default: object, value: object, path: str, key: str, record: bool =
             _checked(entry, item, f"{path}[{i}]" if nested else path, f"{key}[]", nested)
             for i, item in enumerate(value)
         ]
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"expected a number, got {value!r}", path=path)
-    elif isinstance(default, float):
-        if not abs(value) <= sys.float_info.max:
-            raise ConfigInvalid(f"expected a finite real, got {value!r}", path=path)
-        result = float(value)
-    elif isinstance(value, int):
-        result = value
     else:
-        raise ConfigInvalid(f"expected an integer, got {value!r}", path=path)
-    rule = RANGES.get(key, ())
-    for op, bound in zip(rule[::2], rule[1::2]):
-        if not OPERATORS[op](result, bound):
-            raise ConfigInvalid(f"must be {op} {bound}, got {result!r}", path=path)
+        require = require_real if isinstance(default, float) else require_count
+        rule = RANGES.get(key, ())
+        result = type(default)(require(path, value, *rule, error=partial(ConfigInvalid, path=path)))
     return result
 
 
 def _built(path: str, record: dict, make: Callable, **fields):
     """make(**record, **fields); the InvalidInput of a constructor becomes a
-    config error at the record key its message starts with (the
-    constructors name the offending field first), else at ``path``."""
+    config error at the record key its message starts with (the argument
+    rule of errors.py starts every refusal with the argument's name), else
+    at ``path``."""
     try:
         return make(**record, **fields)
     except InvalidInput as exc:

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeltaOutOfRange, IdentityMismatch, InvalidInput, NTooSmall
+from .errors import (
+    DeltaOutOfRange,
+    IdentityMismatch,
+    InvalidInput,
+    NTooSmall,
+    require_count,
+    require_real,
+)
 from .samplers import block_gaps, check_trials, mean_and_std_error
 
 MAX_DIM = 64
@@ -70,16 +77,11 @@ class GaussianMeanConfig:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) and 1 <= self.d <= MAX_DIM):
-            raise InvalidInput(f"d must be an integer in [1, {MAX_DIM}], got {self.d!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
-        for name in ("sigma0_sq", "sigma_sq"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InvalidInput(f"{name} must be > 0, got {value!r}")
-        if not (math.isfinite(self.sigmaZ_sq) and self.sigmaZ_sq >= 0.0):
-            raise InvalidInput(f"sigmaZ_sq must be >= 0, got {self.sigmaZ_sq!r}")
+        require_count("d", self.d, ">=", 1, "<=", MAX_DIM)
+        require_count("n", self.n, ">=", 1)
+        require_real("sigma0_sq", self.sigma0_sq, ">", 0)
+        require_real("sigma_sq", self.sigma_sq, ">", 0)
+        require_real("sigmaZ_sq", self.sigmaZ_sq, ">=", 0)
         object.__setattr__(self, "mu", _as_vector(self.mu, self.d, "mu"))
         object.__setattr__(self, "mu0", _as_vector(self.mu0, self.d, "mu0"))
 
@@ -274,14 +276,10 @@ def pac_bayes_bound(
     squared loss is not globally sub-Gaussian (use a truncated loss with
     sigma = b / 2).  Holds with probability at least 1 - 2 delta.
     """
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 0.5):
-        raise DeltaOutOfRange(f"delta must lie in (0, 1/2), got {delta!r}")
-    if not (math.isfinite(c_p) and c_p >= 0.0):
-        raise InvalidInput(f"c_p must be >= 0, got {c_p!r}")
-    if not (math.isfinite(prime_shift) and prime_shift >= 0.0):
-        raise InvalidInput(f"prime_shift must be >= 0, got {prime_shift!r}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise InvalidInput(f"sigma must be > 0, got {sigma!r}")
+    require_real("delta", delta, ">", 0, "<", 0.5, error=DeltaOutOfRange)
+    require_real("c_p", c_p, ">=", 0)
+    require_real("prime_shift", prime_shift, ">=", 0)
+    require_real("sigma", sigma, ">", 0)
     gamma = config.gamma
     n = config.n
     eps = (2.0 * sigma * sigma * math.log(1.0 / delta) / n) ** 0.25
@@ -326,12 +324,10 @@ def pac_bayes_coverage(
     """
     if config.d != 1:
         raise InvalidInput("the coverage experiment is one-dimensional")
-    if not (math.isfinite(clip) and clip > 0.0):
-        raise InvalidInput(f"clip must be > 0, got {clip!r}")
+    require_real("clip", clip, ">", 0)
     check_trials(trials)
     for delta in deltas:
-        if not 0.0 < delta < 0.5:
-            raise DeltaOutOfRange(f"delta must lie in (0, 1/2), got {delta!r}")
+        require_real("delta", delta, ">", 0, "<", 0.5, error=DeltaOutOfRange)
 
     mu = float(config.mu[0])
     mu0 = float(config.mu0[0])

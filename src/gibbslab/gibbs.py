@@ -60,12 +60,15 @@ import numpy as np
 
 from . import probability
 from .errors import (
+    AlphaOutOfRange,
     EnumerationTooLarge,
     EpsilonOutOfRange,
     GammaNonPositive,
     IdentityMismatch,
     InvalidInput,
     NotIID,
+    require_count,
+    require_real,
 )
 from .probability import (
     InfoReport,
@@ -78,7 +81,6 @@ from .probability import (
     _one,
     _per_block,
     _renyi_logsums,
-    _require_order,
     info_triple,
 )
 
@@ -156,8 +158,7 @@ class LearningProblem:
             raise InvalidInput("prior length does not match hypothesis set")
         if float(self.prior.weights.min()) < ZERO_CUTOFF:
             raise InvalidInput("prior must be strictly positive on every hypothesis")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InvalidInput(f"n must be a positive integer, got {self.n!r}")
+        require_count("n", self.n, ">=", 1)
         if isinstance(self.data_model, IIDData):
             if len(self.data_model.marginal) != len(samples):
                 raise InvalidInput("IID marginal length does not match sample alphabet")
@@ -589,7 +590,7 @@ class GibbsPosterior:
         finite real, positive and != 1."""
         alphas = tuple(alphas)
         for alpha in alphas:
-            _require_order(alpha)
+            require_real("alpha", alpha, ">", 0, "!=", 1, error=AlphaOutOfRange)
         return tuple(self._sweep.renyi(alphas)[:, self._index].tolist())
 
 
@@ -695,16 +696,18 @@ _last_evaluation: GibbsPosterior | None = None
 def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """gibbs_posterior(problem, gamma), kept in one module-level slot so that
     gen_characterizations and bounds_table, called in turn on one pair,
-    read one evaluation.  A hit needs the same problem object and an int
-    or float gamma equal to the slot's as a float, and returns what a
-    fresh build would, bit for bit, every cached array being read-only.  A
-    miss empties the slot before it builds, so at most one evaluation
-    outlives its callers.  Threads racing on the slot can only cost extra
-    builds: every posterior it holds is complete and immutable."""
+    read one evaluation.  Both need gamma > 0, which is checked first, so
+    a hit refuses what a miss refuses and a refusal builds nothing.  A hit
+    needs the same problem object and a gamma equal to the slot's as a
+    float, and returns what a fresh build would, bit for bit, every cached
+    array being read-only.  A miss empties the slot
+    before it builds, so at most one evaluation outlives its callers.
+    Threads racing on the slot can only cost extra builds: every posterior
+    it holds is complete and immutable."""
     global _last_evaluation
+    _require_positive_gamma(gamma)
     last = _last_evaluation
-    hit = last is not None and last.problem is problem and isinstance(gamma, (int, float))
-    if hit and float(gamma) == last.gamma:
+    if last is not None and last.problem is problem and float(gamma) == last.gamma:
         return last
     del last
     _last_evaluation = None
@@ -714,11 +717,11 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
 
 def _log_population(stack: _Stack, gamma) -> np.ndarray:
     """The log population-risk Gibbs law of each problem of a stack at a
-    gamma, (p, 1, nw), or one row per gamma of a (g, 1) column, (p, g, nw);
-    normalized twice, for the reason given at _gibbs_log_rows."""
-    logits = stack._log_prior - gamma * stack._population_risk
-    logits = logits - _logsumexp(logits, axis=-1, keepdims=True)
-    return logits - _logsumexp(logits, axis=-1, keepdims=True)
+    gamma, (p, 1, nw), or one row per gamma of a (g, 1) column, (p, g, nw):
+    the log_rows of _gibbs_log_rows with the population risk as the energy
+    of a single dataset."""
+    energy = stack._population_risk[..., None]
+    return _gibbs_log_rows(stack._log_prior, np.expand_dims(gamma, -1), energy)[0][..., 0]
 
 
 def gen_error_direct(posterior: GibbsPosterior) -> float:
@@ -835,14 +838,12 @@ def _replace_one_stack(stack: _Stack, log_rows: np.ndarray) -> np.ndarray:
     return out.reshape(2, -1, n)
 
 
-def _require_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise GammaNonPositive(f"gamma must be a finite real >= 0, got {gamma!r}")
+def _require_gamma(gamma: float) -> float:
+    return require_real("gamma", gamma, ">=", 0, error=GammaNonPositive)
 
 
-def _require_positive_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise GammaNonPositive(f"gamma must be > 0, got {gamma!r}")
+def _require_positive_gamma(gamma: float) -> float:
+    return require_real("gamma", gamma, ">", 0, error=GammaNonPositive)
 
 
 # the five routes of gen, in the order every report and table lists them
@@ -1051,8 +1052,7 @@ def regularized_gen(
     additionally reports the covariance trace identity.
     """
     _require_positive_gamma(gamma)
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise InvalidInput(f"lam must be a finite real >= 0, got {lam!r}")
+    require_real("lam", lam, ">=", 0)
     stack = problem._stack
     m = stack._dataset_indices.shape[0]
     nw = problem.num_hypotheses
@@ -1106,9 +1106,9 @@ def empirical_risk_curve(
     problem: LearningProblem, gammas: Sequence[float]
 ) -> list[float]:
     """E[empirical risk] per inverse temperature; the sequence is
-    non-increasing for ascending gammas.  The sweep refuses a gamma that is
-    not a finite real >= 0 before it builds anything."""
-    values = list(gammas)
+    non-increasing for ascending gammas.  A gamma that is not a finite real
+    >= 0 raises GammaNonPositive before the order is checked."""
+    values = [_require_gamma(gamma) for gamma in gammas]
     if not values:
         raise InvalidInput("need at least one gamma")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -1185,8 +1185,7 @@ def chain_rule_example(epsilon: float) -> ChainRuleReport:
     1/4 - epsilon on cells with w = 1 and (z1, z2) != (0, 0), and epsilon
     on cells with w = 0 and (z1, z2) != (0, 0).
     """
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 0.125):
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/8), got {epsilon!r}")
+    require_real("epsilon", epsilon, ">", 0, "<", 0.125, error=EpsilonOutOfRange)
     cube = np.empty((2, 2, 2))
     cube[:, 0, 0] = 0.125
     for z1, z2 in ((0, 1), (1, 0), (1, 1)):

@@ -26,12 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AbsoluteContinuityViolation,
-    AlphaOutOfRange,
-    InvalidDistribution,
-    InvalidInput,
-)
+from .errors import AbsoluteContinuityViolation, InvalidDistribution, InvalidInput
 
 ZERO_CUTOFF = 1e-300
 NORMALIZATION_TOL = 1e-12
@@ -307,14 +302,6 @@ def _kl_arrays(p: np.ndarray, q: np.ndarray, context: str) -> float:
     forward, _ = _divergence_pair(np.log(pz[support]), np.log(qz[support]))
     # where p is zero the term p r - p + q reduces to q
     return float(forward) + float(qz[~support].sum())
-
-
-def _require_order(alpha: float) -> None:
-    """Refuse a Renyi order that is not a finite real, positive and != 1."""
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-        raise AlphaOutOfRange(f"alpha must be a finite real, got {alpha!r}")
-    if alpha <= 0.0 or alpha == 1.0:
-        raise AlphaOutOfRange(f"alpha must be > 0 and != 1, got {alpha!r}")
 
 
 def info_triple(joint: JointTable) -> InfoReport:

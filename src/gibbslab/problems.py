@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import require_count
 from .gibbs import DataModel, IIDData, JointData, LearningProblem, _check_elements
 from .probability import ProbVec
 from .samplers import check_seed, counter_rng
@@ -27,8 +27,10 @@ def _positive_weights(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def instance_rng(seed: int, index: int) -> np.random.Generator:
-    """The substream that generates instance number ``index``."""
+    """The substream that generates instance number ``index``, which is,
+    like the seed, an integer in [0, 2**64): the range of a Philox key word."""
     check_seed(seed)
+    require_count("index", index, ">=", 0, "<", 2**64)
     return counter_rng(seed, index)
 
 
@@ -44,11 +46,10 @@ def random_problem(
     The drawn sizes pass the problem's element check before any table is
     drawn, so an instance too large to enumerate raises
     EnumerationTooLarge without allocating."""
-    if max_symbols < 2 or max_hypotheses < 2 or max_n < 1:
-        raise InvalidInput("caps must allow at least two symbols, two hypotheses, n >= 1")
     # each size is drawn as an int64 below its cap plus one
-    if max(max_symbols, max_hypotheses, max_n) >= 2**63:
-        raise InvalidInput("the caps must be below 2**63, the limit of an int64 draw")
+    require_count("max_symbols", max_symbols, ">=", 2, "<", 2**63)
+    require_count("max_hypotheses", max_hypotheses, ">=", 2, "<", 2**63)
+    require_count("max_n", max_n, ">=", 1, "<", 2**63)
     nz = int(rng.integers(2, max_symbols + 1))
     nw = int(rng.integers(2, max_hypotheses + 1))
     n = int(rng.integers(1, max_n + 1))
@@ -84,8 +85,7 @@ def instance_sweep(
     BLOCK_ELEMENTS table elements at a time and evaluates the window's
     same-shape problems together.  The count and the seed are checked
     when it is called, before any instance is drawn."""
-    if count < 1:
-        raise InvalidInput(f"count must be >= 1, got {count!r}")
+    require_count("count", count, ">=", 1)
     check_seed(seed)
     return (
         (

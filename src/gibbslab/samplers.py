@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Diverged, InvalidInput
+from .errors import Diverged, InvalidInput, require_count, require_real
 from .probability import BLOCK_ELEMENTS
 
 DIVERGENCE_NORM = 1e10
@@ -78,14 +78,12 @@ def counter_rng(seed: int, stream: int, block: int = 0) -> np.random.Generator:
 
 def check_trials(trials: object) -> None:
     """Monte Carlo estimators need at least MIN_TRIALS trials."""
-    if not (isinstance(trials, int) and trials >= MIN_TRIALS):
-        raise InvalidInput(f"trials must be an integer >= {MIN_TRIALS}, got {trials!r}")
+    require_count("trials", trials, ">=", MIN_TRIALS)
 
 
 def check_seed(seed: object) -> None:
-    """Philox keys take an integer seed in [0, 2**64); a bool is refused."""
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
-        raise InvalidInput(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    """Philox keys take an integer seed in [0, 2**64)."""
+    require_count("seed", seed, ">=", 0, "<", 2**64)
 
 
 def block_gaps(
@@ -136,12 +134,9 @@ class SgldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise InvalidInput(f"step must be > 0, got {self.step!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InvalidInput(f"gamma must be > 0, got {self.gamma!r}")
-        if not (isinstance(self.iterations, int) and self.iterations >= 1):
-            raise InvalidInput(f"iterations must be a positive integer, got {self.iterations!r}")
+        require_real("step", self.step, ">", 0)
+        require_real("gamma", self.gamma, ">", 0)
+        require_count("iterations", self.iterations, ">=", 1)
         check_seed(self.seed)
 
     @property

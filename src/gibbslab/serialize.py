@@ -27,12 +27,11 @@ import csv
 import io
 import itertools
 import json
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid, InvalidInput
+from .errors import ConfigInvalid, InvalidInput, require_count, require_real
 
 JSON_SIG = 17
 CSV_SIG = 12
@@ -43,11 +42,8 @@ CSV_BLOCK_ROWS = 1024
 
 def format_float(value: float, sig: int = JSON_SIG) -> str:
     """Scientific notation with the given count of significant digits."""
-    if not isinstance(value, (int, float)):
-        raise InvalidInput(f"cannot format {type(value).__name__} as a float")
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidInput(f"non-finite value {value!r} cannot be serialized")
+    value = float(require_real("value", value))
+    require_count("sig", sig, ">=", 1)
     return f"{value:.{sig - 1}e}"
 
 

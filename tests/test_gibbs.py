@@ -553,6 +553,14 @@ def test_instance_rng_rejects_a_seed_philox_cannot_take(seed):
         instance_rng(seed, 0)
 
 
+@pytest.mark.parametrize("index", [-1, 2**64, 2.5, True])
+def test_instance_rng_rejects_an_index_philox_cannot_take(index):
+    # the index is the second Philox key word: -1 and 2**64 overflowed in
+    # numpy, and 2.5 drew instance 2
+    with pytest.raises(InvalidInput, match="^index "):
+        instance_rng(1, index)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_instance_sweep_rejects_a_seed_philox_cannot_take(seed):
     # refused when the sweep is asked for, not at its first instance
@@ -762,6 +770,19 @@ def test_cached_arrays_are_read_only():
             for array in arrays:
                 with pytest.raises(ValueError):
                     array.flat[0] = 0.0
+
+
+def test_the_shared_evaluation_refuses_what_a_fresh_one_refuses():
+    # gamma True equals the slot's 1.0 as a float, but is not a number; a
+    # refused gamma leaves the slot as it was, having built nothing
+    problem = small_problem(43, iid=True, n=2)
+    gen_characterizations(problem, 1.0)
+    held = gibbslab.gibbs._last_evaluation
+    for call in (gen_characterizations, bounds_table):
+        for gamma in (True, 0.0):
+            with pytest.raises(GammaNonPositive, match="^gamma "):
+                call(problem, gamma)
+    assert gibbslab.gibbs._last_evaluation is held
 
 
 def test_routes_and_bounds_share_one_evaluation(monkeypatch):

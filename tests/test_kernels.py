@@ -41,7 +41,6 @@ from gibbslab.gibbs import (
     REL_TOL,
     GenReport,
     _gibbs_sweep,
-    _log_population,
     gibbs_posterior,
 )
 from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_logsums
@@ -164,6 +163,7 @@ def frozen_evaluation(problem, gammas):
     the log product law, on the support."""
     risk = problem._stack._empirical_risk[0, 0]
     probs = problem._stack._dataset_probs[0, 0]
+    population = (risk * probs).sum(axis=1)
     log_probs = problem._stack._log_dataset_probs[0, 0]
     logits = problem.prior.log_weights[:, None] - np.array(gammas)[:, None, None] * risk
     log_rows = logits - frozen_logsumexp(logits, axis=1, keepdims=True)
@@ -176,6 +176,11 @@ def frozen_evaluation(problem, gammas):
     def expected(log_reference):
         forward, reverse = frozen_divergence_pair(log_kernel, log_reference[:, :, None], axis=1)
         return np.array(((forward * probs).sum(axis=1), (reverse * probs).sum(axis=1)))
+
+    # the population-risk Gibbs law, normalized twice as the kernel is
+    log_population = problem.prior.log_weights - np.array(gammas)[:, None] * population
+    log_population = log_population - frozen_logsumexp(log_population, axis=1, keepdims=True)
+    log_population = log_population - frozen_logsumexp(log_population, axis=1, keepdims=True)
 
     marginal = (rows * probs).sum(axis=2)
     diff = rows - marginal[:, :, None]
@@ -191,7 +196,7 @@ def frozen_evaluation(problem, gammas):
         "hypothesis_marginal": marginal,
         "log_marginal": log_marginal,
         "information": expected(log_marginal),
-        "references": expected(_log_population(problem._stack, np.array(gammas)[:, None])[0]),
+        "references": expected(log_population),
         "total_variation": (distances * probs).sum(axis=1),
         "renyi": logsums[: len(ALPHAS)] / orders + logsums[len(ALPHAS) :] / orders,
     }

@@ -1,7 +1,8 @@
 """Source hygiene: every import of the package names the standard library,
 numpy or the package itself, every module-level import is used, every
-private function, class or method is used somewhere in it, and every
-public name is reached by the package or the benchmark."""
+private function, class or method is used somewhere in it, every public
+name is reached by the package or the benchmark, and no module but
+errors.py checks a scalar argument by hand."""
 
 import ast
 import pathlib
@@ -212,3 +213,74 @@ def test_an_unreached_public_name_is_reported():
         "from .a import used\n\nx = used()\n",
     ]
     assert unreached_public_names(["used", "orphan"], sources) == ["orphan"]
+
+
+def _names_a_number_type(node: ast.AST) -> bool:
+    return any(isinstance(child, ast.Name) and child.id in ("int", "float")
+               for child in ast.walk(node))
+
+
+def _is_argument(node: ast.AST, parameters: set[str]) -> bool:
+    """node is a parameter of the enclosing function or a field of self."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "self"
+    return isinstance(node, ast.Name) and node.id in parameters
+
+
+def _tests_a_number(call: ast.AST, parameters: set[str]) -> bool:
+    """call is isinstance(X, <types naming int or float>) or
+    math.isfinite(X), X an argument of the enclosing function."""
+    if not (isinstance(call, ast.Call) and call.args and _is_argument(call.args[0], parameters)):
+        return False
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "isinstance":
+        return len(call.args) == 2 and _names_a_number_type(call.args[1])
+    return (isinstance(func, ast.Attribute) and func.attr == "isfinite"
+            and isinstance(func.value, ast.Name) and func.value.id == "math")
+
+
+def hand_written_number_checks(source: str) -> list[str]:
+    """"function (line n)" for each if or elif of ``source`` that tests an
+    argument of its function with isinstance against int or float, or with
+    math.isfinite, and raises in its body: a check that
+    errors.require_real or errors.require_count should make."""
+    found = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        arguments = function.args
+        parameters = {arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                          *arguments.kwonlyargs, arguments.vararg,
+                                          arguments.kwarg) if arg is not None}
+        for node in ast.walk(function):
+            if not isinstance(node, ast.If):
+                continue
+            raises = any(isinstance(child, ast.Raise)
+                         for statement in node.body for child in ast.walk(statement))
+            if raises and any(_tests_a_number(call, parameters) for call in ast.walk(node.test)):
+                found.add((node.lineno, f"{function.name} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "errors.py"],
+                         ids=lambda path: path.name)
+def test_scalar_arguments_are_checked_by_the_rule(path):
+    assert hand_written_number_checks(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_hand_written_number_check_is_reported():
+    source = (
+        "import math\n\n\n"
+        "def scale(n, x, tail):\n"
+        "    if not (isinstance(n, int) and n >= 1):\n        raise ValueError(n)\n"
+        "    elif not math.isfinite(x):\n        raise ValueError(x)\n"
+        "    if isinstance(tail, Tail):\n        raise ValueError(tail)\n"
+        "    if isinstance(x, float):\n        x = int(x)\n"
+        "    total = n * x\n"
+        "    if not math.isfinite(total):\n        raise ValueError(total)\n\n\n"
+        "class Config:\n"
+        "    def check(self):\n"
+        "        if isinstance(self.d, (bool, float)):\n            raise ValueError(self.d)\n"
+    )
+    assert hand_written_number_checks(source) == [
+        "scale (line 5)", "scale (line 7)", "check (line 20)"]
