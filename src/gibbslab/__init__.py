@@ -3,7 +3,7 @@
 The package enumerates small learning problems exactly, computes the
 expected generalization error of the Gibbs algorithm through several
 information-theoretic routes that must agree to machine precision, and
-evaluates the surrounding bound suite, Gaussian closed forms, asymptotic
+evaluates the surrounding bounds, Gaussian closed forms, asymptotic
 approximations, and sampling-based estimators against those exact
 values.
 """
@@ -16,19 +16,12 @@ from .asymptotics import (
     bayes_location_regime_exact,
     bayes_location_regime_gen,
     mle_asymptotic_gen,
-    multi_well_bound,
     single_well_gen,
 )
 from .bounds import (
-    BoundEntry,
     BoundRow,
     RatioConstants,
-    SubExponential,
-    SubGamma,
-    SubGaussian,
-    bound_suite,
     bounds_table,
-    fixed_point_kappa,
     sandwich_violations,
 )
 from .errors import (
@@ -45,7 +38,6 @@ from .errors import (
     InvalidDistribution,
     InvalidInput,
     NTooSmall,
-    NoPositiveRoot,
     NotIID,
     NotPositiveDefinite,
     SingularHessian,

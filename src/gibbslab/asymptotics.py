@@ -3,16 +3,9 @@ forms, the asymptotic maximum-likelihood rate, and the Bayesian regime.
 
 At infinite inverse temperature the posterior collapses onto the
 empirical-risk minimizers, and the generalization error is a functional
-of the per-dataset minimizer, its Hessian, and the dataset weights:
-
-  * one well per dataset: an exact expression combining a product-minus-
-    joint quadratic term with a minimizer/gradient coupling term
-    (single_well_gen);
-  * several isolated wells: the average over wells of the analogous
-    per-well expressions upper-bounds the error (multi_well_bound); the
-    per-well coupling term uses the centered quadratic form with the
-    Hessian in the middle, which coincides with the single-well coupling
-    term whenever the Hessian does not depend on the dataset.
+of the per-dataset minimizer, its Hessian, and the dataset weights.
+With one well per dataset it is exact: a product-minus-joint quadratic
+term plus a minimizer/gradient coupling term (single_well_gen).
 
 For maximum-likelihood estimation with n IID samples the same collapse
 yields tr(fisher . J^{-1}) / n, reducing to the d / n model-selection
@@ -138,27 +131,6 @@ def single_well_gen(samples: list[WellSample] | tuple[WellSample, ...]) -> float
     centered_hw = hw - probs @ hw
     coupling = float(np.einsum("k,ki,ki->", probs, centered_w, centered_hw))
     return _product_minus_joint_quadratic(probs, minimizers, hessians) + coupling
-
-
-def _centered_quadratic(samples: list[WellSample] | tuple[WellSample, ...]) -> float:
-    probs, minimizers, hessians = _well_arrays(samples)
-    centered = minimizers - probs @ minimizers
-    quad = float(np.einsum("k,ki,kij,kj->", probs, centered, hessians, centered))
-    return _product_minus_joint_quadratic(probs, minimizers, hessians) + quad
-
-
-def multi_well_bound(
-    wells: list[list[WellSample]] | tuple[tuple[WellSample, ...], ...]
-) -> float:
-    """Zero-temperature upper bound with several isolated minimizers.
-
-    Each well contributes its product-minus-joint quadratic term plus the
-    centered quadratic form of its minimizers through its Hessians; the
-    bound is the plain average over wells (uniform prior across wells).
-    """
-    if not wells:
-        raise InvalidInput("at least one well is required")
-    return float(np.mean([_centered_quadratic(well) for well in wells]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,18 +1,17 @@
 """Upper and lower bounds on the expected Gibbs generalization error.
 
-Three ingredients combine here:
+Two ingredients combine here:
 
-  * tail classes describing the loss (sub-Gaussian, sub-exponential,
-    sub-gamma) through the inverse ``psi_star_inverse`` of the Legendre
-    dual of their cumulant bound;
   * ratio constants measured on an exactly enumerable problem: the
     lautum/mutual ratio c_i, the reverse/forward divergence ratio c_k
     against the population Gibbs reference, the conditional
     lautum/mutual ratio c_c from the supersample construction, and the
     worst per-coordinate reverse/forward replace-one ratio c_s;
-  * closed-form parametric bounds of the shape const * gamma / ((1 + c) n),
-    all of which are fixed points of psi_star_inverse(kappa / n) =
-    (1 + c) kappa / gamma.
+  * closed-form sub-Gaussian bounds of the shape const * gamma / ((1 + c) n),
+    sigma = (max - min) / 2 of the loss table being a sub-Gaussian
+    parameter of every finite loss; the fixed_point row is the crossing of
+    the sub-Gaussian dual inverse sqrt(2 sigma^2 kappa / n) with the line
+    (1 + c_i) kappa / gamma.
 
 Every parametric bound assumes IID training samples; on joint data
 models the table marks them infeasible.  Two distribution-free
@@ -23,167 +22,36 @@ gamma) and a Renyi-divergence upper bound for every order above one.
 Every bound of a sweep is a column with one value per (problem, gamma)
 member, computed for the whole stack at once (_BoundTable, which the
 bounds-table subcommand reads), as are the ratio constants (_ratios) and
-the sub-Gaussian entries (_sub_gaussian).  bounds_table, from_report,
-bound_suite and sandwich_violations read one member, and each record
-checks itself by its columns' check on a member of one.
+the sub-Gaussian entries (_sub_gaussian).  bounds_table, from_report and
+sandwich_violations read one member, and each record checks itself by
+its columns' check on a member of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    GammaNonPositive,
-    IdentityMismatch,
-    InvalidInput,
-    NoPositiveRoot,
-    require_count,
-    require_real,
-)
+from .errors import AlphaOutOfRange, IdentityMismatch, InvalidInput, require_real
 from .gibbs import GenReport, GibbsPosterior, LearningProblem, _evaluation, _Sweep
 from .probability import _failures, _one
 
 DEGENERACY_TOL = 1e-15
-BISECT_REL_TOL = 1e-12
-MAX_BRACKET_DOUBLINGS = 60
 SANDWICH_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SubGaussian:
-    """Loss whose centered cumulant is bounded by sigma^2 lambda^2 / 2."""
-
-    sigma: float
-
-    def __post_init__(self) -> None:
-        require_real("sigma", self.sigma, ">", 0)
-
-    def psi_star_inverse(self, y: float) -> float:
-        require_real("y", y, ">=", 0)
-        return math.sqrt(2.0 * self.sigma**2 * y)
-
-
-@dataclass(frozen=True)
-class SubExponential:
-    """Cumulant bounded by sigma_e_sq lambda^2 / 2 on |lambda| <= 1/b.
-
-    The dual inverse follows the sub-Gaussian square root up to the
-    branch point sigma_e_sq / (2 b^2), where it continues linearly with
-    slope b; the branch point is where the two expressions meet.
-    """
-
-    sigma_e_sq: float
-    b: float
-
-    def __post_init__(self) -> None:
-        require_real("sigma_e_sq", self.sigma_e_sq, ">", 0)
-        require_real("b", self.b, ">", 0)
-
-    @property
-    def branch_point(self) -> float:
-        return self.sigma_e_sq / (2.0 * self.b**2)
-
-    def psi_star_inverse(self, y: float) -> float:
-        require_real("y", y, ">=", 0)
-        if y <= self.branch_point:
-            return math.sqrt(2.0 * self.sigma_e_sq * y)
-        return self.b * y + self.sigma_e_sq / (2.0 * self.b)
-
-
-@dataclass(frozen=True)
-class SubGamma:
-    """Cumulant bounded by tau^2 lambda^2 / (2 (1 - c_s |lambda|))."""
-
-    tau_sq: float
-    c_s: float
-
-    def __post_init__(self) -> None:
-        require_real("tau_sq", self.tau_sq, ">", 0)
-        require_real("c_s", self.c_s, ">", 0)
-
-    def psi_star_inverse(self, y: float) -> float:
-        require_real("y", y, ">=", 0)
-        return math.sqrt(2.0 * self.tau_sq * y) + self.c_s * y
-
-
-TailClass = SubGaussian | SubExponential | SubGamma
-
-
-def _validate_fixed_point_args(gamma: float, n: int, c_ratio: float) -> None:
-    require_real("gamma", gamma, ">", 0, error=GammaNonPositive)
-    require_count("n", n, ">=", 1)
-    require_real("c_ratio", c_ratio, ">=", 0)
-
-
-def _bisect_fixed_point(tail: TailClass, gamma: float, n: int, c_ratio: float) -> float:
-    slope = (1.0 + c_ratio) / gamma
-
-    def excess(kappa: float) -> float:
-        return tail.psi_star_inverse(kappa / n) - slope * kappa
-
-    hi = 10.0 * n * max(tail.psi_star_inverse(1.0), 1.0)
-    doublings = 0
-    while excess(hi) >= 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > MAX_BRACKET_DOUBLINGS:
-            raise NoPositiveRoot(
-                "the line never overtakes the dual inverse",
-                condition=f"(1 + c) * n must exceed gamma times the asymptotic slope; c={c_ratio!r}",
-            )
-    lo = hi * 1e-300
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def fixed_point_kappa(tail: TailClass, gamma: float, n: int, c_ratio: float) -> float:
-    """The positive crossing of psi_star_inverse(kappa / n) with the line
-    (1 + c_ratio) kappa / gamma, from the closed form of the tail class.
-    The crossing caps the information measure whose ratio constant is
-    c_ratio, and (1 + c_ratio) kappa / gamma is the induced bound on the
-    generalization error.  The tests check the closed forms against
-    _bisect_fixed_point, which brackets and bisects psi_star_inverse."""
-    _validate_fixed_point_args(gamma, n, c_ratio)
-    one_c = 1.0 + c_ratio
-    if isinstance(tail, SubGaussian):
-        return _sub_gaussian_kappa(tail.sigma**2, gamma**2, n, one_c**2)
-    if isinstance(tail, SubExponential):
-        if n * one_c >= 2.0 * gamma * tail.b:
-            return 2.0 * tail.sigma_e_sq * gamma**2 / (n * one_c**2)
-        denom = one_c * n - gamma * tail.b
-        if denom <= 0.0:
-            raise NoPositiveRoot(
-                "the line never overtakes the linear branch",
-                condition=f"requires (1 + c) * n > gamma * b = {gamma * tail.b!r}",
-            )
-        return tail.sigma_e_sq * gamma * n / (2.0 * tail.b * denom)
-    denom = one_c * n - gamma * tail.c_s
-    if denom <= 0.0:
-        raise NoPositiveRoot(
-            "the line never overtakes the linear branch",
-            condition=f"requires (1 + c) * n > gamma * c_s = {gamma * tail.c_s!r}",
-        )
-    return 2.0 * tail.tau_sq * gamma**2 * n / denom**2
-
-
 def _sub_gaussian_kappa(sigma_sq, gamma_sq, n: int, one_c_sq):
-    """The sub-Gaussian crossing, on floats or on columns of members."""
+    """Per member, the crossing kappa of sqrt(2 sigma^2 kappa / n) with
+    (1 + c) kappa / gamma, from the squares of sigma, gamma and 1 + c."""
     return 2.0 * sigma_sq * gamma_sq / (n * one_c_sq)
 
 
 def _squares(column: np.ndarray) -> np.ndarray:
-    """Each value squared by Python's float power, as a lone bound squares
-    it: numpy's square rounds differently on about 1 in 1,000 values."""
+    """Each value squared by Python's float power, which bounds.csv has
+    always used: numpy's square rounds differently on about 1 in 1,000
+    values."""
     return np.array([value**2 for value in column.tolist()])
 
 
@@ -291,7 +159,7 @@ REGIMES = {
 
 
 def _sub_gaussian(gamma, n: int, sigma, c_i, c_k, c_c=None, c_s=None) -> dict:
-    """bound_suite's sub-Gaussian entries over columns of members, each a
+    """bounds_table's sub-Gaussian entries over columns of members, each a
     (values, constants_used) pair; bounded_c_c and stability_c_s only
     when their constants are given."""
     sigma_sq, one_ci = _squares(sigma), 1.0 + c_i
@@ -315,83 +183,6 @@ def _texts(template: str, *columns: np.ndarray) -> list[str]:
     """template filled per member with its values of columns, .12g."""
     texts = ([format(value, ".12g") for value in column.tolist()] for column in columns)
     return [template.format(*member) for member in zip(*texts)]
-
-
-@dataclass(frozen=True)
-class BoundEntry:
-    """One bound evaluation: value is None when the regime is infeasible."""
-
-    value: float | None
-    feasible: bool
-    regime: str
-    constants_used: str
-
-
-def bound_suite(
-    gamma: float,
-    n: int,
-    tail: TailClass,
-    ratios: RatioConstants,
-    mutual: float | None = None,
-) -> dict[str, BoundEntry]:
-    """Every closed-form parametric bound available for one tail class,
-    all assuming IID samples.  For sub-exponential tails the two regimes
-    switch on the mutual information: pass it to select the applicable
-    branch, or omit it to get both branches labeled with their conditions.
-    The fixed_point entry is (1 + c_i) kappa / gamma with kappa from
-    fixed_point_kappa: for sub-Gaussian tails it equals sub_gaussian_c_i up
-    to rounding.  The sub-Gaussian entries are _sub_gaussian's columns on
-    a member of one."""
-    _validate_fixed_point_args(gamma, n, ratios.c_i)
-    if isinstance(tail, SubGaussian):
-        columns = _sub_gaussian(_one(gamma), n, _one(tail.sigma), *map(_one, (
-            ratios.c_i, ratios.c_k, ratios.c_c, ratios.c_s_ratio)))
-        return {name: BoundEntry(values.item(), True, REGIMES[name], constants[0])
-                for name, (values, constants) in columns.items()}
-    entries: dict[str, BoundEntry] = {}
-    one_ci = 1.0 + ratios.c_i
-    if isinstance(tail, SubExponential):
-        large = 2.0 * tail.sigma_e_sq * gamma / (one_ci * n)
-        denom = one_ci * n - gamma * tail.b
-        small = None
-        if denom > 0.0:
-            small = tail.sigma_e_sq / (2.0 * tail.b) * (gamma * tail.b / denom + 1.0)
-        infeasible = "infeasible: requires (1 + c_i) * n > gamma * b"
-        constants = f"c_i={ratios.c_i:.12g}, sigma_e_sq={tail.sigma_e_sq:.12g}, b={tail.b:.12g}"
-        gate = "2 * b * mutual / sigma_e_sq"
-        if mutual is not None:
-            gate += f" = {2.0 * tail.b * mutual / tail.sigma_e_sq:.12g}"
-        if mutual is None:
-            entries["sub_exponential_large_n"] = BoundEntry(
-                large, True, f"iid; applies when n >= {gate}", constants)
-            entries["sub_exponential_small_n"] = BoundEntry(
-                small, small is not None, infeasible if small is None else
-                f"iid; applies when gamma * b / (1 + c_i) < n < {gate}", constants)
-        elif n >= 2.0 * tail.b * mutual / tail.sigma_e_sq:
-            entries["sub_exponential"] = BoundEntry(
-                large, True, f"iid, large-n branch (n >= {gate})", constants)
-        else:
-            entries["sub_exponential"] = BoundEntry(
-                small, small is not None,
-                infeasible if small is None else f"iid, small-n branch (n < {gate})", constants)
-    else:
-        denom = one_ci * n - gamma * tail.c_s
-        constants = f"c_i={ratios.c_i:.12g}, tau_sq={tail.tau_sq:.12g}, c_s={tail.c_s:.12g}"
-        if denom > 0.0:
-            value = 2.0 * tail.tau_sq * gamma * one_ci * n / denom**2
-            regime = "iid; loss sub-gamma on the left tail under the sample law"
-        else:
-            value, regime = None, "infeasible: requires (1 + c_i) * n > gamma * c_s"
-        entries["sub_gamma"] = BoundEntry(value, value is not None, regime, constants)
-    try:
-        kappa = fixed_point_kappa(tail, gamma, n, ratios.c_i)
-        entries["fixed_point"] = BoundEntry(
-            one_ci * kappa / gamma, True, REGIMES["fixed_point"],
-            f"c_i={ratios.c_i:.12g}, kappa={kappa:.12g}")
-    except NoPositiveRoot as exc:
-        entries["fixed_point"] = BoundEntry(
-            None, False, f"infeasible: {exc.condition}", f"c_i={ratios.c_i:.12g}")
-    return entries
 
 
 @dataclass(frozen=True)

@@ -100,15 +100,6 @@ class DeltaOutOfRange(InvalidInput):
     """Confidence parameter must lie in (0, 1/2)."""
 
 
-class NoPositiveRoot(GibbsLabError):
-    """The fixed-point equation has no positive solution; carries the
-    violated feasibility condition."""
-
-    def __init__(self, message: str, condition: str):
-        super().__init__(message)
-        self.condition = condition
-
-
 class Diverged(GibbsLabError):
     """An iterative sampler left the stable region."""
 

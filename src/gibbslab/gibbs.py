@@ -529,21 +529,6 @@ def _symmetrized(pairs: np.ndarray) -> np.ndarray:
     return mutual + lautum
 
 
-class _Slice:
-    """A GibbsPosterior attribute: the member's slice of the sweep's table
-    of the same name at the member's (problem, gamma) position in its (p,
-    g) lead, so a (p, g, num_hypotheses, m) table is read as its member's
-    (num_hypotheses, m) view."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, member, owner=None):
-        if member is None:
-            return self
-        return getattr(member._sweep, self.name)[member._position]
-
-
 class GibbsPosterior:
     """The Gibbs conditional law prior(w) * exp(-gamma * risk(w, s)) / V(s),
     tabulated per enumerated dataset and held in the log domain; build it
@@ -567,10 +552,10 @@ class GibbsPosterior:
     def gamma(self) -> float:
         return self._gamma
 
-    log_rows = _Slice()
-    row_array = _Slice()
-    hypothesis_marginal = _Slice()
-    log_marginal = _Slice()
+    log_rows = property(lambda self: self._sweep.log_rows[self._position])
+    row_array = property(lambda self: self._sweep.row_array[self._position])
+    hypothesis_marginal = property(lambda self: self._sweep.hypothesis_marginal[self._position])
+    log_marginal = property(lambda self: self._sweep.log_marginal[self._position])
 
     def _entry(self, name: str) -> np.ndarray:
         """The member's entry of the sweep's (2, members, ...) column name."""

@@ -84,14 +84,16 @@ def instance_sweep(
     moves on; gibbs._shape_sweep reads it a window of at most
     BLOCK_ELEMENTS table elements at a time and evaluates the window's
     same-shape problems together.  The count and the seed are checked
-    when it is called, before any instance is drawn."""
-    require_count("count", count, ">=", 1)
+    once, when it is called, before any instance is drawn; every index is
+    then below 2**64, so instance index draws from counter_rng(seed, index),
+    the generator of instance_rng(seed, index), without its checks."""
+    require_count("count", count, ">=", 1, "<=", 2**64)
     check_seed(seed)
     return (
         (
             index,
             random_problem(
-                instance_rng(seed, index),
+                counter_rng(seed, index),
                 max_symbols=max_symbols,
                 max_hypotheses=max_hypotheses,
                 max_n=max_n,

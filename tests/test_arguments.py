@@ -19,20 +19,14 @@ from gibbslab import (
     LearningProblem,
     MleSpec,
     ProbVec,
-    RatioConstants,
     SgldConfig,
-    SubExponential,
-    SubGamma,
-    SubGaussian,
     WellSample,
     bayes_location_regime_exact,
     bayes_location_regime_gen,
-    bound_suite,
     bounds_table,
     chain_rule_example,
     concavity_probe,
     empirical_risk_curve,
-    fixed_point_kappa,
     format_float,
     gen_characterizations,
     gibbs_posterior,
@@ -68,10 +62,6 @@ def well(weight):
     return WellSample(minimizer=np.zeros(1), hessian=np.eye(1), weight=weight)
 
 
-RATIOS = RatioConstants(c_i=0.5, c_k=0.3, c_c=None, c_s_ratio=None)
-TAILS = {"SubGaussian": SubGaussian(1.0), "SubExponential": SubExponential(1.0, 0.5),
-         "SubGamma": SubGamma(1.0, 0.5)}
-
 # (site, argument name, kind, error class, call of the bad value)
 SITES = [
     ("LearningProblem", "n", "count", InvalidInput,
@@ -95,23 +85,6 @@ SITES = [
     ("bounds_table", "alpha", "real", AlphaOutOfRange,
      lambda v: bounds_table(problem(), 1.0, (2.0, v))),
     ("bounds_table", "gamma", "real", GammaNonPositive, lambda v: bounds_table(problem(), v)),
-    ("SubGaussian", "sigma", "real", InvalidInput, SubGaussian),
-    ("SubExponential", "sigma_e_sq", "real", InvalidInput, lambda v: SubExponential(v, 1.0)),
-    ("SubExponential", "b", "real", InvalidInput, lambda v: SubExponential(1.0, v)),
-    ("SubGamma", "tau_sq", "real", InvalidInput, lambda v: SubGamma(v, 1.0)),
-    ("SubGamma", "c_s", "real", InvalidInput, lambda v: SubGamma(1.0, v)),
-    *[(f"{name}.psi_star_inverse", "y", "real", InvalidInput, tail.psi_star_inverse)
-      for name, tail in TAILS.items()],
-    ("fixed_point_kappa", "gamma", "real", GammaNonPositive,
-     lambda v: fixed_point_kappa(TAILS["SubGaussian"], v, 10, 0.5)),
-    ("fixed_point_kappa", "n", "count", InvalidInput,
-     lambda v: fixed_point_kappa(TAILS["SubGaussian"], 1.0, v, 0.5)),
-    ("fixed_point_kappa", "c_ratio", "real", InvalidInput,
-     lambda v: fixed_point_kappa(TAILS["SubGaussian"], 1.0, 10, v)),
-    ("bound_suite", "gamma", "real", GammaNonPositive,
-     lambda v: bound_suite(v, 10, TAILS["SubGamma"], RATIOS)),
-    ("bound_suite", "n", "count", InvalidInput,
-     lambda v: bound_suite(1.0, v, TAILS["SubGamma"], RATIOS)),
     ("GaussianMeanConfig", "d", "count", InvalidInput, lambda v: gaussian(d=v)),
     ("GaussianMeanConfig", "n", "count", InvalidInput, lambda v: gaussian(n=v)),
     ("GaussianMeanConfig", "sigma0_sq", "real", InvalidInput, lambda v: gaussian(sigma0_sq=v)),

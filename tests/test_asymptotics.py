@@ -15,7 +15,6 @@ from gibbslab import (
     bayes_location_regime_exact,
     bayes_location_regime_gen,
     mle_asymptotic_gen,
-    multi_well_bound,
     single_well_gen,
 )
 
@@ -44,7 +43,10 @@ def test_two_point_wells_match_variance_formula():
         assert abs(value - 2.0 / n) < 1e-12
 
 
-def test_constant_hessian_single_well_matches_multi_well():
+def test_constant_hessian_single_well_is_the_minimizer_spread():
+    # with one Hessian H for every dataset the product-minus-joint term is
+    # 0, and the error is tr(H Sigma), Sigma the weighted covariance of the
+    # minimizers
     rng = np.random.default_rng(50)
     d = 3
     root = rng.normal(size=(d, d))
@@ -53,46 +55,11 @@ def test_constant_hessian_single_well_matches_multi_well():
         WellSample(minimizer=rng.normal(size=d), hessian=hessian, weight=0.25)
         for _ in range(4)
     ]
-    exact = single_well_gen(samples)
-    bound = multi_well_bound([samples])
-    assert abs(exact - bound) < 1e-12 * max(1.0, abs(exact))
-
-
-def test_varying_hessian_bound_dominates():
-    rng = np.random.default_rng(51)
-    d = 2
-    samples = []
-    for _ in range(5):
-        root = rng.normal(size=(d, d))
-        samples.append(
-            WellSample(
-                minimizer=rng.normal(size=d),
-                hessian=root @ root.T + 0.4 * np.eye(d),
-                weight=0.2,
-            )
-        )
-    exact = single_well_gen(samples)
-    bound = multi_well_bound([samples])
-    assert bound >= exact - 1e-12
-    assert abs(bound - exact) > 1e-10
-
-
-def test_multi_well_average_over_wells():
-    rng = np.random.default_rng(52)
-    wells = []
-    for _ in range(3):
-        samples = [
-            WellSample(
-                minimizer=rng.normal(size=2),
-                hessian=np.diag(rng.uniform(0.5, 2.0, size=2)),
-                weight=0.5,
-            )
-            for _ in range(2)
-        ]
-        wells.append(samples)
-    combined = multi_well_bound(wells)
-    singles = [multi_well_bound([w]) for w in wells]
-    assert abs(combined - float(np.mean(singles))) < 1e-14
+    minimizers = np.stack([sample.minimizer for sample in samples])
+    centered = minimizers - minimizers.mean(axis=0)
+    covariance = centered.T @ centered / len(samples)
+    expected = float(np.trace(hessian @ covariance))
+    assert single_well_gen(samples) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_well_validation():
@@ -105,8 +72,6 @@ def test_well_validation():
         WellSample(minimizer=np.array([1.0]), hessian=np.array([[1.0]]), weight=-0.1)
     with pytest.raises(InvalidInput):
         WellSample(minimizer=np.array([1.0, 2.0]), hessian=np.array([[1.0]]), weight=0.5)
-    with pytest.raises(InvalidInput):
-        multi_well_bound([])
 
 
 def test_singular_hessian_reports_sample_index():

@@ -1,4 +1,4 @@
-"""Bound suite: dual inverses, fixed points, and the sandwich table."""
+"""Bounds: ratio constants, the sub-Gaussian entries, and the sandwich table."""
 
 import dataclasses
 import math
@@ -11,98 +11,41 @@ from gibbslab import (
     BoundRow,
     GammaNonPositive,
     InvalidInput,
-    NoPositiveRoot,
     RatioConstants,
-    SubExponential,
-    SubGamma,
-    SubGaussian,
-    bound_suite,
     bounds_table,
-    fixed_point_kappa,
     InfoDivergenceReport,
     gen_characterizations,
+    instance_sweep,
     random_problem,
     sandwich_violations,
 )
-from gibbslab.bounds import _bisect_fixed_point
+from gibbslab.bounds import _bounds_rows, _sub_gaussian, _sub_gaussian_kappa
+from gibbslab.gibbs import _shape_sweep
 
 
-def test_sub_gaussian_dual_inverse():
-    tail = SubGaussian(2.0)
-    assert tail.psi_star_inverse(0.5) == 2.0
-    assert tail.psi_star_inverse(0.0) == 0.0
-    with pytest.raises(InvalidInput):
-        tail.psi_star_inverse(-0.1)
+def test_sub_gaussian_crossing():
+    # kappa is where sigma sqrt(2 kappa / n) meets (1 + c) kappa / gamma
+    assert _sub_gaussian_kappa(1.0, 5.0**2, 100, 1.0) == 0.5
+    for sigma, gamma, n, c in ((1.2, 0.5, 30, 0.0), (1.5, 3.0, 40, 0.7), (0.3, 8.0, 10, 0.4),
+                               (2.0, 100.0, 1, 2.5), (0.05, 0.1, 200, 1.3)):
+        kappa = _sub_gaussian_kappa(sigma**2, gamma**2, n, (1.0 + c) ** 2)
+        assert kappa > 0.0
+        assert math.sqrt(2.0 * sigma**2 * kappa / n) == pytest.approx(
+            (1.0 + c) * kappa / gamma, rel=1e-12, abs=0.0)
 
 
-def test_sub_exponential_dual_inverse_branches():
-    tail = SubExponential(sigma_e_sq=0.8, b=0.5)
-    bp = tail.branch_point
-    assert abs(bp - 0.8 / (2.0 * 0.25)) < 1e-15
-    # the square-root and linear branches meet at the branch point
-    below = tail.psi_star_inverse(bp * (1.0 - 1e-9))
-    above = tail.psi_star_inverse(bp * (1.0 + 1e-9))
-    assert abs(below - above) < 1e-8
-    assert abs(tail.psi_star_inverse(bp) - math.sqrt(2.0 * 0.8 * bp)) < 1e-15
-    y = 3.0 * bp
-    assert abs(tail.psi_star_inverse(y) - (0.5 * y + 0.8 / 1.0)) < 1e-15
-
-
-def test_sub_gamma_dual_inverse():
-    tail = SubGamma(tau_sq=1.3, c_s=0.4)
-    y = 0.7
-    assert abs(tail.psi_star_inverse(y) - (math.sqrt(2.0 * 1.3 * y) + 0.4 * y)) < 1e-15
-
-
-def test_tail_parameter_validation():
-    with pytest.raises(InvalidInput):
-        SubGaussian(0.0)
-    with pytest.raises(InvalidInput):
-        SubExponential(sigma_e_sq=1.0, b=-1.0)
-    with pytest.raises(InvalidInput):
-        SubGamma(tau_sq=-2.0, c_s=0.5)
-
-
-def test_fixed_point_sub_gaussian_closed_form():
-    # crossing of sigma sqrt(2 kappa / n) with kappa / gamma
-    assert abs(fixed_point_kappa(SubGaussian(1.0), 5.0, 100, 0.0) - 0.5) < 1e-15
-    kappa = fixed_point_kappa(SubGaussian(1.5), 3.0, 40, 0.7)
-    oracle = 2.0 * 1.5**2 * 3.0**2 / (40 * 1.7**2)
-    assert abs(kappa - oracle) < 1e-14
-
-
-def test_fixed_point_bisect_agrees_with_closed_form():
-    tails = [
-        SubGaussian(1.2),
-        SubExponential(sigma_e_sq=0.9, b=0.3),
-        SubExponential(sigma_e_sq=0.9, b=1.0),
-        SubGamma(tau_sq=1.1, c_s=0.2),
-    ]
-    for tail in tails:
-        for gamma, n, c in ((0.5, 30, 0.0), (8.0, 10, 0.4), (2.0, 200, 1.3)):
-            auto = fixed_point_kappa(tail, gamma, n, c)
-            bisect = _bisect_fixed_point(tail, gamma, n, c)
-            assert abs(auto - bisect) <= 1e-10 * max(1.0, auto)
-            # the returned value satisfies the crossing equation
-            residual = tail.psi_star_inverse(auto / n) - (1.0 + c) * auto / gamma
-            assert abs(residual) <= 1e-10 * max(1.0, auto)
-
-
-def test_fixed_point_infeasible_sub_gamma():
-    with pytest.raises(NoPositiveRoot):
-        fixed_point_kappa(SubGamma(tau_sq=1.0, c_s=2.0), 100.0, 10, 0.0)
-    with pytest.raises(NoPositiveRoot):
-        _bisect_fixed_point(SubGamma(tau_sq=1.0, c_s=2.0), 100.0, 10, 0.0)
-
-
-def test_fixed_point_argument_validation():
-    tail = SubGaussian(1.0)
-    with pytest.raises((InvalidInput, GammaNonPositive)):
-        fixed_point_kappa(tail, 0.0, 10, 0.0)
-    with pytest.raises(InvalidInput):
-        fixed_point_kappa(tail, 1.0, 0, 0.0)
-    with pytest.raises(InvalidInput):
-        fixed_point_kappa(tail, 1.0, 10, -0.5)
+def test_fixed_point_row_is_sub_gaussian_c_i_on_the_default_sweep():
+    # bounds-table's defaults: the crossing line is the c_i bound's slope,
+    # so the two rows agree on every IID member
+    instances = instance_sweep(200, 20260814, max_symbols=4, max_hypotheses=5, max_n=3)
+    checked = 0
+    for _, problem, _, posterior in _shape_sweep(instances, [0.1, 1.0, 10.0, 100.0]):
+        if not problem.is_iid():
+            continue
+        rows = {row.bound_name: row.value for row in _bounds_rows(posterior, (1.5, 2.0, 4.0))}
+        assert rows["fixed_point"] == pytest.approx(rows["sub_gaussian_c_i"], rel=1e-12, abs=0.0)
+        checked += 1
+    assert checked == 400
 
 
 def test_ratio_constants_on_iid_instances():
@@ -136,52 +79,26 @@ def test_ratio_constants_constant_loss_degenerate():
     assert ratios.c_i == 0.0 and ratios.c_k == 0.0
 
 
-def test_bound_suite_classical_limit():
+def sub_gaussian_values(c_i, c_k, c_c, c_s):
+    """_sub_gaussian's values at gamma 4, n 50 and sigma 1, for one member."""
+    gamma, sigma, *constants = (np.array([value]) for value in (4.0, 1.0, c_i, c_k, c_c, c_s))
+    columns = _sub_gaussian(gamma, 50, sigma, *constants)
+    return {name: values.item() for name, (values, _) in columns.items()}
+
+
+def test_sub_gaussian_classical_limit():
     # zero ratio constants reproduce the classical 2 sigma^2 gamma / n rate
-    zero = RatioConstants(c_i=0.0, c_k=0.0, c_c=0.0, c_s_ratio=0.0)
-    suite = bound_suite(4.0, 50, SubGaussian(1.0), zero)
-    assert abs(suite["sub_gaussian_c_i"].value - 2.0 * 4.0 / 50) < 1e-15
-    assert abs(suite["sub_gaussian_c_k"].value - 2.0 * 4.0 / 50) < 1e-15
-    assert abs(suite["fixed_point"].value - suite["sub_gaussian_c_i"].value) < 1e-12
+    values = sub_gaussian_values(0.0, 0.0, 0.0, 0.0)
+    assert abs(values["sub_gaussian_c_i"] - 2.0 * 4.0 / 50) < 1e-15
+    assert abs(values["sub_gaussian_c_k"] - 2.0 * 4.0 / 50) < 1e-15
+    assert abs(values["fixed_point"] - values["sub_gaussian_c_i"]) < 1e-12
 
 
-def test_bound_suite_positive_constants_tighten():
-    zero = RatioConstants(c_i=0.0, c_k=0.0, c_c=0.0, c_s_ratio=0.0)
-    rich = RatioConstants(c_i=0.8, c_k=0.5, c_c=0.3, c_s_ratio=0.2)
-    base = bound_suite(4.0, 50, SubGaussian(1.0), zero)
-    tight = bound_suite(4.0, 50, SubGaussian(1.0), rich)
+def test_sub_gaussian_positive_constants_tighten():
+    base = sub_gaussian_values(0.0, 0.0, 0.0, 0.0)
+    tight = sub_gaussian_values(0.8, 0.5, 0.3, 0.2)
     for name in ("sub_gaussian_c_i", "sub_gaussian_c_k", "bounded_c_c", "stability_c_s"):
-        assert tight[name].value < base[name].value
-
-
-def test_bound_suite_sub_exponential_gating():
-    tail = SubExponential(sigma_e_sq=1.0, b=1.0)
-    zero = RatioConstants(c_i=0.0, c_k=0.0, c_c=None, c_s_ratio=None)
-    both = bound_suite(2.0, 100, tail, zero)
-    assert "sub_exponential_large_n" in both and "sub_exponential_small_n" in both
-    # a small mutual information selects the large-n branch
-    gated = bound_suite(2.0, 100, tail, zero, mutual=0.5)
-    assert set(k for k in gated if k.startswith("sub_exp")) == {"sub_exponential"}
-    assert gated["sub_exponential"].value == both["sub_exponential_large_n"].value
-    # a huge mutual information forces the small-n branch
-    small = bound_suite(2.0, 100, tail, zero, mutual=80.0)
-    assert small["sub_exponential"].value == both["sub_exponential_small_n"].value
-
-
-def test_bound_suite_sub_exponential_fixed_point_consistency():
-    # small-n regime: generic crossing equals the branch closed form
-    tail = SubExponential(sigma_e_sq=1.0, b=1.0)
-    zero = RatioConstants(c_i=0.0, c_k=0.0, c_c=None, c_s_ratio=None)
-    suite = bound_suite(8.0, 10, tail, zero)
-    assert abs(suite["fixed_point"].value - suite["sub_exponential_small_n"].value) < 1e-12
-
-
-def test_bound_suite_sub_gamma_infeasible_entry():
-    zero = RatioConstants(c_i=0.0, c_k=0.0, c_c=None, c_s_ratio=None)
-    suite = bound_suite(100.0, 10, SubGamma(tau_sq=1.0, c_s=2.0), zero)
-    assert suite["sub_gamma"].feasible is False
-    assert suite["sub_gamma"].value is None
-    assert suite["fixed_point"].feasible is False
+        assert tight[name] < base[name]
 
 
 def row_value(problem, gamma, name):

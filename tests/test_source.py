@@ -18,11 +18,7 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 # the only third-party package the package may import
 RUNTIME_DEPENDENCIES = {"numpy"}
 # private names that only the tests reference:
-TEST_ONLY = {
-    # the tests' reference oracle for fixed_point_kappa, which brackets and
-    # bisects psi_star_inverse instead of solving the closed forms
-    "bounds._bisect_fixed_point",
-}
+TEST_ONLY = set()
 # public names that neither the package nor the benchmark reaches, kept as
 # results of the paper:
 PAPER_RESULTS = {
@@ -30,13 +26,6 @@ PAPER_RESULTS = {
     # Gibbs posterior with a data-dependent regularizer (README, "Library");
     # ROADMAP item 10 decides whether it stays
     "regularized_gen",
-    # the zero-temperature bound for a posterior with several isolated
-    # wells (asymptotics module docstring)
-    "multi_well_bound",
-    # the paper's tightened parametric bounds of each tail class; the
-    # bounds-table subcommand reads the sub-Gaussian ones as columns of a
-    # stack (bounds._sub_gaussian), which bound_suite reads for one member
-    "bound_suite",
 }
 
 
