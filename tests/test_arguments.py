@@ -32,6 +32,7 @@ from gibbslab import (
     gibbs_posterior,
     instance_rng,
     instance_sweep,
+    mc_mean_gen,
     pac_bayes_bound,
     pac_bayes_coverage,
     random_problem,
@@ -115,6 +116,12 @@ SITES = [
      lambda v: bayes_location_regime_gen(v, 1000, 0)),
     ("bayes_location_regime_gen", "prior_mean", "real", InvalidInput,
      lambda v: bayes_location_regime_gen(5, 1000, 0, v)),
+    ("bayes_location_regime_gen", "trials", "count", InvalidInput,
+     lambda v: bayes_location_regime_gen(5, v, 0)),
+    ("bayes_location_regime_gen", "seed", "count", InvalidInput,
+     lambda v: bayes_location_regime_gen(5, 1000, v)),
+    ("mc_mean_gen", "trials", "count", InvalidInput, lambda v: mc_mean_gen(gaussian(), v, 0)),
+    ("mc_mean_gen", "seed", "count", InvalidInput, lambda v: mc_mean_gen(gaussian(), 1000, v)),
     ("check_trials", "trials", "count", InvalidInput, check_trials),
     ("check_seed", "seed", "count", InvalidInput, check_seed),
     ("SgldConfig", "step", "real", InvalidInput, lambda v: SgldConfig(v, 1.0, 10)),

@@ -34,30 +34,34 @@ def grid_wells(n, hessian_fn):
     return wells
 
 
-def test_two_point_wells_match_variance_formula():
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_two_point_wells_match_variance_formula(n):
     # loss (w - z)^2: the minimizer is the sample mean, the Hessian is 2,
     # and the zero-temperature error is exactly twice the variance of the mean
-    for n in (1, 2, 3, 5):
-        wells = grid_wells(n, lambda signs: np.array([[2.0]]))
-        value = single_well_gen(wells)
-        assert abs(value - 2.0 / n) < 1e-12
+    wells = grid_wells(n, lambda signs: np.array([[2.0]]))
+    value = single_well_gen(wells)
+    assert abs(value - 2.0 / n) < 1e-12
 
 
-def test_constant_hessian_single_well_is_the_minimizer_spread():
+@pytest.mark.parametrize("d, weights", [
+    (3, (0.25, 0.25, 0.25, 0.25)), (1, (0.25, 0.25, 0.25, 0.25)), (2, (0.25, 0.25, 0.25, 0.25)),
+    (4, (0.25, 0.25, 0.25, 0.25)), (3, (0.1, 0.2, 0.3, 0.4)), (2, (0.5, 0.125, 0.375)),
+])
+def test_constant_hessian_single_well_is_the_minimizer_spread(d, weights):
     # with one Hessian H for every dataset the product-minus-joint term is
     # 0, and the error is tr(H Sigma), Sigma the weighted covariance of the
     # minimizers
     rng = np.random.default_rng(50)
-    d = 3
     root = rng.normal(size=(d, d))
     hessian = root @ root.T + 0.5 * np.eye(d)
     samples = [
-        WellSample(minimizer=rng.normal(size=d), hessian=hessian, weight=0.25)
-        for _ in range(4)
+        WellSample(minimizer=rng.normal(size=d), hessian=hessian, weight=weight)
+        for weight in weights
     ]
+    probs = np.array(weights)
     minimizers = np.stack([sample.minimizer for sample in samples])
-    centered = minimizers - minimizers.mean(axis=0)
-    covariance = centered.T @ centered / len(samples)
+    centered = minimizers - probs @ minimizers
+    covariance = (probs[:, None] * centered).T @ centered
     expected = float(np.trace(hessian @ covariance))
     assert single_well_gen(samples) == pytest.approx(expected, rel=1e-12, abs=0.0)
 

@@ -10,6 +10,7 @@ from gibbslab import (
     AlphaOutOfRange,
     BoundRow,
     GammaNonPositive,
+    IdentityMismatch,
     InvalidInput,
     RatioConstants,
     bounds_table,
@@ -19,19 +20,25 @@ from gibbslab import (
     random_problem,
     sandwich_violations,
 )
-from gibbslab.bounds import _bounds_rows, _sub_gaussian, _sub_gaussian_kappa
+from gibbslab.bounds import REGIMES, _bounds_rows, _sub_gaussian, _sub_gaussian_kappa
 from gibbslab.gibbs import _shape_sweep
 
 
-def test_sub_gaussian_crossing():
-    # kappa is where sigma sqrt(2 kappa / n) meets (1 + c) kappa / gamma
+def test_sub_gaussian_crossing_of_unit_sigma():
+    # sigma 1, gamma 5, n 100 and c 0: sqrt(2 kappa / 100) = kappa / 5 at 0.5
     assert _sub_gaussian_kappa(1.0, 5.0**2, 100, 1.0) == 0.5
-    for sigma, gamma, n, c in ((1.2, 0.5, 30, 0.0), (1.5, 3.0, 40, 0.7), (0.3, 8.0, 10, 0.4),
-                               (2.0, 100.0, 1, 2.5), (0.05, 0.1, 200, 1.3)):
-        kappa = _sub_gaussian_kappa(sigma**2, gamma**2, n, (1.0 + c) ** 2)
-        assert kappa > 0.0
-        assert math.sqrt(2.0 * sigma**2 * kappa / n) == pytest.approx(
-            (1.0 + c) * kappa / gamma, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma, gamma, n, c", [
+    (1.2, 0.5, 30, 0.0), (1.5, 3.0, 40, 0.7), (0.3, 8.0, 10, 0.4), (2.0, 100.0, 1, 2.5),
+    (0.05, 0.1, 200, 1.3), (0.5, 1.0, 3, 0.0), (7.0, 0.02, 2, 12.0), (1.0, 1e3, 10**4, 1e-3),
+])
+def test_sub_gaussian_crossing(sigma, gamma, n, c):
+    # kappa is where sigma sqrt(2 kappa / n) meets (1 + c) kappa / gamma
+    kappa = _sub_gaussian_kappa(sigma**2, gamma**2, n, (1.0 + c) ** 2)
+    assert kappa > 0.0
+    assert math.sqrt(2.0 * sigma**2 * kappa / n) == pytest.approx(
+        (1.0 + c) * kappa / gamma, rel=1e-12, abs=0.0)
 
 
 def test_fixed_point_row_is_sub_gaussian_c_i_on_the_default_sweep():
@@ -79,11 +86,36 @@ def test_ratio_constants_constant_loss_degenerate():
     assert ratios.c_i == 0.0 and ratios.c_k == 0.0
 
 
+@pytest.mark.parametrize("field", ["c_i", "c_k", "c_c", "c_s_ratio"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_ratio_constants_refuse_a_bad_constant(field, value):
+    # c_k is kept at most c_i, so only the field under test is bad
+    good = {"c_i": 0.5, "c_k": 0.25, "c_c": 0.125, "c_s_ratio": 0.0}
+    rule = "a finite nonnegative real" if field in ("c_i", "c_k") else "None or >= 0"
+    with pytest.raises(InvalidInput, match=rf"^{field} must be {rule}, got {value!r}$"):
+        RatioConstants(**{**good, field: value})
+
+
+def test_ratio_constants_refuse_c_k_above_c_i():
+    with pytest.raises(IdentityMismatch, match=r"^c_k=0\.75 exceeds c_i=0\.5;"):
+        RatioConstants(c_i=0.5, c_k=0.75, c_c=None, c_s_ratio=None)
+    # within 1e-9 relative c_k may exceed c_i, and a degenerate coupling
+    # is not held to the order at all
+    assert RatioConstants(c_i=0.5, c_k=0.5 + 1e-10, c_c=None, c_s_ratio=None).c_k > 0.5
+    assert RatioConstants(c_i=0.0, c_k=0.75, c_c=None, c_s_ratio=None, degenerate=True).c_k == 0.75
+
+
+def sub_gaussian_entries(c_i, c_k, c_c, c_s, sigma=1.0):
+    """_sub_gaussian's (value, constants_used) entries at gamma 4 and n 50,
+    for one member."""
+    gamma, sigma, *constants = (np.array([value]) for value in (4.0, sigma, c_i, c_k, c_c, c_s))
+    columns = _sub_gaussian(gamma, 50, sigma, *constants)
+    return {name: (values.item(), texts[0]) for name, (values, texts) in columns.items()}
+
+
 def sub_gaussian_values(c_i, c_k, c_c, c_s):
     """_sub_gaussian's values at gamma 4, n 50 and sigma 1, for one member."""
-    gamma, sigma, *constants = (np.array([value]) for value in (4.0, 1.0, c_i, c_k, c_c, c_s))
-    columns = _sub_gaussian(gamma, 50, sigma, *constants)
-    return {name: values.item() for name, (values, _) in columns.items()}
+    return {name: value for name, (value, _) in sub_gaussian_entries(c_i, c_k, c_c, c_s).items()}
 
 
 def test_sub_gaussian_classical_limit():
@@ -94,11 +126,40 @@ def test_sub_gaussian_classical_limit():
     assert abs(values["fixed_point"] - values["sub_gaussian_c_i"]) < 1e-12
 
 
-def test_sub_gaussian_positive_constants_tighten():
+# each sub-Gaussian entry at gamma 4 and n 50 as a function of (sigma,
+# c_i, c_k, c_c, c_s), and the constants its row prints
+SUB_GAUSSIAN_FORMS = {
+    "sub_gaussian_c_i": (lambda s, ci, ck, cc, cs: 2.0 * s**2 * 4.0 / ((1.0 + ci) * 50),
+                         "c_i={1:.12g}, sigma={0:.12g}"),
+    "sub_gaussian_c_k": (lambda s, ci, ck, cc, cs: 2.0 * s**2 * 4.0 / ((1.0 + ck) * 50),
+                         "c_k={2:.12g}, sigma={0:.12g}"),
+    "bounded_c_c": (lambda s, ci, ck, cc, cs: 4.0 / ((1.0 + cc) * 50), "c_c={3:.12g}"),
+    "stability_c_s": (lambda s, ci, ck, cc, cs: 4.0 * s**2 * 4.0 / ((1.0 + cs) * 50),
+                      "c_s={4:.12g}, tau={0:.12g}"),
+    # (1 + c_i) kappa / gamma with kappa = 2 sigma^2 gamma^2 / (n (1 + c_i)^2)
+    "fixed_point": (lambda s, ci, ck, cc, cs: 2.0 * s**2 * 4.0 / ((1.0 + ci) * 50),
+                    "c_i={1:.12g}, kappa={5:.12g}"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUB_GAUSSIAN_FORMS))
+@pytest.mark.parametrize("sigma, c_i, c_k, c_c, c_s", [(1.3, 0.8, 0.5, 0.3, 0.2),
+                                                       (0.25, 3.0, 1.5, 7.0, 0.05)])
+def test_sub_gaussian_entry_is_its_closed_form(name, sigma, c_i, c_k, c_c, c_s):
+    value, constants = sub_gaussian_entries(c_i, c_k, c_c, c_s, sigma)[name]
+    form, text = SUB_GAUSSIAN_FORMS[name]
+    expected = form(sigma, c_i, c_k, c_c, c_s)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    kappa = _sub_gaussian_kappa(sigma**2, 4.0**2, 50, (1.0 + c_i) ** 2)
+    assert constants == text.format(sigma, c_i, c_k, c_c, c_s, kappa)
+
+
+@pytest.mark.parametrize("name", ["sub_gaussian_c_i", "sub_gaussian_c_k", "bounded_c_c",
+                                  "stability_c_s", "fixed_point"])
+def test_sub_gaussian_positive_constants_tighten(name):
     base = sub_gaussian_values(0.0, 0.0, 0.0, 0.0)
     tight = sub_gaussian_values(0.8, 0.5, 0.3, 0.2)
-    for name in ("sub_gaussian_c_i", "sub_gaussian_c_k", "bounded_c_c", "stability_c_s"):
-        assert tight[name] < base[name]
+    assert tight[name] < base[name]
 
 
 def row_value(problem, gamma, name):
@@ -222,6 +283,26 @@ def test_bounds_table_constant_loss_short_circuit():
     assert abs(by_name["exact_gen"].value) < 1e-15
     assert by_name["kl_based"].value == 0.0
     assert sandwich_violations(rows) == []
+
+
+@pytest.mark.parametrize("name", list(REGIMES))
+def test_parametric_row_states_its_regime(name):
+    # the regime and constants texts are bytes of bounds.csv: an IID
+    # problem's row states its assumption, a joint model's row its missing
+    # IID sampling, and a constant loss's row its short circuit
+    rng = np.random.default_rng(42)
+    iid = random_problem(rng, iid=True)
+    assert 0.0 <= iid.loss.min() and iid.loss.max() <= 1.0
+    joint = random_problem(rng, iid=False)
+    flat = dataclasses.replace(iid, loss=np.full_like(iid.loss, 0.5))
+    row, joint_row, flat_row = (next(r for r in bounds_table(problem, 2.0) if r.bound_name == name)
+                                for problem in (iid, joint, flat))
+    assert (row.regime, row.feasible, row.side) == (REGIMES[name], True, "upper")
+    assert row.constants_used.startswith("sigma=" if name == "kl_based" else "c_")
+    assert (joint_row.regime, joint_row.value, joint_row.constants_used) == (
+        "requires iid sampling", None, "")
+    assert (flat_row.regime, flat_row.value, flat_row.constants_used) == (
+        "constant loss", 0.0, "sigma=0")
 
 
 def test_sandwich_violations_detects_bad_rows():

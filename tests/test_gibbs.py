@@ -575,20 +575,21 @@ def test_instance_sweep_refuses_an_index_philox_cannot_take():
     assert next(instance_sweep(2**64, 0))[0] == 0
 
 
-def test_instance_sweep_draws_each_problem_from_instance_rng():
+@pytest.mark.parametrize("index", range(6))
+def test_instance_sweep_draws_each_problem_from_instance_rng(index):
     def data_law(problem):
         model = problem.data_model
         return model.marginal.weights if isinstance(model, IIDData) else model.weights
 
     seed = 20260814
     swept = list(instance_sweep(6, seed))
-    assert [index for index, _ in swept] == list(range(6))
-    for index, problem in swept:
-        expected = random_problem(instance_rng(seed, index), iid=index % 2 == 0)
-        assert type(problem.data_model) is type(expected.data_model)
-        assert np.array_equal(problem.loss, expected.loss)
-        assert np.array_equal(problem.prior.weights, expected.prior.weights)
-        assert np.array_equal(data_law(problem), data_law(expected))
+    assert [k for k, _ in swept] == list(range(6))
+    problem = swept[index][1]
+    expected = random_problem(instance_rng(seed, index), iid=index % 2 == 0)
+    assert type(problem.data_model) is type(expected.data_model)
+    assert np.array_equal(problem.loss, expected.loss)
+    assert np.array_equal(problem.prior.weights, expected.prior.weights)
+    assert np.array_equal(data_law(problem), data_law(expected))
 
 
 def test_random_problem_labels_take_no_memory_per_label():
