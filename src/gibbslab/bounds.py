@@ -9,12 +9,10 @@ Two ingredients combine here:
     worst per-coordinate reverse/forward replace-one ratio c_s;
   * closed-form sub-Gaussian bounds of the shape const * gamma / ((1 + c) n),
     sigma = (max - min) / 2 of the loss table being a sub-Gaussian
-    parameter of every finite loss; the fixed_point row is the crossing of
-    the sub-Gaussian dual inverse sqrt(2 sigma^2 kappa / n) with the line
-    (1 + c_i) kappa / gamma.
+    parameter of every finite loss.
 
-Every parametric bound assumes IID training samples; on joint data
-models the table marks them infeasible.  Two distribution-free
+Every parametric bound, kl_based included, is written for IID training
+samples, and a joint data model gets none of them.  Two distribution-free
 comparisons are included as well: a total-variation lower bound (TV^2 /
 gamma, with TV the unnormalized two-sided difference, so at most 4 /
 gamma) and a Renyi-divergence upper bound for every order above one.
@@ -40,12 +38,6 @@ from .probability import _failures, _one
 
 DEGENERACY_TOL = 1e-15
 SANDWICH_SLACK = 1e-12
-
-
-def _sub_gaussian_kappa(sigma_sq, gamma_sq, n: int, one_c_sq):
-    """Per member, the crossing kappa of sqrt(2 sigma^2 kappa / n) with
-    (1 + c) kappa / gamma, from the squares of sigma, gamma and 1 + c."""
-    return 2.0 * sigma_sq * gamma_sq / (n * one_c_sq)
 
 
 def _squares(column: np.ndarray) -> np.ndarray:
@@ -153,7 +145,6 @@ REGIMES = {
     "sub_gaussian_c_k": "iid; loss sub-Gaussian under the sample law",
     "bounded_c_c": "iid; loss bounded in [0, 1]",
     "stability_c_s": "iid; loss sub-Gaussian under the posterior for every dataset",
-    "fixed_point": "iid; generic crossing of the dual inverse with the ratio line",
     "kl_based": "iid; loss sub-Gaussian under the sample law",
 }
 
@@ -162,10 +153,10 @@ def _sub_gaussian(gamma, n: int, sigma, c_i, c_k, c_c=None, c_s=None) -> dict:
     """bounds_table's sub-Gaussian entries over columns of members, each a
     (values, constants_used) pair; bounded_c_c and stability_c_s only
     when their constants are given."""
-    sigma_sq, one_ci = _squares(sigma), 1.0 + c_i
-    kappa = _sub_gaussian_kappa(sigma_sq, _squares(gamma), n, _squares(one_ci))
+    sigma_sq = _squares(sigma)
     entries = {
-        "sub_gaussian_c_i": (2.0 * sigma_sq * gamma / (one_ci * n), "c_i={}, sigma={}", c_i, sigma),
+        "sub_gaussian_c_i": (2.0 * sigma_sq * gamma / ((1.0 + c_i) * n), "c_i={}, sigma={}", c_i,
+                             sigma),
         "sub_gaussian_c_k": (2.0 * sigma_sq * gamma / ((1.0 + c_k) * n), "c_k={}, sigma={}", c_k,
                              sigma),
     }
@@ -174,7 +165,6 @@ def _sub_gaussian(gamma, n: int, sigma, c_i, c_k, c_c=None, c_s=None) -> dict:
     if c_s is not None:
         entries["stability_c_s"] = (4.0 * sigma_sq * gamma / ((1.0 + c_s) * n), "c_s={}, tau={}",
                                     c_s, sigma)
-    entries["fixed_point"] = (one_ci * kappa / gamma, "c_i={}, kappa={}", c_i, kappa)
     return {name: (values, _texts(template, *columns))
             for name, (values, template, *columns) in entries.items()}
 
@@ -210,11 +200,10 @@ def bounds_table(
     (W, S) and the product of its marginals, so it lies in [0, 4 / gamma];
     renyi_upper_alpha_<a> sums the two directed Renyi divergences of order
     a > 1 between those laws and divides by gamma, decreasing in a toward
-    the exact value as a approaches one.  Parametric rows appear with
-    measured ratio constants on IID models and as infeasible placeholders
-    on joint models, where their sampling assumption fails; kl_based is
-    sqrt(2 sigma^2 d_fwd / n), d_fwd the expected forward divergence to the
-    population Gibbs law.  The sub-Gaussian parameter sigma is
+    the exact value as a approaches one.  Parametric rows, written for
+    IID sampling, appear with measured ratio constants on IID models only;
+    kl_based is sqrt(2 sigma^2 d_fwd / n), d_fwd the expected forward
+    divergence to the population Gibbs law.  The sub-Gaussian parameter sigma is
     (max - min) / 2 of the loss table; a constant loss short-circuits to
     exact zeros.  The rows are the pair's member of the _BoundTable of the
     evaluation that _evaluation shares with gen_characterizations, the
@@ -234,10 +223,11 @@ def _bounds_rows(posterior: GibbsPosterior, alphas: tuple[float, ...]) -> list[B
 
 class _BoundTable:
     """Every bounds_table row of each member of a sweep, as columns: per
-    bound its name and side, and per member its value (None where
-    infeasible), regime and constants_used.  rows raises, for its member
-    alone, the failure a lone bounds_table raises: routes that disagree,
-    or on IID models with a non-constant loss ratio constants that fail."""
+    bound its name and side, and per member its value, regime and
+    constants_used; the parametric bounds on IID stacks only.  rows
+    raises, for its member alone, the failure a lone bounds_table raises:
+    routes that disagree, or on IID models with a non-constant loss ratio
+    constants that fail."""
 
     def __init__(self, sweep: _Sweep, alphas: tuple[float, ...]) -> None:
         gen = sweep.routes["direct"]
@@ -251,9 +241,6 @@ class _BoundTable:
         self.failures = dict(sweep.route_check[1])
         if sweep.stack.is_iid():
             columns += self._parametric(sweep, gamma)
-        else:
-            columns += [(name, [None] * gen.size, "requires iid sampling", "", "upper")
-                        for name in REGIMES]
         # a text shared by every member is kept once
         self.names, values, self.regimes, self.constants, self.sides = zip(*columns)
         self.values = [column if isinstance(column, list) else column.tolist() for column in values]
@@ -294,7 +281,7 @@ class _BoundTable:
         error = self.failures.get(k)
         if error is not None:
             raise error
-        return [(name, values[k], values[k] is not None, _at(regime, k), _at(constants, k), side)
+        return [(name, values[k], True, _at(regime, k), _at(constants, k), side)
                 for name, values, regime, constants, side
                 in zip(self.names, self.values, self.regimes, self.constants, self.sides)]
 

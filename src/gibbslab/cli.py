@@ -75,13 +75,8 @@ from .gibbs import (
     concavity_probe,
     empirical_risk_curve,
 )
-from .problems import (
-    instance_rng,
-    instance_sweep,
-    random_mixture_components,
-    random_problem,
-)
-from .samplers import MIN_TRIALS, SgldConfig, sgld_run
+from .problems import _draw_problem, instance_rng, instance_sweep, random_mixture_components
+from .samplers import MIN_TRIALS, SgldConfig, counter_rng, sgld_run
 from .serialize import load_json, write_csv, write_json
 
 DEFAULT_SEED = 20260814
@@ -297,8 +292,10 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     curve_gammas = config["curve_gammas"]
     curve_rows = []
     rises = []
+    # the seed is checked, so curve and mixture i draw at the default caps
+    # from the generators of instance_rng(seed, 20_000 + i) and 30_000 + i
     for i in range(curve_count):
-        problem = random_problem(instance_rng(seed, 20_000 + i), iid=(i % 2 == 0))
+        problem = _draw_problem(counter_rng(seed, 20_000 + i), iid=(i % 2 == 0))
         values = empirical_risk_curve(problem, curve_gammas)
         for gamma, value in zip(curve_gammas, values):
             curve_rows.append([i, gamma, value])
@@ -319,8 +316,8 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     mixture_rows = []
     mixture_failures = []
     for i in range(mixture_count):
-        rng = instance_rng(seed, 30_000 + i)
-        problem = random_problem(rng, iid=True)
+        rng = counter_rng(seed, 30_000 + i)
+        problem = _draw_problem(rng, iid=True)
         components = random_mixture_components(rng, problem)
         try:
             mixture_gen, component_avg = concavity_probe(components, problem, mixture_gamma)

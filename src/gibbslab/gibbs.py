@@ -467,9 +467,9 @@ class _Sweep:
     def routes(self) -> dict[str, np.ndarray]:
         """Every route of gen as a column of members (the IID two on IID
         stacks only), from the numbers that GenReport.from_posterior reads,
-        in its order, so a stack raises what its first member's would."""
-        for gamma in self.gammas:
-            _require_positive_gamma(gamma)
+        in its order, so a stack raises what its first member's would.  Its
+        readers reach it at gammas already checked to be > 0 (_evaluation
+        or the CLI's RANGES)."""
         extras = {}
         if self.stack.is_iid():
             forward, reverse = self.replace_one
@@ -591,10 +591,7 @@ def _gibbs_sweep(
     gammas in order, each carrying its problem.  A chunk is built when its
     first member is reached and kept only by its members, so a caller that
     drops each member before asking for the next holds one chunk at a
-    time.  Raises GammaNonPositive, then EnumerationTooLarge, before any
-    table is built."""
-    for gamma in gammas:
-        _require_gamma(gamma)
+    time.  Every gamma was checked by the caller."""
     values = [float(gamma) for gamma in gammas]
     stack = problems[0]._stack if len(problems) == 1 else _Stack(problems)
     risk = stack._empirical_risk
@@ -669,8 +666,9 @@ def _window_sweep(
 def gibbs_posterior(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """Tabulate the Gibbs posterior for every dataset, in the log domain: a
     sweep over the one gamma of the problem's stack of one, evaluated anew
-    on every call.  Raises EnumerationTooLarge when m * max(n, nw) is above
-    ELEMENT_CAP, before any table is built."""
+    on every call.  Raises GammaNonPositive, then EnumerationTooLarge when
+    m * max(n, nw) is above ELEMENT_CAP, before any table is built."""
+    _require_gamma(gamma)
     return next(_gibbs_sweep((problem,), (gamma,)))
 
 

@@ -46,10 +46,25 @@ def random_problem(
     The drawn sizes pass the problem's element check before any table is
     drawn, so an instance too large to enumerate raises
     EnumerationTooLarge without allocating."""
+    _check_caps(max_symbols, max_hypotheses, max_n)
+    return _draw_problem(rng, max_symbols, max_hypotheses, max_n, iid)
+
+
+def _check_caps(max_symbols: int, max_hypotheses: int, max_n: int) -> None:
     # each size is drawn as an int64 below its cap plus one
     require_count("max_symbols", max_symbols, ">=", 2, "<", 2**63)
     require_count("max_hypotheses", max_hypotheses, ">=", 2, "<", 2**63)
     require_count("max_n", max_n, ">=", 1, "<", 2**63)
+
+
+def _draw_problem(
+    rng: np.random.Generator,
+    max_symbols: int = 4,
+    max_hypotheses: int = 5,
+    max_n: int = 3,
+    iid: bool = True,
+) -> LearningProblem:
+    """random_problem with caps that its caller checked."""
     nz = int(rng.integers(2, max_symbols + 1))
     nw = int(rng.integers(2, max_hypotheses + 1))
     n = int(rng.integers(1, max_n + 1))
@@ -83,23 +98,17 @@ def instance_sweep(
     is reached, so it and its cached tables can be freed once the caller
     moves on; gibbs._shape_sweep reads it a window of at most
     BLOCK_ELEMENTS table elements at a time and evaluates the window's
-    same-shape problems together.  The count and the seed are checked
-    once, when it is called, before any instance is drawn; every index is
-    then below 2**64, so instance index draws from counter_rng(seed, index),
-    the generator of instance_rng(seed, index), without its checks."""
+    same-shape problems together.  The count, the seed and the caps are
+    checked once, when it is called, before any instance is drawn; every
+    index is then below 2**64, so instance index is random_problem drawn
+    from counter_rng(seed, index), the generator of instance_rng(seed,
+    index), without their checks."""
     require_count("count", count, ">=", 1, "<=", 2**64)
     check_seed(seed)
+    _check_caps(max_symbols, max_hypotheses, max_n)
     return (
-        (
-            index,
-            random_problem(
-                counter_rng(seed, index),
-                max_symbols=max_symbols,
-                max_hypotheses=max_hypotheses,
-                max_n=max_n,
-                iid=(index % 2 == 0),
-            ),
-        )
+        (index, _draw_problem(counter_rng(seed, index), max_symbols, max_hypotheses, max_n,
+                              iid=(index % 2 == 0)))
         for index in range(count)
     )
 

@@ -20,39 +20,9 @@ from gibbslab import (
     random_problem,
     sandwich_violations,
 )
-from gibbslab.bounds import REGIMES, _bounds_rows, _sub_gaussian, _sub_gaussian_kappa
+from gibbslab.bounds import REGIMES, _bounds_rows, _sub_gaussian
+from gibbslab.cli import DEFAULTS
 from gibbslab.gibbs import _shape_sweep
-
-
-def test_sub_gaussian_crossing_of_unit_sigma():
-    # sigma 1, gamma 5, n 100 and c 0: sqrt(2 kappa / 100) = kappa / 5 at 0.5
-    assert _sub_gaussian_kappa(1.0, 5.0**2, 100, 1.0) == 0.5
-
-
-@pytest.mark.parametrize("sigma, gamma, n, c", [
-    (1.2, 0.5, 30, 0.0), (1.5, 3.0, 40, 0.7), (0.3, 8.0, 10, 0.4), (2.0, 100.0, 1, 2.5),
-    (0.05, 0.1, 200, 1.3), (0.5, 1.0, 3, 0.0), (7.0, 0.02, 2, 12.0), (1.0, 1e3, 10**4, 1e-3),
-])
-def test_sub_gaussian_crossing(sigma, gamma, n, c):
-    # kappa is where sigma sqrt(2 kappa / n) meets (1 + c) kappa / gamma
-    kappa = _sub_gaussian_kappa(sigma**2, gamma**2, n, (1.0 + c) ** 2)
-    assert kappa > 0.0
-    assert math.sqrt(2.0 * sigma**2 * kappa / n) == pytest.approx(
-        (1.0 + c) * kappa / gamma, rel=1e-12, abs=0.0)
-
-
-def test_fixed_point_row_is_sub_gaussian_c_i_on_the_default_sweep():
-    # bounds-table's defaults: the crossing line is the c_i bound's slope,
-    # so the two rows agree on every IID member
-    instances = instance_sweep(200, 20260814, max_symbols=4, max_hypotheses=5, max_n=3)
-    checked = 0
-    for _, problem, _, posterior in _shape_sweep(instances, [0.1, 1.0, 10.0, 100.0]):
-        if not problem.is_iid():
-            continue
-        rows = {row.bound_name: row.value for row in _bounds_rows(posterior, (1.5, 2.0, 4.0))}
-        assert rows["fixed_point"] == pytest.approx(rows["sub_gaussian_c_i"], rel=1e-12, abs=0.0)
-        checked += 1
-    assert checked == 400
 
 
 def test_ratio_constants_on_iid_instances():
@@ -123,7 +93,6 @@ def test_sub_gaussian_classical_limit():
     values = sub_gaussian_values(0.0, 0.0, 0.0, 0.0)
     assert abs(values["sub_gaussian_c_i"] - 2.0 * 4.0 / 50) < 1e-15
     assert abs(values["sub_gaussian_c_k"] - 2.0 * 4.0 / 50) < 1e-15
-    assert abs(values["fixed_point"] - values["sub_gaussian_c_i"]) < 1e-12
 
 
 # each sub-Gaussian entry at gamma 4 and n 50 as a function of (sigma,
@@ -136,9 +105,6 @@ SUB_GAUSSIAN_FORMS = {
     "bounded_c_c": (lambda s, ci, ck, cc, cs: 4.0 / ((1.0 + cc) * 50), "c_c={3:.12g}"),
     "stability_c_s": (lambda s, ci, ck, cc, cs: 4.0 * s**2 * 4.0 / ((1.0 + cs) * 50),
                       "c_s={4:.12g}, tau={0:.12g}"),
-    # (1 + c_i) kappa / gamma with kappa = 2 sigma^2 gamma^2 / (n (1 + c_i)^2)
-    "fixed_point": (lambda s, ci, ck, cc, cs: 2.0 * s**2 * 4.0 / ((1.0 + ci) * 50),
-                    "c_i={1:.12g}, kappa={5:.12g}"),
 }
 
 
@@ -150,12 +116,11 @@ def test_sub_gaussian_entry_is_its_closed_form(name, sigma, c_i, c_k, c_c, c_s):
     form, text = SUB_GAUSSIAN_FORMS[name]
     expected = form(sigma, c_i, c_k, c_c, c_s)
     assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
-    kappa = _sub_gaussian_kappa(sigma**2, 4.0**2, 50, (1.0 + c_i) ** 2)
-    assert constants == text.format(sigma, c_i, c_k, c_c, c_s, kappa)
+    assert constants == text.format(sigma, c_i, c_k, c_c, c_s)
 
 
 @pytest.mark.parametrize("name", ["sub_gaussian_c_i", "sub_gaussian_c_k", "bounded_c_c",
-                                  "stability_c_s", "fixed_point"])
+                                  "stability_c_s"])
 def test_sub_gaussian_positive_constants_tighten(name):
     base = sub_gaussian_values(0.0, 0.0, 0.0, 0.0)
     tight = sub_gaussian_values(0.8, 0.5, 0.3, 0.2)
@@ -263,15 +228,41 @@ def test_bounds_table_scale_covariance():
         assert other.value == pytest.approx(c * row.value, rel=1e-9, abs=1e-12)
 
 
-def test_bounds_table_joint_model_parametric_rows_infeasible():
+def test_bounds_table_joint_model_has_only_distribution_free_rows():
+    # the parametric bounds are written for IID sampling, so a joint
+    # model's table holds the exact value and the bounds that need none
     rng = np.random.default_rng(40)
     problem = random_problem(rng, iid=False)
     rows = bounds_table(problem, 2.0)
-    by_name = {r.bound_name: r for r in rows}
-    for name in ("sub_gaussian_c_i", "kl_based", "fixed_point"):
-        assert by_name[name].feasible is False
-        assert by_name[name].value is None
+    assert [r.bound_name for r in rows] == [
+        "exact_gen", "tv_lower", "renyi_upper_alpha_1.5", "renyi_upper_alpha_2",
+        "renyi_upper_alpha_4"]
+    assert all(r.feasible and r.value is not None for r in rows)
     assert sandwich_violations(rows) == []
+
+
+def test_no_two_bounds_agree_on_every_member_of_the_default_sweep():
+    # a row that repeats another on every member is one number under two
+    # names; each pair of names must differ by more than 1e-12 relative on
+    # some member that has both
+    config = DEFAULTS["bounds-table"]
+    instances = instance_sweep(config["instances"], config["seed"],
+                               max_symbols=config["max_symbols"],
+                               max_hypotheses=config["max_hypotheses"], max_n=config["max_n"])
+    columns: dict[str, dict[int, float]] = {}
+    members = _shape_sweep(instances, config["gammas"])
+    for k, (*_, posterior) in enumerate(members):
+        for row in _bounds_rows(posterior, tuple(config["alphas"])):
+            columns.setdefault(row.bound_name, {})[k] = row.value
+    assert len(columns) == 2 + len(config["alphas"]) + len(REGIMES)
+    names = sorted(columns)
+    for i, first in enumerate(names):
+        for second in names[i + 1:]:
+            shared = columns[first].keys() & columns[second].keys()
+            assert any(
+                abs(columns[first][k] - columns[second][k])
+                > 1e-12 * max(abs(columns[first][k]), abs(columns[second][k]))
+                for k in shared), (first, second)
 
 
 def test_bounds_table_constant_loss_short_circuit():
@@ -288,19 +279,18 @@ def test_bounds_table_constant_loss_short_circuit():
 @pytest.mark.parametrize("name", list(REGIMES))
 def test_parametric_row_states_its_regime(name):
     # the regime and constants texts are bytes of bounds.csv: an IID
-    # problem's row states its assumption, a joint model's row its missing
-    # IID sampling, and a constant loss's row its short circuit
+    # problem's row states its assumption and a constant loss's row its
+    # short circuit; a joint model has no such row
     rng = np.random.default_rng(42)
     iid = random_problem(rng, iid=True)
     assert 0.0 <= iid.loss.min() and iid.loss.max() <= 1.0
     joint = random_problem(rng, iid=False)
     flat = dataclasses.replace(iid, loss=np.full_like(iid.loss, 0.5))
-    row, joint_row, flat_row = (next(r for r in bounds_table(problem, 2.0) if r.bound_name == name)
-                                for problem in (iid, joint, flat))
+    row, flat_row = (next(r for r in bounds_table(problem, 2.0) if r.bound_name == name)
+                     for problem in (iid, flat))
     assert (row.regime, row.feasible, row.side) == (REGIMES[name], True, "upper")
     assert row.constants_used.startswith("sigma=" if name == "kl_based" else "c_")
-    assert (joint_row.regime, joint_row.value, joint_row.constants_used) == (
-        "requires iid sampling", None, "")
+    assert name not in [r.bound_name for r in bounds_table(joint, 2.0)]
     assert (flat_row.regime, flat_row.value, flat_row.constants_used) == (
         "constant loss", 0.0, "sigma=0")
 

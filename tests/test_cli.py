@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gibbslab.cli
+import gibbslab.errors
 import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import (
@@ -709,6 +710,36 @@ def test_non_finite_artifact_is_a_numerical_error(tmp_path, capsys, monkeypatch)
     assert main(["counterexample", "--out", out]) == 3
     assert "numerical error: InvalidInput" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("subcommand, extra, gamma_checks", [
+    ("bounds-table", {}, 0),
+    # two curves over the seven default curve gammas and two mixtures,
+    # each checked by its public entry point
+    ("verify-identities", {"curve_instances": 2, "mixture_instances": 2}, 2 * 7 + 2),
+], ids=["bounds-table", "verify-identities"])
+def test_rule_calls_do_not_scale_with_gammas(tmp_path, monkeypatch, subcommand, extra,
+                                             gamma_checks):
+    # the config checks every gamma once; the sweep behind it checks none
+    # again, so a run makes as many rule calls at eight gammas as at four
+    calls = []
+    rule = gibbslab.errors._require
+
+    def counting(*args):
+        calls.append(args[0])
+        return rule(*args)
+
+    monkeypatch.setattr(gibbslab.errors, "_require", counting)
+    counts = []
+    for gammas in ([0.1, 1.0, 10.0, 100.0], [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0]):
+        config = validate_config(subcommand, {"instances": 4, "gammas": gammas, **extra})
+        out = tmp_path / str(len(gammas))
+        out.mkdir()
+        calls.clear()
+        gibbslab.cli.HANDLERS[subcommand](config, str(out), config["seed"])
+        counts.append(len(calls))
+        assert calls.count("gamma") == gamma_checks
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------- fuzzing
