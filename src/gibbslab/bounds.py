@@ -203,9 +203,9 @@ def bounds_table(
     the exact value as a approaches one.  Parametric rows, written for
     IID sampling, appear with measured ratio constants on IID models only;
     kl_based is sqrt(2 sigma^2 d_fwd / n), d_fwd the expected forward
-    divergence to the population Gibbs law.  The sub-Gaussian parameter sigma is
-    (max - min) / 2 of the loss table; a constant loss short-circuits to
-    exact zeros.  The rows are the pair's member of the _BoundTable of the
+    divergence to the population Gibbs law.  The sub-Gaussian parameter
+    sigma is (max - min) / 2 of the loss table; a constant loss
+    short-circuits to exact zeros.  The rows are the pair's member of the _BoundTable of the
     evaluation that _evaluation shares with gen_characterizations, the
     table that the bounds-table subcommand reads of each stack.
     """
