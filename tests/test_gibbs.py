@@ -49,6 +49,8 @@ from gibbslab.gibbs import (
     _log_population,
     _shape_sweep,
 )
+from gibbslab.problems import _draw_problem
+from gibbslab.samplers import counter_rng
 
 
 def small_problem(seed=0, iid=True, n=2):
@@ -590,6 +592,71 @@ def test_instance_sweep_draws_each_problem_from_instance_rng(index):
     assert np.array_equal(problem.loss, expected.loss)
     assert np.array_equal(problem.prior.weights, expected.prior.weights)
     assert np.array_equal(data_law(problem), data_law(expected))
+
+
+def assert_same_problem(problem, expected):
+    model, other = problem.data_model, expected.data_model
+    assert type(model) is type(other)
+    assert (problem.n, problem.sample_alphabet, problem.hypothesis_set) == (
+        expected.n, expected.sample_alphabet, expected.hypothesis_set)
+    assert np.array_equal(problem.loss, expected.loss)
+    assert np.array_equal(problem.prior.weights, expected.prior.weights)
+    if isinstance(model, IIDData):
+        assert np.array_equal(model.marginal.weights, other.marginal.weights)
+    else:
+        assert np.array_equal(model.weights, other.weights)
+
+
+@pytest.mark.parametrize("cap, value", [
+    ("max_symbols", 1), ("max_symbols", 2**63), ("max_hypotheses", 1),
+    ("max_hypotheses", 2**63), ("max_n", 0), ("max_n", 2**63),
+])
+def test_instance_sweep_refuses_a_cap_when_asked_for(cap, value):
+    # the sweep checks its caps once, before any instance is drawn, and
+    # refuses each as random_problem does
+    with pytest.raises(InvalidInput) as swept:
+        instance_sweep(2, 0, **{cap: value})
+    with pytest.raises(InvalidInput) as drawn:
+        random_problem(instance_rng(0, 0), **{cap: value})
+    assert str(swept.value) == str(drawn.value)
+    assert str(swept.value).startswith(f"{cap} must be an integer")
+
+
+@pytest.mark.parametrize("max_symbols, max_hypotheses, max_n", [
+    (2, 2, 1), (6, 3, 2), (3, 7, 4), (5, 5, 5),
+])
+def test_instance_sweep_at_other_caps_draws_random_problem(max_symbols, max_hypotheses, max_n):
+    # the caps checked once by the sweep draw what random_problem draws
+    caps = {"max_symbols": max_symbols, "max_hypotheses": max_hypotheses, "max_n": max_n}
+    seed = 77
+    for index, problem in instance_sweep(6, seed, **caps):
+        expected = random_problem(instance_rng(seed, index), iid=index % 2 == 0, **caps)
+        assert_same_problem(problem, expected)
+
+
+@pytest.mark.parametrize("stream", [20_000, 20_001, 30_000, 30_001])
+def test_cli_instances_draw_what_random_problem_draws(stream):
+    # verify-identities draws curve i from stream 20_000 + i and mixture i
+    # from 30_000 + i through the private builder; each is random_problem
+    # from instance_rng, and leaves the generator where it does, so the
+    # mixture components drawn after it are the same too
+    seed = 20260814
+    iid = stream >= 30_000 or stream % 2 == 0
+    rng, reference = counter_rng(seed, stream), instance_rng(seed, stream)
+    assert_same_problem(_draw_problem(rng, iid=iid), random_problem(reference, iid=iid))
+    assert np.array_equal(rng.random(4), reference.random(4))
+
+
+def test_gibbs_posterior_checks_gamma_before_the_element_cap():
+    # a problem above ELEMENT_CAP is refused for its gamma first, and for
+    # its size once the gamma is taken (gamma 0 is the prior, and taken)
+    problem = dataclasses.replace(small_problem(45, iid=True), n=10**12)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(GammaNonPositive, match="^gamma "):
+            gibbs_posterior(problem, bad)
+    for gamma in (0.0, 1.0):
+        with pytest.raises(EnumerationTooLarge):
+            gibbs_posterior(problem, gamma)
 
 
 def test_random_problem_labels_take_no_memory_per_label():
