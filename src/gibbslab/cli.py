@@ -901,8 +901,8 @@ RANGES = {
     "clip": (">", 0),
     "config.d": ("==", 1),  # the coverage experiment is one-dimensional
     # a coverage block makes n passes over its (64, grid) arrays, about
-    # 0.11 ms per unit of n on a 2-core x86 machine: at n = 10**4 a block
-    # takes about 1 s, and the fewest trials, 16 blocks, about 20 s
+    # 0.055 ms per unit of n on a 2-core x86 machine: at n = 10**4 a block
+    # takes about 0.55 s, and the fewest trials, 16 blocks, about 9 s
     "config.n": ("<=", 10**4),
     "spot_checks[].sigma": (">", 0),
     "spot_checks[].delta": (">", 0, "<", 0.5),

@@ -680,7 +680,8 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
     """gibbs_posterior(problem, gamma), kept in one module-level slot so that
     gen_characterizations and bounds_table, called in turn on one pair,
     read one evaluation.  Both need gamma > 0, which is checked first, so
-    a hit refuses what a miss refuses and a refusal builds nothing.  A hit
+    a hit refuses what a miss refuses and a refusal builds nothing; a miss
+    then builds through _gibbs_sweep, which checks no gamma.  A hit
     needs the same problem object and a gamma equal to the slot's as a
     float, and returns what a fresh build would, bit for bit, every cached
     array being read-only.  A miss empties the slot
@@ -694,7 +695,7 @@ def _evaluation(problem: LearningProblem, gamma: float) -> GibbsPosterior:
         return last
     del last
     _last_evaluation = None
-    _last_evaluation = gibbs_posterior(problem, gamma)
+    _last_evaluation = next(_gibbs_sweep((problem,), (gamma,)))
     return _last_evaluation
 
 

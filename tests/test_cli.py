@@ -339,6 +339,19 @@ def test_cli_import_does_not_load_scipy_special(tmp_path):
     assert result["seen"] == {"import": [], **{sub: [] for sub, _ in SMALL_RUNS}}
 
 
+def test_subcommands_leave_the_ufunc_buffer_size_as_found(tmp_path):
+    # pac-bayes runs its kernel with a one-row ufunc buffer; after every
+    # subcommand the process has the caller's buffer size again
+    old = np.setbufsize(4096)
+    try:
+        for sub, config in SMALL_RUNS:
+            path = write_config(tmp_path, f"{sub}.json", config)
+            assert main([sub, "--config", path, "--out", str(tmp_path / sub)]) == 0
+            assert np.getbufsize() == 4096, sub
+    finally:
+        np.setbufsize(old)
+
+
 def test_sgld_demo_run(tmp_path):
     out = str(tmp_path / "sgld")
     assert main(["sgld-demo", "--out", out]) == 0

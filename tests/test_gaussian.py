@@ -19,7 +19,9 @@ from gibbslab import (
     pac_bayes_bound,
     pac_bayes_coverage,
 )
-from gibbslab.gaussian import MAX_DIM
+import gibbslab.gaussian
+from gibbslab.gaussian import COVERAGE_GRID, HERMITE_NODES, MAX_DIM
+from gibbslab.samplers import BLOCK_TRIALS, counter_rng
 
 
 def make_config(d=2, n=12, sigma0_sq=1.5, sigmaZ_sq=0.7, sigma_sq=1.0, shift=None):
@@ -335,6 +337,72 @@ def test_pac_bayes_coverage_deterministic():
     a = pac_bayes_coverage(cfg, 2.0, 1000, 5)
     b = pac_bayes_coverage(cfg, 2.0, 1000, 5)
     assert a.coverage == b.coverage and a.mean_gap == b.mean_gap
+
+
+def coverage_gaps_by_trial(config, clip, trials, seed):
+    """pac_bayes_coverage's gaps, one trial at a time on a 1-D grid row, in
+    the kernel's order of operations: the empirical risk summed over the
+    samples in draw order, then / n, * -gamma, + log prior, the max shift,
+    exp, normalizing, and the product with pop_risk - emp."""
+    mu, mu0 = float(config.mu[0]), float(config.mu0[0])
+    sz = math.sqrt(config.sigmaZ_sq)
+    span = 10.0 * max(math.sqrt(config.sigma0_sq), sz, 1e-3)
+    grid = np.linspace(min(mu0, mu) - span, max(mu0, mu) + span, COVERAGE_GRID)
+    log_prior = -((grid - mu0) ** 2) / (2.0 * config.sigma0_sq)
+    nodes, weights = np.polynomial.hermite.hermgauss(HERMITE_NODES)
+    z_nodes = mu + math.sqrt(2.0) * sz * nodes
+    pop_risk = np.minimum((grid[:, None] - z_nodes[None, :]) ** 2, clip) @ (
+        weights / math.sqrt(math.pi))
+    gaps = []
+    for first in range(0, trials, BLOCK_TRIALS):
+        rng = counter_rng(seed, 0, first // BLOCK_TRIALS)
+        draws = rng.standard_normal((min(BLOCK_TRIALS, trials - first), config.n))
+        for samples in draws * sz + mu:
+            emp = np.zeros(COVERAGE_GRID)
+            for z in samples:
+                emp += np.minimum(np.square(grid - z), clip)
+            emp /= config.n
+            post = emp * -config.gamma
+            post += log_prior
+            post -= post.max()
+            post = np.exp(post)
+            post /= post.sum()
+            gaps.append(abs(np.einsum("g,g->", post, pop_risk - emp)))
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_pac_bayes_coverage_equals_a_per_trial_loop(seed):
+    config = GaussianMeanConfig(d=1, mu=(0.4,), mu0=(-0.3,), sigma0_sq=2.0,
+                                sigmaZ_sq=0.8, sigma_sq=3.0, n=5)
+    # 1000 trials: 15 full blocks and a short last one
+    report = pac_bayes_coverage(config, 1.5, 1000, seed)
+    gaps = coverage_gaps_by_trial(config, 1.5, 1000, seed)
+    assert report.mean_gap == gaps.mean()
+    assert report.max_gap == gaps.max()
+    assert report.coverage == {
+        delta: float((gaps <= bound).mean()) for delta, bound in report.bounds.items()
+    }
+
+
+def test_pac_bayes_coverage_restores_the_ufunc_buffer_size(monkeypatch):
+    # the kernel runs with a buffer of one grid row; the caller's own size
+    # comes back on return and on a raise inside that scope
+    old = np.setbufsize(4096)
+    try:
+        pac_bayes_coverage(pac_config(5, 1.0), 2.0, 1000, 0)
+        assert np.getbufsize() == 4096
+
+        def raising(*args):
+            assert np.getbufsize() == gibbslab.gaussian.COVERAGE_BUFSIZE
+            raise MemoryError("chunk")
+
+        monkeypatch.setattr(gibbslab.gaussian, "block_gaps", raising)
+        with pytest.raises(MemoryError, match="chunk"):
+            pac_bayes_coverage(pac_config(5, 1.0), 2.0, 1000, 0)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 def test_pac_bayes_coverage_memory_is_gaps_plus_one_block():

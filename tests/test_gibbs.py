@@ -878,14 +878,14 @@ def test_the_shared_evaluation_refuses_what_a_fresh_one_refuses():
 
 def test_routes_and_bounds_share_one_evaluation(monkeypatch):
     built = []
-    build = gibbslab.gibbs.gibbs_posterior
+    sweep = gibbslab.gibbs._gibbs_sweep
 
-    def counting(problem, gamma):
-        posterior = build(problem, gamma)
-        built.append(weakref.ref(posterior))
-        return posterior
+    def counting(problems, gammas):
+        for posterior in sweep(problems, gammas):
+            built.append(weakref.ref(posterior))
+            yield posterior
 
-    monkeypatch.setattr(gibbslab.gibbs, "gibbs_posterior", counting)
+    monkeypatch.setattr(gibbslab.gibbs, "_gibbs_sweep", counting)
     for iid in (True, False):
         problem = small_problem(43, iid=iid, n=2)
         built.clear()
