@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -210,7 +211,7 @@ def bayes_location_regime_gen(
     check_trials(trials)
     precision = 1.0 + n
 
-    def gap_chunk(size: int, blocks: list) -> np.ndarray:
+    def gap_chunk(size: int, blocks: Iterator) -> np.ndarray:
         mean = np.empty(size)
         for rng, rows in blocks:
             rng.standard_normal(out=mean[rows])

@@ -900,9 +900,10 @@ RANGES = {
     "deltas[]": (">", 0, "<", 0.5),
     "clip": (">", 0),
     "config.d": ("==", 1),  # the coverage experiment is one-dimensional
-    # a coverage block makes n passes over its (64, grid) arrays, about
-    # 0.055 ms per unit of n on a 2-core x86 machine: at n = 10**4 a block
-    # takes about 0.55 s, and the fewest trials, 16 blocks, about 9 s
+    # a coverage block makes n passes over the grid columns near its
+    # samples, about 0.045 ms per unit of n on a 2-core x86 machine (at
+    # n = 500 and 2000): at n = 10**4 a block takes about 0.45 s, and the
+    # fewest trials, 16 blocks, about 7 s
     "config.n": ("<=", 10**4),
     "spot_checks[].sigma": (">", 0),
     "spot_checks[].delta": (">", 0, "<", 0.5),

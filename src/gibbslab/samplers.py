@@ -20,9 +20,12 @@ counter_rng is the one source of randomness in the package: a Philox
 generator keyed by (seed, stream) whose counter starts at a block
 index, so every (seed, stream, block) triple names its own
 non-overlapping substream and results never depend on execution order.
-The vectorized Monte Carlo estimators draw one generator per block of
-BLOCK_TRIALS trials through block_gaps, the one Monte Carlo loop of the
-package, which hands the blocks to the estimator a chunk at a time so
+The vectorized Monte Carlo estimators draw their trials in blocks of
+BLOCK_TRIALS through block_gaps, the one Monte Carlo loop of the
+package.  It builds one keyed generator per call and re-keys its counter
+to block b before block b's draws, so each block draws what
+counter_rng(seed, 0, b) would, as when every block had a generator of
+its own.  It hands the blocks to the estimator a chunk at a time so
 that the arithmetic after the draws runs once per chunk of blocks, on
 arrays of at most about probability.BLOCK_ELEMENTS elements; instance
 sweeps use one stream per instance at block 0.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -53,8 +56,9 @@ MIN_TRIALS = 1000
 
 # Trials per generator in block_gaps; the draws of a trial depend only on
 # its block's generator, so this fixes every estimator's digits.  Smaller
-# blocks build generators more often; larger ones ran no faster (on the
-# cli-monte-carlo benchmark 16 was slower than 64 and 256 no faster).
+# blocks re-key the generator more often; larger ones ran no faster (on
+# the cli-monte-carlo benchmark 16 was slower than 64 and 256 no faster,
+# both measured when each block built its own generator).
 # The arithmetic on the draws runs per chunk of blocks, whose size
 # BLOCK_ELEMENTS bounds instead.
 BLOCK_TRIALS = 64
@@ -89,32 +93,44 @@ def check_seed(seed: object) -> None:
 def block_gaps(
     trials: int,
     seed: int,
-    gap_chunk: Callable[[int, list[tuple[np.random.Generator, slice]]], np.ndarray],
+    gap_chunk: Callable[[int, Iterator[tuple[np.random.Generator, slice]]], np.ndarray],
     trial_elements: int,
 ) -> np.ndarray:
     """Per-trial gaps, drawn BLOCK_TRIALS trials per generator.
 
-    Block b holds trials b * BLOCK_TRIALS onward and draws from
-    counter_rng(seed, 0, b).  The blocks go to gap_chunk(size, blocks) a
-    chunk at a time: ``blocks`` lists a chunk's blocks in order as (rng,
-    rows) pairs, rows being the slice of the chunk's ``size`` trials that
-    the block's draws fill, and gap_chunk returns the (size,) gaps of
-    those trials.  A chunk holds as many whole blocks as keep
-    size * trial_elements within BLOCK_ELEMENTS, and at least one, so
-    trial_elements is the number of array elements one trial takes while
-    gap_chunk runs.  Returns the (trials,) array of gaps.
+    Block b holds trials b * BLOCK_TRIALS onward and draws what
+    counter_rng(seed, 0, b) would.  The blocks go to gap_chunk(size,
+    blocks) a chunk at a time: ``blocks`` yields a chunk's blocks in
+    order as (rng, rows) pairs, rows being the slice of the chunk's
+    ``size`` trials that the block's draws fill, and gap_chunk returns
+    the (size,) gaps of those trials.  One generator serves the whole
+    call, re-keyed to block b as block b is taken, so gap_chunk must take
+    the blocks once, in order, and draw from a block's generator only
+    until it takes the next block.  A chunk holds as many whole blocks
+    as keep size * trial_elements within BLOCK_ELEMENTS, and at least
+    one, so trial_elements is the number of array elements one trial
+    takes while gap_chunk runs.  Returns the (trials,) array of gaps.
     """
     check_seed(seed)
     chunk_trials = BLOCK_TRIALS * max(1, BLOCK_ELEMENTS // (BLOCK_TRIALS * trial_elements))
+    # building a Philox reads OS entropy for a seed sequence that the
+    # key then overrides; setting a block's counter on one generator
+    # reads none, and resets its buffered output as a new one would have
+    rng = counter_rng(seed, 0)
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    counter = state["state"]["counter"]
+
+    def chunk_blocks(start: int, stop: int) -> Iterator[tuple[np.random.Generator, slice]]:
+        for first in range(start, stop, BLOCK_TRIALS):
+            counter[2] = first // BLOCK_TRIALS
+            bit_generator.state = state
+            yield rng, slice(first - start, min(first + BLOCK_TRIALS, stop) - start)
+
     gaps = np.empty(trials)
     for start in range(0, trials, chunk_trials):
         stop = min(start + chunk_trials, trials)
-        blocks = [
-            (counter_rng(seed, 0, first // BLOCK_TRIALS),
-             slice(first - start, min(first + BLOCK_TRIALS, stop) - start))
-            for first in range(start, stop, BLOCK_TRIALS)
-        ]
-        gaps[start:stop] = gap_chunk(stop - start, blocks)
+        gaps[start:stop] = gap_chunk(stop - start, chunk_blocks(start, stop))
     return gaps
 
 

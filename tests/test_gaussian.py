@@ -339,36 +339,52 @@ def test_pac_bayes_coverage_deterministic():
     assert a.coverage == b.coverage and a.mean_gap == b.mean_gap
 
 
-def coverage_gaps_by_trial(config, clip, trials, seed):
+def coverage_grid(config):
+    mu, mu0 = float(config.mu[0]), float(config.mu0[0])
+    span = 10.0 * max(math.sqrt(config.sigma0_sq), math.sqrt(config.sigmaZ_sq), 1e-3)
+    return np.linspace(min(mu0, mu) - span, max(mu0, mu) + span, COVERAGE_GRID)
+
+
+def coverage_draws(config, trials, seed):
+    """pac_bayes_coverage's (trials, n) standard normal draws."""
+    return np.concatenate([
+        counter_rng(seed, 0, first // BLOCK_TRIALS).standard_normal(
+            (min(BLOCK_TRIALS, trials - first), config.n))
+        for first in range(0, trials, BLOCK_TRIALS)
+    ])
+
+
+def coverage_gaps_of_draws(config, clip, draws):
     """pac_bayes_coverage's gaps, one trial at a time on a 1-D grid row, in
     the kernel's order of operations: the empirical risk summed over the
-    samples in draw order, then / n, * -gamma, + log prior, the max shift,
-    exp, normalizing, and the product with pop_risk - emp."""
+    samples in draw order on every grid point, then / n, * -gamma, + log
+    prior, the max shift, exp, normalizing, and the product with
+    pop_risk - emp."""
     mu, mu0 = float(config.mu[0]), float(config.mu0[0])
     sz = math.sqrt(config.sigmaZ_sq)
-    span = 10.0 * max(math.sqrt(config.sigma0_sq), sz, 1e-3)
-    grid = np.linspace(min(mu0, mu) - span, max(mu0, mu) + span, COVERAGE_GRID)
+    grid = coverage_grid(config)
     log_prior = -((grid - mu0) ** 2) / (2.0 * config.sigma0_sq)
     nodes, weights = np.polynomial.hermite.hermgauss(HERMITE_NODES)
     z_nodes = mu + math.sqrt(2.0) * sz * nodes
     pop_risk = np.minimum((grid[:, None] - z_nodes[None, :]) ** 2, clip) @ (
         weights / math.sqrt(math.pi))
     gaps = []
-    for first in range(0, trials, BLOCK_TRIALS):
-        rng = counter_rng(seed, 0, first // BLOCK_TRIALS)
-        draws = rng.standard_normal((min(BLOCK_TRIALS, trials - first), config.n))
-        for samples in draws * sz + mu:
-            emp = np.zeros(COVERAGE_GRID)
-            for z in samples:
-                emp += np.minimum(np.square(grid - z), clip)
-            emp /= config.n
-            post = emp * -config.gamma
-            post += log_prior
-            post -= post.max()
-            post = np.exp(post)
-            post /= post.sum()
-            gaps.append(abs(np.einsum("g,g->", post, pop_risk - emp)))
+    for samples in draws * sz + mu:
+        emp = np.zeros(COVERAGE_GRID)
+        for z in samples:
+            emp += np.minimum(np.square(grid - z), clip)
+        emp /= config.n
+        post = emp * -config.gamma
+        post += log_prior
+        post -= post.max()
+        post = np.exp(post)
+        post /= post.sum()
+        gaps.append(abs(np.einsum("g,g->", post, pop_risk - emp)))
     return np.array(gaps)
+
+
+def coverage_gaps_by_trial(config, clip, trials, seed):
+    return coverage_gaps_of_draws(config, clip, coverage_draws(config, trials, seed))
 
 
 @pytest.mark.parametrize("seed", [0, 11])
@@ -383,6 +399,87 @@ def test_pac_bayes_coverage_equals_a_per_trial_loop(seed):
     assert report.coverage == {
         delta: float((gaps <= bound).mean()) for delta, bound in report.bounds.items()
     }
+
+
+def kernel_gaps(monkeypatch, config, clip, trials, seed, draws=None):
+    """pac_bayes_coverage's per-trial gaps.  Given ``draws``, each block
+    takes its standard normal draws from the next rows of draws instead of
+    its generator."""
+    real = gibbslab.gaussian.block_gaps
+    captured = []
+
+    class Rows:
+        taken = 0
+
+        def standard_normal(self, out):
+            out[...] = draws[self.taken : self.taken + len(out)]
+            self.taken += len(out)
+
+    def capturing(trials, seed, gap_chunk, trial_elements):
+        if draws is not None:
+            inner, rows = gap_chunk, Rows()
+            gap_chunk = lambda size, blocks: inner(size, ((rows, r) for _, r in blocks))
+        captured.append(real(trials, seed, gap_chunk, trial_elements))
+        return captured[-1]
+
+    monkeypatch.setattr(gibbslab.gaussian, "block_gaps", capturing)
+    pac_bayes_coverage(config, clip, trials, seed)
+    return captured[0]
+
+
+def window_config(n=5, **changes):
+    fields = dict(d=1, mu=(0.4,), mu0=(-0.3,), sigma0_sq=2.0, sigmaZ_sq=0.8, sigma_sq=3.0, n=n)
+    return GaussianMeanConfig(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("config, clip", [
+    # clips whose sums over the samples are not multiples of clip
+    (window_config(), 0.1),
+    (window_config(), 0.3),
+    # sqrt(clip) exceeds the grid's width: the window is the whole grid
+    (window_config(), 1e4),
+    # samples reach far past the prior's mass
+    (window_config(sigma0_sq=1e-4, sigmaZ_sq=4.0), 0.3),
+    # the rounding of the window's ends at the grid's magnitude
+    (window_config(mu=(1e6,), mu0=(1e6 + 0.5,)), 0.1),
+    *[(window_config(n=n), 0.1) for n in (1, 2, 3, 7, 50)],
+])
+def test_pac_bayes_coverage_window_keeps_every_gap(monkeypatch, config, clip):
+    # every grid column outside a block's window holds the bits the sum
+    # over all columns gives
+    gaps = kernel_gaps(monkeypatch, config, clip, 1000, 4)
+    assert np.array_equal(gaps, coverage_gaps_by_trial(config, clip, 1000, 4))
+
+
+@pytest.mark.parametrize("mu, below, above", [
+    # g = 0: the edge samples lie sqrt(clip) from g, and reach must not
+    # fall short of sqrt(clip)
+    (0.0, -math.sqrt(0.3), math.sqrt(0.3)),
+    # g = 0.05 + 7e-16: g - z rounds down to sqrt(clip) from above it,
+    # so reach must exceed sqrt(clip)
+    (0.05, -0.5477225575051654, 0.5477225575051667),
+])
+def test_pac_bayes_coverage_window_edges_hold_to_one_ulp(monkeypatch, mu, below, above):
+    # the narrow prior puts nearly all the posterior on grid column 400,
+    # g, so a gap reads emp there to the ulp.  Block 0's largest sample
+    # and block 1's smallest, mu + below and mu + above, put (g - z)^2
+    # one ulp below clip, at the window's edges; blocks 2 to 4 reach past
+    # the grid's ends, blocks 3 and 4 wholly, which empties their windows
+    config = GaussianMeanConfig(d=1, mu=(mu,), mu0=(mu,), sigma0_sq=1e-6,
+                                sigmaZ_sq=1.0, sigma_sq=1.0, n=1)
+    clip = 0.3
+    g = coverage_grid(config)[400]
+    for z in (mu + below, mu + above):
+        assert (g - z) ** 2 == np.nextafter(clip, 0.0)
+    draws = coverage_draws(config, 1000, 2)
+    spread = np.abs(draws[:64]) + 0.01
+    draws[:64], draws[0] = below - spread, below
+    draws[64:128], draws[64] = above + spread, above
+    draws[128:192] = np.copysign(12.0 + 3.0 * spread, draws[128:192])
+    draws[192:256] = 11.0 + spread
+    draws[256:320] = -11.0 - spread
+    gaps = kernel_gaps(monkeypatch, config, clip, 1000, 2, draws)
+    assert np.array_equal(gaps, coverage_gaps_of_draws(config, clip, draws))
 
 
 def test_pac_bayes_coverage_restores_the_ufunc_buffer_size(monkeypatch):

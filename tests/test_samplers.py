@@ -63,6 +63,51 @@ def test_block_gaps_chunks_do_not_change_a_trials_draws(trial_elements):
                for size in sizes)
 
 
+@pytest.mark.parametrize("trials", [1000, 10_000])
+def test_block_gaps_builds_one_generator_per_call(monkeypatch, trials):
+    builds = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return philox(*args, **kwargs)
+
+    def gap_chunk(size, blocks):
+        out = np.empty(size)
+        for rng, rows in blocks:
+            rng.standard_normal(out=out[rows])
+        return out
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    block_gaps(trials, 3, gap_chunk, 1)
+    assert len(builds) == 1
+
+
+def test_block_gaps_rekeys_every_block_of_a_chunk():
+    # 500 elements a trial put three blocks in a chunk; each block leaves
+    # its generator holding half a 64-bit word (three 32-bit draws) and
+    # partway through Philox's four-word buffer, and the next block still
+    # starts where counter_rng(seed, 0, b) does
+    trials, seed, trial_elements = 1000, 6, 500
+    assert BLOCK_ELEMENTS // (BLOCK_TRIALS * trial_elements) == 3
+    draws = []
+
+    def draw(rng, size):
+        return rng.random(3, dtype=np.float32), rng.standard_normal(size)
+
+    def gap_chunk(size, blocks):
+        for rng, rows in blocks:
+            draws.append(draw(rng, rows.stop - rows.start))
+        return np.zeros(size)
+
+    block_gaps(trials, seed, gap_chunk, trial_elements)
+    assert len(draws) == 16
+    for b, got in enumerate(draws):
+        expected = draw(counter_rng(seed, 0, b), min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+        for a, e in zip(got, expected):
+            assert np.array_equal(a, e)
+
+
 def quadratic_gradient(target):
     def gradient(w, dataset):
         return 2.0 * (w - target)
