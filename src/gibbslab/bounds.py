@@ -209,9 +209,10 @@ def bounds_table(
     evaluation that _evaluation shares with gen_characterizations, the
     table that the bounds-table subcommand reads of each stack.
     """
+    alphas = tuple(alphas)
     for alpha in alphas:
         require_real("alpha", alpha, ">", 1, error=AlphaOutOfRange)
-    return _bounds_rows(_evaluation(problem, gamma), tuple(alphas))
+    return _bounds_rows(_evaluation(problem, gamma), alphas)
 
 
 def _bounds_rows(posterior: GibbsPosterior, alphas: tuple[float, ...]) -> list[BoundRow]:
@@ -324,6 +325,7 @@ def sandwich_violations(rows: list[BoundRow]) -> list[str]:
     _sandwich compares a member of one: human-readable violations, none
     when the exact value sits inside every applicable bound up to a 1e-12
     absolute slack.  Rows flagged not applicable are skipped."""
+    rows = tuple(rows)
     exact = [r for r in rows if r.side == "exact"]
     if len(exact) != 1:
         raise InvalidInput(f"expected exactly one exact row, got {len(exact)}")

@@ -9,12 +9,11 @@ chains), and 4 on any other exception, whose traceback goes to stderr.
 Apart from the manifest's duration and timings fields, outputs are a
 pure function of config and seed.
 
-Each check is a Check: a numeric gate holds its observed value, a
+Each check is a Check: a gate holds the number it observed, a
 comparison from OPERATORS and its limit, and its verdict, margin and
-detail line are computed from those three; a boolean gate gives its own
-verdict and leaves them None.  The manifest records all four numbers
-(the margin is positive on the passing side), writing a non-finite one
-as null.
+detail line are computed from those three.  The manifest records all
+four numbers (the margin is positive on the passing side), writing a
+non-finite one as null.
 
 validate_config checks a whole config against the subcommand's DEFAULTS
 before any work starts: each key takes its default's type, objects merge
@@ -66,7 +65,6 @@ from .gaussian import (
     pac_bayes_coverage,
 )
 from .gibbs import (
-    CONCAVITY_SLACK,
     ELEMENT_CAP,
     ROUTES,
     InfoDivergenceReport,
@@ -80,6 +78,8 @@ from .samplers import MIN_TRIALS, SgldConfig, counter_rng, sgld_run
 from .serialize import load_json, write_csv, write_json
 
 DEFAULT_SEED = 20260814
+# how far mixture_concavity lets a mixture error fall below the average
+CONCAVITY_SLACK = 1e-12
 
 # Reference values of the canonical two-sample construction: at the small
 # epsilon the two single-sample symmetrized values add up to more than the
@@ -104,11 +104,10 @@ COUNTEREXAMPLE_LARGE = {
 class Check:
     """One named gate.
 
-    A numeric gate holds the value it observed, a comparison from
-    OPERATORS and its limit, and passes when the comparison holds for a
-    finite observed value.  A boolean gate leaves those three None and
-    gives its own ``verdict``.  ``context`` says what was observed; the
-    detail line is the context followed by the comparison.  A timed gate
+    A gate holds the number it observed, a comparison from OPERATORS and
+    its limit, and passes when the comparison holds for a finite observed
+    value.  ``context`` says what was observed; the detail line is the
+    context followed by the comparison.  A timed gate
     observes a wall time, which the manifest keeps under timings, apart
     from the reproducible record.  ``extra`` holds further numeric fields
     of the record, such as where an aggregate gate saw its worst case.
@@ -116,26 +115,21 @@ class Check:
 
     name: str
     context: str
-    observed: float | None = None
-    comparison: str | None = None
-    limit: float | None = None
-    verdict: bool | None = None
+    observed: float
+    comparison: str
+    limit: float
     timed: bool = False
     extra: dict | None = None
 
     @property
     def passed(self) -> bool:
-        if self.observed is None:
-            return bool(self.verdict)
         return math.isfinite(self.observed) and OPERATORS[self.comparison](
             self.observed, self.limit
         )
 
     @property
-    def margin(self) -> float | None:
+    def margin(self) -> float:
         """How far the observed value lies on the passing side of the limit."""
-        if self.observed is None:
-            return None
         gap = self.observed - self.limit
         if self.comparison == "==":
             gap = abs(gap)
@@ -143,8 +137,6 @@ class Check:
 
     @property
     def detail(self) -> str:
-        if self.observed is None:
-            return self.context
         # an exact comparison shows every digit
         shown = repr if self.comparison == "==" else "{:.6g}".format
         observed = f"timings.{self.name}" if self.timed else shown(self.observed)
@@ -256,9 +248,9 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         prop_rows.append([index, gamma, *divergences[k]])
     sweep_seconds = time.monotonic() - started
 
-    write_csv(os.path.join(out_dir, "identities.csv"),
-              ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses", *ROUTES,
-               "max_gap"], identity_rows)
+    header = ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses", *ROUTES,
+              "max_gap"]
+    write_csv(os.path.join(out_dir, "identities.csv"), header, identity_rows)
     write_csv(os.path.join(out_dir, "divergence_order.csv"),
               ["instance", "gamma", "mutual", "lautum", "d_fwd", "d_rev", "c_i", "c_k",
                "degenerate"], prop_rows)
@@ -270,7 +262,9 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         (0.0, None, None) if worst is None else (worst[-1], worst[0], worst[1])
     )
     where = "" if worst is None else f" at instance {worst_instance} gamma {worst_gamma:g}"
-    iid_rows = [row for row in identity_rows if row[2] == "iid"]
+    records = [dict(zip(header, row)) for row in identity_rows]
+    iid = [record for record in records if record["data_kind"] == "iid"]
+    carried = sum(None not in (r["via_cmi"], r["via_replace_one"]) for r in iid)
     checks = [
         Check("four_way_identities",
               f"evaluations of {count * len(gammas)} whose routes disagreed (worst pairwise "
@@ -278,9 +272,8 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
               extra={"worst_gap": worst_gap, "worst_gap_instance": worst_instance,
                      "worst_gap_gamma": worst_gamma}),
         Check("cmi_and_replace_one_on_iid",
-              f"{len(iid_rows)} iid evaluations carried both conditional forms",
-              verdict=bool(iid_rows) and all(
-                  row[9] is not None and row[10] is not None for row in iid_rows)),
+              f"share of {len(iid)} iid evaluations that carried both conditional forms",
+              carried / len(iid) if iid else 0.0, "==", 1.0),
         Check("divergence_order_and_ratio_constants",
               f"evaluations of {len(identity_rows)} that broke the divergence comparison or "
               f"c_k <= c_i{_first(ratio_failures)}", len(ratio_failures), "==", 0),
@@ -319,11 +312,10 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
         rng = counter_rng(seed, 30_000 + i)
         problem = _draw_problem(rng, iid=True)
         components = random_mixture_components(rng, problem)
-        try:
-            mixture_gen, component_avg = concavity_probe(components, problem, mixture_gamma)
-        except IdentityMismatch as exc:
-            mixture_failures.append(f"mixture {i}: {exc}")
-            continue
+        mixture_gen, component_avg = concavity_probe(components, problem, mixture_gamma)
+        if mixture_gen < component_avg - CONCAVITY_SLACK:
+            mixture_failures.append(f"mixture {i}: mixture error {mixture_gen!r} fell below the "
+                                    f"component average {component_avg!r}")
         mixture_rows.append(
             [i, mixture_gamma, mixture_gen, component_avg, mixture_gen - component_avg]
         )
@@ -365,10 +357,10 @@ def cmd_counterexample(config: dict, out_dir: str, seed: int) -> list[Check]:
     )
 
     checks = []
-    for size, reference in (("small", COUNTEREXAMPLE_SMALL), ("large", COUNTEREXAMPLE_LARGE)):
-        report = reports.get(reference["epsilon"])
-        if report is None:
-            continue
+    pinned = {"small": COUNTEREXAMPLE_SMALL, "large": COUNTEREXAMPLE_LARGE}
+    present = {size: pin for size, pin in pinned.items() if pin["epsilon"] in reports}
+    for size, reference in present.items():
+        report = reports[reference["epsilon"]]
         values = {
             "mutual_single": report.info_first.mutual,
             "lautum_single": report.info_first.lautum,
@@ -380,17 +372,19 @@ def cmd_counterexample(config: dict, out_dir: str, seed: int) -> list[Check]:
             Check(f"{size}_epsilon_reference_values", "largest deviation from the pinned values",
                   _worst(deviations), "<=", config["tolerance"])
         )
+        # for finite floats a - b > 0 holds exactly when a > b
         checks.append(
             Check(f"{size}_epsilon_direction",
-                  f"individual sum {report.individual_sum:.4f} vs pair "
+                  f"individual sum {report.individual_sum:.4f} less pair "
                   f"{report.info_pair.symmetrized:.4f}",
-                  verdict=report.sum_exceeds_joint == reference["sum_exceeds_pair"])
+                  report.individual_sum - report.info_pair.symmetrized,
+                  ">" if reference["sum_exceeds_pair"] else "<=", 0.0)
         )
-    if not checks:
+    if not present:
         checks.append(
             Check("reference_epsilons_present",
-                  "config omitted both canonical epsilon values, nothing to verify",
-                  verdict=False)
+                  "canonical epsilon values in the config, nothing to verify without one",
+                  len(present), ">=", 1)
         )
     return checks
 
@@ -676,8 +670,8 @@ def cmd_sgld_demo(config: dict, out_dir: str, seed: int) -> list[Check]:
               f"|variance - 1/(2 gamma)| (variance {variance:.6f}, 1/(2 gamma) = "
               f"{target_var:.6f}, discrete-chain value {discrete_var:.6f})",
               abs(variance - target_var), "<=", config["var_tolerance"] * target_var),
-        Check("seed_determinism", "two runs with the same seed produced bit-identical iterates",
-              verdict=bool(np.array_equal(samples, again))),
+        Check("seed_determinism", "iterates that differ between two runs with the same seed",
+              int(np.count_nonzero(samples != again)), "==", 0),
     ]
 
 
@@ -867,6 +861,8 @@ RANGES = {
     "mixture_instances": (">=", 1, "<=", 10**5),
     "mixture_gamma": (">=", 0),
     "epsilons[]": (">", 0, "<", 0.125),
+    # a negative gate tolerance would fail its gate on every run
+    "tolerance": (">=", 0),
     # block_gaps fills one (trials,) float64 array: 2**27 trials are 1 GiB
     "trials": (">=", MIN_TRIALS, "<=", 2**27),
     # a gaussian-mean chunk holds at least one block, whose train and fresh
@@ -875,6 +871,7 @@ RANGES = {
     "configs[].n": ("<=", 2**14),
     "two_point_config_index": (">=", 0),
     "decay_n": (">=", 2),
+    "decay_tolerance": (">=", 0),
     # the decay and ismi checks divide by gen, which is zero at sigmaZ_sq = 0
     "decay_config.sigmaZ_sq": (">", 0),
     "ismi_config.sigmaZ_sq": (">", 0),
@@ -882,14 +879,17 @@ RANGES = {
     "alphas[]": (">", 1),
     "probe_alpha": (">", 1),
     "probe_gammas[]": (">", 0),
+    "probe_rel_tol": (">=", 0),
     # one pair takes about 0.2 ms: 10**5 pairs take about 20 s
     "aic_pairs": (">=", 1, "<=", 10**5),
     # the check enumerates 2**n wells: 3 s and 120 MB at n = 16
     "laplace.n": (">=", 1, "<=", 16),
     "laplace.gamma": (">", 0),
     "laplace.sigmaZ_sq": (">", 0),
+    "laplace.tolerance": (">=", 0),
     "bayes.n": (">=", 1),
     "bayes.trials": (">=", MIN_TRIALS, "<=", 2**27),  # as "trials"
+    "bayes.tolerance": (">=", 0),
     # the chain on the quadratic has a stationary law only for step < 1
     "step": ("<", 1),
     # sgld_run fills an (iterations, 1) float64 noise array and an iterates
@@ -897,6 +897,7 @@ RANGES = {
     # second run draws: three such arrays, 768 MiB at 2**25 iterations
     "iterations": (">=", 10, "<=", 2**25),
     "batch_count": (">=", 2),
+    "var_tolerance": (">=", 0),
     "deltas[]": (">", 0, "<", 0.5),
     "clip": (">", 0),
     "config.d": ("==", 1),  # the coverage experiment is one-dimensional

@@ -357,6 +357,7 @@ def pac_bayes_coverage(
         raise InvalidInput("the coverage experiment is one-dimensional")
     require_real("clip", clip, ">", 0)
     check_trials(trials)
+    deltas = tuple(deltas)
     for delta in deltas:
         require_real("delta", delta, ">", 0, "<", 0.5, error=DeltaOutOfRange)
 

@@ -186,27 +186,14 @@ def test_criterion_10_high_probability_bounds(pac_bayes):
 
 # ------------------------------------------------------------- check shape
 
-BOOLEAN_CHECKS = {
-    "cmi_and_replace_one_on_iid",
-    "small_epsilon_direction",
-    "large_epsilon_direction",
-    "seed_determinism",
-}
-
-
 def test_checks_carry_observed_limit_and_margin(
     identities, counterexample, gaussian, bounds, asymptotics, sgld, pac_bayes
 ):
     results = (identities, counterexample, gaussian, bounds, asymptotics, sgld, pac_bayes)
-    booleans = set()
     for _, manifest in results:
         for check in manifest["checks"]:
-            comparison = check["comparison"]
-            if comparison is None:
-                booleans.add(check["name"])
-                assert [check["observed"], check["limit"], check["margin"]] == [None] * 3
-                continue
-            limit = check["limit"]
+            comparison, limit = check["comparison"], check["limit"]
+            assert comparison is not None and limit is not None, check
             if check["name"] in manifest["timings"]:
                 # a measured time stays out of the reproducible record
                 assert check["observed"] is None and check["margin"] is None
@@ -223,7 +210,6 @@ def test_checks_carry_observed_limit_and_margin(
             assert math.isfinite(observed) and math.isfinite(limit), check
             holds = margin > 0 or (margin == 0 and comparison in ("<=", ">=", "=="))
             assert holds == check["passed"], check
-    assert booleans == BOOLEAN_CHECKS
 
 
 def differences(a, b, path=""):

@@ -165,6 +165,38 @@ def test_ratio_constant_failure_has_its_own_check(tmp_path, monkeypatch):
     assert checks["divergence_order_and_ratio_constants"]["observed"] == evaluations
 
 
+def test_a_violating_mixture_fails_concavity_and_keeps_its_row(tmp_path):
+    # at seed 3 one of the 50 default mixtures dips below its component
+    # average (the comparison is not a theorem); its row is still written
+    out = str(tmp_path / "seed3")
+    assert main(["verify-identities", "--seed", "3", "--out", out]) == 1
+    checks = read_manifest(out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["mixture_concavity"]
+    assert checks[-1]["observed"] == 1
+    with open(os.path.join(out, "concavity.csv"), encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == DEFAULTS["verify-identities"]["mixture_instances"]
+    assert [row["instance"] for row in rows if float(row["slack"]) < -1e-12] == ["17"]
+
+
+def test_iid_rows_without_a_conditional_route_fail_their_check(tmp_path, monkeypatch):
+    columns = gibbslab.cli._identity_columns
+    cmi = gibbslab.cli.ROUTES.index("via_cmi")
+
+    def without_cmi(sweep):
+        routes, *rest = columns(sweep)
+        return [(*row[:cmi], None, *row[cmi + 1:]) for row in routes], *rest
+
+    monkeypatch.setattr(gibbslab.cli, "_identity_columns", without_cmi)
+    code, out = run_identities(tmp_path, "no_cmi")
+    assert code == 1
+    checks = {c["name"]: c for c in read_manifest(out)["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == [
+        "cmi_and_replace_one_on_iid"
+    ]
+    assert checks["cmi_and_replace_one_on_iid"]["observed"] < 1.0
+
+
 def test_seed_flag_changes_outputs(tmp_path):
     _, base = run_identities(tmp_path, "base")
     code, reseeded = run_identities(tmp_path, "reseeded", extra_args=["--seed", "7"])
@@ -189,6 +221,22 @@ def test_counterexample_run_and_failure_signalling(tmp_path):
     code = main(["counterexample", "--config", strict, "--out", str(tmp_path / "ce2")])
     assert code == 1
     assert read_manifest(str(tmp_path / "ce2"))["passed"] is False
+
+
+def test_a_flipped_pinned_direction_fails_with_its_signed_difference(tmp_path, monkeypatch):
+    monkeypatch.setitem(gibbslab.cli.COUNTEREXAMPLE_SMALL, "sum_exceeds_pair", False)
+    out = str(tmp_path / "ce")
+    assert main(["counterexample", "--out", out]) == 1
+    checks = {c["name"]: c for c in read_manifest(out)["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == ["small_epsilon_direction"]
+    with open(os.path.join(out, "counterexample.csv"), encoding="utf-8") as handle:
+        row = next(r for r in csv.DictReader(handle)
+                   if float(r["epsilon"]) == gibbslab.cli.COUNTEREXAMPLE_SMALL["epsilon"])
+    check = checks["small_epsilon_direction"]
+    assert [check["comparison"], check["limit"]] == ["<=", 0.0]
+    assert check["observed"] == pytest.approx(
+        float(row["individual_sum"]) - float(row["iskl_pair"]), rel=1e-9)
+    assert check["observed"] > 0.0
 
 
 def test_gaussian_mean_reduced_run(tmp_path):
@@ -364,6 +412,23 @@ def test_sgld_demo_run(tmp_path):
     assert payload["sha256"] == "060ae023d5094ea4cc543af49d3a05a928879b8d56dd91a22447a7a91835fc63"
 
 
+def test_a_rerun_that_differs_in_one_iterate_fails_determinism(tmp_path, monkeypatch):
+    run, runs = gibbslab.cli.sgld_run, []
+
+    def second_run_moves_one(*args):
+        runs.append(run(*args))
+        if len(runs) == 2:
+            runs[-1][-1, 0] += 1.0
+        return runs[-1]
+
+    monkeypatch.setattr(gibbslab.cli, "sgld_run", second_run_moves_one)
+    out = str(tmp_path / "sgld")
+    assert main(["sgld-demo", "--out", out]) == 1
+    check = read_manifest(out)["checks"][-1]
+    assert check["name"] == "seed_determinism"
+    assert [check["passed"], check["observed"]] == [False, 1]
+
+
 def test_pac_bayes_reduced_run(tmp_path):
     config = write_config(tmp_path, "pb.json", {"trials": 1000})
     out = str(tmp_path / "pb")
@@ -461,6 +526,13 @@ CONFIG_ERRORS = [
     # a rate fitted through one distinct size measures nothing
     ("gaussian-mean", {"ismi_ns": [100]}, (), "ismi_ns"),
     ("gaussian-mean", {"ismi_ns": [100, 100]}, (), "ismi_ns"),
+    # a negative gate tolerance would fail its gate on every run
+    ("counterexample", {"tolerance": -1.0}, (), "tolerance"),
+    ("bounds-table", {"probe_rel_tol": -1.0}, (), "probe_rel_tol"),
+    ("gaussian-mean", {"decay_tolerance": -1.0}, (), "decay_tolerance"),
+    ("sgld-demo", {"var_tolerance": -1.0}, (), "var_tolerance"),
+    ("asymptotics", {"laplace": {"tolerance": -1.0}}, (), "laplace.tolerance"),
+    ("asymptotics", {"bayes": {"tolerance": -1.0}}, (), "bayes.tolerance"),
 ]
 
 

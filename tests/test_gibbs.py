@@ -18,6 +18,7 @@ from gibbslab import (
     EnumerationTooLarge,
     EpsilonOutOfRange,
     GammaNonPositive,
+    GaussianMeanConfig,
     IIDData,
     IdentityMismatch,
     InvalidInput,
@@ -36,12 +37,13 @@ from gibbslab import (
     RatioConstants,
     bounds_table,
     instance_sweep,
+    pac_bayes_coverage,
     random_problem,
     regularized_gen,
     sandwich_violations,
 )
 from gibbslab.bounds import _bounds_rows
-from gibbslab.cli import RANGES
+from gibbslab.cli import CONCAVITY_SLACK, RANGES
 from gibbslab.gibbs import (
     ELEMENT_CAP,
     GenReport,
@@ -322,10 +324,11 @@ def test_concavity_probe_generic_iid_components():
     assert mixture_gen >= avg_gen - 1e-12
 
 
-def test_concavity_probe_known_violation_raises():
+def test_concavity_probe_known_violation_is_reported():
     # pinned two-hypothesis, four-symbol, n = 1 instance where the mixture
     # error genuinely falls below the component average (the inequality the
-    # probe asserts is not a theorem); confirmed with 50-digit arithmetic
+    # CLI's mixture_concavity gate compares is not a theorem); confirmed
+    # with 50-digit arithmetic
     loss = np.array(
         [
             [0.021832, 0.6447991, 0.01146781, 0.4713247],
@@ -348,8 +351,8 @@ def test_concavity_probe_known_violation_raises():
         n=1,
     )
     components = [(w, IIDData(q0)), (1.0 - w, IIDData(q1))]
-    with pytest.raises(IdentityMismatch):
-        concavity_probe(components, problem, 1.0)
+    mixture_gen, avg_gen = concavity_probe(components, problem, 1.0)
+    assert mixture_gen < avg_gen - CONCAVITY_SLACK
 
 
 def test_concavity_probe_weight_validation():
@@ -357,6 +360,31 @@ def test_concavity_probe_weight_validation():
     marginal = problem.data_model.marginal
     with pytest.raises(Exception):
         concavity_probe([(0.7, IIDData(marginal)), (0.7, IIDData(marginal))], problem, 1.0)
+
+
+def two_laws(seed):
+    rng = np.random.default_rng(seed)
+    q0, q1 = rng.random(4) + 0.1, rng.random(4) + 0.1
+    return [(0.35, IIDData(ProbVec(q0 / q0.sum()))), (0.65, IIDData(ProbVec(q1 / q1.sum())))]
+
+
+ONE_PASS_CALLS = {
+    "bounds_table": lambda many: bounds_table(small_problem(22), 1.0, many((1.5, 2.0))),
+    "pac_bayes_coverage": lambda many: pac_bayes_coverage(
+        GaussianMeanConfig(d=1, mu=(0.0,), mu0=(0.0,), sigma0_sq=1.0, sigmaZ_sq=1.0,
+                           sigma_sq=1.0, n=20),
+        2.0, 1000, 3, many((0.05, 0.1))),
+    "concavity_probe": lambda many: concavity_probe(many(two_laws(23)), small_problem(23), 2.0),
+    "sandwich_violations": lambda many: sandwich_violations(
+        many(bounds_table(small_problem(24), 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_PASS_CALLS))
+def test_a_generator_argument_reads_as_its_tuple(name):
+    # each function walks its argument more than once; repr shows every bit
+    call = ONE_PASS_CALLS[name]
+    assert repr(call(lambda items: (item for item in items))) == repr(call(tuple))
 
 
 def test_chain_rule_example_direction_flip():

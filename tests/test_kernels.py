@@ -21,7 +21,6 @@ import pytest
 import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import (
-    IdentityMismatch,
     IIDData,
     JointData,
     LearningProblem,
@@ -37,7 +36,6 @@ from gibbslab.bounds import _bounds_rows
 from gibbslab.cli import DEFAULTS
 from gibbslab.gibbs import (
     ABS_TOL,
-    CONCAVITY_SLACK,
     REL_TOL,
     GenReport,
     _gibbs_sweep,
@@ -647,12 +645,8 @@ def frozen_concavity(components, problem, gamma):
 
 def assert_probe_matches_the_frozen_one(components, problem, gamma):
     expected = frozen_concavity(components, problem, gamma)
-    try:
-        got = concavity_probe(components, problem, gamma)
-    except IdentityMismatch:
-        assert expected[0] < expected[1] - CONCAVITY_SLACK
-    else:
-        assert bits(got).tolist() == bits(expected).tolist()
+    got = concavity_probe(components, problem, gamma)
+    assert bits(got).tolist() == bits(expected).tolist()
 
 
 def test_concavity_probe_matches_the_frozen_expectations_on_the_default_mixtures():
