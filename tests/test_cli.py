@@ -22,7 +22,8 @@ import gibbslab.gibbs
 import gibbslab.probability
 from gibbslab import (
     ConfigInvalid, IdentityMismatch, IIDData, InfoDivergenceReport, JointData, LearningProblem,
-    ProbVec, RatioConstants, bounds_table, gen_characterizations, write_csv, write_json
+    ProbVec, RatioConstants, WellSample, bounds_table, gen_characterizations, single_well_gen,
+    write_csv, write_json
 )
 from gibbslab.cli import (
     DEFAULT_SEED, DEFAULTS, NONEMPTY, OPERATORS, RANGES, main, validate_config
@@ -284,6 +285,11 @@ def test_asymptotics_run(tmp_path):
     ]
     for name in ("aic.csv", "laplace.json", "bayes.json"):
         assert os.path.exists(os.path.join(out, name))
+    # the zero-temperature value is the double nearest 2 sigmaZ_sq / n = 1/5
+    with open(os.path.join(out, "laplace.json"), encoding="utf-8") as handle:
+        text = handle.read()
+    assert '"laplace_value": 2.0000000000000001e-01,' in text
+    assert '"relative_gap": 5.0000000000165838e-05' in text
 
 
 @pytest.mark.parametrize(
@@ -742,6 +748,62 @@ def test_laplace_cap_rejects_before_allocating(tmp_path):
         tracemalloc.stop()
     assert code == 2
     assert peak < 1 << 20
+
+
+def sign_vector_laplace_value(n, sigmaZ_sq):
+    """single_well_gen over one well per dataset of n signs +-sigma_z."""
+    sigma_z = math.sqrt(sigmaZ_sq)
+    wells = [
+        WellSample(minimizer=np.array([sigma_z * np.mean(signs)]), hessian=np.array([[2.0]]),
+                   weight=1.0 / 2**n)
+        for signs in itertools.product([-1.0, 1.0], repeat=n)
+    ]
+    return single_well_gen(wells)
+
+
+@pytest.mark.parametrize("sigmaZ_sq", [0.25, 1.0, 3.0])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_laplace_type_wells_match_the_sign_vector_wells(tmp_path, n, sigmaZ_sq):
+    config = write_config(tmp_path, "asym.json", {"laplace": {"n": n, "sigmaZ_sq": sigmaZ_sq}})
+    out = str(tmp_path / "asym")
+    assert main(["asymptotics", "--config", config, "--out", out]) == 0
+    with open(os.path.join(out, "laplace.json"), encoding="utf-8") as handle:
+        value = json.load(handle)["laplace_value"]
+    # the zero-temperature value is 2 sigmaZ_sq / n: the n + 1 wells land
+    # within an ulp of it, and the 2**n wells within the rounding of their
+    # 2**n-term sums, which they never beat
+    limit = 2.0 * sigmaZ_sq / n
+    sign_value = sign_vector_laplace_value(n, sigmaZ_sq)
+    assert abs(value - limit) <= math.ulp(limit)
+    assert abs(value - sign_value) <= 2**n * math.ulp(limit)
+    assert abs(value - limit) <= abs(sign_value - limit)
+
+
+def test_a_scaled_laplace_value_fails_only_its_check(tmp_path, capsys, monkeypatch):
+    real = gibbslab.cli.single_well_gen
+    monkeypatch.setattr(gibbslab.cli, "single_well_gen", lambda wells: 0.9 * real(wells))
+    out = str(tmp_path / "asym")
+    assert main(["asymptotics", "--out", out]) == 1
+    failed = [c["name"] for c in read_manifest(out)["checks"] if not c["passed"]]
+    assert failed == ["laplace_single_well"]
+    assert "FAIL laplace_single_well" in capsys.readouterr().out
+
+
+def test_laplace_cap_runs_on_seventeen_wells(tmp_path, monkeypatch):
+    real = gibbslab.cli.single_well_gen
+    counts = []
+
+    def counted(wells):
+        counts.append(len(wells))
+        return real(wells)
+
+    monkeypatch.setattr(gibbslab.cli, "single_well_gen", counted)
+    config = write_config(tmp_path, "asym.json", {"laplace": {"n": 16}})
+    out = str(tmp_path / "asym")
+    assert main(["asymptotics", "--config", config, "--out", out]) == 0
+    checks = {c["name"]: c["passed"] for c in read_manifest(out)["checks"]}
+    assert checks["laplace_single_well"]
+    assert counts == [17]
 
 
 def test_largest_seed_runs(tmp_path):

@@ -505,7 +505,9 @@ def test_pac_bayes_coverage_restores_the_ufunc_buffer_size(monkeypatch):
 def test_pac_bayes_coverage_memory_is_gaps_plus_one_block():
     # the (trials,) gaps (80 kB) and two (64, grid) arrays (0.4 MB each);
     # an unblocked (trials, n) draw alone would take 1.6 MB and the
-    # (trials, grid) empirical risks 64 MB
+    # (trials, grid) empirical risks 64 MB; the untraced call first makes
+    # the one-time imports (numpy.polynomial under hermgauss) fall outside
+    pac_bayes_coverage(pac_config(20, 1.0), 2.0, 1000, 1)
     assert traced_peak(pac_bayes_coverage, pac_config(20, 1.0), 2.0, 10_000, 1) < 1_500_000
 
 

@@ -265,9 +265,11 @@ def test_sgld_memory_is_noise_and_iterates_plus_one_block():
     # the (iterations, 1) noise and iterates arrays (0.8 MB each) and one
     # check block of 64 one-element iterates (about 10 kB) or, from a
     # scalar start, 64 floats; keeping every step's iterate object would
-    # take about 15 MB more
+    # take about 15 MB more; the untraced run first makes the one-time
+    # imports of the first Philox build (secrets, hmac, base64) fall outside
     iterations = 100_000
     config = SgldConfig(step=1e-3, gamma=4.0, iterations=iterations, seed=20)
+    sgld_run(quadratic_gradient(1.25), 0.0, SgldConfig(step=1e-3, gamma=4.0, iterations=10, seed=20))
     for start in (np.array([0.0]), 0.0):
         tracemalloc.start()
         try:
