@@ -865,9 +865,9 @@ RANGES = {
     "tolerance": (">=", 0),
     # block_gaps fills one (trials,) float64 array: 2**27 trials are 1 GiB
     "trials": (">=", MIN_TRIALS, "<=", 2**27),
-    # a gaussian-mean chunk holds at least one block, whose train and fresh
-    # (64, n, d) float64 draws take 2 * 64 * 64 * 8 B = 64 KiB per unit of n
-    # at d = 64: 1 GiB at n = 2**14
+    # a gaussian-mean trial costs about the same at any n, but under the gaussian
+    # law its scatter term alone leaves a relative standard error of at
+    # least sqrt((n - 1) / (d trials)): 1.1% at n = 2**14, d = 1, 2**27 trials
     "configs[].n": ("<=", 2**14),
     "two_point_config_index": (">=", 0),
     "decay_n": (">=", 2),

@@ -17,10 +17,8 @@ makes every quantity of interest available in closed form:
 The module also evaluates two comparison bounds on the same example: a
 per-sample mutual information bound (reproduced exactly as displayed in
 its source, including the constant; see ismi_bound) and a high-probability
-PAC-Bayes style bound.  The squared loss is not globally sub-Gaussian, so
-the PAC-Bayes coverage experiment uses a truncated loss clip((w-z)^2, 0, b),
-which is bounded in [0, b] and hence (b/2)-sub-Gaussian; the honest Gibbs
-posterior of the truncated loss is computed by quadrature.
+PAC-Bayes style bound, whose coverage pac_bayes_coverage measures on a
+truncated loss: the squared loss is not globally sub-Gaussian.
 """
 
 from __future__ import annotations
@@ -156,66 +154,72 @@ def mean_closed_forms(config: GaussianMeanConfig) -> MeanClosedForms:
     )
 
 
-def _draw_noise(rng: np.random.Generator, law: str, out: np.ndarray) -> None:
-    """Fill ``out`` with unit-variance noise of the sample law."""
+def _sufficient_gaps(config: GaussianMeanConfig, law: str, means: np.ndarray,
+                     scatters: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-trial gaps from the means, scatters and posterior noise that
+    gap_chunk draws in mc_mean_gen; overwrites means and scatters with
+    the blocks' xbar and S."""
+    n, d = config.n, config.d
     if law == "gaussian":
-        rng.standard_normal(out=out)
-    else:  # two_point: a Rademacher sign per coordinate, matched variance
-        np.multiply(rng.integers(0, 2, size=out.shape), 2.0, out=out)
-        out -= 1.0
+        means *= math.sqrt(config.sigmaZ_sq / n)
+        scatters *= 2.0 * config.sigmaZ_sq
+    else:  # c = 2K - n and n^2 d - sum_j c_j^2 are exact integers
+        np.subtract(2.0 * means, n, out=means)
+        scatters[...] = n * n * d - np.einsum("...j,...j->...", means, means)
+        scatters *= config.sigmaZ_sq / n
+        means *= math.sqrt(config.sigmaZ_sq) / n
+    means += config.mu
+    # W reads the train block only through its sum, n times its mean
+    w = config.posterior_mean(n * means[..., :1, :]) + math.sqrt(config.sigma1_sq) * noise
+    means -= w[..., None, :]
+    dist = np.einsum("...ij,...ij->...i", means, means) + scatters / n
+    return dist[..., 1] - dist[..., 0]
 
 
-def mc_mean_gen(
-    config: GaussianMeanConfig,
-    trials: int,
-    seed: int,
-    law: str = "gaussian",
-) -> tuple[float, float]:
+def mc_mean_gen(config: GaussianMeanConfig, trials: int, seed: int,
+                law: str = "gaussian") -> tuple[float, float]:
     """Monte Carlo estimate of the generalization error of the example.
 
-    Per trial: draw the training block, draw W from the exact Gibbs
-    posterior, draw a fresh test block of the same size, and average
-    |W - fresh_i|^2 - |W - train_i|^2 over coordinates i.  That difference
-    is an unbiased sample of the population-minus-empirical risk gap.
-    law selects the sample distribution: "gaussian" or "two_point" (a
-    variance-matched Rademacher law, exercising the fact that the closed
-    form depends on the sample law only through its covariance).
-    Trials are drawn in blocks and evaluated in chunks of blocks (see
-    samplers.block_gaps) as arrays of shape (chunk, n, d).  Returns
-    (estimate, standard error); bit-reproducible for a fixed seed.
+    A trial draws a training block of n samples, W from the exact Gibbs
+    posterior and a fresh block; the mean of |W - x|^2 over the fresh
+    samples less that over the training ones is an unbiased sample of the
+    risk gap.  law is "gaussian" or "two_point" (a variance-matched
+    Rademacher law: the closed form depends on the law only through its
+    covariance).  The blocks enter through their sufficient statistics:
+    with xbar a block's mean and S = sum_i |x_i - xbar|^2 its scatter,
+    (1/n) sum_i |W - x_i|^2 = |W - xbar|^2 + S / n, and W reads the
+    training block only through its sum (posterior_mean), so a trial's
+    gap is |W - fbar|^2 - |W - tbar|^2 + (S_f - S_t) / n for the training
+    (t) and fresh (f) blocks.  Gaussian: xbar is
+    mu + sqrt(sigmaZ_sq / n) N(0, I_d) and, by Cochran's theorem,
+    independent of S = sigmaZ_sq chi^2_{(n - 1) d}, drawn as
+    2 sigmaZ_sq Gamma((n - 1) d / 2).  Two-point: the count K_j of + signs
+    in coordinate j is Binomial(n, 1/2), and its n + 1 values are the
+    block's types: with c_j = 2 K_j - n the coordinate's mean is
+    mu_j + sqrt(sigmaZ_sq) c_j / n and its scatter sigmaZ_sq (n - c_j^2 / n).
+    A trial thus takes 3d normals and 2 gammas, or 2d binomials and d
+    normals, at any n.  Trials go through samplers.block_gaps, and a
+    trial's gap does not depend on its chunk.  Returns (estimate,
+    standard error); bit-reproducible for a fixed seed.
     """
     check_trials(trials)
     if law not in ("gaussian", "two_point"):
         raise InvalidInput(f"law must be 'gaussian' or 'two_point', got {law!r}")
     n, d = config.n, config.d
-    scale = math.sqrt(config.sigmaZ_sq)
-    post_scale = math.sqrt(config.sigma1_sq)
 
     def gap_chunk(size: int, blocks: Iterator) -> np.ndarray:
-        train = np.empty((size, n, d))
-        w = np.empty((size, d))
-        fresh = np.empty((size, n, d))
+        means, scatters, noise = np.empty((size, 2, d)), np.empty((size, 2)), np.empty((size, d))
         for rng, rows in blocks:
-            _draw_noise(rng, law, train[rows])
-            rng.standard_normal(out=w[rows])
-            _draw_noise(rng, law, fresh[rows])
-        for samples in (train, fresh):
-            samples *= scale
-            samples += config.mu
-        # W is the posterior mean plus the scaled posterior noise
-        w *= post_scale
-        w += config.posterior_mean(train)
-        # the squared deviations overwrite the samples
-        for samples in (fresh, train):
-            np.subtract(w[:, None, :], samples, out=samples)
-            np.multiply(samples, samples, out=samples)
-        gaps = fresh.sum(axis=2)
-        gaps -= train.sum(axis=2)
-        return gaps.mean(axis=1)
+            if law == "gaussian":
+                rng.standard_normal(out=means[rows])
+                rng.standard_gamma((n - 1) * d / 2, out=scatters[rows])
+            else:
+                means[rows] = rng.binomial(n, 0.5, means[rows].shape)
+            rng.standard_normal(out=noise[rows])
+        return _sufficient_gaps(config, law, means, scatters, noise)
 
-    # a trial holds n * d train and fresh elements and, while the gaps
-    # are summed, n squared distances of each
-    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 2 * n * (d + 1)))
+    # a trial's 3d + 2 draws, and as many elements again to form its gap
+    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 6 * (d + 1)))
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,10 @@ counter_rng is the one source of randomness in the package: a Philox
 generator keyed by (seed, stream) whose counter starts at a block
 index, so every (seed, stream, block) triple names its own
 non-overlapping substream and results never depend on execution order.
-The vectorized Monte Carlo estimators draw their trials in blocks of
-BLOCK_TRIALS through block_gaps, the one Monte Carlo loop of the
-package.  It builds one keyed generator per call and re-keys its counter
-to block b before block b's draws, so each block draws what
-counter_rng(seed, 0, b) would, as when every block had a generator of
-its own.  It hands the blocks to the estimator a chunk at a time so
-that the arithmetic after the draws runs once per chunk of blocks, on
-arrays of at most about probability.BLOCK_ELEMENTS elements; instance
-sweeps use one stream per instance at block 0.
+block_gaps, the one Monte Carlo loop of the package, draws an
+estimator's trials in blocks of BLOCK_TRIALS, block b as
+counter_rng(seed, 0, b) would, and hands them over a chunk of blocks at
+a time; instance sweeps use one stream per instance at block 0.
 """
 
 from __future__ import annotations

@@ -251,34 +251,128 @@ def traced_peak(fn, *args):
 @pytest.mark.parametrize(
     "record, trials, seed, pins",
     [
-        # 2000 = 31 * 64 + 16 trials in chunks of 7 blocks at n * d = 80
+        # 2000 = 31 * 64 + 16 trials in one chunk of up to 52 blocks at d = 4
         ({"d": 4, "mu": 0.0, "mu0": 0.5, "sigma0_sq": 1.0, "sigmaZ_sq": 0.5,
           "sigma_sq": 2.0, "n": 20}, 2000, 7,
-         {"gaussian": ("0x1.8c651e24bda7dp-3", "0x1.8ec30f451ef64p-7"),
-          "two_point": ("0x1.744989d8322b3p-3", "0x1.d224b4361a2aep-8")}),
-        # 25,000 = 390 * 64 + 40 trials in chunks of 78 blocks at n * d = 5
+         {"gaussian": ("0x1.51a220abe0873p-3", "0x1.7fde4d6641deap-7"),
+          "two_point": ("0x1.7b04f960cc657p-3", "0x1.cc75a5748b6c1p-8")}),
+        # 25,000 = 390 * 64 + 40 trials in chunks of 130 blocks at d = 1
         ({"d": 1, "mu": 0.0, "mu0": 0.0, "sigma0_sq": 1.0, "sigmaZ_sq": 1.0,
           "sigma_sq": 1.0, "n": 5}, 25_000, 11,
-         {"gaussian": ("0x1.4cf4ba4833719p-2", "0x1.b7a82072c5c25p-8"),
-          "two_point": ("0x1.48af85cd6f1eap-2", "0x1.31458ccade10bp-8")}),
+         {"gaussian": ("0x1.5e6c5b136599ap-2", "0x1.b97b45062632dp-8"),
+          "two_point": ("0x1.5b7d83c43510ep-2", "0x1.34db0018322c8p-8")}),
     ],
 )
 def test_mc_mean_gen_pinned_digits(record, trials, seed, pins):
-    # recorded when every block's arithmetic ran on its own; a trial's
-    # gap must not depend on how its block is grouped with others
+    # recorded from the sufficient-statistics sampler at the default chunk
+    # size; a trial's gap must not depend on how its block is grouped with
+    # others (see test_mc_mean_gen_is_independent_of_the_chunk_size)
     cfg = GaussianMeanConfig(**record)
     for law, expected in pins.items():
         estimate, std_error = mc_mean_gen(cfg, trials, seed, law=law)
         assert (estimate.hex(), std_error.hex()) == expected
 
 
+@pytest.mark.parametrize("law", ["gaussian", "two_point"])
+@pytest.mark.parametrize("d", [1, 4, MAX_DIM])
+def test_mc_mean_gen_is_independent_of_the_chunk_size(monkeypatch, law, d):
+    # 2000 trials make one chunk at the default size for d = 1 and 4 and
+    # eight at d = 64; a budget of one element makes every block a chunk
+    cfg = make_config(d=d, n=7, shift=0.3)
+    default = mc_mean_gen(cfg, 2000, 5, law=law)
+    monkeypatch.setattr(gibbslab.samplers, "BLOCK_ELEMENTS", 1)
+    assert mc_mean_gen(cfg, 2000, 5, law=law) == default
+
+
 def test_mc_mean_gen_memory_is_gaps_plus_one_block():
     # the (trials,) gaps (0.8 MB), the deviations the standard error takes
-    # from them, and one chunk of blocks, whose train and fresh draws and
-    # squared distances stay within BLOCK_ELEMENTS (0.8 MB) together; one
-    # unblocked (trials, n, d) draw alone would take 64 MB
+    # from them, and one chunk of blocks, whose statistics draws and the
+    # arrays formed from them stay within BLOCK_ELEMENTS (0.8 MB) together;
+    # drawing the trials' (n, d) train and fresh blocks unchunked would
+    # take 128 MB
     cfg = make_config(d=4, n=20)
     assert traced_peak(mc_mean_gen, cfg, 100_000, 1) < 3_000_000
+
+
+def unit_draws(rng, law, shape):
+    """Unit-variance sample noise: N(0, 1) values, or signs +-1 under two_point."""
+    if law == "gaussian":
+        return rng.standard_normal(shape)
+    return 2.0 * rng.integers(0, 2, shape) - 1.0
+
+
+def full_block_gaps(cfg, draws, noise):
+    """Reference gaps from every sample: draws holds each trial's (2, n, d)
+    train and fresh unit noise and noise its (d,) posterior noise.  Returns
+    the gaps, W and the samples."""
+    samples = cfg.mu + math.sqrt(cfg.sigmaZ_sq) * draws
+    w = cfg.posterior_mean(samples[..., 0, :, :]) + math.sqrt(cfg.sigma1_sq) * noise
+    dist = np.square(w[..., None, None, :] - samples).sum(axis=-1).mean(axis=-1)
+    return dist[..., 1] - dist[..., 0], w, samples
+
+
+@pytest.mark.parametrize("law", ["gaussian", "two_point"])
+@pytest.mark.parametrize("n, sigmaZ_sq", [(1, 0.7), (2, 0.7), (3, 25.0), (12, 0.7), (100, 25.0),
+                                          (1, 0.0), (5, 0.0)])
+def test_sufficient_statistics_gaps_equal_per_sample_gaps(law, n, sigmaZ_sq):
+    # the sampler's draws are the statistics of a block: under gaussian the
+    # unit mean sum_i e_i / sqrt(n) and half the unit scatter
+    # sum_i |e_i - ebar|^2 / 2, under two_point the count of + signs per
+    # coordinate.  Taken from full blocks they must give each trial the gap
+    # that the samples themselves give.  Both forms add up at most n d + 2d
+    # rounded squares of differences of numbers below M = |W|_inf +
+    # max_i |x_i|_inf, so the bound is 4 (n + d) eps M^2, a few times the
+    # first-order rounding of such sums; the worst seen over these cases
+    # was 0.11 of it
+    d, trials = 3, 500
+    cfg = GaussianMeanConfig(d=d, mu=(0.5, -1.0, 2.0), mu0=0.3, sigma0_sq=1.5,
+                             sigmaZ_sq=sigmaZ_sq, sigma_sq=1.0, n=n)
+    rng = counter_rng(n, 1)
+    draws = unit_draws(rng, law, (trials, 2, n, d))
+    noise = rng.standard_normal((trials, d))
+    expected, w, samples = full_block_gaps(cfg, draws, noise)
+    if law == "gaussian":
+        means = draws.sum(axis=-2) / math.sqrt(n)
+        scatters = np.square(draws - draws.mean(axis=-2, keepdims=True)).sum(axis=(-2, -1)) / 2
+    else:
+        means = (draws > 0).sum(axis=-2).astype(float)
+        scatters = np.empty((trials, 2))
+    gaps = gibbslab.gaussian._sufficient_gaps(cfg, law, means, scatters, noise)
+    scale = np.square(np.abs(w).max(axis=-1) + np.abs(samples).max(axis=(-3, -2, -1)))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(gaps - expected) <= 4 * (n + d) * eps * scale)
+    if n == 1 or sigmaZ_sq == 0.0:
+        # a lone sample or a point mass has no scatter: S is exactly 0
+        assert np.all(scatters == 0.0)
+    if sigmaZ_sq == 0.0:
+        assert np.all(gaps == 0.0) and np.all(expected == 0.0)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "two_point"])
+def test_mc_mean_gen_gap_variance_matches_full_blocks(law):
+    # E[S_f - S_t] = 0 for any degrees of freedom used on both sides, so the
+    # z gate cannot see a symmetric error in the scatter draws; the gap
+    # variance can.  The sampler's variance (std_error^2 trials) is compared
+    # with that of the per-sample reference on independent draws, in units
+    # of the standard error of their difference, sqrt(2 (m4 - v^2) / trials)
+    # from the reference's fourth central moment m4: tolerance 4.  Power:
+    # gaussian scatter draws with n d instead of (n - 1) d degrees of
+    # freedom on both sides add 2 * 2 sigmaZ_sq^2 d / n^2 = 1 to a variance
+    # of about 3.35 (2.27 under two_point) here.  The last assertion
+    # requires such a shift to be at least 8 of those standard errors (it
+    # is 9.4 and 18.2), so the gate at 4 misses it with probability under
+    # 4e-5 in the normal approximation
+    n, d, sigmaZ_sq, trials = 2, 1, 1.0, 20_000
+    cfg = make_config(d=d, n=n, sigma0_sq=1.0, sigmaZ_sq=sigmaZ_sq)
+    rng = counter_rng(17, 1)
+    reference, _, _ = full_block_gaps(cfg, unit_draws(rng, law, (trials, 2, n, d)),
+                                      rng.standard_normal((trials, d)))
+    variance = reference.var(ddof=1)
+    m4 = np.mean((reference - reference.mean()) ** 4)
+    error = math.sqrt(2 * (m4 - variance**2) / trials)
+    _, std_error = mc_mean_gen(cfg, trials, 3, law=law)
+    assert abs(std_error**2 * trials - variance) <= 4 * error
+    assert 2 * 2 * sigmaZ_sq**2 * d / n**2 >= 8 * error
 
 
 def pac_config(n, sigma_sq):
