@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidInput, NotPositiveDefinite, SingularHessian, require_count, require_real
-from .samplers import block_gaps, check_trials, mean_and_std_error
+from .samplers import STREAMS, block_gaps, check_trials, mean_and_std_error
 
 WEIGHT_TOL = 1e-8
 PIVOT_TOL = 1e-10
@@ -220,4 +220,4 @@ def bayes_location_regime_gen(
         return 0.5 * (1.0 / n + m**2 - (m - mean) ** 2)
 
     # the sample means and a few temporaries of their size
-    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 4))
+    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 4, stream=STREAMS["bayes"].start))

@@ -73,8 +73,8 @@ from .gibbs import (
     concavity_probe,
     empirical_risk_curve,
 )
-from .problems import _draw_problem, instance_rng, instance_sweep, random_mixture_components
-from .samplers import MIN_TRIALS, SgldConfig, counter_rng, sgld_run
+from .problems import _draw_problem, instance_sweep, random_mixture_components
+from .samplers import MIN_TRIALS, STREAMS, SgldConfig, counter_rng, sgld_run
 from .serialize import load_json, write_csv, write_json
 
 DEFAULT_SEED = 20260814
@@ -285,10 +285,9 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     curve_gammas = config["curve_gammas"]
     curve_rows = []
     rises = []
-    # the seed is checked, so curve and mixture i draw at the default caps
-    # from the generators of instance_rng(seed, 20_000 + i) and 30_000 + i
+    # the seed is checked: curves and mixtures draw at the default caps
     for i in range(curve_count):
-        problem = _draw_problem(counter_rng(seed, 20_000 + i), iid=(i % 2 == 0))
+        problem = _draw_problem(counter_rng(seed, STREAMS["curves"].start + i), iid=(i % 2 == 0))
         values = empirical_risk_curve(problem, curve_gammas)
         for gamma, value in zip(curve_gammas, values):
             curve_rows.append([i, gamma, value])
@@ -309,7 +308,7 @@ def cmd_verify_identities(config: dict, out_dir: str, seed: int) -> list[Check]:
     mixture_rows = []
     mixture_failures = []
     for i in range(mixture_count):
-        rng = counter_rng(seed, 30_000 + i)
+        rng = counter_rng(seed, STREAMS["mixtures"].start + i)
         problem = _draw_problem(rng, iid=True)
         components = random_mixture_components(rng, problem)
         mixture_gen, component_avg = concavity_probe(components, problem, mixture_gamma)
@@ -402,7 +401,8 @@ def cmd_gaussian_mean(config: dict, out_dir: str, seed: int) -> list[Check]:
     z_scores = []
     for index, (cfg, law) in enumerate(jobs):
         closed = mean_closed_forms(cfg)
-        estimate, std_error = mc_mean_gen(cfg, trials, seed + index, law=law)
+        estimate, std_error = mc_mean_gen(cfg, trials, seed, law=law,
+                                          stream=STREAMS["gaussian_mean"].start + index)
         z = (estimate - closed.gen) / std_error if std_error > 0.0 else 0.0
         z_scores.append(abs(z))
         mc_rows.append(
@@ -529,7 +529,7 @@ def cmd_bounds_table(config: dict, out_dir: str, seed: int) -> list[Check]:
 
 def cmd_asymptotics(config: dict, out_dir: str, seed: int) -> list[Check]:
     pairs = config["aic_pairs"]
-    rng = instance_rng(seed, 1)
+    rng = counter_rng(seed, STREAMS["aic_pairs"].start)
     aic_rows = []
     gaps = []
     for k in range(pairs):
@@ -839,13 +839,13 @@ HANDLERS = {
 # bound) pairs keyed by config path, with "[]" for every index of a list.
 # GaussianMeanConfig and SgldConfig check the other fields.
 RANGES = {
-    # gaussian-mean keys its Philox streams by seed + config index < 2**64
-    "seed": (">=", 0, "<", 2**63),
+    # the seed is the first Philox key word (samplers.check_seed)
+    "seed": (">=", 0, "<", 2**64),
     # the sweep holds one window of instances at a time (gibbs._shape_sweep)
     # and keeps only their rows; at the default sizes one instance takes
     # about 0.9 ms (verify-identities) to 1.4 ms (bounds-table) over four
     # gammas on a 2-core x86 machine, so 10**4 instances take about 14 s
-    "instances": (">=", 1, "<=", 10**4),
+    "instances": (">=", 1, "<=", len(STREAMS["instances"])),
     "gammas[]": (">", 0),
     # an instance whose m * max(n, nw) exceeds ELEMENT_CAP raises
     # EnumerationTooLarge before its tables are drawn; each bound is the
@@ -854,11 +854,11 @@ RANGES = {
     "max_symbols": (">=", 2, "<=", ELEMENT_CAP // 2),
     "max_hypotheses": (">=", 2, "<=", ELEMENT_CAP // 2),
     "max_n": (">=", 1, "<=", max(n for n in range(1, 64) if n * 2**n <= ELEMENT_CAP)),
-    # one curve or mixture takes under 1 ms at the default sizes and is
-    # freed after it: 10**5 take about a minute
-    "curve_instances": (">=", 1, "<=", 10**5),
+    # curve or mixture i reads stream i of its STREAMS range; one takes
+    # under 1 ms at the default sizes and is freed after it
+    "curve_instances": (">=", 1, "<=", len(STREAMS["curves"])),
     "curve_gammas[]": (">=", 0),
-    "mixture_instances": (">=", 1, "<=", 10**5),
+    "mixture_instances": (">=", 1, "<=", len(STREAMS["mixtures"])),
     "mixture_gamma": (">=", 0),
     "epsilons[]": (">", 0, "<", 0.125),
     # a negative gate tolerance would fail its gate on every run
@@ -914,6 +914,8 @@ RANGES = {
     "spot_checks[].expected": ("!=", 0),
 }
 NONEMPTY = ("gammas", "curve_gammas", "probe_gammas", "ismi_ns")
+# each value of these lists writes rows or a check of its own
+DISTINCT = ("gammas", "alphas", "epsilons", "deltas", "ismi_ns")
 # keys whose real default also admits a list of d reals
 VECTOR_KEYS = ("mu", "mu0")
 
@@ -957,6 +959,8 @@ def _checked(default: object, value: object, path: str, key: str, record: bool =
             _checked(entry, item, f"{path}[{i}]" if nested else path, f"{key}[]", nested)
             for i, item in enumerate(value)
         ]
+        if key in DISTINCT and len(set(result)) < len(result):
+            raise ConfigInvalid(f"must not repeat a value, got {value!r}", path=path)
     else:
         require = require_real if isinstance(default, float) else require_count
         rule = RANGES.get(key, ())

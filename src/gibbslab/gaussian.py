@@ -37,7 +37,7 @@ from .errors import (
     require_count,
     require_real,
 )
-from .samplers import block_gaps, check_trials, mean_and_std_error
+from .samplers import STREAMS, block_gaps, check_trials, mean_and_std_error
 
 MAX_DIM = 64
 IDENTITY_TOL = 1e-12
@@ -176,8 +176,8 @@ def _sufficient_gaps(config: GaussianMeanConfig, law: str, means: np.ndarray,
     return dist[..., 1] - dist[..., 0]
 
 
-def mc_mean_gen(config: GaussianMeanConfig, trials: int, seed: int,
-                law: str = "gaussian") -> tuple[float, float]:
+def mc_mean_gen(config: GaussianMeanConfig, trials: int, seed: int, law: str = "gaussian", *,
+                stream: int = STREAMS["gaussian_mean"].start) -> tuple[float, float]:
     """Monte Carlo estimate of the generalization error of the example.
 
     A trial draws a training block of n samples, W from the exact Gibbs
@@ -198,9 +198,9 @@ def mc_mean_gen(config: GaussianMeanConfig, trials: int, seed: int,
     block's types: with c_j = 2 K_j - n the coordinate's mean is
     mu_j + sqrt(sigmaZ_sq) c_j / n and its scatter sigmaZ_sq (n - c_j^2 / n).
     A trial thus takes 3d normals and 2 gammas, or 2d binomials and d
-    normals, at any n.  Trials go through samplers.block_gaps, and a
-    trial's gap does not depend on its chunk.  Returns (estimate,
-    standard error); bit-reproducible for a fixed seed.
+    normals, at any n.  Trials go through samplers.block_gaps on the key
+    (seed, stream), stream in [0, 2**64); a trial's gap does not depend
+    on its chunk.  Returns (estimate, standard error), bit-reproducible.
     """
     check_trials(trials)
     if law not in ("gaussian", "two_point"):
@@ -219,7 +219,7 @@ def mc_mean_gen(config: GaussianMeanConfig, trials: int, seed: int,
         return _sufficient_gaps(config, law, means, scatters, noise)
 
     # a trial's 3d + 2 draws, and as many elements again to form its gap
-    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 6 * (d + 1)))
+    return mean_and_std_error(block_gaps(trials, seed, gap_chunk, 6 * (d + 1), stream=stream))
 
 
 @dataclass(frozen=True)
@@ -426,7 +426,8 @@ def pac_bayes_coverage(
     # errstate, which restores the buffer size only from numpy 2.0 on
     old = np.setbufsize(COVERAGE_BUFSIZE)
     try:
-        gaps = block_gaps(trials, seed, gap_chunk, 2 * COVERAGE_GRID)
+        gaps = block_gaps(trials, seed, gap_chunk, 2 * COVERAGE_GRID,
+                          stream=STREAMS["pac_bayes"].start)
     finally:
         np.setbufsize(old)
 

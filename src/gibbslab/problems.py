@@ -1,12 +1,11 @@
 """Randomized enumerable problem instances for identity and bound sweeps.
 
-Instance k is drawn from the counter-based stream (seed, k) of
-samplers.counter_rng, so it is the same no matter how many instances a
-sweep requests or in which order they are built.  Weights get a small
-positive floor before normalization: strictly positive laws keep every
-posterior comparison absolutely continuous, which is the regime the
-identity checks are about (support mismatches are exercised separately
-in the unit tests).
+Instance k is drawn from stream k of samplers.STREAMS["instances"], so
+it is the same no matter how many instances a sweep requests or in which
+order they are built.  Weights get a small positive floor before
+normalization: strictly positive laws keep every posterior comparison
+absolutely continuous, which is the regime the identity checks are
+about (support mismatches are exercised separately in the unit tests).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import require_count
 from .gibbs import DataModel, IIDData, JointData, LearningProblem, _check_elements
 from .probability import ProbVec
-from .samplers import check_seed, counter_rng
+from .samplers import STREAMS, check_seed, counter_rng
 
 WEIGHT_FLOOR = 0.05
 
@@ -31,7 +30,7 @@ def instance_rng(seed: int, index: int) -> np.random.Generator:
     like the seed, an integer in [0, 2**64): the range of a Philox key word."""
     check_seed(seed)
     require_count("index", index, ">=", 0, "<", 2**64)
-    return counter_rng(seed, index)
+    return counter_rng(seed, STREAMS["instances"].start + index)
 
 
 def random_problem(
@@ -101,14 +100,13 @@ def instance_sweep(
     same-shape problems together.  The count, the seed and the caps are
     checked once, when it is called, before any instance is drawn; every
     index is then below 2**64, so instance index is random_problem drawn
-    from counter_rng(seed, index), the generator of instance_rng(seed,
-    index), without their checks."""
+    from the generator of instance_rng(seed, index), without its checks."""
     require_count("count", count, ">=", 1, "<=", 2**64)
     check_seed(seed)
     _check_caps(max_symbols, max_hypotheses, max_n)
     return (
-        (index, _draw_problem(counter_rng(seed, index), max_symbols, max_hypotheses, max_n,
-                              iid=(index % 2 == 0)))
+        (index, _draw_problem(counter_rng(seed, STREAMS["instances"].start + index),
+                              max_symbols, max_hypotheses, max_n, iid=(index % 2 == 0)))
         for index in range(count)
     )
 

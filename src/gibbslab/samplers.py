@@ -9,7 +9,7 @@ exp(-gamma * objective).  For a quadratic objective (w - m)^2 the exact
 stationary law of the discrete chain is Gaussian with mean m and
 variance 1 / (2 gamma (1 - step)), so the continuous-time variance
 1 / (2 gamma) is recovered as the step vanishes; tests lean on both
-facts.  All noise comes from the counter-based stream (seed, 0), so a
+facts.  All noise comes from the seed's "sgld" stream of STREAMS, so a
 run is bit-reproducible.  The chain checks for divergence once per
 CHECK_STEPS iterations, on the iterates of the block just run.  A Python
 int or float start runs a one-dimensional chain on Python floats, whose
@@ -19,11 +19,11 @@ do the same IEEE-754 double operations in the same order, unfused.
 counter_rng is the one source of randomness in the package: a Philox
 generator keyed by (seed, stream) whose counter starts at a block
 index, so every (seed, stream, block) triple names its own
-non-overlapping substream and results never depend on execution order.
-block_gaps, the one Monte Carlo loop of the package, draws an
-estimator's trials in blocks of BLOCK_TRIALS, block b as
-counter_rng(seed, 0, b) would, and hands them over a chunk of blocks at
-a time; instance sweeps use one stream per instance at block 0.
+non-overlapping substream and results never depend on execution order;
+STREAMS names every stream the package reads.  block_gaps, the one
+Monte Carlo loop of the package, draws an estimator's trials in blocks
+of BLOCK_TRIALS, block b as counter_rng(seed, stream, b) would, and
+hands them over a chunk of blocks at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +59,26 @@ MIN_TRIALS = 1000
 BLOCK_TRIALS = 64
 
 
+# Every Philox stream number (the second key word of counter_rng) that the
+# package reads, as one range per experiment: a draw takes the start of its
+# range plus an index, its instance, curve, mixture or job.  The ranges
+# one subcommand reads are disjoint, and the CLI caps each count at its
+# range's length, so no two draws of a subcommand share a key.  Ranges of
+# different subcommands overlap, since no check compares two subcommands:
+# verify-identities and bounds-table draw the same instances, and
+# pac-bayes, the Bayes regime of asymptotics and sgld-demo read stream 0.
+STREAMS = {
+    "instances": range(0, 10_000),  # verify-identities, bounds-table
+    "curves": range(20_000, 30_000),  # verify-identities
+    "mixtures": range(30_000, 40_000),  # verify-identities
+    "aic_pairs": range(1, 2),  # asymptotics: one generator for every pair
+    "bayes": range(0, 1),  # asymptotics
+    "gaussian_mean": range(0, 2**64),  # gaussian-mean: one stream per job
+    "pac_bayes": range(0, 1),  # pac-bayes
+    "sgld": range(0, 1),  # sgld-demo
+}
+
+
 def counter_rng(seed: int, stream: int, block: int = 0) -> np.random.Generator:
     """Generator of the counter-based stream (seed, stream) at block ``block``.
 
@@ -90,11 +110,13 @@ def block_gaps(
     seed: int,
     gap_chunk: Callable[[int, Iterator[tuple[np.random.Generator, slice]]], np.ndarray],
     trial_elements: int,
+    *,
+    stream: int,
 ) -> np.ndarray:
     """Per-trial gaps, drawn BLOCK_TRIALS trials per generator.
 
     Block b holds trials b * BLOCK_TRIALS onward and draws what
-    counter_rng(seed, 0, b) would.  The blocks go to gap_chunk(size,
+    counter_rng(seed, stream, b) would.  The blocks go to gap_chunk(size,
     blocks) a chunk at a time: ``blocks`` yields a chunk's blocks in
     order as (rng, rows) pairs, rows being the slice of the chunk's
     ``size`` trials that the block's draws fill, and gap_chunk returns
@@ -107,11 +129,12 @@ def block_gaps(
     takes while gap_chunk runs.  Returns the (trials,) array of gaps.
     """
     check_seed(seed)
+    require_count("stream", stream, ">=", 0, "<", 2**64)
     chunk_trials = BLOCK_TRIALS * max(1, BLOCK_ELEMENTS // (BLOCK_TRIALS * trial_elements))
     # building a Philox reads OS entropy for a seed sequence that the
     # key then overrides; setting a block's counter on one generator
     # reads none, and resets its buffered output as a new one would have
-    rng = counter_rng(seed, 0)
+    rng = counter_rng(seed, stream)
     bit_generator = rng.bit_generator
     state = bit_generator.state
     counter = state["state"]["counter"]
@@ -187,7 +210,8 @@ def sgld_run(
             raise InvalidInput(f"initial must be a scalar or vector, got shape {w.shape}")
         shape, dtype, kind, size = w.shape, w.dtype, np.ndarray, w.size
     step = config.step
-    noise = counter_rng(config.seed, 0).standard_normal((config.iterations, size))
+    noise = counter_rng(config.seed, STREAMS["sgld"].start).standard_normal(
+        (config.iterations, size))
     noise *= math.sqrt(2.0 * config.step / config.gamma)
     iterates = np.empty((config.iterations, size))
     # a diverging chain overflows on its way to its block's check, which

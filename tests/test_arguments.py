@@ -122,6 +122,8 @@ SITES = [
      lambda v: bayes_location_regime_gen(5, 1000, v)),
     ("mc_mean_gen", "trials", "count", InvalidInput, lambda v: mc_mean_gen(gaussian(), v, 0)),
     ("mc_mean_gen", "seed", "count", InvalidInput, lambda v: mc_mean_gen(gaussian(), 1000, v)),
+    ("mc_mean_gen", "stream", "count", InvalidInput,
+     lambda v: mc_mean_gen(gaussian(), 1000, 0, stream=v)),
     ("check_trials", "trials", "count", InvalidInput, check_trials),
     ("check_seed", "seed", "count", InvalidInput, check_seed),
     ("SgldConfig", "step", "real", InvalidInput, lambda v: SgldConfig(v, 1.0, 10)),

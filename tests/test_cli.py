@@ -28,6 +28,7 @@ from gibbslab import (
 from gibbslab.cli import (
     DEFAULT_SEED, DEFAULTS, NONEMPTY, OPERATORS, RANGES, main, validate_config
 )
+from gibbslab.samplers import STREAMS
 
 
 IDENTITY_HEADER = ["instance", "gamma", "data_kind", "n", "num_samples", "num_hypotheses",
@@ -506,10 +507,12 @@ CONFIG_ERRORS = [
     ("asymptotics", {"bayes": {"trials": 2**27 + 1}}, (), "bayes.trials"),
     ("sgld-demo", {"iterations": 2**25 + 1}, (), "iterations"),
     # counts that would hold every instance's tables or run for minutes
-    ("verify-identities", {"instances": 10**4 + 1}, (), "instances"),
-    ("bounds-table", {"instances": 10**4 + 1}, (), "instances"),
-    ("verify-identities", {"curve_instances": 10**5 + 1}, (), "curve_instances"),
-    ("verify-identities", {"mixture_instances": 10**5 + 1}, (), "mixture_instances"),
+    # and counts that would run past their range of random streams
+    ("verify-identities", {"instances": len(STREAMS["instances"]) + 1}, (), "instances"),
+    ("bounds-table", {"instances": len(STREAMS["instances"]) + 1}, (), "instances"),
+    ("verify-identities", {"curve_instances": len(STREAMS["curves"]) + 1}, (), "curve_instances"),
+    ("verify-identities", {"mixture_instances": len(STREAMS["mixtures"]) + 1}, (),
+     "mixture_instances"),
     ("asymptotics", {"aic_pairs": 10**5 + 1}, (), "aic_pairs"),
     # problem sizes that no instance within the element cap can take
     ("bounds-table", {"max_symbols": 4 * 10**6 + 1}, (), "max_symbols"),
@@ -532,6 +535,13 @@ CONFIG_ERRORS = [
     # a rate fitted through one distinct size measures nothing
     ("gaussian-mean", {"ismi_ns": [100]}, (), "ismi_ns"),
     ("gaussian-mean", {"ismi_ns": [100, 100]}, (), "ismi_ns"),
+    # a repeated value would write each of its rows, or its check, twice
+    ("bounds-table", {"alphas": [2.0, 2.0]}, (), "alphas"),
+    ("bounds-table", {"gammas": [1.0, 10.0, 1]}, (), "gammas"),
+    ("verify-identities", {"gammas": [1.0, 1.0]}, (), "gammas"),
+    ("counterexample", {"epsilons": [0.0001, 0.0001, 0.01]}, (), "epsilons"),
+    ("pac-bayes", {"deltas": [0.05, 0.05]}, (), "deltas"),
+    ("gaussian-mean", {"ismi_ns": [100, 100, 1000]}, (), "ismi_ns"),
     # a negative gate tolerance would fail its gate on every run
     ("counterexample", {"tolerance": -1.0}, (), "tolerance"),
     ("bounds-table", {"probe_rel_tol": -1.0}, (), "probe_rel_tol"),
@@ -593,11 +603,11 @@ def oracle_problem(rng, nz, n, nw, iid, zero=False):
     )
 
 
-def test_repeated_gammas_write_the_rows_of_single_builds(tmp_path, monkeypatch):
+def test_swept_rows_are_the_rows_of_single_builds(tmp_path, monkeypatch):
     # IID and joint problems, several per shape stack, and an IID problem
-    # whose law has a zero, which is evaluated on its own, at gammas with a
-    # repeat: every row of the four tables is the one that lone
-    # gen_characterizations and bounds_table calls give
+    # whose law has a zero, which is evaluated on its own: every row of the
+    # four tables is the one that lone gen_characterizations and
+    # bounds_table calls give
     rng = np.random.default_rng(23)
     shapes = [(2, 2, 3, True), (2, 2, 3, False), (3, 1, 4, True), (2, 2, 3, True),
               (2, 2, 3, False), (3, 1, 4, True), (2, 2, 3, True)]
@@ -605,7 +615,7 @@ def test_repeated_gammas_write_the_rows_of_single_builds(tmp_path, monkeypatch):
     problems.insert(3, oracle_problem(rng, 2, 2, 3, True, zero=True))
     instances = list(enumerate(problems))
     monkeypatch.setattr(gibbslab.cli, "instance_sweep", lambda count, seed, **_: iter(instances))
-    gammas = [0.5, 2.0, 2.0, 10.0]
+    gammas = [0.5, 2.0, 10.0]
     vi = write_config(tmp_path, "vi.json", {"instances": len(instances), "gammas": gammas,
                                             "curve_instances": 1, "mixture_instances": 1})
     bt = write_config(tmp_path, "bt.json", {"instances": len(instances), "gammas": gammas,
@@ -809,7 +819,7 @@ def test_laplace_cap_runs_on_seventeen_wells(tmp_path, monkeypatch):
 def test_largest_seed_runs(tmp_path):
     config = write_config(tmp_path, "sgld.json", {"iterations": 2000})
     out = str(tmp_path / "sgld")
-    seed = 2**63 - 1
+    seed = 2**64 - 1
     # 2000 iterations are too few for the stationarity checks: the run
     # must end with a manifest, not pass
     assert main(["sgld-demo", "--config", config, "--out", out, "--seed", str(seed)]) in (0, 1)
@@ -968,7 +978,7 @@ def test_validation_types_every_leaf_or_names_the_key(target, value, seed):
         config = validate_config(subcommand, user, seed)
     except ConfigInvalid as exc:
         if exc.path == "--seed":
-            assert not 0 <= seed < 2**63
+            assert not 0 <= seed < 2**64
             return
         top = path[0]
         assert re.match(rf"({re.escape(top)}|{PARTNERS.get(top, top)})($|[.\[])", exc.path), (

@@ -21,7 +21,7 @@ from gibbslab import (
 )
 import gibbslab.gaussian
 from gibbslab.gaussian import COVERAGE_GRID, HERMITE_NODES, MAX_DIM
-from gibbslab.samplers import BLOCK_TRIALS, counter_rng
+from gibbslab.samplers import BLOCK_TRIALS, STREAMS, counter_rng
 
 
 def make_config(d=2, n=12, sigma0_sq=1.5, sigmaZ_sq=0.7, sigma_sq=1.0, shift=None):
@@ -232,10 +232,21 @@ def test_mc_mean_gen_validation():
         mc_mean_gen(cfg, 1000, 0, law="uniform")
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
-def test_mc_mean_gen_rejects_a_seed_philox_cannot_take(seed):
-    with pytest.raises(InvalidInput, match="seed"):
-        mc_mean_gen(make_config(), 1000, seed)
+@pytest.mark.parametrize("value", [-1, 2**64, 1.5, True])
+@pytest.mark.parametrize("name", ["seed", "stream"])
+def test_mc_mean_gen_rejects_a_key_word_philox_cannot_take(name, value):
+    key = {"seed": 0, "stream": 0, name: value}
+    with pytest.raises(InvalidInput, match=f"^{name} "):
+        mc_mean_gen(make_config(), 1000, key["seed"], stream=key["stream"])
+
+
+def test_mc_mean_gen_stream_is_the_second_key_word():
+    # the default stream is where gaussian-mean's job 0 reads, and another
+    # stream draws other trials; the largest key word is taken
+    cfg = make_config(d=1, n=5)
+    assert mc_mean_gen(cfg, 1000, 3) == mc_mean_gen(cfg, 1000, 3, stream=0)
+    assert mc_mean_gen(cfg, 1000, 3, stream=1) != mc_mean_gen(cfg, 1000, 3)
+    assert mc_mean_gen(cfg, 1000, 3, stream=2**64 - 1) != mc_mean_gen(cfg, 1000, 3)
 
 
 def traced_peak(fn, *args):
@@ -442,7 +453,7 @@ def coverage_grid(config):
 def coverage_draws(config, trials, seed):
     """pac_bayes_coverage's (trials, n) standard normal draws."""
     return np.concatenate([
-        counter_rng(seed, 0, first // BLOCK_TRIALS).standard_normal(
+        counter_rng(seed, STREAMS["pac_bayes"].start, first // BLOCK_TRIALS).standard_normal(
             (min(BLOCK_TRIALS, trials - first), config.n))
         for first in range(0, trials, BLOCK_TRIALS)
     ])
@@ -509,11 +520,11 @@ def kernel_gaps(monkeypatch, config, clip, trials, seed, draws=None):
             out[...] = draws[self.taken : self.taken + len(out)]
             self.taken += len(out)
 
-    def capturing(trials, seed, gap_chunk, trial_elements):
+    def capturing(trials, seed, gap_chunk, trial_elements, *, stream):
         if draws is not None:
             inner, rows = gap_chunk, Rows()
             gap_chunk = lambda size, blocks: inner(size, ((rows, r) for _, r in blocks))
-        captured.append(real(trials, seed, gap_chunk, trial_elements))
+        captured.append(real(trials, seed, gap_chunk, trial_elements, stream=stream))
         return captured[-1]
 
     monkeypatch.setattr(gibbslab.gaussian, "block_gaps", capturing)
@@ -584,7 +595,7 @@ def test_pac_bayes_coverage_restores_the_ufunc_buffer_size(monkeypatch):
         pac_bayes_coverage(pac_config(5, 1.0), 2.0, 1000, 0)
         assert np.getbufsize() == 4096
 
-        def raising(*args):
+        def raising(*args, **kwargs):
             assert np.getbufsize() == gibbslab.gaussian.COVERAGE_BUFSIZE
             raise MemoryError("chunk")
 

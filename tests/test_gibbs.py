@@ -52,7 +52,7 @@ from gibbslab.gibbs import (
     _shape_sweep,
 )
 from gibbslab.problems import _draw_problem
-from gibbslab.samplers import counter_rng
+from gibbslab.samplers import STREAMS, counter_rng
 
 
 def small_problem(seed=0, iid=True, n=2):
@@ -662,15 +662,16 @@ def test_instance_sweep_at_other_caps_draws_random_problem(max_symbols, max_hypo
         assert_same_problem(problem, expected)
 
 
-@pytest.mark.parametrize("stream", [20_000, 20_001, 30_000, 30_001])
-def test_cli_instances_draw_what_random_problem_draws(stream):
-    # verify-identities draws curve i from stream 20_000 + i and mixture i
-    # from 30_000 + i through the private builder; each is random_problem
-    # from instance_rng, and leaves the generator where it does, so the
+@pytest.mark.parametrize("name, i", [("curves", 0), ("curves", 1), ("mixtures", 0),
+                                     ("mixtures", 1)])
+def test_cli_instances_draw_what_random_problem_draws(name, i):
+    # verify-identities draws curve and mixture i from stream i of their
+    # STREAMS ranges through the private builder; each is random_problem
+    # from the same generator, and leaves it where that does, so the
     # mixture components drawn after it are the same too
-    seed = 20260814
-    iid = stream >= 30_000 or stream % 2 == 0
-    rng, reference = counter_rng(seed, stream), instance_rng(seed, stream)
+    seed, stream = 20260814, STREAMS[name].start + i
+    iid = name == "mixtures" or i % 2 == 0
+    rng, reference = counter_rng(seed, stream), counter_rng(seed, stream)
     assert_same_problem(_draw_problem(rng, iid=iid), random_problem(reference, iid=iid))
     assert np.array_equal(rng.random(4), reference.random(4))
 

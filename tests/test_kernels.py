@@ -42,6 +42,7 @@ from gibbslab.gibbs import (
     gibbs_posterior,
 )
 from gibbslab.probability import BLOCK_ELEMENTS, _divergence_pair, _logsumexp, _renyi_logsums
+from gibbslab.samplers import STREAMS, counter_rng
 
 GAMMAS = (0.1, 1.0, 10.0, 100.0, 1e3, 1e6)
 ALPHAS = (1.5, 2.0, 4.0)
@@ -652,7 +653,7 @@ def assert_probe_matches_the_frozen_one(components, problem, gamma):
 def test_concavity_probe_matches_the_frozen_expectations_on_the_default_mixtures():
     config = DEFAULTS["verify-identities"]
     for i in range(config["mixture_instances"]):
-        rng = instance_rng(config["seed"], 30_000 + i)
+        rng = counter_rng(config["seed"], STREAMS["mixtures"].start + i)
         problem = random_problem(rng, iid=True)
         components = random_mixture_components(rng, problem)
         assert_probe_matches_the_frozen_one(components, problem, config["mixture_gamma"])

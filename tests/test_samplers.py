@@ -10,13 +10,13 @@ import pytest
 
 from gibbslab import Diverged, InvalidInput, SgldConfig, sgld_run
 from gibbslab.probability import BLOCK_ELEMENTS
-from gibbslab.samplers import BLOCK_TRIALS, block_gaps, counter_rng
+from gibbslab.samplers import BLOCK_TRIALS, STREAMS, block_gaps, counter_rng
 
 
 def test_counter_rng_block_zero_is_the_keyed_philox_stream():
     # instance sweeps and the Langevin noise read block 0, so their
     # outputs depend on it being the plain (seed, stream) Philox stream
-    for seed, stream in ((0, 0), (20, 0), (20260814, 20_000)):
+    for seed, stream in ((0, 0), (20, 0), (20260814, STREAMS["curves"].start)):
         legacy = np.random.Generator(
             np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
         )
@@ -38,9 +38,9 @@ def test_counter_rng_blocks_and_streams_are_distinct():
 
 @pytest.mark.parametrize("trial_elements", [1, 300, 10**9])
 def test_block_gaps_chunks_do_not_change_a_trials_draws(trial_elements):
-    # block b always fills trials 64 b onward from counter_rng(seed, 0, b);
-    # trial_elements sets only how many blocks a chunk groups
-    trials, seed = 1000, 9
+    # block b always fills trials 64 b onward from counter_rng(seed, stream,
+    # b); trial_elements sets only how many blocks a chunk groups
+    trials, seed, stream = 1000, 9, 4
     sizes = []
 
     def gap_chunk(size, blocks):
@@ -50,9 +50,9 @@ def test_block_gaps_chunks_do_not_change_a_trials_draws(trial_elements):
             rng.standard_normal(out=out[rows])
         return out
 
-    gaps = block_gaps(trials, seed, gap_chunk, trial_elements)
+    gaps = block_gaps(trials, seed, gap_chunk, trial_elements, stream=stream)
     expected = np.concatenate([
-        counter_rng(seed, 0, b).standard_normal(min(BLOCK_TRIALS, trials - start))
+        counter_rng(seed, stream, b).standard_normal(min(BLOCK_TRIALS, trials - start))
         for b, start in enumerate(range(0, trials, BLOCK_TRIALS))
     ])
     assert np.array_equal(gaps, expected)
@@ -79,7 +79,7 @@ def test_block_gaps_builds_one_generator_per_call(monkeypatch, trials):
         return out
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    block_gaps(trials, 3, gap_chunk, 1)
+    block_gaps(trials, 3, gap_chunk, 1, stream=0)
     assert len(builds) == 1
 
 
@@ -87,8 +87,8 @@ def test_block_gaps_rekeys_every_block_of_a_chunk():
     # 500 elements a trial put three blocks in a chunk; each block leaves
     # its generator holding half a 64-bit word (three 32-bit draws) and
     # partway through Philox's four-word buffer, and the next block still
-    # starts where counter_rng(seed, 0, b) does
-    trials, seed, trial_elements = 1000, 6, 500
+    # starts where counter_rng(seed, stream, b) does
+    trials, seed, stream, trial_elements = 1000, 6, 2**64 - 1, 500
     assert BLOCK_ELEMENTS // (BLOCK_TRIALS * trial_elements) == 3
     draws = []
 
@@ -100,10 +100,10 @@ def test_block_gaps_rekeys_every_block_of_a_chunk():
             draws.append(draw(rng, rows.stop - rows.start))
         return np.zeros(size)
 
-    block_gaps(trials, seed, gap_chunk, trial_elements)
+    block_gaps(trials, seed, gap_chunk, trial_elements, stream=stream)
     assert len(draws) == 16
     for b, got in enumerate(draws):
-        expected = draw(counter_rng(seed, 0, b), min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+        expected = draw(counter_rng(seed, stream, b), min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
         for a, e in zip(got, expected):
             assert np.array_equal(a, e)
 

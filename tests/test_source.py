@@ -1,8 +1,9 @@
 """Source hygiene: every import of the package names the standard library,
 numpy or the package itself, every module-level import is used, every
 private function, class or method is used somewhere in it, every public
-name is reached by the package or the benchmark, and no module but
-errors.py checks a scalar argument by hand."""
+name is reached by the package or the benchmark, no module but errors.py
+checks a scalar argument by hand, and no module spells a random stream
+number outside samplers.STREAMS."""
 
 import ast
 import pathlib
@@ -273,3 +274,62 @@ def test_a_hand_written_number_check_is_reported():
     )
     assert hand_written_number_checks(source) == [
         "scale (line 5)", "scale (line 7)", "check (line 20)"]
+
+
+def _holds_an_int_literal(node: ast.AST) -> bool:
+    return any(isinstance(child, ast.Constant) and type(child.value) is int
+               for child in ast.walk(node))
+
+
+def literal_streams(source: str) -> list[str]:
+    """"name (line n)" for each call of ``source`` whose stream, the second
+    argument of counter_rng or of instance_rng (which reads the instance
+    range) or any call's ``stream`` keyword, is built from an integer
+    literal, and for each function whose ``stream`` parameter defaults to
+    one: a stream number that samplers.STREAMS should name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            streams = [keyword.value for keyword in node.keywords if keyword.arg == "stream"]
+            if name in ("counter_rng", "instance_rng") and len(node.args) > 1:
+                streams.append(node.args[1])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments, name = node.args, node.name
+            positional = [*arguments.posonlyargs, *arguments.args]
+            defaults = [*zip(positional[len(positional) - len(arguments.defaults):],
+                             arguments.defaults), *zip(arguments.kwonlyargs, arguments.kw_defaults)]
+            streams = [default for arg, default in defaults
+                       if arg.arg == "stream" and default is not None]
+        else:
+            continue
+        if any(_holds_an_int_literal(stream) for stream in streams):
+            found.append((node.lineno, f"{name} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_streams_come_from_the_table(path):
+    assert literal_streams(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_literal_stream_is_reported():
+    # a block index is not a stream, and a stream read from the table is
+    # the table's; a literal, or arithmetic on one, in either stream slot,
+    # and a literal default of a stream parameter are reported
+    source = (
+        "from . import samplers\nfrom .problems import instance_rng\n"
+        "from .samplers import STREAMS, block_gaps, counter_rng\n\n\n"
+        "def draw(seed, i, stream=0, *, block=0):\n"
+        "    a = counter_rng(seed, 20_000 + i)\n"
+        "    b = counter_rng(seed, STREAMS['curves'].start + i, 3)\n"
+        "    c = samplers.counter_rng(seed, 1) or instance_rng(seed, 1)\n"
+        "    d = counter_rng(seed, stream=STREAMS['sgld'].start)\n"
+        "    return block_gaps(1000, seed, None, 1, stream=seed + 1)\n\n\n"
+        "def estimate(seed, *, stream: int = STREAMS['bayes'].start):\n"
+        "    return block_gaps(1000, seed, None, 1, stream=stream)\n"
+    )
+    assert literal_streams(source) == [
+        "draw (line 6)", "counter_rng (line 7)", "counter_rng (line 9)", "instance_rng (line 9)",
+        "block_gaps (line 11)"]
